@@ -1,9 +1,10 @@
 //! Model of the cooperative cancellation/drain protocol
-//! (crates/core/src/parallel.rs, crates/core/src/sharded.rs): a shared
-//! cancel flag is set once (by a deadline, a caller, or a panicking
-//! sibling), every worker re-checks it at the top of its task loop, a
-//! worker that observes it *drains* — publishes its locally accumulated
-//! counters into the shared results exactly once — and then exits; a
+//! (crates/core/src/exec.rs, the one worker loop both pool engines run
+//! on): a shared cancel flag is set once (by a deadline, a caller, or a
+//! panicking sibling), every worker re-checks it at the top of its task
+//! loop, a worker that observes it *drains* — publishes its locally
+//! accumulated counters into the shared results exactly once — and then
+//! exits; a
 //! worker that panics mid-stream publishes its completed-task counters
 //! on the unwind path before cancelling its siblings.
 //!
@@ -12,7 +13,7 @@
 //! check, so one stale task start per worker is admissible — that is
 //! the cooperative part), task execution bumps a worker-local counter
 //! (the code's per-worker `MinerStats`), and the drain is one step (the
-//! code's single `results.lock().append`). A scripted panic replaces
+//! code's single `drained.lock().absorb`). A scripted panic replaces
 //! one worker's task completion, exactly where `catch_unwind` sits.
 //!
 //! Checked invariants:

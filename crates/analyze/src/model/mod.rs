@@ -17,8 +17,9 @@
 //! true k-th score — and it proves the checker has teeth by finding
 //! counterexamples in three deliberately broken variants.
 //!
-//! [`term`] models the pending-counter termination protocol of
-//! [`parallel.rs`](../../core/src/parallel.rs): register-before-push
+//! [`term`] models the pending-counter termination protocol of the
+//! pool engines' shared execution core,
+//! [`exec.rs`](../../core/src/exec.rs): register-before-push
 //! spawning, complete-before-decrement, and exit on a zero read during
 //! an empty scan. It proves no worker ever exits while any task is
 //! queued or running (no premature exit, no lost work), and finds the
@@ -33,9 +34,9 @@
 //! resident shard pinned) is not a deadlock — and refutes the
 //! evict-under-pin, budget-blind and leaky-release variants.
 //!
-//! [`cancel`] models the cooperative cancellation/drain protocol of
-//! [`parallel.rs`](../../core/src/parallel.rs) and
-//! [`sharded.rs`](../../core/src/sharded.rs): a once-set shared flag
+//! [`cancel`] models the cooperative cancellation/drain protocol of the
+//! execution core both pool engines run on,
+//! [`exec.rs`](../../core/src/exec.rs): a once-set shared flag
 //! observed at every loop top, drain-exactly-once on every exit path
 //! (cancel, empty queue, and the `catch_unwind` panic path), at most
 //! one stale task start per worker after cancellation. It proves no

@@ -1,5 +1,5 @@
 //! Model of the work-stealing pool's termination protocol
-//! (crates/core/src/parallel.rs): a `pending` counter registers every
+//! (crates/core/src/exec.rs): a `pending` counter registers every
 //! task *before* it becomes stealable, decrements only *after* the task
 //! (and all its spawn registrations) completed, and an idle worker
 //! exits only when a full empty sweep of every queue is followed by a

@@ -25,10 +25,12 @@ pub const RULE: &str = "cast-truncation-audit";
 pub const AUDITED_FILES: &[&str] = &[
     "crates/graph/src/builder.rs",
     "crates/graph/src/compact.rs",
+    "crates/graph/src/io.rs",
     "crates/graph/src/kernel.rs",
     "crates/graph/src/shard.rs",
     "crates/graph/src/sort.rs",
     "crates/core/src/beta.rs",
+    "crates/core/src/exec.rs",
     "crates/core/src/miner.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/sharded.rs",

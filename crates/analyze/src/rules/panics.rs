@@ -19,6 +19,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/graph/src/sort.rs",
     "crates/graph/src/shard.rs",
     "crates/core/src/beta.rs",
+    "crates/core/src/exec.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/miner.rs",
     "crates/core/src/sharded.rs",

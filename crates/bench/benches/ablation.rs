@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the miner's main design choices:
 //!
 //! * dynamic top-k bound on/off (GRMiner(k) vs GRMiner);
 //! * generality filter on/off;
@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grm_bench::{fixture, Dataset};
-use grm_core::parallel::{mine_parallel_with_opts, ParallelOptions};
+use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use grm_core::{Dims, GrMiner, MinerConfig, RankMetric};
 use grm_graph::NodeAttrId;
 
@@ -80,7 +80,7 @@ fn bench(c: &mut Criterion) {
         &4usize,
         |b, &t| {
             b.iter(|| {
-                mine_parallel_with_opts(
+                try_mine_parallel_with_opts(
                     &graph,
                     &lift,
                     &dims,
@@ -89,6 +89,7 @@ fn bench(c: &mut Criterion) {
                         ..ParallelOptions::default()
                     },
                 )
+                .expect("an uncancellable mine cannot fail")
             })
         },
     );
@@ -110,7 +111,7 @@ fn bench(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(tag, threads), &threads, |b, &t| {
                 b.iter(|| {
-                    mine_parallel_with_opts(
+                    try_mine_parallel_with_opts(
                         &graph,
                         &cfg,
                         &dims,
@@ -120,6 +121,7 @@ fn bench(c: &mut Criterion) {
                             ..ParallelOptions::default()
                         },
                     )
+                    .expect("an uncancellable mine cannot fail")
                 })
             });
         }

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grm_bench::{fixture, Dataset};
-use grm_core::parallel::{mine_parallel_with_opts, ParallelOptions};
+use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use grm_core::{Dims, GrMiner, MinerConfig};
 
 fn bench(c: &mut Criterion) {
@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("steal", threads), &threads, |b, &t| {
             b.iter(|| {
-                mine_parallel_with_opts(
+                try_mine_parallel_with_opts(
                     &graph,
                     &base,
                     &dims,
@@ -39,6 +39,7 @@ fn bench(c: &mut Criterion) {
                         ..ParallelOptions::default()
                     },
                 )
+                .expect("an uncancellable mine cannot fail")
             })
         });
         group.bench_with_input(
@@ -47,7 +48,7 @@ fn bench(c: &mut Criterion) {
             |b, &t| {
                 let cfg = base.clone().without_dynamic_topk();
                 b.iter(|| {
-                    mine_parallel_with_opts(
+                    try_mine_parallel_with_opts(
                         &graph,
                         &cfg,
                         &dims,
@@ -58,6 +59,7 @@ fn bench(c: &mut Criterion) {
                             ..ParallelOptions::default()
                         },
                     )
+                    .expect("an uncancellable mine cannot fail")
                 })
             },
         );

@@ -35,7 +35,7 @@
 //! repurpose old names.
 
 use grm_bench::{fixture, Dataset, Table};
-use grm_core::parallel::{mine_parallel_with_opts, ParallelOptions};
+use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use grm_core::{Dims, GrMiner, MinerConfig};
 use grm_graph::kernel;
 use grm_graph::sort::PartitionArena;
@@ -309,7 +309,8 @@ fn parallel_cells() -> Vec<Cell> {
         n,
         median_ns: median_ns_over(MINE_SAMPLES, || {
             let r = match opts {
-                Some(o) => mine_parallel_with_opts(&graph, &cfg, &dims, o),
+                Some(o) => try_mine_parallel_with_opts(&graph, &cfg, &dims, o)
+                    .expect("an uncancellable mine cannot fail"),
                 None => GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine(),
             };
             r.top.len() as u64 + r.stats.grs_examined

@@ -10,7 +10,7 @@
 
 use grm_bench::{fixture, secs, timed, Dataset, Table};
 use grm_core::baseline::{mine_baseline_with_dims, BaselineKind};
-use grm_core::parallel::mine_parallel;
+use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use grm_core::{Dims, GrMiner, MinerConfig};
 use grm_graph::{CompactModel, NodeAttrId, SingleTable};
 use std::process::Command;
@@ -82,8 +82,14 @@ fn main() {
     let (seq, d_seq) = timed(|| GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine());
     t.row(["sequential GRMiner".to_string(), secs(d_seq)]);
     for threads in [2usize, 4, 8] {
-        let (par, d) =
-            timed(|| grm_core::parallel::mine_parallel_with_dims(&graph, &cfg, &dims, threads));
+        let opts = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        let (par, d) = timed(|| {
+            try_mine_parallel_with_opts(&graph, &cfg, &dims, opts)
+                .expect("an uncancellable mine cannot fail")
+        });
         assert_eq!(
             par.top.len(),
             seq.top.len(),
@@ -91,8 +97,6 @@ fn main() {
         );
         t.row([format!("parallel x{threads}"), secs(d)]);
     }
-    // Silence unused warning on the convenience wrapper.
-    let _ = mine_parallel(&graph, &MinerConfig::nhp(u64::MAX, 1.0, 1), 1);
     println!("{}", t.render());
 
     // Baseline sanity: same answers, slower path.

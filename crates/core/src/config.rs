@@ -24,11 +24,14 @@ pub struct MinerConfig {
     /// GRMiner(k) vs GRMiner (§VI-D): when `true`, `min_score` is
     /// dynamically upgraded to the k-th best score found so far, greatly
     /// tightening pruning; when `false` only the user threshold prunes.
-    /// See DESIGN.md for the Definition-5 nuance of the sequential
-    /// dynamic variant. The parallel engine honors this flag through a
-    /// cross-worker shared bound plus an exactness-verified post-pass
-    /// (`grm_core::parallel`), so its dynamic results are additionally
-    /// guaranteed bit-identical to the static semantics.
+    /// The sequential dynamic variant has a Definition-5 nuance: the
+    /// upgraded threshold can prune a *suppressor* (a more general GR
+    /// that passes the user threshold but not the upgraded bound) before
+    /// it is recorded, so on rare inputs a specialization that Def. 5(2)
+    /// would drop enters the top-k. The parallel and sharded engines
+    /// honor this flag through a cross-worker shared bound plus an
+    /// exactness-verified post-pass, so their dynamic results are
+    /// additionally guaranteed bit-identical to the static semantics.
     pub dynamic_topk: bool,
     /// Suppress trivial GRs from results. Defaults to `true`; Table II's
     /// confidence column is produced with `false` (the paper reports the

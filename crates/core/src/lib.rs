@@ -59,6 +59,7 @@ pub mod context;
 pub mod descriptor;
 pub mod enumerate;
 pub mod error;
+mod exec;
 pub mod generality;
 pub mod gr;
 pub mod influence;
@@ -83,7 +84,7 @@ pub use metrics::{MetricInputs, RankMetric};
 pub use miner::{GrMiner, MineResult};
 pub use parse::parse_gr;
 pub use service::{Service, ServiceConfig};
-pub use sharded::{mine_sharded, ShardedError, ShardedOptions};
+pub use sharded::{mine_sharded, ShardedOptions};
 pub use stats::MinerStats;
 pub use tail::Dims;
 pub use topk::TopK;

@@ -241,8 +241,9 @@ mod tests {
     #[test]
     fn dynamic_topk_is_subset_consistent_with_reference_ranks() {
         // GRMiner(k) may in rare corner cases differ from Definition 5 on
-        // generality (see DESIGN.md); on these small graphs it should
-        // coincide. Treat a mismatch here as a signal, not merely a bug.
+        // generality (see `MinerConfig::dynamic_topk`); on these small
+        // graphs it should coincide. Treat a mismatch here as a signal,
+        // not merely a bug.
         for seed in 0..12u32 {
             let g = small_graph(seed);
             let cfg = MinerConfig::nhp(1, 0.4, 8);

@@ -44,14 +44,14 @@
 //! bit-for-bit (static configurations; dynamic top-k counters are
 //! timing-dependent in any parallel engine).
 //!
-//! Each unit is a collect-mode [`Run`] whose [`MiningContext`] carries
-//! the global edge total ([`MiningContext::with_edges_total`]), feeding
-//! the same [`SharedBound`] and the same exactness-verified post-pass
-//! as the parallel engine — with one twist: the post-pass evaluator
-//! measures candidate suppressors by summing [`query::counts`] over
-//! every shard (the four counts are per-edge indicators, hence additive
-//! over any partition of the edges), so the verification is exact
-//! without ever holding the whole graph.
+//! Each unit is a collect-mode run whose [`MiningContext`] carries the
+//! global edge total ([`MiningContext::with_edges_total`]), on the same
+//! execution core, shared bound and exactness-verified post-pass as the
+//! parallel engine ([`crate::exec`]) — with one twist: the post-pass
+//! evaluator measures candidate suppressors by summing
+//! [`query::counts`] over every shard (the four counts are per-edge
+//! indicators, hence additive over any partition of the edges), so the
+//! verification is exact without ever holding the whole graph.
 //!
 //! Metrics that need global RHS marginal tables (lift,
 //! Piatetsky-Shapiro, conviction —
@@ -61,51 +61,40 @@
 //!
 //! ## Fault tolerance
 //!
-//! The engine observes the config's [`CancelToken`] and deadline at
-//! unit and recursion-node granularity (the pool's blocked waiters
-//! observe the same token), contains worker panics with
-//! `catch_unwind`, and drains every cleanly-exited worker's counters
-//! into the typed error — see [`MinerError`].
+//! The units run on the shared execution core ([`crate::exec`]), which
+//! observes the config's [`CancelToken`](grm_graph::CancelToken) and
+//! deadline at every unit and recursion node (the pool's blocked
+//! waiters observe the same token), contains worker panics, stops the
+//! siblings after a unit's first storage error, and drains every
+//! cleanly-exited worker's counters into the typed error — see
+//! [`MinerError`].
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
-use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
-use crate::error::{panic_message, MinerError};
-use crate::gr::ScoredGr;
-use crate::miner::{MineResult, MinerScratch, RootTask, Run};
-use crate::parallel::{classic_select_topk, resolve_threads, select_topk_verified};
-use crate::query;
+use crate::error::MinerError;
+use crate::exec::{Engine, Exec, Schedule, Worker};
+use crate::gr::Gr;
+use crate::miner::{MineResult, RootTask};
+use crate::query::{self, GrMeasures};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
-use crate::topk::SharedBound;
 use grm_graph::shard::{resident_cost, ShardPool, ShardStore, SliceKey, SliceSet};
-use grm_graph::{
-    check_edge_capacity, failpoint, AttrValue, CancelToken, CompactModel, GraphError, SocialGraph,
-};
-use parking_lot::Mutex;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use grm_graph::{check_edge_capacity, AttrValue, CompactModel, SocialGraph};
 
 /// Tuning knobs for [`mine_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardedOptions {
-    /// Worker count (0 = available parallelism). Workers pull units off
-    /// a shared dispenser; each holds at most one resident shard/slice
-    /// at a time, so `threads` bounds concurrent residency.
+    /// Worker count (0 = available parallelism). Workers take units one
+    /// at a time in list order; each holds at most one resident
+    /// shard/slice at a time, so `threads` bounds concurrent residency.
     pub threads: usize,
     /// Maximum resident bytes of loaded shards/slices (`None` =
     /// unbounded). Enforced by the [`ShardPool`]:
     /// `shard_resident_bytes_peak ≤ budget` holds by construction, and
     /// a budget too small for even one needed shard fails with
-    /// [`GraphError::MemoryBudgetTooSmall`].
+    /// [`GraphError::MemoryBudgetTooSmall`](grm_graph::GraphError::MemoryBudgetTooSmall).
     pub memory_budget: Option<u64>,
 }
-
-/// Failure modes of a sharded mine — the crate-wide [`MinerError`]
-/// (this alias predates the unified type and keeps existing `match`
-/// paths compiling).
-pub type ShardedError = MinerError;
 
 /// One independent unit of sharded work: a root task over one resident
 /// edge set (module docs).
@@ -121,13 +110,6 @@ enum Unit {
     },
 }
 
-/// What one executed unit hands back for the deterministic merge.
-type UnitOut = (
-    Vec<ScoredGr>,
-    MinerStats,
-    Vec<(NodeDescriptor, EdgeDescriptor)>,
-);
-
 /// Mine the top-k GRs of an out-of-core [`ShardStore`] under
 /// `opts.memory_budget`, bit-identical to the in-core engines on the
 /// same edge set (module docs). Results are deterministic across thread
@@ -136,23 +118,13 @@ pub fn mine_sharded(
     store: &ShardStore,
     config: &MinerConfig,
     opts: &ShardedOptions,
-) -> Result<MineResult, ShardedError> {
+) -> Result<MineResult, MinerError> {
     if config.metric.needs_r_marginal() {
-        return Err(ShardedError::UnsupportedMetric(config.metric));
+        return Err(MinerError::UnsupportedMetric(config.metric));
     }
-    let start = Instant::now();
     let schema = store.schema();
     let dims = Dims::all(schema);
-    let total_edges = store.total_edges();
-    let threads = resolve_threads(opts.threads);
-    // Materialized so an expired deadline or a panicking worker always
-    // has a real flag to trip for its siblings (and for the pool's
-    // blocked waiters), even when the caller passed the inert default.
-    let token = config.cancel.materialize();
-    let deadline = config
-        .deadline_ms
-        .map(|ms| start + Duration::from_millis(ms));
-    let faults_before = failpoint::fired_total();
+    let exec = Exec::start(config, schema, &dims, opts.threads);
 
     // Build the slice sets and the unit list in the sequential Main
     // order (RIGHT, EDGE dimensions, LEFT dimensions). Every slice is
@@ -195,250 +167,13 @@ pub fn mine_sharded(
         }
     }
 
-    let pool = ShardPool::new(store, opts.memory_budget)?.with_cancel(token.clone());
-    let shared = SharedBound::new(config.k);
-    let mut stats = MinerStats::default();
-    let mut candidates: Vec<ScoredGr> = Vec::new();
-    let mut pruned_frontiers: HashSet<(NodeDescriptor, EdgeDescriptor)> = HashSet::new();
-
-    if !units.is_empty() {
-        // Per-unit result slots, indexed by unit, so the merge below is
-        // a fixed-order walk regardless of which worker ran what when.
-        let slots: Mutex<Vec<Option<UnitOut>>> =
-            Mutex::new((0..units.len()).map(|_| None).collect());
-        let first_error: Mutex<Option<ShardedError>> = Mutex::new(None);
-        // First worker panic message; its writer also trips `token` so
-        // the siblings (and the pool's blocked waiters) drain and exit.
-        let panicked: Mutex<Option<String>> = Mutex::new(None);
-        // Worker loop-top flag probes, merged into `stats.cancel_checks`
-        // after the join so a cancelled mine always reports a non-zero
-        // drained probe count even when no unit body ran.
-        let loop_probes = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let workers = threads.min(units.len()).max(1);
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let units = &units;
-                let sets = &sets;
-                let pool = &pool;
-                let slots = &slots;
-                let first_error = &first_error;
-                let panicked = &panicked;
-                let next = &next;
-                let shared = &shared;
-                let dims = &dims;
-                let token = &token;
-                let loop_probes = &loop_probes;
-                scope.spawn(move |_| {
-                    let mut scratch = MinerScratch::default();
-                    loop {
-                        if first_error.lock().is_some() {
-                            break;
-                        }
-                        // ordering: Release — a pure work counter the
-                        // scope join already orders before the merge
-                        // reads it; Release (over Relaxed) because the
-                        // atomics audit treats any Relaxed RMW as a
-                        // protocol smell, and this runs once per
-                        // unit — off any hot inner path.
-                        loop_probes.fetch_add(1, Ordering::Release);
-                        // The model's loop-top flag check (see
-                        // grm_analyze::model::cancel): at most one
-                        // stale unit starts after the flag is set.
-                        if token.is_cancelled() {
-                            break;
-                        }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            token.cancel();
-                            break;
-                        }
-                        // ordering: SeqCst unit dispenser. The only
-                        // required property is that each index is
-                        // handed out exactly once, which any ordering
-                        // of an atomic RMW gives; SeqCst is chosen
-                        // because grm-analyze's atomics rule treats
-                        // Relaxed RMWs as protocol smells, and the
-                        // dispenser runs once per unit — far off any
-                        // hot path. (The residency protocol itself is
-                        // checked by `grm_analyze::model::shard`.)
-                        let u = next.fetch_add(1, Ordering::SeqCst);
-                        if u >= units.len() {
-                            break;
-                        }
-                        // Containment envelope: a panic inside the unit
-                        // (the miner, a storage layer bug, or an
-                        // injected "worker.body" fault) is caught,
-                        // latched, and converted into a cancellation of
-                        // the siblings. AssertUnwindSafe is sound
-                        // because on the Err path this worker publishes
-                        // nothing from the broken unit and exits.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            if let Some(failpoint::FaultKind::Panic) = failpoint::hit("worker.body")
-                            {
-                                // lint: allow(panic-in-hot-path) — deliberate injected fault, caught by this very envelope.
-                                panic!("injected panic at worker.body");
-                            }
-                            run_unit(
-                                store,
-                                sets,
-                                pool,
-                                units[u],
-                                config,
-                                dims,
-                                shared,
-                                total_edges,
-                                token,
-                                deadline,
-                                &mut scratch,
-                            )
-                        }));
-                        match caught {
-                            Ok(Ok(out)) => slots.lock()[u] = Some(out),
-                            Ok(Err(e)) => {
-                                let mut g = first_error.lock();
-                                if g.is_none() {
-                                    *g = Some(e);
-                                }
-                                break;
-                            }
-                            Err(payload) => {
-                                // Latch the message *before* tripping
-                                // the flag (`cancel`'s Release publishes
-                                // it to every observer).
-                                let mut first = panicked.lock();
-                                if first.is_none() {
-                                    *first = Some(panic_message(payload));
-                                }
-                                drop(first);
-                                token.cancel();
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        // lint: allow(panic-in-hot-path) — unit panics are contained by
-        // the catch_unwind envelope above, so this fires only if the
-        // containment bookkeeping itself panicked; re-raising that is
-        // the only correct move.
-        .expect("worker panicked outside the containment envelope");
-
-        // Drain every completed unit's counters and candidates — also
-        // on the failure paths below, where the counters ride out in
-        // the typed error.
-        for (mut grs, s, pruned) in slots.into_inner().into_iter().flatten() {
-            stats.merge(&s);
-            candidates.append(&mut grs);
-            pruned_frontiers.extend(pruned);
-        }
-        // ordering: Relaxed — all workers joined above; see the bump.
-        stats.cancel_checks += loop_probes.load(Ordering::Relaxed);
-
-        let panic_msg = panicked.into_inner();
-        let first = first_error.into_inner();
-        if panic_msg.is_some() || first.is_some() || token.is_cancelled() {
-            collect_engine_stats(&mut stats, &pool, store, &sets, faults_before);
-            stats.elapsed = start.elapsed();
-            let partial_stats = Box::new(stats);
-            return Err(match (panic_msg, first) {
-                (Some(message), _) => MinerError::WorkerPanicked {
-                    message,
-                    partial_stats,
-                },
-                // A worker that lost a pool-acquire race to the flag
-                // surfaces GraphError::Cancelled — the same condition
-                // as the flag itself.
-                (None, Some(MinerError::Graph(GraphError::Cancelled))) | (None, None) => {
-                    MinerError::Cancelled { partial_stats }
-                }
-                (None, Some(e)) => e,
-            });
-        }
-    }
-
-    // Sequential post-pass — the same exactness logic as the parallel
-    // engine, with the candidate-suppressor evaluator summing per-shard
-    // counts instead of scanning one resident graph. Evaluation errors
-    // (I/O on a shard re-load) are latched and surfaced after the walk:
-    // the evaluator signature is infallible by design.
-    let mut eval_err: Option<GraphError> = None;
-    let final_bound = shared.get();
-    let top = if config.generality_filter && final_bound.is_some() {
-        let mut evaluate = |g: &crate::gr::Gr| {
-            let (mut supp, mut supp_lw, mut supp_r, mut heff) = (0u64, 0u64, 0u64, 0u64);
-            for s in 0..store.shard_count() {
-                if store.edge_count(s) == 0 {
-                    continue;
-                }
-                match pool.acquire(s) {
-                    Ok(lease) => {
-                        let (a, b, c, d) = query::counts(lease.graph(), g);
-                        supp += a;
-                        supp_lw += b;
-                        supp_r += c;
-                        heff += d;
-                    }
-                    Err(e) => {
-                        if eval_err.is_none() {
-                            eval_err = Some(e);
-                        }
-                    }
-                }
-            }
-            query::GrMeasures::from_counts(schema, g, supp, supp_lw, supp_r, heff, total_edges)
-        };
-        select_topk_verified(
-            schema,
-            &mut evaluate,
-            config,
-            candidates,
-            &pruned_frontiers,
-            &mut stats,
-        )
-    } else {
-        classic_select_topk(config, candidates, &mut stats)
+    let pool = ShardPool::new(store, opts.memory_budget)?.with_cancel(exec.token().clone());
+    let engine = Sharded { store, sets, pool };
+    let schedule = Schedule {
+        steal: false,
+        split: None,
     };
-    if let Some(e) = eval_err {
-        if matches!(e, GraphError::Cancelled) {
-            collect_engine_stats(&mut stats, &pool, store, &sets, faults_before);
-            stats.elapsed = start.elapsed();
-            return Err(MinerError::Cancelled {
-                partial_stats: Box::new(stats),
-            });
-        }
-        return Err(e.into());
-    }
-
-    collect_engine_stats(&mut stats, &pool, store, &sets, faults_before);
-    stats.elapsed = start.elapsed();
-    Ok(MineResult {
-        top,
-        stats,
-        edge_count: total_edges,
-    })
-}
-
-/// Fold the storage-layer counters into `stats`: pool residency, the
-/// bounded spill retries the store and the slice sets performed, and
-/// the fault-injection delta since the mine began (always zero without
-/// the `fault-inject` feature).
-fn collect_engine_stats(
-    stats: &mut MinerStats,
-    pool: &ShardPool,
-    store: &ShardStore,
-    sets: &[SliceSet],
-    faults_before: u64,
-) {
-    let pool_stats = pool.stats();
-    stats.shards_built = store.shard_count() as u64;
-    stats.shard_loads = pool_stats.loads;
-    stats.shard_evictions = pool_stats.evictions;
-    stats.shard_resident_bytes_peak = pool_stats.resident_bytes_peak;
-    stats.spill_retries +=
-        store.spill_retries() + sets.iter().map(|s| s.spill_retries()).sum::<u64>();
-    stats.faults_injected += failpoint::fired_total().saturating_sub(faults_before);
+    exec.run(&engine, units, schedule, store.total_edges())
 }
 
 /// Build the [`SliceSet`] for `key` and append one [`Unit::Slice`] per
@@ -453,7 +188,7 @@ fn add_slice_units<'s>(
     units: &mut Vec<Unit>,
     key: SliceKey,
     task_of: &dyn Fn(AttrValue) -> RootTask,
-) -> Result<(), ShardedError> {
+) -> Result<(), MinerError> {
     let dir = store.dir().join(format!("slice-{}", sets.len()));
     let set = SliceSet::build(store, key, dir)?;
     let idx = sets.len();
@@ -474,95 +209,92 @@ fn add_slice_units<'s>(
     Ok(())
 }
 
-/// Execute one unit: make its edge set resident (shard lease or slice
-/// load under a reservation), run the root task in collect mode against
-/// a model-sized context carrying the global edge total, and hand back
-/// the collected candidates, stats, and pruned `l ∧ w` frontiers.
-#[allow(clippy::too_many_arguments)]
-fn run_unit(
-    store: &ShardStore,
-    sets: &[SliceSet],
-    pool: &ShardPool,
-    unit: Unit,
-    config: &MinerConfig,
-    dims: &Dims,
-    shared: &SharedBound,
-    total_edges: u64,
-    token: &CancelToken,
-    deadline: Option<Instant>,
-    scratch: &mut MinerScratch,
-) -> Result<UnitOut, ShardedError> {
-    match unit {
-        Unit::Shard { shard, task } => {
-            let lease = pool.acquire(shard)?;
-            run_task(
-                lease.graph(),
-                task,
-                config,
-                dims,
-                shared,
-                total_edges,
-                token,
-                deadline,
-                scratch,
-            )
+/// The out-of-core engine: each unit makes its shard or slice resident
+/// under the pool's budget, and the post-pass sums per-shard counts.
+struct Sharded<'s> {
+    store: &'s ShardStore,
+    sets: Vec<SliceSet<'s>>,
+    pool: ShardPool<'s>,
+}
+
+impl Engine for Sharded<'_> {
+    type Unit = Unit;
+
+    fn mine(&self, unit: Unit, worker: &mut Worker<'_>) -> Result<(), MinerError> {
+        let total_edges = self.store.total_edges();
+        match unit {
+            Unit::Shard { shard, task } => {
+                let lease = self.pool.acquire(shard)?;
+                mine_resident(lease.graph(), task, total_edges, worker)
+            }
+            Unit::Slice { set, value, task } => {
+                let slice = &self.sets[set];
+                let cost = resident_cost(
+                    self.store.schema(),
+                    self.store.node_count(),
+                    slice.edge_count(value) as usize,
+                );
+                // Hold the budget before materializing; dropped with the
+                // graph when this unit finishes.
+                let _hold = self.pool.reserve(cost)?;
+                mine_resident(&slice.load(value)?, task, total_edges, worker)
+            }
         }
-        Unit::Slice { set, value, task } => {
-            let slice = &sets[set];
-            let cost = resident_cost(
-                store.schema(),
-                store.node_count(),
-                slice.edge_count(value) as usize,
-            );
-            // Hold the budget before materializing; dropped with the
-            // graph when this unit finishes.
-            let _hold = pool.reserve(cost)?;
-            let graph = slice.load(value)?;
-            run_task(
-                &graph,
-                task,
-                config,
-                dims,
-                shared,
-                total_edges,
-                token,
-                deadline,
-                scratch,
-            )
+    }
+
+    fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError> {
+        let (mut supp, mut supp_lw, mut supp_r, mut heff) = (0u64, 0u64, 0u64, 0u64);
+        for s in 0..self.store.shard_count() {
+            if self.store.edge_count(s) == 0 {
+                continue;
+            }
+            let lease = self.pool.acquire(s)?;
+            let (a, b, c, d) = query::counts(lease.graph(), gr);
+            supp += a;
+            supp_lw += b;
+            supp_r += c;
+            heff += d;
         }
+        Ok(GrMeasures::from_counts(
+            self.store.schema(),
+            gr,
+            supp,
+            supp_lw,
+            supp_r,
+            heff,
+            self.store.total_edges(),
+        ))
+    }
+
+    /// Fold the storage-layer counters into `stats`: pool residency and
+    /// the bounded spill retries the store and the slice sets performed.
+    fn finish(&self, stats: &mut MinerStats) {
+        let pool_stats = self.pool.stats();
+        stats.shards_built = self.store.shard_count() as u64;
+        stats.shard_loads = pool_stats.loads;
+        stats.shard_evictions = pool_stats.evictions;
+        stats.shard_resident_bytes_peak = pool_stats.resident_bytes_peak;
+        stats.spill_retries +=
+            self.store.spill_retries() + self.sets.iter().map(|s| s.spill_retries()).sum::<u64>();
     }
 }
 
-/// One collect-mode [`Run`] over a resident graph (see
+/// One collect-mode run of `task` over a resident graph (see
 /// [`MiningContext::with_edges_total`] for the denominator override).
-#[allow(clippy::too_many_arguments)]
-fn run_task(
+fn mine_resident(
     graph: &SocialGraph,
     task: RootTask,
-    config: &MinerConfig,
-    dims: &Dims,
-    shared: &SharedBound,
     total_edges: u64,
-    token: &CancelToken,
-    deadline: Option<Instant>,
-    scratch: &mut MinerScratch,
-) -> Result<UnitOut, ShardedError> {
-    let unit_start = Instant::now();
-    let model = CompactModel::try_build(graph)?;
-    let ctx = MiningContext::with_edges_total(model, false, total_edges);
-    let mut run = Run::new(&ctx, graph.schema(), dims, config, Some(Vec::new()))
-        .with_scratch(std::mem::take(scratch))
-        .with_cancellation(token.clone(), deadline);
-    if config.dynamic_topk {
-        run = run.with_shared_bound(shared);
-    }
-    let mut data: Vec<u32> = Vec::new();
-    ctx.fill_positions(&mut data);
-    run.run_root(&mut data, task);
-    let mut s = std::mem::take(&mut run.stats);
-    s.elapsed = unit_start.elapsed();
-    let pruned = std::mem::take(&mut run.pruned_lw);
-    let (collected, warm) = run.into_collected_and_scratch();
-    *scratch = warm;
-    Ok((collected, s, pruned))
+    worker: &mut Worker<'_>,
+) -> Result<(), MinerError> {
+    let ctx = MiningContext::with_edges_total(CompactModel::try_build(graph)?, false, total_edges);
+    worker.mine(&ctx, |run, _| {
+        // A buffer per unit, freed with it: the worker's reusable one
+        // would keep the largest unit's positions resident outside the
+        // pool's budget.
+        let mut data = Vec::new();
+        ctx.fill_positions(&mut data);
+        run.run_root(&mut data, task);
+    });
+    Ok(())
 }

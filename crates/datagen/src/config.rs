@@ -1,6 +1,6 @@
 //! Declarative configuration of synthetic attributed social networks.
 //!
-//! The generator model (see `generator.rs` and DESIGN.md §5) produces
+//! The generator model (see the `generator` module docs) produces
 //! graphs with three ingredients the paper's evaluation relies on:
 //!
 //! 1. **marginals** — per-attribute value distributions (skew matters: the

@@ -1,4 +1,4 @@
-//! Pokec-like synthetic dataset (§VI-A substitution — see DESIGN.md §5).
+//! Pokec-like synthetic dataset (a §VI-A substitution, explained below).
 //!
 //! The real Pokec dump (SNAP `soc-pokec`: 1,436,515 profiles, 21,078,140
 //! directed friendship edges after the paper's preprocessing) is not

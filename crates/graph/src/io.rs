@@ -43,7 +43,7 @@ use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result, ShardIoError};
 use crate::graph::SocialGraph;
 use crate::schema::{AttrDef, Schema};
-use crate::value::AttrValue;
+use crate::value::{AttrValue, NodeId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -177,8 +177,8 @@ pub fn read_graph<R: Read>(r: R) -> Result<SocialGraph> {
     for _ in 0..edge_count {
         let (ln, line) = next_line("edge row")?;
         let mut it = line.split('\t');
-        let src = parse_num(ln, it.next())? as u32;
-        let dst = parse_num(ln, it.next())? as u32;
+        let src = parse_node(ln, it.next())?;
+        let dst = parse_node(ln, it.next())?;
         evals.clear();
         for f in it {
             evals.push(parse_value(ln, f)?);
@@ -233,6 +233,15 @@ fn parse_num(ln: usize, f: Option<&str>) -> Result<usize> {
     f.and_then(|s| s.parse().ok()).ok_or(GraphError::Parse {
         line: ln,
         message: "expected a number".into(),
+    })
+}
+
+/// An edge endpoint: a node id in the u32 id space. A wider number is a
+/// parse error — truncated, it would silently name an unrelated node.
+fn parse_node(ln: usize, f: Option<&str>) -> Result<NodeId> {
+    NodeId::try_from(parse_num(ln, f)?).map_err(|_| GraphError::Parse {
+        line: ln,
+        message: format!("node id `{}` is out of range", f.unwrap_or_default()),
     })
 }
 
@@ -349,6 +358,7 @@ pub fn encode_edge_chunk(
     let n = srcs.len();
     let body_len = n * 8 + attrs.len() * n * 2;
     let mut out = Vec::with_capacity(4 + body_len + 8);
+    // cast: n ≤ shard::CHUNK_EDGES (4096) — the shard writers spill a chunk at that size
     out.extend_from_slice(&(n as u32).to_le_bytes());
     for col in [srcs, dsts] {
         for &v in col {
@@ -641,6 +651,23 @@ mod tests {
         assert_ne!(spill_checksum(b"abcdefgh"), spill_checksum(b"abcdefgi"));
         // Length is mixed in: a zero-padded prefix is not a collision.
         assert_ne!(spill_checksum(&[0u8; 8]), spill_checksum(&[0u8; 16]));
+    }
+
+    #[test]
+    fn a_huge_header_node_count_is_a_parse_error_not_an_allocation() {
+        let text = "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t4000000000000000000\n1\n";
+        let err = read_graph(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn an_edge_endpoint_beyond_u32_is_a_parse_error_at_its_line() {
+        let text = "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t2\n1\n2\nEDGES\t1\n4294967296\t1\n";
+        let err = read_graph(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, GraphError::Parse { line: 7, ref message } if message.contains("4294967296")),
+            "{err:?}"
+        );
     }
 
     #[test]

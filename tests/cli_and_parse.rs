@@ -599,15 +599,33 @@ fn cli_timeout_cancels_each_engine_and_validates_strictly() {
 
 #[test]
 fn cli_rejects_corrupt_graph_file() {
-    let path = tmp("corrupt.grm");
-    std::fs::write(&path, "this is not a GRMGRAPH file\n").unwrap();
-    for cmd in ["mine", "info"] {
-        let out = grmine()
-            .args([cmd, path.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{cmd} accepted a corrupt file");
-        assert!(!out.stderr.is_empty());
+    // A non-graph, a header claiming 4e18 nodes (once an 8 EB
+    // allocation and an abort), and an edge endpoint past the u32 id
+    // space (once truncated onto node 0): each is a typed parse error.
+    for (name, text) in [
+        ("corrupt.grm", "this is not a GRMGRAPH file\n"),
+        (
+            "huge-nodes.grm",
+            "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t4000000000000000000\n1\n",
+        ),
+        (
+            "wide-endpoint.grm",
+            "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t2\n1\n2\nEDGES\t1\n4294967296\t1\n",
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        for cmd in ["mine", "info"] {
+            let out = grmine()
+                .args([cmd, path.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(!out.status.success(), "{cmd} accepted {name}");
+            assert!(!out.stderr.is_empty());
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("parse error"), "{cmd} {name}: {err}");
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! at 1/2/4 worker threads — with `kernel_batches` live exactly when
 //! the kernels are on.
 
-use social_ties::core::parallel::{mine_parallel_with_opts, ParallelOptions};
+use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use social_ties::core::Dims;
 use social_ties::datagen::{dblp_config_scaled, pokec_config_scaled};
 use social_ties::{generate, toy_network, GrMiner, MinerConfig, SocialGraph};
@@ -53,8 +53,8 @@ fn assert_kernel_is_pure(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
             split_min: 1,
             ..ParallelOptions::default()
         };
-        let par_kernel = mine_parallel_with_opts(g, &static_kernel, &dims, opts);
-        let par_scalar = mine_parallel_with_opts(g, &static_scalar, &dims, opts);
+        let par_kernel = try_mine_parallel_with_opts(g, &static_kernel, &dims, opts).unwrap();
+        let par_scalar = try_mine_parallel_with_opts(g, &static_scalar, &dims, opts).unwrap();
         assert_eq!(
             par_kernel.top, par_scalar.top,
             "{label}: parallel kernel/scalar outputs diverged (threads {threads})"
@@ -71,8 +71,8 @@ fn assert_kernel_is_pure(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
         assert_eq!(par_scalar.stats.kernel_batches, 0, "{label}");
 
         if cfg.dynamic_topk {
-            let dyn_kernel = mine_parallel_with_opts(g, &kernel_cfg, &dims, opts);
-            let dyn_scalar = mine_parallel_with_opts(g, &scalar_cfg, &dims, opts);
+            let dyn_kernel = try_mine_parallel_with_opts(g, &kernel_cfg, &dims, opts).unwrap();
+            let dyn_scalar = try_mine_parallel_with_opts(g, &scalar_cfg, &dims, opts).unwrap();
             assert_eq!(
                 dyn_kernel.top, dyn_scalar.top,
                 "{label}: dynamic kernel/scalar outputs diverged (threads {threads})"

@@ -136,7 +136,8 @@ fn dynamic_topk_is_sound_on_random_workloads() {
     // GRMiner(k)'s dynamic threshold can prune a *suppressor* (a general
     // GR that passes the user threshold but not the upgraded bound)
     // before it is recorded, so a specialization Definition 5 would drop
-    // may enter the top-k (see DESIGN.md). The guaranteed properties:
+    // may enter the top-k (see `MinerConfig::dynamic_topk`). The
+    // guaranteed properties:
     //
     // 1. every returned GR satisfies condition (1) — thresholds — with
     //    exactly measured supports;

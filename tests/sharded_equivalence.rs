@@ -6,9 +6,10 @@
 //! must do so under a fixed memory budget, with the pool's resident
 //! peak never exceeding it.
 
-use social_ties::core::parallel::{mine_parallel_with_opts, ParallelOptions};
-use social_ties::core::sharded::{mine_sharded, ShardedError, ShardedOptions};
+use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
+use social_ties::core::sharded::{mine_sharded, ShardedOptions};
 use social_ties::core::Dims;
+use social_ties::core::MinerError;
 use social_ties::datagen::{dblp_config_scaled, pokec_config_scaled};
 use social_ties::graph::shard::{resident_cost, ShardStore};
 use social_ties::graph::{CompactModel, GraphError, NodeId};
@@ -32,7 +33,7 @@ fn store_for(g: &SocialGraph, name: &str, shards: usize) -> ShardStore {
 /// the semantic counters are the canonical collect-mode values (they are
 /// thread-invariant anyway — `parallel_equivalence.rs` pins that).
 fn collect_reference(g: &SocialGraph, cfg: &MinerConfig) -> social_ties::MineResult {
-    mine_parallel_with_opts(
+    try_mine_parallel_with_opts(
         g,
         cfg,
         &Dims::all(g.schema()),
@@ -44,6 +45,7 @@ fn collect_reference(g: &SocialGraph, cfg: &MinerConfig) -> social_ties::MineRes
             split_min: 0,
         },
     )
+    .unwrap()
 }
 
 fn assert_sharded_matches(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
@@ -194,7 +196,7 @@ fn impossible_budget_fails_with_the_remedy() {
     )
     .expect_err("a 1-byte budget cannot hold anything");
     match err {
-        ShardedError::Graph(GraphError::MemoryBudgetTooSmall { .. }) => {
+        MinerError::Graph(GraphError::MemoryBudgetTooSmall { .. }) => {
             assert!(err.to_string().contains("--memory-budget"));
         }
         other => panic!("unexpected error: {other:?}"),
@@ -278,7 +280,7 @@ fn marginal_metrics_are_rejected() {
     ] {
         let cfg = MinerConfig::nhp(1, 0.0, 10).with_metric(metric);
         match mine_sharded(&store, &cfg, &ShardedOptions::default()) {
-            Err(ShardedError::UnsupportedMetric(m)) => assert_eq!(m, metric),
+            Err(MinerError::UnsupportedMetric(m)) => assert_eq!(m, metric),
             other => panic!("{metric:?} must be rejected, got {other:?}"),
         }
     }
