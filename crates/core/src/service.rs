@@ -45,7 +45,7 @@ use grm_graph::{failpoint, CancelToken, SocialGraph};
 use serde::{to_content, Content};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -55,6 +55,11 @@ use std::time::{Duration, Instant};
 /// its cancellation context. Bounds how stale a disconnect observation
 /// can get while parked on a condvar.
 const WAIT_TICK: Duration = Duration::from_millis(25);
+
+/// The longest request line a connection buffers, newline excluded. A
+/// longer line is answered with one `BadRequest` and the connection
+/// closes.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Tuning knobs of a [`Service`].
 #[derive(Debug, Clone, PartialEq)]
@@ -961,6 +966,11 @@ fn mine_result_content(result: &MineResult, cached: bool, coalesced: bool) -> Co
 /// down. A dedicated reader thread detects disconnect *while a request
 /// is being handled* and cancels the connection token, which cancels
 /// every in-flight request token derived from it.
+///
+/// Each response line goes out in one write. Written apart, the newline
+/// costs a segment of its own on a `TCP_NODELAY` socket; on any other,
+/// Nagle's algorithm holds it until the peer ACKs the body, which a
+/// peer still waiting for that newline delays by ~40 ms.
 pub fn serve_connection(service: &Service, stream: TcpStream) {
     let conn = service.shutdown_token().child();
     let reader_stream = match stream.try_clone() {
@@ -968,20 +978,24 @@ pub fn serve_connection(service: &Service, stream: TcpStream) {
         Err(_) => return,
     };
     let _ = reader_stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Result<String, ErrorBody>>();
     let reader_conn = conn.clone();
     let reader = std::thread::spawn(move || read_lines(reader_stream, &tx, &reader_conn));
     let mut out = stream;
     loop {
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(line) => {
-                let response = service.handle_line(&line, &conn);
-                let write = out
-                    .write_all(response.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"));
-                if write.is_err() {
+            Ok(Ok(line)) => {
+                if write_line(&mut out, service.handle_line(&line, &conn)).is_err() {
                     break;
                 }
+            }
+            Ok(Err(e)) => {
+                let _ = write_line(&mut out, render(Content::Null, "error", Err(e)));
+                // Half-close so the peer reads EOF after this line: the
+                // bytes of the line left unread make the close a reset,
+                // which reads as an error unless a FIN came first.
+                let _ = out.shutdown(Shutdown::Write);
+                break;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if conn.is_cancelled() {
@@ -995,10 +1009,21 @@ pub fn serve_connection(service: &Service, stream: TcpStream) {
     let _ = reader.join();
 }
 
+fn write_line(out: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
 /// Feed complete lines from the socket into the channel; on EOF or a
 /// hard read error, cancel the connection token so in-flight requests
-/// stop mining for a peer that is gone.
-fn read_lines(mut stream: TcpStream, tx: &mpsc::Sender<String>, conn: &CancelToken) {
+/// stop mining for a peer that is gone. Each byte is scanned once, and
+/// a line longer than [`MAX_REQUEST_BYTES`] ends the connection's input
+/// with one error after the lines before it.
+fn read_lines(
+    mut stream: TcpStream,
+    tx: &mpsc::Sender<Result<String, ErrorBody>>,
+    conn: &CancelToken,
+) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
@@ -1011,12 +1036,24 @@ fn read_lines(mut stream: TcpStream, tx: &mpsc::Sender<String>, conn: &CancelTok
                 return;
             }
             Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..pos]).into_owned();
-                    if !line.trim().is_empty() && tx.send(line).is_err() {
+                for piece in chunk[..n].split_inclusive(|&b| b == b'\n') {
+                    let (body, complete) = match piece.split_last() {
+                        Some((b'\n', body)) => (body, true),
+                        _ => (piece, false),
+                    };
+                    buf.extend_from_slice(body);
+                    if buf.len() > MAX_REQUEST_BYTES {
+                        let _ = tx.send(Err(ErrorBody::bad_request(format!(
+                            "request line exceeds {MAX_REQUEST_BYTES} bytes"
+                        ))));
                         return;
+                    }
+                    if complete {
+                        let line = String::from_utf8_lossy(&buf).into_owned();
+                        buf.clear();
+                        if !line.trim().is_empty() && tx.send(Ok(line)).is_err() {
+                            return;
+                        }
                     }
                 }
             }
@@ -1043,6 +1080,9 @@ pub fn serve(listener: TcpListener, service: &Arc<Service>) -> std::io::Result<(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nonblocking(false);
+                // A response longer than one segment must not wait on
+                // the peer's delayed ACK for its last, partial segment.
+                let _ = stream.set_nodelay(true);
                 let svc = Arc::clone(service);
                 handles.push(std::thread::spawn(move || serve_connection(&svc, stream)));
             }

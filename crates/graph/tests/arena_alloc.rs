@@ -7,23 +7,33 @@
 use grm_graph::sort::PartitionArena;
 use grm_graph::AttrValue;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// `System`, with every allocation and reallocation counted.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread: the test harness's own threads (and sibling tests)
+    /// allocate while a test runs, and a process-wide count would put
+    /// their allocations inside the steady-state measurement window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // Fails only while this thread's locals are being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -31,14 +41,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
-
-/// The allocation counter is process-global, so the tests in this file
-/// must not overlap — a sibling test's allocations would land inside
-/// the steady-state measurement window and fail it spuriously.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Synthetic columnar workload: `dims` key columns over `n` positions,
 /// deterministic values, mixed domain sizes.
@@ -116,7 +122,6 @@ fn recurse(
 
 #[test]
 fn steady_state_recursion_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     let n = 20_000usize;
     let cols = columns(n, 4);
     let buckets: Vec<usize> = [3, 7, 19, 5].to_vec();
@@ -146,7 +151,6 @@ fn steady_state_recursion_allocates_nothing() {
 
 #[test]
 fn partitions_stay_correct_under_reuse() {
-    let _serial = SERIAL.lock().unwrap();
     // Same harness, smaller, with output verification: after the full
     // recursion the data is sorted by the composite key prefix.
     let n = 3_000usize;

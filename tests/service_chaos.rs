@@ -31,8 +31,7 @@ impl Client {
 
     fn request(&mut self, line: &str) -> String {
         self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .expect("request write");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("response read");

@@ -1,7 +1,9 @@
 //! Soak tests of the live `grmined` surfaces: a seeded
 //! disconnect-mid-mine storm over real TCP connections (dropped peers
 //! must release their admission slots and never corrupt later results),
-//! and graceful SIGTERM shutdown of the spawned daemon binary.
+//! the request reader's framing and line limit, round-trip latency on
+//! one connection, and graceful SIGTERM shutdown of the spawned daemon
+//! binary.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,10 +32,12 @@ fn spawn_server(svc: &Arc<Service>) -> (String, std::thread::JoinHandle<()>) {
     (addr, handle)
 }
 
+/// Send one request line in one write, as a client without
+/// `TCP_NODELAY` must: a separate newline write would wait for the
+/// daemon's delayed ACK.
 fn send_line(stream: &mut TcpStream, line: &str) {
     stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
+        .write_all(format!("{line}\n").as_bytes())
         .expect("request write");
 }
 
@@ -127,6 +131,139 @@ fn disconnect_storm_releases_slots_and_keeps_results_bit_identical() {
         &line[..line.len().min(400)]
     );
 
+    svc.shut_down();
+    server.join().expect("server drains");
+}
+
+fn small_service() -> Arc<Service> {
+    Arc::new(Service::new(
+        generate(&dblp_config_scaled(0.05)).unwrap(),
+        ServiceConfig::default(),
+    ))
+}
+
+#[test]
+fn oversized_request_line_gets_one_bad_request_then_eof() {
+    let svc = small_service();
+    let (addr, server) = spawn_server(&svc);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // 4 MiB without a newline. The daemon stops reading at its limit,
+    // so these writes may fail once it closes the connection.
+    let mut flood = stream.try_clone().expect("clone");
+    let flooder = std::thread::spawn(move || {
+        let block = [b'x'; 64 * 1024];
+        for _ in 0..64 {
+            if flood.write_all(&block).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("an answer within the read timeout");
+    assert!(
+        line.starts_with(
+            "{\"id\":null,\"ok\":false,\"type\":\"error\",\"error\":{\"code\":\"BadRequest\""
+        ),
+        "{line}"
+    );
+    line.clear();
+    let eof = reader.read_line(&mut line).expect("EOF, not a reset");
+    assert_eq!(eof, 0, "the connection closes after the error: {line}");
+    flooder.join().expect("flood thread");
+
+    let mut fresh = TcpStream::connect(&addr).expect("connect");
+    send_line(&mut fresh, "{\"id\":2,\"type\":\"schema\"}");
+    assert!(read_line(&mut fresh).starts_with("{\"id\":2,\"ok\":true"));
+    svc.shut_down();
+    server.join().expect("server drains");
+}
+
+#[test]
+fn split_and_pipelined_requests_are_answered_once_in_order() {
+    let svc = small_service();
+    let (addr, server) = spawn_server(&svc);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    // Each 1-byte write leaves in a segment of its own.
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    let mut answers = BufReader::new(stream.try_clone().expect("clone")).lines();
+    let mut next_id = || {
+        let line = answers.next().expect("an answer").expect("answer read");
+        assert!(line.contains("\"ok\":true"), "{line}");
+        line.split(',').next().expect("id first").to_string()
+    };
+
+    for byte in b"{\"id\":\"split\",\"type\":\"schema\"}\n" {
+        stream
+            .write_all(std::slice::from_ref(byte))
+            .expect("byte write");
+    }
+    assert_eq!(next_id(), "{\"id\":\"split\"");
+    stream
+        .write_all(
+            b"{\"id\":1,\"type\":\"schema\"}\n\
+              {\"id\":2,\"type\":\"stats\"}\n\
+              {\"id\":3,\"type\":\"query\",\"gr\":\"(Area:DB) -> (Area:DM)\"}\n",
+        )
+        .expect("pipelined write");
+    for id in 1..=3 {
+        assert_eq!(next_id(), format!("{{\"id\":{id}"));
+    }
+    // Answers come in request order, so if this one is next, no earlier
+    // request was answered twice.
+    send_line(&mut stream, "{\"id\":\"last\",\"type\":\"schema\"}");
+    assert_eq!(next_id(), "{\"id\":\"last\"");
+    svc.shut_down();
+    server.join().expect("server drains");
+}
+
+#[test]
+fn round_trips_do_not_wait_for_delayed_acks() {
+    let svc = small_service();
+    let (addr, server) = spawn_server(&svc);
+    // A stock client: one write per request, Nagle left on.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    let started = Instant::now();
+    for i in 0..100 {
+        send_line(&mut stream, &format!("{{\"id\":{i},\"type\":\"schema\"}}"));
+        line.clear();
+        reader.read_line(&mut line).expect("schema answer");
+        assert!(
+            line.starts_with(&format!("{{\"id\":{i},\"ok\":true")),
+            "{line}"
+        );
+    }
+    // An answer held back until the client's delayed ACK costs ≥ 40 ms,
+    // which would take these 100 round trips past 3 s.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 schema round trips took {elapsed:?}"
+    );
+
+    send_line(
+        &mut stream,
+        "{\"id\":\"top\",\"type\":\"mine\",\"min_supp\":1,\"k\":100}",
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("mine answer");
+    assert!(line.ends_with('\n'), "unterminated answer");
+    let answer: serde::Content =
+        serde_json::from_str(&line).expect("one line holds the whole answer");
+    let serde::Content::Map(fields) = answer else {
+        panic!("answer is not an object: {line}")
+    };
+    assert!(
+        fields.contains(&("ok".to_string(), serde::Content::Bool(true))),
+        "{line}"
+    );
     svc.shut_down();
     server.join().expect("server drains");
 }
