@@ -13,7 +13,6 @@ pub mod allocs;
 pub mod atomics;
 pub mod casts;
 pub mod condvar;
-pub mod counters;
 pub mod ctx;
 pub mod linkage;
 pub mod lockorder;
@@ -30,10 +29,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         atomics::RULE,
         "every atomic Ordering use needs an adjacent `// ordering:` justification; Relaxed stores/RMWs are publish-path errors",
-    ),
-    (
-        counters::RULE,
-        "MinerStats fields must appear in merge(), semantic(), Display and the pinned --stats-json schema",
     ),
     (
         allocs::RULE,
@@ -78,7 +73,6 @@ pub fn run_all(set: &FileSet) -> Vec<Diagnostic> {
     }
     diags.extend(panics::run(set));
     diags.extend(atomics::run(set));
-    diags.extend(counters::run(set));
     diags.extend(allocs::run(set));
     diags.extend(misc::run(set));
     diags.extend(vendor::run(set));

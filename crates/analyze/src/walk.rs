@@ -115,11 +115,6 @@ impl FileSet {
     pub fn get(&self, rel: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == rel)
     }
-
-    /// Read a repo file outside the collected set (raw text only).
-    pub fn read_raw(&self, rel: &str) -> Option<String> {
-        fs::read_to_string(self.root.join(rel)).ok()
-    }
 }
 
 /// Walk up from `start` to the first directory whose `Cargo.toml`

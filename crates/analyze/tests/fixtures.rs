@@ -45,11 +45,6 @@ fn bad_tree_produces_exactly_the_seeded_diagnostics() {
         ("condvar-discipline", "crates/core/src/service.rs", 35),
         ("condvar-discipline", "crates/core/src/service.rs", 42),
         ("condvar-discipline", "crates/core/src/service.rs", 48),
-        ("counter-schema-drift", "crates/core/src/stats.rs", 6),
-        ("counter-schema-drift", "crates/core/src/stats.rs", 6),
-        ("counter-schema-drift", "crates/core/src/stats.rs", 6),
-        ("counter-schema-drift", "crates/core/src/stats.rs", 6),
-        ("counter-schema-drift", "crates/core/src/stats.rs", 14),
         ("atomic-ordering-audit", "crates/core/src/topk.rs", 6),
         ("atomic-ordering-audit", "crates/core/src/topk.rs", 7),
         ("panic-in-hot-path", "crates/graph/src/kernel.rs", 4),
@@ -76,23 +71,6 @@ fn every_rule_id_fires_in_the_fixture() {
         assert!(
             fired.iter().any(|r| r == id),
             "rule `{id}` never fires in the fixture — its teeth are untested"
-        );
-    }
-}
-
-#[test]
-fn the_four_drift_surfaces_are_each_reported() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/bad_tree");
-    let set = walk::collect(&root).expect("fixture tree is readable");
-    let messages: Vec<String> = rules::run_all(&set)
-        .into_iter()
-        .filter(|d| d.rule == "counter-schema-drift")
-        .map(|d| d.message)
-        .collect();
-    for surface in ["merge()", "semantic()", "Display", "--stats-json"] {
-        assert!(
-            messages.iter().any(|m| m.contains(surface)),
-            "no drift diagnostic names the {surface} surface"
         );
     }
 }

@@ -8,13 +8,13 @@ use grm_core::beta::heff_table;
 use grm_core::{query, GrBuilder};
 use grm_datagen::{generate, pokec_config_scaled};
 use grm_graph::kernel;
-use grm_graph::sort::{partition_in_place, PartitionArena};
+use grm_graph::sort::PartitionArena;
 use grm_graph::{AttrValue, CompactModel, NodeAttrId, SingleTable};
 
 /// The pre-PR partition primitive, reimplemented for the before/after
 /// comparison: per call it allocates the offsets, cursor and scatter
-/// vectors plus the returned partition `Vec` (what `partition_in_place`
-/// did before the arena).
+/// vectors plus the returned partition `Vec` (what the partition
+/// primitive did before the arena).
 fn legacy_partition(
     data: &mut [u32],
     bucket_count: usize,
@@ -227,7 +227,12 @@ fn bench_counting_sort(c: &mut Criterion) {
             let mut scratch = PartitionArena::new();
             b.iter(|| {
                 let mut data = base.clone();
-                partition_in_place(&mut data, 189, &mut scratch, |i| (i % 188 + 1) as u16).unwrap()
+                let frame = scratch
+                    .partition_with(&mut data, 189, |i| (i % 188 + 1) as u16)
+                    .unwrap();
+                let parts = frame.len();
+                scratch.pop_frame(frame);
+                parts
             });
         });
     }

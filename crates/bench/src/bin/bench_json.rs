@@ -81,10 +81,10 @@ fn median_ns(f: impl FnMut() -> u64) -> u128 {
 }
 
 /// The pre-PR partition primitive — the baseline the arena is measured
-/// against; mirrors the cell in `benches/micro.rs` and the old
-/// `partition_in_place` exactly: `counts`/`keybuf` are reused scratch
-/// (the old `SortScratch`), while offsets, cursor, the scatter buffer
-/// and the result Vec are allocated per call.
+/// against; mirrors the cell in `benches/micro.rs` exactly:
+/// `counts`/`keybuf` are reused scratch (the old `SortScratch`), while
+/// offsets, cursor, the scatter buffer and the result Vec are allocated
+/// per call.
 fn legacy_partition(
     data: &mut [u32],
     bucket_count: usize,

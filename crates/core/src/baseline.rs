@@ -24,7 +24,7 @@ use crate::miner::MineResult;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use crate::topk::TopK;
-use grm_graph::sort::{partition_in_place, PartitionArena};
+use grm_graph::sort::PartitionArena;
 use grm_graph::{AttrValue, SingleTable, SocialGraph, NULL};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -323,9 +323,11 @@ fn buc_rec<V: TableView>(
     stats: &mut MinerStats,
 ) {
     for d in dim_start..dims.count() {
-        let parts = partition_in_place(data, dims.buckets[d], scratch, |row| view.key(row, d))
+        let frame = scratch
+            .partition_with(data, dims.buckets[d], |row| view.key(row, d))
             .expect("baseline keys come from the same schema-validated model");
-        for part in parts {
+        for idx in frame.indices() {
+            let part = scratch.record(idx);
             if part.value == NULL {
                 continue;
             }
@@ -338,7 +340,7 @@ fn buc_rec<V: TableView>(
             pattern.push((d as u16, part.value));
             out.insert(pattern.clone(), supp);
             stats.grs_examined += 1;
-            let sub = &mut data[part.range.clone()];
+            let sub = &mut data[part.range()];
             buc_rec(
                 view,
                 dims,
@@ -352,6 +354,7 @@ fn buc_rec<V: TableView>(
             );
             pattern.pop();
         }
+        scratch.pop_frame(frame);
     }
 }
 

@@ -4,241 +4,209 @@
 //! examined; these counters make that claim measurable (and drive the
 //! Fig. 4 analyses, where the pruning power of `minNhp` and the dynamic
 //! top-k threshold is the whole story).
+//!
+//! Each counter is declared once, as one row of the `miner_stats!` table
+//! below: doc comment, field, `Display` label, merge rule and class.
+//! - The merge rule says how [`MinerStats::merge`] combines two run
+//!   segments: `sum` adds, `max` keeps the larger high-water mark.
+//! - The class says what [`MinerStats::semantic`] keeps: a `semantic`
+//!   counter describes the enumeration itself, a `work` counter one
+//!   execution of it (threads, splitting, fusion, kernels, shards,
+//!   faults, service traffic).
+//!
+//! The struct, `merge`, `semantic` and `Display` are generated from the
+//! table, and serde emits the fields in row order, so adding a counter
+//! means one row plus the pinned `--stats-json` key list in
+//! `tests/cli_and_parse.rs`.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Counters collected during one mining run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MinerStats {
+/// One row's merge rule, applied to `self.field` and `other.field`.
+macro_rules! merge_counter {
+    (sum, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (max, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+}
+
+/// One row's value in [`MinerStats::semantic`].
+macro_rules! semantic_value {
+    (semantic, $v:expr) => {
+        $v
+    };
+    (work, $v:expr) => {
+        0
+    };
+}
+
+/// Generates [`MinerStats`], `merge`, `semantic` and `Display` from the
+/// counter table (module docs).
+macro_rules! miner_stats {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:ident: $label:literal, $merge:ident, $class:ident;
+    )*) => {
+        /// Counters collected during one mining run.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct MinerStats {
+            $(
+                $(#[doc = $doc])*
+                ///
+                #[doc = concat!("Class `", stringify!($class), "`, merged by `", stringify!($merge), "`.")]
+                pub $name: u64,
+            )*
+            /// Wall-clock time of the run. Merged by `max`; zeroed by
+            /// [`MinerStats::semantic`].
+            #[serde(with = "duration_serde")]
+            pub elapsed: Duration,
+        }
+
+        impl MinerStats {
+            /// Merge counters from another run segment (an engine worker's,
+            /// or a finished mine into the service's aggregate): a `sum`
+            /// counter adds, a `max` counter keeps the larger high-water
+            /// mark, and `elapsed` takes the max.
+            pub fn merge(&mut self, other: &MinerStats) {
+                $(merge_counter!($merge, self.$name, other.$name);)*
+                self.elapsed = self.elapsed.max(other.elapsed);
+            }
+
+            /// Copy with every `work` counter and `elapsed` zeroed, keeping
+            /// only the `semantic` counters — the ones that must be
+            /// bit-identical across execution strategies (thread counts,
+            /// work stealing, dominant-task and subtree splitting, fused vs
+            /// unfused passes, kernel vs scalar loops) for the same
+            /// enumeration.
+            pub fn semantic(&self) -> MinerStats {
+                MinerStats {
+                    $($name: semantic_value!($class, self.$name),)*
+                    elapsed: Duration::ZERO,
+                }
+            }
+        }
+
+        /// `label=value` pairs in row order, then `elapsed`.
+        impl std::fmt::Display for MinerStats {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                $(write!(f, concat!($label, "={} "), self.$name)?;)*
+                write!(f, "elapsed={:?}", self.elapsed)
+            }
+        }
+    };
+}
+
+miner_stats! {
     /// Enumeration-tree nodes visited (attribute-set × partition).
-    pub partitions_examined: u64,
+    partitions_examined: "partitions", sum, semantic;
     /// Candidate GRs examined at RIGHT nodes (r non-empty).
-    pub grs_examined: u64,
+    grs_examined: "grs", sum, semantic;
     /// Partitions discarded by the `minSupp` threshold.
-    pub pruned_by_supp: u64,
+    pruned_by_supp: "pruned_supp", sum, semantic;
     /// RIGHT partitions whose subtree was cut by the score threshold
     /// (user `min_score`, or the dynamically upgraded top-k bound).
-    pub pruned_by_score: u64,
+    pruned_by_score: "pruned_score", sum, semantic;
     /// GRs rejected as trivial (§III-B).
-    pub rejected_trivial: u64,
+    rejected_trivial: "trivial", sum, semantic;
     /// GRs rejected because a more general GR was already accepted
     /// (Def. 5(2)).
-    pub rejected_generality: u64,
+    rejected_generality: "general", sum, semantic;
     /// GRs accepted into the candidate pool (offered to the top-k heap).
-    pub accepted: u64,
+    accepted: "accepted", sum, semantic;
     /// Homophily-effect snapshot scans performed. One group-by pass fills
     /// every β support of an `l ∧ w` node at once, so this counts at most
     /// one scan per node reaching a non-empty β (on the wide-LHS fallback
     /// path it counts per-β memo misses, as before).
-    pub heff_scans: u64,
+    heff_scans: "heff_scans", sum, semantic;
     /// Counting-sort partition passes over an edge-position slice
     /// (LEFT/EDGE/RIGHT dimensions plus β group-by passes). A *work*
     /// counter, not a semantic one: the parallel miner's value-chunk
     /// splitting legitimately repeats top-level passes, so this varies
     /// with threading while [`MinerStats::semantic`] stays fixed.
-    pub partition_passes: u64,
+    partition_passes: "passes", sum, work;
     /// Partition passes that consumed a histogram pre-counted by their
     /// parent's fused two-level pass, skipping their own counting phase
     /// (one memory pass over the slice instead of two). Always ≤
     /// `partition_passes`; zero with `MinerConfig::fuse_partitions` off.
-    pub fused_passes: u64,
+    fused_passes: "fused", sum, work;
     /// Full `grm_graph::kernel::LANES`-wide batches processed by the
     /// vectorized counting kernels (gather, histogram, mask and fused
     /// scatter loops). A *work* counter: task splitting legitimately
     /// repeats passes, so this varies with threading; zero with
     /// `MinerConfig::use_kernel` off.
-    pub kernel_batches: u64,
+    kernel_batches: "kernel_batches", sum, work;
     /// High-water mark, in bytes, of the partition arena's owned scratch
     /// (`grm_graph::sort::PartitionArena::peak_bytes`). Stable across
     /// repeated identical runs — the zero-allocation guarantee made
-    /// observable. Merged with `max`.
-    pub scratch_bytes_peak: u64,
+    /// observable.
+    scratch_bytes_peak: "scratch_peak", max, work;
     /// Successful cross-worker steal operations in the parallel engine
     /// (each moves a steal-half batch from a sibling's deque). A *work*
     /// counter: inherently timing-dependent, zero in sequential runs and
     /// with `--no-steal`.
-    pub tasks_stolen: u64,
+    tasks_stolen: "stolen", sum, work;
     /// Oversized recursion subtrees the parallel miner detached into
     /// stealable tasks (`SubtreeTask`). A *work* counter: depends on the
     /// split policy and thread count, never on the mined data's
     /// semantics.
-    pub subtree_splits: u64,
+    subtree_splits: "splits", sum, work;
     /// Times a worker tightened the shared dynamic top-k bound (the
     /// collect-mode restoration of Algorithm 1 line 28). A *work*
     /// counter: the tightening sequence depends on worker timing even
     /// though the final results do not.
-    pub bound_tightenings: u64,
+    bound_tightenings: "tightenings", sum, work;
     /// Persistent shards the sharded miner's store was partitioned into
     /// (`grm_core::sharded`). A *work* counter: zero for in-core runs,
     /// and any shard count yields bit-identical results.
-    pub shards_built: u64,
+    shards_built: "shards", sum, work;
     /// Shard loads performed by the sharded miner's residency pool —
     /// cold acquisitions that read a spill file into memory. A *work*
     /// counter: depends on the memory budget and worker timing.
-    pub shard_loads: u64,
+    shard_loads: "shard_loads", sum, work;
     /// Resident shards evicted by the residency pool to make room under
     /// the memory budget. A *work* counter: `shard_loads - shard_count`
     /// re-loads were caused by these.
-    pub shard_evictions: u64,
+    shard_evictions: "shard_evictions", sum, work;
     /// High-water mark, in bytes, of resident shard/slice bytes in the
     /// sharded miner's pool (`≤` the configured memory budget by
-    /// construction). Merged with `max`, like `scratch_bytes_peak`.
-    pub shard_resident_bytes_peak: u64,
+    /// construction).
+    shard_resident_bytes_peak: "shard_peak", max, work;
     /// Cancellation-flag probes performed (worker loop-top,
     /// recursion-node and shard-load granularity; see
     /// `grm_graph::cancel`). A *work* counter: varies with task
     /// splitting and thread count. Zero for a sequential mine without a
     /// token or deadline; the parallel and sharded engines always
     /// materialize a token for their workers, so they always probe.
-    pub cancel_checks: u64,
+    cancel_checks: "cancel_checks", sum, work;
     /// Faults injected by the deterministic failpoint registry
     /// (`grm_graph::failpoint`). Always zero without the `fault-inject`
     /// feature; a *work* counter driven entirely by the test schedule.
-    pub faults_injected: u64,
+    faults_injected: "faults_injected", sum, work;
     /// Transient spill-write failures that were retried (and recovered
     /// from) while writing shard/slice files — bounded to one retry per
     /// chunk. A *work* counter: zero for in-core runs and fault-free
     /// sharded runs.
-    pub spill_retries: u64,
+    spill_retries: "spill_retries", sum, work;
     /// Requests the GR service (`grm_core::service`) answered with a
     /// success response — any request type, over the daemon's lifetime.
     /// A *work* counter: zero outside service mode, and aggregated in
     /// the service's long-lived stats, never in a single mine's.
-    pub requests_served: u64,
+    requests_served: "requests_served", sum, work;
     /// Requests the service's admission controller shed with a typed
     /// `Overloaded` response (no slot free, bounded queue full). A
     /// *work* counter: purely a function of concurrent load.
-    pub requests_shed: u64,
+    requests_shed: "requests_shed", sum, work;
     /// Mine requests served straight from the deterministic result
     /// cache (a mine is a pure function of its config). A *work*
     /// counter: depends on request history, not mining semantics.
-    pub cache_hits: u64,
+    cache_hits: "cache_hits", sum, work;
     /// Mine requests that coalesced onto another request's in-flight
     /// identical mine (single-flight deduplication) instead of mining
     /// themselves. A *work* counter: purely a function of request
     /// timing.
-    pub cache_coalesced: u64,
-    /// Wall-clock time of the run.
-    #[serde(with = "duration_serde")]
-    pub elapsed: Duration,
-}
-
-impl MinerStats {
-    /// Merge counters from another run segment (used by the parallel
-    /// miner; `elapsed` takes the max, counters add).
-    pub fn merge(&mut self, other: &MinerStats) {
-        self.partitions_examined += other.partitions_examined;
-        self.grs_examined += other.grs_examined;
-        self.pruned_by_supp += other.pruned_by_supp;
-        self.pruned_by_score += other.pruned_by_score;
-        self.rejected_trivial += other.rejected_trivial;
-        self.rejected_generality += other.rejected_generality;
-        self.accepted += other.accepted;
-        self.heff_scans += other.heff_scans;
-        self.partition_passes += other.partition_passes;
-        self.fused_passes += other.fused_passes;
-        self.kernel_batches += other.kernel_batches;
-        self.scratch_bytes_peak = self.scratch_bytes_peak.max(other.scratch_bytes_peak);
-        self.tasks_stolen += other.tasks_stolen;
-        self.subtree_splits += other.subtree_splits;
-        self.bound_tightenings += other.bound_tightenings;
-        self.shards_built += other.shards_built;
-        self.shard_loads += other.shard_loads;
-        self.shard_evictions += other.shard_evictions;
-        self.shard_resident_bytes_peak = self
-            .shard_resident_bytes_peak
-            .max(other.shard_resident_bytes_peak);
-        self.cancel_checks += other.cancel_checks;
-        self.faults_injected += other.faults_injected;
-        self.spill_retries += other.spill_retries;
-        self.requests_served += other.requests_served;
-        self.requests_shed += other.requests_shed;
-        self.cache_hits += other.cache_hits;
-        self.cache_coalesced += other.cache_coalesced;
-        self.elapsed = self.elapsed.max(other.elapsed);
-    }
-
-    /// Copy with the machine-level instrumentation cleared (`elapsed`,
-    /// `partition_passes`, `fused_passes`, `kernel_batches`,
-    /// `scratch_bytes_peak`, `tasks_stolen`, `subtree_splits`,
-    /// `bound_tightenings`), leaving only the *semantic* counters — the
-    /// ones that must be bit-identical across execution strategies
-    /// (thread counts, work stealing, dominant-task and subtree
-    /// splitting, fused vs unfused passes, kernel vs scalar loops) for
-    /// the same enumeration.
-    ///
-    /// Deliberately exhaustive — no `..self.clone()` — so adding a field
-    /// to [`MinerStats`] fails to compile until its semantic-vs-work
-    /// classification is decided here (and `grm-analyze`'s
-    /// `counter-schema-drift` rule checks the same exhaustiveness).
-    pub fn semantic(&self) -> MinerStats {
-        MinerStats {
-            partitions_examined: self.partitions_examined,
-            grs_examined: self.grs_examined,
-            pruned_by_supp: self.pruned_by_supp,
-            pruned_by_score: self.pruned_by_score,
-            rejected_trivial: self.rejected_trivial,
-            rejected_generality: self.rejected_generality,
-            accepted: self.accepted,
-            heff_scans: self.heff_scans,
-            partition_passes: 0,
-            fused_passes: 0,
-            kernel_batches: 0,
-            scratch_bytes_peak: 0,
-            tasks_stolen: 0,
-            subtree_splits: 0,
-            bound_tightenings: 0,
-            shards_built: 0,
-            shard_loads: 0,
-            shard_evictions: 0,
-            shard_resident_bytes_peak: 0,
-            cancel_checks: 0,
-            faults_injected: 0,
-            spill_retries: 0,
-            requests_served: 0,
-            requests_shed: 0,
-            cache_hits: 0,
-            cache_coalesced: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
-}
-
-impl std::fmt::Display for MinerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "partitions={} grs={} pruned_supp={} pruned_score={} trivial={} general={} accepted={} heff_scans={} passes={} fused={} kernel_batches={} scratch_peak={} stolen={} splits={} tightenings={} shards={} shard_loads={} shard_evictions={} shard_peak={} cancel_checks={} faults_injected={} spill_retries={} requests_served={} requests_shed={} cache_hits={} cache_coalesced={} elapsed={:?}",
-            self.partitions_examined,
-            self.grs_examined,
-            self.pruned_by_supp,
-            self.pruned_by_score,
-            self.rejected_trivial,
-            self.rejected_generality,
-            self.accepted,
-            self.heff_scans,
-            self.partition_passes,
-            self.fused_passes,
-            self.kernel_batches,
-            self.scratch_bytes_peak,
-            self.tasks_stolen,
-            self.subtree_splits,
-            self.bound_tightenings,
-            self.shards_built,
-            self.shard_loads,
-            self.shard_evictions,
-            self.shard_resident_bytes_peak,
-            self.cancel_checks,
-            self.faults_injected,
-            self.spill_retries,
-            self.requests_served,
-            self.requests_shed,
-            self.cache_hits,
-            self.cache_coalesced,
-            self.elapsed
-        )
-    }
+    cache_coalesced: "cache_coalesced", sum, work;
 }
 
 mod duration_serde {
@@ -262,6 +230,110 @@ mod duration_serde {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Content;
+
+    /// Every counter in declaration order, spelled out by hand: the
+    /// tests below must not read the table they check.
+    const COUNTERS: [&str; 26] = [
+        "partitions_examined",
+        "grs_examined",
+        "pruned_by_supp",
+        "pruned_by_score",
+        "rejected_trivial",
+        "rejected_generality",
+        "accepted",
+        "heff_scans",
+        "partition_passes",
+        "fused_passes",
+        "kernel_batches",
+        "scratch_bytes_peak",
+        "tasks_stolen",
+        "subtree_splits",
+        "bound_tightenings",
+        "shards_built",
+        "shard_loads",
+        "shard_evictions",
+        "shard_resident_bytes_peak",
+        "cancel_checks",
+        "faults_injected",
+        "spill_retries",
+        "requests_served",
+        "requests_shed",
+        "cache_hits",
+        "cache_coalesced",
+    ];
+
+    /// Stats with counter `i` set to `value(i)`, built through serde.
+    fn filled(value: impl Fn(usize) -> u64, elapsed_secs: f64) -> MinerStats {
+        let fields: Vec<String> = COUNTERS
+            .iter()
+            .enumerate()
+            .map(|(i, key)| format!("\"{key}\":{}", value(i)))
+            .collect();
+        let json = format!("{{{},\"elapsed\":{elapsed_secs}}}", fields.join(","));
+        serde_json::from_str(&json).unwrap()
+    }
+
+    /// `(key, value)` of every counter, in serialization order.
+    fn counters(s: &MinerStats) -> Vec<(String, u64)> {
+        let Content::Map(fields) = serde::to_content(s) else {
+            panic!("MinerStats serializes as a map");
+        };
+        fields
+            .into_iter()
+            .filter_map(|(key, v)| match v {
+                Content::U64(n) => Some((key, n)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_and_semantic_follow_each_counters_rule_and_class() {
+        // a's counters are 1..=26, b's all 100: a sum and a max differ
+        // for every counter, and every counter is non-zero in both.
+        let a = filled(|i| i as u64 + 1, 0.25);
+        let b = filled(|_| 100, 0.5);
+        let keys: Vec<String> = counters(&a).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, COUNTERS, "26 counters, serialized in this order");
+
+        let kept: Vec<String> = counters(&a.semantic())
+            .into_iter()
+            .filter(|&(_, v)| v != 0)
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                "partitions_examined",
+                "grs_examined",
+                "pruned_by_supp",
+                "pruned_by_score",
+                "rejected_trivial",
+                "rejected_generality",
+                "accepted",
+                "heff_scans",
+            ],
+            "semantic() keeps exactly the enumeration counters"
+        );
+        assert_eq!(a.semantic().elapsed, Duration::ZERO);
+
+        let mut merged = a.clone();
+        merged.merge(&b);
+        let mut maxed = Vec::new();
+        for ((key, m), ((_, x), (_, y))) in counters(&merged)
+            .into_iter()
+            .zip(counters(&a).into_iter().zip(counters(&b)))
+        {
+            if m == x.max(y) {
+                maxed.push(key);
+            } else {
+                assert_eq!(m, x + y, "{key} adds");
+            }
+        }
+        assert_eq!(maxed, ["scratch_bytes_peak", "shard_resident_bytes_peak"]);
+        assert_eq!(merged.elapsed, Duration::from_millis(500));
+    }
 
     #[test]
     fn merge_adds_counts_and_maxes_time() {
@@ -439,11 +511,14 @@ mod tests {
 
     #[test]
     fn display_includes_counters() {
-        let s = MinerStats {
-            grs_examined: 42,
-            ..Default::default()
-        };
-        assert!(s.to_string().contains("grs=42"));
+        assert_eq!(
+            MinerStats::default().to_string(),
+            "partitions=0 grs=0 pruned_supp=0 pruned_score=0 trivial=0 general=0 \
+             accepted=0 heff_scans=0 passes=0 fused=0 kernel_batches=0 scratch_peak=0 \
+             stolen=0 splits=0 tightenings=0 shards=0 shard_loads=0 shard_evictions=0 \
+             shard_peak=0 cancel_checks=0 faults_injected=0 spill_retries=0 \
+             requests_served=0 requests_shed=0 cache_hits=0 cache_coalesced=0 elapsed=0ns"
+        );
     }
 
     // Corrupt-`elapsed` rejection (negative / NaN / overflow JSON) is

@@ -23,7 +23,7 @@
 //! recurse into its sub-slice (the recursion pushes and pops its own
 //! frames above), and finally release the level with
 //! [`PartitionArena::pop_frame`]. Nothing borrows the arena across the
-//! recursion, and no `Vec<Partition>` is returned on the hot path.
+//! recursion, and no pass allocates a result vector.
 //!
 //! ### Fused two-level passes
 //!
@@ -44,38 +44,13 @@
 //!
 //! A key at or beyond `bucket_count` is a **checked error in release
 //! builds** ([`GraphError::KeyOutOfRange`]) — not a `debug_assert!` — since
-//! an oversized key would otherwise corrupt the histogram. The legacy
-//! [`partition_in_place`] wrapper forwards the same error. On error the
+//! an oversized key would otherwise corrupt the histogram. On error the
 //! arena rolls its state back and stays usable.
 
 use crate::error::{GraphError, Result};
 use crate::kernel;
 use crate::value::AttrValue;
 use std::ops::Range;
-
-/// One partition produced by the legacy [`partition_in_place`] wrapper:
-/// all items whose key is `value` occupy `range` within the reordered
-/// slice. Hot paths use the arena's [`PartRec`] records instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// The shared key value of the partition.
-    pub value: AttrValue,
-    /// The index range within the reordered slice.
-    pub range: Range<usize>,
-}
-
-impl Partition {
-    /// Number of items in the partition. For edge partitions this is the
-    /// absolute support `|E(pattern)|` of the extended pattern.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the partition is empty (never returned by the partitioner).
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-}
 
 /// One partition record on the arena's stack: items whose key is `value`
 /// occupy `start..end` of the partitioned slice. `Copy`, so recursive
@@ -252,9 +227,13 @@ impl PartitionArena {
         std::mem::take(&mut self.kernel_batches)
     }
 
-    /// Stable counting-sort pass keyed by a closure. Used where the key is
-    /// computed (the β group-by match mask); columnar passes should prefer
-    /// [`PartitionArena::partition_col`].
+    /// Stable counting-sort pass keyed by a closure, for keys no single
+    /// column holds (the baselines read theirs through a table view);
+    /// columnar passes should prefer [`PartitionArena::partition_col`].
+    /// `bucket_count` must exceed every key (`domain_size + 1`, see
+    /// [`crate::AttrDef::bucket_count`]); an out-of-range key is a
+    /// [`GraphError::KeyOutOfRange`] error and leaves the arena usable.
+    /// The frame holds the non-empty partitions in increasing key order.
     pub fn partition_with<K>(
         &mut self,
         data: &mut [u32],
@@ -781,127 +760,111 @@ impl PartitionArena {
     }
 }
 
-/// Stable counting sort of `data` by `key`, in place, using `arena`.
-///
-/// `bucket_count` must be strictly greater than every key (i.e.
-/// `domain_size + 1` — see [`crate::AttrDef::bucket_count`]); an
-/// out-of-range key is a [`GraphError::KeyOutOfRange`] error and leaves
-/// the arena rolled back and usable. Returns the non-empty partitions in
-/// increasing key order in `O(data.len() + bucket_count)` with no key
-/// comparisons.
-///
-/// This is the convenience wrapper for cold paths (baselines, tests): it
-/// allocates the returned `Vec<Partition>` on every call. Hot paths use
-/// the arena's frame API, which allocates nothing in steady state.
-pub fn partition_in_place<K>(
-    data: &mut [u32],
-    bucket_count: usize,
-    arena: &mut PartitionArena,
-    key: K,
-) -> Result<Vec<Partition>>
-where
-    K: FnMut(u32) -> AttrValue,
-{
-    let frame = arena.partition_with(data, bucket_count, key)?;
-    let parts = arena
-        .records(&frame)
-        .iter()
-        .map(|r| Partition {
-            value: r.value,
-            range: r.range(),
-        })
-        // lint: allow(alloc-in-arena) — this legacy wrapper is documented
-        // as allocating its return value; hot paths use the frame API.
-        .collect();
-    arena.pop_frame(frame);
-    Ok(parts)
-}
-
-/// Convenience wrapper that allocates its own scratch.
-pub fn partition_by<K>(data: &mut [u32], bucket_count: usize, key: K) -> Result<Vec<Partition>>
-where
-    K: FnMut(u32) -> AttrValue,
-{
-    let mut arena = PartitionArena::new();
-    partition_in_place(data, bucket_count, &mut arena, key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_input() {
-        let mut data: Vec<u32> = vec![];
-        assert!(partition_by(&mut data, 4, |_| 0).unwrap().is_empty());
+        let mut arena = PartitionArena::new();
+        let frame = arena.partition_with(&mut [], 4, |_| 0).unwrap();
+        assert!(frame.is_empty());
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn partitions_are_contiguous_and_sorted() {
+        let mut arena = PartitionArena::new();
         let mut data = vec![0, 1, 2, 3, 4, 5, 6];
         let keys = [2u16, 0, 1, 2, 1, 0, 2];
-        let parts = partition_by(&mut data, 3, |i| keys[i as usize]).unwrap();
+        let frame = arena
+            .partition_with(&mut data, 3, |i| keys[i as usize])
+            .unwrap();
+        let parts = arena.records(&frame);
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].value, 0);
         assert_eq!(parts[1].value, 1);
         assert_eq!(parts[2].value, 2);
-        assert_eq!(&data[parts[0].range.clone()], &[1, 5]);
-        assert_eq!(&data[parts[1].range.clone()], &[2, 4]);
-        assert_eq!(&data[parts[2].range.clone()], &[0, 3, 6]);
+        assert_eq!(&data[parts[0].range()], &[1, 5]);
+        assert_eq!(&data[parts[1].range()], &[2, 4]);
+        assert_eq!(&data[parts[2].range()], &[0, 3, 6]);
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn stability_preserves_input_order_within_partition() {
+        let mut arena = PartitionArena::new();
         let mut data = vec![9, 3, 7, 1];
-        let parts = partition_by(&mut data, 2, |_| 1).unwrap();
-        assert_eq!(parts.len(), 1);
+        let frame = arena.partition_with(&mut data, 2, |_| 1).unwrap();
+        assert_eq!(frame.len(), 1);
         assert_eq!(data, vec![9, 3, 7, 1]);
-        assert_eq!(parts[0].len(), 4);
+        assert_eq!(arena.record(frame.indices().start).len(), 4);
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn skips_empty_values() {
+        let mut arena = PartitionArena::new();
         let mut data = vec![0, 1];
-        let parts = partition_by(&mut data, 10, |i| if i == 0 { 2 } else { 9 }).unwrap();
-        let values: Vec<_> = parts.iter().map(|p| p.value).collect();
+        let frame = arena
+            .partition_with(&mut data, 10, |i| if i == 0 { 2 } else { 9 })
+            .unwrap();
+        let values: Vec<_> = arena.records(&frame).iter().map(|p| p.value).collect();
         assert_eq!(values, vec![2, 9]);
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn is_a_permutation() {
+        let mut arena = PartitionArena::new();
         let mut data: Vec<u32> = (0..100).collect();
-        let parts = partition_by(&mut data, 7, |i| (i % 7) as u16).unwrap();
+        let frame = arena
+            .partition_with(&mut data, 7, |i| (i % 7) as u16)
+            .unwrap();
         let mut sorted = data.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 100);
+        let total: usize = arena.records(&frame).iter().map(|p| p.len()).sum();
+        assert_eq!(total, 100);
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn arena_reuse_across_sizes() {
         let mut arena = PartitionArena::new();
         let mut a: Vec<u32> = (0..10).collect();
-        partition_in_place(&mut a, 3, &mut arena, |i| (i % 3) as u16).unwrap();
+        let frame = arena.partition_with(&mut a, 3, |i| (i % 3) as u16).unwrap();
+        arena.pop_frame(frame);
         let mut b: Vec<u32> = (0..1000).collect();
-        let parts = partition_in_place(&mut b, 11, &mut arena, |i| (i % 11) as u16).unwrap();
-        assert_eq!(parts.len(), 11);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 1000);
+        let frame = arena
+            .partition_with(&mut b, 11, |i| (i % 11) as u16)
+            .unwrap();
+        assert_eq!(frame.len(), 11);
+        let total: usize = arena.records(&frame).iter().map(|p| p.len()).sum();
+        assert_eq!(total, 1000);
+        arena.pop_frame(frame);
         // Going back to a smaller bucket count must not see stale counts.
         let mut c: Vec<u32> = (0..20).collect();
-        let parts = partition_in_place(&mut c, 2, &mut arena, |i| (i % 2) as u16).unwrap();
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 20);
+        let frame = arena.partition_with(&mut c, 2, |i| (i % 2) as u16).unwrap();
+        let total: usize = arena.records(&frame).iter().map(|p| p.len()).sum();
+        assert_eq!(total, 20);
+        arena.pop_frame(frame);
     }
 
     #[test]
     fn ranges_tile_the_slice() {
+        let mut arena = PartitionArena::new();
         let mut data: Vec<u32> = (0..57).collect();
-        let parts = partition_by(&mut data, 5, |i| (i % 5) as u16).unwrap();
+        let frame = arena
+            .partition_with(&mut data, 5, |i| (i % 5) as u16)
+            .unwrap();
         let mut next = 0;
-        for p in &parts {
-            assert_eq!(p.range.start, next);
-            next = p.range.end;
+        for p in arena.records(&frame) {
+            assert_eq!(p.range().start, next);
+            next = p.range().end;
         }
         assert_eq!(next, 57);
+        arena.pop_frame(frame);
     }
 
     #[test]
@@ -932,13 +895,6 @@ mod tests {
             10
         );
         arena.pop_frame(frame);
-    }
-
-    #[test]
-    fn legacy_wrapper_reports_out_of_range_key() {
-        let mut data = vec![0u32, 1];
-        let err = partition_by(&mut data, 2, |_| 5).unwrap_err();
-        assert!(matches!(err, GraphError::KeyOutOfRange { key: 5, .. }));
     }
 
     #[test]

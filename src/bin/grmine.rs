@@ -8,10 +8,14 @@
 //!              [--no-steal] [--split-depth N]
 //!              [--shards N [--memory-budget BYTES]]
 //!              [--timeout MS] [--json] [--stats-json]
+//!              [--allow-empty-lhs] [--baseline-bl1 | --baseline-bl2]
 //! grmine query <graph.grm> "<GR>"            # e.g. "(SEX:F) -> (EDU:Grad)"
 //! grmine gen   <pokec|dblp> <out.grm> [--scale F] [--seed N]
 //! grmine info  <graph.grm>
 //! ```
+//!
+//! A flag its subcommand does not know, or one given twice, is a usage
+//! error (exit 2), like a malformed value.
 //!
 //! Degenerate numeric flags are strict: `--k` and `--min-supp` must be
 //! at least 1 (a zero would silently disable top-k selection / support
@@ -47,34 +51,52 @@ use social_ties::graph::shard::ShardStore;
 use social_ties::{generate, GrMiner, MinerConfig, RankMetric};
 use std::process::exit;
 
+mod flags;
+use flags::{check_flags, parse_flag};
+
+/// Every flag `grmine mine` reads.
+const MINE_FLAGS: &[&str] = &[
+    "--min-supp",
+    "--min-score",
+    "--k",
+    "--metric",
+    "--no-dynamic",
+    "--no-fuse",
+    "--no-kernel",
+    "--allow-empty-lhs",
+    "--threads",
+    "--parallel",
+    "--no-steal",
+    "--split-depth",
+    "--shards",
+    "--memory-budget",
+    "--timeout",
+    "--json",
+    "--stats-json",
+    "--baseline-bl1",
+    "--baseline-bl2",
+];
+
+/// A subcommand: its arguments (after the subcommand name) to an exit code.
+type Subcommand = fn(&[String]) -> i32;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("mine") => cmd_mine(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
+    let (cmd, known): (Subcommand, &[&str]) = match args.first().map(String::as_str) {
+        Some("mine") => (cmd_mine, MINE_FLAGS),
+        Some("query") => (cmd_query, &[]),
+        Some("gen") => (cmd_gen, &["--scale", "--seed"]),
+        Some("info") => (cmd_info, &[]),
         _ => {
             eprintln!("usage: grmine <mine|query|gen|info> …  (see --help in source)");
-            2
+            exit(2);
         }
     };
-    exit(code);
-}
-
-/// Parse `name`'s value if the flag is present. A present flag whose
-/// value is missing or unparseable is an error — silently falling back
-/// to a default would turn a typo into a wrong run.
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("flag `{name}` is missing its value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("invalid value `{raw}` for flag `{name}`"))
+    if let Err(e) = check_flags(&args[1..], known) {
+        eprintln!("{e}");
+        exit(2);
+    }
+    exit(cmd(&args[1..]));
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {

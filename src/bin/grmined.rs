@@ -18,7 +18,8 @@
 //! threads are joined, and the process exits 0.
 //!
 //! `--default-timeout 0` disables the default per-request deadline
-//! (requests may still set their own `timeout_ms`).
+//! (requests may still set their own `timeout_ms`). An unknown or
+//! repeated flag exits 2 before the graph is loaded.
 
 use social_ties::core::service::{serve, Service, ServiceConfig};
 use social_ties::graph::io;
@@ -28,6 +29,9 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+mod flags;
+use flags::{check_flags, parse_flag};
 
 /// Set from the signal handler, polled by the watcher thread. A plain
 /// atomic store is async-signal-safe; everything else (locks, the
@@ -55,23 +59,24 @@ fn main() {
     exit(run(&args));
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("flag `{name}` is missing its value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("invalid value `{raw}` for flag `{name}`"))
-}
-
 fn run(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("usage: grmined <graph.grm> [--addr HOST:PORT] [--threads N] [--max-concurrent N] [--queue-depth N] [--cache N] [--default-timeout MS] [--retry-after MS]");
         return 2;
     };
+    let known = [
+        "--addr",
+        "--threads",
+        "--max-concurrent",
+        "--queue-depth",
+        "--cache",
+        "--default-timeout",
+        "--retry-after",
+    ];
+    if let Err(e) = check_flags(&args[1..], &known) {
+        eprintln!("{e}");
+        return 2;
+    }
     let flags = |name| parse_flag::<usize>(args, name);
     let (addr, threads, max_concurrent, queue_depth, cache, default_timeout, retry_after) = match (
         parse_flag::<String>(args, "--addr"),

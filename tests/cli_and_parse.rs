@@ -4,7 +4,8 @@
 
 use social_ties::core::{parse_gr, query};
 use social_ties::{toy_network, GrMiner, MinerConfig};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn grmine() -> Command {
     Command::new(env!("CARGO_BIN_EXE_grmine"))
@@ -137,8 +138,10 @@ fn cli_stats_json_pins_the_counter_schema() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    // Stdout is exactly one flat JSON object with the pinned key set.
-    // (All values are numbers, so every quoted token followed by `:` is a
+    // Stdout is exactly one flat JSON object with the pinned keys, in
+    // emission order: the `stats.rs` table sets that order, so a moved
+    // row changes the bytes even when the key set stays the same. (All
+    // values are numbers, so every quoted token followed by `:` is a
     // key — the vendored serde_json has no raw-Value parse.)
     let text = String::from_utf8(out.stdout.clone()).unwrap();
     assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
@@ -153,37 +156,36 @@ fn cli_stats_json_pins_the_counter_schema() {
         }
         rest = tail;
     }
-    keys.sort_unstable();
     assert_eq!(
         keys,
         vec![
-            "accepted",
-            "bound_tightenings",
-            "cache_coalesced",
-            "cache_hits",
-            "cancel_checks",
-            "elapsed",
-            "faults_injected",
-            "fused_passes",
-            "grs_examined",
-            "heff_scans",
-            "kernel_batches",
-            "partition_passes",
             "partitions_examined",
-            "pruned_by_score",
+            "grs_examined",
             "pruned_by_supp",
-            "rejected_generality",
+            "pruned_by_score",
             "rejected_trivial",
+            "rejected_generality",
+            "accepted",
+            "heff_scans",
+            "partition_passes",
+            "fused_passes",
+            "kernel_batches",
+            "scratch_bytes_peak",
+            "tasks_stolen",
+            "subtree_splits",
+            "bound_tightenings",
+            "shards_built",
+            "shard_loads",
+            "shard_evictions",
+            "shard_resident_bytes_peak",
+            "cancel_checks",
+            "faults_injected",
+            "spill_retries",
             "requests_served",
             "requests_shed",
-            "scratch_bytes_peak",
-            "shard_evictions",
-            "shard_loads",
-            "shard_resident_bytes_peak",
-            "shards_built",
-            "spill_retries",
-            "subtree_splits",
-            "tasks_stolen",
+            "cache_hits",
+            "cache_coalesced",
+            "elapsed",
         ],
         "MinerStats JSON schema changed — update consumers and this pin"
     );
@@ -478,11 +480,19 @@ fn cli_rejects_malformed_flag_values() {
         vec!["gen", "dblp", "/tmp/x.grm", "--scale", "0"],
         vec!["gen", "dblp", "/tmp/x.grm", "--seed", "yes"],
         vec!["mine", path.to_str().unwrap(), "--metric", "vibes"],
+        // A flag the subcommand does not know, or a repeated one, would
+        // otherwise be ignored and the run would use the default or the
+        // first value.
+        vec!["mine", path.to_str().unwrap(), "--kk", "5"],
+        vec!["mine", path.to_str().unwrap(), "--k=5"],
+        vec!["mine", path.to_str().unwrap(), "--k", "5", "--k", "7"],
+        vec!["gen", "dblp", "/tmp/x.grm", "--k", "5"],
     ] {
         let out = grmine().args(&bad).output().unwrap();
-        assert!(
-            !out.status.success(),
-            "expected failure for {bad:?}, got: {}",
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "expected a usage error for {bad:?}, got: {}",
             String::from_utf8_lossy(&out.stdout)
         );
         assert!(
@@ -490,6 +500,31 @@ fn cli_rejects_malformed_flag_values() {
             "expected a message on stderr for {bad:?}"
         );
     }
+
+    // The daemon checks its flags before it loads the graph or binds, so
+    // a misspelt flag exits 2 without a ready line. Bounded wait: a
+    // daemon that accepted the flags would serve until killed.
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_grmined"))
+        .args([
+            path.to_str().unwrap(),
+            "--thread",
+            "4",
+            "--max-concurent",
+            "2",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while daemon.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = daemon.kill();
+    let out = daemon.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "no ready line: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--thread`"));
 }
 
 #[test]

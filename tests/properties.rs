@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use social_ties::core::reference::mine_reference;
 use social_ties::graph::io;
 use social_ties::graph::kernel;
-use social_ties::graph::sort::{partition_by, PartitionArena};
+use social_ties::graph::sort::PartitionArena;
 use social_ties::{Gr, GrMiner, MinerConfig, SchemaBuilder, SocialGraph};
 
 /// An arbitrary small attributed graph: up to 3 node attrs (random
@@ -327,17 +327,19 @@ proptest! {
         keys in prop::collection::vec(0u16..8, 0..200),
     ) {
         let mut data: Vec<u32> = (0..keys.len() as u32).collect();
-        let parts = partition_by(&mut data, 8, |i| keys[i as usize]).unwrap();
+        let mut arena = PartitionArena::new();
+        let frame = arena.partition_with(&mut data, 8, |i| keys[i as usize]).unwrap();
+        let parts = arena.records(&frame);
         // Permutation.
         let mut sorted = data.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..keys.len() as u32).collect::<Vec<_>>());
         // Tiling, ordering, stability.
         let mut next = 0usize;
-        for p in &parts {
-            prop_assert_eq!(p.range.start, next);
-            next = p.range.end;
-            let ids = &data[p.range.clone()];
+        for p in parts {
+            prop_assert_eq!(p.range().start, next);
+            next = p.range().end;
+            let ids = &data[p.range()];
             for w in ids.windows(2) {
                 prop_assert!(w[0] < w[1], "stability preserves input order");
             }
@@ -345,6 +347,7 @@ proptest! {
                 prop_assert_eq!(keys[id as usize], p.value);
             }
         }
+        arena.pop_frame(frame);
         prop_assert_eq!(next, keys.len());
     }
 }
