@@ -59,9 +59,11 @@ fn legacy_partition(
 /// the arena pass (on the 188-value Pokec `Region` domain), and a
 /// two-level (parent + children) partition with and without the fused
 /// counting, on the narrow-parent shape the miner's cost model fuses
-/// (small parent domain, so children are large and the key-cache write
-/// streams are few — wide parents stay unfused, see
-/// `grm_core::miner::FUSE_COST_RATIO`).
+/// (small parent domain, so children are large — wide parents stay
+/// unfused, see `grm_core::miner::FUSE_COST_RATIO`). The `_leaf` cells
+/// make the children count-only, as the miner runs the first pass of a
+/// RIGHT chain; `arena_count_only` is the `arena` pass without its
+/// scatter.
 fn bench_partition_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition");
     for n in [10_000usize, 100_000] {
@@ -91,6 +93,17 @@ fn bench_partition_engine(c: &mut Criterion) {
                 parts
             });
         });
+        group.bench_with_input(BenchmarkId::new("arena_count_only", n), &n, |b, _| {
+            let mut arena = PartitionArena::new();
+            let mut data = base.clone();
+            b.iter(|| {
+                data.copy_from_slice(&base);
+                let frame = arena.count_col(&data, 189, &col).unwrap();
+                let parts = frame.len();
+                arena.pop_frame(frame);
+                parts
+            });
+        });
         // Two-level cells: partition by a narrow parent dimension, then
         // every child partition by the next dimension — the RIGHT-chain
         // shape the miner fuses.
@@ -112,25 +125,39 @@ fn bench_partition_engine(c: &mut Criterion) {
                 total
             });
         });
-        group.bench_with_input(BenchmarkId::new("two_level_fused", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("two_level_unfused_leaf", n), &n, |b, _| {
             let mut arena = PartitionArena::new();
             let mut data = base.clone();
             b.iter(|| {
                 data.copy_from_slice(&base);
-                let (frame, level) = arena
-                    .partition_col_fused(&mut data, 6, &narrow, &next, 5)
-                    .unwrap();
+                let frame = arena.partition_col(&mut data, 6, &narrow).unwrap();
                 let mut total = 0usize;
                 for idx in frame.indices() {
                     let part = arena.record(idx);
-                    let hist = arena.child_hist(level, part);
-                    let sub = &mut data[part.range()];
-                    let child = arena.partition_pre_counted(sub, 5, hist);
+                    let child = arena.count_col(&data[part.range()], 5, &next).unwrap();
                     total += child.len();
                     arena.pop_frame(child);
                 }
                 arena.pop_frame(frame);
+                total
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("two_level_fused_leaf", n), &n, |b, _| {
+            let mut arena = PartitionArena::new();
+            let mut data = base.clone();
+            b.iter(|| {
+                data.copy_from_slice(&base);
+                let frame = arena.count_col(&data, 6, &narrow).unwrap();
+                let level = arena.scatter_fused(&mut data, &frame, &next, 5).unwrap();
+                let mut total = 0usize;
+                for idx in frame.indices() {
+                    let hist = arena.child_hist(level, arena.record(idx));
+                    let child = arena.partition_pre_counted(5, hist);
+                    total += child.len();
+                    arena.pop_frame(child);
+                }
                 arena.pop_fused(level);
+                arena.pop_frame(frame);
                 total
             });
         });
@@ -303,7 +330,7 @@ fn bench_heff_keys(c: &mut Criterion) {
 fn bench_heff_supports(c: &mut Criterion) {
     // The homophily-effect supports of one l∧w node: the seed re-filtered
     // the whole snapshot once per distinct β; the shared-context miner
-    // fills every β support with one counting-partition group-by pass
+    // fills every β support with one group-by counting pass
     // (`grm_core::beta::heff_table`). Both variants compute the supports
     // of all non-empty β over the full edge set.
     let graph = fixture(Dataset::Pokec, 0.05);
@@ -338,11 +365,8 @@ fn bench_heff_supports(c: &mut Criterion) {
         })
     });
     group.bench_function("group_by_table", |b| {
-        let mut scratch = PartitionArena::new();
-        let mut snap = snapshot.clone();
         b.iter(|| {
-            snap.copy_from_slice(&snapshot);
-            let table = heff_table(&mut snap, &pairs, &mut scratch, |a| model.r_col(a));
+            let table = heff_table(&snapshot, &pairs, |a| model.r_col(a));
             table[1..].iter().sum::<u64>()
         })
     });

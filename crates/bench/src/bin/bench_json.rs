@@ -5,8 +5,10 @@
 //! across commits):
 //!
 //! * `partition` (default) — the partition-engine micro cells
-//!   (allocating legacy primitive vs arena pass, two-level unfused vs
-//!   fused);
+//!   (allocating legacy primitive vs arena pass vs count-only arena pass,
+//!   and the two-level shapes: unfused with full child passes, and
+//!   unfused vs fused with count-only children, as the miner runs the
+//!   first pass of a RIGHT chain);
 //! * `kernel` — the vectorized counting-kernel cells (scalar histogram
 //!   vs SWAR stripes, scalar vs batched gather, and the full arena
 //!   counting pass with the kernels on/off — the micro before/after of
@@ -32,7 +34,10 @@
 //! of timed repetitions after a warm-up (`n` is the input size the cell
 //! works over — items for micro cells, edges for mining cells).
 //! Consumers key on `(group, bench, n)` — append new cells, never
-//! repurpose old names.
+//! repurpose old names. `two_level_fused` (fused parent, children
+//! scattered from a pre-counted histogram) is no longer emitted: the
+//! arena has no pre-counted scatter since passes became count-first;
+//! `two_level_fused_leaf` times the fused shape the miner runs now.
 
 use grm_bench::{fixture, Dataset, Table};
 use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
@@ -159,6 +164,21 @@ fn partition_cells() -> Vec<Cell> {
         let mut data = base.clone();
         cells.push(Cell {
             group: "partition",
+            bench: "arena_count_only",
+            n,
+            median_ns: median_ns(|| {
+                data.copy_from_slice(&base);
+                let frame = arena.count_col(&data, 189, &col).unwrap();
+                let parts = frame.len() as u64;
+                arena.pop_frame(frame);
+                parts
+            }),
+        });
+
+        let mut arena = PartitionArena::new();
+        let mut data = base.clone();
+        cells.push(Cell {
+            group: "partition",
             bench: "two_level_unfused",
             n,
             median_ns: median_ns(|| {
@@ -181,24 +201,42 @@ fn partition_cells() -> Vec<Cell> {
         let mut data = base.clone();
         cells.push(Cell {
             group: "partition",
-            bench: "two_level_fused",
+            bench: "two_level_unfused_leaf",
             n,
             median_ns: median_ns(|| {
                 data.copy_from_slice(&base);
-                let (frame, level) = arena
-                    .partition_col_fused(&mut data, 6, &narrow, &next, 5)
-                    .unwrap();
+                let frame = arena.partition_col(&mut data, 6, &narrow).unwrap();
                 let mut total = 0u64;
                 for idx in frame.indices() {
                     let part = arena.record(idx);
-                    let hist = arena.child_hist(level, part);
-                    let sub = &mut data[part.range()];
-                    let child = arena.partition_pre_counted(sub, 5, hist);
+                    let child = arena.count_col(&data[part.range()], 5, &next).unwrap();
                     total += child.len() as u64;
                     arena.pop_frame(child);
                 }
                 arena.pop_frame(frame);
+                total
+            }),
+        });
+
+        let mut arena = PartitionArena::new();
+        let mut data = base.clone();
+        cells.push(Cell {
+            group: "partition",
+            bench: "two_level_fused_leaf",
+            n,
+            median_ns: median_ns(|| {
+                data.copy_from_slice(&base);
+                let frame = arena.count_col(&data, 6, &narrow).unwrap();
+                let level = arena.scatter_fused(&mut data, &frame, &next, 5).unwrap();
+                let mut total = 0u64;
+                for idx in frame.indices() {
+                    let hist = arena.child_hist(level, arena.record(idx));
+                    let child = arena.partition_pre_counted(5, hist);
+                    total += child.len() as u64;
+                    arena.pop_frame(child);
+                }
                 arena.pop_fused(level);
+                arena.pop_frame(frame);
                 total
             }),
         });

@@ -20,17 +20,15 @@
 //! Every β reachable at an `l ∧ w` enumeration node is a subset of
 //! `H_l` — the homophily attributes `l` constrains ([`homophily_pairs`]).
 //! Instead of re-filtering the `l ∧ w` snapshot once per distinct β, a
-//! single counting-partition pass groups the snapshot by its **match
-//! mask** (bit `i` set iff position `p` agrees with `l` on `H_l[i]`), and
-//! a subset-sum sweep turns the mask histogram into `supp(l -w-> l[β])`
+//! single counting pass histograms the snapshot by its **match mask**
+//! (bit `i` set iff position `p` agrees with `l` on `H_l[i]`), and a
+//! superset-sum sweep turns the mask histogram into `supp(l -w-> l[β])`
 //! for *every* β at once: `heff(β) = Σ_{mask ⊇ β} hist[mask]`. The masks
-//! are built one group-by dimension at a time from the compact model's
-//! key *columns* through the vectorized mask kernel
-//! ([`PartitionArena::partition_mask_cols`]), so the pass shares the
-//! miner's batched gather/count machinery.
+//! are read from the compact model's key *columns*, and the histogram is
+//! the table itself: only the counts matter, so the snapshot is never
+//! reordered and the pass needs no partition arena.
 
 use crate::descriptor::NodeDescriptor;
-use grm_graph::sort::PartitionArena;
 use grm_graph::{AttrValue, NodeAttrId, Schema};
 
 /// Maximum number of node attributes supported by the bitmask
@@ -126,37 +124,32 @@ pub fn homophily_pairs(
         .collect()
 }
 
-/// One counting-partition group-by pass over `snapshot` (module docs):
-/// returns `table` of length `2^pairs.len()` where `table[m]` is the
-/// number of positions agreeing with `l` on every attribute in local mask
-/// `m` — i.e. `supp(l -w-> l[β])` for the β that `m` encodes
+/// One group-by counting pass over `snapshot` (module docs): returns
+/// `table` of length `2^pairs.len()` where `table[m]` is the number of
+/// positions agreeing with `l` on every attribute in local mask `m` —
+/// i.e. `supp(l -w-> l[β])` for the β that `m` encodes
 /// ([`BetaSet::local_mask`]).
 ///
-/// Reuses the miner's counting-sort machinery: `r_col` resolves each
-/// group-by attribute to its RHS key *column* (indexed by edge
-/// position — `CompactModel::r_col`), the snapshot is partitioned in
-/// place by match mask through the vectorized mask pass (its order
-/// afterwards is mask-grouped, which no caller depends on), the
-/// partition sizes are the mask histogram, and a superset-sum sweep
-/// (`O(k·2^k)`) completes the table. `pairs.len()` must be at most
+/// `r_col` resolves each group-by attribute to its RHS key *column*
+/// (indexed by edge position — `CompactModel::r_col`). Each position's
+/// match mask is counted straight into the table, and a superset-sum
+/// sweep (`O(k·2^k)`) completes it. `pairs.len()` must be at most
 /// [`MAX_GROUPBY_ATTRS`].
 pub fn heff_table<'c>(
-    snapshot: &mut [u32],
+    snapshot: &[u32],
     pairs: &[(NodeAttrId, AttrValue)],
-    arena: &mut PartitionArena,
     r_col: impl FnMut(NodeAttrId) -> &'c [AttrValue],
 ) -> Vec<u64> {
     let mut table = Vec::new();
-    heff_table_into(snapshot, pairs, arena, &mut table, r_col);
+    heff_table_into(snapshot, pairs, &mut table, r_col);
     table
 }
 
 /// [`heff_table`] into a caller-provided (pooled) buffer, so steady-state
 /// mining fills the β supports of an `l ∧ w` node without allocating.
 pub fn heff_table_into<'c>(
-    snapshot: &mut [u32],
+    snapshot: &[u32],
     pairs: &[(NodeAttrId, AttrValue)],
-    arena: &mut PartitionArena,
     table: &mut Vec<u64>,
     mut r_col: impl FnMut(NodeAttrId) -> &'c [AttrValue],
 ) {
@@ -167,19 +160,21 @@ pub fn heff_table_into<'c>(
     );
     let buckets = 1usize << k;
     // Resolve the group-by dimensions to their columns once (a stack
-    // array — steady-state mining allocates nothing here); the match
-    // masks are then built one dimension at a time by the mask kernel.
+    // array — steady-state mining allocates nothing here).
     let mut cols: [(&[AttrValue], AttrValue); MAX_GROUPBY_ATTRS] = [(&[], 0); MAX_GROUPBY_ATTRS];
     for (slot, &(a, v)) in cols.iter_mut().zip(pairs) {
         *slot = (r_col(a), v);
     }
-    let frame = arena.partition_mask_cols(snapshot, &cols[..k]);
+    let cols = &cols[..k];
     table.clear();
     table.resize(buckets, 0);
-    for part in arena.records(&frame) {
-        table[part.value as usize] = part.len() as u64;
+    for &p in snapshot {
+        let mut mask = 0usize;
+        for (bit, &(col, v)) in cols.iter().enumerate() {
+            mask |= usize::from(col[p as usize] == v) << bit;
+        }
+        table[mask] += 1;
     }
-    arena.pop_frame(frame);
     // Superset sum: after sweeping bit i, table[m] counts positions whose
     // mask restricted to bits ≥ processed agrees with a superset of m.
     for i in 0..k {
@@ -320,9 +315,8 @@ mod tests {
         // The columnar form the group-by pass consumes.
         let col1: Vec<AttrValue> = (0..12).map(|p| r_key(p, NodeAttrId(1))).collect();
         let col2: Vec<AttrValue> = (0..12).map(|p| r_key(p, NodeAttrId(2))).collect();
-        let mut snapshot: Vec<u32> = (0..12).collect();
-        let mut arena = PartitionArena::new();
-        let table = heff_table(&mut snapshot, &pairs, &mut arena, |a| match a.0 {
+        let snapshot: Vec<u32> = (0..12).rev().collect();
+        let table = heff_table(&snapshot, &pairs, |a| match a.0 {
             1 => col1.as_slice(),
             2 => col2.as_slice(),
             _ => unreachable!("only the group-by attributes are resolved"),
@@ -340,10 +334,6 @@ mod tests {
                 .count() as u64;
             assert_eq!(got, expected, "mask {mask:#b}");
         }
-        // The pass only permutes the snapshot.
-        let mut sorted = snapshot.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>());
         // β = ∅ maps to the full snapshot size.
         assert_eq!(table[0], 12);
     }

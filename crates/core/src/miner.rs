@@ -37,7 +37,7 @@ use crate::metrics::{MetricInputs, RankMetric};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use crate::topk::{SharedBound, TopK};
-use grm_graph::sort::{Frame, FusedHist, FusedLevel, PartitionArena};
+use grm_graph::sort::{Frame, FusedHist, FusedLevel, PartRec, PartitionArena};
 use grm_graph::{AttrValue, CancelToken, NodeAttrId, Schema, SocialGraph, NULL};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -46,10 +46,13 @@ use std::time::{Duration, Instant};
 /// are bit-identical regardless, and both inputs are deterministic across
 /// thread counts and task splitting).
 ///
-/// A fused pass pays `buckets × next_buckets` histogram zeroing plus one
-/// extra columnar load and two stores per *parent* item; a child redeems
-/// that only if it survives `min_supp` pruning and actually runs its first
-/// pass. Two deterministic conditions gate fusion:
+/// A fused scatter pays `buckets × next_buckets` histogram zeroing plus
+/// one extra columnar load and one store (the histogram increment) per
+/// *parent* item; a child redeems that only if it survives pruning and
+/// descends, where it saves its first pass's count (that pass is
+/// count-only either way — it is the first of a RIGHT chain, whose
+/// children never read their slices). Three deterministic conditions gate
+/// fusion:
 ///
 /// * the histogram must be small against the slice —
 ///   `len × FUSE_COST_RATIO ≥ buckets × next_buckets`;
@@ -57,12 +60,13 @@ use std::time::{Duration, Instant};
 ///   threshold — `len ≥ min_supp × buckets` — otherwise most of the
 ///   pre-counts are thrown away with their pruned children (exactly what
 ///   profiling showed on the high-pruning Pokec configs);
-/// * the parent must be narrow — `buckets ≤ FUSE_MAX_PARENT_BUCKETS` —
-///   because the fused scatter interleaves one extra write stream per
-///   parent partition (the scattered-order key cache): measured on the
-///   two-level micro, a 6-bucket parent fuses 14–29 % faster while a
-///   189-bucket parent (Pokec's `Region`) fuses ~40 % slower, so
-///   wide-domain passes stay unfused.
+/// * the parent must be narrow — `buckets ≤ FUSE_MAX_PARENT_BUCKETS`.
+///   This was measured when the fused scatter also wrote each item's next
+///   key to a scattered-order cache, one extra write stream per parent
+///   partition: on the two-level micro a 6-bucket parent fused 14–29 %
+///   faster while a 189-bucket parent (Pokec's `Region`) fused ~40 %
+///   slower. The cache is gone; whether fusion still pays at all is
+///   measured in ROADMAP's benchmark findings.
 const FUSE_COST_RATIO: usize = 4;
 
 /// Widest parent pass that fuses (see [`FUSE_COST_RATIO`] docs).
@@ -320,11 +324,25 @@ pub(crate) struct SplitPolicy {
 }
 
 /// A pre-counted first-pass histogram handed to a child RIGHT chain by its
-/// parent's fused pass, tagged with the dimension it counted.
+/// parent's fused scatter, tagged with the dimension it counted.
 #[derive(Clone, Copy)]
 struct PreCount {
     hist: FusedHist,
     dim: NodeAttrId,
+}
+
+/// One counting pass of the recursion, whose scatter waits for the first
+/// child that reads its slice (see `grm_graph::sort`): counted by
+/// [`Run::count_pass`], scattered at most once by [`Run::scatter_pass`],
+/// released by [`Run::end_pass`] after the partition loop.
+struct Pass {
+    frame: Frame,
+    /// The children's first RHS dimension and its bucket count, when the
+    /// scatter is to pre-count it (fused).
+    fuse: Option<(NodeAttrId, usize)>,
+    scattered: bool,
+    /// The fused level the scatter produced.
+    level: Option<(FusedLevel, NodeAttrId)>,
 }
 
 /// Mutable state of one mining run (one root task in parallel mode).
@@ -632,8 +650,8 @@ struct LwContext {
     pairs: Vec<(NodeAttrId, AttrValue)>,
     edges: Option<Vec<u32>>,
     supp_lw: u64,
-    /// All β supports for this `l ∧ w` node, filled by one
-    /// counting-partition pass on the first non-empty β (`None` until
+    /// All β supports for this `l ∧ w` node, filled by one group-by
+    /// counting pass on the first non-empty β (`None` until
     /// then; index by [`BetaSet::local_mask`] over `pairs`).
     table: Option<Vec<u64>>,
     /// Per-β memo for the wide-LHS fallback path
@@ -680,8 +698,8 @@ impl<'a, 'g> Run<'a, 'g> {
         // into this scatter.
         let child_mask = l.attrs().fold(0u64, |m, a| m | (1u64 << a.0)) | (1u64 << d.0);
         let fuse = self.right_fuse_target(child_mask, data.len(), buckets);
-        let (frame, level) = self.partition_pass(data, buckets, col, None, fuse);
-        for idx in frame.indices() {
+        let mut pass = self.count_pass(data, buckets, col, None, fuse);
+        for idx in pass.frame.indices() {
             if self.check_cancelled() {
                 break;
             }
@@ -697,6 +715,8 @@ impl<'a, 'g> Run<'a, 'g> {
                 self.stats.pruned_by_supp += 1;
                 continue;
             }
+            // Every surviving child reads its slice, detached or inline.
+            self.scatter_pass(data, &mut pass);
             let l2 = l.with_pooled(d, part.value, &mut self.scratch.node_descs);
             if self.spawn_subtree(part.len(), l2.len(), || SubtreeTask {
                 // lint: allow(alloc-in-arena) — a detached stealable task
@@ -709,20 +729,14 @@ impl<'a, 'g> Run<'a, 'g> {
                 self.scratch.node_descs.push(l2);
                 continue;
             }
-            let pre = level.map(|(lvl, nd)| PreCount {
-                hist: self.scratch.arena.child_hist(lvl, part),
-                dim: nd,
-            });
+            let pre = self.child_pre(&pass, part);
             let sub = &mut data[part.range()];
             self.right_root(sub, &l2, &EdgeDescriptor::empty(), pre);
             self.edge(sub, self.dims.w.len(), &l2, &EdgeDescriptor::empty());
             self.left(sub, i, &l2);
             self.scratch.node_descs.push(l2);
         }
-        if let Some((lvl, _)) = level {
-            self.scratch.arena.pop_fused(lvl);
-        }
-        self.scratch.arena.pop_frame(frame);
+        self.end_pass(pass);
     }
 
     /// `EDGE(data, Tail)`: partition on each edge dimension in the tail;
@@ -756,8 +770,8 @@ impl<'a, 'g> Run<'a, 'g> {
             // Children keep this LHS, so each enters its RIGHT chain on
             // the same first dynamic dimension: fuse its counting here.
             let fuse = self.right_fuse_target(l_mask, data.len(), buckets);
-            let (frame, level) = self.partition_pass(data, buckets, col, None, fuse);
-            for idx in frame.indices() {
+            let mut pass = self.count_pass(data, buckets, col, None, fuse);
+            for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
                 }
@@ -770,6 +784,7 @@ impl<'a, 'g> Run<'a, 'g> {
                     self.stats.pruned_by_supp += 1;
                     continue;
                 }
+                self.scatter_pass(data, &mut pass);
                 let w2 = w.with_pooled(d, part.value, &mut self.scratch.edge_descs);
                 if self.spawn_subtree(part.len(), l.len() + w2.len(), || SubtreeTask {
                     // lint: allow(alloc-in-arena) — a detached stealable
@@ -782,19 +797,13 @@ impl<'a, 'g> Run<'a, 'g> {
                     self.scratch.edge_descs.push(w2);
                     continue;
                 }
-                let pre = level.map(|(lvl, nd)| PreCount {
-                    hist: self.scratch.arena.child_hist(lvl, part),
-                    dim: nd,
-                });
+                let pre = self.child_pre(&pass, part);
                 let sub = &mut data[part.range()];
                 self.right_root(sub, l, &w2, pre);
                 self.edge(sub, i, l, &w2);
                 self.scratch.edge_descs.push(w2);
             }
-            if let Some((lvl, _)) = level {
-                self.scratch.arena.pop_fused(lvl);
-            }
-            self.scratch.arena.pop_frame(frame);
+            self.end_pass(pass);
         }
     }
 
@@ -939,54 +948,92 @@ impl<'a, 'g> Run<'a, 'g> {
         (len * FUSE_COST_RATIO >= buckets * nb).then_some((d, nb))
     }
 
-    /// One counting-sort pass of the mining recursion through the arena:
-    /// pre-counted when the parent fused this dimension, fused when
-    /// `fuse` names the children's next dimension, plain otherwise.
-    /// Returns the record frame and the produced fused level (if any);
-    /// the caller pops both after its partition loop.
-    fn partition_pass(
+    /// Count one pass of the recursion (its scatter waits, see [`Pass`]):
+    /// from the parent's fused histogram when `pre` is set — count-only,
+    /// for the first pass of a RIGHT chain, whose children have an empty
+    /// tail and never scatter it — from `col` otherwise. `fuse` names the
+    /// children's next dimension for the scatter to pre-count.
+    fn count_pass(
         &mut self,
-        data: &mut [u32],
+        data: &[u32],
         buckets: usize,
         col: &[AttrValue],
         pre: Option<PreCount>,
         fuse: Option<(NodeAttrId, usize)>,
-    ) -> (Frame, Option<(FusedLevel, NodeAttrId)>) {
+    ) -> Pass {
         self.stats.partition_passes += 1;
-        if let Some(p) = pre {
-            debug_assert!(fuse.is_none(), "a first pass has no child tail to fuse");
-            self.stats.fused_passes += 1;
-            let frame = self
+        let frame = match pre {
+            Some(p) => {
+                debug_assert!(fuse.is_none(), "a first pass has no child tail to fuse");
+                self.stats.fused_passes += 1;
+                let frame = self.scratch.arena.partition_pre_counted(buckets, p.hist);
+                debug_assert_eq!(
+                    self.scratch
+                        .arena
+                        .records(&frame)
+                        .iter()
+                        .map(PartRec::len)
+                        .sum::<usize>(),
+                    data.len(),
+                    "pre-counted histogram does not cover the slice"
+                );
+                frame
+            }
+            None => self
                 .scratch
                 .arena
-                .partition_pre_counted(data, buckets, p.hist);
-            return (frame, None);
+                .count_col(data, buckets, col)
+                // lint: allow(panic-in-hot-path) — KeyOutOfRange is
+                // impossible here: every column comes from a CompactModel
+                // built against the same validated Schema that supplied
+                // `buckets`.
+                .expect("schema-validated keys fit their bucket counts"),
+        };
+        Pass {
+            frame,
+            fuse,
+            scattered: false,
+            level: None,
         }
-        match fuse {
+    }
+
+    /// Move `data` into `pass`'s partition order, once, before the first
+    /// child reads its slice; a fused scatter also pre-counts every
+    /// child's first RHS pass.
+    fn scatter_pass(&mut self, data: &mut [u32], pass: &mut Pass) {
+        if pass.scattered {
+            return;
+        }
+        pass.scattered = true;
+        let arena = &mut self.scratch.arena;
+        match pass.fuse {
             Some((nd, nb)) => {
-                let next_col = self.ctx.model().r_col(nd);
-                let (frame, level) = self
-                    .scratch
-                    .arena
-                    .partition_col_fused(data, buckets, col, next_col, nb)
-                    // lint: allow(panic-in-hot-path) — KeyOutOfRange is
-                    // impossible here: every column comes from a
-                    // CompactModel built against the same validated
-                    // Schema that supplied `buckets`.
-                    .expect("schema-validated keys fit their bucket counts");
-                (frame, Some((level, nd)))
-            }
-            None => {
-                let frame = self
-                    .scratch
-                    .arena
-                    .partition_col(data, buckets, col)
+                let level = arena
+                    .scatter_fused(data, &pass.frame, self.ctx.model().r_col(nd), nb)
                     // lint: allow(panic-in-hot-path) — same schema
-                    // invariant as the fused arm above.
+                    // invariant as in `count_pass`.
                     .expect("schema-validated keys fit their bucket counts");
-                (frame, None)
+                pass.level = Some((level, nd));
             }
+            None => arena.scatter(data, &pass.frame),
         }
+    }
+
+    /// The pre-count of `part`'s first RHS pass, when `pass` fused it.
+    fn child_pre(&self, pass: &Pass, part: PartRec) -> Option<PreCount> {
+        pass.level.map(|(lvl, dim)| PreCount {
+            hist: self.scratch.arena.child_hist(lvl, part),
+            dim,
+        })
+    }
+
+    /// Release a pass's fused level and records (LIFO, after its
+    /// partition loop).
+    fn end_pass(&mut self, pass: Pass) {
+        if let Some((lvl, _)) = pass.level {
+            self.scratch.arena.pop_fused(lvl);
+        }
+        self.scratch.arena.pop_frame(pass.frame);
     }
 
     /// `RIGHT(data, Tail)` (lines 22–29): partition on each RHS dimension,
@@ -1011,21 +1058,23 @@ impl<'a, 'g> Run<'a, 'g> {
             let d = r_order[i];
             let buckets = self.schema.node_attr(d).bucket_count();
             let col = model.r_col(d);
-            // The parent pre-counted exactly our first pass (i = 0);
-            // children of iteration i partition `r_order[0]` first (their
-            // tail is the prefix `0..i`), so fuse that dimension when a
-            // child can exist (i ≥ 1) and may recurse under `max_rhs`.
+            // The parent pre-counted exactly our first pass (i = 0).
+            // Children of iteration i partition the prefix tail `0..i`,
+            // `r_order[0]` first: they have passes to run only for i ≥ 1
+            // and below `max_rhs`, so only then do they read their slices
+            // (and is their first pass worth fusing).
             let pass_pre = if i == 0 { pre.take() } else { None };
             if let Some(p) = &pass_pre {
                 debug_assert_eq!(p.dim, d, "pre-counted histogram dimension mismatch");
             }
-            let fuse = if i >= 1 && self.cfg.max_rhs.is_none_or(|m| r.len() + 1 < m) {
+            let children_partition = i >= 1 && self.cfg.max_rhs.is_none_or(|m| r.len() + 1 < m);
+            let fuse = if children_partition {
                 self.fuse_with(r_order[0], data.len(), buckets)
             } else {
                 None
             };
-            let (frame, level) = self.partition_pass(data, buckets, col, pass_pre, fuse);
-            for idx in frame.indices() {
+            let mut pass = self.count_pass(data, buckets, col, pass_pre, fuse);
+            for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
                 }
@@ -1154,35 +1203,34 @@ impl<'a, 'g> Run<'a, 'g> {
                     }
                 }
 
-                if descend {
-                    let child_pre = level.map(|(lvl, nd)| PreCount {
-                        hist: self.scratch.arena.child_hist(lvl, part),
-                        dim: nd,
-                    });
+                // A child with nothing to partition returns at once, so
+                // it is skipped rather than scattered for.
+                if descend && children_partition {
+                    self.scatter_pass(data, &mut pass);
+                    let child_pre = self.child_pre(&pass, part);
                     let sub = &mut data[part.range()];
                     self.right(ctx, sub, r_order, 0..i, l, w, &r2, child_pre);
                 }
                 self.scratch.node_descs.push(r2);
             }
-            if let Some((lvl, _)) = level {
-                self.scratch.arena.pop_fused(lvl);
-            }
-            self.scratch.arena.pop_frame(frame);
+            self.end_pass(pass);
         }
     }
 
     /// `supp(l -w-> l[β])` over the snapshot (§IV-D: the needed supports
     /// are computable at or before the current node). The first non-empty
-    /// β at this `l ∧ w` node triggers one counting-partition group-by
-    /// pass that fills the supports of *every* β ⊆ `H_l` at once
+    /// β at this `l ∧ w` node triggers one group-by counting pass that
+    /// fills the supports of *every* β ⊆ `H_l` at once
     /// ([`crate::beta::heff_table`]); later lookups are a table index.
+    /// The pass runs beside the arena, not through it, so the key cache
+    /// of the RIGHT pass being scored survives until that pass scatters.
     fn heff(&mut self, ctx: &mut LwContext, b: BetaSet) -> u64 {
         debug_assert!(!b.is_empty(), "empty β is scored as heff = 0 upstream");
         if ctx.pairs.len() > MAX_GROUPBY_ATTRS {
             return self.heff_scan(ctx, b);
         }
         if ctx.table.is_none() {
-            let Some(edges) = ctx.edges.as_mut() else {
+            let Some(edges) = ctx.edges.as_ref() else {
                 // `right_root` snapshots exactly when the LHS constrains
                 // a homophily attribute, and Eqn. 4 keeps every β inside
                 // that set — so this is unreachable from the enumeration.
@@ -1194,13 +1242,7 @@ impl<'a, 'g> Run<'a, 'g> {
             self.stats.partition_passes += 1;
             let model = self.ctx.model();
             let mut table = self.scratch.heff_tables.pop().unwrap_or_default();
-            heff_table_into(
-                edges,
-                &ctx.pairs,
-                &mut self.scratch.arena,
-                &mut table,
-                |a| model.r_col(a),
-            );
+            heff_table_into(edges, &ctx.pairs, &mut table, |a| model.r_col(a));
             ctx.table = Some(table);
         }
         let Some(table) = ctx.table.as_ref() else {

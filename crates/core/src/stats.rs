@@ -120,20 +120,20 @@ miner_stats! {
     /// one scan per node reaching a non-empty β (on the wide-LHS fallback
     /// path it counts per-β memo misses, as before).
     heff_scans: "heff_scans", sum, semantic;
-    /// Counting-sort partition passes over an edge-position slice
+    /// Every counting pass over an edge-position slice, scattered or not
     /// (LEFT/EDGE/RIGHT dimensions plus β group-by passes). A *work*
     /// counter, not a semantic one: the parallel miner's value-chunk
     /// splitting legitimately repeats top-level passes, so this varies
     /// with threading while [`MinerStats::semantic`] stays fixed.
     partition_passes: "passes", sum, work;
-    /// Partition passes that consumed a histogram pre-counted by their
-    /// parent's fused two-level pass, skipping their own counting phase
-    /// (one memory pass over the slice instead of two). Always ≤
-    /// `partition_passes`; zero with `MinerConfig::fuse_partitions` off.
+    /// Partition passes whose records came from a histogram pre-counted
+    /// by their parent's fused scatter, skipping their own gathers and
+    /// counting. Always ≤ `partition_passes`; zero with
+    /// `MinerConfig::fuse_partitions` off.
     fused_passes: "fused", sum, work;
     /// Full `grm_graph::kernel::LANES`-wide batches processed by the
-    /// vectorized counting kernels (gather, histogram, mask and fused
-    /// scatter loops). A *work* counter: task splitting legitimately
+    /// vectorized counting kernels (gather, histogram and fused scatter
+    /// loops). A *work* counter: task splitting legitimately
     /// repeats passes, so this varies with threading; zero with
     /// `MinerConfig::use_kernel` off.
     kernel_batches: "kernel_batches", sum, work;

@@ -10,9 +10,9 @@
 //!   maximum (the range check hoisted out of the counting loop);
 //! * [`histogram_u32`] — positional key counting through four
 //!   independent per-lane `u32` histograms, merged at the end;
-//! * [`scatter_with_count`] — the fused-pass scatter: stable scatter by
-//!   cached keys while gathering, clamp-checking, counting and caching
-//!   each item's *next*-dimension key in scattered order.
+//! * [`scatter_with_count`] — the fused scatter: stable scatter by
+//!   cached keys while gathering, clamp-checking and counting each
+//!   item's *next*-dimension key into its partition's histogram.
 //!
 //! ### The SWAR backend (default, stable Rust)
 //!
@@ -64,12 +64,15 @@ const STRIPE_MIN_KEYS_PER_BUCKET: usize = STRIPES;
 /// [`histogram_u32`] through the stripes — beats a single fused
 /// gather-and-count pass for `n` keys over `buckets` buckets. The
 /// stripes pay a second read of the key cache plus an
-/// `O(STRIPES × buckets)` merge, which only amortizes on genuinely
-/// large slices; the mining recursion's passes are overwhelmingly tiny
-/// (tens of items), and those stay on the one-pass loop. The absolute
-/// floor was measured on the Pokec-shaped workloads: below ~512 items
-/// the second sweep over the key cache costs more than the dependency
-/// breaking wins.
+/// `O(STRIPES × buckets)` merge, which only amortizes on large slices.
+/// The absolute floor was measured on the Pokec-shaped workloads: below
+/// ~512 items the second sweep over the key cache costs more than the
+/// dependency breaking wins. The mining recursion's passes are not
+/// tiny, since each partitions a slice that survived `minSupp`: on the
+/// benchmark's sequential mine (Pokec-like, scale 1.0, minSupp 600)
+/// none of the 61 607 LEFT/EDGE/RIGHT passes had fewer than 600 items,
+/// 42 % had 600–1 023, and the mean was ≈ 3 055 (README, "The
+/// vectorized counting kernel").
 #[inline]
 pub fn stripes_pay_off(n: usize, buckets: usize) -> bool {
     n >= STRIPE_MIN_KEYS_PER_BUCKET * buckets && n >= 512
@@ -78,8 +81,7 @@ pub fn stripes_pay_off(n: usize, buckets: usize) -> bool {
 /// Whether a batched (gather-up-front) loop beats the plain interleaved
 /// loop for `n` items at all: below a few batches the per-batch lane
 /// staging is pure overhead. Applied by the arena to the fused-scatter
-/// and mask kernels, whose tiny instances dominate a heavily-pruned
-/// mining recursion.
+/// kernel.
 #[inline]
 pub fn batching_pays_off(n: usize) -> bool {
     n >= 8 * LANES
@@ -174,48 +176,19 @@ pub fn histogram_u32(keys: &[AttrValue], counts: &mut [u32], stripes: &mut [u32]
     batches
 }
 
-/// OR bit `bit` into `masks[i]` for every position `i` whose gathered
-/// column value equals `value` — one dimension of the β group-by match
-/// mask (`grm_core::beta`), batched so the gathers issue together and
-/// the compare + shift runs per lane. Returns full batches processed.
-#[inline]
-pub fn mask_eq_accumulate(
-    data: &[u32],
-    col: &[AttrValue],
-    value: AttrValue,
-    bit: u32,
-    masks: &mut [AttrValue],
-) -> u64 {
-    debug_assert_eq!(data.len(), masks.len());
-    let mut chunks = data.chunks_exact(LANES);
-    let mut out = masks.chunks_exact_mut(LANES);
-    let mut batches = 0u64;
-    for (ch, ms) in (&mut chunks).zip(&mut out) {
-        let lanes = gather_lane_batch(ch, col);
-        lane_mask_eq(ms, &lanes, value, bit);
-        batches += 1;
-    }
-    let tail = data.len() - chunks.remainder().len();
-    for (&id, m) in chunks.remainder().iter().zip(&mut masks[tail..]) {
-        *m |= AttrValue::from(col[id as usize] == value) << bit;
-    }
-    batches
-}
-
-/// The fused-pass scatter (see
-/// [`crate::sort::PartitionArena::partition_col_fused`]): stable-scatter
+/// The fused scatter (see
+/// [`crate::sort::PartitionArena::scatter_fused`]): stable-scatter
 /// `data` by its cached `keys` through `cursors` into `scatter`, while
-/// gathering each item's key on `next_col`, counting it (clamped to
-/// `next_buckets - 1`) into the per-child histogram block of `fused`
-/// and caching it in scattered order in `fused_keys`. Returns
-/// `(any_next_key_out_of_range, batches)`; on `true` the caller rolls
-/// back exactly as with the scalar loop — the clamp keeps every write
-/// in bounds, so nothing outside the pass's own scratch is touched.
+/// gathering each item's key on `next_col` and counting it (clamped to
+/// `next_buckets - 1`) into the per-child histogram block of `fused`.
+/// Returns `(any_next_key_out_of_range, batches)`; on `true` the caller
+/// rolls back exactly as with the scalar loop — the clamp keeps every
+/// write in bounds, so nothing outside the pass's own scratch is
+/// touched.
 ///
 /// The scatter chain through `cursors` is serially dependent and stays
-/// scalar; the batching front-loads the *two* gather streams (ids and
-/// next keys) per [`LANES`] items.
-#[allow(clippy::too_many_arguments)]
+/// scalar; the batching front-loads the next-key gathers per [`LANES`]
+/// items.
 #[inline]
 pub fn scatter_with_count(
     data: &[u32],
@@ -225,7 +198,6 @@ pub fn scatter_with_count(
     next_col: &[AttrValue],
     next_buckets: usize,
     fused: &mut [u32],
-    fused_keys: &mut [AttrValue],
 ) -> (bool, u64) {
     debug_assert_eq!(data.len(), keys.len());
     // cast: bucket counts are attribute-domain sized, ≤ u16::MAX + 1
@@ -245,7 +217,6 @@ pub fn scatter_with_count(
             cursors[k] += 1;
             scatter[dst] = ch[j];
             fused[k * next_buckets + nks[j] as usize] += 1;
-            fused_keys[dst] = nks[j];
         }
         i += LANES;
         batches += 1;
@@ -259,7 +230,6 @@ pub fn scatter_with_count(
         cursors[k] += 1;
         scatter[dst] = id;
         fused[k * next_buckets + nk as usize] += 1;
-        fused_keys[dst] = nk;
     }
     (bad, batches)
 }
@@ -331,19 +301,6 @@ mod lanes {
         }
         out
     }
-
-    /// `masks[j] |= (lanes[j] == value) << bit`.
-    #[inline(always)]
-    pub fn lane_mask_eq(
-        masks: &mut [AttrValue],
-        lanes: &[AttrValue; LANES],
-        value: AttrValue,
-        bit: u32,
-    ) {
-        for j in 0..LANES {
-            masks[j] |= AttrValue::from(lanes[j] == value) << bit;
-        }
-    }
 }
 
 #[cfg(all(feature = "simd", grm_nightly_simd))]
@@ -352,8 +309,8 @@ mod lanes {
     //! feature on a nightly toolchain (`build.rs` probes the channel);
     //! everywhere else the SWAR module above serves the same API.
     use super::{AttrValue, LANES};
-    use std::simd::cmp::{SimdOrd, SimdPartialEq, SimdPartialOrd};
-    use std::simd::{Select, Simd};
+    use std::simd::cmp::{SimdOrd, SimdPartialOrd};
+    use std::simd::Simd;
 
     type V = Simd<AttrValue, LANES>;
 
@@ -379,22 +336,9 @@ mod lanes {
     pub fn lane_min(lanes: &[AttrValue; LANES], clamp: AttrValue) -> [AttrValue; LANES] {
         V::from_array(*lanes).simd_min(V::splat(clamp)).to_array()
     }
-
-    #[inline(always)]
-    pub fn lane_mask_eq(
-        masks: &mut [AttrValue],
-        lanes: &[AttrValue; LANES],
-        value: AttrValue,
-        bit: u32,
-    ) {
-        let eq = V::from_array(*lanes).simd_eq(V::splat(value));
-        let bits = eq.select(V::splat(1 << bit), V::splat(0));
-        let cur = V::from_slice(masks);
-        (cur | bits).copy_to_slice(masks);
-    }
 }
 
-use lanes::{lane_any_gt, lane_fold_max, lane_mask_eq, lane_max, lane_min};
+use lanes::{lane_any_gt, lane_fold_max, lane_max, lane_min};
 
 #[cfg(test)]
 mod tests {
@@ -441,22 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_accumulate_builds_conjunction_masks() {
-        let n = 37;
-        let c1: Vec<AttrValue> = (0..n).map(|i| (i % 3) as AttrValue).collect();
-        let c2: Vec<AttrValue> = (0..n).map(|i| (i % 5) as AttrValue).collect();
-        let data: Vec<u32> = (0..n as u32).rev().collect();
-        let mut masks = vec![0 as AttrValue; n];
-        mask_eq_accumulate(&data, &c1, 2, 0, &mut masks);
-        mask_eq_accumulate(&data, &c2, 4, 1, &mut masks);
-        for (i, &id) in data.iter().enumerate() {
-            let expect = AttrValue::from(c1[id as usize] == 2)
-                | (AttrValue::from(c2[id as usize] == 4) << 1);
-            assert_eq!(masks[i], expect, "position {i}");
-        }
-    }
-
-    #[test]
     fn scatter_with_count_matches_scalar_reference() {
         let n = 203;
         let buckets = 5usize;
@@ -481,7 +409,6 @@ mod tests {
         let mut ref_cursors = cursors.clone();
         let mut ref_scatter = vec![0u32; n];
         let mut ref_fused = vec![0u32; buckets * next_buckets];
-        let mut ref_fused_keys = vec![0 as AttrValue; n];
         for (i, &id) in data.iter().enumerate() {
             let k = keys[i] as usize;
             let dst = ref_cursors[k] as usize;
@@ -489,12 +416,10 @@ mod tests {
             ref_scatter[dst] = id;
             let nk = next_col[id as usize];
             ref_fused[k * next_buckets + nk as usize] += 1;
-            ref_fused_keys[dst] = nk;
         }
         // Kernel.
         let mut scatter = vec![0u32; n];
         let mut fused = vec![0u32; buckets * next_buckets];
-        let mut fused_keys = vec![0 as AttrValue; n];
         let (bad, batches) = scatter_with_count(
             &data,
             &keys,
@@ -503,13 +428,11 @@ mod tests {
             &next_col,
             next_buckets,
             &mut fused,
-            &mut fused_keys,
         );
         assert!(!bad);
         assert_eq!(batches, (n / LANES) as u64);
         assert_eq!(scatter, ref_scatter);
         assert_eq!(fused, ref_fused);
-        assert_eq!(fused_keys, ref_fused_keys);
         assert_eq!(cursors, ref_cursors);
     }
 
@@ -522,7 +445,6 @@ mod tests {
         let mut cursors = vec![0u32];
         let mut scatter = vec![0u32; 20];
         let mut fused = vec![0u32; 2];
-        let mut fused_keys = vec![0 as AttrValue; 20];
         let (bad, _) = scatter_with_count(
             &data,
             &keys,
@@ -531,7 +453,6 @@ mod tests {
             &next_col,
             2,
             &mut fused,
-            &mut fused_keys,
         );
         assert!(bad, "the sticky flag must catch a clamped key");
         // All writes stayed in bounds (the clamp): total counted = 20.

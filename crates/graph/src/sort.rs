@@ -1,4 +1,4 @@
-//! Counting-sort partitioning — the zero-allocation fused engine.
+//! Counting-sort partitioning — the zero-allocation, count-first engine.
 //!
 //! GRMiner (§V) "adopts a linear sorting method, Counting Sort, to sort and
 //! get the aggregate of each partition. It sorts in O(N) time without any
@@ -11,9 +11,29 @@
 //! allocations**, however deep the recursion (`arena_alloc.rs` asserts this
 //! with a counting allocator).
 //!
-//! Every pass is **stable** (scatter in scan order), which keeps partition
-//! contents deterministic across runs — important because the paper's rank
-//! (Def. 5) breaks ties alphabetically and our tests pin exact outputs.
+//! ### Count first, scatter when read
+//!
+//! A pass has two halves. The **count** ([`PartitionArena::count_col`])
+//! gathers each item's key into the key cache, histograms it, and pushes
+//! the records of the partitions the scatter will produce — value and
+//! index range, hence every partition's size — leaving `data` untouched.
+//! The **scatter** ([`PartitionArena::scatter`]) then moves `data` into
+//! those ranges by the cached keys. Support, thresholds and scores read
+//! only the records; the sorted order is read only by a child that
+//! recurses into its slice. So the mining recursion scatters a pass just
+//! before the first child that reads `data[part.range()]`, and a pass
+//! whose children are all pruned, or have nothing left to partition,
+//! never scatters. [`PartitionArena::partition_col`] and
+//! [`PartitionArena::partition_with`] run both halves at once.
+//!
+//! The key cache holds one pass: a count's scatter must come before any
+//! other pass counts. The arena remembers which frame owns the cache, and
+//! a debug assertion rejects the scatter of any other frame.
+//!
+//! Every scatter is **stable** (scan order within a partition), which
+//! keeps partition contents deterministic across runs — important because
+//! the paper's rank (Def. 5) breaks ties alphabetically and our tests pin
+//! exact outputs.
 //!
 //! ### Frames
 //!
@@ -29,16 +49,15 @@
 //!
 //! The mining recursion almost always knows which dimension a child will
 //! partition next (the first dynamic RHS dimension — Eqn. 8). A *fused*
-//! pass ([`PartitionArena::partition_col_fused`]) therefore, while
-//! scattering the parent's partitions, (1) builds the histogram of the
-//! **next** dimension for every child at once and (2) caches each item's
-//! next-dimension key *in scattered order*. The child consumes both with
-//! [`PartitionArena::partition_pre_counted`]: no counting phase and **no
-//! column gathers at all** — its keys stream sequentially out of the
-//! parent's cache — one memory pass over the child data instead of two,
-//! with the random column loads paid once instead of twice. Outputs are
-//! bit-identical to the unfused pass: a histogram is order-independent,
-//! and the scatter order is unchanged.
+//! scatter ([`PartitionArena::scatter_fused`]) therefore, while moving the
+//! parent's items, gathers each item's **next** key and counts it into
+//! that child's histogram, for every child at once. The child's pass on
+//! the next dimension is then count-only and gathers nothing:
+//! [`PartitionArena::partition_pre_counted`] reads its records straight
+//! out of the parent's histogram. It has no key cache, so it cannot be
+//! scattered — the miner pre-counts only the first pass of a RIGHT chain,
+//! whose children have an empty tail. Records are identical to a plain
+//! count of the child's slice: a histogram is order-independent.
 //!
 //! ### Errors
 //!
@@ -107,27 +126,23 @@ impl Frame {
     }
 }
 
-/// Handle to one level of fused child histograms plus the scattered-order
-/// next-key cache, returned by [`PartitionArena::partition_col_fused`].
-/// Addresses `parent_buckets × next_buckets` counters and `len` cached
-/// keys on the arena's fused stacks; release with
-/// [`PartitionArena::pop_fused`] after the partition loop.
+/// Handle to one level of fused child histograms, returned by
+/// [`PartitionArena::scatter_fused`]: `parent_buckets × next_buckets`
+/// counters on the arena's fused stack, one histogram per parent value.
+/// Release with [`PartitionArena::pop_fused`] after the partition loop.
 #[derive(Debug, Clone, Copy)]
 pub struct FusedLevel {
     base: usize,
-    keys_base: usize,
-    len: usize,
     parent_buckets: u32,
     next_buckets: u32,
 }
 
-/// One child partition's pre-counted histogram and key-cache window,
-/// carved out of a [`FusedLevel`] by [`PartitionArena::child_hist`].
-/// Consumed (destroyed) by [`PartitionArena::partition_pre_counted`].
+/// One child partition's pre-counted histogram, carved out of a
+/// [`FusedLevel`] by [`PartitionArena::child_hist`] and consumed by
+/// [`PartitionArena::partition_pre_counted`].
 #[derive(Debug, Clone, Copy)]
 pub struct FusedHist {
     offset: usize,
-    keys_at: usize,
     buckets: usize,
 }
 
@@ -145,17 +160,23 @@ impl FusedHist {
 /// allocate nothing. [`PartitionArena::peak_bytes`] reports the high-water
 /// mark (the `scratch_bytes_peak` miner counter).
 ///
-/// Internal invariant: `counts` is all-zeros between passes — each pass
-/// re-zeroes exactly the buckets it touched while emitting records, so a
-/// pass costs `O(n + bucket_count)` without a full clear of the largest
-/// histogram ever seen. The kernel stripe scratch keeps the same
-/// discipline (see [`kernel::histogram_u32`]).
+/// Internal invariant: `counts` is all-zeros between passes — a count
+/// re-zeroes each bucket as it emits the bucket's record, and a scatter
+/// re-zeroes the cursors of its frame's records, so a pass costs
+/// `O(n + bucket_count)` without a full clear of the largest histogram
+/// ever seen. The kernel stripe scratch keeps the same discipline (see
+/// [`kernel::histogram_u32`]).
 #[derive(Debug, Clone)]
 pub struct PartitionArena {
-    /// Bucket histogram, then (in place) prefix offsets, then cursors.
+    /// Bucket histogram during a count, cursors during a scatter.
     counts: Vec<u32>,
-    /// Per-item key cache: each key function / column load runs once.
+    /// Per-item key cache of the last count, in `data` order: each key
+    /// function / column load runs once.
     keys: Vec<AttrValue>,
+    /// Record indices of the count whose keys `keys` holds — the one
+    /// frame a scatter may move (checked in debug builds). `None` once
+    /// scattered.
+    keys_owner: Option<Range<u32>>,
     /// Scatter buffer (copied back into the caller's slice — stable).
     scatter: Vec<u32>,
     /// The partition-record stack, windowed by [`Frame`]s.
@@ -163,9 +184,6 @@ pub struct PartitionArena {
     /// The fused child-histogram stack, windowed by [`FusedLevel`]s.
     fused: Vec<u32>,
     fused_top: usize,
-    /// Scattered-order next-key cache per fused level (same discipline).
-    fused_keys: Vec<AttrValue>,
-    fused_keys_top: usize,
     /// Per-lane histogram scratch of the counting kernel
     /// ([`kernel::STRIPES`] stripes; all-zero between passes).
     stripes: Vec<u32>,
@@ -187,12 +205,11 @@ impl Default for PartitionArena {
         PartitionArena {
             counts: Vec::new(),
             keys: Vec::new(),
+            keys_owner: None,
             scatter: Vec::new(),
             records: Vec::new(),
             fused: Vec::new(),
             fused_top: 0,
-            fused_keys: Vec::new(),
-            fused_keys_top: 0,
             stripes: Vec::new(),
             use_kernel: true,
             kernel_batches: 0,
@@ -258,87 +275,92 @@ impl PartitionArena {
             }
             self.keys[i] = k;
         }
-        self.count_keys(n, bucket_count);
-        let frame = self.scatter_and_emit(data, bucket_count);
+        let keys = &self.keys[..n];
+        let counts = &mut self.counts[..bucket_count];
+        if self.use_kernel {
+            self.kernel_batches += kernel::histogram_u32(
+                keys,
+                counts,
+                &mut self.stripes[..kernel::STRIPES * bucket_count],
+            );
+        } else {
+            for &k in keys {
+                counts[k as usize] += 1;
+            }
+        }
+        let frame = self.emit_records(bucket_count);
+        self.scatter(data, &frame);
         self.note_peak();
         Ok(frame)
     }
 
-    /// Stable counting-sort pass keyed by a conjunction match mask over
-    /// columnar `(column, value)` pairs: item `id`'s key has bit `i` set
-    /// iff `pairs[i].0[id as usize] == pairs[i].1` — the β group-by of
-    /// `grm_core::beta`, vectorized one dimension at a time through
-    /// [`kernel::mask_eq_accumulate`]. The bucket count is
-    /// `1 << pairs.len()`; every mask lies below it by construction, so
-    /// the pass cannot fail. At most 15 pairs (the mask must fit an
-    /// [`AttrValue`]); columns must cover every id in `data`.
-    pub fn partition_mask_cols(
-        &mut self,
-        data: &mut [u32],
-        pairs: &[(&[AttrValue], AttrValue)],
-    ) -> Frame {
-        assert!(
-            pairs.len() < AttrValue::BITS as usize,
-            "match masks are AttrValue-wide ({} pairs)",
-            pairs.len()
-        );
-        let bucket_count = 1usize << pairs.len();
-        self.prepare(data.len(), bucket_count);
-        let n = data.len();
-        self.keys[..n].fill(0);
-        if self.use_kernel && kernel::batching_pays_off(n) {
-            for (bit, &(col, v)) in pairs.iter().enumerate() {
-                self.kernel_batches +=
-                    // cast: bit < pairs.len() ≤ AttrValue::BITS = 16
-                    kernel::mask_eq_accumulate(data, col, v, bit as u32, &mut self.keys[..n]);
-            }
-        } else {
-            for (i, &id) in data.iter().enumerate() {
-                let mut mask: AttrValue = 0;
-                for (bit, &(col, v)) in pairs.iter().enumerate() {
-                    mask |= AttrValue::from(col[id as usize] == v) << bit;
-                }
-                self.keys[i] = mask;
-            }
-        }
-        self.count_keys(n, bucket_count);
-        let frame = self.scatter_and_emit(data, bucket_count);
-        self.note_peak();
-        frame
-    }
-
-    /// Stable counting-sort pass over a contiguous key column: item `id`'s
-    /// key is `col[id]` (one indexed load — the miner's columnar caches).
-    /// The counting loop is chunked so the eight gather loads of a chunk
-    /// issue independently of the histogram increments.
+    /// Stable counting-sort pass over a contiguous key column, both
+    /// halves at once: [`PartitionArena::count_col`], then
+    /// [`PartitionArena::scatter`].
     pub fn partition_col(
         &mut self,
         data: &mut [u32],
         bucket_count: usize,
         col: &[AttrValue],
     ) -> Result<Frame> {
+        let frame = self.count_col(data, bucket_count, col)?;
+        self.scatter(data, &frame);
+        Ok(frame)
+    }
+
+    /// The count half of a pass over a contiguous key column (module
+    /// docs): item `id`'s key is `col[id]` (one indexed load — the
+    /// miner's columnar caches). Fills the key cache, and returns the
+    /// frame of the partitions [`PartitionArena::scatter`] will produce,
+    /// in increasing key order. `data` is not touched; until the scatter,
+    /// only the records' values and lengths describe the partitions.
+    pub fn count_col(
+        &mut self,
+        data: &[u32],
+        bucket_count: usize,
+        col: &[AttrValue],
+    ) -> Result<Frame> {
         self.prepare(data.len(), bucket_count);
-        self.count_col(data, bucket_count, col)?;
-        let frame = self.scatter_and_emit(data, bucket_count);
+        self.histogram_col(data, bucket_count, col)?;
+        let frame = self.emit_records(bucket_count);
         self.note_peak();
         Ok(frame)
     }
 
-    /// Fused two-level pass (module docs): partition `data` by `col` and,
-    /// while scattering, count each child partition's histogram over
-    /// `next_col` **and** cache each item's next key in scattered order,
-    /// into a fresh [`FusedLevel`]. Children consume both via
-    /// [`PartitionArena::child_hist`] +
+    /// The scatter half of the pass that produced `frame`: stable-move
+    /// `data` (the slice that count saw) into the frame's partition
+    /// ranges by the cached keys. At most once per count, and before any
+    /// other pass counts — the key cache holds one pass (checked in
+    /// debug builds).
+    pub fn scatter(&mut self, data: &mut [u32], frame: &Frame) {
+        self.set_cursors(data.len(), frame);
+        let n = data.len();
+        let counts = &mut self.counts;
+        let scatter = &mut self.scatter[..n];
+        for (&id, &k) in data.iter().zip(&self.keys[..n]) {
+            let cursor = &mut counts[k as usize];
+            scatter[*cursor as usize] = id;
+            *cursor += 1;
+        }
+        self.finish_scatter(data, frame);
+    }
+
+    /// The fused scatter (module docs): [`PartitionArena::scatter`], while
+    /// also counting each item's key on `next_col` into a fresh
+    /// [`FusedLevel`] — one `next_buckets`-wide histogram per parent
+    /// partition. Children read theirs through
+    /// [`PartitionArena::child_hist`] and
     /// [`PartitionArena::partition_pre_counted`]; the caller pops the
     /// level with [`PartitionArena::pop_fused`] after its partition loop.
-    pub fn partition_col_fused(
+    /// On a next key at or beyond `next_buckets` nothing moves and the
+    /// pass stays unscattered (a plain scatter may still follow).
+    pub fn scatter_fused(
         &mut self,
         data: &mut [u32],
-        bucket_count: usize,
-        col: &[AttrValue],
+        frame: &Frame,
         next_col: &[AttrValue],
         next_buckets: usize,
-    ) -> Result<(Frame, FusedLevel)> {
+    ) -> Result<FusedLevel> {
         if next_buckets == 0 && !data.is_empty() {
             // Deterministic bail before any arena state is touched: a
             // zero-bucket next dimension cannot key any item. Report the
@@ -357,36 +379,32 @@ impl PartitionArena {
                 },
             });
         }
-        self.prepare(data.len(), bucket_count);
-        self.count_col(data, bucket_count, col)?;
+        self.set_cursors(data.len(), frame);
         let n = data.len();
-        // Push a zeroed histogram level and an (uninitialized — every
-        // slot is written exactly once) next-key level.
+        // Push a zeroed histogram level, one row per parent value up to
+        // the frame's largest.
+        let parent_buckets = self
+            .records(frame)
+            .last()
+            .map_or(0, |r| r.value as usize + 1);
         let base = self.fused_top;
-        let size = bucket_count * next_buckets;
+        let size = parent_buckets * next_buckets;
         if self.fused.len() < base + size {
             self.fused.resize(base + size, 0);
         }
         self.fused[base..base + size].fill(0);
         self.fused_top = base + size;
-        let keys_base = self.fused_keys_top;
-        if self.fused_keys.len() < keys_base + n {
-            self.fused_keys.resize(keys_base + n, 0);
-        }
-        self.fused_keys_top = keys_base + n;
-        // Prefix offsets, then scatter while counting and caching the
-        // next dimension. Slice-local views keep the hot loop's bounds
-        // arithmetic simple; the key-range check is branchless (clamp +
-        // sticky flag) so it never breaks the loop's pipelining — the
-        // cold rollback below discards anything a clamped key touched.
-        self.prefix(bucket_count);
+        // Scatter while counting the next dimension. Slice-local views
+        // keep the hot loop's bounds arithmetic simple; the key-range
+        // check is branchless (clamp + sticky flag) so it never breaks
+        // the loop's pipelining — the cold rollback below discards
+        // anything a clamped key touched.
         let mut bad = false;
         {
-            let counts = &mut self.counts[..bucket_count];
+            let counts = &mut self.counts;
             let keys = &self.keys[..n];
             let scatter = &mut self.scatter[..n];
             let fused = &mut self.fused[base..base + size];
-            let fused_keys = &mut self.fused_keys[keys_base..keys_base + n];
             if self.use_kernel && kernel::batching_pays_off(n) {
                 let (b, batches) = kernel::scatter_with_count(
                     data,
@@ -396,28 +414,25 @@ impl PartitionArena {
                     next_col,
                     next_buckets,
                     fused,
-                    fused_keys,
                 );
                 bad = b;
                 self.kernel_batches += batches;
             } else {
                 let clamp = next_buckets.saturating_sub(1);
-                for i in 0..n {
-                    let id = data[i];
-                    let k = keys[i] as usize;
-                    let dst = counts[k] as usize;
-                    counts[k] += 1;
-                    scatter[dst] = id;
+                for (&id, &k) in data.iter().zip(keys) {
+                    let k = k as usize;
+                    let cursor = &mut counts[k];
+                    scatter[*cursor as usize] = id;
+                    *cursor += 1;
                     let nk = next_col[id as usize] as usize;
                     bad |= nk > clamp;
-                    let nk = nk.min(clamp);
-                    fused[k * next_buckets + nk] += 1;
-                    fused_keys[dst] = nk as AttrValue; // cast: nk ≤ clamp < next_buckets ≤ u16 domain
+                    fused[k * next_buckets + nk.min(clamp)] += 1;
                 }
             }
         }
         if bad {
-            // Roll back: cursors are dirty and the level is garbage.
+            // Roll back: cursors are dirty and the level is garbage;
+            // `data` and the key cache are untouched.
             // lint: allow(panic-in-hot-path) — cold error-recovery scan:
             // `bad` was set by exactly this predicate one loop earlier, so
             // the offender must still be found on the re-scan.
@@ -428,99 +443,43 @@ impl PartitionArena {
                 .expect("a key beyond the clamp set the flag");
             self.counts.iter_mut().for_each(|c| *c = 0);
             self.fused_top = base;
-            self.fused_keys_top = keys_base;
             return Err(GraphError::KeyOutOfRange {
                 key,
                 bucket_count: next_buckets,
             });
         }
-        data.copy_from_slice(&self.scatter[..n]);
-        let frame = self.emit_records(bucket_count);
+        self.finish_scatter(data, frame);
         self.note_peak();
-        Ok((
-            frame,
-            FusedLevel {
-                base,
-                keys_base,
-                len: n,
-                parent_buckets: bucket_count as u32, // cast: bucket counts ≤ u16 domain + 1
-                next_buckets: next_buckets as u32,   // cast: bucket counts ≤ u16 domain + 1
-            },
-        ))
+        Ok(FusedLevel {
+            base,
+            parent_buckets: parent_buckets as u32, // cast: ≤ bucket counts ≤ u16 domain + 1
+            next_buckets: next_buckets as u32,     // cast: bucket counts ≤ u16 domain + 1
+        })
     }
 
-    /// The pre-counted histogram and key-cache window of one child
-    /// partition (`part`, a record of the pass that produced `level`).
+    /// The pre-counted histogram of one child partition (`part`, a
+    /// record of the pass whose fused scatter produced `level`).
     pub fn child_hist(&self, level: FusedLevel, part: PartRec) -> FusedHist {
         debug_assert!((part.value as u32) < level.parent_buckets);
-        debug_assert!(part.end as usize <= level.len, "record outside level");
         FusedHist {
             offset: level.base + part.value as usize * level.next_buckets as usize,
-            keys_at: level.keys_base + part.start as usize,
             buckets: level.next_buckets as usize,
         }
     }
 
-    /// Stable counting-sort pass that consumes a child histogram and key
-    /// cache produced by the parent's fused pass: no counting phase and no
-    /// key-column loads — the keys stream sequentially out of the cache
-    /// (which is why no column argument exists). The histogram is
-    /// destroyed; each [`FusedHist`] may be consumed once, on exactly the
-    /// sub-slice its [`PartRec`] described.
-    pub fn partition_pre_counted(
-        &mut self,
-        data: &mut [u32],
-        bucket_count: usize,
-        hist: FusedHist,
-    ) -> Frame {
+    /// A count-only pass from a histogram the parent's fused scatter
+    /// counted: the records come straight out of `hist` — no gathers and
+    /// no `data` — and equal a plain [`PartitionArena::count_col`] of the
+    /// child's slice. There is no key cache behind them, so the frame
+    /// cannot be scattered. Consumes the histogram.
+    pub fn partition_pre_counted(&mut self, bucket_count: usize, hist: FusedHist) -> Frame {
         debug_assert_eq!(hist.buckets, bucket_count, "histogram/bucket mismatch");
-        debug_assert_eq!(
-            self.fused[hist.offset..hist.offset + bucket_count]
-                .iter()
-                .map(|&c| c as usize)
-                .sum::<usize>(),
-            data.len(),
-            "pre-counted histogram does not cover the slice"
+        let frame = drain_records(
+            &mut self.records,
+            &mut self.fused[hist.offset..hist.offset + bucket_count],
         );
-        self.prepare(data.len(), bucket_count);
-        // Prefix offsets in place within the fused slice, then scatter by
-        // the cached keys (validated < bucket_count by the producer; a
-        // misused handle still lands on the slice bounds checks below).
-        let mut acc = 0u32;
-        for c in &mut self.fused[hist.offset..hist.offset + bucket_count] {
-            let v = *c;
-            *c = acc;
-            acc += v;
-        }
-        let n = data.len();
-        for (i, &id) in data.iter().enumerate() {
-            let k = self.fused_keys[hist.keys_at + i] as usize;
-            let cursor = &mut self.fused[hist.offset + k];
-            self.scatter[*cursor as usize] = id;
-            *cursor += 1;
-        }
-        data.copy_from_slice(&self.scatter[..n]);
-        // Emit records from the fused cursors (now partition ends).
-        // cast: ≤ one record per element, and n ≤ the u32 edge cap
-        let start = self.records.len() as u32;
-        let mut prev = 0u32;
-        for v in 0..bucket_count {
-            let end = self.fused[hist.offset + v];
-            if end > prev {
-                self.records.push(PartRec {
-                    value: v as AttrValue, // cast: v < bucket_count ≤ u16 domain + 1
-                    start: prev,
-                    end,
-                });
-            }
-            prev = end;
-        }
         self.note_peak();
-        Frame {
-            start,
-            // cast: ≤ one record per element, and n ≤ the u32 edge cap
-            end: self.records.len() as u32,
-        }
+        frame
     }
 
     /// Copy one partition record out of a frame.
@@ -547,9 +506,7 @@ impl PartitionArena {
             level.base + level.parent_buckets as usize * level.next_buckets as usize,
             "non-LIFO fused pop"
         );
-        debug_assert_eq!(self.fused_keys_top, level.keys_base + level.len);
         self.fused_top = level.base;
-        self.fused_keys_top = level.keys_base;
     }
 
     /// High-water mark of the arena's owned scratch, in bytes. Stable
@@ -583,18 +540,22 @@ impl PartitionArena {
         }
     }
 
-    /// Counting phase over a contiguous key column. With the kernels on
-    /// and a slice large enough for the stripes to pay
-    /// ([`kernel::stripes_pay_off`]): one gather pass fills the key
-    /// cache and returns the key maximum (the range check hoisted out
-    /// of the loop), then the striped histogram counts the cache
+    /// Fill the key cache and the histogram from a contiguous key column.
+    /// With the kernels on and a slice large enough for the stripes to
+    /// pay ([`kernel::stripes_pay_off`]): one gather pass fills the key
+    /// cache and returns the key maximum (the range check hoisted out of
+    /// the loop), then the striped histogram counts the cache
     /// positionally — on a bad key the histogram was never touched, and
     /// the first offender in scan order is recovered from the cache for
-    /// the error (cold path). Small passes — the bulk of a
-    /// heavily-pruned mining recursion — use the single fused
-    /// gather-and-count loop below, which is also the
-    /// `scalar_kernel_off` baseline.
-    fn count_col(&mut self, data: &[u32], bucket_count: usize, col: &[AttrValue]) -> Result<()> {
+    /// the error (cold path). Smaller passes use the single fused
+    /// gather-and-count loop below, which is also the `scalar_kernel_off`
+    /// baseline.
+    fn histogram_col(
+        &mut self,
+        data: &[u32],
+        bucket_count: usize,
+        col: &[AttrValue],
+    ) -> Result<()> {
         let n = data.len();
         if self.use_kernel && kernel::stripes_pay_off(n, bucket_count) {
             let (max, batches) = kernel::gather_keys(data, col, &mut self.keys[..n]);
@@ -665,86 +626,51 @@ impl PartitionArena {
             }
         }
         match bad {
-            Some(k) => Err(self.count_failed(k, bucket_count)),
+            Some(key) => {
+                // Restore the all-zeros invariant (cold path).
+                self.counts.iter_mut().for_each(|c| *c = 0);
+                Err(GraphError::KeyOutOfRange { key, bucket_count })
+            }
             None => Ok(()),
         }
     }
 
-    /// Count the first `n` cached keys into the histogram — striped
-    /// kernel counting when enabled, the plain loop otherwise. Keys
-    /// must already be validated `< bucket_count`.
-    fn count_keys(&mut self, n: usize, bucket_count: usize) {
-        let keys = &self.keys[..n];
-        let counts = &mut self.counts[..bucket_count];
-        if self.use_kernel {
-            self.kernel_batches += kernel::histogram_u32(
-                keys,
-                counts,
-                &mut self.stripes[..kernel::STRIPES * bucket_count],
-            );
-        } else {
-            for &k in keys {
-                counts[k as usize] += 1;
-            }
-        }
-    }
-
-    /// Restore the all-zeros `counts` invariant after a failed counting
-    /// phase and build the error (cold path).
-    fn count_failed(&mut self, key: AttrValue, bucket_count: usize) -> GraphError {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        GraphError::KeyOutOfRange { key, bucket_count }
-    }
-
-    /// Exclusive prefix sums in place: `counts[v]` becomes the start
-    /// offset of value `v`'s partition.
-    fn prefix(&mut self, bucket_count: usize) {
-        let mut acc = 0u32;
-        for c in &mut self.counts[..bucket_count] {
-            let v = *c;
-            *c = acc;
-            acc += v;
-        }
-    }
-
-    /// Prefix, stable scatter via the key cache, copy back, emit records.
-    fn scatter_and_emit(&mut self, data: &mut [u32], bucket_count: usize) -> Frame {
-        self.prefix(bucket_count);
-        let n = data.len();
-        for (i, &id) in data.iter().enumerate() {
-            let k = self.keys[i] as usize;
-            let cursor = &mut self.counts[k];
-            self.scatter[*cursor as usize] = id;
-            *cursor += 1;
-        }
-        data.copy_from_slice(&self.scatter[..n]);
-        self.emit_records(bucket_count)
-    }
-
-    /// Emit non-empty partitions in increasing key order from the
-    /// post-scatter cursors (`counts[v]` = end offset of `v`'s partition),
-    /// re-zeroing each touched bucket to restore the invariant.
+    /// End a count: emit the histogram's records (re-zeroing it) and
+    /// make the new frame the key cache's owner.
     fn emit_records(&mut self, bucket_count: usize) -> Frame {
-        // cast: ≤ one record per element, and n ≤ the u32 edge cap
-        let start = self.records.len() as u32;
-        let mut prev = 0u32;
-        for v in 0..bucket_count {
-            let end = self.counts[v];
-            self.counts[v] = 0;
-            if end > prev {
-                self.records.push(PartRec {
-                    value: v as AttrValue, // cast: v < bucket_count ≤ u16 domain + 1
-                    start: prev,
-                    end,
-                });
-            }
-            prev = end;
+        let frame = drain_records(&mut self.records, &mut self.counts[..bucket_count]);
+        self.keys_owner = Some(frame.indices());
+        frame
+    }
+
+    /// Start a scatter of `frame` over `n` items: check that the key
+    /// cache is still this count's, then set each record's cursor to its
+    /// start offset.
+    fn set_cursors(&mut self, n: usize, frame: &Frame) {
+        debug_assert_eq!(
+            self.keys_owner,
+            Some(frame.indices()),
+            "scatter of a frame whose key cache another pass overwrote"
+        );
+        let records = &self.records[frame.start as usize..frame.end as usize];
+        debug_assert_eq!(
+            records.last().map_or(0, |r| r.end as usize),
+            n,
+            "scatter over a slice of another length than its count"
+        );
+        for r in records {
+            self.counts[r.value as usize] = r.start;
         }
-        Frame {
-            start,
-            // cast: ≤ one record per element, and n ≤ the u32 edge cap
-            end: self.records.len() as u32,
+    }
+
+    /// End a scatter: copy the moved items back, re-zero the frame's
+    /// cursors, and release the key cache.
+    fn finish_scatter(&mut self, data: &mut [u32], frame: &Frame) {
+        data.copy_from_slice(&self.scatter[..data.len()]);
+        for r in &self.records[frame.start as usize..frame.end as usize] {
+            self.counts[r.value as usize] = 0;
         }
+        self.keys_owner = None;
     }
 
     /// Update the high-water mark after a pass (capacities are monotone).
@@ -754,9 +680,33 @@ impl PartitionArena {
             + self.scatter.capacity() * std::mem::size_of::<u32>()
             + self.records.capacity() * std::mem::size_of::<PartRec>()
             + self.fused.capacity() * std::mem::size_of::<u32>()
-            + self.fused_keys.capacity() * std::mem::size_of::<AttrValue>()
             + self.stripes.capacity() * std::mem::size_of::<u32>();
         self.peak = self.peak.max(bytes);
+    }
+}
+
+/// Push one record per non-empty bucket of `hist` onto `records`, in
+/// increasing value order with ranges tiling `0..Σ hist`, zeroing the
+/// histogram as it goes; returns the new frame.
+fn drain_records(records: &mut Vec<PartRec>, hist: &mut [u32]) -> Frame {
+    // cast: ≤ one record per element, and n ≤ the u32 edge cap
+    let start = records.len() as u32;
+    let mut at = 0u32;
+    for (v, c) in hist.iter_mut().enumerate() {
+        if *c > 0 {
+            records.push(PartRec {
+                value: v as AttrValue, // cast: v < bucket_count ≤ u16 domain + 1
+                start: at,
+                end: at + *c,
+            });
+            at += *c;
+            *c = 0;
+        }
+    }
+    Frame {
+        start,
+        // cast: ≤ one record per element, and n ≤ the u32 edge cap
+        end: records.len() as u32,
     }
 }
 
@@ -849,6 +799,27 @@ mod tests {
         let total: usize = arena.records(&frame).iter().map(|p| p.len()).sum();
         assert_eq!(total, 20);
         arena.pop_frame(frame);
+        // A count that is never scattered leaves the data as it was and
+        // the histogram all-zero, and its records still size every
+        // partition; the next pass is unaffected.
+        let col: Vec<u16> = (0..1000).map(|i| (i % 11) as u16).collect();
+        let d: Vec<u32> = (0..1000).rev().collect();
+        let frame = arena.count_col(&d, 11, &col).unwrap();
+        assert_eq!(d, (0..1000).rev().collect::<Vec<u32>>(), "count moved data");
+        assert!(
+            arena.counts.iter().all(|&c| c == 0),
+            "count left counts dirty"
+        );
+        let lens: Vec<usize> = arena.records(&frame).iter().map(|p| p.len()).collect();
+        assert_eq!(lens, [91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 90]);
+        arena.pop_frame(frame);
+        let frame = arena.partition_with(&mut c, 2, |i| (i % 2) as u16).unwrap();
+        assert_eq!(arena.records(&frame).len(), 2);
+        arena.pop_frame(frame);
+        assert!(
+            arena.counts.iter().all(|&c| c == 0),
+            "scatter left cursors dirty"
+        );
     }
 
     #[test]
@@ -925,8 +896,9 @@ mod tests {
         arena.pop_frame(outer);
     }
 
-    /// Reference: the fused and pre-counted pair must equal two plain
-    /// passes bit for bit (same data order, same records).
+    /// Reference: a count plus fused scatter, with count-only children,
+    /// must equal plain passes bit for bit — the parent's data order and
+    /// records, and each child's records.
     #[test]
     fn fused_pair_matches_unfused_passes() {
         let n = 257u32;
@@ -940,58 +912,58 @@ mod tests {
         let ref_outer = ref_arena.partition_col(&mut ref_data, 5, &col).unwrap();
         let ref_parts: Vec<PartRec> = ref_arena.records(&ref_outer).to_vec();
         ref_arena.pop_frame(ref_outer);
-        let mut ref_children: Vec<(Vec<u32>, Vec<PartRec>)> = Vec::new();
+        let mut ref_children: Vec<Vec<PartRec>> = Vec::new();
         for part in &ref_parts {
-            let sub = &mut ref_data[part.range()];
-            let f = ref_arena.partition_col(sub, 4, &next).unwrap();
-            ref_children.push((sub.to_vec(), ref_arena.records(&f).to_vec()));
+            let f = ref_arena
+                .count_col(&ref_data[part.range()], 4, &next)
+                .unwrap();
+            ref_children.push(ref_arena.records(&f).to_vec());
             ref_arena.pop_frame(f);
         }
 
         // Fused.
         let mut arena = PartitionArena::new();
         let mut data = base.clone();
-        let (outer, level) = arena
-            .partition_col_fused(&mut data, 5, &col, &next, 4)
-            .unwrap();
+        let outer = arena.count_col(&data, 5, &col).unwrap();
+        let level = arena.scatter_fused(&mut data, &outer, &next, 4).unwrap();
         let parts: Vec<PartRec> = arena.records(&outer).to_vec();
         assert_eq!(parts, ref_parts);
+        assert_eq!(data, ref_data);
         for (i, part) in parts.iter().enumerate() {
             let hist = arena.child_hist(level, *part);
             assert_eq!(hist.buckets(), 4);
-            let sub = &mut data[part.range()];
-            let f = arena.partition_pre_counted(sub, 4, hist);
-            assert_eq!(sub.to_vec(), ref_children[i].0, "child {i} data");
-            assert_eq!(
-                arena.records(&f),
-                &ref_children[i].1[..],
-                "child {i} records"
-            );
+            let f = arena.partition_pre_counted(4, hist);
+            assert_eq!(arena.records(&f), &ref_children[i][..], "child {i} records");
             arena.pop_frame(f);
         }
-        arena.pop_frame(outer);
         arena.pop_fused(level);
-        assert_eq!(data, ref_data);
+        arena.pop_frame(outer);
+        assert_eq!(data, ref_data, "count-only children move nothing");
     }
 
     #[test]
     fn fused_rejects_out_of_range_next_key() {
         let mut arena = PartitionArena::new();
-        let mut data: Vec<u32> = (0..10).collect();
-        let col: Vec<u16> = vec![1; 10];
+        let mut data: Vec<u32> = (0..10).rev().collect();
+        let col: Vec<u16> = (0..10).map(|i| (i % 2) as u16 + 1).collect();
         let next: Vec<u16> = (0..10).map(|i| if i == 6 { 7 } else { 0 }).collect();
-        let err = arena
-            .partition_col_fused(&mut data, 3, &col, &next, 2)
-            .unwrap_err();
+        let f = arena.count_col(&data, 3, &col).unwrap();
+        let err = arena.scatter_fused(&mut data, &f, &next, 2).unwrap_err();
         assert!(matches!(err, GraphError::KeyOutOfRange { key: 7, .. }));
-        // Arena rolled back and works again (counts invariant intact).
-        let mut data2: Vec<u32> = (0..10).collect();
-        let (f, lvl) = arena
-            .partition_col_fused(&mut data2, 3, &col, &col, 3)
-            .unwrap();
-        assert_eq!(f.len(), 1);
+        // Rolled back: nothing moved, counts are clean, and the pass is
+        // still pending, so a plain scatter completes it.
+        assert_eq!(data, (0..10).rev().collect::<Vec<u32>>());
+        assert!(arena.counts.iter().all(|&c| c == 0));
+        arena.scatter(&mut data, &f);
+        assert_eq!(data, [8, 6, 4, 2, 0, 9, 7, 5, 3, 1]);
         arena.pop_frame(f);
+        // The arena works again.
+        let mut data2: Vec<u32> = (0..10).collect();
+        let f = arena.count_col(&data2, 3, &col).unwrap();
+        let lvl = arena.scatter_fused(&mut data2, &f, &col, 3).unwrap();
+        assert_eq!(f.len(), 2);
         arena.pop_fused(lvl);
+        arena.pop_frame(f);
     }
 
     #[test]
@@ -1002,9 +974,8 @@ mod tests {
         // key when the column covers it, never a fabricated 0.
         let mut arena = PartitionArena::new();
         let mut data = vec![0u32];
-        let err = arena
-            .partition_col_fused(&mut data, 1, &[0u16], &[7u16], 0)
-            .unwrap_err();
+        let f = arena.count_col(&data, 1, &[0u16]).unwrap();
+        let err = arena.scatter_fused(&mut data, &f, &[7u16], 0).unwrap_err();
         assert_eq!(
             err,
             GraphError::KeyOutOfRange {
@@ -1015,87 +986,122 @@ mod tests {
         );
         // A next column that does not cover the data is its own error
         // (the old path fabricated key 0 here).
-        let err = arena
-            .partition_col_fused(&mut data, 1, &[0u16], &[], 0)
-            .unwrap_err();
+        let err = arena.scatter_fused(&mut data, &f, &[], 0).unwrap_err();
         assert_eq!(err, GraphError::ColumnTooShort { len: 0, index: 0 });
         assert!(err.to_string().contains("cannot cover position 0"));
-        // Either bail leaves the arena fully usable.
-        let (f, lvl) = arena
-            .partition_col_fused(&mut data, 1, &[0u16], &[0u16], 1)
-            .unwrap();
+        // Either bail leaves the pass pending and the arena usable.
+        let lvl = arena.scatter_fused(&mut data, &f, &[0u16], 1).unwrap();
         assert_eq!(f.len(), 1);
-        arena.pop_frame(f);
         arena.pop_fused(lvl);
+        arena.pop_frame(f);
         // Empty data with zero next buckets is a valid empty level.
         let mut empty: Vec<u32> = vec![];
-        let (f, lvl) = arena
-            .partition_col_fused(&mut empty, 1, &[], &[], 0)
-            .unwrap();
+        let f = arena.count_col(&empty, 1, &[]).unwrap();
+        let lvl = arena.scatter_fused(&mut empty, &f, &[], 0).unwrap();
         assert!(f.is_empty());
-        arena.pop_frame(f);
         arena.pop_fused(lvl);
+        arena.pop_frame(f);
     }
 
-    /// The batch kernels are a pure execution strategy: every pass kind
+    /// A scatter must follow its own count: once another pass has counted
+    /// into the key cache, scattering the earlier frame is a bug the
+    /// debug build catches instead of moving items by foreign keys.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "key cache another pass overwrote")]
+    fn scatter_after_another_count_panics() {
+        let mut arena = PartitionArena::new();
+        let col: Vec<u16> = (0..40).map(|i| (i % 3) as u16).collect();
+        let mut outer: Vec<u32> = (0..40).collect();
+        let f = arena.count_col(&outer, 3, &col).unwrap();
+        let g = arena.count_col(&outer[..10], 3, &col).unwrap();
+        arena.pop_frame(g);
+        arena.scatter(&mut outer, &f);
+    }
+
+    /// The batch kernels are a pure execution strategy, and a count
+    /// followed by its scatter is the one-shot pass: every pass kind
     /// produces bit-identical data, records and fused state with the
-    /// kernels on and off.
+    /// kernels on and off, and count + scatter (plain or fused) equals
+    /// the one-shot closure pass.
     #[test]
     fn kernel_and_scalar_passes_are_bit_identical() {
         let n = 1013u32;
         let col: Vec<u16> = (0..n).map(|i| (i * 7 % 23) as u16).collect();
         let next: Vec<u16> = (0..n).map(|i| (i * 13 % 6) as u16).collect();
         let base: Vec<u32> = (0..n).map(|i| (i * 31) % n).collect();
-        let mask_col: Vec<u16> = (0..n).map(|i| (i % 3) as u16).collect();
 
         let run = |kernel_on: bool| {
             let mut arena = PartitionArena::new();
             arena.set_kernel_enabled(kernel_on);
             assert_eq!(arena.kernel_enabled(), kernel_on);
-            let mut data = base.clone();
-            // Plain columnar pass.
-            let f = arena.partition_col(&mut data, 23, &col).unwrap();
-            let plain_recs = arena.records(&f).to_vec();
-            arena.pop_frame(f);
-            let plain_data = data.clone();
-            // Fused pass + every child consumed.
-            let mut data2 = base.clone();
-            let (f, lvl) = arena
-                .partition_col_fused(&mut data2, 23, &col, &next, 6)
+            // One-shot closure pass: the reference order.
+            let mut one_shot = base.clone();
+            let f = arena
+                .partition_with(&mut one_shot, 23, |id| col[id as usize])
                 .unwrap();
+            let one_shot_recs = arena.records(&f).to_vec();
+            arena.pop_frame(f);
+            // Plain columnar pass: count, then scatter.
+            let mut data = base.clone();
+            let f = arena.count_col(&data, 23, &col).unwrap();
+            let counted_recs = arena.records(&f).to_vec();
+            arena.scatter(&mut data, &f);
+            let plain_recs = arena.records(&f).to_vec();
+            assert_eq!(counted_recs, plain_recs, "a scatter changes no record");
+            arena.pop_frame(f);
+            // Count, fused scatter, every child counted from it.
+            let mut data2 = base.clone();
+            let f = arena.count_col(&data2, 23, &col).unwrap();
+            let lvl = arena.scatter_fused(&mut data2, &f, &next, 6).unwrap();
             let fused_recs = arena.records(&f).to_vec();
             let mut children = Vec::new();
             for rec in fused_recs.clone() {
-                let hist = arena.child_hist(lvl, rec);
-                let sub = &mut data2[rec.range()];
-                let cf = arena.partition_pre_counted(sub, 6, hist);
-                children.push((sub.to_vec(), arena.records(&cf).to_vec()));
+                let cf = arena.partition_pre_counted(6, arena.child_hist(lvl, rec));
+                children.push(arena.records(&cf).to_vec());
                 arena.pop_frame(cf);
             }
-            arena.pop_frame(f);
             arena.pop_fused(lvl);
-            // Mask pass (the β group-by shape).
-            let mut data3 = base.clone();
-            let mf = arena.partition_mask_cols(
-                &mut data3,
-                &[(mask_col.as_slice(), 1), (next.as_slice(), 2)],
-            );
-            let mask_recs = arena.records(&mf).to_vec();
-            arena.pop_frame(mf);
+            arena.pop_frame(f);
+            // The same children counted plainly over their slices.
+            let mut counted_children = Vec::new();
+            for rec in &fused_recs {
+                let cf = arena.count_col(&data2[rec.range()], 6, &next).unwrap();
+                counted_children.push(arena.records(&cf).to_vec());
+                arena.pop_frame(cf);
+            }
+            assert_eq!(children, counted_children, "pre-counted children");
             let batches = arena.take_kernel_batches();
             (
-                plain_data, plain_recs, data2, fused_recs, children, data3, mask_recs, batches,
+                one_shot,
+                one_shot_recs,
+                data,
+                plain_recs,
+                data2,
+                fused_recs,
+                children,
+                batches,
             )
         };
         let with_kernel = run(true);
         let without = run(false);
-        assert_eq!(with_kernel.0, without.0, "plain pass data");
-        assert_eq!(with_kernel.1, without.1, "plain pass records");
-        assert_eq!(with_kernel.2, without.2, "fused pass data");
-        assert_eq!(with_kernel.3, without.3, "fused pass records");
-        assert_eq!(with_kernel.4, without.4, "pre-counted children");
-        assert_eq!(with_kernel.5, without.5, "mask pass data");
-        assert_eq!(with_kernel.6, without.6, "mask pass records");
+        assert_eq!(with_kernel.0, without.0, "one-shot pass data");
+        assert_eq!(with_kernel.1, without.1, "one-shot pass records");
+        assert_eq!(with_kernel.2, without.2, "plain pass data");
+        assert_eq!(with_kernel.3, without.3, "plain pass records");
+        assert_eq!(with_kernel.4, without.4, "fused pass data");
+        assert_eq!(with_kernel.5, without.5, "fused pass records");
+        assert_eq!(with_kernel.6, without.6, "pre-counted children");
+        assert_eq!(
+            with_kernel.2, with_kernel.0,
+            "count + scatter is the one-shot pass"
+        );
+        assert_eq!(with_kernel.3, with_kernel.1);
+        assert_eq!(
+            with_kernel.4, with_kernel.0,
+            "fusion moves items identically"
+        );
+        assert_eq!(with_kernel.5, with_kernel.1);
         assert!(with_kernel.7 > 0, "kernel batches counted when enabled");
         assert_eq!(without.7, 0, "no kernel batches in scalar mode");
     }
@@ -1110,32 +1116,6 @@ mod tests {
         let first = arena.take_kernel_batches();
         assert!(first > 0);
         assert_eq!(arena.take_kernel_batches(), 0, "draining resets");
-    }
-
-    #[test]
-    fn mask_pass_matches_closure_pass() {
-        // partition_mask_cols must equal partition_with on the same
-        // match-mask key, bit for bit.
-        let n = 317u32;
-        let c1: Vec<u16> = (0..n).map(|i| (i % 4) as u16).collect();
-        let c2: Vec<u16> = (0..n).map(|i| (i * 11 % 5) as u16).collect();
-        let base: Vec<u32> = (0..n).map(|i| (i * 13) % n).collect();
-        let mut arena = PartitionArena::new();
-
-        let mut by_closure = base.clone();
-        let f = arena
-            .partition_with(&mut by_closure, 4, |id| {
-                u16::from(c1[id as usize] == 2) | (u16::from(c2[id as usize] == 3) << 1)
-            })
-            .unwrap();
-        let closure_recs = arena.records(&f).to_vec();
-        arena.pop_frame(f);
-
-        let mut by_mask = base.clone();
-        let f = arena.partition_mask_cols(&mut by_mask, &[(c1.as_slice(), 2), (c2.as_slice(), 3)]);
-        assert_eq!(arena.records(&f), &closure_recs[..]);
-        arena.pop_frame(f);
-        assert_eq!(by_mask, by_closure);
     }
 
     #[test]

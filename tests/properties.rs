@@ -165,9 +165,11 @@ proptest! {
     /// The fused two-level engine against a naive stable `sort_by_key`
     /// oracle, across random domains and key columns (value 0 plays the
     /// NULL role — the engine treats it like any other bucket; the miner
-    /// skips it later). Three things must agree with the oracle: the
-    /// final slice order (stability included), the parent partition
-    /// records, and every pre-counted child partitioning. The unfused
+    /// skips it later). The parent's count and fused scatter must agree
+    /// with the oracle's value grouping; each child's pre-counted
+    /// (count-only) records must equal a plain count of `col2` over its
+    /// slice; and counting then scattering every child must yield the
+    /// oracle's composite order (stability included). The unfused
     /// columnar pass must match bit for bit as well.
     #[test]
     fn fused_partition_engine_matches_sort_by_key_oracle(
@@ -191,11 +193,15 @@ proptest! {
         let mut oracle: Vec<u32> = (0..n as u32).collect();
         oracle.sort_by_key(|&id| (col1[id as usize], col2[id as usize]));
 
-        // Fused engine: parent pass on col1, pre-counted children on col2.
+        // Fused engine: parent count + fused scatter on col1, children
+        // pre-counted on col2.
         let mut arena = PartitionArena::new();
         let mut data: Vec<u32> = (0..n as u32).collect();
-        let (frame, level) = arena
-            .partition_col_fused(&mut data, b1, &col1, &col2, b2)
+        let frame = arena
+            .count_col(&data, b1, &col1)
+            .expect("keys lie below their domains");
+        let level = arena
+            .scatter_fused(&mut data, &frame, &col2, b2)
             .expect("keys lie below their domains");
         let parts: Vec<_> = arena.records(&frame).to_vec();
         // Parent records match the oracle's value grouping.
@@ -210,10 +216,19 @@ proptest! {
         prop_assert_eq!(at, n, "partitions tile the slice");
         for part in &parts {
             let hist = arena.child_hist(level, *part);
+            let child = arena.partition_pre_counted(b2, hist);
+            let pre_counted = arena.records(&child).to_vec();
+            arena.pop_frame(child);
             let sub = &mut data[part.range()];
-            let child = arena.partition_pre_counted(sub, b2, hist);
+            let counted = arena.count_col(sub, b2, &col2).unwrap();
+            prop_assert_eq!(
+                arena.records(&counted),
+                &pre_counted[..],
+                "pre-counted records differ from a plain count"
+            );
+            arena.scatter(sub, &counted);
             let mut cat = 0usize;
-            for c in arena.records(&child) {
+            for c in arena.records(&counted) {
                 prop_assert_eq!(c.range().start, cat);
                 for &id in &sub[c.range()] {
                     prop_assert_eq!(col2[id as usize], c.value);
@@ -221,10 +236,10 @@ proptest! {
                 cat = c.range().end;
             }
             prop_assert_eq!(cat, sub.len());
-            arena.pop_frame(child);
+            arena.pop_frame(counted);
         }
-        arena.pop_frame(frame);
         arena.pop_fused(level);
+        arena.pop_frame(frame);
         // Content + stability: the two-level result IS the stable
         // composite sort.
         prop_assert_eq!(&data, &oracle, "fused engine diverged from sort_by_key");
@@ -246,8 +261,10 @@ proptest! {
     /// The vectorized counting kernels against their scalar oracles, on
     /// arbitrary key material: the gather reproduces `col[data[i]]` and
     /// reports the true maximum; the striped histogram equals the naive
-    /// count (and re-zeroes its stripes); and a full arena pass — plain
-    /// and fused — is bit-identical with the kernels on and off.
+    /// count (and re-zeroes its stripes); and a full arena pass — one-shot,
+    /// count then scatter, and count then fused scatter with count-only
+    /// children — is bit-identical with the kernels on and off, the split
+    /// passes equal to the one-shot pass.
     #[test]
     fn kernel_primitives_match_scalar_oracle(
         domain in 1u16..=24,
@@ -293,31 +310,41 @@ proptest! {
         prop_assert!(stripes.iter().all(|&s| s == 0), "stripes must re-zero");
 
         // Arena passes: kernel on vs off, plain and fused, bit for bit.
+        let nb = next_domain as usize;
         let run = |on: bool| {
             let mut arena = PartitionArena::new();
             arena.set_kernel_enabled(on);
+            let mut one_shot = data.clone();
+            let f = arena
+                .partition_with(&mut one_shot, b, |id| col[id as usize])
+                .unwrap();
+            let orecs = arena.records(&f).to_vec();
+            arena.pop_frame(f);
             let mut plain = data.clone();
-            let f = arena.partition_col(&mut plain, b, &col).unwrap();
+            let f = arena.count_col(&plain, b, &col).unwrap();
+            arena.scatter(&mut plain, &f);
             let precs = arena.records(&f).to_vec();
             arena.pop_frame(f);
             let mut fused = data.clone();
-            let (f, lvl) = arena
-                .partition_col_fused(&mut fused, b, &col, &next_col, next_domain as usize)
-                .unwrap();
+            let f = arena.count_col(&fused, b, &col).unwrap();
+            let lvl = arena.scatter_fused(&mut fused, &f, &next_col, nb).unwrap();
             let frecs = arena.records(&f).to_vec();
             let mut kids = Vec::new();
             for rec in frecs.clone() {
-                let hist = arena.child_hist(lvl, rec);
-                let sub = &mut fused[rec.range()];
-                let cf = arena.partition_pre_counted(sub, next_domain as usize, hist);
-                kids.push((sub.to_vec(), arena.records(&cf).to_vec()));
+                let cf = arena.partition_pre_counted(nb, arena.child_hist(lvl, rec));
+                kids.push(arena.records(&cf).to_vec());
                 arena.pop_frame(cf);
             }
-            arena.pop_frame(f);
             arena.pop_fused(lvl);
-            (plain, precs, fused, frecs, kids)
+            arena.pop_frame(f);
+            (one_shot, orecs, plain, precs, fused, frecs, kids)
         };
-        prop_assert_eq!(run(true), run(false), "kernel must be a pure execution strategy");
+        let (on, off) = (run(true), run(false));
+        prop_assert_eq!(&on, &off, "kernel must be a pure execution strategy");
+        prop_assert_eq!(&on.2, &on.0, "count + scatter must equal the one-shot pass");
+        prop_assert_eq!(&on.3, &on.1);
+        prop_assert_eq!(&on.4, &on.0, "count + fused scatter must equal the one-shot pass");
+        prop_assert_eq!(&on.5, &on.1);
     }
 
     /// Counting sort: output is a permutation, partitions tile the slice
