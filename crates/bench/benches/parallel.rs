@@ -3,10 +3,8 @@
 //!
 //! * `steal/T` — the full engine (deques, steal-half, dynamic subtree
 //!   splitting, shared top-k bound) at T threads;
-//! * `static_queue/T` — stealing and subtree splitting off, static
-//!   threshold: the PR 3 engine, whose speedup flattens at the dominant
-//!   subtree;
-//! * `seq` — the sequential GRMiner(k) reference.
+//! * `seq` — the sequential GRMiner(k) reference (the same engine at
+//!   one worker).
 //!
 //! All cells produce bit-identical results; only the wall clock moves.
 
@@ -42,27 +40,6 @@ fn bench(c: &mut Criterion) {
                 .expect("an uncancellable mine cannot fail")
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("static_queue", threads),
-            &threads,
-            |b, &t| {
-                let cfg = base.clone().without_dynamic_topk();
-                b.iter(|| {
-                    try_mine_parallel_with_opts(
-                        &graph,
-                        &cfg,
-                        &dims,
-                        ParallelOptions {
-                            threads: t,
-                            steal: false,
-                            split_depth: 0,
-                            ..ParallelOptions::default()
-                        },
-                    )
-                    .expect("an uncancellable mine cannot fail")
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -14,8 +14,8 @@
 //!   counting pass with the kernels on/off — the micro before/after of
 //!   the `scalar_kernel_off` ablation);
 //! * `parallel` — end-to-end thread scaling of the work-stealing miner
-//!   on full-dims Pokec: sequential GRMiner(k), the work-stealing engine
-//!   at 1/2/4 threads, and the static-queue 4-thread engine it replaced;
+//!   on full-dims Pokec: sequential GRMiner(k) and GRMiner, and the
+//!   work-stealing engine at 1/2/4 threads;
 //! * `shard` — the sharded out-of-core engine on the same Pokec
 //!   fixture: spill-store build cost, the sharded mine at 1/4 shards and
 //!   1/4 workers, and the 4-shard mine under a whole-graph memory
@@ -330,10 +330,9 @@ fn kernel_cells() -> Vec<Cell> {
 }
 
 /// End-to-end thread scaling on full-dims Pokec (minSupp 30, k 100, nhp
-/// — the ablation bench's configuration): the sequential miners, the
-/// work-stealing engine at 1/2/4 threads, and the static-queue engine it
-/// replaced (stealing and subtree splitting off, static threshold — the
-/// PR 3 behavior) at 4 threads. `n` is the edge count.
+/// — the ablation bench's configuration): the sequential miners and the
+/// work-stealing engine at 1/2/4 threads, plus 4 threads at minNhp 0.2.
+/// `n` is the edge count.
 fn parallel_cells() -> Vec<Cell> {
     let graph = fixture(Dataset::Pokec, 0.05);
     let dims = Dims::all(graph.schema());
@@ -375,36 +374,13 @@ fn parallel_cells() -> Vec<Cell> {
             }),
         ));
     }
-    cells.push(mine_cell(
-        "static_queue_threads_4",
-        base.clone().without_dynamic_topk(),
-        Some(ParallelOptions {
-            threads: 4,
-            steal: false,
-            split_depth: 0,
-            ..ParallelOptions::default()
-        }),
-    ));
-    // Low-threshold cells (minNhp 0.2): here the user threshold prunes
-    // little and the restored dynamic bound carries the run — the
-    // end-to-end delta between these two cells is the collect-mode
-    // GRMiner(k) win the static-queue engine gave up.
-    let low = MinerConfig::nhp(30, 0.2, 100);
+    // Low-threshold cell (minNhp 0.2): here the user threshold prunes
+    // little and the shared dynamic bound carries the run.
     cells.push(mine_cell(
         "steal_threads_4_minnhp02",
-        low.clone(),
+        MinerConfig::nhp(30, 0.2, 100),
         Some(ParallelOptions {
             threads: 4,
-            ..ParallelOptions::default()
-        }),
-    ));
-    cells.push(mine_cell(
-        "static_queue_threads_4_minnhp02",
-        low.without_dynamic_topk(),
-        Some(ParallelOptions {
-            threads: 4,
-            steal: false,
-            split_depth: 0,
             ..ParallelOptions::default()
         }),
     ));

@@ -33,8 +33,8 @@ use grm_graph::{AttrValue, NodeAttrId, Schema};
 
 /// Maximum number of node attributes supported by the bitmask
 /// representation. Far above any realistic schema (the paper's widest has
-/// 6); enforced at miner construction.
-pub const MAX_NODE_ATTRS: usize = 64;
+/// 6); enforced by [`Schema::new`].
+pub use grm_graph::MAX_NODE_ATTRS;
 
 /// A set of node attributes encoded as a bitmask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

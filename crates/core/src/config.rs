@@ -24,14 +24,9 @@ pub struct MinerConfig {
     /// GRMiner(k) vs GRMiner (§VI-D): when `true`, `min_score` is
     /// dynamically upgraded to the k-th best score found so far, greatly
     /// tightening pruning; when `false` only the user threshold prunes.
-    /// The sequential dynamic variant has a Definition-5 nuance: the
-    /// upgraded threshold can prune a *suppressor* (a more general GR
-    /// that passes the user threshold but not the upgraded bound) before
-    /// it is recorded, so on rare inputs a specialization that Def. 5(2)
-    /// would drop enters the top-k. The parallel and sharded engines
-    /// honor this flag through a cross-worker shared bound plus an
-    /// exactness-verified post-pass, so their dynamic results are
-    /// additionally guaranteed bit-identical to the static semantics.
+    /// Every engine honors it through the execution core's shared bound
+    /// and exactness-verified post-pass, so the result is the same
+    /// Definition-5 top-k either way; only the work differs.
     pub dynamic_topk: bool,
     /// Suppress trivial GRs from results. Defaults to `true`; Table II's
     /// confidence column is produced with `false` (the paper reports the
@@ -70,8 +65,9 @@ pub struct MinerConfig {
     /// `MinerError::Cancelled` with the partial counters drained so far.
     pub deadline_ms: Option<u64>,
     /// Cooperative cancellation token, observed at recursion-node and
-    /// shard-load granularity. The default is inert (never cancels,
-    /// costs one branch per probe). Runtime-only shared state: it
+    /// shard-load granularity. The default is inert (never cancels); the
+    /// engine then makes a private token, so a deadline or a worker
+    /// panic still has a flag to trip. Runtime-only shared state: it
     /// serializes as a placeholder and always deserializes inert.
     #[serde(default, with = "cancel_serde")]
     pub cancel: CancelToken,

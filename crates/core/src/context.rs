@@ -1,16 +1,15 @@
 //! The shared, read-only mining context.
 //!
-//! One [`MiningContext`] is built per mine call — sequential or parallel —
-//! and sits between the [`CompactModel`] and the per-task
+//! One [`MiningContext`] is built per mine call, whatever the worker
+//! count, and sits between the [`CompactModel`] and the per-task
 //! [`crate::miner`] recursion state. Everything in it is immutable (or
 //! internally synchronized) and safe to share by reference across worker
 //! threads, so the per-task costs the §IV-A model was designed to avoid
 //! are paid once per run instead of once per task:
 //!
-//! * the **canonical position set** `0..|E|`: the sequential miner and
-//!   every parallel worker fill one reusable buffer
-//!   ([`MiningContext::fill_positions`]) instead of allocating a fresh
-//!   `Vec` per root task;
+//! * the **canonical position set** `0..|E|`: every worker fills one
+//!   reusable buffer ([`MiningContext::fill_positions`]) instead of
+//!   allocating a fresh `Vec` per root task;
 //! * the **RHS marginal table** for lift / Piatetsky-Shapiro / conviction
 //!   (§VII) is precomputed per `(attribute, value)` in one columnar pass,
 //!   and multi-attribute marginals are memoized in a shared map, so a

@@ -1,5 +1,6 @@
-//! The execution core shared by the parallel ([`crate::parallel`]) and
-//! sharded ([`crate::sharded`]) engines.
+//! The execution core shared by the in-core ([`crate::parallel`], and
+//! [`crate::GrMiner`] as its one-worker pool) and sharded
+//! ([`crate::sharded`]) engines.
 //!
 //! Algorithm 1's Main loop splits into independent root subtrees, and
 //! both pool engines mine exactly those subtrees in collect mode under
@@ -30,43 +31,39 @@
 //!
 //! **The shared dynamic top-k bound.** Workers run in *collect* mode
 //! (generality is order-sensitive across subtrees, so Def. 5(2) and the
-//! top-k rank run in a sequential post-pass), which historically meant
-//! giving up GRMiner(k)'s dynamic threshold upgrade (line 28). The pool
-//! restores it with a [`SharedBound`]: an `AtomicU64`-published,
-//! monotonically tightening lower bound on the final k-th score, fed
-//! only with candidates *guaranteed to survive* the post-pass (every
-//! collected candidate when the generality filter is off; otherwise
-//! exactly the candidates whose strictly more general forms are excluded
-//! from collection by construction — empty edge descriptor, minimal
-//! reportable LHS width). Those candidates are a subset of the static
-//! run's survivor stream, and a k-th best score over a subset never
-//! exceeds the k-th best over the whole, so the published bound `B`
-//! satisfies `B ≤ F`, the k-th score of the static result. Combined with
-//! anti-monotonicity (a pruned subtree's candidates all score below the
-//! candidate that was cut, hence below `B ≤ F`) this gives the exactness
-//! backbone: **no candidate scoring ≥ F is ever lost**, at any timing.
-//! The post-pass debug-asserts the bound's soundness on every run.
+//! top-k rank run in a sequential post-pass). GRMiner(k)'s dynamic
+//! threshold upgrade (line 28) is a [`SharedBound`]: an
+//! `AtomicU64`-published, monotonically tightening lower bound on the
+//! final k-th score, fed only with candidates *guaranteed to survive*
+//! the post-pass (every collected candidate when the generality filter
+//! is off; otherwise exactly the candidates whose strictly more general
+//! forms are excluded from collection by construction — empty edge
+//! descriptor, minimal reportable LHS width). Those candidates are a
+//! subset of the static run's survivor stream, and a k-th best score
+//! over a subset never exceeds the k-th best over the whole, so the
+//! published bound `B` satisfies `B ≤ F`, the k-th score of the static
+//! result. Combined with anti-monotonicity (a pruned subtree's
+//! candidates all score below the candidate that was cut, hence below
+//! `B ≤ F`) this gives the exactness backbone: **no candidate scoring
+//! ≥ F is ever lost**, at any timing. The post-pass debug-asserts the
+//! bound's soundness on every run.
 //!
 //! **Exact generality under pruning.** What bound pruning *can* lose are
 //! below-bound candidates that Def. 5(2) would have used as suppressors
-//! — the documented nuance that makes the *sequential* GRMiner(k)
-//! deviate from the static GRMiner on adversarial inputs, and which
-//! would additionally be timing-dependent here. Workers record the
-//! `l ∧ w` chains in which the bound cut a subtree at a
-//! threshold-passing score — the only places a suppressor can have been
-//! lost (LEFT/EDGE descent is never score-pruned, and losses below
-//! `min_supp`/`min_score` cannot hide a valid suppressor). When the
-//! bound activated, the post-pass verifies each would-be top-k member's
-//! generality **exactly**: a collected strict generalization suppresses
-//! outright (the classic merge), and an uncollected one is a suppressor
-//! only if its `l ∧ w` sits on a recorded pruned frontier *and*
-//! [`Engine::evaluate`] over the complete edge set (memoized) passes the
-//! thresholds. Verification touches only the ranked prefix of the
-//! survivors against the (typically near-empty) frontier set. The
-//! result: both pool engines in dynamic mode are **bit-identical to the
-//! static Definition-5 semantics** — stronger than the sequential
-//! dynamic miner — and deterministic across runs, thread counts,
-//! stealing, splitting and sharding.
+//! (where depends on worker timing). Workers record the `l ∧ w` chains in
+//! which the bound cut a subtree at a threshold-passing score — the only
+//! places a suppressor can have been lost (LEFT/EDGE descent is never
+//! score-pruned, and losses below `min_supp`/`min_score` cannot hide a
+//! valid suppressor). When the bound activated, the post-pass verifies
+//! each would-be top-k member's generality **exactly**: a collected
+//! strict generalization suppresses outright (the classic merge), and an
+//! uncollected one is a suppressor only if its `l ∧ w` sits on a
+//! recorded pruned frontier *and* [`Engine::evaluate`] over the complete
+//! edge set (memoized) passes the thresholds. Verification touches only
+//! the ranked prefix of the survivors against the (typically near-empty)
+//! frontier set. The result: every engine in dynamic mode is
+//! **bit-identical to the static Definition-5 semantics**, and
+//! deterministic across runs, thread counts, splitting and sharding.
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
@@ -599,9 +596,15 @@ impl Worker<'_> {
     ) {
         let exec = self.exec;
         let schema = ctx.model().graph().schema();
-        let mut run = Run::new(ctx, schema, exec.dims, exec.config, Some(Vec::new()))
-            .with_scratch(std::mem::take(&mut self.scratch))
-            .with_cancellation(exec.token.clone(), exec.deadline);
+        let mut run = Run::new(
+            ctx,
+            schema,
+            exec.dims,
+            exec.config,
+            exec.token.clone(),
+            exec.deadline,
+        )
+        .with_scratch(std::mem::take(&mut self.scratch));
         if let Some((policy, spawn)) = self.spawner {
             run = run.with_spawner(policy, spawn);
         }

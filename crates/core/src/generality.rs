@@ -4,9 +4,10 @@
 //! `w₁ ⊆ w₂`) already satisfies the thresholds: "g₁ is a similar tendency
 //! to g₂ but covers more nodes on LHS … g₁ would make g₂ redundant."
 //!
-//! The SFDF order enumerates attribute subsets before supersets, so every
-//! potential suppressor is seen before the GRs it suppresses (§V: "once a
-//! GR passes this checking, no later GR can be more general than it").
+//! Its callers offer candidates most general first (by `l ∧ w` condition
+//! count — a proper generalization has strictly fewer), so every
+//! potential suppressor is seen before the GRs it suppresses (§V: "once
+//! a GR passes this checking, no later GR can be more general than it").
 //! The index therefore only needs to record accepted GRs and answer
 //! "is there a recorded GR more general than this candidate?".
 

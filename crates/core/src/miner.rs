@@ -10,9 +10,15 @@
 //! 2. `minNhp` (or the configured metric's threshold) — anti-monotone
 //!    under RHS extension thanks to the dynamic tail ordering (Theorem 3);
 //! 3. the **top-k dynamic bound** — GRMiner(k) upgrades the pruning
-//!    threshold to the k-th best score found so far (line 28);
-//! 4. **generality** — subsets are enumerated before supersets, so a GR
-//!    accepted now can never be suppressed later (§V).
+//!    threshold to the k-th best score found so far (line 28), here the
+//!    execution core's [`SharedBound`];
+//! 4. **generality** — a GR passing the thresholds is *collected*; the
+//!    execution core (`exec.rs`) applies Def. 5(2) and the top-k
+//!    rank in one post-pass over every subtree's candidates, verified
+//!    exactly against the subtrees the bound cut, so a dynamic mine
+//!    returns the static Definition-5 top-k.
+//!
+//! [`GrMiner`] is that core's in-core engine at one worker.
 //!
 //! ### A correctness subtlety the pseudo-code glosses over
 //!
@@ -31,16 +37,16 @@ use crate::config::MinerConfig;
 use crate::context::MiningContext;
 use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
 use crate::error::MinerError;
-use crate::generality::GeneralityIndex;
 use crate::gr::{Gr, ScoredGr};
 use crate::metrics::{MetricInputs, RankMetric};
+use crate::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
-use crate::topk::{SharedBound, TopK};
+use crate::topk::SharedBound;
 use grm_graph::sort::{Frame, FusedHist, FusedLevel, PartRec, PartitionArena};
 use grm_graph::{AttrValue, CancelToken, NodeAttrId, Schema, SocialGraph, NULL};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cost model of the fused two-level passes (purely a heuristic — outputs
 /// are bit-identical regardless, and both inputs are deterministic across
@@ -131,10 +137,6 @@ impl<'g> GrMiner<'g> {
 
     /// Mine over a restricted dimension set (Fig. 4d's sweep).
     pub fn with_dims(graph: &'g SocialGraph, config: MinerConfig, dims: Dims) -> Self {
-        assert!(
-            graph.schema().node_attr_count() <= MAX_NODE_ATTRS,
-            "at most {MAX_NODE_ATTRS} node attributes supported"
-        );
         GrMiner {
             graph,
             dims,
@@ -159,53 +161,21 @@ impl<'g> GrMiner<'g> {
             // lint: allow(panic-in-hot-path) — the infallible entry was
             // called with a cancellable config and the mine stopped;
             // swallowing that would return a silently partial result.
-            Err(e) => panic!("GrMiner::mine cannot report cancellation ({e}); use try_mine"),
+            Err(e) => panic!("GrMiner::mine cannot report {e}; use try_mine"),
         }
     }
 
-    /// Run Algorithm 1, observing the config's cancellation token and
-    /// deadline. A mine stopped early returns
-    /// [`MinerError::Cancelled`] carrying the counters accumulated so
-    /// far; an undisturbed run is identical to [`GrMiner::mine`].
+    /// Run Algorithm 1 on the in-core pool engine with one worker,
+    /// observing the config's cancellation token and deadline. A mine
+    /// stopped early returns [`MinerError::Cancelled`] carrying the
+    /// counters accumulated so far; an undisturbed run is identical to
+    /// [`GrMiner::mine`].
     pub fn try_mine(&self) -> Result<MineResult, MinerError> {
-        let start = Instant::now();
-        let deadline = self
-            .config
-            .deadline_ms
-            .map(|ms| start + Duration::from_millis(ms));
-        let ctx = MiningContext::build(self.graph, self.config.metric.needs_r_marginal());
-        let mut run = Run::new(&ctx, self.graph.schema(), &self.dims, &self.config, None)
-            .with_cancellation(self.config.cancel.clone(), deadline);
-
-        if run.edges_total > 0 {
-            // Algorithm 1, Main: RIGHT, EDGE, LEFT over the full data with
-            // the full tails. The buffer is filled once and reused across
-            // tasks — each root task re-partitions the full (permuted)
-            // position set, and the recursion is invariant under input
-            // permutation (counting sort groups by value regardless of
-            // order, and every counted quantity is order-independent).
-            // lint: allow(alloc-in-arena) — one allocation per run, before
-            // the recursion starts; not a per-pass cost.
-            let mut data = Vec::new();
-            ctx.fill_positions(&mut data);
-            for task in RootTask::all(&self.dims) {
-                run.run_root(&mut data, task);
-            }
-        }
-
-        let cancelled = run.was_cancelled();
-        let mut stats = run.stats;
-        stats.elapsed = start.elapsed();
-        if cancelled {
-            return Err(MinerError::Cancelled {
-                partial_stats: Box::new(stats),
-            });
-        }
-        Ok(MineResult {
-            top: run.topk.into_sorted(),
-            stats,
-            edge_count: self.graph.edge_count() as u64,
-        })
+        let opts = ParallelOptions {
+            threads: 1,
+            ..ParallelOptions::default()
+        };
+        try_mine_parallel_with_opts(self.graph, &self.config, &self.dims, opts)
     }
 }
 
@@ -345,42 +315,39 @@ struct Pass {
     level: Option<(FusedLevel, NodeAttrId)>,
 }
 
-/// Mutable state of one mining run (one root task in parallel mode).
-/// Everything immutable — the compact model, the canonical position set,
-/// the RHS marginal table — lives in the shared [`MiningContext`].
+/// Mutable state of one mining run: one root task or detached subtree
+/// of a pool worker ([`crate::exec::Worker::mine`]). Everything
+/// immutable — the compact model, the canonical position set, the RHS
+/// marginal table — lives in the shared [`MiningContext`].
 pub(crate) struct Run<'a, 'g> {
     ctx: &'a MiningContext<'g>,
     schema: &'a Schema,
     dims: &'a Dims,
     cfg: &'a MinerConfig,
     scratch: MinerScratch,
-    pub(crate) topk: TopK,
-    generality: GeneralityIndex,
     pub(crate) stats: MinerStats,
-    pub(crate) edges_total: u64,
-    /// When set, threshold-passing candidates are appended here instead of
-    /// going through the generality index and top-k heap, and the local
-    /// dynamic top-k bound is disabled. Used by the parallel miner's
-    /// collect phase, whose generality/top-k pass runs after the merge
-    /// (score pruning then comes from `shared_bound`, if any).
-    collector: Option<Vec<ScoredGr>>,
+    edges_total: u64,
+    /// Threshold-passing, reportable candidates, in enumeration order.
+    /// Generality and the top-k rank run after the cross-task merge, in
+    /// the execution core's post-pass.
+    collector: Vec<ScoredGr>,
     /// Work-stealing hook: the split policy plus the worker's spawner
     /// callback. When a partition qualifies, its subtree is handed out as
     /// a [`SubtreeTask`] instead of being descended inline.
     spawner: Option<(SplitPolicy, &'a dyn Fn(SubtreeTask))>,
-    /// The cross-worker dynamic top-k bound (collect mode only; the
-    /// sequential miner uses its own `topk` heap). Consulted in the score
-    /// pruning check and fed with guaranteed-survivor candidates.
+    /// The cross-worker dynamic top-k bound, when the config asks for
+    /// one. Consulted in the score pruning check and fed with
+    /// guaranteed-survivor candidates.
     shared_bound: Option<&'a SharedBound>,
     /// The `l ∧ w` descriptors of RIGHT chains in which the shared bound
     /// cut a subtree at a score that still passed the *user* threshold —
     /// the only places a Def. 5(2) suppressor can have been lost.
     /// Deduplicated per chain (depth-first order makes a chain's prune
-    /// events consecutive); drained by the parallel engine for the
+    /// events consecutive); drained by the execution core for the
     /// exactness-verified post-pass.
     pub(crate) pruned_lw: Vec<(NodeDescriptor, EdgeDescriptor)>,
     /// Cooperative cancellation flag, probed at recursion-node
-    /// granularity ([`Run::check_cancelled`]). Inert by default.
+    /// granularity ([`Run::check_cancelled`]).
     cancel: CancelToken,
     /// Wall-clock deadline; an expired deadline trips `cancel` (so
     /// sibling workers sharing the token stop too) and ends this run.
@@ -395,12 +362,15 @@ pub(crate) struct Run<'a, 'g> {
 }
 
 impl<'a, 'g> Run<'a, 'g> {
+    /// A run observing `cancel` (a real token, so an expired deadline
+    /// and a panicking sibling have a flag to trip) and `deadline`.
     pub(crate) fn new(
         ctx: &'a MiningContext<'g>,
         schema: &'a Schema,
         dims: &'a Dims,
         cfg: &'a MinerConfig,
-        collector: Option<Vec<ScoredGr>>,
+        cancel: CancelToken,
+        deadline: Option<Instant>,
     ) -> Self {
         let mut scratch = MinerScratch::default();
         scratch.arena.set_kernel_enabled(cfg.use_kernel);
@@ -410,18 +380,18 @@ impl<'a, 'g> Run<'a, 'g> {
             dims,
             cfg,
             scratch,
-            topk: TopK::new(cfg.k),
-            generality: GeneralityIndex::new(),
             stats: MinerStats::default(),
             edges_total: ctx.edges_total(),
-            collector,
+            // lint: allow(alloc-in-arena) — Run construction site; one
+            // candidate batch per unit, handed to the harvest.
+            collector: Vec::new(),
             spawner: None,
             shared_bound: None,
             // lint: allow(alloc-in-arena) — Run construction site; the
             // buffer warms up once and is reused across the run.
             pruned_lw: Vec::new(),
-            cancel: cfg.cancel.clone(),
-            deadline: None,
+            cancel,
+            deadline,
             cancelled: false,
             // The first probe reads the clock (so an already-expired
             // deadline stops even a tiny run), later ones every
@@ -430,36 +400,14 @@ impl<'a, 'g> Run<'a, 'g> {
         }
     }
 
-    /// Observe `token` (overriding the config's — engines materialize a
-    /// real token so deadlines and panicking siblings have a flag to
-    /// trip) and optionally a wall-clock deadline.
-    pub(crate) fn with_cancellation(
-        mut self,
-        token: CancelToken,
-        deadline: Option<Instant>,
-    ) -> Self {
-        self.cancel = token;
-        self.deadline = deadline;
-        self
-    }
-
-    /// Did a probe observe cancellation (flag tripped or deadline
-    /// expired) during this run?
-    pub(crate) fn was_cancelled(&self) -> bool {
-        self.cancelled
-    }
-
     /// The loop-top cancellation probe (the protocol step proved in
-    /// `grm_analyze::model::cancel`): latched once true, one branch when
-    /// no token or deadline is installed, one `Acquire` load otherwise.
-    /// An expired deadline trips the token so every clone sharing it —
-    /// sibling workers, the pool's blocked waiters — stops too.
+    /// `grm_analyze::model::cancel`): latched once true, one `Acquire`
+    /// load otherwise. An expired deadline trips the token so every
+    /// clone sharing it — sibling workers, the pool's blocked waiters —
+    /// stops too.
     fn check_cancelled(&mut self) -> bool {
         if self.cancelled {
             return true;
-        }
-        if self.cancel.is_inert() && self.deadline.is_none() {
-            return false;
         }
         self.stats.cancel_checks += 1;
         if self.cancel.is_cancelled() {
@@ -500,17 +448,15 @@ impl<'a, 'g> Run<'a, 'g> {
         self
     }
 
-    /// Consult (and feed) the cross-worker dynamic top-k bound. Only
-    /// meaningful in collect mode.
+    /// Consult (and feed) the cross-worker dynamic top-k bound.
     pub(crate) fn with_shared_bound(mut self, bound: &'a SharedBound) -> Self {
         self.shared_bound = Some(bound);
         self
     }
 
-    /// Recover the collected candidates and the warm scratch
-    /// (collect-mode runs).
+    /// Recover the collected candidates and the warm scratch.
     pub(crate) fn into_collected_and_scratch(self) -> (Vec<ScoredGr>, MinerScratch) {
-        (self.collector.unwrap_or_default(), self.scratch)
+        (self.collector, self.scratch)
     }
 
     /// Execute one top-level task over `data` (the full position set).
@@ -1112,16 +1058,15 @@ impl<'a, 'g> Run<'a, 'g> {
                 // candidates that are actually recorded.
                 let trivial = Gr::parts_are_trivial(self.schema, l, &r2);
 
-                // Record if it satisfies Def. 5 conditions (1) and (2)
-                // and describes a real LHS group (see
-                // `MinerConfig::allow_empty_lhs`).
+                // Collect if it satisfies Def. 5 condition (1) and
+                // describes a real LHS group (see
+                // `MinerConfig::allow_empty_lhs`). Generality and top-k
+                // run after the cross-task merge; guaranteed survivors
+                // feed the shared dynamic bound on the way through.
                 if score >= self.cfg.min_score && (self.cfg.allow_empty_lhs || !l.is_empty()) {
                     if trivial && self.cfg.suppress_trivial {
                         self.stats.rejected_trivial += 1;
-                    } else if self.collector.is_some() {
-                        // Collect phase: generality and top-k run after
-                        // the cross-task merge; guaranteed survivors feed
-                        // the shared dynamic bound on the way through.
+                    } else {
                         self.stats.accepted += 1;
                         let scored = ScoredGr {
                             gr: Gr::new(l.clone(), w.clone(), r2.clone()),
@@ -1135,26 +1080,7 @@ impl<'a, 'g> Run<'a, 'g> {
                                 self.stats.bound_tightenings += 1;
                             }
                         }
-                        if let Some(collected) = self.collector.as_mut() {
-                            collected.push(scored);
-                        }
-                    } else {
-                        let gr = Gr::new(l.clone(), w.clone(), r2.clone());
-                        if self.cfg.generality_filter && self.generality.has_more_general(&gr) {
-                            self.stats.rejected_generality += 1;
-                        } else {
-                            if self.cfg.generality_filter {
-                                self.generality.record(&gr);
-                            }
-                            self.stats.accepted += 1;
-                            self.topk.offer(ScoredGr {
-                                gr,
-                                supp,
-                                supp_lw: ctx.supp_lw,
-                                heff,
-                                score,
-                            });
-                        }
+                        self.collector.push(scored);
                     }
                 }
 
@@ -1170,28 +1096,19 @@ impl<'a, 'g> Run<'a, 'g> {
                     // the k-th best may still win the supp/alphabetical
                     // tie-break, so neither may be cut at equality.
                     let mut bound = self.cfg.min_score;
-                    if self.cfg.dynamic_topk {
-                        if self.collector.is_none() {
-                            if let Some(dyn_bound) = self.topk.dynamic_bound() {
-                                bound = bound.max(dyn_bound);
-                            }
-                        } else if let Some(sb) = self.shared_bound {
-                            if let Some(dyn_bound) = sb.get() {
-                                bound = bound.max(dyn_bound);
-                            }
-                        }
+                    if let Some(dyn_bound) = self.shared_bound.and_then(SharedBound::get) {
+                        bound = bound.max(dyn_bound);
                     }
                     if score < bound {
                         self.stats.pruned_by_score += 1;
                         descend = false;
-                        // A collect-mode cut above the user threshold can
-                        // only come from the shared bound, and the lost
-                        // descendants may include threshold-passing
-                        // suppressors: remember this chain's l∧w for the
-                        // verified post-pass. Chains prune depth-first,
-                        // so consecutive dedup is exact per chain.
-                        if self.collector.is_some()
-                            && self.cfg.generality_filter
+                        // A cut above the user threshold can only come
+                        // from the shared bound, and the lost descendants
+                        // may include threshold-passing suppressors:
+                        // remember this chain's l∧w for the verified
+                        // post-pass. Chains prune depth-first, so
+                        // consecutive dedup is exact per chain.
+                        if self.cfg.generality_filter
                             && score >= self.cfg.min_score
                             && self
                                 .pruned_lw
@@ -1537,13 +1454,11 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other}"),
         }
-        // Without a token or deadline, try_mine is mine — and probes
-        // cost nothing (no checks are even counted).
+        // Without a token or deadline, try_mine is mine.
         let cfg = MinerConfig::nhp(1, 0.0, 100);
         let a = GrMiner::new(&g, cfg.clone()).try_mine().unwrap();
         let b = GrMiner::new(&g, cfg).mine();
         assert_eq!(a.top, b.top);
-        assert_eq!(a.stats.cancel_checks, 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! read-only run state — the compact model, the canonical position set,
 //! the RHS marginal table — lives in one shared [`MiningContext`]; each
 //! worker owns a reusable edge-position buffer and a warm
-//! [`crate::miner::MinerScratch`] carried across its tasks.
+//! [`crate::miner::MinerScratch`] carried across its tasks. With one
+//! worker this engine is [`crate::GrMiner`].
 //!
 //! **Depth-adaptive splitting.** Static root tasks bound speedup by the
 //! largest subtree, so workers *detach oversized recursion frames* as
@@ -59,10 +60,6 @@ pub struct ParallelOptions {
     /// kick in. Costs one duplicated top-level counting-sort pass per
     /// extra chunk. Results are bit-identical either way.
     pub split_dominant: bool,
-    /// Work stealing between workers. Off, the engine degrades to
-    /// injector-only distribution (the pre-steal static queue) and never
-    /// splits subtrees. Results are bit-identical either way.
-    pub steal: bool,
     /// Maximum descriptor size (`|l| + |w|`) of a recursion subtree that
     /// may be detached as a stealable task; 0 disables dynamic
     /// splitting. Results are bit-identical at any value.
@@ -78,7 +75,6 @@ impl Default for ParallelOptions {
         ParallelOptions {
             threads: 0,
             split_dominant: true,
-            steal: true,
             split_depth: DEFAULT_SPLIT_DEPTH,
             split_min: 0,
         }
@@ -86,7 +82,7 @@ impl Default for ParallelOptions {
 }
 
 /// Parallel top-k GR mining with `threads` workers (0 = available
-/// parallelism) and default stealing/splitting.
+/// parallelism) and default splitting.
 ///
 /// The infallible entry: a cancellable config (token, deadline) that
 /// actually stops the mine — or a worker panic — is a caller contract
@@ -119,7 +115,7 @@ pub fn try_mine_parallel_with_opts(
     let exec = Exec::start(config, graph.schema(), dims, opts.threads);
     let threads = exec.threads();
     let edge_count = graph.edge_count();
-    let split = (opts.steal && threads > 1 && opts.split_depth > 0).then(|| {
+    let split = (threads > 1 && opts.split_depth > 0).then(|| {
         let policy = SplitPolicy {
             max_frame: opts.split_depth,
             min_len: if opts.split_min > 0 {
@@ -138,10 +134,7 @@ pub fn try_mine_parallel_with_opts(
         .into_iter()
         .map(PoolTask::Root)
         .collect();
-    let schedule = Schedule {
-        steal: opts.steal,
-        split,
-    };
+    let schedule = Schedule { steal: true, split };
     exec.run(&engine, tasks, schedule, edge_count as u64)
 }
 
@@ -324,44 +317,33 @@ mod tests {
     #[test]
     fn steal_and_split_matrix_is_bit_identical_with_invariant_counters() {
         // The tentpole guarantee at unit scale: every engine
-        // configuration — stealing on/off, dynamic splitting off /
-        // default / forced-everywhere — returns bit-identical `top` and
-        // identical semantic counters under the static threshold.
+        // configuration — dynamic splitting off / default /
+        // forced-everywhere — returns bit-identical `top` and identical
+        // semantic counters under the static threshold, and so does the
+        // sequential miner.
         for seed in [3u32, 8] {
             let g = sample(seed, 40, 300);
             let cfg = MinerConfig::nhp(2, 0.3, 20).without_dynamic_topk();
             let seq = GrMiner::new(&g, cfg.clone()).mine();
             let dims = Dims::all(g.schema());
-            let mut counters: Option<MinerStats> = None;
+            let counters = seq.stats.semantic();
             for threads in [1usize, 2, 4, 8] {
-                for steal in [false, true] {
-                    for (split_depth, split_min) in [(0, 0), (DEFAULT_SPLIT_DEPTH, 1)] {
-                        let par = try_mine_parallel_with_opts(
-                            &g,
-                            &cfg,
-                            &dims,
-                            ParallelOptions {
-                                threads,
-                                steal,
-                                split_depth,
-                                split_min,
-                                ..ParallelOptions::default()
-                            },
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            seq.top, par.top,
-                            "seed {seed} threads {threads} steal {steal} depth {split_depth}"
-                        );
-                        let sem = par.stats.semantic();
-                        match &counters {
-                            None => counters = Some(sem),
-                            Some(c) => assert_eq!(
-                                c, &sem,
-                                "seed {seed} threads {threads} steal {steal} depth {split_depth}"
-                            ),
-                        }
-                    }
+                for (split_depth, split_min) in [(0, 0), (DEFAULT_SPLIT_DEPTH, 1)] {
+                    let par = try_mine_parallel_with_opts(
+                        &g,
+                        &cfg,
+                        &dims,
+                        ParallelOptions {
+                            threads,
+                            split_depth,
+                            split_min,
+                            ..ParallelOptions::default()
+                        },
+                    )
+                    .unwrap();
+                    let label = format!("seed {seed} threads {threads} depth {split_depth}");
+                    assert_eq!(seq.top, par.top, "{label}");
+                    assert_eq!(counters, par.stats.semantic(), "{label}");
                 }
             }
         }
@@ -551,9 +533,8 @@ mod tests {
     #[test]
     fn dynamic_topk_parallel_matches_static_results_here() {
         // With `dynamic_topk` on, workers prune against the shared
-        // bound. Results must still equal the static-threshold output on
-        // these fixtures (the same empirical agreement the sequential
-        // dynamic miner asserts), under stealing and forced splitting.
+        // bound. Results must still equal the static-threshold output,
+        // under stealing and forced splitting.
         for seed in [1u32, 6, 13] {
             let g = sample(seed, 40, 300);
             for k in [3usize, 10] {

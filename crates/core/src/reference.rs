@@ -240,10 +240,7 @@ mod tests {
 
     #[test]
     fn dynamic_topk_is_subset_consistent_with_reference_ranks() {
-        // GRMiner(k) may in rare corner cases differ from Definition 5 on
-        // generality (see `MinerConfig::dynamic_topk`); on these small
-        // graphs it should coincide. Treat a mismatch here as a signal,
-        // not merely a bug.
+        // GRMiner(k) returns the Definition-5 top-k.
         for seed in 0..12u32 {
             let g = small_graph(seed);
             let cfg = MinerConfig::nhp(1, 0.4, 8);

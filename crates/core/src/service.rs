@@ -35,7 +35,7 @@
 use crate::config::MinerConfig;
 use crate::error::{panic_message, MinerError};
 use crate::metrics::RankMetric;
-use crate::miner::{GrMiner, MineResult};
+use crate::miner::MineResult;
 use crate::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use crate::parse::parse_gr;
 use crate::query;
@@ -77,7 +77,7 @@ pub struct ServiceConfig {
     /// with it single-flight coalescing).
     pub cache_capacity: usize,
     /// Upper bound on the per-request `threads` parameter. 1 pins every
-    /// mine to the sequential engine.
+    /// mine to one worker.
     pub threads: usize,
 }
 
@@ -223,9 +223,9 @@ impl Admission {
 // Single-flight result cache
 // ---------------------------------------------------------------------------
 
-/// A cached mine, keyed by the full normalized mining config (plus the
-/// engine class — sequential dynamic and parallel dynamic are pinned to
-/// different Definition-5 semantics, so they must not share entries).
+/// A cached mine, keyed by the full normalized mining config. The
+/// requested thread count is not part of the key: every engine returns
+/// the same Definition-5 top-k for one config.
 enum CacheSlot {
     /// A leader is mining this key; followers wait on `published`.
     InFlight,
@@ -689,17 +689,13 @@ impl Service {
         .with_metric(metric);
         cfg.cancel = token.clone();
 
-        // Cache key: engine class + the full normalized config. The
-        // deadline and token are runtime state, not semantics — two
-        // requests differing only there must coalesce.
+        // Cache key: the full normalized config. The deadline and token
+        // are runtime state, not semantics — two requests differing only
+        // there (or in `threads`) must coalesce.
         let mut norm = cfg.clone();
         norm.deadline_ms = None;
         norm.cancel = CancelToken::default();
-        let engine = if threads > 1 { "par" } else { "seq" };
-        let key = format!(
-            "{engine}|{}",
-            serde_json::to_string(&norm).expect("config serialization is infallible")
-        );
+        let key = serde_json::to_string(&norm).expect("config serialization is infallible");
 
         let ctx = RequestCtx {
             token,
@@ -751,19 +747,15 @@ impl Service {
             }
             AdmitOutcome::Cancelled => return Err(cancelled_error(None)),
         };
-        let outcome = if threads > 1 {
-            try_mine_parallel_with_opts(
-                &self.graph,
-                &cfg,
-                &Dims::all(self.graph.schema()),
-                ParallelOptions {
-                    threads,
-                    ..ParallelOptions::default()
-                },
-            )
-        } else {
-            GrMiner::new(&self.graph, cfg).try_mine()
-        };
+        let outcome = try_mine_parallel_with_opts(
+            &self.graph,
+            &cfg,
+            &Dims::all(self.graph.schema()),
+            ParallelOptions {
+                threads,
+                ..ParallelOptions::default()
+            },
+        );
         drop(slot);
         match outcome {
             Ok(result) => {

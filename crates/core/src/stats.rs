@@ -110,10 +110,11 @@ miner_stats! {
     pruned_by_score: "pruned_score", sum, semantic;
     /// GRs rejected as trivial (§III-B).
     rejected_trivial: "trivial", sum, semantic;
-    /// GRs rejected because a more general GR was already accepted
-    /// (Def. 5(2)).
+    /// Collected GRs the post-pass rejected because a more general GR
+    /// passes the thresholds (Def. 5(2)).
     rejected_generality: "general", sum, semantic;
-    /// GRs accepted into the candidate pool (offered to the top-k heap).
+    /// GRs collected for the post-pass: threshold-passing, reportable
+    /// and non-trivial, before the generality filter and the top-k rank.
     accepted: "accepted", sum, semantic;
     /// Homophily-effect snapshot scans performed. One group-by pass fills
     /// every β support of an `l ∧ w` node at once, so this counts at most
@@ -144,8 +145,8 @@ miner_stats! {
     scratch_bytes_peak: "scratch_peak", max, work;
     /// Successful cross-worker steal operations in the parallel engine
     /// (each moves a steal-half batch from a sibling's deque). A *work*
-    /// counter: inherently timing-dependent, zero in sequential runs and
-    /// with `--no-steal`.
+    /// counter: inherently timing-dependent, zero with one worker and in
+    /// the sharded engine, which never steals.
     tasks_stolen: "stolen", sum, work;
     /// Oversized recursion subtrees the parallel miner detached into
     /// stealable tasks (`SubtreeTask`). A *work* counter: depends on the
@@ -176,9 +177,8 @@ miner_stats! {
     /// Cancellation-flag probes performed (worker loop-top,
     /// recursion-node and shard-load granularity; see
     /// `grm_graph::cancel`). A *work* counter: varies with task
-    /// splitting and thread count. Zero for a sequential mine without a
-    /// token or deadline; the parallel and sharded engines always
-    /// materialize a token for their workers, so they always probe.
+    /// splitting and thread count. Every engine materializes a token
+    /// for its workers, so every mine probes.
     cancel_checks: "cancel_checks", sum, work;
     /// Faults injected by the deterministic failpoint registry
     /// (`grm_graph::failpoint`). Always zero without the `fault-inject`

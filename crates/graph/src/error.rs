@@ -65,6 +65,9 @@ pub enum GraphError {
     EmptyDomain { attr: String },
     /// Two attributes in the same namespace (node or edge) share a name.
     DuplicateAttribute { attr: String },
+    /// A schema declares more node attributes than the miner's bitmask
+    /// holds ([`crate::MAX_NODE_ATTRS`]).
+    TooManyNodeAttrs { count: usize, max: usize },
     /// A value-name dictionary does not match its declared domain size.
     DictionarySize {
         attr: String,
@@ -131,6 +134,10 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateAttribute { attr } => {
                 write!(f, "duplicate attribute name `{attr}`")
             }
+            GraphError::TooManyNodeAttrs { count, max } => write!(
+                f,
+                "schema declares {count} node attributes; at most {max} are supported"
+            ),
             GraphError::DictionarySize {
                 attr,
                 expected,

@@ -61,6 +61,6 @@ pub use cancel::CancelToken;
 pub use compact::{check_edge_capacity, CompactModel};
 pub use error::{GraphError, Result, ShardIoError};
 pub use graph::SocialGraph;
-pub use schema::{AttrDef, Schema, SchemaBuilder};
+pub use schema::{AttrDef, Schema, SchemaBuilder, MAX_NODE_ATTRS};
 pub use single_table::SingleTable;
 pub use value::{AttrValue, EdgeAttrId, EdgeId, NodeAttrId, NodeId, NULL};

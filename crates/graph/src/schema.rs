@@ -12,6 +12,10 @@ use crate::error::{GraphError, Result};
 use crate::value::{AttrValue, EdgeAttrId, NodeAttrId, NULL};
 use serde::{Deserialize, Serialize};
 
+/// The most node attributes a schema may declare: the miner encodes a
+/// set of node attributes as one `u64` bitmask.
+pub const MAX_NODE_ATTRS: usize = 64;
+
 /// Declaration of one attribute: its name, domain size and (for node
 /// attributes) whether it follows the homophily principle.
 ///
@@ -126,11 +130,18 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Build a schema from attribute declarations, validating domains and
-    /// name uniqueness (within each namespace).
+    /// Build a schema from attribute declarations, validating domains,
+    /// name uniqueness (within each namespace) and the node attribute
+    /// count ([`MAX_NODE_ATTRS`]).
     pub fn new(node_attrs: Vec<AttrDef>, edge_attrs: Vec<AttrDef>) -> Result<Self> {
         if node_attrs.is_empty() {
             return Err(GraphError::EmptySchema);
+        }
+        if node_attrs.len() > MAX_NODE_ATTRS {
+            return Err(GraphError::TooManyNodeAttrs {
+                count: node_attrs.len(),
+                max: MAX_NODE_ATTRS,
+            });
         }
         for set in [&node_attrs, &edge_attrs] {
             for (i, a) in set.iter().enumerate() {
@@ -381,6 +392,24 @@ mod tests {
     fn rejects_zero_domain() {
         let r = SchemaBuilder::new().node_attr("X", 0, false).build();
         assert!(matches!(r, Err(GraphError::EmptyDomain { .. })));
+    }
+
+    #[test]
+    fn rejects_more_node_attrs_than_the_miner_bitmask_holds() {
+        let wide = |n: usize| {
+            (0..n).fold(SchemaBuilder::new(), |b, i| {
+                b.node_attr(format!("A{i}"), 2, false)
+            })
+        };
+        assert!(wide(MAX_NODE_ATTRS).build().is_ok());
+        let r = wide(MAX_NODE_ATTRS + 1).build();
+        assert_eq!(
+            r,
+            Err(GraphError::TooManyNodeAttrs {
+                count: MAX_NODE_ATTRS + 1,
+                max: MAX_NODE_ATTRS
+            })
+        );
     }
 
     #[test]

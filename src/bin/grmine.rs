@@ -4,8 +4,7 @@
 //! grmine mine  <graph.grm> [--min-supp N] [--min-score F] [--k N]
 //!              [--metric nhp|conf|laplace|gain|ps|conviction|lift]
 //!              [--no-dynamic] [--no-fuse] [--no-kernel]
-//!              [--threads N | --parallel N]
-//!              [--no-steal] [--split-depth N]
+//!              [--threads N | --parallel N] [--split-depth N]
 //!              [--shards N [--memory-budget BYTES]]
 //!              [--timeout MS] [--json] [--stats-json]
 //!              [--allow-empty-lhs] [--baseline-bl1 | --baseline-bl2]
@@ -29,8 +28,8 @@
 //! directory and mined shard by shard, optionally under a resident-set
 //! cap of `--memory-budget` bytes (which therefore requires `--shards`).
 //! `--threads` composes with it (sharded workers; 0 = auto); the
-//! work-stealing knobs `--no-steal`/`--split-depth` and the sequential
-//! baselines do not.
+//! work-stealing knob `--split-depth` and the sequential baselines do
+//! not.
 //!
 //! `--timeout MS` bounds the mine's wall-clock time: when the deadline
 //! expires every engine drains its counters and exits with a typed
@@ -66,7 +65,6 @@ const MINE_FLAGS: &[&str] = &[
     "--allow-empty-lhs",
     "--threads",
     "--parallel",
-    "--no-steal",
     "--split-depth",
     "--shards",
     "--memory-budget",
@@ -235,10 +233,10 @@ fn cmd_mine(args: &[String]) -> i32 {
         return 2;
     }
 
-    if parallel.is_none() && (has_flag(args, "--no-steal") || split_depth.is_some()) {
-        // Engine knobs without an engine would silently do nothing; the
-        // CLI's contract is that a present flag always takes effect.
-        eprintln!("--no-steal/--split-depth configure the parallel engine; add --threads N");
+    if parallel.is_none() && split_depth.is_some() {
+        // An engine knob without an engine would silently do nothing;
+        // the CLI's contract is that a present flag always takes effect.
+        eprintln!("--split-depth configures the parallel engine; add --threads N");
         return 2;
     }
     if parallel.is_some() && (has_flag(args, "--baseline-bl1") || has_flag(args, "--baseline-bl2"))
@@ -248,11 +246,11 @@ fn cmd_mine(args: &[String]) -> i32 {
         eprintln!("--baseline-bl1/--baseline-bl2 are sequential; drop --threads");
         return 2;
     }
-    if shards.is_some() && (has_flag(args, "--no-steal") || split_depth.is_some()) {
+    if shards.is_some() && split_depth.is_some() {
         // The sharded engine parallelizes across whole mining units and
-        // never splits or steals subtrees; accepting the knobs would
-        // silently ignore them.
-        eprintln!("--no-steal/--split-depth configure the work-stealing engine; drop --shards");
+        // never splits subtrees; accepting the knob would silently
+        // ignore it.
+        eprintln!("--split-depth configures the work-stealing engine; drop --shards");
         return 2;
     }
     if shards.is_some() && (has_flag(args, "--baseline-bl1") || has_flag(args, "--baseline-bl2")) {
@@ -269,7 +267,6 @@ fn cmd_mine(args: &[String]) -> i32 {
     }
     let engine = parallel.map(|threads| ParallelOptions {
         threads,
-        steal: !has_flag(args, "--no-steal"),
         split_depth: split_depth.unwrap_or(social_ties::core::parallel::DEFAULT_SPLIT_DEPTH),
         ..ParallelOptions::default()
     });
@@ -369,8 +366,8 @@ fn cmd_mine(args: &[String]) -> i32 {
                 n => n.to_string(),
             };
             eprintln!(
-                "engine: threads={} steal={} split_depth={} dynamic={}",
-                threads, opts.steal, opts.split_depth, cfg.dynamic_topk
+                "engine: threads={} split_depth={} dynamic={}",
+                threads, opts.split_depth, cfg.dynamic_topk
             );
         }
         eprint!("{}", result.report(graph.schema()));

@@ -246,9 +246,9 @@ fn cli_stats_json_pins_the_counter_schema() {
 
     // The parallel engine flags: `--threads` (alias of `--parallel`)
     // surfaces the engine settings on stderr in --stats-json mode and
-    // must reproduce the sequential static report; `--no-steal` and
-    // `--split-depth 0` degrade to the static-queue engine. The
-    // sequential run never reports engine settings.
+    // must reproduce the sequential static report; `--split-depth 0`
+    // turns subtree splitting off. The sequential run never reports
+    // engine settings.
     assert!(!fused_report.contains("engine:"));
     let ranked = |report: &str| {
         report
@@ -259,24 +259,18 @@ fn cli_stats_json_pins_the_counter_schema() {
     };
     let (seq_static, _) = run(&["--no-dynamic"]);
     let (par_stats, par_report) = run(&["--threads", "2", "--no-dynamic"]);
-    assert!(par_report.contains("engine: threads=2 steal=true"));
+    assert!(par_report.contains("engine: threads=2 split_depth=2"));
     assert!(par_report.contains("dynamic=false"));
-    // The static enumeration is identical to sequential-static (collect
-    // mode only defers generality, so `accepted` legitimately counts
-    // pre-filter; the dynamic `fused` baseline prunes more).
-    assert_eq!(par_stats.grs_examined, seq_static.grs_examined);
-    assert_eq!(
-        par_stats.partitions_examined,
-        seq_static.partitions_examined
-    );
-    assert_eq!(par_stats.pruned_by_supp, seq_static.pruned_by_supp);
+    // The static enumeration is identical to sequential-static (the
+    // dynamic `fused` baseline prunes more).
+    assert_eq!(par_stats.semantic(), seq_static.semantic());
     assert_eq!(
         ranked(&par_report),
         ranked(&fused_report),
         "parallel static report must match sequential"
     );
-    let (_, nosteal_report) = run(&["--threads", "2", "--no-steal", "--split-depth", "0"]);
-    assert!(nosteal_report.contains("engine: threads=2 steal=false split_depth=0"));
+    let (_, unsplit_report) = run(&["--threads", "2", "--split-depth", "0"]);
+    assert!(unsplit_report.contains("engine: threads=2 split_depth=0"));
     // Dynamic parallel (the default) matches the static results too —
     // the exactness-verified post-pass at the CLI surface.
     let (dyn_stats, dyn_report) = run(&["--threads", "2"]);
@@ -390,7 +384,16 @@ fn cli_sharded_flag_validation() {
         vec!["mine", p, "--memory-budget", "1000000"],
         vec!["mine", p, "--shards", "2", "--memory-budget", "0"],
         vec!["mine", p, "--shards", "2", "--memory-budget", "lots"],
-        vec!["mine", p, "--shards", "2", "--no-steal", "--threads", "2"],
+        vec![
+            "mine",
+            p,
+            "--shards",
+            "2",
+            "--split-depth",
+            "1",
+            "--threads",
+            "2",
+        ],
         vec!["mine", p, "--shards", "2", "--baseline-bl1"],
         vec![
             "mine",
@@ -637,15 +640,33 @@ fn cli_rejects_corrupt_graph_file() {
     // A non-graph, a header claiming 4e18 nodes (once an 8 EB
     // allocation and an abort), and an edge endpoint past the u32 id
     // space (once truncated onto node 0): each is a typed parse error.
-    for (name, text) in [
-        ("corrupt.grm", "this is not a GRMGRAPH file\n"),
+    // A schema wider than the miner's 64-attribute bitmask (once a panic
+    // in `mine` after `info` had printed it) is a typed schema error.
+    let wide: String = (0..65).map(|i| format!("NODEATTR\tA{i}\t2\tn\n")).collect();
+    let wide = format!(
+        "GRMGRAPH\t1\n{wide}NODES\t1\n{}\nEDGES\t0\n",
+        ["1"; 65].join("\t")
+    );
+    for (name, text, message) in [
+        (
+            "corrupt.grm",
+            "this is not a GRMGRAPH file\n",
+            "parse error",
+        ),
         (
             "huge-nodes.grm",
             "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t4000000000000000000\n1\n",
+            "parse error",
         ),
         (
             "wide-endpoint.grm",
             "GRMGRAPH\t1\nNODEATTR\tA\t2\tn\nNODES\t2\n1\n2\nEDGES\t1\n4294967296\t1\n",
+            "parse error",
+        ),
+        (
+            "wide-schema.grm",
+            wide.as_str(),
+            "schema declares 65 node attributes; at most 64 are supported",
         ),
     ] {
         let path = tmp(name);
@@ -659,7 +680,7 @@ fn cli_rejects_corrupt_graph_file() {
             assert!(!out.stderr.is_empty());
             assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {out:?}");
             let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains("parse error"), "{cmd} {name}: {err}");
+            assert!(err.contains(message), "{cmd} {name}: {err}");
         }
     }
 }

@@ -40,10 +40,8 @@ fn assert_kernel_is_pure(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
     // Parallel matrix. Under the *static* threshold the enumeration is
     // fully deterministic, so outputs and semantic counters must both
     // match; in *dynamic* mode the shared bound makes the work counters
-    // timing-dependent (and the sequential GRMiner(k) has the
-    // documented Definition-5 nuance), so only outputs are compared —
-    // between the kernel and scalar engines, which both pin the static
-    // semantics.
+    // timing-dependent, so only outputs are compared — between the
+    // kernel and scalar engines, which both pin the static semantics.
     let static_kernel = kernel_cfg.clone().without_dynamic_topk();
     let static_scalar = scalar_cfg.clone().without_dynamic_topk();
     let seq_static = GrMiner::new(g, static_kernel.clone()).mine();

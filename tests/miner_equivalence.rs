@@ -1,6 +1,7 @@
 //! Differential testing: five independent implementations of Definition 5
 //! must agree — GRMiner (static threshold), GRMiner(k) (dynamic), BL1,
-//! BL2, the parallel miner, and the brute-force reference.
+//! BL2, the parallel miner, and the brute-force reference. This file
+//! holds the Definition-5 gate: the dynamic mine equals the static one.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,57 +134,25 @@ fn counting_kernel_is_a_pure_execution_strategy() {
 
 #[test]
 fn dynamic_topk_is_sound_on_random_workloads() {
-    // GRMiner(k)'s dynamic threshold can prune a *suppressor* (a general
+    // GRMiner(k)'s dynamic threshold can cut a *suppressor* (a general
     // GR that passes the user threshold but not the upgraded bound)
-    // before it is recorded, so a specialization Definition 5 would drop
-    // may enter the top-k (see `MinerConfig::dynamic_topk`). The
-    // guaranteed properties:
-    //
-    // 1. every returned GR satisfies condition (1) — thresholds — with
-    //    exactly measured supports;
-    // 2. the dynamic candidate pool is a superset of the exact one: any
-    //    exact top-k GR missing from the dynamic top-k was displaced by a
-    //    better-ranked dynamic entry;
-    // 3. the dynamic variant never examines more GRs.
+    // before it is seen; the execution core's verified post-pass checks
+    // the top-k against every such cut, so the dynamic mine returns
+    // exactly the static Definition-5 top-k while never examining more
+    // GRs. Seeds 21, 23, 24, 25 and 27 each lose a suppressor to the
+    // bound.
     for seed in 20..28u64 {
         let g = random_graph(seed, 15, 80);
         let cfg = MinerConfig::nhp(2, 0.3, 8);
         let dynamic = GrMiner::new(&g, cfg.clone()).mine();
         let exact = GrMiner::new(&g, cfg.clone().without_dynamic_topk()).mine();
         assert!(dynamic.stats.grs_examined <= exact.stats.grs_examined);
-
-        // Property 1: condition (1) holds, verified against a no-filter
-        // reference enumeration.
-        let cond1_cfg = MinerConfig {
-            generality_filter: false,
-            k: usize::MAX,
-            dynamic_topk: false,
-            ..cfg.clone()
-        };
-        let cond1 = mine_reference(&g, &cond1_cfg);
-        for x in &dynamic.top {
-            assert!(
-                cond1.iter().any(|r| r.gr == x.gr
-                    && r.supp == x.supp
-                    && r.supp_lw == x.supp_lw
-                    && r.heff == x.heff),
-                "seed {seed}: dynamic returned a GR violating condition (1): {:?}",
-                x.gr
-            );
-        }
-
-        // Property 2: exact winners are only ever displaced, not lost.
-        if let Some(worst) = dynamic.top.last() {
-            for e in &exact.top {
-                let present = dynamic.top.iter().any(|d| d.gr == e.gr);
-                let outranked = e.rank_cmp(worst) == std::cmp::Ordering::Greater;
-                assert!(
-                    present || outranked || dynamic.top.len() < cfg.k,
-                    "seed {seed}: exact top GR vanished without displacement: {:?}",
-                    e.gr
-                );
-            }
-        }
+        assert_eq!(dynamic.top, exact.top, "seed {seed}");
+        assert_eq!(
+            keys(&exact.top),
+            keys(&mine_reference(&g, &cfg)),
+            "seed {seed}"
+        );
     }
 }
 

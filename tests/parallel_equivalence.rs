@@ -1,7 +1,7 @@
 //! Parallel-vs-sequential equivalence for the work-stealing engine: the
-//! full matrix of 1/2/4/8 threads × steal on/off × split-depth
-//! {0, default} must return bit-identical `top` AND identical
-//! `MinerStats::semantic()` under the static threshold, on the Fig. 1
+//! full matrix of 1/2/4/8 threads × split-depth {0, default} must return
+//! bit-identical `top` AND identical `MinerStats::semantic()` under the
+//! static threshold, on the Fig. 1
 //! toy network and the Pokec-like / DBLP-like workloads. Dynamic mode
 //! (the shared top-k bound + exactness-verified post-pass) must *also*
 //! be bit-identical to the static Definition-5 semantics — the
@@ -22,16 +22,13 @@ use social_ties::{generate, toy_network, GrMiner, MinerConfig, SocialGraph};
 fn engine_matrix() -> Vec<ParallelOptions> {
     let mut m = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        for steal in [false, true] {
-            for (split_depth, split_min) in [(0usize, 0usize), (DEFAULT_SPLIT_DEPTH, 1)] {
-                m.push(ParallelOptions {
-                    threads,
-                    steal,
-                    split_depth,
-                    split_min,
-                    ..ParallelOptions::default()
-                });
-            }
+        for (split_depth, split_min) in [(0usize, 0usize), (DEFAULT_SPLIT_DEPTH, 1)] {
+            m.push(ParallelOptions {
+                threads,
+                split_depth,
+                split_min,
+                ..ParallelOptions::default()
+            });
         }
     }
     m
@@ -41,15 +38,14 @@ fn assert_matrix_matches_sequential(g: &SocialGraph, cfg: &MinerConfig, label: &
     let cfg = cfg.clone().without_dynamic_topk();
     let seq = GrMiner::new(g, cfg.clone()).mine();
     let dims = Dims::all(g.schema());
-    let mut counters: Option<social_ties::MinerStats> = None;
     for opts in engine_matrix() {
         let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
         assert_eq!(seq.top, par.top, "{label}: parallel diverged ({opts:?})");
-        let sem = par.stats.semantic();
-        match &counters {
-            None => counters = Some(sem),
-            Some(c) => assert_eq!(c, &sem, "{label}: semantic counters diverged ({opts:?})"),
-        }
+        assert_eq!(
+            seq.stats.semantic(),
+            par.stats.semantic(),
+            "{label}: semantic counters diverged ({opts:?})"
+        );
     }
 }
 

@@ -229,25 +229,35 @@ fn parallel_requests_are_bit_identical_to_the_parallel_engine() {
 #[test]
 fn identical_requests_hit_the_cache_and_merge_stats_once() {
     let g = workload();
-    let svc = Service::new(g.clone(), ServiceConfig::default());
+    let svc = Service::new(
+        g.clone(),
+        ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        },
+    );
     let first = send(&svc, "{\"id\":1,\"type\":\"mine\"}");
     let second = send(&svc, "{\"id\":2,\"type\":\"mine\"}");
+    // Every engine returns the same top-k for one config, so the thread
+    // count is not part of the cache key.
+    let third = send(&svc, "{\"id\":3,\"type\":\"mine\",\"threads\":2}");
     assert_eq!(get(assert_ok(&first), "cached"), &Content::Bool(false));
     assert_eq!(get(assert_ok(&second), "cached"), &Content::Bool(true));
+    assert_eq!(get(assert_ok(&third), "cached"), &Content::Bool(true));
     assert_eq!(
         get(assert_ok(&first), "top"),
         get(assert_ok(&second), "top")
     );
     // The aggregate merged exactly one engine run: its work counters
-    // equal a solo run's, while the service counters saw both requests.
+    // equal a solo run's, while the service counters saw every request.
     let solo = GrMiner::new(&g, default_cfg(&g)).try_mine().unwrap();
     let agg = svc.aggregate_stats();
     assert_eq!(agg.grs_examined, solo.stats.grs_examined);
     assert_eq!(agg.partitions_examined, solo.stats.partitions_examined);
-    assert_eq!(agg.requests_served, 2);
-    assert_eq!(agg.cache_hits, 1);
+    assert_eq!(agg.requests_served, 3);
+    assert_eq!(agg.cache_hits, 2);
     // Different parameters miss the cache and mine again.
-    send(&svc, "{\"id\":3,\"type\":\"mine\",\"k\":5}");
+    send(&svc, "{\"id\":4,\"type\":\"mine\",\"k\":5}");
     let solo5 = GrMiner::new(
         &g,
         MinerConfig {
@@ -262,7 +272,7 @@ fn identical_requests_hit_the_cache_and_merge_stats_once() {
         agg.grs_examined,
         solo.stats.grs_examined + solo5.stats.grs_examined
     );
-    assert_eq!(agg.cache_hits, 1);
+    assert_eq!(agg.cache_hits, 2);
 }
 
 #[test]
