@@ -7,6 +7,9 @@
 //! * sequential vs parallel miner at 1/2/4/8 threads;
 //! * lift mining, whose `supp(r)` marginals the shared context serves
 //!   from one precomputed table instead of per-task rescans.
+//!
+//! The `fused_partition_off` and `scalar_kernel_off` cells are gone with
+//! the fused partition passes and the kernels-off mode they measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grm_bench::{fixture, Dataset};
@@ -31,20 +34,6 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("dynamic_topk_off", |b| {
         let cfg = base.clone().without_dynamic_topk();
-        b.iter(|| GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine())
-    });
-    group.bench_function("fused_partition_off", |b| {
-        // The fused two-level partition engine disabled: every RIGHT-chain
-        // first pass re-reads its slice to count. Results bit-identical.
-        let cfg = base.clone().without_fused_partitions();
-        b.iter(|| GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine())
-    });
-    group.bench_function("scalar_kernel_off", |b| {
-        // The vectorized counting kernels disabled: every gather,
-        // histogram, mask and fused-scatter loop runs its scalar
-        // baseline. Results bit-identical; the delta is the kernel's
-        // end-to-end win.
-        let cfg = base.clone().without_kernel();
         b.iter(|| GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine())
     });
     group.bench_function("generality_off", |b| {

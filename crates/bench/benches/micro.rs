@@ -57,13 +57,12 @@ fn legacy_partition(
 
 /// The tentpole's before/after cells: the allocating pre-PR primitive vs
 /// the arena pass (on the 188-value Pokec `Region` domain), and a
-/// two-level (parent + children) partition with and without the fused
-/// counting, on the narrow-parent shape the miner's cost model fuses
-/// (small parent domain, so children are large — wide parents stay
-/// unfused, see `grm_core::miner::FUSE_COST_RATIO`). The `_leaf` cells
-/// make the children count-only, as the miner runs the first pass of a
-/// RIGHT chain; `arena_count_only` is the `arena` pass without its
-/// scatter.
+/// two-level (parent + children) partition on a narrow parent (small
+/// parent domain, so children are large). The `_leaf` cell makes the
+/// children count-only, as the miner runs the first pass of a RIGHT
+/// chain; `arena_count_only` is the `arena` pass without its scatter.
+/// The fused two-level pass is gone, and its `two_level_fused_leaf`
+/// cell with it.
 fn bench_partition_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition");
     for n in [10_000usize, 100_000] {
@@ -106,7 +105,7 @@ fn bench_partition_engine(c: &mut Criterion) {
         });
         // Two-level cells: partition by a narrow parent dimension, then
         // every child partition by the next dimension — the RIGHT-chain
-        // shape the miner fuses.
+        // shape.
         group.bench_with_input(BenchmarkId::new("two_level_unfused", n), &n, |b, _| {
             let mut arena = PartitionArena::new();
             let mut data = base.clone();
@@ -142,25 +141,6 @@ fn bench_partition_engine(c: &mut Criterion) {
                 total
             });
         });
-        group.bench_with_input(BenchmarkId::new("two_level_fused_leaf", n), &n, |b, _| {
-            let mut arena = PartitionArena::new();
-            let mut data = base.clone();
-            b.iter(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.count_col(&data, 6, &narrow).unwrap();
-                let level = arena.scatter_fused(&mut data, &frame, &next, 5).unwrap();
-                let mut total = 0usize;
-                for idx in frame.indices() {
-                    let hist = arena.child_hist(level, arena.record(idx));
-                    let child = arena.partition_pre_counted(5, hist);
-                    total += child.len();
-                    arena.pop_frame(child);
-                }
-                arena.pop_fused(level);
-                arena.pop_frame(frame);
-                total
-            });
-        });
     }
     group.finish();
 }
@@ -168,8 +148,8 @@ fn bench_partition_engine(c: &mut Criterion) {
 /// The vectorized counting-kernel cells: the scalar counting loop vs
 /// the SWAR primitives ([`kernel::histogram_u32`] striped counting,
 /// [`kernel::gather_keys`] batched gather + hoisted range check), plus
-/// the full arena counting pass with the kernels on and off — the
-/// micro-level before/after of the `scalar_kernel_off` ablation.
+/// the full arena counting pass (`count_pass_kernel`). The arena has no
+/// kernels-off mode any more, so its `count_pass_scalar` twin is gone.
 fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
     for n in [10_000usize, 100_000] {
@@ -225,21 +205,18 @@ fn bench_kernel(c: &mut Criterion) {
             let mut keys = vec![0u16; n];
             b.iter(|| kernel::gather_keys(&data, &col, &mut keys).0);
         });
-        // The full arena counting pass, kernel on vs off.
-        for (bench, on) in [("count_pass_scalar", false), ("count_pass_kernel", true)] {
-            group.bench_with_input(BenchmarkId::new(bench, n), &n, |b, _| {
-                let mut arena = PartitionArena::new();
-                arena.set_kernel_enabled(on);
-                let mut d = data.clone();
-                b.iter(|| {
-                    d.copy_from_slice(&data);
-                    let frame = arena.partition_col(&mut d, 189, &col).unwrap();
-                    let parts = frame.len();
-                    arena.pop_frame(frame);
-                    parts
-                });
+        // The full arena counting pass.
+        group.bench_with_input(BenchmarkId::new("count_pass_kernel", n), &n, |b, _| {
+            let mut arena = PartitionArena::new();
+            let mut d = data.clone();
+            b.iter(|| {
+                d.copy_from_slice(&data);
+                let frame = arena.partition_col(&mut d, 189, &col).unwrap();
+                let parts = frame.len();
+                arena.pop_frame(frame);
+                parts
             });
-        }
+        });
     }
     group.finish();
 }

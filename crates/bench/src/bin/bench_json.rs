@@ -6,13 +6,11 @@
 //!
 //! * `partition` (default) — the partition-engine micro cells
 //!   (allocating legacy primitive vs arena pass vs count-only arena pass,
-//!   and the two-level shapes: unfused with full child passes, and
-//!   unfused vs fused with count-only children, as the miner runs the
-//!   first pass of a RIGHT chain);
+//!   and the two-level shapes: full child passes, and count-only
+//!   children, as the miner runs the first pass of a RIGHT chain);
 //! * `kernel` — the vectorized counting-kernel cells (scalar histogram
 //!   vs SWAR stripes, scalar vs batched gather, and the full arena
-//!   counting pass with the kernels on/off — the micro before/after of
-//!   the `scalar_kernel_off` ablation);
+//!   counting pass);
 //! * `parallel` — end-to-end thread scaling of the work-stealing miner
 //!   on full-dims Pokec: sequential GRMiner(k) and GRMiner, and the
 //!   work-stealing engine at 1/2/4 threads;
@@ -34,10 +32,9 @@
 //! of timed repetitions after a warm-up (`n` is the input size the cell
 //! works over — items for micro cells, edges for mining cells).
 //! Consumers key on `(group, bench, n)` — append new cells, never
-//! repurpose old names. `two_level_fused` (fused parent, children
-//! scattered from a pre-counted histogram) is no longer emitted: the
-//! arena has no pre-counted scatter since passes became count-first;
-//! `two_level_fused_leaf` times the fused shape the miner runs now.
+//! repurpose old names. No longer emitted: `two_level_fused` and
+//! `two_level_fused_leaf` (the arena has no fused two-level pass), and
+//! `count_pass_scalar` (the arena has no kernels-off mode).
 
 use grm_bench::{fixture, Dataset, Table};
 use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
@@ -217,29 +214,6 @@ fn partition_cells() -> Vec<Cell> {
                 total
             }),
         });
-
-        let mut arena = PartitionArena::new();
-        let mut data = base.clone();
-        cells.push(Cell {
-            group: "partition",
-            bench: "two_level_fused_leaf",
-            n,
-            median_ns: median_ns(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.count_col(&data, 6, &narrow).unwrap();
-                let level = arena.scatter_fused(&mut data, &frame, &next, 5).unwrap();
-                let mut total = 0u64;
-                for idx in frame.indices() {
-                    let hist = arena.child_hist(level, arena.record(idx));
-                    let child = arena.partition_pre_counted(5, hist);
-                    total += child.len() as u64;
-                    arena.pop_frame(child);
-                }
-                arena.pop_fused(level);
-                arena.pop_frame(frame);
-                total
-            }),
-        });
     }
     cells
 }
@@ -247,7 +221,7 @@ fn partition_cells() -> Vec<Cell> {
 /// The counting-kernel micro cells: scalar histogram vs the SWAR
 /// striped histogram (8- and 189-bucket domains), scalar vs batched
 /// gather with the hoisted range check, and the full arena counting
-/// pass with the kernels on and off.
+/// pass.
 fn kernel_cells() -> Vec<Cell> {
     let mut cells: Vec<Cell> = Vec::new();
     for n in [10_000usize, 100_000] {
@@ -308,23 +282,20 @@ fn kernel_cells() -> Vec<Cell> {
             median_ns: median_ns(|| kernel::gather_keys(&data, &col, &mut keys).0 as u64),
         });
 
-        for (bench, on) in [("count_pass_scalar", false), ("count_pass_kernel", true)] {
-            let mut arena = PartitionArena::new();
-            arena.set_kernel_enabled(on);
-            let mut d = data.clone();
-            cells.push(Cell {
-                group: "kernel",
-                bench,
-                n,
-                median_ns: median_ns(|| {
-                    d.copy_from_slice(&data);
-                    let frame = arena.partition_col(&mut d, 189, &col).unwrap();
-                    let parts = frame.len() as u64;
-                    arena.pop_frame(frame);
-                    parts
-                }),
-            });
-        }
+        let mut arena = PartitionArena::new();
+        let mut d = data.clone();
+        cells.push(Cell {
+            group: "kernel",
+            bench: "count_pass_kernel",
+            n,
+            median_ns: median_ns(|| {
+                d.copy_from_slice(&data);
+                let frame = arena.partition_col(&mut d, 189, &col).unwrap();
+                let parts = frame.len() as u64;
+                arena.pop_frame(frame);
+                parts
+            }),
+        });
     }
     cells
 }

@@ -48,17 +48,6 @@ pub struct MinerConfig {
     /// most of Table IIb under Def. 5(2). Enumeration still visits
     /// empty-LHS subsets (Algorithm 1 line 3); only reporting is gated.
     pub allow_empty_lhs: bool,
-    /// Use the fused two-level partition passes (count a child's next
-    /// dimension while scattering its parent — `grm_graph::sort`). On by
-    /// default; outputs are bit-identical either way, so this knob exists
-    /// for the `fused_partition_off` ablation and debugging only.
-    pub fuse_partitions: bool,
-    /// Route the counting loops through the vectorized batch kernels
-    /// (`grm_graph::kernel` — SWAR by default, `std::simd` under the
-    /// `simd` feature on nightly). On by default; outputs are
-    /// bit-identical either way, so this knob exists for the
-    /// `scalar_kernel_off` ablation and differential testing only.
-    pub use_kernel: bool,
     /// Wall-clock deadline for the whole mine, in milliseconds measured
     /// from the engine's start (`None` = unbounded). An expired deadline
     /// trips the [`MinerConfig::cancel`] token and the mine returns
@@ -86,8 +75,6 @@ impl Default for MinerConfig {
             max_lhs: None,
             max_rhs: None,
             allow_empty_lhs: false,
-            fuse_partitions: true,
-            use_kernel: true,
             deadline_ms: None,
             cancel: CancelToken::default(),
         }
@@ -146,20 +133,6 @@ impl MinerConfig {
         self
     }
 
-    /// Disable the fused two-level partition passes (the
-    /// `fused_partition_off` ablation; results are bit-identical).
-    pub fn without_fused_partitions(mut self) -> Self {
-        self.fuse_partitions = false;
-        self
-    }
-
-    /// Disable the vectorized counting kernels (the `scalar_kernel_off`
-    /// ablation; results are bit-identical).
-    pub fn without_kernel(mut self) -> Self {
-        self.use_kernel = false;
-        self
-    }
-
     /// Switch the ranking metric, adjusting the trivial-GR policy to the
     /// metric's convention (suppressed only under nhp).
     pub fn with_metric(mut self, metric: RankMetric) -> Self {
@@ -209,10 +182,6 @@ mod tests {
         assert!(c.dynamic_topk);
         assert!(c.suppress_trivial);
         assert!(c.generality_filter);
-        assert!(c.fuse_partitions);
-        assert!(c.use_kernel);
-        assert!(!c.clone().without_fused_partitions().fuse_partitions);
-        assert!(!c.without_kernel().use_kernel);
     }
 
     #[test]

@@ -43,40 +43,10 @@ use crate::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use crate::topk::SharedBound;
-use grm_graph::sort::{Frame, FusedHist, FusedLevel, PartRec, PartitionArena};
+use grm_graph::sort::{Frame, PartitionArena};
 use grm_graph::{AttrValue, CancelToken, NodeAttrId, Schema, SocialGraph, NULL};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Cost model of the fused two-level passes (purely a heuristic — outputs
-/// are bit-identical regardless, and both inputs are deterministic across
-/// thread counts and task splitting).
-///
-/// A fused scatter pays `buckets × next_buckets` histogram zeroing plus
-/// one extra columnar load and one store (the histogram increment) per
-/// *parent* item; a child redeems that only if it survives pruning and
-/// descends, where it saves its first pass's count (that pass is
-/// count-only either way — it is the first of a RIGHT chain, whose
-/// children never read their slices). Three deterministic conditions gate
-/// fusion:
-///
-/// * the histogram must be small against the slice —
-///   `len × FUSE_COST_RATIO ≥ buckets × next_buckets`;
-/// * the *average* child (`len / buckets` items) must clear the support
-///   threshold — `len ≥ min_supp × buckets` — otherwise most of the
-///   pre-counts are thrown away with their pruned children (exactly what
-///   profiling showed on the high-pruning Pokec configs);
-/// * the parent must be narrow — `buckets ≤ FUSE_MAX_PARENT_BUCKETS`.
-///   This was measured when the fused scatter also wrote each item's next
-///   key to a scattered-order cache, one extra write stream per parent
-///   partition: on the two-level micro a 6-bucket parent fused 14–29 %
-///   faster while a 189-bucket parent (Pokec's `Region`) fused ~40 %
-///   slower. The cache is gone; whether fusion still pays at all is
-///   measured in ROADMAP's benchmark findings.
-const FUSE_COST_RATIO: usize = 4;
-
-/// Widest parent pass that fuses (see [`FUSE_COST_RATIO`] docs).
-const FUSE_MAX_PARENT_BUCKETS: usize = 64;
 
 /// Cancellation probes between two wall-clock reads on deadline-bounded
 /// runs: token probes are an atomic load and run at recursion-node
@@ -285,34 +255,21 @@ pub(crate) enum SubtreeKind {
 /// When a partition's subtree is worth detaching into a [`SubtreeTask`]:
 /// only near the root (`|l| + |w|` of the subtree root at most
 /// `max_frame` — deep frames are small and numerous) and only when the
-/// partition is big enough (`min_len`) that the position copy and the
-/// lost parent fusion are noise against the subtree's own work.
+/// partition is big enough (`min_len`) that the position copy is noise
+/// against the subtree's own work.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SplitPolicy {
     pub(crate) max_frame: usize,
     pub(crate) min_len: usize,
 }
 
-/// A pre-counted first-pass histogram handed to a child RIGHT chain by its
-/// parent's fused scatter, tagged with the dimension it counted.
-#[derive(Clone, Copy)]
-struct PreCount {
-    hist: FusedHist,
-    dim: NodeAttrId,
-}
-
 /// One counting pass of the recursion, whose scatter waits for the first
 /// child that reads its slice (see `grm_graph::sort`): counted by
 /// [`Run::count_pass`], scattered at most once by [`Run::scatter_pass`],
-/// released by [`Run::end_pass`] after the partition loop.
+/// and its records popped after the partition loop.
 struct Pass {
     frame: Frame,
-    /// The children's first RHS dimension and its bucket count, when the
-    /// scatter is to pre-count it (fused).
-    fuse: Option<(NodeAttrId, usize)>,
     scattered: bool,
-    /// The fused level the scatter produced.
-    level: Option<(FusedLevel, NodeAttrId)>,
 }
 
 /// Mutable state of one mining run: one root task or detached subtree
@@ -372,14 +329,12 @@ impl<'a, 'g> Run<'a, 'g> {
         cancel: CancelToken,
         deadline: Option<Instant>,
     ) -> Self {
-        let mut scratch = MinerScratch::default();
-        scratch.arena.set_kernel_enabled(cfg.use_kernel);
         Run {
             ctx,
             schema,
             dims,
             cfg,
-            scratch,
+            scratch: MinerScratch::default(),
             stats: MinerStats::default(),
             edges_total: ctx.edges_total(),
             // lint: allow(alloc-in-arena) — Run construction site; one
@@ -433,7 +388,6 @@ impl<'a, 'g> Run<'a, 'g> {
     /// allocations).
     pub(crate) fn with_scratch(mut self, scratch: MinerScratch) -> Self {
         self.scratch = scratch;
-        self.scratch.arena.set_kernel_enabled(self.cfg.use_kernel);
         self
     }
 
@@ -467,7 +421,7 @@ impl<'a, 'g> Run<'a, 'g> {
         let l0 = NodeDescriptor::empty();
         let w0 = EdgeDescriptor::empty();
         match task {
-            RootTask::Right => self.right_root(data, &l0, &w0, None),
+            RootTask::Right => self.right_root(data, &l0, &w0),
             RootTask::Edge(i) => self.edge_range(data, i..i + 1, &l0, &w0),
             RootTask::Left(i) => self.left_range(data, i..i + 1, &l0),
             RootTask::LeftValues { dim, lo, hi } => self.left_values_root(data, dim, lo, hi),
@@ -478,9 +432,7 @@ impl<'a, 'g> Run<'a, 'g> {
 
     /// Execute a detached recursion subtree (see [`SubtreeTask`]): the
     /// exact recursive calls the spawning worker's partition loop would
-    /// have made inline, minus the parent's fused pre-count (the
-    /// histogram lives in the spawner's arena, so the first RIGHT pass
-    /// here re-counts — a work difference only).
+    /// have made inline.
     pub(crate) fn run_subtree(
         &mut self,
         data: &mut [u32],
@@ -494,12 +446,12 @@ impl<'a, 'g> Run<'a, 'g> {
         match kind {
             SubtreeKind::Left { l_tail } => {
                 debug_assert!(w.is_empty(), "LEFT partitions precede all EDGE dimensions");
-                self.right_root(data, l, w, None);
+                self.right_root(data, l, w);
                 self.edge(data, self.dims.w.len(), l, w);
                 self.left(data, l_tail, l);
             }
             SubtreeKind::Edge { w_tail } => {
-                self.right_root(data, l, w, None);
+                self.right_root(data, l, w);
                 self.edge(data, w_tail, l, w);
             }
         }
@@ -638,13 +590,7 @@ impl<'a, 'g> Run<'a, 'g> {
         let d = self.dims.l[i];
         let buckets = self.schema.node_attr(d).bucket_count();
         let col = model.l_col(d);
-        // Every child's first pass partitions the same dimension — the
-        // first dynamic RHS dimension for the child's LHS mask, which
-        // does not depend on the partition value — so fuse its counting
-        // into this scatter.
-        let child_mask = l.attrs().fold(0u64, |m, a| m | (1u64 << a.0)) | (1u64 << d.0);
-        let fuse = self.right_fuse_target(child_mask, data.len(), buckets);
-        let mut pass = self.count_pass(data, buckets, col, None, fuse);
+        let mut pass = self.count_pass(data, buckets, col);
         for idx in pass.frame.indices() {
             if self.check_cancelled() {
                 break;
@@ -675,14 +621,13 @@ impl<'a, 'g> Run<'a, 'g> {
                 self.scratch.node_descs.push(l2);
                 continue;
             }
-            let pre = self.child_pre(&pass, part);
             let sub = &mut data[part.range()];
-            self.right_root(sub, &l2, &EdgeDescriptor::empty(), pre);
+            self.right_root(sub, &l2, &EdgeDescriptor::empty());
             self.edge(sub, self.dims.w.len(), &l2, &EdgeDescriptor::empty());
             self.left(sub, i, &l2);
             self.scratch.node_descs.push(l2);
         }
-        self.end_pass(pass);
+        self.scratch.arena.pop_frame(pass.frame);
     }
 
     /// `EDGE(data, Tail)`: partition on each edge dimension in the tail;
@@ -705,7 +650,6 @@ impl<'a, 'g> Run<'a, 'g> {
         w: &EdgeDescriptor,
     ) {
         let model = self.ctx.model();
-        let l_mask = l.attrs().fold(0u64, |m, a| m | (1u64 << a.0));
         for i in range {
             if self.check_cancelled() {
                 return;
@@ -713,10 +657,7 @@ impl<'a, 'g> Run<'a, 'g> {
             let d = self.dims.w[i];
             let buckets = self.schema.edge_attr(d).bucket_count();
             let col = model.w_col(d);
-            // Children keep this LHS, so each enters its RIGHT chain on
-            // the same first dynamic dimension: fuse its counting here.
-            let fuse = self.right_fuse_target(l_mask, data.len(), buckets);
-            let mut pass = self.count_pass(data, buckets, col, None, fuse);
+            let mut pass = self.count_pass(data, buckets, col);
             for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
@@ -743,13 +684,12 @@ impl<'a, 'g> Run<'a, 'g> {
                     self.scratch.edge_descs.push(w2);
                     continue;
                 }
-                let pre = self.child_pre(&pass, part);
                 let sub = &mut data[part.range()];
-                self.right_root(sub, l, &w2, pre);
+                self.right_root(sub, l, &w2);
                 self.edge(sub, i, l, &w2);
                 self.scratch.edge_descs.push(w2);
             }
-            self.end_pass(pass);
+            self.scratch.arena.pop_frame(pass.frame);
         }
     }
 
@@ -758,13 +698,7 @@ impl<'a, 'g> Run<'a, 'g> {
     /// for the whole subtree, and recurse. All per-node buffers come from
     /// the [`MinerScratch`] pools (and the RHS order lives on the stack),
     /// so a steady-state `l ∧ w` node allocates nothing here.
-    fn right_root(
-        &mut self,
-        data: &mut [u32],
-        l: &NodeDescriptor,
-        w: &EdgeDescriptor,
-        pre: Option<PreCount>,
-    ) {
+    fn right_root(&mut self, data: &mut [u32], l: &NodeDescriptor, w: &EdgeDescriptor) {
         let l_mask = l.attrs().fold(0u64, |m, a| m | (1u64 << a.0));
         // Pooled H_l buffer — the homophily conditions of the LHS.
         let mut pairs = self.scratch.pairs_bufs.pop().unwrap_or_default();
@@ -802,7 +736,6 @@ impl<'a, 'g> Run<'a, 'g> {
             l,
             w,
             &NodeDescriptor::empty(),
-            pre,
         );
         // Return the pooled buffers for the next l∧w node.
         let LwContext {
@@ -849,137 +782,36 @@ impl<'a, 'g> Run<'a, 'g> {
             &NodeDescriptor::empty(),
             &EdgeDescriptor::empty(),
             &NodeDescriptor::empty(),
-            None,
         );
         self.scratch.pairs_bufs.push(ctx.pairs);
     }
 
-    /// The fused-pass target for children entering a RIGHT chain with LHS
-    /// mask `child_mask`: the first dynamic RHS dimension (Eqn. 8), when
-    /// fusion is on, the children may recurse at all, and the slice is
-    /// large enough for the fused histogram to pay for itself.
-    fn right_fuse_target(
-        &self,
-        child_mask: u64,
-        len: usize,
-        buckets: usize,
-    ) -> Option<(NodeAttrId, usize)> {
-        if self.cfg.max_rhs == Some(0) {
-            return None;
-        }
-        let d = self.dims.r_order_first(child_mask)?;
-        self.fuse_with(d, len, buckets)
-    }
-
-    /// Apply the fused-pass cost model ([`FUSE_COST_RATIO`]) to next
-    /// dimension `d` for a pass over `len` items with `buckets` buckets.
-    fn fuse_with(&self, d: NodeAttrId, len: usize, buckets: usize) -> Option<(NodeAttrId, usize)> {
-        if !self.cfg.fuse_partitions || buckets > FUSE_MAX_PARENT_BUCKETS {
-            return None;
-        }
-        // Average child must survive min_supp, or the pre-counts die with
-        // their pruned children (see FUSE_COST_RATIO docs).
-        if (len as u64) < self.cfg.min_supp.saturating_mul(buckets as u64) {
-            return None;
-        }
-        let nb = self.schema.node_attr(d).bucket_count();
-        // A zero-bucket next dimension cannot key anything: skip fusion
-        // deterministically instead of handing the arena a doomed fused
-        // pass. Unreachable through a validated schema (every domain
-        // has at least the null bucket), but cheap and load-bearing if
-        // dimension sources ever widen.
-        if nb == 0 {
-            return None;
-        }
-        (len * FUSE_COST_RATIO >= buckets * nb).then_some((d, nb))
-    }
-
-    /// Count one pass of the recursion (its scatter waits, see [`Pass`]):
-    /// from the parent's fused histogram when `pre` is set — count-only,
-    /// for the first pass of a RIGHT chain, whose children have an empty
-    /// tail and never scatter it — from `col` otherwise. `fuse` names the
-    /// children's next dimension for the scatter to pre-count.
-    fn count_pass(
-        &mut self,
-        data: &[u32],
-        buckets: usize,
-        col: &[AttrValue],
-        pre: Option<PreCount>,
-        fuse: Option<(NodeAttrId, usize)>,
-    ) -> Pass {
+    /// Count one pass of the recursion over `col`; its scatter waits for
+    /// the first child that reads its slice (see [`Pass`]).
+    fn count_pass(&mut self, data: &[u32], buckets: usize, col: &[AttrValue]) -> Pass {
         self.stats.partition_passes += 1;
-        let frame = match pre {
-            Some(p) => {
-                debug_assert!(fuse.is_none(), "a first pass has no child tail to fuse");
-                self.stats.fused_passes += 1;
-                let frame = self.scratch.arena.partition_pre_counted(buckets, p.hist);
-                debug_assert_eq!(
-                    self.scratch
-                        .arena
-                        .records(&frame)
-                        .iter()
-                        .map(PartRec::len)
-                        .sum::<usize>(),
-                    data.len(),
-                    "pre-counted histogram does not cover the slice"
-                );
-                frame
-            }
-            None => self
-                .scratch
-                .arena
-                .count_col(data, buckets, col)
-                // lint: allow(panic-in-hot-path) — KeyOutOfRange is
-                // impossible here: every column comes from a CompactModel
-                // built against the same validated Schema that supplied
-                // `buckets`.
-                .expect("schema-validated keys fit their bucket counts"),
-        };
+        let frame = self
+            .scratch
+            .arena
+            .count_col(data, buckets, col)
+            // lint: allow(panic-in-hot-path) — KeyOutOfRange is
+            // impossible here: every column comes from a CompactModel
+            // built against the same validated Schema that supplied
+            // `buckets`.
+            .expect("schema-validated keys fit their bucket counts");
         Pass {
             frame,
-            fuse,
             scattered: false,
-            level: None,
         }
     }
 
     /// Move `data` into `pass`'s partition order, once, before the first
-    /// child reads its slice; a fused scatter also pre-counts every
-    /// child's first RHS pass.
+    /// child reads its slice.
     fn scatter_pass(&mut self, data: &mut [u32], pass: &mut Pass) {
-        if pass.scattered {
-            return;
+        if !pass.scattered {
+            pass.scattered = true;
+            self.scratch.arena.scatter(data, &pass.frame);
         }
-        pass.scattered = true;
-        let arena = &mut self.scratch.arena;
-        match pass.fuse {
-            Some((nd, nb)) => {
-                let level = arena
-                    .scatter_fused(data, &pass.frame, self.ctx.model().r_col(nd), nb)
-                    // lint: allow(panic-in-hot-path) — same schema
-                    // invariant as in `count_pass`.
-                    .expect("schema-validated keys fit their bucket counts");
-                pass.level = Some((level, nd));
-            }
-            None => arena.scatter(data, &pass.frame),
-        }
-    }
-
-    /// The pre-count of `part`'s first RHS pass, when `pass` fused it.
-    fn child_pre(&self, pass: &Pass, part: PartRec) -> Option<PreCount> {
-        pass.level.map(|(lvl, dim)| PreCount {
-            hist: self.scratch.arena.child_hist(lvl, part),
-            dim,
-        })
-    }
-
-    /// Release a pass's fused level and records (LIFO, after its
-    /// partition loop).
-    fn end_pass(&mut self, pass: Pass) {
-        if let Some((lvl, _)) = pass.level {
-            self.scratch.arena.pop_fused(lvl);
-        }
-        self.scratch.arena.pop_frame(pass.frame);
     }
 
     /// `RIGHT(data, Tail)` (lines 22–29): partition on each RHS dimension,
@@ -994,7 +826,6 @@ impl<'a, 'g> Run<'a, 'g> {
         l: &NodeDescriptor,
         w: &EdgeDescriptor,
         r: &NodeDescriptor,
-        mut pre: Option<PreCount>,
     ) {
         if self.cfg.max_rhs.is_some_and(|m| r.len() >= m) {
             return;
@@ -1004,22 +835,11 @@ impl<'a, 'g> Run<'a, 'g> {
             let d = r_order[i];
             let buckets = self.schema.node_attr(d).bucket_count();
             let col = model.r_col(d);
-            // The parent pre-counted exactly our first pass (i = 0).
-            // Children of iteration i partition the prefix tail `0..i`,
-            // `r_order[0]` first: they have passes to run only for i ≥ 1
-            // and below `max_rhs`, so only then do they read their slices
-            // (and is their first pass worth fusing).
-            let pass_pre = if i == 0 { pre.take() } else { None };
-            if let Some(p) = &pass_pre {
-                debug_assert_eq!(p.dim, d, "pre-counted histogram dimension mismatch");
-            }
+            // Children of iteration i partition the prefix tail `0..i`:
+            // they have passes to run only for i ≥ 1 and below
+            // `max_rhs`, so only then do they read their slices.
             let children_partition = i >= 1 && self.cfg.max_rhs.is_none_or(|m| r.len() + 1 < m);
-            let fuse = if children_partition {
-                self.fuse_with(r_order[0], data.len(), buckets)
-            } else {
-                None
-            };
-            let mut pass = self.count_pass(data, buckets, col, pass_pre, fuse);
+            let mut pass = self.count_pass(data, buckets, col);
             for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
@@ -1124,13 +944,12 @@ impl<'a, 'g> Run<'a, 'g> {
                 // it is skipped rather than scattered for.
                 if descend && children_partition {
                     self.scatter_pass(data, &mut pass);
-                    let child_pre = self.child_pre(&pass, part);
                     let sub = &mut data[part.range()];
-                    self.right(ctx, sub, r_order, 0..i, l, w, &r2, child_pre);
+                    self.right(ctx, sub, r_order, 0..i, l, w, &r2);
                 }
                 self.scratch.node_descs.push(r2);
             }
-            self.end_pass(pass);
+            self.scratch.arena.pop_frame(pass.frame);
         }
     }
 

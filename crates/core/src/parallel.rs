@@ -15,7 +15,7 @@
 //! **Depth-adaptive splitting.** Static root tasks bound speedup by the
 //! largest subtree, so workers *detach oversized recursion frames* as
 //! they descend: a LEFT or EDGE partition whose subtree root is shallow
-//! (`|l| + |w| ≤ split_depth`) and whose edge set is large
+//! (`|l| + |w| ≤ 2`) and whose edge set is large
 //! (`≥ split_min`) becomes a stealable [`SubtreeTask`] — an owned copy
 //! of the partition's positions plus the descriptors — instead of being
 //! descended inline. The detached subtree performs exactly the recursive
@@ -37,11 +37,11 @@ use crate::query::{self, GrMeasures};
 use crate::tail::Dims;
 use grm_graph::{Schema, SocialGraph};
 
-/// Default [`ParallelOptions::split_depth`]: subtrees rooted at most this
-/// many descriptor conditions deep may be detached. Depth 2 covers the
-/// skew observed in practice (a dominant LHS partition, optionally
-/// refined once) while keeping the number of position copies small.
-pub const DEFAULT_SPLIT_DEPTH: usize = 2;
+/// Subtrees rooted at most this many descriptor conditions deep
+/// (`|l| + |w|`) may be detached. Depth 2 covers the skew observed in
+/// practice (a dominant LHS partition, optionally refined once) while
+/// keeping the number of position copies small.
+const SPLIT_DEPTH: usize = 2;
 
 /// Floor of the automatic [`ParallelOptions::split_min`] heuristic: below
 /// this many positions a subtree is cheaper to mine than to copy and
@@ -60,10 +60,6 @@ pub struct ParallelOptions {
     /// kick in. Costs one duplicated top-level counting-sort pass per
     /// extra chunk. Results are bit-identical either way.
     pub split_dominant: bool,
-    /// Maximum descriptor size (`|l| + |w|`) of a recursion subtree that
-    /// may be detached as a stealable task; 0 disables dynamic
-    /// splitting. Results are bit-identical at any value.
-    pub split_depth: usize,
     /// Minimum edge-position count for a subtree to be worth detaching;
     /// 0 picks a heuristic from `|E|` and the thread count. (Tests pin
     /// this to 1 to force splitting on small fixtures.)
@@ -75,7 +71,6 @@ impl Default for ParallelOptions {
         ParallelOptions {
             threads: 0,
             split_dominant: true,
-            split_depth: DEFAULT_SPLIT_DEPTH,
             split_min: 0,
         }
     }
@@ -115,9 +110,9 @@ pub fn try_mine_parallel_with_opts(
     let exec = Exec::start(config, graph.schema(), dims, opts.threads);
     let threads = exec.threads();
     let edge_count = graph.edge_count();
-    let split = (threads > 1 && opts.split_depth > 0).then(|| {
+    let split = (threads > 1).then(|| {
         let policy = SplitPolicy {
-            max_frame: opts.split_depth,
+            max_frame: SPLIT_DEPTH,
             min_len: if opts.split_min > 0 {
                 opts.split_min
             } else {
@@ -317,10 +312,10 @@ mod tests {
     #[test]
     fn steal_and_split_matrix_is_bit_identical_with_invariant_counters() {
         // The tentpole guarantee at unit scale: every engine
-        // configuration — dynamic splitting off / default /
-        // forced-everywhere — returns bit-identical `top` and identical
-        // semantic counters under the static threshold, and so does the
-        // sequential miner.
+        // configuration — the split heuristic, which detaches nothing on
+        // these small graphs, and splitting forced everywhere — returns
+        // bit-identical `top` and identical semantic counters under the
+        // static threshold, and so does the sequential miner.
         for seed in [3u32, 8] {
             let g = sample(seed, 40, 300);
             let cfg = MinerConfig::nhp(2, 0.3, 20).without_dynamic_topk();
@@ -328,20 +323,19 @@ mod tests {
             let dims = Dims::all(g.schema());
             let counters = seq.stats.semantic();
             for threads in [1usize, 2, 4, 8] {
-                for (split_depth, split_min) in [(0, 0), (DEFAULT_SPLIT_DEPTH, 1)] {
+                for split_min in [0, 1] {
                     let par = try_mine_parallel_with_opts(
                         &g,
                         &cfg,
                         &dims,
                         ParallelOptions {
                             threads,
-                            split_depth,
                             split_min,
                             ..ParallelOptions::default()
                         },
                     )
                     .unwrap();
-                    let label = format!("seed {seed} threads {threads} depth {split_depth}");
+                    let label = format!("seed {seed} threads {threads} split_min {split_min}");
                     assert_eq!(seq.top, par.top, "{label}");
                     assert_eq!(counters, par.stats.semantic(), "{label}");
                 }

@@ -11,8 +11,8 @@
 //!   segments: `sum` adds, `max` keeps the larger high-water mark.
 //! - The class says what [`MinerStats::semantic`] keeps: a `semantic`
 //!   counter describes the enumeration itself, a `work` counter one
-//!   execution of it (threads, splitting, fusion, kernels, shards,
-//!   faults, service traffic).
+//!   execution of it (threads, splitting, kernels, shards, faults,
+//!   service traffic).
 //!
 //! The struct, `merge`, `semantic` and `Display` are generated from the
 //! table, and serde emits the fields in row order, so adding a counter
@@ -77,9 +77,8 @@ macro_rules! miner_stats {
             /// Copy with every `work` counter and `elapsed` zeroed, keeping
             /// only the `semantic` counters — the ones that must be
             /// bit-identical across execution strategies (thread counts,
-            /// work stealing, dominant-task and subtree splitting, fused vs
-            /// unfused passes, kernel vs scalar loops) for the same
-            /// enumeration.
+            /// work stealing, dominant-task and subtree splitting, shard
+            /// counts) for the same enumeration.
             pub fn semantic(&self) -> MinerStats {
                 MinerStats {
                     $($name: semantic_value!($class, self.$name),)*
@@ -127,16 +126,15 @@ miner_stats! {
     /// splitting legitimately repeats top-level passes, so this varies
     /// with threading while [`MinerStats::semantic`] stays fixed.
     partition_passes: "passes", sum, work;
-    /// Partition passes whose records came from a histogram pre-counted
-    /// by their parent's fused scatter, skipping their own gathers and
-    /// counting. Always ≤ `partition_passes`; zero with
-    /// `MinerConfig::fuse_partitions` off.
+    /// Always 0. It counted the passes a parent's fused two-level scatter
+    /// pre-counted; every pass now counts its own slice. The row stays
+    /// only because the repo benchmark (`perfbench/`) reads it as
+    /// `miner.fused_passes`; it goes with the next benchmark change.
     fused_passes: "fused", sum, work;
     /// Full `grm_graph::kernel::LANES`-wide batches processed by the
-    /// vectorized counting kernels (gather, histogram and fused scatter
-    /// loops). A *work* counter: task splitting legitimately
-    /// repeats passes, so this varies with threading; zero with
-    /// `MinerConfig::use_kernel` off.
+    /// vectorized counting kernels (gather and histogram loops). A
+    /// *work* counter: task splitting legitimately repeats passes, so
+    /// this varies with threading.
     kernel_batches: "kernel_batches", sum, work;
     /// High-water mark, in bytes, of the partition arena's owned scratch
     /// (`grm_graph::sort::PartitionArena::peak_bytes`). Stable across

@@ -131,25 +131,6 @@ impl Dims {
         }
         n
     }
-
-    /// First dimension of [`Dims::r_order`] without materializing the
-    /// order — the dimension a child RIGHT chain will partition first,
-    /// i.e. the target of the miner's fused two-level passes.
-    pub fn r_order_first(&self, l_mask: u64) -> Option<NodeAttrId> {
-        let mut h1 = None;
-        let mut h2 = None;
-        for &a in &self.r_static {
-            if !self.is_homophily(a) {
-                return Some(a);
-            }
-            if l_mask & (1u64 << a.0) == 0 {
-                h1 = h1.or(Some(a));
-            } else {
-                h2 = h2.or(Some(a));
-            }
-        }
-        h1.or(h2)
-    }
 }
 
 #[cfg(test)]
@@ -212,31 +193,6 @@ mod tests {
             d.r_order(mask),
             vec![NodeAttrId(2), NodeAttrId(1), NodeAttrId(0)]
         );
-    }
-
-    #[test]
-    fn r_order_first_agrees_with_r_order() {
-        let d = Dims::all(&schema());
-        for mask in 0u64..8 {
-            assert_eq!(
-                d.r_order_first(mask),
-                d.r_order(mask).first().copied(),
-                "mask {mask:#b}"
-            );
-        }
-        // Homophily-only dimension set: the H1/H2 fallback chain.
-        let s = SchemaBuilder::new()
-            .node_attr("A", 3, true)
-            .node_attr("B", 3, true)
-            .build()
-            .unwrap();
-        let d = Dims::all(&s);
-        for mask in 0u64..4 {
-            assert_eq!(d.r_order_first(mask), d.r_order(mask).first().copied());
-        }
-        // Empty dimension set.
-        let empty = Dims::subset(&s, &[], &[]);
-        assert_eq!(empty.r_order_first(0), None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! (`portable_simd`) is nightly-only, so on stable/beta the feature
 //! deliberately no-ops to the SWAR kernels (`grm_graph::kernel` module
 //! docs) instead of failing the build. `--features simd` is therefore
-//! always safe to pass — CI exercises it on stable.
+//! always safe to pass — CI builds it on stable, and tests the
+//! `std::simd` lanes in a best-effort nightly job.
 
 use std::process::Command;
 

@@ -3,16 +3,14 @@
 //!
 //! GRMiner's inner loops are histogram counting, key gathers and stable
 //! scatters over `u32` position slices and `u16` key columns (§V of the
-//! paper). This module provides those three primitives as explicit
-//! batch kernels:
+//! paper). This module provides the first two as explicit batch
+//! kernels; the stable scatter is serially dependent through its
+//! cursors and stays a plain loop in [`crate::sort::PartitionArena`]:
 //!
 //! * [`gather_keys`] — `keys[i] = col[data[i]]` plus the running key
 //!   maximum (the range check hoisted out of the counting loop);
 //! * [`histogram_u32`] — positional key counting through four
-//!   independent per-lane `u32` histograms, merged at the end;
-//! * [`scatter_with_count`] — the fused scatter: stable scatter by
-//!   cached keys while gathering, clamp-checking and counting each
-//!   item's *next*-dimension key into its partition's histogram.
+//!   independent per-lane `u32` histograms, merged at the end.
 //!
 //! ### The SWAR backend (default, stable Rust)
 //!
@@ -29,13 +27,13 @@
 //! ### The `simd` backend (feature-gated)
 //!
 //! With the `simd` cargo feature **on a nightly toolchain**, the lane
-//! arithmetic (key maxima, clamps, range flags) runs through
-//! `std::simd` vectors behind the same function signatures. On stable
-//! toolchains the feature deliberately no-ops to the SWAR backend —
-//! `build.rs` probes the toolchain channel — so `--features simd` is
-//! always safe to pass. Histogram increments and stable scatters are
-//! inherently serial per bucket and stay scalar in both backends; the
-//! win there is the batched gather front-end.
+//! arithmetic (the key maxima) runs through `std::simd` vectors behind
+//! the same function signatures. On stable toolchains the feature
+//! deliberately no-ops to the SWAR backend — `build.rs` probes the
+//! toolchain channel — so `--features simd` is always safe to pass.
+//! Histogram increments are inherently serial per bucket and stay
+//! scalar in both backends; the win there is the batched gather
+//! front-end.
 //!
 //! ### Batches
 //!
@@ -61,8 +59,8 @@ pub const STRIPES: usize = 4;
 const STRIPE_MIN_KEYS_PER_BUCKET: usize = STRIPES;
 
 /// Whether the two-pass strategy — [`gather_keys`] then
-/// [`histogram_u32`] through the stripes — beats a single fused
-/// gather-and-count pass for `n` keys over `buckets` buckets. The
+/// [`histogram_u32`] through the stripes — beats a single one-pass
+/// gather-and-count loop for `n` keys over `buckets` buckets. The
 /// stripes pay a second read of the key cache plus an
 /// `O(STRIPES × buckets)` merge, which only amortizes on large slices.
 /// The absolute floor was measured on the Pokec-shaped workloads: below
@@ -76,15 +74,6 @@ const STRIPE_MIN_KEYS_PER_BUCKET: usize = STRIPES;
 #[inline]
 pub fn stripes_pay_off(n: usize, buckets: usize) -> bool {
     n >= STRIPE_MIN_KEYS_PER_BUCKET * buckets && n >= 512
-}
-
-/// Whether a batched (gather-up-front) loop beats the plain interleaved
-/// loop for `n` items at all: below a few batches the per-batch lane
-/// staging is pure overhead. Applied by the arena to the fused-scatter
-/// kernel.
-#[inline]
-pub fn batching_pays_off(n: usize) -> bool {
-    n >= 8 * LANES
 }
 
 /// Gather `col[id]` for every id of `data` into `keys` (same length,
@@ -176,66 +165,9 @@ pub fn histogram_u32(keys: &[AttrValue], counts: &mut [u32], stripes: &mut [u32]
     batches
 }
 
-/// The fused scatter (see
-/// [`crate::sort::PartitionArena::scatter_fused`]): stable-scatter
-/// `data` by its cached `keys` through `cursors` into `scatter`, while
-/// gathering each item's key on `next_col` and counting it (clamped to
-/// `next_buckets - 1`) into the per-child histogram block of `fused`.
-/// Returns `(any_next_key_out_of_range, batches)`; on `true` the caller
-/// rolls back exactly as with the scalar loop — the clamp keeps every
-/// write in bounds, so nothing outside the pass's own scratch is
-/// touched.
-///
-/// The scatter chain through `cursors` is serially dependent and stays
-/// scalar; the batching front-loads the next-key gathers per [`LANES`]
-/// items.
-#[inline]
-pub fn scatter_with_count(
-    data: &[u32],
-    keys: &[AttrValue],
-    cursors: &mut [u32],
-    scatter: &mut [u32],
-    next_col: &[AttrValue],
-    next_buckets: usize,
-    fused: &mut [u32],
-) -> (bool, u64) {
-    debug_assert_eq!(data.len(), keys.len());
-    // cast: bucket counts are attribute-domain sized, ≤ u16::MAX + 1
-    let clamp = (next_buckets.saturating_sub(1)) as AttrValue;
-    let mut bad = false;
-    let mut batches = 0u64;
-    let mut i = 0usize;
-    let chunks = data.chunks_exact(LANES);
-    let rem_start = data.len() - chunks.remainder().len();
-    for ch in chunks {
-        let nks = gather_lane_batch(ch, next_col);
-        bad |= lane_any_gt(&nks, clamp);
-        let nks = lane_min(&nks, clamp);
-        for j in 0..LANES {
-            let k = keys[i + j] as usize;
-            let dst = cursors[k] as usize;
-            cursors[k] += 1;
-            scatter[dst] = ch[j];
-            fused[k * next_buckets + nks[j] as usize] += 1;
-        }
-        i += LANES;
-        batches += 1;
-    }
-    for (i, &id) in data.iter().enumerate().skip(rem_start) {
-        let nk = next_col[id as usize];
-        bad |= nk > clamp;
-        let nk = nk.min(clamp);
-        let k = keys[i] as usize;
-        let dst = cursors[k] as usize;
-        cursors[k] += 1;
-        scatter[dst] = id;
-        fused[k * next_buckets + nk as usize] += 1;
-    }
-    (bad, batches)
-}
-
-/// Full [`LANES`]-wide batches in `n` items — the batch count a scalar
-/// replacement of a kernel loop would have processed.
+/// Full [`LANES`]-wide batches in `n` items — the batch count of a loop
+/// that gathers a batch at a time outside these kernels (the arena's
+/// one-pass gather-and-count loop for small slices).
 #[inline]
 pub fn batches(n: usize) -> u64 {
     (n / LANES) as u64
@@ -281,26 +213,6 @@ mod lanes {
     pub fn lane_fold_max(maxes: &[AttrValue; LANES]) -> AttrValue {
         maxes.iter().copied().fold(0, AttrValue::max)
     }
-
-    /// Whether any lane exceeds `clamp`.
-    #[inline(always)]
-    pub fn lane_any_gt(lanes: &[AttrValue; LANES], clamp: AttrValue) -> bool {
-        let mut any = false;
-        for &v in lanes {
-            any |= v > clamp;
-        }
-        any
-    }
-
-    /// Per-lane `min(v, clamp)`.
-    #[inline(always)]
-    pub fn lane_min(lanes: &[AttrValue; LANES], clamp: AttrValue) -> [AttrValue; LANES] {
-        let mut out = *lanes;
-        for v in &mut out {
-            *v = (*v).min(clamp);
-        }
-        out
-    }
 }
 
 #[cfg(all(feature = "simd", grm_nightly_simd))]
@@ -309,7 +221,7 @@ mod lanes {
     //! feature on a nightly toolchain (`build.rs` probes the channel);
     //! everywhere else the SWAR module above serves the same API.
     use super::{AttrValue, LANES};
-    use std::simd::cmp::{SimdOrd, SimdPartialOrd};
+    use std::simd::cmp::SimdOrd;
     use std::simd::Simd;
 
     type V = Simd<AttrValue, LANES>;
@@ -326,19 +238,9 @@ mod lanes {
         use std::simd::num::SimdUint;
         V::from_array(*maxes).reduce_max()
     }
-
-    #[inline(always)]
-    pub fn lane_any_gt(lanes: &[AttrValue; LANES], clamp: AttrValue) -> bool {
-        V::from_array(*lanes).simd_gt(V::splat(clamp)).any()
-    }
-
-    #[inline(always)]
-    pub fn lane_min(lanes: &[AttrValue; LANES], clamp: AttrValue) -> [AttrValue; LANES] {
-        V::from_array(*lanes).simd_min(V::splat(clamp)).to_array()
-    }
 }
 
-use lanes::{lane_any_gt, lane_fold_max, lane_max, lane_min};
+use lanes::{lane_fold_max, lane_max};
 
 #[cfg(test)]
 mod tests {
@@ -382,81 +284,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scatter_with_count_matches_scalar_reference() {
-        let n = 203;
-        let buckets = 5usize;
-        let next_buckets = 4usize;
-        let keys: Vec<AttrValue> = (0..n).map(|i| (i % buckets) as AttrValue).collect();
-        let next_col: Vec<AttrValue> = (0..n)
-            .map(|i| ((i * 3) % next_buckets) as AttrValue)
-            .collect();
-        let data: Vec<u32> = (0..n as u32).map(|i| (i * 31) % n as u32).collect();
-        // Prefix offsets for the keys.
-        let mut counts = vec![0u32; buckets];
-        for &k in &keys {
-            counts[k as usize] += 1;
-        }
-        let mut cursors = vec![0u32; buckets];
-        let mut acc = 0;
-        for (c, k) in cursors.iter_mut().zip(&counts) {
-            *c = acc;
-            acc += k;
-        }
-        // Scalar reference.
-        let mut ref_cursors = cursors.clone();
-        let mut ref_scatter = vec![0u32; n];
-        let mut ref_fused = vec![0u32; buckets * next_buckets];
-        for (i, &id) in data.iter().enumerate() {
-            let k = keys[i] as usize;
-            let dst = ref_cursors[k] as usize;
-            ref_cursors[k] += 1;
-            ref_scatter[dst] = id;
-            let nk = next_col[id as usize];
-            ref_fused[k * next_buckets + nk as usize] += 1;
-        }
-        // Kernel.
-        let mut scatter = vec![0u32; n];
-        let mut fused = vec![0u32; buckets * next_buckets];
-        let (bad, batches) = scatter_with_count(
-            &data,
-            &keys,
-            &mut cursors,
-            &mut scatter,
-            &next_col,
-            next_buckets,
-            &mut fused,
-        );
-        assert!(!bad);
-        assert_eq!(batches, (n / LANES) as u64);
-        assert_eq!(scatter, ref_scatter);
-        assert_eq!(fused, ref_fused);
-        assert_eq!(cursors, ref_cursors);
-    }
-
-    #[test]
-    fn scatter_with_count_flags_out_of_range_next_keys() {
-        let data: Vec<u32> = (0..20).collect();
-        let keys = vec![0 as AttrValue; 20];
-        let mut next_col = vec![0 as AttrValue; 20];
-        next_col[13] = 9; // beyond next_buckets = 2
-        let mut cursors = vec![0u32];
-        let mut scatter = vec![0u32; 20];
-        let mut fused = vec![0u32; 2];
-        let (bad, _) = scatter_with_count(
-            &data,
-            &keys,
-            &mut cursors,
-            &mut scatter,
-            &next_col,
-            2,
-            &mut fused,
-        );
-        assert!(bad, "the sticky flag must catch a clamped key");
-        // All writes stayed in bounds (the clamp): total counted = 20.
-        assert_eq!(fused.iter().sum::<u32>(), 20);
     }
 
     #[test]

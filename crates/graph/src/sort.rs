@@ -5,11 +5,10 @@
 //! key comparisons." This module provides that primitive as a
 //! [`PartitionArena`]: one object owning **all** scratch of the mining
 //! recursion — the bucket histogram, the per-item key cache, the scatter
-//! buffer, a partition-record stack with [`Frame`]-based windows, and a
-//! stack of *fused* child histograms — so that once the arena has warmed up
-//! to the workload's sizes, a partition pass performs **zero heap
-//! allocations**, however deep the recursion (`arena_alloc.rs` asserts this
-//! with a counting allocator).
+//! buffer and a partition-record stack with [`Frame`]-based windows — so
+//! that once the arena has warmed up to the workload's sizes, a partition
+//! pass performs **zero heap allocations**, however deep the recursion
+//! (`arena_alloc.rs` asserts this with a counting allocator).
 //!
 //! ### Count first, scatter when read
 //!
@@ -44,20 +43,6 @@
 //! frames above), and finally release the level with
 //! [`PartitionArena::pop_frame`]. Nothing borrows the arena across the
 //! recursion, and no pass allocates a result vector.
-//!
-//! ### Fused two-level passes
-//!
-//! The mining recursion almost always knows which dimension a child will
-//! partition next (the first dynamic RHS dimension — Eqn. 8). A *fused*
-//! scatter ([`PartitionArena::scatter_fused`]) therefore, while moving the
-//! parent's items, gathers each item's **next** key and counts it into
-//! that child's histogram, for every child at once. The child's pass on
-//! the next dimension is then count-only and gathers nothing:
-//! [`PartitionArena::partition_pre_counted`] reads its records straight
-//! out of the parent's histogram. It has no key cache, so it cannot be
-//! scattered — the miner pre-counts only the first pass of a RIGHT chain,
-//! whose children have an empty tail. Records are identical to a plain
-//! count of the child's slice: a histogram is order-independent.
 //!
 //! ### Errors
 //!
@@ -126,39 +111,11 @@ impl Frame {
     }
 }
 
-/// Handle to one level of fused child histograms, returned by
-/// [`PartitionArena::scatter_fused`]: `parent_buckets × next_buckets`
-/// counters on the arena's fused stack, one histogram per parent value.
-/// Release with [`PartitionArena::pop_fused`] after the partition loop.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedLevel {
-    base: usize,
-    parent_buckets: u32,
-    next_buckets: u32,
-}
-
-/// One child partition's pre-counted histogram, carved out of a
-/// [`FusedLevel`] by [`PartitionArena::child_hist`] and consumed by
-/// [`PartitionArena::partition_pre_counted`].
-#[derive(Debug, Clone, Copy)]
-pub struct FusedHist {
-    offset: usize,
-    buckets: usize,
-}
-
-impl FusedHist {
-    /// Bucket count the histogram was counted for — the consuming pass
-    /// must use the same.
-    pub fn buckets(&self) -> usize {
-        self.buckets
-    }
-}
-
 /// All scratch of the counting-sort partition layer (module docs): bucket
-/// histogram, key cache, scatter buffer, partition-record stack, fused
-/// child-histogram stack. Buffers only ever grow; steady-state passes
-/// allocate nothing. [`PartitionArena::peak_bytes`] reports the high-water
-/// mark (the `scratch_bytes_peak` miner counter).
+/// histogram, key cache, scatter buffer, partition-record stack. Buffers
+/// only ever grow; steady-state passes allocate nothing.
+/// [`PartitionArena::peak_bytes`] reports the high-water mark (the
+/// `scratch_bytes_peak` miner counter).
 ///
 /// Internal invariant: `counts` is all-zeros between passes — a count
 /// re-zeroes each bucket as it emits the bucket's record, and a scatter
@@ -166,7 +123,7 @@ impl FusedHist {
 /// `O(n + bucket_count)` without a full clear of the largest histogram
 /// ever seen. The kernel stripe scratch keeps the same discipline (see
 /// [`kernel::histogram_u32`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionArena {
     /// Bucket histogram during a count, cursors during a scatter.
     counts: Vec<u32>,
@@ -181,60 +138,19 @@ pub struct PartitionArena {
     scatter: Vec<u32>,
     /// The partition-record stack, windowed by [`Frame`]s.
     records: Vec<PartRec>,
-    /// The fused child-histogram stack, windowed by [`FusedLevel`]s.
-    fused: Vec<u32>,
-    fused_top: usize,
     /// Per-lane histogram scratch of the counting kernel
     /// ([`kernel::STRIPES`] stripes; all-zero between passes).
     stripes: Vec<u32>,
-    /// Route hot loops through the batch kernels (`grm_graph::kernel`).
-    /// On by default; outputs are bit-identical either way, so the
-    /// toggle exists for the `scalar_kernel_off` ablation and the
-    /// differential oracles.
-    use_kernel: bool,
     /// Full kernel batches processed since the last
     /// [`PartitionArena::take_kernel_batches`].
     kernel_batches: u64,
     peak: usize,
 }
 
-impl Default for PartitionArena {
-    fn default() -> Self {
-        // lint: allow(alloc-in-arena) — construction site, not a pass:
-        // every buffer starts empty (no capacity) and warms up in place.
-        PartitionArena {
-            counts: Vec::new(),
-            keys: Vec::new(),
-            keys_owner: None,
-            scatter: Vec::new(),
-            records: Vec::new(),
-            fused: Vec::new(),
-            fused_top: 0,
-            stripes: Vec::new(),
-            use_kernel: true,
-            kernel_batches: 0,
-            peak: 0,
-        }
-    }
-}
-
 impl PartitionArena {
-    /// Fresh, empty arena (no allocations until the first pass), with
-    /// the batch kernels enabled.
+    /// Fresh, empty arena (no allocations until the first pass).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enable or disable the batch kernels for subsequent passes.
-    /// Outputs are bit-identical either way (the scalar loops are kept
-    /// as the ablation/differential baseline).
-    pub fn set_kernel_enabled(&mut self, on: bool) {
-        self.use_kernel = on;
-    }
-
-    /// Whether passes currently run through the batch kernels.
-    pub fn kernel_enabled(&self) -> bool {
-        self.use_kernel
     }
 
     /// Drain the accumulated count of full [`kernel::LANES`]-wide
@@ -275,19 +191,11 @@ impl PartitionArena {
             }
             self.keys[i] = k;
         }
-        let keys = &self.keys[..n];
-        let counts = &mut self.counts[..bucket_count];
-        if self.use_kernel {
-            self.kernel_batches += kernel::histogram_u32(
-                keys,
-                counts,
-                &mut self.stripes[..kernel::STRIPES * bucket_count],
-            );
-        } else {
-            for &k in keys {
-                counts[k as usize] += 1;
-            }
-        }
+        self.kernel_batches += kernel::histogram_u32(
+            &self.keys[..n],
+            &mut self.counts[..bucket_count],
+            &mut self.stripes[..kernel::STRIPES * bucket_count],
+        );
         let frame = self.emit_records(bucket_count);
         self.scatter(data, &frame);
         self.note_peak();
@@ -333,153 +241,35 @@ impl PartitionArena {
     /// other pass counts — the key cache holds one pass (checked in
     /// debug builds).
     pub fn scatter(&mut self, data: &mut [u32], frame: &Frame) {
-        self.set_cursors(data.len(), frame);
+        debug_assert_eq!(
+            self.keys_owner,
+            Some(frame.indices()),
+            "scatter of a frame whose key cache another pass overwrote"
+        );
         let n = data.len();
+        let records = &self.records[frame.start as usize..frame.end as usize];
+        debug_assert_eq!(
+            records.last().map_or(0, |r| r.end as usize),
+            n,
+            "scatter over a slice of another length than its count"
+        );
+        // Each record's cursor starts at its range; the scatter leaves
+        // the cursors at the range ends, so they are re-zeroed after.
         let counts = &mut self.counts;
+        for r in records {
+            counts[r.value as usize] = r.start;
+        }
         let scatter = &mut self.scatter[..n];
         for (&id, &k) in data.iter().zip(&self.keys[..n]) {
             let cursor = &mut counts[k as usize];
             scatter[*cursor as usize] = id;
             *cursor += 1;
         }
-        self.finish_scatter(data, frame);
-    }
-
-    /// The fused scatter (module docs): [`PartitionArena::scatter`], while
-    /// also counting each item's key on `next_col` into a fresh
-    /// [`FusedLevel`] — one `next_buckets`-wide histogram per parent
-    /// partition. Children read theirs through
-    /// [`PartitionArena::child_hist`] and
-    /// [`PartitionArena::partition_pre_counted`]; the caller pops the
-    /// level with [`PartitionArena::pop_fused`] after its partition loop.
-    /// On a next key at or beyond `next_buckets` nothing moves and the
-    /// pass stays unscattered (a plain scatter may still follow).
-    pub fn scatter_fused(
-        &mut self,
-        data: &mut [u32],
-        frame: &Frame,
-        next_col: &[AttrValue],
-        next_buckets: usize,
-    ) -> Result<FusedLevel> {
-        if next_buckets == 0 && !data.is_empty() {
-            // Deterministic bail before any arena state is touched: a
-            // zero-bucket next dimension cannot key any item. Report the
-            // first item's *actual* key; a next column that does not
-            // even cover the data is its own error — never a fabricated
-            // key 0 (which downstream cost models would mistake for a
-            // real NULL key).
-            return Err(match next_col.get(data[0] as usize) {
-                Some(&key) => GraphError::KeyOutOfRange {
-                    key,
-                    bucket_count: 0,
-                },
-                None => GraphError::ColumnTooShort {
-                    len: next_col.len(),
-                    index: data[0] as usize,
-                },
-            });
+        data.copy_from_slice(scatter);
+        for r in records {
+            counts[r.value as usize] = 0;
         }
-        self.set_cursors(data.len(), frame);
-        let n = data.len();
-        // Push a zeroed histogram level, one row per parent value up to
-        // the frame's largest.
-        let parent_buckets = self
-            .records(frame)
-            .last()
-            .map_or(0, |r| r.value as usize + 1);
-        let base = self.fused_top;
-        let size = parent_buckets * next_buckets;
-        if self.fused.len() < base + size {
-            self.fused.resize(base + size, 0);
-        }
-        self.fused[base..base + size].fill(0);
-        self.fused_top = base + size;
-        // Scatter while counting the next dimension. Slice-local views
-        // keep the hot loop's bounds arithmetic simple; the key-range
-        // check is branchless (clamp + sticky flag) so it never breaks
-        // the loop's pipelining — the cold rollback below discards
-        // anything a clamped key touched.
-        let mut bad = false;
-        {
-            let counts = &mut self.counts;
-            let keys = &self.keys[..n];
-            let scatter = &mut self.scatter[..n];
-            let fused = &mut self.fused[base..base + size];
-            if self.use_kernel && kernel::batching_pays_off(n) {
-                let (b, batches) = kernel::scatter_with_count(
-                    data,
-                    keys,
-                    counts,
-                    scatter,
-                    next_col,
-                    next_buckets,
-                    fused,
-                );
-                bad = b;
-                self.kernel_batches += batches;
-            } else {
-                let clamp = next_buckets.saturating_sub(1);
-                for (&id, &k) in data.iter().zip(keys) {
-                    let k = k as usize;
-                    let cursor = &mut counts[k];
-                    scatter[*cursor as usize] = id;
-                    *cursor += 1;
-                    let nk = next_col[id as usize] as usize;
-                    bad |= nk > clamp;
-                    fused[k * next_buckets + nk.min(clamp)] += 1;
-                }
-            }
-        }
-        if bad {
-            // Roll back: cursors are dirty and the level is garbage;
-            // `data` and the key cache are untouched.
-            // lint: allow(panic-in-hot-path) — cold error-recovery scan:
-            // `bad` was set by exactly this predicate one loop earlier, so
-            // the offender must still be found on the re-scan.
-            let key = data
-                .iter()
-                .map(|&id| next_col[id as usize])
-                .find(|&nk| nk as usize >= next_buckets)
-                .expect("a key beyond the clamp set the flag");
-            self.counts.iter_mut().for_each(|c| *c = 0);
-            self.fused_top = base;
-            return Err(GraphError::KeyOutOfRange {
-                key,
-                bucket_count: next_buckets,
-            });
-        }
-        self.finish_scatter(data, frame);
-        self.note_peak();
-        Ok(FusedLevel {
-            base,
-            parent_buckets: parent_buckets as u32, // cast: ≤ bucket counts ≤ u16 domain + 1
-            next_buckets: next_buckets as u32,     // cast: bucket counts ≤ u16 domain + 1
-        })
-    }
-
-    /// The pre-counted histogram of one child partition (`part`, a
-    /// record of the pass whose fused scatter produced `level`).
-    pub fn child_hist(&self, level: FusedLevel, part: PartRec) -> FusedHist {
-        debug_assert!((part.value as u32) < level.parent_buckets);
-        FusedHist {
-            offset: level.base + part.value as usize * level.next_buckets as usize,
-            buckets: level.next_buckets as usize,
-        }
-    }
-
-    /// A count-only pass from a histogram the parent's fused scatter
-    /// counted: the records come straight out of `hist` — no gathers and
-    /// no `data` — and equal a plain [`PartitionArena::count_col`] of the
-    /// child's slice. There is no key cache behind them, so the frame
-    /// cannot be scattered. Consumes the histogram.
-    pub fn partition_pre_counted(&mut self, bucket_count: usize, hist: FusedHist) -> Frame {
-        debug_assert_eq!(hist.buckets, bucket_count, "histogram/bucket mismatch");
-        let frame = drain_records(
-            &mut self.records,
-            &mut self.fused[hist.offset..hist.offset + bucket_count],
-        );
-        self.note_peak();
-        frame
+        self.keys_owner = None;
     }
 
     /// Copy one partition record out of a frame.
@@ -497,16 +287,6 @@ impl PartitionArena {
     pub fn pop_frame(&mut self, frame: Frame) {
         debug_assert_eq!(self.records.len() as u32, frame.end, "non-LIFO pop");
         self.records.truncate(frame.start as usize);
-    }
-
-    /// Release a fused level. LIFO, after the producing partition loop.
-    pub fn pop_fused(&mut self, level: FusedLevel) {
-        debug_assert_eq!(
-            self.fused_top,
-            level.base + level.parent_buckets as usize * level.next_buckets as usize,
-            "non-LIFO fused pop"
-        );
-        self.fused_top = level.base;
     }
 
     /// High-water mark of the arena's owned scratch, in bytes. Stable
@@ -532,24 +312,21 @@ impl PartitionArena {
         if self.scatter.len() < n {
             self.scatter.resize(n, 0);
         }
-        if self.use_kernel {
-            let want = kernel::STRIPES * bucket_count;
-            if self.stripes.len() < want {
-                self.stripes.resize(want, 0);
-            }
+        let want = kernel::STRIPES * bucket_count;
+        if self.stripes.len() < want {
+            self.stripes.resize(want, 0);
         }
     }
 
     /// Fill the key cache and the histogram from a contiguous key column.
-    /// With the kernels on and a slice large enough for the stripes to
-    /// pay ([`kernel::stripes_pay_off`]): one gather pass fills the key
-    /// cache and returns the key maximum (the range check hoisted out of
-    /// the loop), then the striped histogram counts the cache
-    /// positionally — on a bad key the histogram was never touched, and
-    /// the first offender in scan order is recovered from the cache for
-    /// the error (cold path). Smaller passes use the single fused
-    /// gather-and-count loop below, which is also the `scalar_kernel_off`
-    /// baseline.
+    /// On a slice large enough for the stripes to pay
+    /// ([`kernel::stripes_pay_off`]): one gather pass fills the key cache
+    /// and returns the key maximum (the range check hoisted out of the
+    /// loop), then the striped histogram counts the cache positionally —
+    /// on a bad key the histogram was never touched, and the first
+    /// offender in scan order is recovered from the cache for the error
+    /// (cold path). Smaller passes use the one-pass gather-and-count loop
+    /// below.
     fn histogram_col(
         &mut self,
         data: &[u32],
@@ -557,7 +334,7 @@ impl PartitionArena {
         col: &[AttrValue],
     ) -> Result<()> {
         let n = data.len();
-        if self.use_kernel && kernel::stripes_pay_off(n, bucket_count) {
+        if kernel::stripes_pay_off(n, bucket_count) {
             let (max, batches) = kernel::gather_keys(data, col, &mut self.keys[..n]);
             self.kernel_batches += batches;
             if (max as usize) >= bucket_count {
@@ -578,14 +355,10 @@ impl PartitionArena {
             );
             return Ok(());
         }
-        if self.use_kernel {
-            // The small-pass strategy still processes whole batches (the
-            // chunked gathers below); account for them.
-            self.kernel_batches += kernel::batches(n);
-        }
-        // One-pass chunked loop (small kernel passes and the
-        // `scalar_kernel_off` baseline): gathers for a whole chunk issue
-        // before the (serially dependent) increments.
+        // One-pass chunked loop: the gathers of a whole batch issue
+        // before its (serially dependent) increments, so it counts as
+        // kernel batches too.
+        self.kernel_batches += kernel::batches(n);
         let counts = &mut self.counts[..bucket_count];
         let keys = &mut self.keys[..n];
         let mut bad: Option<AttrValue> = None;
@@ -635,42 +408,32 @@ impl PartitionArena {
         }
     }
 
-    /// End a count: emit the histogram's records (re-zeroing it) and
-    /// make the new frame the key cache's owner.
+    /// End a count: push one record per non-empty bucket of the
+    /// histogram, in increasing value order with ranges tiling the slice,
+    /// re-zeroing each bucket as it goes, and make the new frame the key
+    /// cache's owner.
     fn emit_records(&mut self, bucket_count: usize) -> Frame {
-        let frame = drain_records(&mut self.records, &mut self.counts[..bucket_count]);
+        // cast: ≤ one record per element, and n ≤ the u32 edge cap
+        let start = self.records.len() as u32;
+        let mut at = 0u32;
+        for (v, c) in self.counts[..bucket_count].iter_mut().enumerate() {
+            if *c > 0 {
+                self.records.push(PartRec {
+                    value: v as AttrValue, // cast: v < bucket_count ≤ u16 domain + 1
+                    start: at,
+                    end: at + *c,
+                });
+                at += *c;
+                *c = 0;
+            }
+        }
+        let frame = Frame {
+            start,
+            // cast: ≤ one record per element, and n ≤ the u32 edge cap
+            end: self.records.len() as u32,
+        };
         self.keys_owner = Some(frame.indices());
         frame
-    }
-
-    /// Start a scatter of `frame` over `n` items: check that the key
-    /// cache is still this count's, then set each record's cursor to its
-    /// start offset.
-    fn set_cursors(&mut self, n: usize, frame: &Frame) {
-        debug_assert_eq!(
-            self.keys_owner,
-            Some(frame.indices()),
-            "scatter of a frame whose key cache another pass overwrote"
-        );
-        let records = &self.records[frame.start as usize..frame.end as usize];
-        debug_assert_eq!(
-            records.last().map_or(0, |r| r.end as usize),
-            n,
-            "scatter over a slice of another length than its count"
-        );
-        for r in records {
-            self.counts[r.value as usize] = r.start;
-        }
-    }
-
-    /// End a scatter: copy the moved items back, re-zero the frame's
-    /// cursors, and release the key cache.
-    fn finish_scatter(&mut self, data: &mut [u32], frame: &Frame) {
-        data.copy_from_slice(&self.scatter[..data.len()]);
-        for r in &self.records[frame.start as usize..frame.end as usize] {
-            self.counts[r.value as usize] = 0;
-        }
-        self.keys_owner = None;
     }
 
     /// Update the high-water mark after a pass (capacities are monotone).
@@ -679,34 +442,8 @@ impl PartitionArena {
             + self.keys.capacity() * std::mem::size_of::<AttrValue>()
             + self.scatter.capacity() * std::mem::size_of::<u32>()
             + self.records.capacity() * std::mem::size_of::<PartRec>()
-            + self.fused.capacity() * std::mem::size_of::<u32>()
             + self.stripes.capacity() * std::mem::size_of::<u32>();
         self.peak = self.peak.max(bytes);
-    }
-}
-
-/// Push one record per non-empty bucket of `hist` onto `records`, in
-/// increasing value order with ranges tiling `0..Σ hist`, zeroing the
-/// histogram as it goes; returns the new frame.
-fn drain_records(records: &mut Vec<PartRec>, hist: &mut [u32]) -> Frame {
-    // cast: ≤ one record per element, and n ≤ the u32 edge cap
-    let start = records.len() as u32;
-    let mut at = 0u32;
-    for (v, c) in hist.iter_mut().enumerate() {
-        if *c > 0 {
-            records.push(PartRec {
-                value: v as AttrValue, // cast: v < bucket_count ≤ u16 domain + 1
-                start: at,
-                end: at + *c,
-            });
-            at += *c;
-            *c = 0;
-        }
-    }
-    Frame {
-        start,
-        // cast: ≤ one record per element, and n ≤ the u32 edge cap
-        end: records.len() as u32,
     }
 }
 
@@ -896,113 +633,6 @@ mod tests {
         arena.pop_frame(outer);
     }
 
-    /// Reference: a count plus fused scatter, with count-only children,
-    /// must equal plain passes bit for bit — the parent's data order and
-    /// records, and each child's records.
-    #[test]
-    fn fused_pair_matches_unfused_passes() {
-        let n = 257u32;
-        let col: Vec<u16> = (0..n).map(|i| (i * 7 % 5) as u16).collect();
-        let next: Vec<u16> = (0..n).map(|i| (i * 13 % 4) as u16).collect();
-        let base: Vec<u32> = (0..n).map(|i| (i * 31) % n).collect();
-
-        // Unfused reference.
-        let mut ref_arena = PartitionArena::new();
-        let mut ref_data = base.clone();
-        let ref_outer = ref_arena.partition_col(&mut ref_data, 5, &col).unwrap();
-        let ref_parts: Vec<PartRec> = ref_arena.records(&ref_outer).to_vec();
-        ref_arena.pop_frame(ref_outer);
-        let mut ref_children: Vec<Vec<PartRec>> = Vec::new();
-        for part in &ref_parts {
-            let f = ref_arena
-                .count_col(&ref_data[part.range()], 4, &next)
-                .unwrap();
-            ref_children.push(ref_arena.records(&f).to_vec());
-            ref_arena.pop_frame(f);
-        }
-
-        // Fused.
-        let mut arena = PartitionArena::new();
-        let mut data = base.clone();
-        let outer = arena.count_col(&data, 5, &col).unwrap();
-        let level = arena.scatter_fused(&mut data, &outer, &next, 4).unwrap();
-        let parts: Vec<PartRec> = arena.records(&outer).to_vec();
-        assert_eq!(parts, ref_parts);
-        assert_eq!(data, ref_data);
-        for (i, part) in parts.iter().enumerate() {
-            let hist = arena.child_hist(level, *part);
-            assert_eq!(hist.buckets(), 4);
-            let f = arena.partition_pre_counted(4, hist);
-            assert_eq!(arena.records(&f), &ref_children[i][..], "child {i} records");
-            arena.pop_frame(f);
-        }
-        arena.pop_fused(level);
-        arena.pop_frame(outer);
-        assert_eq!(data, ref_data, "count-only children move nothing");
-    }
-
-    #[test]
-    fn fused_rejects_out_of_range_next_key() {
-        let mut arena = PartitionArena::new();
-        let mut data: Vec<u32> = (0..10).rev().collect();
-        let col: Vec<u16> = (0..10).map(|i| (i % 2) as u16 + 1).collect();
-        let next: Vec<u16> = (0..10).map(|i| if i == 6 { 7 } else { 0 }).collect();
-        let f = arena.count_col(&data, 3, &col).unwrap();
-        let err = arena.scatter_fused(&mut data, &f, &next, 2).unwrap_err();
-        assert!(matches!(err, GraphError::KeyOutOfRange { key: 7, .. }));
-        // Rolled back: nothing moved, counts are clean, and the pass is
-        // still pending, so a plain scatter completes it.
-        assert_eq!(data, (0..10).rev().collect::<Vec<u32>>());
-        assert!(arena.counts.iter().all(|&c| c == 0));
-        arena.scatter(&mut data, &f);
-        assert_eq!(data, [8, 6, 4, 2, 0, 9, 7, 5, 3, 1]);
-        arena.pop_frame(f);
-        // The arena works again.
-        let mut data2: Vec<u32> = (0..10).collect();
-        let f = arena.count_col(&data2, 3, &col).unwrap();
-        let lvl = arena.scatter_fused(&mut data2, &f, &col, 3).unwrap();
-        assert_eq!(f.len(), 2);
-        arena.pop_fused(lvl);
-        arena.pop_frame(f);
-    }
-
-    #[test]
-    fn fused_zero_next_buckets_is_an_error_not_a_panic() {
-        // Degenerate public-API call: non-empty data, zero next buckets.
-        // Must be a checked error, not an index panic inside the error
-        // construction — and the reported key must be the item's *real*
-        // key when the column covers it, never a fabricated 0.
-        let mut arena = PartitionArena::new();
-        let mut data = vec![0u32];
-        let f = arena.count_col(&data, 1, &[0u16]).unwrap();
-        let err = arena.scatter_fused(&mut data, &f, &[7u16], 0).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::KeyOutOfRange {
-                key: 7,
-                bucket_count: 0
-            },
-            "the error must carry the real first key"
-        );
-        // A next column that does not cover the data is its own error
-        // (the old path fabricated key 0 here).
-        let err = arena.scatter_fused(&mut data, &f, &[], 0).unwrap_err();
-        assert_eq!(err, GraphError::ColumnTooShort { len: 0, index: 0 });
-        assert!(err.to_string().contains("cannot cover position 0"));
-        // Either bail leaves the pass pending and the arena usable.
-        let lvl = arena.scatter_fused(&mut data, &f, &[0u16], 1).unwrap();
-        assert_eq!(f.len(), 1);
-        arena.pop_fused(lvl);
-        arena.pop_frame(f);
-        // Empty data with zero next buckets is a valid empty level.
-        let mut empty: Vec<u32> = vec![];
-        let f = arena.count_col(&empty, 1, &[]).unwrap();
-        let lvl = arena.scatter_fused(&mut empty, &f, &[], 0).unwrap();
-        assert!(f.is_empty());
-        arena.pop_fused(lvl);
-        arena.pop_frame(f);
-    }
-
     /// A scatter must follow its own count: once another pass has counted
     /// into the key cache, scattering the earlier frame is a bug the
     /// debug build catches instead of moving items by foreign keys.
@@ -1019,91 +649,39 @@ mod tests {
         arena.scatter(&mut outer, &f);
     }
 
-    /// The batch kernels are a pure execution strategy, and a count
-    /// followed by its scatter is the one-shot pass: every pass kind
-    /// produces bit-identical data, records and fused state with the
-    /// kernels on and off, and count + scatter (plain or fused) equals
-    /// the one-shot closure pass.
+    /// A count followed by its scatter is the one-shot pass: the kernel
+    /// gather and striped histogram of a large columnar pass, and the
+    /// one-pass scalar loop of a small one, produce the data order and
+    /// records of the closure pass, whose gather is a plain scalar loop.
     #[test]
     fn kernel_and_scalar_passes_are_bit_identical() {
-        let n = 1013u32;
-        let col: Vec<u16> = (0..n).map(|i| (i * 7 % 23) as u16).collect();
-        let next: Vec<u16> = (0..n).map(|i| (i * 13 % 6) as u16).collect();
-        let base: Vec<u32> = (0..n).map(|i| (i * 31) % n).collect();
-
-        let run = |kernel_on: bool| {
+        for n in [1013u32, 300] {
+            let col: Vec<u16> = (0..n).map(|i| (i * 7 % 23) as u16).collect();
+            let base: Vec<u32> = (0..n).map(|i| (i * 31) % n).collect();
             let mut arena = PartitionArena::new();
-            arena.set_kernel_enabled(kernel_on);
-            assert_eq!(arena.kernel_enabled(), kernel_on);
-            // One-shot closure pass: the reference order.
             let mut one_shot = base.clone();
             let f = arena
                 .partition_with(&mut one_shot, 23, |id| col[id as usize])
                 .unwrap();
             let one_shot_recs = arena.records(&f).to_vec();
             arena.pop_frame(f);
-            // Plain columnar pass: count, then scatter.
             let mut data = base.clone();
             let f = arena.count_col(&data, 23, &col).unwrap();
             let counted_recs = arena.records(&f).to_vec();
             arena.scatter(&mut data, &f);
-            let plain_recs = arena.records(&f).to_vec();
-            assert_eq!(counted_recs, plain_recs, "a scatter changes no record");
+            assert_eq!(
+                arena.records(&f),
+                &counted_recs[..],
+                "a scatter changes no record"
+            );
             arena.pop_frame(f);
-            // Count, fused scatter, every child counted from it.
-            let mut data2 = base.clone();
-            let f = arena.count_col(&data2, 23, &col).unwrap();
-            let lvl = arena.scatter_fused(&mut data2, &f, &next, 6).unwrap();
-            let fused_recs = arena.records(&f).to_vec();
-            let mut children = Vec::new();
-            for rec in fused_recs.clone() {
-                let cf = arena.partition_pre_counted(6, arena.child_hist(lvl, rec));
-                children.push(arena.records(&cf).to_vec());
-                arena.pop_frame(cf);
-            }
-            arena.pop_fused(lvl);
-            arena.pop_frame(f);
-            // The same children counted plainly over their slices.
-            let mut counted_children = Vec::new();
-            for rec in &fused_recs {
-                let cf = arena.count_col(&data2[rec.range()], 6, &next).unwrap();
-                counted_children.push(arena.records(&cf).to_vec());
-                arena.pop_frame(cf);
-            }
-            assert_eq!(children, counted_children, "pre-counted children");
-            let batches = arena.take_kernel_batches();
-            (
-                one_shot,
-                one_shot_recs,
-                data,
-                plain_recs,
-                data2,
-                fused_recs,
-                children,
-                batches,
-            )
-        };
-        let with_kernel = run(true);
-        let without = run(false);
-        assert_eq!(with_kernel.0, without.0, "one-shot pass data");
-        assert_eq!(with_kernel.1, without.1, "one-shot pass records");
-        assert_eq!(with_kernel.2, without.2, "plain pass data");
-        assert_eq!(with_kernel.3, without.3, "plain pass records");
-        assert_eq!(with_kernel.4, without.4, "fused pass data");
-        assert_eq!(with_kernel.5, without.5, "fused pass records");
-        assert_eq!(with_kernel.6, without.6, "pre-counted children");
-        assert_eq!(
-            with_kernel.2, with_kernel.0,
-            "count + scatter is the one-shot pass"
-        );
-        assert_eq!(with_kernel.3, with_kernel.1);
-        assert_eq!(
-            with_kernel.4, with_kernel.0,
-            "fusion moves items identically"
-        );
-        assert_eq!(with_kernel.5, with_kernel.1);
-        assert!(with_kernel.7 > 0, "kernel batches counted when enabled");
-        assert_eq!(without.7, 0, "no kernel batches in scalar mode");
+            assert_eq!(
+                data, one_shot,
+                "n = {n}: count + scatter is the one-shot pass"
+            );
+            assert_eq!(counted_recs, one_shot_recs, "n = {n}");
+            assert!(arena.take_kernel_batches() > 0, "n = {n}: batches counted");
+        }
     }
 
     #[test]

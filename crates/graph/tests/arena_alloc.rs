@@ -1,9 +1,9 @@
 //! The zero-allocation guarantee of the partition engine, asserted with a
 //! counting allocator: after one warm-up pass over a workload, driving a
-//! full mining-shaped recursion (counts, lazy plain and fused scatters,
-//! count-only pre-counted leaves, varied slice sizes and bucket counts)
-//! through a [`PartitionArena`] performs **zero** heap allocations — per
-//! recursion node and in total.
+//! full mining-shaped recursion (counts, lazy scatters, count-only
+//! leaves, varied slice sizes and bucket counts) through a
+//! [`PartitionArena`] performs **zero** heap allocations — per recursion
+//! node and in total.
 
 use grm_graph::sort::PartitionArena;
 use grm_graph::AttrValue;
@@ -61,13 +61,12 @@ fn columns(n: usize, dims: usize) -> Vec<Vec<AttrValue>> {
 }
 
 /// A mining-shaped recursion, in the miner's count-first shape: count by
-/// `cols[depth]`, and scatter — fused with the next column where the
-/// miner's cost model would fuse — only before the first partition that
-/// reads its slice. Odd-valued partitions stand in for the miner's
-/// support and score pruning and never read theirs. A fused child runs
-/// its first pass count-only from the pre-counted histogram, as the
-/// first pass of a RIGHT chain does, then continues on the column after.
-/// Returns a checksum so nothing is optimized out.
+/// `cols[depth]`, and scatter only before the first partition that reads
+/// its slice. Odd-valued partitions stand in for the miner's support and
+/// score pruning and never read theirs, and a pass on the last column is
+/// a count-only leaf, as the first pass of a RIGHT chain is: its children
+/// have nothing left to partition. Returns a checksum so nothing is
+/// optimized out.
 fn recurse(
     arena: &mut PartitionArena,
     data: &mut [u32],
@@ -75,44 +74,21 @@ fn recurse(
     buckets: &[usize],
     depth: usize,
 ) -> u64 {
-    if depth >= cols.len() {
-        return 0;
-    }
     let mut sum = 0u64;
-    let fuse = depth + 1 < cols.len() && data.len() * 4 >= buckets[depth] * buckets[depth + 1];
+    let leaf = depth + 1 == cols.len();
     let frame = arena.count_col(data, buckets[depth], &cols[depth]).unwrap();
     let mut scattered = false;
-    let mut level = None;
     for idx in frame.indices() {
         let part = arena.record(idx);
         sum += part.value as u64 * part.len() as u64;
-        if part.value % 2 == 1 {
+        if leaf || part.value % 2 == 1 {
             continue;
         }
         if !scattered {
             scattered = true;
-            if fuse {
-                let next = (&cols[depth + 1], buckets[depth + 1]);
-                level = Some(arena.scatter_fused(data, &frame, next.0, next.1).unwrap());
-            } else {
-                arena.scatter(data, &frame);
-            }
+            arena.scatter(data, &frame);
         }
-        let sub = &mut data[part.range()];
-        if let Some(lvl) = level {
-            let hist = arena.child_hist(lvl, part);
-            let child = arena.partition_pre_counted(buckets[depth + 1], hist);
-            for j in child.indices() {
-                sum += arena.record(j).value as u64;
-            }
-            arena.pop_frame(child);
-            sum += recurse(arena, sub, cols, buckets, depth + 2);
-        } else {
-            sum += recurse(arena, sub, cols, buckets, depth + 1);
-        }
-    }
-    if let Some(lvl) = level {
-        arena.pop_fused(lvl);
+        sum += recurse(arena, &mut data[part.range()], cols, buckets, depth + 1);
     }
     arena.pop_frame(frame);
     sum

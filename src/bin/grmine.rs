@@ -3,8 +3,7 @@
 //! ```text
 //! grmine mine  <graph.grm> [--min-supp N] [--min-score F] [--k N]
 //!              [--metric nhp|conf|laplace|gain|ps|conviction|lift]
-//!              [--no-dynamic] [--no-fuse] [--no-kernel]
-//!              [--threads N | --parallel N] [--split-depth N]
+//!              [--no-dynamic] [--threads N | --parallel N]
 //!              [--shards N [--memory-budget BYTES]]
 //!              [--timeout MS] [--json] [--stats-json]
 //!              [--allow-empty-lhs] [--baseline-bl1 | --baseline-bl2]
@@ -20,16 +19,14 @@
 //! at least 1 (a zero would silently disable top-k selection / support
 //! pruning). `--threads 0` is *documented* behavior, not an error: it
 //! means "auto-detect available parallelism" (falling back to one
-//! worker, with a warning, when detection fails); `--split-depth 0`
-//! disables subtree splitting.
+//! worker, with a warning, when detection fails).
 //!
 //! `--shards N` routes the mine through the sharded out-of-core engine:
 //! the graph is spilled to an N-way on-disk `ShardStore` in a scratch
 //! directory and mined shard by shard, optionally under a resident-set
 //! cap of `--memory-budget` bytes (which therefore requires `--shards`).
 //! `--threads` composes with it (sharded workers; 0 = auto); the
-//! work-stealing knob `--split-depth` and the sequential baselines do
-//! not.
+//! sequential baselines do not.
 //!
 //! `--timeout MS` bounds the mine's wall-clock time: when the deadline
 //! expires every engine drains its counters and exits with a typed
@@ -60,12 +57,9 @@ const MINE_FLAGS: &[&str] = &[
     "--k",
     "--metric",
     "--no-dynamic",
-    "--no-fuse",
-    "--no-kernel",
     "--allow-empty-lhs",
     "--threads",
     "--parallel",
-    "--split-depth",
     "--shards",
     "--memory-budget",
     "--timeout",
@@ -134,7 +128,7 @@ fn cmd_mine(args: &[String]) -> i32 {
     } else {
         f64::NEG_INFINITY
     };
-    type MineFlags = (u64, f64, usize, Option<usize>, Option<usize>);
+    type MineFlags = (u64, f64, usize, Option<usize>);
     let parsed = (|| -> Result<MineFlags, String> {
         let threads = match (
             parse_flag::<usize>(args, "--parallel")?,
@@ -151,10 +145,9 @@ fn cmd_mine(args: &[String]) -> i32 {
             parse_flag(args, "--min-score")?.unwrap_or(default_score),
             parse_flag(args, "--k")?.unwrap_or(20),
             threads,
-            parse_flag(args, "--split-depth")?,
         ))
     })();
-    let (min_supp, min_score, k, parallel, split_depth) = match parsed {
+    let (min_supp, min_score, k, parallel) = match parsed {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -217,12 +210,6 @@ fn cmd_mine(args: &[String]) -> i32 {
     if has_flag(args, "--no-dynamic") {
         cfg.dynamic_topk = false;
     }
-    if has_flag(args, "--no-fuse") {
-        cfg.fuse_partitions = false;
-    }
-    if has_flag(args, "--no-kernel") {
-        cfg.use_kernel = false;
-    }
     if has_flag(args, "--allow-empty-lhs") {
         cfg.allow_empty_lhs = true;
     }
@@ -233,24 +220,11 @@ fn cmd_mine(args: &[String]) -> i32 {
         return 2;
     }
 
-    if parallel.is_none() && split_depth.is_some() {
-        // An engine knob without an engine would silently do nothing;
-        // the CLI's contract is that a present flag always takes effect.
-        eprintln!("--split-depth configures the parallel engine; add --threads N");
-        return 2;
-    }
     if parallel.is_some() && (has_flag(args, "--baseline-bl1") || has_flag(args, "--baseline-bl2"))
     {
         // The baselines are sequential by design; silently running the
         // parallel GRMiner instead would mislabel the numbers.
         eprintln!("--baseline-bl1/--baseline-bl2 are sequential; drop --threads");
-        return 2;
-    }
-    if shards.is_some() && split_depth.is_some() {
-        // The sharded engine parallelizes across whole mining units and
-        // never splits subtrees; accepting the knob would silently
-        // ignore it.
-        eprintln!("--split-depth configures the work-stealing engine; drop --shards");
         return 2;
     }
     if shards.is_some() && (has_flag(args, "--baseline-bl1") || has_flag(args, "--baseline-bl2")) {
@@ -267,7 +241,6 @@ fn cmd_mine(args: &[String]) -> i32 {
     }
     let engine = parallel.map(|threads| ParallelOptions {
         threads,
-        split_depth: split_depth.unwrap_or(social_ties::core::parallel::DEFAULT_SPLIT_DEPTH),
         ..ParallelOptions::default()
     });
     let outcome = if let Some(shards) = shards {
@@ -365,10 +338,7 @@ fn cmd_mine(args: &[String]) -> i32 {
                 0 => "auto".to_string(),
                 n => n.to_string(),
             };
-            eprintln!(
-                "engine: threads={} split_depth={} dynamic={}",
-                threads, opts.split_depth, cfg.dynamic_topk
-            );
+            eprintln!("engine: threads={} dynamic={}", threads, cfg.dynamic_topk);
         }
         eprint!("{}", result.report(graph.schema()));
     } else if has_flag(args, "--json") {

@@ -193,7 +193,7 @@ fn cli_stats_json_pins_the_counter_schema() {
     let stats: social_ties::MinerStats = serde_json::from_slice(&out.stdout).unwrap();
     assert!(stats.partition_passes > 0);
     assert!(stats.scratch_bytes_peak > 0);
-    assert!(stats.fused_passes <= stats.partition_passes);
+    assert_eq!(stats.fused_passes, 0, "no pass is pre-counted any more");
     assert!(stats.kernel_batches > 0, "the counting kernel is live");
     // The human report still arrives, on stderr.
     assert!(String::from_utf8_lossy(&out.stderr).contains("score="));
@@ -213,8 +213,6 @@ fn cli_stats_json_pins_the_counter_schema() {
     assert!(!out.status.success());
     assert!(!out.stderr.is_empty());
 
-    // --no-fuse (the ablation toggle) zeroes fused_passes but must not
-    // change the mined results.
     let run = |extra: &[&str]| {
         let mut a = vec![
             "mine",
@@ -231,25 +229,13 @@ fn cli_stats_json_pins_the_counter_schema() {
         let stats: social_ties::MinerStats = serde_json::from_slice(&out.stdout).unwrap();
         (stats, String::from_utf8_lossy(&out.stderr).to_string())
     };
-    let (fused, fused_report) = run(&[]);
-    let (unfused, unfused_report) = run(&["--no-fuse"]);
-    assert_eq!(unfused.fused_passes, 0);
-    assert_eq!(fused.semantic(), unfused.semantic());
-    assert_eq!(fused_report, unfused_report);
-
-    // --no-kernel (the scalar_kernel_off ablation toggle) zeroes
-    // kernel_batches but must not change the mined results either.
-    let (scalar, scalar_report) = run(&["--no-kernel"]);
-    assert_eq!(scalar.kernel_batches, 0);
-    assert_eq!(fused.semantic(), scalar.semantic());
-    assert_eq!(fused_report, scalar_report);
+    let (_, seq_report) = run(&[]);
 
     // The parallel engine flags: `--threads` (alias of `--parallel`)
     // surfaces the engine settings on stderr in --stats-json mode and
-    // must reproduce the sequential static report; `--split-depth 0`
-    // turns subtree splitting off. The sequential run never reports
-    // engine settings.
-    assert!(!fused_report.contains("engine:"));
+    // must reproduce the sequential static report. The sequential run
+    // never reports engine settings.
+    assert!(!seq_report.contains("engine:"));
     let ranked = |report: &str| {
         report
             .lines()
@@ -259,25 +245,22 @@ fn cli_stats_json_pins_the_counter_schema() {
     };
     let (seq_static, _) = run(&["--no-dynamic"]);
     let (par_stats, par_report) = run(&["--threads", "2", "--no-dynamic"]);
-    assert!(par_report.contains("engine: threads=2 split_depth=2"));
-    assert!(par_report.contains("dynamic=false"));
+    assert!(par_report.contains("engine: threads=2 dynamic=false"));
     // The static enumeration is identical to sequential-static (the
-    // dynamic `fused` baseline prunes more).
+    // dynamic sequential baseline prunes more).
     assert_eq!(par_stats.semantic(), seq_static.semantic());
     assert_eq!(
         ranked(&par_report),
-        ranked(&fused_report),
+        ranked(&seq_report),
         "parallel static report must match sequential"
     );
-    let (_, unsplit_report) = run(&["--threads", "2", "--split-depth", "0"]);
-    assert!(unsplit_report.contains("engine: threads=2 split_depth=0"));
     // Dynamic parallel (the default) matches the static results too —
     // the exactness-verified post-pass at the CLI surface.
     let (dyn_stats, dyn_report) = run(&["--threads", "2"]);
-    assert!(dyn_report.contains("dynamic=true"));
+    assert!(dyn_report.contains("engine: threads=2 dynamic=true"));
     assert_eq!(
         ranked(&dyn_report),
-        ranked(&fused_report),
+        ranked(&seq_report),
         "dynamic parallel results must match static"
     );
     // Work counters may differ under the bound, but never the results.
@@ -384,16 +367,6 @@ fn cli_sharded_flag_validation() {
         vec!["mine", p, "--memory-budget", "1000000"],
         vec!["mine", p, "--shards", "2", "--memory-budget", "0"],
         vec!["mine", p, "--shards", "2", "--memory-budget", "lots"],
-        vec![
-            "mine",
-            p,
-            "--shards",
-            "2",
-            "--split-depth",
-            "1",
-            "--threads",
-            "2",
-        ],
         vec!["mine", p, "--shards", "2", "--baseline-bl1"],
         vec![
             "mine",
@@ -478,7 +451,6 @@ fn cli_rejects_malformed_flag_values() {
         vec!["mine", path.to_str().unwrap(), "--k", "-1"],
         vec!["mine", path.to_str().unwrap(), "--min-supp", "0"],
         vec!["mine", path.to_str().unwrap(), "--min-supp", "-3"],
-        vec!["mine", path.to_str().unwrap(), "--split-depth", "-1"],
         vec!["gen", "dblp", "/tmp/x.grm", "--scale", "big"],
         vec!["gen", "dblp", "/tmp/x.grm", "--scale", "0"],
         vec!["gen", "dblp", "/tmp/x.grm", "--seed", "yes"],
@@ -490,6 +462,19 @@ fn cli_rejects_malformed_flag_values() {
         vec!["mine", path.to_str().unwrap(), "--k=5"],
         vec!["mine", path.to_str().unwrap(), "--k", "5", "--k", "7"],
         vec!["gen", "dblp", "/tmp/x.grm", "--k", "5"],
+        // Removed flags are unknown flags now, with or without the
+        // engine they used to configure.
+        vec!["mine", path.to_str().unwrap(), "--no-fuse"],
+        vec!["mine", path.to_str().unwrap(), "--no-kernel"],
+        vec!["mine", path.to_str().unwrap(), "--split-depth", "2"],
+        vec![
+            "mine",
+            path.to_str().unwrap(),
+            "--threads",
+            "2",
+            "--split-depth",
+            "2",
+        ],
     ] {
         let out = grmine().args(&bad).output().unwrap();
         assert_eq!(

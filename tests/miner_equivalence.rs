@@ -69,69 +69,6 @@ fn all_miners_agree_with_reference() {
     }
 }
 
-/// The fused partition engine (on by default, so every other test in this
-/// file already runs it against the brute-force oracle) must be a pure
-/// execution strategy: turning it off changes no result, no score, and no
-/// semantic counter, under both the static and the dynamic top-k variant.
-#[test]
-fn fused_engine_is_a_pure_execution_strategy() {
-    let mut fused_total = 0u64;
-    for seed in 0..8u64 {
-        let g = random_graph(seed, 14, 90);
-        for cfg in [
-            MinerConfig::nhp(1, 0.3, 12),
-            MinerConfig::nhp(2, 0.0, 30).without_dynamic_topk(),
-            MinerConfig::conf(1, 0.5, 10),
-        ] {
-            let fused = GrMiner::new(&g, cfg.clone()).mine();
-            let unfused = GrMiner::new(&g, cfg.clone().without_fused_partitions()).mine();
-            assert_eq!(fused.top, unfused.top, "seed {seed} cfg {cfg:?}");
-            assert_eq!(
-                fused.stats.semantic(),
-                unfused.stats.semantic(),
-                "seed {seed} cfg {cfg:?}"
-            );
-            assert_eq!(fused.stats.partition_passes, unfused.stats.partition_passes);
-            assert_eq!(unfused.stats.fused_passes, 0);
-            fused_total += fused.stats.fused_passes;
-        }
-    }
-    assert!(fused_total > 0, "the fused path must actually run");
-}
-
-/// Same contract for the vectorized counting kernels: `without_kernel`
-/// (the `scalar_kernel_off` ablation) must change no result, no score,
-/// and no semantic counter, under static and dynamic top-k, fused and
-/// unfused — while `kernel_batches` is live exactly when the kernels
-/// are.
-#[test]
-fn counting_kernel_is_a_pure_execution_strategy() {
-    let mut batches_total = 0u64;
-    for seed in 0..8u64 {
-        let g = random_graph(seed, 14, 90);
-        for cfg in [
-            MinerConfig::nhp(1, 0.3, 12),
-            MinerConfig::nhp(2, 0.0, 30).without_dynamic_topk(),
-            MinerConfig::conf(1, 0.5, 10),
-            MinerConfig::nhp(1, 0.3, 12).without_fused_partitions(),
-        ] {
-            let kernel = GrMiner::new(&g, cfg.clone()).mine();
-            let scalar = GrMiner::new(&g, cfg.clone().without_kernel()).mine();
-            assert_eq!(kernel.top, scalar.top, "seed {seed} cfg {cfg:?}");
-            assert_eq!(
-                kernel.stats.semantic(),
-                scalar.stats.semantic(),
-                "seed {seed} cfg {cfg:?}"
-            );
-            assert_eq!(kernel.stats.partition_passes, scalar.stats.partition_passes);
-            assert_eq!(kernel.stats.fused_passes, scalar.stats.fused_passes);
-            assert_eq!(scalar.stats.kernel_batches, 0);
-            batches_total += kernel.stats.kernel_batches;
-        }
-    }
-    assert!(batches_total > 0, "the kernel path must actually batch");
-}
-
 #[test]
 fn dynamic_topk_is_sound_on_random_workloads() {
     // GRMiner(k)'s dynamic threshold can cut a *suppressor* (a general

@@ -1,31 +1,28 @@
 //! Parallel-vs-sequential equivalence for the work-stealing engine: the
-//! full matrix of 1/2/4/8 threads × split-depth {0, default} must return
-//! bit-identical `top` AND identical `MinerStats::semantic()` under the
-//! static threshold, on the Fig. 1
-//! toy network and the Pokec-like / DBLP-like workloads. Dynamic mode
+//! full matrix of 1/2/4/8 threads × `split_min` {heuristic, 1} must
+//! return bit-identical `top` AND identical `MinerStats::semantic()`
+//! under the static threshold, on the Fig. 1 toy network and the
+//! Pokec-like / DBLP-like workloads. Dynamic mode
 //! (the shared top-k bound + exactness-verified post-pass) must *also*
 //! be bit-identical to the static Definition-5 semantics — the
 //! engine-level guarantee that pruning only ever removes work, never
 //! results.
 
-use social_ties::core::parallel::{
-    mine_parallel, try_mine_parallel_with_opts, ParallelOptions, DEFAULT_SPLIT_DEPTH,
-};
+use social_ties::core::parallel::{mine_parallel, try_mine_parallel_with_opts, ParallelOptions};
 use social_ties::core::Dims;
 use social_ties::datagen::{dblp_config_scaled, pokec_config_scaled};
 use social_ties::{generate, toy_network, GrMiner, MinerConfig, SocialGraph};
 
-/// The engine matrix of the tentpole acceptance criteria. `split_min` is
-/// pinned to 1 in the splitting cells so the small fixtures actually
-/// exercise subtree detachment (the production heuristic would skip
-/// them).
+/// The engine matrix of the tentpole acceptance criteria. With
+/// `split_min` 0 the production heuristic detaches nothing on these
+/// small fixtures, so those cells run the unsplit multi-worker path;
+/// `split_min` 1 detaches every shallow surviving subtree.
 fn engine_matrix() -> Vec<ParallelOptions> {
     let mut m = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        for (split_depth, split_min) in [(0usize, 0usize), (DEFAULT_SPLIT_DEPTH, 1)] {
+        for split_min in [0usize, 1] {
             m.push(ParallelOptions {
                 threads,
-                split_depth,
                 split_min,
                 ..ParallelOptions::default()
             });
@@ -168,75 +165,65 @@ fn oversubscribed_and_degenerate_pools_on_pokec_like_workload() {
     }
 }
 
-/// The fused partition engine on all three fixture families: sequential
-/// fused vs unfused must be bit-identical in `top` AND in every counter
-/// except `fused_passes` itself, and the parallel miner at 1/2/4 threads
-/// must reproduce the sequential `top` with thread-invariant semantic
-/// counters. Pins the tentpole guarantee end to end.
+/// All three fixture families at 1/2/4 threads, with the split
+/// heuristic and with splitting forced (`split_min: 1`): the parallel
+/// miner reproduces the sequential `top` and semantic counters under the
+/// static threshold, and a dynamic mine — sequential or parallel —
+/// returns the static top-k. The sequential run's work counters show
+/// the partition engine and its counting kernel live.
 #[test]
 fn fused_engine_bit_identical_on_toy_pokec_dblp() {
     let workloads: Vec<(&str, SocialGraph, MinerConfig)> = vec![
-        (
-            "toy",
-            toy_network(),
-            MinerConfig::nhp(1, 0.0, 100).without_dynamic_topk(),
-        ),
+        ("toy", toy_network(), MinerConfig::nhp(1, 0.0, 100)),
         (
             "pokec",
             generate(&pokec_config_scaled(0.02)).unwrap(),
-            MinerConfig::nhp(5, 0.5, 50).without_dynamic_topk(),
+            MinerConfig::nhp(5, 0.5, 50),
         ),
         (
             "dblp",
             generate(&dblp_config_scaled(0.05)).unwrap(),
-            MinerConfig::nhp(3, 0.5, 50).without_dynamic_topk(),
+            MinerConfig::nhp(3, 0.5, 50),
         ),
     ];
-    let mut fused_somewhere = 0u64;
-    for (label, g, cfg) in &workloads {
-        let fused = GrMiner::new(g, cfg.clone()).mine();
-        let unfused = GrMiner::new(g, cfg.clone().without_fused_partitions()).mine();
-        assert_eq!(fused.top, unfused.top, "{label}: fusion changed results");
-        assert_eq!(
-            fused.stats.semantic(),
-            unfused.stats.semantic(),
-            "{label}: fusion changed semantic counters"
+    for (label, g, dynamic) in &workloads {
+        let cfg = dynamic.clone().without_dynamic_topk();
+        let seq = GrMiner::new(g, cfg.clone()).mine();
+        assert!(seq.stats.partition_passes > 0);
+        assert!(seq.stats.scratch_bytes_peak > 0);
+        assert!(
+            seq.stats.kernel_batches > 0,
+            "{label}: the kernel must batch"
         );
-        // Fusion rearranges work; it never adds or removes passes.
+        assert_eq!(seq.stats.fused_passes, 0);
         assert_eq!(
-            fused.stats.partition_passes, unfused.stats.partition_passes,
-            "{label}: fusion changed the pass count"
+            seq.top,
+            GrMiner::new(g, dynamic.clone()).mine().top,
+            "{label}: dynamic sequential deviated from static semantics"
         );
-        assert_eq!(unfused.stats.fused_passes, 0);
-        assert!(fused.stats.partition_passes > 0);
-        assert!(fused.stats.scratch_bytes_peak > 0);
-        fused_somewhere += fused.stats.fused_passes;
-
         let dims = Dims::all(g.schema());
-        let mut par_counters: Option<social_ties::MinerStats> = None;
         for threads in [1usize, 2, 4] {
-            let par = try_mine_parallel_with_opts(
-                g,
-                cfg,
-                &dims,
-                ParallelOptions {
+            for split_min in [0usize, 1] {
+                let opts = ParallelOptions {
                     threads,
+                    split_min,
                     ..ParallelOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(fused.top, par.top, "{label}: parallel {threads} diverged");
-            let sem = par.stats.semantic();
-            match &par_counters {
-                None => par_counters = Some(sem),
-                Some(c) => assert_eq!(c, &sem, "{label}: counters vary with threads"),
+                };
+                let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
+                assert_eq!(seq.top, par.top, "{label}: parallel diverged ({opts:?})");
+                assert_eq!(
+                    seq.stats.semantic(),
+                    par.stats.semantic(),
+                    "{label}: semantic counters diverged ({opts:?})"
+                );
+                let par = try_mine_parallel_with_opts(g, dynamic, &dims, opts).unwrap();
+                assert_eq!(
+                    seq.top, par.top,
+                    "{label}: dynamic parallel deviated from static semantics ({opts:?})"
+                );
             }
         }
     }
-    assert!(
-        fused_somewhere > 0,
-        "at least one workload must exercise the fused passes"
-    );
 }
 
 #[test]

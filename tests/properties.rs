@@ -137,15 +137,14 @@ proptest! {
         prop_assert_eq!(&dynamic.top, &exact.top);
     }
 
-    /// The fused two-level engine against a naive stable `sort_by_key`
-    /// oracle, across random domains and key columns (value 0 plays the
-    /// NULL role — the engine treats it like any other bucket; the miner
-    /// skips it later). The parent's count and fused scatter must agree
-    /// with the oracle's value grouping; each child's pre-counted
-    /// (count-only) records must equal a plain count of `col2` over its
-    /// slice; and counting then scattering every child must yield the
-    /// oracle's composite order (stability included). The unfused
-    /// columnar pass must match bit for bit as well.
+    /// The two-level partition engine against a naive stable
+    /// `sort_by_key` oracle, across random domains and key columns
+    /// (value 0 plays the NULL role — the engine treats it like any other
+    /// bucket; the miner skips it later). The parent's count and scatter
+    /// on `col1` must agree with the oracle's value grouping; counting
+    /// then scattering every child on `col2` must yield the oracle's
+    /// composite order (stability included); and the one-shot columnar
+    /// passes must match bit for bit as well.
     #[test]
     fn fused_partition_engine_matches_sort_by_key_oracle(
         domain1 in 1u16..=9,
@@ -168,16 +167,14 @@ proptest! {
         let mut oracle: Vec<u32> = (0..n as u32).collect();
         oracle.sort_by_key(|&id| (col1[id as usize], col2[id as usize]));
 
-        // Fused engine: parent count + fused scatter on col1, children
-        // pre-counted on col2.
+        // Count-first engine: parent count + scatter on col1, then every
+        // child counted and scattered on col2.
         let mut arena = PartitionArena::new();
         let mut data: Vec<u32> = (0..n as u32).collect();
         let frame = arena
             .count_col(&data, b1, &col1)
             .expect("keys lie below their domains");
-        let level = arena
-            .scatter_fused(&mut data, &frame, &col2, b2)
-            .expect("keys lie below their domains");
+        arena.scatter(&mut data, &frame);
         let parts: Vec<_> = arena.records(&frame).to_vec();
         // Parent records match the oracle's value grouping.
         let mut at = 0usize;
@@ -190,17 +187,8 @@ proptest! {
         }
         prop_assert_eq!(at, n, "partitions tile the slice");
         for part in &parts {
-            let hist = arena.child_hist(level, *part);
-            let child = arena.partition_pre_counted(b2, hist);
-            let pre_counted = arena.records(&child).to_vec();
-            arena.pop_frame(child);
             let sub = &mut data[part.range()];
             let counted = arena.count_col(sub, b2, &col2).unwrap();
-            prop_assert_eq!(
-                arena.records(&counted),
-                &pre_counted[..],
-                "pre-counted records differ from a plain count"
-            );
             arena.scatter(sub, &counted);
             let mut cat = 0usize;
             for c in arena.records(&counted) {
@@ -213,37 +201,33 @@ proptest! {
             prop_assert_eq!(cat, sub.len());
             arena.pop_frame(counted);
         }
-        arena.pop_fused(level);
         arena.pop_frame(frame);
         // Content + stability: the two-level result IS the stable
         // composite sort.
-        prop_assert_eq!(&data, &oracle, "fused engine diverged from sort_by_key");
+        prop_assert_eq!(&data, &oracle, "count + scatter diverged from sort_by_key");
 
-        // The unfused columnar passes produce the identical result.
+        // The one-shot columnar passes produce the identical result.
         let mut plain: Vec<u32> = (0..n as u32).collect();
         let f1 = arena.partition_col(&mut plain, b1, &col1).unwrap();
         let plain_parts: Vec<_> = arena.records(&f1).to_vec();
-        prop_assert_eq!(&plain_parts, &parts, "fusion changed the parent records");
+        prop_assert_eq!(&plain_parts, &parts, "one-shot parent records differ");
         for part in &plain_parts {
             let sub = &mut plain[part.range()];
             let f2 = arena.partition_col(sub, b2, &col2).unwrap();
             arena.pop_frame(f2);
         }
         arena.pop_frame(f1);
-        prop_assert_eq!(&plain, &oracle, "unfused engine diverged from sort_by_key");
+        prop_assert_eq!(&plain, &oracle, "one-shot passes diverged from sort_by_key");
     }
 
     /// The vectorized counting kernels against their scalar oracles, on
     /// arbitrary key material: the gather reproduces `col[data[i]]` and
     /// reports the true maximum; the striped histogram equals the naive
-    /// count (and re-zeroes its stripes); and a full arena pass — one-shot,
-    /// count then scatter, and count then fused scatter with count-only
-    /// children — is bit-identical with the kernels on and off, the split
-    /// passes equal to the one-shot pass.
+    /// count (and re-zeroes its stripes); and an arena count then scatter
+    /// equals the one-shot closure pass, data and records.
     #[test]
     fn kernel_primitives_match_scalar_oracle(
         domain in 1u16..=24,
-        next_domain in 1u16..=6,
         seed in any::<u64>(),
         n in 0usize..400,
     ) {
@@ -255,7 +239,6 @@ proptest! {
             state
         };
         let col: Vec<u16> = (0..n).map(|_| (next() % domain as u64) as u16).collect();
-        let next_col: Vec<u16> = (0..n).map(|_| (next() % next_domain as u64) as u16).collect();
         let data: Vec<u32> = {
             let mut d: Vec<u32> = (0..n as u32).collect();
             // A deterministic shuffle so gathers are non-sequential.
@@ -284,42 +267,21 @@ proptest! {
         prop_assert_eq!(&counts, &naive);
         prop_assert!(stripes.iter().all(|&s| s == 0), "stripes must re-zero");
 
-        // Arena passes: kernel on vs off, plain and fused, bit for bit.
-        let nb = next_domain as usize;
-        let run = |on: bool| {
-            let mut arena = PartitionArena::new();
-            arena.set_kernel_enabled(on);
-            let mut one_shot = data.clone();
-            let f = arena
-                .partition_with(&mut one_shot, b, |id| col[id as usize])
-                .unwrap();
-            let orecs = arena.records(&f).to_vec();
-            arena.pop_frame(f);
-            let mut plain = data.clone();
-            let f = arena.count_col(&plain, b, &col).unwrap();
-            arena.scatter(&mut plain, &f);
-            let precs = arena.records(&f).to_vec();
-            arena.pop_frame(f);
-            let mut fused = data.clone();
-            let f = arena.count_col(&fused, b, &col).unwrap();
-            let lvl = arena.scatter_fused(&mut fused, &f, &next_col, nb).unwrap();
-            let frecs = arena.records(&f).to_vec();
-            let mut kids = Vec::new();
-            for rec in frecs.clone() {
-                let cf = arena.partition_pre_counted(nb, arena.child_hist(lvl, rec));
-                kids.push(arena.records(&cf).to_vec());
-                arena.pop_frame(cf);
-            }
-            arena.pop_fused(lvl);
-            arena.pop_frame(f);
-            (one_shot, orecs, plain, precs, fused, frecs, kids)
-        };
-        let (on, off) = (run(true), run(false));
-        prop_assert_eq!(&on, &off, "kernel must be a pure execution strategy");
-        prop_assert_eq!(&on.2, &on.0, "count + scatter must equal the one-shot pass");
-        prop_assert_eq!(&on.3, &on.1);
-        prop_assert_eq!(&on.4, &on.0, "count + fused scatter must equal the one-shot pass");
-        prop_assert_eq!(&on.5, &on.1);
+        // Arena passes: count + scatter equals the one-shot pass.
+        let mut arena = PartitionArena::new();
+        let mut one_shot = data.clone();
+        let f = arena
+            .partition_with(&mut one_shot, b, |id| col[id as usize])
+            .unwrap();
+        let one_shot_recs = arena.records(&f).to_vec();
+        arena.pop_frame(f);
+        let mut plain = data.clone();
+        let f = arena.count_col(&plain, b, &col).unwrap();
+        arena.scatter(&mut plain, &f);
+        let plain_recs = arena.records(&f).to_vec();
+        arena.pop_frame(f);
+        prop_assert_eq!(&plain, &one_shot, "count + scatter must equal the one-shot pass");
+        prop_assert_eq!(&plain_recs, &one_shot_recs);
     }
 
     /// Counting sort: output is a permutation, partitions tile the slice
