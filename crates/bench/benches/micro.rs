@@ -289,7 +289,7 @@ fn bench_heff_keys(c: &mut Criterion) {
         b.iter(|| {
             positions
                 .iter()
-                .map(|&p| model.r_key(p, NodeAttrId(2)) as u64)
+                .map(|&p| model.keys().r_key(p, NodeAttrId(2)) as u64)
                 .sum::<u64>()
         })
     });
@@ -297,7 +297,7 @@ fn bench_heff_keys(c: &mut Criterion) {
         b.iter(|| {
             positions
                 .iter()
-                .map(|&p| model.l_key(p, NodeAttrId(2)) as u64)
+                .map(|&p| model.keys().l_key(p, NodeAttrId(2)) as u64)
                 .sum::<u64>()
         })
     });
@@ -335,7 +335,7 @@ fn bench_heff_supports(c: &mut Criterion) {
                     .collect();
                 total += snapshot
                     .iter()
-                    .filter(|&&p| needed.iter().all(|&(a, v)| model.r_key(p, a) == v))
+                    .filter(|&&p| needed.iter().all(|&(a, v)| model.keys().r_key(p, a) == v))
                     .count() as u64;
             }
             total
@@ -343,7 +343,7 @@ fn bench_heff_supports(c: &mut Criterion) {
     });
     group.bench_function("group_by_table", |b| {
         b.iter(|| {
-            let table = heff_table(&snapshot, &pairs, |a| model.r_col(a));
+            let table = heff_table(&snapshot, &pairs, |a| model.keys().r_col(a));
             table[1..].iter().sum::<u64>()
         })
     });

@@ -1,11 +1,17 @@
 //! The shared, read-only mining context.
 //!
-//! One [`MiningContext`] is built per mine call, whatever the worker
-//! count, and sits between the [`CompactModel`] and the per-task
-//! [`crate::miner`] recursion state. Everything in it is immutable (or
-//! internally synchronized) and safe to share by reference across worker
-//! threads, so the per-task costs the §IV-A model was designed to avoid
-//! are paid once per run instead of once per task:
+//! One [`MiningContext`] is built per mine call (or per out-of-core unit),
+//! whatever the worker count, and sits between the edge set's
+//! [`KeyColumns`] and the per-task [`crate::miner`] recursion state. It
+//! owns its columns and borrows no graph: an in-core mine gathers them
+//! through a [`CompactModel`] in EArray order, a shard unit does the same
+//! over its resident shard, and a value-slice unit loads them straight
+//! from the slice's spill file
+//! ([`SliceSet::load_keys`](grm_graph::shard::SliceSet::load_keys)).
+//! Everything in it is immutable (or internally synchronized) and safe to
+//! share by reference across worker threads, so the per-task costs the
+//! §IV-A model was designed to avoid are paid once per run instead of
+//! once per task:
 //!
 //! * the **canonical position set** `0..|E|`: every worker fills one
 //!   reusable buffer ([`MiningContext::fill_positions`]) instead of
@@ -21,14 +27,14 @@
 //! it first stores the same value every other worker would have.
 
 use crate::descriptor::NodeDescriptor;
-use grm_graph::{CompactModel, SocialGraph};
+use grm_graph::{CompactModel, KeyColumns, SocialGraph};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Immutable per-run state shared by every mining task (module docs).
 #[derive(Debug)]
-pub struct MiningContext<'g> {
-    model: CompactModel<'g>,
+pub struct MiningContext {
+    keys: KeyColumns,
     edges_total: u64,
     /// Per node attribute: `supp(A:v)` over all edges, indexed by value
     /// (including the never-queried null slot). Built iff the run's
@@ -40,53 +46,51 @@ pub struct MiningContext<'g> {
     r_memo: Mutex<HashMap<NodeDescriptor, u64>>,
 }
 
-impl<'g> MiningContext<'g> {
+impl MiningContext {
     /// Build the context for `graph`. `needs_r_marginal` opts into the
     /// eager RHS marginal table ([`crate::metrics::RankMetric`] knows —
     /// pass `metric.needs_r_marginal()`).
-    pub fn build(graph: &'g SocialGraph, needs_r_marginal: bool) -> Self {
-        Self::new(CompactModel::build(graph), needs_r_marginal)
-    }
-
-    /// Wrap an already-built model.
-    pub fn new(model: CompactModel<'g>, needs_r_marginal: bool) -> Self {
-        let edges_total = model.edge_count() as u64;
-        Self::with_edges_total(model, needs_r_marginal, edges_total)
-    }
-
-    /// Wrap a model whose graph is one *shard or slice* of a larger edge
-    /// set: support denominators (`supp_rel`, the empty-RHS marginal)
-    /// use `edges_total` — the global edge count — while position
-    /// buffers and marginal scans stay sized to the resident model.
-    pub fn with_edges_total(
-        model: CompactModel<'g>,
-        needs_r_marginal: bool,
-        edges_total: u64,
-    ) -> Self {
+    pub fn build(graph: &SocialGraph, needs_r_marginal: bool) -> Self {
+        let keys = CompactModel::build(graph).into_keys();
+        let schema = graph.schema();
         let r_base = needs_r_marginal.then(|| {
-            let schema = model.graph().schema();
             schema
                 .node_attr_ids()
                 .map(|a| {
                     let mut counts = vec![0u64; schema.node_attr(a).bucket_count()];
-                    for &v in model.r_col(a) {
+                    for &v in keys.r_col(a) {
                         counts[v as usize] += 1;
                     }
                     counts
                 })
                 .collect()
         });
+        let edges_total = keys.edge_count() as u64;
         MiningContext {
-            model,
+            keys,
             edges_total,
             r_base,
             r_memo: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The compact model the context wraps.
-    pub fn model(&self) -> &CompactModel<'g> {
-        &self.model
+    /// A context over the key columns of one *shard or value slice* of a
+    /// larger edge set: support denominators (`supp_rel`, the empty-RHS
+    /// marginal) use `edges_total` — the global edge count — while
+    /// position buffers stay sized to the resident columns. No marginal
+    /// table: the out-of-core engine rejects the metrics that need one.
+    pub fn with_edges_total(keys: KeyColumns, edges_total: u64) -> Self {
+        MiningContext {
+            keys,
+            edges_total,
+            r_base: None,
+            r_memo: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The key columns the context wraps.
+    pub fn keys(&self) -> &KeyColumns {
+        &self.keys
     }
 
     /// `|E|` as a support denominator.
@@ -101,7 +105,7 @@ impl<'g> MiningContext<'g> {
     /// it never consumes them.
     pub fn fill_positions(&self, buf: &mut Vec<u32>) {
         buf.clear();
-        buf.extend(0..self.model.edge_count() as u32);
+        buf.extend(0..self.keys.edge_count() as u32);
     }
 
     /// RHS marginal `supp(r)` over all edges (lift / PS / conviction —
@@ -120,8 +124,8 @@ impl<'g> MiningContext<'g> {
                 // *different* descriptors do not serialize; a duplicated
                 // scan of the same descriptor is benign (supp(r) is a
                 // pure function, both workers insert the same value).
-                let cols: Vec<&[u16]> = pairs.iter().map(|&(a, _)| self.model.r_col(a)).collect();
-                let count = (0..self.model.edge_count())
+                let cols: Vec<&[u16]> = pairs.iter().map(|&(a, _)| self.keys.r_col(a)).collect();
+                let count = (0..self.keys.edge_count())
                     .filter(|&p| cols.iter().zip(pairs).all(|(col, &(_, v))| col[p] == v))
                     .count() as u64;
                 self.r_memo.lock().insert(r.clone(), count);

@@ -592,13 +592,12 @@ impl Worker<'_> {
     pub(crate) fn mine(
         &mut self,
         ctx: &MiningContext,
-        task: impl FnOnce(&mut Run<'_, '_>, &mut Vec<u32>),
+        task: impl FnOnce(&mut Run<'_>, &mut Vec<u32>),
     ) {
         let exec = self.exec;
-        let schema = ctx.model().graph().schema();
         let mut run = Run::new(
             ctx,
-            schema,
+            exec.schema,
             exec.dims,
             exec.config,
             exec.token.clone(),

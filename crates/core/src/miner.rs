@@ -274,10 +274,10 @@ struct Pass {
 
 /// Mutable state of one mining run: one root task or detached subtree
 /// of a pool worker ([`crate::exec::Worker::mine`]). Everything
-/// immutable — the compact model, the canonical position set, the RHS
+/// immutable — the key columns, the canonical position set, the RHS
 /// marginal table — lives in the shared [`MiningContext`].
-pub(crate) struct Run<'a, 'g> {
-    ctx: &'a MiningContext<'g>,
+pub(crate) struct Run<'a> {
+    ctx: &'a MiningContext,
     schema: &'a Schema,
     dims: &'a Dims,
     cfg: &'a MinerConfig,
@@ -318,11 +318,11 @@ pub(crate) struct Run<'a, 'g> {
     deadline_probe: u32,
 }
 
-impl<'a, 'g> Run<'a, 'g> {
+impl<'a> Run<'a> {
     /// A run observing `cancel` (a real token, so an expired deadline
     /// and a panicking sibling have a flag to trip) and `deadline`.
     pub(crate) fn new(
-        ctx: &'a MiningContext<'g>,
+        ctx: &'a MiningContext,
         schema: &'a Schema,
         dims: &'a Dims,
         cfg: &'a MinerConfig,
@@ -557,7 +557,7 @@ struct LwContext {
     memo: HashMap<u64, u64>,
 }
 
-impl<'a, 'g> Run<'a, 'g> {
+impl<'a> Run<'a> {
     /// `LEFT(data, Tail)`: partition on each LHS dimension in the tail;
     /// for each surviving partition recurse into RIGHT, EDGE and LEFT with
     /// the prefix tail (Algorithm 1 lines 7–14).
@@ -586,10 +586,10 @@ impl<'a, 'g> Run<'a, 'g> {
         l: &NodeDescriptor,
         values: Option<(AttrValue, AttrValue)>,
     ) {
-        let model = self.ctx.model();
+        let keys = self.ctx.keys();
         let d = self.dims.l[i];
         let buckets = self.schema.node_attr(d).bucket_count();
-        let col = model.l_col(d);
+        let col = keys.l_col(d);
         let mut pass = self.count_pass(data, buckets, col);
         for idx in pass.frame.indices() {
             if self.check_cancelled() {
@@ -649,14 +649,14 @@ impl<'a, 'g> Run<'a, 'g> {
         l: &NodeDescriptor,
         w: &EdgeDescriptor,
     ) {
-        let model = self.ctx.model();
+        let keys = self.ctx.keys();
         for i in range {
             if self.check_cancelled() {
                 return;
             }
             let d = self.dims.w[i];
             let buckets = self.schema.edge_attr(d).bucket_count();
-            let col = model.w_col(d);
+            let col = keys.w_col(d);
             let mut pass = self.count_pass(data, buckets, col);
             for idx in pass.frame.indices() {
                 if self.check_cancelled() {
@@ -795,9 +795,9 @@ impl<'a, 'g> Run<'a, 'g> {
             .arena
             .count_col(data, buckets, col)
             // lint: allow(panic-in-hot-path) — KeyOutOfRange is
-            // impossible here: every column comes from a CompactModel
-            // built against the same validated Schema that supplied
-            // `buckets`.
+            // impossible here: every column holds values checked against
+            // the same Schema that supplied `buckets` (a validated
+            // graph's rows, or spill chunks domain-checked on read).
             .expect("schema-validated keys fit their bucket counts");
         Pass {
             frame,
@@ -830,11 +830,11 @@ impl<'a, 'g> Run<'a, 'g> {
         if self.cfg.max_rhs.is_some_and(|m| r.len() >= m) {
             return;
         }
-        let model = self.ctx.model();
+        let keys = self.ctx.keys();
         for i in r_range {
             let d = r_order[i];
             let buckets = self.schema.node_attr(d).bucket_count();
-            let col = model.r_col(d);
+            let col = keys.r_col(d);
             // Children of iteration i partition the prefix tail `0..i`:
             // they have passes to run only for i ≥ 1 and below
             // `max_rhs`, so only then do they read their slices.
@@ -976,9 +976,9 @@ impl<'a, 'g> Run<'a, 'g> {
             };
             self.stats.heff_scans += 1;
             self.stats.partition_passes += 1;
-            let model = self.ctx.model();
+            let keys = self.ctx.keys();
             let mut table = self.scratch.heff_tables.pop().unwrap_or_default();
-            heff_table_into(edges, &ctx.pairs, &mut table, |a| model.r_col(a));
+            heff_table_into(edges, &ctx.pairs, &mut table, |a| keys.r_col(a));
             ctx.table = Some(table);
         }
         let Some(table) = ctx.table.as_ref() else {
@@ -1018,10 +1018,10 @@ impl<'a, 'g> Run<'a, 'g> {
             .filter(|&(a, _)| b.contains(a))
             .collect();
         debug_assert_eq!(needed.len(), b.len(), "β outside the LHS homophily set");
-        let model = self.ctx.model();
+        let keys = self.ctx.keys();
         let count = edges
             .iter()
-            .filter(|&&p| needed.iter().all(|&(a, v)| model.r_key(p, a) == v))
+            .filter(|&&p| needed.iter().all(|&(a, v)| keys.r_key(p, a) == v))
             .count() as u64;
         ctx.memo.insert(b.0, count);
         count

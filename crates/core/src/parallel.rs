@@ -6,7 +6,7 @@
 //! root tasks into units of the shared execution core ([`crate::exec`]),
 //! which runs them with work stealing over per-worker deques under the
 //! shared dynamic top-k bound and the exactness-verified post-pass. All
-//! read-only run state — the compact model, the canonical position set,
+//! read-only run state — the key columns, the canonical position set,
 //! the RHS marginal table — lives in one shared [`MiningContext`]; each
 //! worker owns a reusable edge-position buffer and a warm
 //! [`crate::miner::MinerScratch`] carried across its tasks. With one
@@ -195,7 +195,7 @@ enum PoolTask {
 /// and the post-pass measures suppressors against the graph itself.
 struct InCore<'g> {
     graph: &'g SocialGraph,
-    ctx: MiningContext<'g>,
+    ctx: MiningContext,
 }
 
 impl Engine for InCore<'_> {

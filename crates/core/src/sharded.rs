@@ -44,6 +44,19 @@
 //! bit-for-bit (static configurations; dynamic top-k counters are
 //! timing-dependent in any parallel engine).
 //!
+//! ## What a unit loads
+//!
+//! The recursion reads only the per-position key columns
+//! ([`KeyColumns`]), so that is all a unit makes resident. A shard unit
+//! leases its shard graph from the pool (the post-pass measures
+//! suppressors against the same graphs) and builds its columns through a
+//! [`CompactModel`], in EArray order. A slice unit reserves its budget
+//! and gathers its columns straight from the slice's spill file against
+//! the store's resident node table ([`SliceSet::load_keys`]), positions
+//! in spill order: no graph, no node rows, no model. The recursion is
+//! invariant under a permutation of its positions, so the order changes
+//! no result and no counter.
+//!
 //! Each unit is a collect-mode run whose [`MiningContext`] carries the
 //! global edge total ([`MiningContext::with_edges_total`]), on the same
 //! execution core, shared bound and exactness-verified post-pass as the
@@ -67,7 +80,9 @@
 //! waiters observe the same token), contains worker panics, stops the
 //! siblings after a unit's first storage error, and drains every
 //! cleanly-exited worker's counters into the typed error — see
-//! [`MinerError`].
+//! [`MinerError`]. Each call spills its slice sets into a directory of
+//! its own under the store's, removed when the call returns, so
+//! concurrent mines over one store never touch each other's files.
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
@@ -79,7 +94,9 @@ use crate::query::{self, GrMeasures};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use grm_graph::shard::{resident_cost, ShardPool, ShardStore, SliceKey, SliceSet};
-use grm_graph::{check_edge_capacity, AttrValue, CompactModel, SocialGraph};
+use grm_graph::{check_edge_capacity, AttrValue, CompactModel, KeyColumns};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs for [`mine_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,20 +146,17 @@ pub fn mine_sharded(
     // Build the slice sets and the unit list in the sequential Main
     // order (RIGHT, EDGE dimensions, LEFT dimensions). Every slice is
     // capacity-checked up front: a value slice beyond the u32 position
-    // space cannot be mined by the per-unit compact model, and the
-    // check here turns that into a typed error instead of a failed
-    // build mid-run.
-    let mut sets: Vec<SliceSet> = Vec::new();
+    // space cannot be mined, and the check here turns that into a typed
+    // error before any unit runs.
+    let mut slices = Slices::new(store);
     let mut units: Vec<Unit> = Vec::new();
     for (dim, &attr) in dims.r_order(0).iter().enumerate() {
-        add_slice_units(store, &mut sets, &mut units, SliceKey::Dst(attr), &|_| {
-            RootTask::RightDim { dim }
+        slices.add(&mut units, SliceKey::Dst(attr), |_| RootTask::RightDim {
+            dim,
         })?;
     }
     for (i, &attr) in dims.w.iter().enumerate() {
-        add_slice_units(store, &mut sets, &mut units, SliceKey::Edge(attr), &|_| {
-            RootTask::Edge(i)
-        })?;
+        slices.add(&mut units, SliceKey::Edge(attr), |_| RootTask::Edge(i))?;
     }
     for (j, &attr) in dims.l.iter().enumerate() {
         if attr == store.spec().attr() {
@@ -157,18 +171,20 @@ pub fn mine_sharded(
                 });
             }
         } else {
-            add_slice_units(store, &mut sets, &mut units, SliceKey::Src(attr), &|v| {
-                RootTask::LeftValues {
-                    dim: j,
-                    lo: v,
-                    hi: v,
-                }
+            slices.add(&mut units, SliceKey::Src(attr), |v| RootTask::LeftValues {
+                dim: j,
+                lo: v,
+                hi: v,
             })?;
         }
     }
 
     let pool = ShardPool::new(store, opts.memory_budget)?.with_cancel(exec.token().clone());
-    let engine = Sharded { store, sets, pool };
+    let engine = Sharded {
+        store,
+        slices,
+        pool,
+    };
     let schedule = Schedule {
         steal: false,
         split: None,
@@ -176,44 +192,74 @@ pub fn mine_sharded(
     exec.run(&engine, units, schedule, store.total_edges())
 }
 
-/// Build the [`SliceSet`] for `key` and append one [`Unit::Slice`] per
-/// non-empty value, with `task_of(value)` as its root task. Empty
-/// values are skipped — the in-core partitioner never emits empty
-/// partitions, so the skip is counter-exact — and every slice is
-/// capacity-checked against the per-unit compact model's position
-/// space.
-fn add_slice_units<'s>(
+/// One mine's slice sets, spilled into a directory of their own under
+/// the store's, unique within the process, so concurrent mines over one
+/// store never sweep or delete each other's files. Dropping the value
+/// removes the directory with everything in it, on every path out of
+/// the mine.
+struct Slices<'s> {
     store: &'s ShardStore,
-    sets: &mut Vec<SliceSet<'s>>,
-    units: &mut Vec<Unit>,
-    key: SliceKey,
-    task_of: &dyn Fn(AttrValue) -> RootTask,
-) -> Result<(), MinerError> {
-    let dir = store.dir().join(format!("slice-{}", sets.len()));
-    let set = SliceSet::build(store, key, dir)?;
-    let idx = sets.len();
-    for v in 1..=set.value_count() {
-        let v = v as AttrValue;
-        let edges = set.edge_count(v);
-        if edges == 0 {
-            continue;
+    dir: PathBuf,
+    sets: Vec<SliceSet<'s>>,
+}
+
+impl<'s> Slices<'s> {
+    fn new(store: &'s ShardStore) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // ordering: AcqRel — only the RMW's atomicity matters (each
+        // call takes a distinct number); no other memory is published
+        // through it. A Relaxed RMW is banned repo-wide.
+        let n = NEXT.fetch_add(1, Ordering::AcqRel);
+        Slices {
+            store,
+            dir: store.dir().join(format!("mine-{}-{n}", std::process::id())),
+            sets: Vec::new(),
         }
-        check_edge_capacity(edges as usize, CompactModel::MAX_EDGES)?;
-        units.push(Unit::Slice {
-            set: idx,
-            value: v,
-            task: task_of(v),
-        });
     }
-    sets.push(set);
-    Ok(())
+
+    /// Build the [`SliceSet`] for `key` and append one [`Unit::Slice`]
+    /// per non-empty value, with `task_of(value)` as its root task.
+    /// Empty values are skipped — the in-core partitioner never emits
+    /// empty partitions, so the skip is counter-exact — and every slice
+    /// is capacity-checked against the u32 position space.
+    fn add(
+        &mut self,
+        units: &mut Vec<Unit>,
+        key: SliceKey,
+        task_of: impl Fn(AttrValue) -> RootTask,
+    ) -> Result<(), MinerError> {
+        let dir = self.dir.join(format!("slice-{}", self.sets.len()));
+        let set = SliceSet::build(self.store, key, dir)?;
+        for v in 1..=set.value_count() {
+            let v = v as AttrValue;
+            let edges = set.edge_count(v);
+            if edges == 0 {
+                continue;
+            }
+            check_edge_capacity(edges as usize, CompactModel::MAX_EDGES)?;
+            units.push(Unit::Slice {
+                set: self.sets.len(),
+                value: v,
+                task: task_of(v),
+            });
+        }
+        self.sets.push(set);
+        Ok(())
+    }
+}
+
+impl Drop for Slices<'_> {
+    fn drop(&mut self) {
+        self.sets.clear();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 /// The out-of-core engine: each unit makes its shard or slice resident
 /// under the pool's budget, and the post-pass sums per-shard counts.
 struct Sharded<'s> {
     store: &'s ShardStore,
-    sets: Vec<SliceSet<'s>>,
+    slices: Slices<'s>,
     pool: ShardPool<'s>,
 }
 
@@ -224,22 +270,26 @@ impl Engine for Sharded<'_> {
         let total_edges = self.store.total_edges();
         match unit {
             Unit::Shard { shard, task } => {
+                // The lease keeps the shard pinned, and its bytes
+                // accounted, until the unit finishes.
                 let lease = self.pool.acquire(shard)?;
-                mine_resident(lease.graph(), task, total_edges, worker)
+                let keys = CompactModel::try_build(lease.graph())?.into_keys();
+                mine_keys(keys, task, total_edges, worker);
             }
             Unit::Slice { set, value, task } => {
-                let slice = &self.sets[set];
+                let slice = &self.slices.sets[set];
                 let cost = resident_cost(
                     self.store.schema(),
                     self.store.node_count(),
                     slice.edge_count(value) as usize,
                 );
-                // Hold the budget before materializing; dropped with the
-                // graph when this unit finishes.
+                // Hold the budget before loading; dropped with the keys
+                // when this unit finishes.
                 let _hold = self.pool.reserve(cost)?;
-                mine_resident(&slice.load(value)?, task, total_edges, worker)
+                mine_keys(slice.load_keys(value)?, task, total_edges, worker);
             }
         }
+        Ok(())
     }
 
     fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError> {
@@ -274,20 +324,15 @@ impl Engine for Sharded<'_> {
         stats.shard_loads = pool_stats.loads;
         stats.shard_evictions = pool_stats.evictions;
         stats.shard_resident_bytes_peak = pool_stats.resident_bytes_peak;
-        stats.spill_retries +=
-            self.store.spill_retries() + self.sets.iter().map(|s| s.spill_retries()).sum::<u64>();
+        let slice_retries: u64 = self.slices.sets.iter().map(|s| s.spill_retries()).sum();
+        stats.spill_retries += self.store.spill_retries() + slice_retries;
     }
 }
 
-/// One collect-mode run of `task` over a resident graph (see
+/// One collect-mode run of `task` over a unit's key columns (see
 /// [`MiningContext::with_edges_total`] for the denominator override).
-fn mine_resident(
-    graph: &SocialGraph,
-    task: RootTask,
-    total_edges: u64,
-    worker: &mut Worker<'_>,
-) -> Result<(), MinerError> {
-    let ctx = MiningContext::with_edges_total(CompactModel::try_build(graph)?, false, total_edges);
+fn mine_keys(keys: KeyColumns, task: RootTask, total_edges: u64, worker: &mut Worker<'_>) {
+    let ctx = MiningContext::with_edges_total(keys, total_edges);
     worker.mine(&ctx, |run, _| {
         // A buffer per unit, freed with it: the worker's reusable one
         // would keep the largest unit's positions resident outside the
@@ -296,5 +341,4 @@ fn mine_resident(
         ctx.fill_positions(&mut data);
         run.run_root(&mut data, task);
     });
-    Ok(())
 }

@@ -25,24 +25,111 @@
 //! counting-sort pass calls one of them once per position — and resolving
 //! them through the structural columns costs two dependent indirections
 //! (`src_row`/`ptr` into the graph's row-major attribute table). The model
-//! therefore also materializes **columnar caches**: one flat
-//! `Vec<AttrValue>` per (side, attribute) pair, indexed directly by EArray
-//! position, so `l_key`/`w_key`/`r_key` are a single indexed load. This is
-//! a deliberate time/space trade *on top of* the §IV-A model: the caches
-//! occupy `|E|·(2·#AttrV + #AttrE)` u16 cells (the single-table shape), but
-//! the §IV-A win — building them in O(|E|) from the once-per-node storage
-//! instead of joining per edge — is unchanged, and [`CompactModel::cells`]
-//! keeps reporting the paper's formula for the structural model.
+//! therefore also materializes **columnar caches**, a [`KeyColumns`]: one
+//! flat `Vec<AttrValue>` per (side, attribute) pair, indexed directly by
+//! EArray position, so `l_key`/`w_key`/`r_key` are a single indexed load.
+//! This is a deliberate time/space trade *on top of* the §IV-A model: the
+//! caches occupy `|E|·(2·#AttrV + #AttrE)` u16 cells (the single-table
+//! shape), but the §IV-A win — building them in O(|E|) from the
+//! once-per-node storage instead of joining per edge — is unchanged, and
+//! [`CompactModel::cells`] keeps reporting the paper's formula for the
+//! structural model.
+//!
+//! The key columns are the miner's only reads of the model, so they are an
+//! owned type of their own: [`CompactModel::into_keys`] keeps them and
+//! drops the structural columns, and the out-of-core engine gathers a value
+//! slice's columns straight from its spill file
+//! ([`crate::shard::SliceSet::load_keys`]) without building a graph or a
+//! model at all.
 
 use crate::error::{GraphError, Result};
 use crate::graph::SocialGraph;
 use crate::value::{AttrValue, EdgeAttrId, EdgeId, NodeAttrId, NodeId};
 
+/// The columnar per-position key caches (module docs): per node
+/// attribute a source-side and a destination-side column, per edge
+/// attribute one column, each indexed by edge position. Everything the
+/// mining recursion reads of an edge set.
+#[derive(Debug, Clone)]
+pub struct KeyColumns {
+    edges: usize,
+    /// Per node attribute: source-side values by position.
+    l: Vec<Vec<AttrValue>>,
+    /// Per edge attribute: values by position.
+    w: Vec<Vec<AttrValue>>,
+    /// Per node attribute: destination-side values by position.
+    r: Vec<Vec<AttrValue>>,
+}
+
+impl KeyColumns {
+    /// Assemble from whole columns; every column must hold `edges`
+    /// values.
+    pub(crate) fn from_columns(
+        edges: usize,
+        l: Vec<Vec<AttrValue>>,
+        w: Vec<Vec<AttrValue>>,
+        r: Vec<Vec<AttrValue>>,
+    ) -> Self {
+        debug_assert!(l.iter().chain(&w).chain(&r).all(|c| c.len() == edges));
+        KeyColumns { edges, l, w, r }
+    }
+
+    /// Number of positions (edges).
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+
+    /// LHS key function: node attribute `a` of the source of position `p`.
+    #[inline]
+    pub fn l_key(&self, p: u32, a: NodeAttrId) -> AttrValue {
+        self.l[a.index()][p as usize]
+    }
+
+    /// Edge key function: edge attribute `a` of position `p`.
+    #[inline]
+    pub fn w_key(&self, p: u32, a: EdgeAttrId) -> AttrValue {
+        self.w[a.index()][p as usize]
+    }
+
+    /// RHS key function: node attribute `a` of the destination of `p`.
+    #[inline]
+    pub fn r_key(&self, p: u32, a: NodeAttrId) -> AttrValue {
+        self.r[a.index()][p as usize]
+    }
+
+    /// The whole source-side column of node attribute `a` (counting-sort
+    /// passes, marginal tables, group-bys).
+    #[inline]
+    pub fn l_col(&self, a: NodeAttrId) -> &[AttrValue] {
+        &self.l[a.index()]
+    }
+
+    /// The whole column of edge attribute `a`.
+    #[inline]
+    pub fn w_col(&self, a: EdgeAttrId) -> &[AttrValue] {
+        &self.w[a.index()]
+    }
+
+    /// The whole destination-side column of node attribute `a`.
+    #[inline]
+    pub fn r_col(&self, a: NodeAttrId) -> &[AttrValue] {
+        &self.r[a.index()]
+    }
+
+    /// Cell count: one value per (side, attribute, position), i.e.
+    /// `|E|·(2·#AttrV + #AttrE)` — the single-table shape, spent
+    /// deliberately for single-load keys on top of the
+    /// [`CompactModel::cells`] structural model.
+    pub fn cells(&self) -> usize {
+        self.edges * (self.l.len() + self.w.len() + self.r.len())
+    }
+}
+
 /// The LArray/EArray/RArray view over a [`SocialGraph`].
 ///
 /// Borrow-based: attribute cells live in the graph; the model adds the
 /// structural columns (`Out`, `Ind`, `Ptr`, row maps) plus the columnar
-/// per-position key caches (module docs). Cell accounting in
+/// per-position [`KeyColumns`] (module docs). Cell accounting in
 /// [`CompactModel::cells`] reports the full §IV-A formula, i.e. what a
 /// standalone materialization of the structural model would occupy.
 #[derive(Debug, Clone)]
@@ -60,12 +147,8 @@ pub struct CompactModel<'g> {
     ptr: Vec<u32>,
     /// Node ids with in-degree > 0, in node-id order (RArray rows).
     rrows: Vec<NodeId>,
-    /// Per node attribute: source-side values by EArray position.
-    l_cols: Vec<Vec<AttrValue>>,
-    /// Per edge attribute: values by EArray position.
-    w_cols: Vec<Vec<AttrValue>>,
-    /// Per node attribute: destination-side values by EArray position.
-    r_cols: Vec<Vec<AttrValue>>,
+    /// The columnar key caches, by EArray position.
+    keys: KeyColumns,
 }
 
 impl<'g> CompactModel<'g> {
@@ -166,9 +249,7 @@ impl<'g> CompactModel<'g> {
             eid,
             ptr,
             rrows,
-            l_cols,
-            w_cols,
-            r_cols,
+            keys: KeyColumns::from_columns(m, l_cols, w_cols, r_cols),
         })
     }
 
@@ -224,46 +305,15 @@ impl<'g> CompactModel<'g> {
         self.ptr[p as usize]
     }
 
-    /// LHS key function: node attribute `a` of the source of position `p`
-    /// (one load from the columnar cache).
-    #[inline]
-    pub fn l_key(&self, p: u32, a: NodeAttrId) -> AttrValue {
-        self.l_cols[a.index()][p as usize]
+    /// The columnar key caches, by EArray position.
+    pub fn keys(&self) -> &KeyColumns {
+        &self.keys
     }
 
-    /// Edge key function: edge attribute `a` of position `p` (one load
-    /// from the columnar cache).
-    #[inline]
-    pub fn w_key(&self, p: u32, a: EdgeAttrId) -> AttrValue {
-        self.w_cols[a.index()][p as usize]
-    }
-
-    /// RHS key function: node attribute `a` of the destination of `p` (one
-    /// load from the columnar cache; the `Ptr` indirection into RArray is
-    /// resolved at build time).
-    #[inline]
-    pub fn r_key(&self, p: u32, a: NodeAttrId) -> AttrValue {
-        self.r_cols[a.index()][p as usize]
-    }
-
-    /// The full source-side column of node attribute `a`, indexed by
-    /// EArray position (whole-column scans: marginal tables, group-bys).
-    #[inline]
-    pub fn l_col(&self, a: NodeAttrId) -> &[AttrValue] {
-        &self.l_cols[a.index()]
-    }
-
-    /// The full edge-attribute column of `a`, indexed by EArray position.
-    #[inline]
-    pub fn w_col(&self, a: EdgeAttrId) -> &[AttrValue] {
-        &self.w_cols[a.index()]
-    }
-
-    /// The full destination-side column of node attribute `a`, indexed by
-    /// EArray position.
-    #[inline]
-    pub fn r_col(&self, a: NodeAttrId) -> &[AttrValue] {
-        &self.r_cols[a.index()]
+    /// Keep the key caches and drop the structural columns: the mining
+    /// recursion reads nothing else.
+    pub fn into_keys(self) -> KeyColumns {
+        self.keys
     }
 
     /// All EArray positions, the root edge set of the mining recursion.
@@ -282,16 +332,6 @@ impl<'g> CompactModel<'g> {
         self.lrows.len() * (na + 2) + self.eid.len() * (ea + 1) + self.rrows.len() * na
     }
 
-    /// Cell count of the columnar key caches (module docs): one value per
-    /// (side, attribute, position), i.e. `|E|·(2·#AttrV + #AttrE)` — the
-    /// single-table shape, spent deliberately for single-load keys on top
-    /// of the [`Self::cells`] structural model.
-    pub fn cache_cells(&self) -> usize {
-        let na = self.graph.schema().node_attr_count();
-        let ea = self.graph.schema().edge_attr_count();
-        self.eid.len() * (2 * na + ea)
-    }
-
     /// Cell count using the paper's headline formula with the full `|V|`
     /// on both sides: `|V|·(#AttrV+2) + |E|·(#AttrE+1) + |V|·#AttrV`.
     pub fn cells_paper_formula(&self) -> usize {
@@ -304,9 +344,9 @@ impl<'g> CompactModel<'g> {
 
 /// Reject edge counts beyond `max` — positions are `u32`, and an
 /// oversized edge set would silently truncate them. The cap is a
-/// parameter because sharded mining applies the check **per shard**
-/// (each shard builds its own [`CompactModel`], so the u32 limit binds
-/// the shard, not the whole graph; see [`crate::shard::ShardStore`]).
+/// parameter because sharded mining applies the check **per shard and
+/// per slice** (each is mined over its own positions, so the u32 limit
+/// binds the unit, not the whole graph; see [`crate::shard::ShardStore`]).
 pub fn check_edge_capacity(edges: usize, max: usize) -> Result<()> {
     if edges > max {
         return Err(GraphError::TooManyEdges { edges, max });
@@ -383,16 +423,17 @@ mod tests {
     fn key_functions() {
         let g = sample();
         let cm = CompactModel::build(&g);
+        let keys = cm.keys();
         let a = NodeAttrId(0);
         let b = NodeAttrId(1);
         let w = EdgeAttrId(0);
         // Position 3 is edge 3->0.
-        assert_eq!(cm.l_key(3, a), 1, "node 3 has A=1");
-        assert_eq!(cm.l_key(3, b), 2);
-        assert_eq!(cm.r_key(3, a), 1, "node 0 has A=1");
-        assert_eq!(cm.w_key(3, w), 2);
+        assert_eq!(keys.l_key(3, a), 1, "node 3 has A=1");
+        assert_eq!(keys.l_key(3, b), 2);
+        assert_eq!(keys.r_key(3, a), 1, "node 0 has A=1");
+        assert_eq!(keys.w_key(3, w), 2);
         // Position 1 is edge 0->2.
-        assert_eq!(cm.r_key(1, a), 3);
+        assert_eq!(keys.r_key(1, a), 3);
     }
 
     #[test]
@@ -402,7 +443,7 @@ mod tests {
         // |L|=3, |R|=3, |E|=4, na=2, ea=1.
         assert_eq!(cm.cells(), 3 * 4 + 4 * 2 + 3 * 2);
         assert_eq!(cm.cells_paper_formula(), 4 * 4 + 4 * 2 + 4 * 2);
-        assert_eq!(cm.cache_cells(), 4 * (2 * 2 + 1));
+        assert_eq!(cm.keys().cells(), 4 * (2 * 2 + 1));
         let st = crate::SingleTable::build(&g);
         assert_eq!(st.cells(), 4 * (2 * 2 + 1));
     }
@@ -418,17 +459,19 @@ mod tests {
     fn columnar_caches_agree_with_structural_lookups() {
         let g = sample();
         let cm = CompactModel::build(&g);
+        let keys = cm.keys();
+        assert_eq!(keys.edge_count(), cm.edge_count());
         for p in 0..cm.edge_count() as u32 {
             let e = cm.edge_id(p);
             for a in g.schema().node_attr_ids() {
-                assert_eq!(cm.l_key(p, a), g.src_attr(e, a), "l_key p={p} {a}");
-                assert_eq!(cm.r_key(p, a), g.dst_attr(e, a), "r_key p={p} {a}");
-                assert_eq!(cm.l_col(a)[p as usize], cm.l_key(p, a));
-                assert_eq!(cm.r_col(a)[p as usize], cm.r_key(p, a));
+                assert_eq!(keys.l_key(p, a), g.src_attr(e, a), "l_key p={p} {a}");
+                assert_eq!(keys.r_key(p, a), g.dst_attr(e, a), "r_key p={p} {a}");
+                assert_eq!(keys.l_col(a)[p as usize], keys.l_key(p, a));
+                assert_eq!(keys.r_col(a)[p as usize], keys.r_key(p, a));
             }
             for a in g.schema().edge_attr_ids() {
-                assert_eq!(cm.w_key(p, a), g.edge_attr(e, a), "w_key p={p} {a}");
-                assert_eq!(cm.w_col(a)[p as usize], cm.w_key(p, a));
+                assert_eq!(keys.w_key(p, a), g.edge_attr(e, a), "w_key p={p} {a}");
+                assert_eq!(keys.w_col(a)[p as usize], keys.w_key(p, a));
             }
         }
     }

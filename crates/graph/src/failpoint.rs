@@ -2,7 +2,7 @@
 //! cargo feature and zero-cost otherwise.
 //!
 //! A *failpoint* is a named site in a failure-prone path (shard spill
-//! writes, shard loads, pool eviction, worker bodies). Tests [`arm`] a
+//! writes, shard and slice loads, pool eviction, worker bodies). Tests [`arm`] a
 //! site with a hit index and a [`FaultKind`]; the site's [`hit`] probe
 //! returns the fault exactly once, on exactly that hit — driven by the
 //! test's seeded schedule, never by a clock — so every injected short
@@ -34,6 +34,7 @@ pub enum FaultKind {
 pub const SITES: &[&str] = &[
     "spill.write",
     "shard.load",
+    "slice.load",
     "pool.evict",
     "worker.body",
     "request.handle",

@@ -9,7 +9,8 @@
 //!   value dictionaries and per-node-attribute **homophily flags**;
 //! * [`SocialGraph`] / [`GraphBuilder`] — validated attributed digraphs;
 //! * [`CompactModel`] — the LArray/EArray/RArray compact data model of
-//!   §IV-A (node attributes stored once, `Ptr`-linked edge records);
+//!   §IV-A (node attributes stored once, `Ptr`-linked edge records), and
+//!   the per-position [`KeyColumns`] the mining recursion reads;
 //! * [`SingleTable`] — the joined `|E| × (2·#AttrV + #AttrE)` table used by
 //!   baseline BL1, kept around to measure the §IV-A size comparison;
 //! * [`sort`] — the stable counting-sort partitioner of §V;
@@ -58,7 +59,7 @@ mod value;
 
 pub use builder::GraphBuilder;
 pub use cancel::CancelToken;
-pub use compact::{check_edge_capacity, CompactModel};
+pub use compact::{check_edge_capacity, CompactModel, KeyColumns};
 pub use error::{GraphError, Result, ShardIoError};
 pub use graph::SocialGraph;
 pub use schema::{AttrDef, Schema, SchemaBuilder, MAX_NODE_ATTRS};

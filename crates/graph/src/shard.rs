@@ -19,7 +19,10 @@
 //!   [`SocialGraph`]. Capacity is checked **per shard** at finish time.
 //! * [`SliceSet`] — per-value re-partitions of the whole store keyed by
 //!   an arbitrary source/destination/edge attribute: the unit of work
-//!   for root tasks whose top dimension is not the shard key.
+//!   for root tasks whose top dimension is not the shard key. A slice
+//!   loads as the [`KeyColumns`] its unit mines
+//!   ([`SliceSet::load_keys`]), gathered against the store's resident
+//!   node table: no graph, no node rows, no compact model.
 //! * [`ShardPool`] — the LRU residency manager: `acquire` pins a shard
 //!   (loading it if absent, evicting unpinned least-recently-used
 //!   residents to stay inside a fixed byte budget), `release` unpins.
@@ -28,17 +31,27 @@
 //!   residency never exceeds the budget, and the blocked wait (every
 //!   resident pinned) is not a deadlock.
 //!
+//! Every reader — shard loads, slice-set builds, slice key loads — goes
+//! through one read path: the decoder verifies the file header and each
+//! chunk's checksum, and each decoded chunk's endpoints and edge values
+//! are then checked against the store. A spill file whose checksums hold
+//! but whose values the store never wrote is a typed error before any
+//! reader indexes with them, never a panic.
+//!
 //! Residency accounting uses [`resident_cost`], a byte estimate of a
 //! shard's working set (its graph plus the compact model mining builds
 //! over it), so `shard_resident_bytes_peak ≤ budget` holds by
-//! construction whenever the pool hands out a lease.
+//! construction whenever the pool hands out a lease. A slice is charged
+//! the same formula for its edge count, an upper bound on its key
+//! columns.
 
 use crate::builder::GraphBuilder;
 use crate::cancel::CancelToken;
-use crate::compact::check_edge_capacity;
+use crate::compact::{check_edge_capacity, CompactModel, KeyColumns};
 use crate::error::{GraphError, Result, ShardIoError};
 use crate::failpoint;
 use crate::graph::SocialGraph;
+use crate::io::EdgeChunk;
 use crate::schema::Schema;
 use crate::value::{AttrValue, EdgeAttrId, NodeAttrId, NodeId, NULL};
 use parking_lot::Mutex;
@@ -272,26 +285,23 @@ impl ChunkRouter {
     }
 }
 
-/// Per-edge callback: `(src, dst, edge-attribute row)`.
-pub type EdgeVisitor<'a> = dyn FnMut(NodeId, NodeId, &[AttrValue]) -> Result<()> + 'a;
-
-/// Stream one spilled chunk file, invoking `f` per edge with a reused
-/// row buffer for the edge-attribute values.
-fn for_each_edge_in(path: &Path, ea: usize, f: &mut EdgeVisitor) -> Result<()> {
-    let file = fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    crate::io::read_spill_header(&mut r)?;
-    let mut row = Vec::with_capacity(ea);
-    while let Some(chunk) = crate::io::read_edge_chunk(&mut r, ea)? {
-        for i in 0..chunk.len() {
-            row.clear();
-            for a in 0..ea {
-                row.push(chunk.attrs[a][i]);
-            }
-            f(chunk.srcs[i], chunk.dsts[i], &row)?;
-        }
+/// The injected faults of a load site (`shard.load`, `slice.load`): a
+/// synthetic I/O error or a short read.
+fn injected_load_fault(site: &'static str, context: &'static str) -> Result<()> {
+    match failpoint::hit(site) {
+        Some(failpoint::FaultKind::IoError) => Err(GraphError::Io {
+            message: context.into(),
+        }),
+        Some(failpoint::FaultKind::ShortRead) => Err(ShardIoError::ShortRead { context }.into()),
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+/// `count` empty columns with room for `len` values each.
+fn columns(count: usize, len: usize) -> Vec<Vec<AttrValue>> {
+    let mut cols = Vec::with_capacity(count);
+    cols.resize_with(count, || Vec::with_capacity(len));
+    cols
 }
 
 /// Streaming writer for a [`ShardStore`]: nodes accumulate in memory
@@ -519,27 +529,67 @@ impl ShardStore {
     where
         F: FnMut(NodeId, NodeId, &[AttrValue]) -> Result<()>,
     {
-        for_each_edge_in(&self.edge_file(s), self.schema.edge_attr_count(), &mut f)
+        let mut row = Vec::with_capacity(self.schema.edge_attr_count());
+        self.for_each_chunk_in(&self.edge_file(s), &mut |chunk| {
+            for i in 0..chunk.len() {
+                row.clear();
+                row.extend(chunk.attrs.iter().map(|col| col[i]));
+                f(chunk.srcs[i], chunk.dsts[i], &row)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Stream one spill file of this store chunk by chunk: the read path
+    /// every store reader shares. The decoder verifies the header and
+    /// each chunk's checksum, and [`Self::check_chunk`] each decoded
+    /// chunk's values, before `f` sees it.
+    fn for_each_chunk_in(
+        &self,
+        path: &Path,
+        f: &mut dyn FnMut(&EdgeChunk) -> Result<()>,
+    ) -> Result<()> {
+        let mut r = BufReader::new(fs::File::open(path)?);
+        crate::io::read_spill_header(&mut r)?;
+        while let Some(chunk) = crate::io::read_edge_chunk(&mut r, self.schema.edge_attr_count())? {
+            self.check_chunk(&chunk)?;
+            f(&chunk)?;
+        }
+        Ok(())
+    }
+
+    /// Reject a chunk whose checksum holds but whose values this store
+    /// never wrote: an endpoint at or past the node count, or an edge
+    /// value outside its attribute's domain. Readers index the node
+    /// table and per-value tables with these values, so they are
+    /// checked once here, before any reader sees them.
+    fn check_chunk(&self, chunk: &EdgeChunk) -> Result<()> {
+        let nodes = self.node_count();
+        if let Some(&node) = chunk.srcs.iter().chain(&chunk.dsts).max() {
+            if node as usize >= nodes {
+                return Err(GraphError::DanglingEndpoint { node, nodes });
+            }
+        }
+        for (a, col) in self.schema.edge_attr_ids().zip(&chunk.attrs) {
+            let def = self.schema.edge_attr(a);
+            if let Some(&value) = col.iter().max() {
+                if value > def.domain_size() {
+                    return Err(GraphError::ValueOutOfDomain {
+                        attr: def.name().into(),
+                        value,
+                        domain: def.domain_size(),
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Shared load prelude: the `shard.load` failpoint probe and the
     /// per-shard capacity check, identical for the validating and
     /// trusted paths.
     fn load_prelude(&self, s: usize) -> Result<()> {
-        match failpoint::hit("shard.load") {
-            Some(failpoint::FaultKind::IoError) => {
-                return Err(GraphError::Io {
-                    message: "injected fault at shard.load".into(),
-                });
-            }
-            Some(failpoint::FaultKind::ShortRead) => {
-                return Err(ShardIoError::ShortRead {
-                    context: "injected fault at shard.load",
-                }
-                .into());
-            }
-            _ => {}
-        }
+        injected_load_fault("shard.load", "injected fault at shard.load")?;
         check_edge_capacity(self.edge_counts[s] as usize, self.max_edges_per_shard)
     }
 
@@ -564,20 +614,18 @@ impl ShardStore {
         b.build()
     }
 
-    /// Load shard `s` *trusting* the spill: skip the per-row
-    /// `GraphBuilder` re-validation and assemble the graph columns
-    /// straight from the chunk stream.
+    /// Load shard `s` without the `GraphBuilder`: assemble the graph
+    /// columns straight from the chunk stream.
     ///
-    /// Safe for spills this process (or an honest peer) wrote: every
-    /// row was validated by `add_node`/`add_edge` before it was
-    /// spilled, the chunk reader verifies the per-chunk checksums and
-    /// the magic+version header on the way back in, and the capacity
-    /// check still runs — so corruption, truncation, and format drift
-    /// are rejected exactly as on the validating path; only the
-    /// semantic row checks (attribute arity/domain, endpoint range)
-    /// are skipped. [`load_shard`](Self::load_shard) remains the path
-    /// for spills of unknown provenance; the unit tests below pin the
-    /// two paths bit-identical and corruption still caught.
+    /// It rejects what the validating path rejects. The shared read path
+    /// verifies the magic+version header and every chunk's checksum, and
+    /// checks every endpoint against the node count and every edge value
+    /// against its domain; node rows were validated by `add_node` and
+    /// never leave memory; the capacity check still runs. So corruption,
+    /// truncation, format drift and out-of-range values all surface as
+    /// typed errors, and only the row-by-row rebuild through the builder
+    /// is skipped. The unit tests below pin the two paths bit-identical
+    /// and every such fault caught.
     pub fn load_shard_trusted(&self, s: usize) -> Result<SocialGraph> {
         self.load_prelude(s)?;
         let edges = self.edge_counts[s] as usize;
@@ -637,7 +685,8 @@ impl SliceKey {
 /// pass over every shard file. NULL-keyed edges are dropped — the
 /// miner never descends into NULL partitions, so a root task over a
 /// value slice sees exactly the edges its first partition pass would
-/// keep. Dropping the set removes its files.
+/// keep. A slice loads as key columns ([`Self::load_keys`]). Dropping
+/// the set removes its files.
 pub struct SliceSet<'s> {
     store: &'s ShardStore,
     key: SliceKey,
@@ -705,31 +754,37 @@ impl<'s> SliceSet<'s> {
         ChunkRouter::file_at(&self.dir, "slice", value as usize - 1)
     }
 
-    /// Load the slice for `value` as a standalone graph (every node
-    /// row, only the matching edges). `NULL` yields an edgeless graph.
-    pub fn load(&self, value: AttrValue) -> Result<SocialGraph> {
+    /// Load the slice for `value` as the key columns a mining unit
+    /// reads, positions in spill order. The source and destination
+    /// columns are gathered from the store's resident node table and the
+    /// edge columns copied from the chunks, so no graph and no node rows
+    /// are built: the slice costs its edges' columns alone. The chunks
+    /// pass the store's checked read path, and the slice must fit the
+    /// u32 position space. `NULL` loads no edges.
+    pub fn load_keys(&self, value: AttrValue) -> Result<KeyColumns> {
+        injected_load_fault("slice.load", "injected fault at slice.load")?;
         let store = self.store;
-        let mut b = GraphBuilder::with_capacity(
-            (*store.schema).clone(),
-            store.node_count(),
-            self.edge_count(value) as usize,
-        )
-        .allow_self_loops();
-        for n in 0..store.node_count() {
-            // cast: n < node_count, and ids were assigned via next_node_id
-            b.add_node(store.node_row(n as NodeId))?;
-        }
+        let edges = self.edge_count(value) as usize;
+        check_edge_capacity(edges, CompactModel::MAX_EDGES)?;
+        let na = store.schema.node_attr_count();
+        let (mut l, mut r) = (columns(na, edges), columns(na, edges));
+        let mut w = columns(store.schema.edge_attr_count(), edges);
+        let mut loaded = 0;
         if value != NULL {
-            for_each_edge_in(
-                &self.slice_file(value),
-                store.schema.edge_attr_count(),
-                &mut |src, dst, vals| {
-                    b.add_edge(src, dst, vals)?;
-                    Ok(())
-                },
-            )?;
+            let nodes = &store.node_values;
+            store.for_each_chunk_in(&self.slice_file(value), &mut |chunk| {
+                for a in 0..na {
+                    l[a].extend(chunk.srcs.iter().map(|&n| nodes[n as usize * na + a]));
+                    r[a].extend(chunk.dsts.iter().map(|&n| nodes[n as usize * na + a]));
+                }
+                for (col, values) in w.iter_mut().zip(&chunk.attrs) {
+                    col.extend_from_slice(values);
+                }
+                loaded += chunk.len();
+                Ok(())
+            })?;
         }
-        b.build()
+        Ok(KeyColumns::from_columns(loaded, l, w, r))
     }
 }
 
@@ -741,13 +796,15 @@ impl Drop for SliceSet<'_> {
     }
 }
 
-/// Estimated resident bytes of one loaded shard/slice: its
-/// [`SocialGraph`] (node rows, endpoints, edge rows) plus the
-/// `CompactModel` mining builds over it (structural columns, position
-/// vector, columnar key caches). An estimate, not an allocator audit —
-/// the pool budgets and meters this same unit, so
-/// `shard_resident_bytes_peak ≤ budget` is exact *in this unit* by
-/// construction.
+/// Estimated resident bytes of one loaded shard: its [`SocialGraph`]
+/// (node rows, endpoints, edge rows) plus the `CompactModel` mining
+/// builds over it (structural columns, position vector, columnar key
+/// caches). A value slice is charged this same formula for its edge
+/// count, though it holds only its key columns and position vector
+/// ([`SliceSet::load_keys`]): an upper bound, so budgets keep their
+/// meaning. An estimate, not an allocator audit — the pool budgets and
+/// meters this same unit, so `shard_resident_bytes_peak ≤ budget` is
+/// exact *in this unit* by construction.
 pub fn resident_cost(schema: &Schema, nodes: usize, edges: usize) -> u64 {
     let na = schema.node_attr_count() as u64;
     let ea = schema.edge_attr_count() as u64;
@@ -1284,44 +1341,75 @@ mod tests {
         }
     }
 
+    /// One position's (source row, edge row, destination row).
+    type KeyTuple = (Vec<u16>, Vec<u16>, Vec<u16>);
+
+    /// The loaded columns as a sorted multiset of per-position tuples.
+    fn key_tuples(keys: &KeyColumns, schema: &Schema) -> Vec<KeyTuple> {
+        let mut v: Vec<KeyTuple> = (0..keys.edge_count() as u32)
+            .map(|p| {
+                (
+                    schema.node_attr_ids().map(|a| keys.l_key(p, a)).collect(),
+                    schema.edge_attr_ids().map(|a| keys.w_key(p, a)).collect(),
+                    schema.node_attr_ids().map(|a| keys.r_key(p, a)).collect(),
+                )
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// Every slice key of `schema`: each node attribute on either side
+    /// and each edge attribute.
+    fn every_key(schema: &Schema) -> Vec<SliceKey> {
+        let mut keys: Vec<SliceKey> = schema.node_attr_ids().map(SliceKey::Src).collect();
+        keys.extend(schema.node_attr_ids().map(SliceKey::Dst));
+        keys.extend(schema.edge_attr_ids().map(SliceKey::Edge));
+        keys
+    }
+
+    fn key_of(g: &SocialGraph, e: u32, key: SliceKey) -> AttrValue {
+        match key {
+            SliceKey::Src(a) => g.src_attr(e, a),
+            SliceKey::Dst(a) => g.dst_attr(e, a),
+            SliceKey::Edge(a) => g.edge_attr(e, a),
+        }
+    }
+
     #[test]
     fn slices_partition_by_each_key_kind() {
         let g = sample();
         let dir = tdir("slices");
         let store = ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).unwrap();
-        let keys = [
-            SliceKey::Src(NodeAttrId(1)),
-            SliceKey::Dst(NodeAttrId(0)),
-            SliceKey::Edge(EdgeAttrId(0)),
-        ];
-        for key in keys {
+        for key in every_key(g.schema()) {
             let sdir = tdir("slices_inner");
             let set = SliceSet::build(&store, key, &sdir).unwrap();
+            assert_eq!(set.value_count(), key.domain(g.schema()));
             let mut total = 0u64;
             for v in 1..=set.value_count() as u16 {
-                let sg = set.load(v).unwrap();
-                assert_eq!(sg.edge_count() as u64, set.edge_count(v));
+                let keys = set.load_keys(v).unwrap();
+                assert_eq!(keys.edge_count() as u64, set.edge_count(v));
                 total += set.edge_count(v);
-                for e in sg.edge_ids() {
-                    let got = match key {
-                        SliceKey::Src(a) => sg.src_attr(e, a),
-                        SliceKey::Dst(a) => sg.dst_attr(e, a),
-                        SliceKey::Edge(a) => sg.edge_attr(e, a),
-                    };
-                    assert_eq!(got, v, "slice {v} holds a foreign edge");
-                }
+                // The loaded columns are exactly the graph's edges with
+                // this key value, as (source row, edge row, destination
+                // row) tuples.
+                let mut want: Vec<KeyTuple> = g
+                    .edge_ids()
+                    .filter(|&e| key_of(&g, e, key) == v)
+                    .map(|e| {
+                        (
+                            g.node_row(g.src(e)).to_vec(),
+                            g.edge_row(e).to_vec(),
+                            g.node_row(g.dst(e)).to_vec(),
+                        )
+                    })
+                    .collect();
+                want.sort();
+                assert_eq!(key_tuples(&keys, g.schema()), want, "{key:?} = {v}");
             }
+            assert_eq!(set.load_keys(NULL).unwrap().edge_count(), 0, "{key:?}");
             // NULL-keyed edges are dropped, everything else lands once.
-            let nulls = g
-                .edge_ids()
-                .filter(|&e| {
-                    (match key {
-                        SliceKey::Src(a) => g.src_attr(e, a),
-                        SliceKey::Dst(a) => g.dst_attr(e, a),
-                        SliceKey::Edge(a) => g.edge_attr(e, a),
-                    }) == NULL
-                })
-                .count() as u64;
+            let nulls = g.edge_ids().filter(|&e| key_of(&g, e, key) == NULL).count() as u64;
             assert_eq!(total + nulls, g.edge_count() as u64);
         }
     }
@@ -1548,6 +1636,48 @@ mod tests {
             edge_set(&store.load_shard_trusted(0).unwrap()),
             edge_set(&g)
         );
+    }
+
+    /// Replace the spill file at `path` with a well-formed one (valid
+    /// header and checksum) holding the single edge `src -> dst`, `w`.
+    fn write_one_edge(path: &Path, src: NodeId, dst: NodeId, w: AttrValue) {
+        let mut bytes = Vec::new();
+        crate::io::write_spill_header(&mut bytes).unwrap();
+        bytes.extend(crate::io::encode_edge_chunk(&[src], &[dst], &[vec![w]]));
+        fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_spill_values_are_typed_errors_at_every_reader() {
+        let g = sample();
+        let nodes = g.node_count();
+        // (src, dst, w): checksums hold, values do not.
+        for (src, dst, w) in [(3_000_000, 0, 1), (0, 3_000_000, 1), (0, 1, 9)] {
+            let expect = |err: GraphError| match err {
+                GraphError::DanglingEndpoint { node, nodes: n } => {
+                    assert_eq!((node, n), (3_000_000, nodes));
+                }
+                GraphError::ValueOutOfDomain { value, domain, .. } => {
+                    assert_eq!((value, domain, w), (9, 2, 9));
+                }
+                other => panic!("({src}, {dst}, {w}): {other:?}"),
+            };
+            let dir = tdir("bad_values");
+            let store = ShardStore::build_from_graph(&g, &dir, 1, CompactModel::MAX_EDGES).unwrap();
+            // The key loader, over a slice file of a set built clean.
+            let sdir = tdir("bad_values_slices");
+            let set = SliceSet::build(&store, SliceKey::Edge(EdgeAttrId(0)), &sdir).unwrap();
+            write_one_edge(&sdir.join("slice-0.edges"), src, dst, w);
+            expect(set.load_keys(1).unwrap_err());
+            // Both shard loads and the slice-set build, over a shard file.
+            write_one_edge(&dir.join("shard-0.edges"), src, dst, w);
+            expect(store.load_shard_trusted(0).unwrap_err());
+            expect(store.load_shard(0).unwrap_err());
+            for key in every_key(g.schema()) {
+                let err = SliceSet::build(&store, key, tdir("bad_values_rebuild")).err();
+                expect(err.expect("a bad chunk fails the build"));
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! full mining-shaped recursion (counts, lazy scatters, count-only
 //! leaves, varied slice sizes and bucket counts) through a
 //! [`PartitionArena`] performs **zero** heap allocations — per recursion
-//! node and in total.
+//! node and in total. The same allocator bounds what loading one value
+//! slice of a shard store costs: its edges' key columns, never a copy of
+//! the store's node table.
 
+use grm_graph::shard::{ShardStoreWriter, SliceKey, SliceSet};
 use grm_graph::sort::PartitionArena;
-use grm_graph::AttrValue;
+use grm_graph::{AttrValue, CompactModel, EdgeAttrId, SchemaBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// `System`, with every allocation and reallocation counted.
+/// `System`, with every allocation and reallocation counted, in calls
+/// and in bytes.
 struct CountingAlloc;
 
 thread_local! {
@@ -18,23 +22,26 @@ thread_local! {
     /// allocate while a test runs, and a process-wide count would put
     /// their allocations inside the steady-state measurement window.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by this thread's allocations and reallocations.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // Fails only while this thread's locals are being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,6 +52,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes allocated so far by the calling thread.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Synthetic columnar workload: `dims` key columns over `n` positions,
@@ -140,4 +152,43 @@ fn partitions_stay_correct_under_reuse() {
     let mut sorted: Vec<u32> = data.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>(), "permutation");
+}
+
+#[test]
+fn loading_a_small_slice_allocates_less_than_the_node_table() {
+    let nodes = 50_000usize;
+    let schema = SchemaBuilder::new()
+        .node_attr("A", 4, true)
+        .node_attr("B", 3, false)
+        .edge_attr("W", 2)
+        .build()
+        .unwrap();
+    let node_table_bytes = (nodes * schema.node_attr_count() * 2) as u64;
+    let dir = std::env::temp_dir().join(format!("grm-slice-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut w = ShardStoreWriter::create(schema, &dir, 2, CompactModel::MAX_EDGES).unwrap();
+    for i in 0..nodes {
+        w.add_node(&[(i % 5) as AttrValue, (i % 4) as AttrValue])
+            .unwrap();
+    }
+    // Ten edges carry W = 1 (the slice under test), a thousand W = 2.
+    for e in 0..1010u32 {
+        let value = if e < 10 { 1 } else { 2 };
+        w.add_edge(e * 7, e * 13 + 1, &[value]).unwrap();
+    }
+    let store = w.finish().unwrap();
+    let set = SliceSet::build(&store, SliceKey::Edge(EdgeAttrId(0)), dir.join("slices")).unwrap();
+    assert_eq!(set.edge_count(1), 10);
+
+    let before = bytes();
+    let keys = set.load_keys(1).unwrap();
+    let loaded = bytes() - before;
+    assert_eq!(keys.edge_count(), 10);
+    assert!(
+        loaded < node_table_bytes,
+        "loading a 10-edge slice allocated {loaded} bytes, one node table is {node_table_bytes}"
+    );
+    drop(set);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }

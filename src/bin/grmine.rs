@@ -477,7 +477,7 @@ fn cmd_info(args: &[String]) -> i32 {
     );
     println!(
         "columnar key caches: {} cells (runtime acceleration on top of the compact model)",
-        cm.cache_cells()
+        cm.keys().cells()
     );
     0
 }

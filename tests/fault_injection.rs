@@ -120,20 +120,24 @@ fn shard_load_faults_become_typed_errors_and_leave_no_wedged_state() {
     let g = workload();
     let oracle = GrMiner::new(&g, cfg()).mine();
     let store = store_for(&g, "load-faults", 3);
-    for kind in [FaultKind::IoError, FaultKind::ShortRead] {
-        failpoint::disarm_all();
-        failpoint::arm("shard.load", 0, 1, kind);
-        let out = mine_sharded(&store, &cfg(), &ShardedOptions::default());
-        failpoint::disarm_all();
-        match out {
-            Err(MinerError::Graph(GraphError::Io { .. }))
-            | Err(MinerError::Graph(GraphError::ShardIo(_))) => {}
-            other => panic!("{kind:?}: expected a typed storage error, got {other:?}"),
+    // Shard loads and value-slice key loads alike.
+    for site in ["shard.load", "slice.load"] {
+        for kind in [FaultKind::IoError, FaultKind::ShortRead] {
+            failpoint::disarm_all();
+            failpoint::arm(site, 0, 1, kind);
+            let out = mine_sharded(&store, &cfg(), &ShardedOptions::default());
+            failpoint::disarm_all();
+            match out {
+                Err(MinerError::Graph(GraphError::Io { .. }))
+                | Err(MinerError::Graph(GraphError::ShardIo(_))) => {}
+                other => panic!("{site} {kind:?}: expected a typed storage error, got {other:?}"),
+            }
+            // No leaked pins or reservations, no wedged store: the same
+            // store mines clean.
+            let rerun = mine_sharded(&store, &cfg(), &ShardedOptions::default())
+                .expect("fault-free rerun over the same store");
+            assert_eq!(rerun.top, oracle.top, "{site} {kind:?}: rerun diverged");
         }
-        // No leaked pins, no wedged store: the same store mines clean.
-        let rerun = mine_sharded(&store, &cfg(), &ShardedOptions::default())
-            .expect("fault-free rerun over the same store");
-        assert_eq!(rerun.top, oracle.top, "{kind:?}: rerun diverged");
     }
     cleanup(store);
 }
@@ -263,6 +267,8 @@ fn the_seeded_matrix_never_aborts_and_never_returns_wrong_results() {
         ("spill.write", FaultKind::IoError),
         ("shard.load", FaultKind::IoError),
         ("shard.load", FaultKind::ShortRead),
+        ("slice.load", FaultKind::IoError),
+        ("slice.load", FaultKind::ShortRead),
         ("pool.evict", FaultKind::ShrinkBudget(4096)),
         ("worker.body", FaultKind::Panic),
     ];

@@ -13,7 +13,7 @@ use social_ties::core::sharded::{mine_sharded, ShardedOptions};
 use social_ties::core::{Dims, MinerError};
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::shard::ShardStore;
-use social_ties::graph::{CancelToken, CompactModel, GraphError, ShardIoError};
+use social_ties::graph::{io, CancelToken, CompactModel, EdgeAttrId, GraphError, ShardIoError};
 use social_ties::{generate, toy_network, GrMiner, MinerConfig, ScoredGr, SocialGraph};
 use std::path::PathBuf;
 
@@ -201,6 +201,43 @@ fn corrupted_spill_files_are_rejected_with_typed_errors() {
         "got {err:?}"
     );
     cleanup(store);
+}
+
+#[test]
+fn out_of_range_spill_values_are_typed_errors_not_panics() {
+    // A chunk with a correct checksum can still carry values the store
+    // never wrote: an endpoint past the node count, or an edge value
+    // outside its domain. The mine reads them while it builds its slice
+    // sets, before any worker runs, and must return the typed error.
+    let g = workload();
+    let nodes = g.node_count();
+    let cols = g.schema().edge_attr_count();
+    let bad_value = g.schema().edge_attr(EdgeAttrId(0)).domain_size() + 1;
+    for (src, dst, value) in [(3_000_000, 0, 1), (0, 3_000_000, 1), (0, 1, bad_value)] {
+        let store = store_for(&g, "bad-values", 2);
+        let mut bytes = Vec::new();
+        io::write_spill_header(&mut bytes).unwrap();
+        let mut attrs = vec![vec![1]; cols];
+        attrs[0] = vec![value];
+        bytes.extend(io::encode_edge_chunk(&[src], &[dst], &attrs));
+        std::fs::write(store.dir().join("shard-1.edges"), &bytes).unwrap();
+        for threads in [1, 2] {
+            let opts = ShardedOptions {
+                threads,
+                memory_budget: None,
+            };
+            match mine_sharded(&store, &MinerConfig::nhp(3, 0.5, 10), &opts) {
+                Err(MinerError::Graph(GraphError::DanglingEndpoint { node, nodes: n })) => {
+                    assert_eq!((node, n), (3_000_000, nodes));
+                }
+                Err(MinerError::Graph(GraphError::ValueOutOfDomain { value: v, .. })) => {
+                    assert_eq!(v, bad_value);
+                }
+                other => panic!("({src}, {dst}, {value}): got {other:?}"),
+            }
+        }
+        cleanup(store);
+    }
 }
 
 #[test]

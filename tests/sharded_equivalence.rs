@@ -89,6 +89,54 @@ fn dblp_like_bit_identical() {
     assert_sharded_matches(&g, &MinerConfig::nhp(3, 0.5, 50), "dblp");
 }
 
+#[test]
+fn concurrent_mines_on_one_store_keep_their_own_slices() {
+    // Every mine spills its slice sets under the store's directory; two
+    // mines at once must neither sweep nor delete each other's files.
+    let g = generate(&pokec_config_scaled(0.05)).unwrap();
+    let min_supp = (g.edge_count() as u64 / 1000).max(1);
+    let cfg = MinerConfig::nhp(min_supp, 0.5, 25).without_dynamic_topk();
+    let seq = GrMiner::new(&g, cfg.clone()).mine();
+    let store = store_for(&g, "concurrent", 2);
+    let opts = ShardedOptions {
+        threads: 1,
+        memory_budget: None,
+    };
+    // Both threads start each round together, so their slice builds,
+    // loads and cleanups overlap.
+    let round_start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let mines: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..10)
+                        .map(|_| {
+                            round_start.wait();
+                            mine_sharded(&store, &cfg, &opts).map(|r| r.top)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for (t, mine) in mines.into_iter().enumerate() {
+            for (round, got) in mine.join().unwrap().into_iter().enumerate() {
+                let top = got.unwrap_or_else(|e| panic!("thread {t}, round {round}: {e}"));
+                assert_eq!(seq.top, top, "thread {t}, round {round}");
+            }
+        }
+    });
+    // Each mine removed its own slice directory on return.
+    let left: Vec<_> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| !n.to_string_lossy().starts_with("shard-"))
+        .collect();
+    assert!(left.is_empty(), "slice files left behind: {left:?}");
+    let dir = store.dir().to_path_buf();
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The largest edge set any single unit makes resident: the per-shard
 /// maximum and, for slices, the largest per-value group of any LHS/RHS
 /// node attribute or edge attribute.
