@@ -20,13 +20,12 @@ use crate::walk::FileSet;
 /// Stable rule id.
 pub const RULE: &str = "cast-truncation-audit";
 
-/// The audited hot-path files: index arithmetic in the graph kernel and
-/// the mining engines.
+/// The audited hot-path files: index arithmetic in the graph substrate
+/// and the mining engines.
 pub const AUDITED_FILES: &[&str] = &[
     "crates/graph/src/builder.rs",
     "crates/graph/src/compact.rs",
     "crates/graph/src/io.rs",
-    "crates/graph/src/kernel.rs",
     "crates/graph/src/shard.rs",
     "crates/graph/src/sort.rs",
     "crates/core/src/beta.rs",

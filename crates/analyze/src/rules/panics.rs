@@ -15,7 +15,6 @@ pub const RULE: &str = "panic-in-hot-path";
 /// The files the rule covers: the counting/partition substrate and the
 /// enumeration + parallel engine.
 pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/graph/src/kernel.rs",
     "crates/graph/src/sort.rs",
     "crates/graph/src/shard.rs",
     "crates/core/src/beta.rs",

@@ -35,6 +35,8 @@ fn bad_tree_produces_exactly_the_seeded_diagnostics() {
         ("no-debug-print", "crates/core/src/lib.rs", 6),
         ("unsafe-without-safety", "crates/core/src/lib.rs", 8),
         ("malformed-allow", "crates/core/src/lib.rs", 13),
+        ("panic-in-hot-path", "crates/core/src/miner.rs", 4),
+        ("panic-in-hot-path", "crates/core/src/miner.rs", 5),
         ("proof-model-linkage", "crates/core/src/service.rs", 2),
         ("proof-model-linkage", "crates/core/src/service.rs", 2),
         ("lock-order-cycle", "crates/core/src/service.rs", 7),
@@ -47,8 +49,6 @@ fn bad_tree_produces_exactly_the_seeded_diagnostics() {
         ("condvar-discipline", "crates/core/src/service.rs", 48),
         ("atomic-ordering-audit", "crates/core/src/topk.rs", 6),
         ("atomic-ordering-audit", "crates/core/src/topk.rs", 7),
-        ("panic-in-hot-path", "crates/graph/src/kernel.rs", 4),
-        ("panic-in-hot-path", "crates/graph/src/kernel.rs", 5),
         ("cast-truncation-audit", "crates/graph/src/shard.rs", 4),
         ("cast-truncation-audit", "crates/graph/src/shard.rs", 5),
         ("alloc-in-arena", "crates/graph/src/sort.rs", 4),

@@ -7,7 +7,6 @@ use grm_bench::{fixture, Dataset};
 use grm_core::beta::heff_table;
 use grm_core::{query, GrBuilder};
 use grm_datagen::{generate, pokec_config_scaled};
-use grm_graph::kernel;
 use grm_graph::sort::PartitionArena;
 use grm_graph::{AttrValue, CompactModel, NodeAttrId, SingleTable};
 
@@ -60,9 +59,11 @@ fn legacy_partition(
 /// two-level (parent + children) partition on a narrow parent (small
 /// parent domain, so children are large). The `_leaf` cell makes the
 /// children count-only, as the miner runs the first pass of a RIGHT
-/// chain; `arena_count_only` is the `arena` pass without its scatter.
-/// The fused two-level pass is gone, and its `two_level_fused_leaf`
-/// cell with it.
+/// chain; `arena_count_only` is the `arena` pass without its scatter,
+/// also at n = 600, below the count's stripe threshold
+/// (`STRIPES × 189` = 756), so each histogram branch has a cell. The
+/// fused two-level pass is gone, and its `two_level_fused_leaf` cell
+/// with it.
 fn bench_partition_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition");
     for n in [10_000usize, 100_000] {
@@ -142,82 +143,21 @@ fn bench_partition_engine(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-/// The vectorized counting-kernel cells: the scalar counting loop vs
-/// the SWAR primitives ([`kernel::histogram_u32`] striped counting,
-/// [`kernel::gather_keys`] batched gather + hoisted range check), plus
-/// the full arena counting pass (`count_pass_kernel`). The arena has no
-/// kernels-off mode any more, so its `count_pass_scalar` twin is gone.
-fn bench_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel");
-    for n in [10_000usize, 100_000] {
-        group.throughput(Throughput::Elements(n as u64));
-        // Histogram: the 189-value Pokec Region domain and a narrow
-        // RHS-chain domain.
-        for buckets in [8usize, 189] {
-            let keys: Vec<AttrValue> = (0..n).map(|i| ((i * 7) % buckets) as u16).collect();
-            group.bench_with_input(
-                BenchmarkId::new(format!("hist_scalar_b{buckets}"), n),
-                &n,
-                |b, _| {
-                    let mut counts = vec![0u32; buckets];
-                    b.iter(|| {
-                        counts.iter_mut().for_each(|c| *c = 0);
-                        for &k in &keys {
-                            counts[k as usize] += 1;
-                        }
-                        counts[buckets / 2]
-                    });
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("hist_swar_b{buckets}"), n),
-                &n,
-                |b, _| {
-                    let mut counts = vec![0u32; buckets];
-                    let mut stripes = vec![0u32; kernel::STRIPES * buckets];
-                    b.iter(|| {
-                        counts.iter_mut().for_each(|c| *c = 0);
-                        kernel::histogram_u32(&keys, &mut counts, &mut stripes);
-                        counts[buckets / 2]
-                    });
-                },
-            );
-        }
-        // Gather + range check (the counting pass front-end).
-        let col: Vec<AttrValue> = (0..n).map(|i| (i % 188 + 1) as u16).collect();
-        let data: Vec<u32> = (0..n as u32).map(|i| (i * 31) % n as u32).collect();
-        group.bench_with_input(BenchmarkId::new("gather_scalar", n), &n, |b, _| {
-            let mut keys = vec![0u16; n];
-            b.iter(|| {
-                let mut max = 0u16;
-                for (k, &id) in keys.iter_mut().zip(&data) {
-                    let v = col[id as usize];
-                    max = max.max(v);
-                    *k = v;
-                }
-                max
-            });
+    // The count-only pass below the stripe threshold: 600 positions over
+    // 189 buckets count in the plain loop.
+    let n = 600usize;
+    group.throughput(Throughput::Elements(n as u64));
+    let col: Vec<AttrValue> = (0..n).map(|i| (i % 188 + 1) as u16).collect();
+    let data: Vec<u32> = (0..n as u32).map(|i| (i * 31) % n as u32).collect();
+    group.bench_with_input(BenchmarkId::new("arena_count_only", n), &n, |b, _| {
+        let mut arena = PartitionArena::new();
+        b.iter(|| {
+            let frame = arena.count_col(&data, 189, &col).unwrap();
+            let parts = frame.len();
+            arena.pop_frame(frame);
+            parts
         });
-        group.bench_with_input(BenchmarkId::new("gather_kernel", n), &n, |b, _| {
-            let mut keys = vec![0u16; n];
-            b.iter(|| kernel::gather_keys(&data, &col, &mut keys).0);
-        });
-        // The full arena counting pass.
-        group.bench_with_input(BenchmarkId::new("count_pass_kernel", n), &n, |b, _| {
-            let mut arena = PartitionArena::new();
-            let mut d = data.clone();
-            b.iter(|| {
-                d.copy_from_slice(&data);
-                let frame = arena.partition_col(&mut d, 189, &col).unwrap();
-                let parts = frame.len();
-                arena.pop_frame(frame);
-                parts
-            });
-        });
-    }
+    });
     group.finish();
 }
 
@@ -353,7 +293,6 @@ fn bench_heff_supports(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_partition_engine,
-    bench_kernel,
     bench_counting_sort,
     bench_model_builds,
     bench_query,

@@ -7,10 +7,10 @@
 //! * `partition` (default) — the partition-engine micro cells
 //!   (allocating legacy primitive vs arena pass vs count-only arena pass,
 //!   and the two-level shapes: full child passes, and count-only
-//!   children, as the miner runs the first pass of a RIGHT chain);
-//! * `kernel` — the vectorized counting-kernel cells (scalar histogram
-//!   vs SWAR stripes, scalar vs batched gather, and the full arena
-//!   counting pass);
+//!   children, as the miner runs the first pass of a RIGHT chain). The
+//!   count-only pass runs at n = 600 too, below the count's stripe
+//!   threshold (`STRIPES × 189` = 756), so each histogram branch has a
+//!   cell;
 //! * `parallel` — end-to-end thread scaling of the work-stealing miner
 //!   on full-dims Pokec: sequential GRMiner(k) and GRMiner, and the
 //!   work-stealing engine at 1/2/4 threads;
@@ -20,9 +20,8 @@
 //!   budget — the out-of-core overhead relative to the in-core mine.
 //!
 //! ```text
-//! bench_json [--group partition|kernel|parallel|shard] [out.json]
+//! bench_json [--group partition|parallel|shard] [out.json]
 //! # defaults: --group partition → BENCH_partition.json
-//! #           --group kernel    → BENCH_kernel.json
 //! #           --group parallel  → BENCH_parallel.json
 //! #           --group shard     → BENCH_shard.json
 //! ```
@@ -33,13 +32,17 @@
 //! works over — items for micro cells, edges for mining cells).
 //! Consumers key on `(group, bench, n)` — append new cells, never
 //! repurpose old names. No longer emitted: `two_level_fused` and
-//! `two_level_fused_leaf` (the arena has no fused two-level pass), and
-//! `count_pass_scalar` (the arena has no kernels-off mode).
+//! `two_level_fused_leaf` (the arena has no fused two-level pass),
+//! `count_pass_scalar` (the arena has no kernels-off mode), and the
+//! whole `kernel` group — `hist_scalar_b8`, `hist_swar_b8`,
+//! `hist_scalar_b189`, `hist_swar_b189`, `gather_scalar`,
+//! `gather_kernel` and `count_pass_kernel` — whose SWAR kernels are gone
+//! (the arena's count is one routine; `partition/arena` times the pass
+//! `count_pass_kernel` timed).
 
 use grm_bench::{fixture, Dataset, Table};
 use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use grm_core::{Dims, GrMiner, MinerConfig};
-use grm_graph::kernel;
 use grm_graph::sort::PartitionArena;
 use grm_graph::AttrValue;
 use std::time::Instant;
@@ -215,88 +218,24 @@ fn partition_cells() -> Vec<Cell> {
             }),
         });
     }
-    cells
-}
 
-/// The counting-kernel micro cells: scalar histogram vs the SWAR
-/// striped histogram (8- and 189-bucket domains), scalar vs batched
-/// gather with the hoisted range check, and the full arena counting
-/// pass.
-fn kernel_cells() -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    for n in [10_000usize, 100_000] {
-        for (buckets, scalar_name, swar_name) in [
-            (8usize, "hist_scalar_b8", "hist_swar_b8"),
-            (189, "hist_scalar_b189", "hist_swar_b189"),
-        ] {
-            let keys: Vec<AttrValue> = (0..n).map(|i| ((i * 7) % buckets) as u16).collect();
-            let mut counts = vec![0u32; buckets];
-            cells.push(Cell {
-                group: "kernel",
-                bench: scalar_name,
-                n,
-                median_ns: median_ns(|| {
-                    counts.iter_mut().for_each(|c| *c = 0);
-                    for &k in &keys {
-                        counts[k as usize] += 1;
-                    }
-                    counts[buckets / 2] as u64
-                }),
-            });
-            let mut counts = vec![0u32; buckets];
-            let mut stripes = vec![0u32; kernel::STRIPES * buckets];
-            cells.push(Cell {
-                group: "kernel",
-                bench: swar_name,
-                n,
-                median_ns: median_ns(|| {
-                    counts.iter_mut().for_each(|c| *c = 0);
-                    kernel::histogram_u32(&keys, &mut counts, &mut stripes);
-                    counts[buckets / 2] as u64
-                }),
-            });
-        }
-
-        let col: Vec<AttrValue> = (0..n).map(|i| (i % 188 + 1) as u16).collect();
-        let data: Vec<u32> = (0..n as u32).map(|i| (i * 31) % n as u32).collect();
-        let mut keys = vec![0u16; n];
-        cells.push(Cell {
-            group: "kernel",
-            bench: "gather_scalar",
-            n,
-            median_ns: median_ns(|| {
-                let mut max = 0u16;
-                for (k, &id) in keys.iter_mut().zip(&data) {
-                    let v = col[id as usize];
-                    max = max.max(v);
-                    *k = v;
-                }
-                max as u64
-            }),
-        });
-        let mut keys = vec![0u16; n];
-        cells.push(Cell {
-            group: "kernel",
-            bench: "gather_kernel",
-            n,
-            median_ns: median_ns(|| kernel::gather_keys(&data, &col, &mut keys).0 as u64),
-        });
-
-        let mut arena = PartitionArena::new();
-        let mut d = data.clone();
-        cells.push(Cell {
-            group: "kernel",
-            bench: "count_pass_kernel",
-            n,
-            median_ns: median_ns(|| {
-                d.copy_from_slice(&data);
-                let frame = arena.partition_col(&mut d, 189, &col).unwrap();
-                let parts = frame.len() as u64;
-                arena.pop_frame(frame);
-                parts
-            }),
-        });
-    }
+    // The count-only pass below the stripe threshold: 600 positions over
+    // 189 buckets count in the plain loop.
+    let n = 600usize;
+    let col: Vec<AttrValue> = (0..n).map(|i| (i % 188 + 1) as u16).collect();
+    let data: Vec<u32> = (0..n as u32).map(|i| (i * 31) % n as u32).collect();
+    let mut arena = PartitionArena::new();
+    cells.push(Cell {
+        group: "partition",
+        bench: "arena_count_only",
+        n,
+        median_ns: median_ns(|| {
+            let frame = arena.count_col(&data, 189, &col).unwrap();
+            let parts = frame.len() as u64;
+            arena.pop_frame(frame);
+            parts
+        }),
+    });
     cells
 }
 
@@ -455,7 +394,7 @@ fn main() {
         Some(i) => match args.get(i + 1) {
             Some(g) => g.clone(),
             None => {
-                eprintln!("--group is missing its value (partition|kernel|parallel|shard)");
+                eprintln!("--group is missing its value (partition|parallel|shard)");
                 std::process::exit(2);
             }
         },
@@ -470,7 +409,7 @@ fn main() {
     // A mistyped flag must fail, not become the output filename.
     if let Some(flagish) = positional.iter().find(|a| a.starts_with('-')) {
         eprintln!(
-            "unknown flag `{flagish}` (usage: bench_json [--group partition|kernel|parallel|shard] [out.json])"
+            "unknown flag `{flagish}` (usage: bench_json [--group partition|parallel|shard] [out.json])"
         );
         std::process::exit(2);
     }
@@ -484,11 +423,10 @@ fn main() {
         .unwrap_or_else(|| format!("BENCH_{group}.json"));
     let cells = match group.as_str() {
         "partition" => partition_cells(),
-        "kernel" => kernel_cells(),
         "parallel" => parallel_cells(),
         "shard" => shard_cells(),
         other => {
-            eprintln!("unknown --group `{other}` (expected partition|kernel|parallel|shard)");
+            eprintln!("unknown --group `{other}` (expected partition|parallel|shard)");
             std::process::exit(2);
         }
     };

@@ -458,16 +458,14 @@ impl<'a> Run<'a> {
         self.record_scratch_peak();
     }
 
-    /// Record the arena high-water mark and drain the kernel batch
-    /// count. A worker's arena persists across its tasks, so the peak is
-    /// monotone per worker (the cross-task merge takes the max either
-    /// way); the batch count is drained so per-task stats stay additive.
+    /// Record the arena high-water mark. A worker's arena persists
+    /// across its tasks, so the peak is monotone per worker (the
+    /// cross-task merge takes the max either way).
     fn record_scratch_peak(&mut self) {
         self.stats.scratch_bytes_peak = self
             .stats
             .scratch_bytes_peak
             .max(self.scratch.arena.peak_bytes() as u64);
-        self.stats.kernel_batches += self.scratch.arena.take_kernel_batches();
     }
 
     /// If the split policy admits this partition (subtree-root frame size

@@ -11,8 +11,8 @@
 //!   segments: `sum` adds, `max` keeps the larger high-water mark.
 //! - The class says what [`MinerStats::semantic`] keeps: a `semantic`
 //!   counter describes the enumeration itself, a `work` counter one
-//!   execution of it (threads, splitting, kernels, shards, faults,
-//!   service traffic).
+//!   execution of it (threads, splitting, shards, faults, service
+//!   traffic).
 //!
 //! The struct, `merge`, `semantic` and `Display` are generated from the
 //! table, and serde emits the fields in row order, so adding a counter
@@ -131,10 +131,11 @@ miner_stats! {
     /// only because the repo benchmark (`perfbench/`) reads it as
     /// `miner.fused_passes`; it goes with the next benchmark change.
     fused_passes: "fused", sum, work;
-    /// Full `grm_graph::kernel::LANES`-wide batches processed by the
-    /// vectorized counting kernels (gather and histogram loops). A
-    /// *work* counter: task splitting legitimately repeats passes, so
-    /// this varies with threading.
+    /// Always 0. It counted the 8-wide batches of the counting kernels;
+    /// every pass now counts through one routine in `grm_graph::sort`.
+    /// The row stays only because the repo benchmark (`perfbench/`)
+    /// reads it as `miner.kernel_batches`; it goes with the next
+    /// benchmark change.
     kernel_batches: "kernel_batches", sum, work;
     /// High-water mark, in bytes, of the partition arena's owned scratch
     /// (`grm_graph::sort::PartitionArena::peak_bytes`). Stable across

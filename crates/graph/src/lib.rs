@@ -29,17 +29,8 @@
 //!
 //! Mining itself lives in the `grm-core` crate; synthetic workloads in
 //! `grm-datagen`.
-//!
-//! ### The `simd` feature
-//!
-//! The [`kernel`] batch primitives default to a portable SWAR backend on
-//! stable Rust. Building with `--features simd` on a **nightly**
-//! toolchain switches their lane arithmetic to `std::simd`; on stable
-//! the feature no-ops back to SWAR (outputs are bit-identical either
-//! way — see the [`kernel`] module docs).
 
 #![warn(missing_docs)]
-#![cfg_attr(all(feature = "simd", grm_nightly_simd), feature(portable_simd))]
 
 mod builder;
 pub mod cancel;
@@ -49,7 +40,6 @@ mod error;
 pub mod failpoint;
 mod graph;
 pub mod io;
-pub mod kernel;
 mod schema;
 pub mod shard;
 mod single_table;

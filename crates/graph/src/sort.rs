@@ -25,6 +25,22 @@
 //! never scatters. [`PartitionArena::partition_col`] and
 //! [`PartitionArena::partition_with`] run both halves at once.
 //!
+//! The count is one routine for every pass, columnar or keyed by a
+//! closure:
+//!
+//! 1. fill the key cache, `keys[i] = key(data[i])`, in one plain loop;
+//! 2. range-check the cache through its maximum, taken in a separate
+//!    pass over the cache, so no check sits in the counting loop; a key
+//!    at or beyond `bucket_count` is reported before the histogram is
+//!    touched (the first offender in scan order);
+//! 3. histogram the cache. When the pass has at least [`STRIPES`] items
+//!    per bucket, the increments rotate over [`STRIPES`] independent
+//!    histograms, so a run of equal keys does not chain store-to-load
+//!    stalls through one counter, and the stripes are summed into
+//!    `counts` at the end. The sum costs `O(STRIPES × bucket_count)`, so
+//!    a smaller pass counts in one plain loop instead. Counting is
+//!    order-independent: both branches give the same histogram.
+//!
 //! The key cache holds one pass: a count's scatter must come before any
 //! other pass counts. The arena remembers which frame owns the cache, and
 //! a debug assertion rejects the scatter of any other frame.
@@ -52,9 +68,12 @@
 //! arena rolls its state back and stays usable.
 
 use crate::error::{GraphError, Result};
-use crate::kernel;
 use crate::value::AttrValue;
 use std::ops::Range;
+
+/// Independent histograms a count spreads its increments over, once the
+/// pass has at least `STRIPES` items per bucket (module docs).
+pub const STRIPES: usize = 4;
 
 /// One partition record on the arena's stack: items whose key is `value`
 /// occupy `start..end` of the partitioned slice. `Copy`, so recursive
@@ -121,8 +140,8 @@ impl Frame {
 /// re-zeroes each bucket as it emits the bucket's record, and a scatter
 /// re-zeroes the cursors of its frame's records, so a pass costs
 /// `O(n + bucket_count)` without a full clear of the largest histogram
-/// ever seen. The kernel stripe scratch keeps the same discipline (see
-/// [`kernel::histogram_u32`]).
+/// ever seen. The stripe scratch keeps the same discipline: a striped
+/// count re-zeroes each stripe as it sums it into `counts`.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionArena {
     /// Bucket histogram during a count, cursors during a scatter.
@@ -138,12 +157,9 @@ pub struct PartitionArena {
     scatter: Vec<u32>,
     /// The partition-record stack, windowed by [`Frame`]s.
     records: Vec<PartRec>,
-    /// Per-lane histogram scratch of the counting kernel
-    /// ([`kernel::STRIPES`] stripes; all-zero between passes).
+    /// The [`STRIPES`] histograms of a striped count, back to back
+    /// (all-zero between passes).
     stripes: Vec<u32>,
-    /// Full kernel batches processed since the last
-    /// [`PartitionArena::take_kernel_batches`].
-    kernel_batches: u64,
     peak: usize,
 }
 
@@ -153,67 +169,38 @@ impl PartitionArena {
         Self::default()
     }
 
-    /// Drain the accumulated count of full [`kernel::LANES`]-wide
-    /// batches processed by kernel-backed loops (the miner's
-    /// `kernel_batches` counter; resets to zero).
-    pub fn take_kernel_batches(&mut self) -> u64 {
-        std::mem::take(&mut self.kernel_batches)
-    }
-
-    /// Stable counting-sort pass keyed by a closure, for keys no single
-    /// column holds (the baselines read theirs through a table view);
-    /// columnar passes should prefer [`PartitionArena::partition_col`].
-    /// `bucket_count` must exceed every key (`domain_size + 1`, see
-    /// [`crate::AttrDef::bucket_count`]); an out-of-range key is a
-    /// [`GraphError::KeyOutOfRange`] error and leaves the arena usable.
+    /// Stable counting-sort pass keyed by a closure, both halves at once,
+    /// for keys no single column holds (the baselines read theirs through
+    /// a table view). `bucket_count` must exceed every key
+    /// (`domain_size + 1`, see [`crate::AttrDef::bucket_count`]); an
+    /// out-of-range key is a [`GraphError::KeyOutOfRange`] error and
+    /// leaves the arena usable.
     /// The frame holds the non-empty partitions in increasing key order.
     pub fn partition_with<K>(
         &mut self,
         data: &mut [u32],
         bucket_count: usize,
-        mut key: K,
+        key: K,
     ) -> Result<Frame>
     where
         K: FnMut(u32) -> AttrValue,
     {
-        self.prepare(data.len(), bucket_count);
-        let n = data.len();
-        // Fill and validate the key cache first (the closure is opaque
-        // to the kernels), then count it positionally — on a bad key the
-        // histogram was never touched, so the all-zeros invariant holds.
-        for (i, &id) in data.iter().enumerate() {
-            let k = key(id);
-            if (k as usize) >= bucket_count {
-                return Err(GraphError::KeyOutOfRange {
-                    key: k,
-                    bucket_count,
-                });
-            }
-            self.keys[i] = k;
-        }
-        self.kernel_batches += kernel::histogram_u32(
-            &self.keys[..n],
-            &mut self.counts[..bucket_count],
-            &mut self.stripes[..kernel::STRIPES * bucket_count],
-        );
-        let frame = self.emit_records(bucket_count);
+        let frame = self.count(data, bucket_count, key)?;
         self.scatter(data, &frame);
-        self.note_peak();
         Ok(frame)
     }
 
     /// Stable counting-sort pass over a contiguous key column, both
     /// halves at once: [`PartitionArena::count_col`], then
-    /// [`PartitionArena::scatter`].
+    /// [`PartitionArena::scatter`]. Errors as
+    /// [`PartitionArena::partition_with`].
     pub fn partition_col(
         &mut self,
         data: &mut [u32],
         bucket_count: usize,
         col: &[AttrValue],
     ) -> Result<Frame> {
-        let frame = self.count_col(data, bucket_count, col)?;
-        self.scatter(data, &frame);
-        Ok(frame)
+        self.partition_with(data, bucket_count, |id| col[id as usize])
     }
 
     /// The count half of a pass over a contiguous key column (module
@@ -228,11 +215,7 @@ impl PartitionArena {
         bucket_count: usize,
         col: &[AttrValue],
     ) -> Result<Frame> {
-        self.prepare(data.len(), bucket_count);
-        self.histogram_col(data, bucket_count, col)?;
-        let frame = self.emit_records(bucket_count);
-        self.note_peak();
-        Ok(frame)
+        self.count(data, bucket_count, |id| col[id as usize])
     }
 
     /// The scatter half of the pass that produced `frame`: stable-move
@@ -312,100 +295,71 @@ impl PartitionArena {
         if self.scatter.len() < n {
             self.scatter.resize(n, 0);
         }
-        let want = kernel::STRIPES * bucket_count;
+        let want = STRIPES * bucket_count;
         if self.stripes.len() < want {
             self.stripes.resize(want, 0);
         }
     }
 
-    /// Fill the key cache and the histogram from a contiguous key column.
-    /// On a slice large enough for the stripes to pay
-    /// ([`kernel::stripes_pay_off`]): one gather pass fills the key cache
-    /// and returns the key maximum (the range check hoisted out of the
-    /// loop), then the striped histogram counts the cache positionally —
-    /// on a bad key the histogram was never touched, and the first
-    /// offender in scan order is recovered from the cache for the error
-    /// (cold path). Smaller passes use the one-pass gather-and-count loop
-    /// below.
-    fn histogram_col(
-        &mut self,
-        data: &[u32],
-        bucket_count: usize,
-        col: &[AttrValue],
-    ) -> Result<()> {
+    /// The count half of every pass (module docs): fill the key cache
+    /// with `key(id)` for each id of `data`, reject a key at or beyond
+    /// `bucket_count` before the histogram is touched, count the cache,
+    /// and push the records of the partitions the scatter will produce.
+    fn count<K>(&mut self, data: &[u32], bucket_count: usize, mut key: K) -> Result<Frame>
+    where
+        K: FnMut(u32) -> AttrValue,
+    {
         let n = data.len();
-        if kernel::stripes_pay_off(n, bucket_count) {
-            let (max, batches) = kernel::gather_keys(data, col, &mut self.keys[..n]);
-            self.kernel_batches += batches;
-            if (max as usize) >= bucket_count {
-                // lint: allow(panic-in-hot-path) — cold error-recovery
-                // scan: `max >= bucket_count` guarantees the key cache
-                // holds at least one offender to report.
-                let key = self.keys[..n]
+        self.prepare(n, bucket_count);
+        let keys = &mut self.keys[..n];
+        for (k, &id) in keys.iter_mut().zip(data) {
+            *k = key(id);
+        }
+        // A max over copied values vectorizes; `keys.iter().max()` would
+        // track which reference holds it, and does not.
+        if let Some(max) = keys.iter().copied().max() {
+            if max as usize >= bucket_count {
+                // Cold path: the maximum is an offender, but the error
+                // reports the first one in scan order.
+                let key = keys
                     .iter()
                     .copied()
-                    .find(|&k| (k as usize) >= bucket_count)
-                    .expect("the key maximum exceeded the bucket count");
+                    .find(|&k| k as usize >= bucket_count)
+                    .unwrap_or(max);
                 return Err(GraphError::KeyOutOfRange { key, bucket_count });
             }
-            self.kernel_batches += kernel::histogram_u32(
-                &self.keys[..n],
-                &mut self.counts[..bucket_count],
-                &mut self.stripes[..kernel::STRIPES * bucket_count],
-            );
-            return Ok(());
         }
-        // One-pass chunked loop: the gathers of a whole batch issue
-        // before its (serially dependent) increments, so it counts as
-        // kernel batches too.
-        self.kernel_batches += kernel::batches(n);
         let counts = &mut self.counts[..bucket_count];
-        let keys = &mut self.keys[..n];
-        let mut bad: Option<AttrValue> = None;
-        let mut i = 0usize;
-        let chunks = data.chunks_exact(8);
-        let rem = chunks.remainder();
-        'count: {
-            for ch in chunks {
-                let ks: [AttrValue; 8] = [
-                    col[ch[0] as usize],
-                    col[ch[1] as usize],
-                    col[ch[2] as usize],
-                    col[ch[3] as usize],
-                    col[ch[4] as usize],
-                    col[ch[5] as usize],
-                    col[ch[6] as usize],
-                    col[ch[7] as usize],
-                ];
-                for (j, &k) in ks.iter().enumerate() {
-                    if (k as usize) >= bucket_count {
-                        bad = Some(k);
-                        break 'count;
-                    }
-                    counts[k as usize] += 1;
-                    keys[i + j] = k;
-                }
-                i += 8;
+        if n >= STRIPES * bucket_count {
+            let (s0, rest) = self.stripes.split_at_mut(bucket_count);
+            let (s1, rest) = rest.split_at_mut(bucket_count);
+            let (s2, rest) = rest.split_at_mut(bucket_count);
+            let s3 = &mut rest[..bucket_count];
+            let mut chunks = keys.chunks_exact(STRIPES);
+            for ch in &mut chunks {
+                s0[ch[0] as usize] += 1;
+                s1[ch[1] as usize] += 1;
+                s2[ch[2] as usize] += 1;
+                s3[ch[3] as usize] += 1;
             }
-            for &id in rem {
-                let k = col[id as usize];
-                if (k as usize) >= bucket_count {
-                    bad = Some(k);
-                    break 'count;
-                }
+            for &k in chunks.remainder() {
                 counts[k as usize] += 1;
-                keys[i] = k;
-                i += 1;
+            }
+            for v in 0..bucket_count {
+                counts[v] += s0[v] + s1[v] + s2[v] + s3[v];
+                s0[v] = 0;
+                s1[v] = 0;
+                s2[v] = 0;
+                s3[v] = 0;
+            }
+        } else {
+            for &k in keys.iter() {
+                counts[k as usize] += 1;
             }
         }
-        match bad {
-            Some(key) => {
-                // Restore the all-zeros invariant (cold path).
-                self.counts.iter_mut().for_each(|c| *c = 0);
-                Err(GraphError::KeyOutOfRange { key, bucket_count })
-            }
-            None => Ok(()),
-        }
+        let frame = self.emit_records(bucket_count);
+        self.note_peak();
+        Ok(frame)
     }
 
     /// End a count: push one record per non-empty bucket of the
@@ -451,12 +405,19 @@ impl PartitionArena {
 mod tests {
     use super::*;
 
+    /// An empty pass has no key to reject: it succeeds with an empty
+    /// frame for every bucket count, zero included.
     #[test]
     fn empty_input() {
         let mut arena = PartitionArena::new();
-        let frame = arena.partition_with(&mut [], 4, |_| 0).unwrap();
-        assert!(frame.is_empty());
-        arena.pop_frame(frame);
+        for bucket_count in [0usize, 1, 4, 189] {
+            let frame = arena.partition_with(&mut [], bucket_count, |_| 0).unwrap();
+            assert!(frame.is_empty(), "bucket_count = {bucket_count}");
+            arena.pop_frame(frame);
+            let frame = arena.count_col(&[], bucket_count, &[]).unwrap();
+            assert!(frame.is_empty(), "bucket_count = {bucket_count}");
+            arena.pop_frame(frame);
+        }
     }
 
     #[test]
@@ -575,34 +536,66 @@ mod tests {
         arena.pop_frame(frame);
     }
 
+    /// An out-of-range key fails the pass on either histogram branch:
+    /// 10 items over 3 buckets count in the plain loop, 200 through the
+    /// stripes. The error names the first offender in scan order, not
+    /// the largest; `data`, `counts` and the stripes are left as they
+    /// were; and the next pass is correct.
     #[test]
     fn out_of_range_key_is_an_error_and_arena_survives() {
         let mut arena = PartitionArena::new();
-        let mut data: Vec<u32> = (0..10).collect();
-        let err = arena
-            .partition_with(&mut data, 3, |i| if i == 7 { 9 } else { 1 })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::KeyOutOfRange {
-                key: 9,
-                bucket_count: 3
+        for n in [10u32, 200] {
+            let mut data: Vec<u32> = (0..n).collect();
+            let err = arena
+                .partition_with(&mut data, 3, |i| if i == 7 { 9 } else { 1 })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                GraphError::KeyOutOfRange {
+                    key: 9,
+                    bucket_count: 3
+                }
+            );
+            assert!(err.to_string().contains("9") && err.to_string().contains("3 buckets"));
+            // Columnar variant too, with a larger offender after the first.
+            let col: Vec<u16> = (0..n)
+                .map(|i| match i {
+                    4 => 3,
+                    7 => 9,
+                    _ => 0,
+                })
+                .collect();
+            let err = arena.partition_col(&mut data, 3, &col).unwrap_err();
+            assert!(
+                matches!(err, GraphError::KeyOutOfRange { key: 3, .. }),
+                "n = {n}"
+            );
+            // A key equal to the bucket count is out of range too.
+            let edge: Vec<u16> = (0..n)
+                .map(|i| if i == 5 { 3 } else { (i % 3) as u16 })
+                .collect();
+            let err = arena.count_col(&data, 3, &edge).unwrap_err();
+            assert!(
+                matches!(err, GraphError::KeyOutOfRange { key: 3, .. }),
+                "n = {n}"
+            );
+            assert_eq!(data, (0..n).collect::<Vec<u32>>(), "n = {n}: data moved");
+            assert!(arena.counts.iter().all(|&c| c == 0), "n = {n}: counts");
+            assert!(arena.stripes.iter().all(|&c| c == 0), "n = {n}: stripes");
+            // The failed passes rolled back: a good pass still works, and
+            // leaves the histograms all-zero too.
+            let frame = arena
+                .partition_with(&mut data, 3, |i| (i % 3) as u16)
+                .unwrap();
+            let recs = arena.records(&frame);
+            assert_eq!(recs.iter().map(|r| r.len()).sum::<usize>(), n as usize);
+            for r in recs {
+                assert!(data[r.range()].iter().all(|&id| (id % 3) as u16 == r.value));
             }
-        );
-        assert!(err.to_string().contains("9") && err.to_string().contains("3 buckets"));
-        // Columnar variant too.
-        let col: Vec<u16> = (0..10).map(|i| if i == 4 { 3 } else { 0 }).collect();
-        let err = arena.partition_col(&mut data, 3, &col).unwrap_err();
-        assert!(matches!(err, GraphError::KeyOutOfRange { key: 3, .. }));
-        // The failed passes rolled back: a good pass still works.
-        let frame = arena
-            .partition_with(&mut data, 3, |i| (i % 3) as u16)
-            .unwrap();
-        assert_eq!(
-            arena.records(&frame).iter().map(|r| r.len()).sum::<usize>(),
-            10
-        );
-        arena.pop_frame(frame);
+            arena.pop_frame(frame);
+            assert!(arena.counts.iter().all(|&c| c == 0), "n = {n}: counts");
+            assert!(arena.stripes.iter().all(|&c| c == 0), "n = {n}: stripes");
+        }
     }
 
     #[test]
@@ -649,13 +642,14 @@ mod tests {
         arena.scatter(&mut outer, &f);
     }
 
-    /// A count followed by its scatter is the one-shot pass: the kernel
-    /// gather and striped histogram of a large columnar pass, and the
-    /// one-pass scalar loop of a small one, produce the data order and
-    /// records of the closure pass, whose gather is a plain scalar loop.
+    /// A count followed by its scatter is the one-shot pass: a columnar
+    /// count and the closure pass produce the same data order and
+    /// records, on both histogram branches — striped (n = 1013 and 300,
+    /// at least `STRIPES` items per bucket) and plain (n = 50 over 23
+    /// buckets).
     #[test]
     fn kernel_and_scalar_passes_are_bit_identical() {
-        for n in [1013u32, 300] {
+        for n in [1013u32, 300, 50] {
             let col: Vec<u16> = (0..n).map(|i| (i * 7 % 23) as u16).collect();
             let base: Vec<u32> = (0..n).map(|i| (i * 31) % n).collect();
             let mut arena = PartitionArena::new();
@@ -680,20 +674,7 @@ mod tests {
                 "n = {n}: count + scatter is the one-shot pass"
             );
             assert_eq!(counted_recs, one_shot_recs, "n = {n}");
-            assert!(arena.take_kernel_batches() > 0, "n = {n}: batches counted");
         }
-    }
-
-    #[test]
-    fn kernel_batches_drain() {
-        let mut arena = PartitionArena::new();
-        let col: Vec<u16> = (0..100).map(|i| (i % 7) as u16).collect();
-        let mut data: Vec<u32> = (0..100).collect();
-        let f = arena.partition_col(&mut data, 7, &col).unwrap();
-        arena.pop_frame(f);
-        let first = arena.take_kernel_batches();
-        assert!(first > 0);
-        assert_eq!(arena.take_kernel_batches(), 0, "draining resets");
     }
 
     #[test]

@@ -170,7 +170,7 @@ fn oversubscribed_and_degenerate_pools_on_pokec_like_workload() {
 /// miner reproduces the sequential `top` and semantic counters under the
 /// static threshold, and a dynamic mine — sequential or parallel —
 /// returns the static top-k. The sequential run's work counters show
-/// the partition engine and its counting kernel live.
+/// the partition engine live, and the retired rows at 0.
 #[test]
 fn fused_engine_bit_identical_on_toy_pokec_dblp() {
     let workloads: Vec<(&str, SocialGraph, MinerConfig)> = vec![
@@ -191,10 +191,7 @@ fn fused_engine_bit_identical_on_toy_pokec_dblp() {
         let seq = GrMiner::new(g, cfg.clone()).mine();
         assert!(seq.stats.partition_passes > 0);
         assert!(seq.stats.scratch_bytes_peak > 0);
-        assert!(
-            seq.stats.kernel_batches > 0,
-            "{label}: the kernel must batch"
-        );
+        assert_eq!(seq.stats.kernel_batches, 0);
         assert_eq!(seq.stats.fused_passes, 0);
         assert_eq!(
             seq.top,

@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use social_ties::core::reference::mine_reference;
 use social_ties::graph::io;
-use social_ties::graph::kernel;
-use social_ties::graph::sort::PartitionArena;
+use social_ties::graph::sort::{PartitionArena, STRIPES};
 use social_ties::{Gr, GrMiner, MinerConfig, SchemaBuilder, SocialGraph};
 
 /// An arbitrary small attributed graph: up to 3 node attrs (random
@@ -220,16 +219,19 @@ proptest! {
         prop_assert_eq!(&plain, &oracle, "one-shot passes diverged from sort_by_key");
     }
 
-    /// The vectorized counting kernels against their scalar oracles, on
-    /// arbitrary key material: the gather reproduces `col[data[i]]` and
-    /// reports the true maximum; the striped histogram equals the naive
-    /// count (and re-zeroes its stripes); and an arena count then scatter
-    /// equals the one-shot closure pass, data and records.
+    /// The arena's count against a naive oracle, on arbitrary key
+    /// material and on both sides of the stripe threshold
+    /// (`n = STRIPES × buckets`): an empty pass, a pass below it (plain
+    /// histogram) and one at or above it (striped), most not a multiple
+    /// of `STRIPES`. `count_col` records are the naive histogram's
+    /// non-empty buckets (values ascending, lengths equal to the counts),
+    /// and count-then-scatter is the one-shot `partition_with` pass and a
+    /// stable `sort_by_key`.
     #[test]
-    fn kernel_primitives_match_scalar_oracle(
+    fn arena_count_matches_naive_oracle(
         domain in 1u16..=24,
         seed in any::<u64>(),
-        n in 0usize..400,
+        r in 0usize..300,
     ) {
         let mut state = seed | 1;
         let mut next = move || {
@@ -238,50 +240,48 @@ proptest! {
             state ^= state << 17;
             state
         };
-        let col: Vec<u16> = (0..n).map(|_| (next() % domain as u64) as u16).collect();
-        let data: Vec<u32> = {
-            let mut d: Vec<u32> = (0..n as u32).collect();
-            // A deterministic shuffle so gathers are non-sequential.
-            for i in (1..d.len()).rev() {
-                d.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            d
-        };
-
-        // gather_keys: exact values + exact maximum.
-        let mut keys = vec![0u16; n];
-        let (max, _) = kernel::gather_keys(&data, &col, &mut keys);
-        let expect: Vec<u16> = data.iter().map(|&id| col[id as usize]).collect();
-        prop_assert_eq!(&keys, &expect);
-        prop_assert_eq!(max, expect.iter().copied().max().unwrap_or(0));
-
-        // histogram_u32: equals the naive count; stripes re-zeroed.
         let b = domain as usize;
-        let mut counts = vec![0u32; b];
-        let mut stripes = vec![0u32; kernel::STRIPES * b];
-        kernel::histogram_u32(&keys, &mut counts, &mut stripes);
-        let mut naive = vec![0u32; b];
-        for &k in &keys {
-            naive[k as usize] += 1;
-        }
-        prop_assert_eq!(&counts, &naive);
-        prop_assert!(stripes.iter().all(|&s| s == 0), "stripes must re-zero");
-
-        // Arena passes: count + scatter equals the one-shot pass.
+        let threshold = STRIPES * b;
         let mut arena = PartitionArena::new();
-        let mut one_shot = data.clone();
-        let f = arena
-            .partition_with(&mut one_shot, b, |id| col[id as usize])
-            .unwrap();
-        let one_shot_recs = arena.records(&f).to_vec();
-        arena.pop_frame(f);
-        let mut plain = data.clone();
-        let f = arena.count_col(&plain, b, &col).unwrap();
-        arena.scatter(&mut plain, &f);
-        let plain_recs = arena.records(&f).to_vec();
-        arena.pop_frame(f);
-        prop_assert_eq!(&plain, &one_shot, "count + scatter must equal the one-shot pass");
-        prop_assert_eq!(&plain_recs, &one_shot_recs);
+        for n in [0, r % threshold, threshold + r] {
+            let col: Vec<u16> = (0..n).map(|_| (next() % domain as u64) as u16).collect();
+            let data: Vec<u32> = {
+                let mut d: Vec<u32> = (0..n as u32).collect();
+                // A deterministic shuffle so key loads are non-sequential.
+                for i in (1..d.len()).rev() {
+                    d.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                d
+            };
+            let mut naive = vec![0usize; b];
+            for &id in &data {
+                naive[col[id as usize] as usize] += 1;
+            }
+            let want: Vec<(u16, usize)> = (0..domain)
+                .zip(naive.iter().copied())
+                .filter(|&(_, c)| c > 0)
+                .collect();
+
+            let mut counted = data.clone();
+            let f = arena.count_col(&counted, b, &col).unwrap();
+            let recs = arena.records(&f).to_vec();
+            let got: Vec<(u16, usize)> = recs.iter().map(|p| (p.value, p.len())).collect();
+            prop_assert_eq!(&got, &want, "n = {}: records are the naive histogram", n);
+            arena.scatter(&mut counted, &f);
+            arena.pop_frame(f);
+
+            let mut one_shot = data.clone();
+            let f = arena
+                .partition_with(&mut one_shot, b, |id| col[id as usize])
+                .unwrap();
+            prop_assert_eq!(arena.records(&f), &recs[..], "n = {}: one-shot records", n);
+            arena.pop_frame(f);
+            prop_assert_eq!(&counted, &one_shot, "n = {}: count + scatter is the one-shot pass", n);
+
+            let mut oracle = data.clone();
+            oracle.sort_by_key(|&id| col[id as usize]);
+            prop_assert_eq!(&counted, &oracle, "n = {}: count + scatter is a stable sort", n);
+        }
     }
 
     /// Counting sort: output is a permutation, partitions tile the slice
