@@ -45,8 +45,13 @@ pub struct MinerConfig {
     /// group relationship relates two *described* groups, and every GR in
     /// the paper's tables has a non-empty LHS — with empty LHS allowed,
     /// `() -> (Productivity:Poor)` (conf ≈ dst marginal) would suppress
-    /// most of Table IIb under Def. 5(2). Enumeration still visits
-    /// empty-LHS subsets (Algorithm 1 line 3); only reporting is gated.
+    /// most of Table IIb under Def. 5(2). The flag gates enumeration, not
+    /// just reporting: without it no engine runs Algorithm 1's RIGHT(nil)
+    /// and EDGE(nil) subtrees (the root task list leaves them out), so
+    /// none of their GRs is examined, collected or counted. Every
+    /// reportable GR and every possible suppressor of one has a
+    /// non-empty LHS, so the answer is the same as enumerating and then
+    /// filtering them.
     pub allow_empty_lhs: bool,
     /// Wall-clock deadline for the whole mine, in milliseconds measured
     /// from the engine's start (`None` = unbounded). An expired deadline

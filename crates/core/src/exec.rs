@@ -740,10 +740,12 @@ fn has_lost_passing_generalization(
     memo: &mut HashMap<Gr, bool>,
 ) -> Result<bool, MinerError> {
     for (l2, w2) in pruned_frontiers {
-        if l2.is_empty() && !config.allow_empty_lhs {
-            // Empty-LHS GRs are never reported, hence never suppress.
-            continue;
-        }
+        // Frontiers are recorded only in subtrees the root task list
+        // ran, and it runs empty-LHS ones only when they are reportable.
+        debug_assert!(
+            config.allow_empty_lhs || !l2.is_empty(),
+            "an empty-LHS frontier was recorded without allow_empty_lhs"
+        );
         if !l2.is_subset_of(&gr.l) || !w2.is_subset_of(&gr.w) {
             continue;
         }

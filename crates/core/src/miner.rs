@@ -154,10 +154,12 @@ impl<'g> GrMiner<'g> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RootTask {
     /// `RIGHT(RArray, tail(nil))` — all GRs with empty LHS and empty edge
-    /// descriptor.
+    /// descriptor. Runs only with [`MinerConfig::allow_empty_lhs`]: none
+    /// of its GRs is reportable otherwise.
     Right,
     /// One dimension of `EDGE(EArray, tail(nil))`: subsets whose first
-    /// constrained dimension is `dims.w[i]`.
+    /// constrained dimension is `dims.w[i]`. Every GR below it has an
+    /// empty LHS, so it runs only with [`MinerConfig::allow_empty_lhs`].
     Edge(usize),
     /// One dimension of `LEFT(LArray, tail(nil))`: subsets whose first
     /// constrained dimension is `dims.l[i]`.
@@ -184,7 +186,8 @@ pub(crate) enum RootTask {
     /// each dimension over a per-value edge slice, so the slice's
     /// `supp_lw` denominator must be overridden with the *global* edge
     /// count — the whole reason this cannot reuse [`RootTask::Right`] on
-    /// the slice.
+    /// the slice. Like [`RootTask::Right`], it runs only with
+    /// [`MinerConfig::allow_empty_lhs`].
     RightDim {
         /// Index into the empty-LHS RHS order `dims.r_order(0)`.
         dim: usize,
@@ -192,11 +195,18 @@ pub(crate) enum RootTask {
 }
 
 impl RootTask {
-    /// Every root task, in the sequential Main order.
-    pub(crate) fn all(dims: &Dims) -> Vec<RootTask> {
+    /// Every root task whose subtree can report a GR, in the sequential
+    /// Main order. The `Right` and `Edge` subtrees hold exactly the
+    /// empty-LHS GRs, so they are listed only when `allow_empty_lhs` is
+    /// set: this list is the one place reportability of an empty LHS is
+    /// decided, for every engine.
+    pub(crate) fn all(dims: &Dims, allow_empty_lhs: bool) -> Vec<RootTask> {
         // lint: allow(alloc-in-arena) — tiny once-per-run task list.
-        let mut v = vec![RootTask::Right];
-        v.extend((0..dims.w.len()).map(RootTask::Edge));
+        let mut v = Vec::new();
+        if allow_empty_lhs {
+            v.push(RootTask::Right);
+            v.extend((0..dims.w.len()).map(RootTask::Edge));
+        }
         v.extend((0..dims.l.len()).map(RootTask::Left));
         v
     }
@@ -496,8 +506,9 @@ impl<'a> Run<'a> {
     /// from collection *by construction*: the edge descriptor is empty
     /// and the LHS already has the minimum reportable width — 1
     /// condition normally (the only generalization, the empty LHS, is
-    /// gated out by `allow_empty_lhs = false`), or 0 when empty LHSes
-    /// are reportable (nothing generalizes the empty descriptor pair).
+    /// never enumerated without `allow_empty_lhs`), or 0 when empty
+    /// LHSes are reportable (nothing generalizes the empty descriptor
+    /// pair).
     /// Feeding only such candidates keeps every published bound a true
     /// lower bound on the final k-th score (see [`SharedBound`]).
     fn feeds_shared_bound(&self, l: &NodeDescriptor, w: &EdgeDescriptor) -> bool {
@@ -876,12 +887,17 @@ impl<'a> Run<'a> {
                 // candidates that are actually recorded.
                 let trivial = Gr::parts_are_trivial(self.schema, l, &r2);
 
-                // Collect if it satisfies Def. 5 condition (1) and
-                // describes a real LHS group (see
-                // `MinerConfig::allow_empty_lhs`). Generality and top-k
-                // run after the cross-task merge; guaranteed survivors
-                // feed the shared dynamic bound on the way through.
-                if score >= self.cfg.min_score && (self.cfg.allow_empty_lhs || !l.is_empty()) {
+                // Collect if it satisfies Def. 5 condition (1). An empty
+                // LHS is reportable here: the root task list runs its
+                // subtrees only when `MinerConfig::allow_empty_lhs` is
+                // set. Generality and top-k run after the cross-task
+                // merge; guaranteed survivors feed the shared dynamic
+                // bound on the way through.
+                debug_assert!(
+                    self.cfg.allow_empty_lhs || !l.is_empty(),
+                    "an empty-LHS subtree ran without allow_empty_lhs"
+                );
+                if score >= self.cfg.min_score {
                     if trivial && self.cfg.suppress_trivial {
                         self.stats.rejected_trivial += 1;
                     } else {

@@ -2,8 +2,11 @@
 //!
 //! The SFDF enumeration tree decomposes at the root: Algorithm 1's Main
 //! loop issues one `RIGHT` task plus one task per top-level edge and LHS
-//! dimension, and the subtrees are disjoint. This module turns those
-//! root tasks into units of the shared execution core ([`crate::exec`]),
+//! dimension, and the subtrees are disjoint. The `RIGHT` and edge tasks
+//! hold only empty-LHS GRs, so the root task list ([`RootTask::all`])
+//! carries them only when `allow_empty_lhs` makes those reportable. This
+//! module turns those root tasks into units of the shared execution core
+//! ([`crate::exec`]),
 //! which runs them with work stealing over per-worker deques under the
 //! shared dynamic top-k bound and the exactness-verified post-pass. All
 //! read-only run state — the key columns, the canonical position set,
@@ -125,7 +128,7 @@ pub fn try_mine_parallel_with_opts(
         graph,
         ctx: MiningContext::build(graph, config.metric.needs_r_marginal()),
     };
-    let tasks = root_tasks(dims, graph.schema(), opts.split_dominant, threads)
+    let tasks = root_tasks(dims, config, graph.schema(), opts.split_dominant, threads)
         .into_iter()
         .map(PoolTask::Root)
         .collect();
@@ -133,17 +136,24 @@ pub fn try_mine_parallel_with_opts(
     exec.run(&engine, tasks, schedule, edge_count as u64)
 }
 
-/// The root task list, with the dominant LHS task optionally split into
-/// value chunks. The dominant dimension is the one with the largest
-/// domain — the best static proxy for subtree size at the root, where
-/// partition cardinality (Pokec's `Region`) is what concentrates work.
+/// The root task list ([`RootTask::all`]), with the dominant LHS task
+/// optionally split into value chunks. The dominant dimension is the one
+/// with the largest domain — the best static proxy for subtree size at
+/// the root, where partition cardinality (Pokec's `Region`) is what
+/// concentrates work.
 ///
 /// Every chunk repeats the top-level `O(|E|)` counting-sort pass, so the
 /// chunk count is bounded at `2 × threads` (enough slack for the pool to
 /// rebalance around a skewed chunk) rather than one task per value, and
 /// a single-threaded pool never splits.
-fn root_tasks(dims: &Dims, schema: &Schema, split_dominant: bool, threads: usize) -> Vec<RootTask> {
-    let tasks = RootTask::all(dims);
+fn root_tasks(
+    dims: &Dims,
+    config: &MinerConfig,
+    schema: &Schema,
+    split_dominant: bool,
+    threads: usize,
+) -> Vec<RootTask> {
+    let tasks = RootTask::all(dims, config.allow_empty_lhs);
     if !split_dominant || threads <= 1 {
         return tasks;
     }
@@ -361,8 +371,12 @@ mod tests {
     fn split_tasks_tile_the_unsplit_left_task() {
         let g = sample(11, 30, 200);
         let dims = Dims::all(g.schema());
-        let split = root_tasks(&dims, g.schema(), true, 4);
-        let unsplit = root_tasks(&dims, g.schema(), false, 4);
+        // With empty LHSes reportable the list also holds the Right and
+        // Edge tasks, which splitting must leave alone.
+        let cfg = MinerConfig::default().with_empty_lhs();
+        let split = root_tasks(&dims, &cfg, g.schema(), true, 4);
+        let unsplit = root_tasks(&dims, &cfg, g.schema(), false, 4);
+        assert!(unsplit.contains(&RootTask::Right));
         // The dominant dimension is C (domain 4, the largest); its Left
         // task is replaced by value-chunk tasks tiling 1..=4.
         let dominant = dims
@@ -393,7 +407,29 @@ mod tests {
             }
         }
         // A single-threaded pool never splits.
-        assert_eq!(root_tasks(&dims, g.schema(), true, 1), RootTask::all(&dims));
+        assert_eq!(
+            root_tasks(&dims, &cfg, g.schema(), true, 1),
+            RootTask::all(&dims, true)
+        );
+    }
+
+    #[test]
+    fn empty_lhs_subtrees_are_root_tasks_only_when_reportable() {
+        // The default list holds the LHS dimensions alone; the RIGHT and
+        // EDGE roots, whose GRs all have an empty LHS, join it in the
+        // sequential Main order only with `allow_empty_lhs`.
+        let g = sample(11, 30, 200);
+        let dims = Dims::all(g.schema());
+        let lhs: Vec<RootTask> = (0..dims.l.len()).map(RootTask::Left).collect();
+        assert_eq!(RootTask::all(&dims, false), lhs);
+        let mut all = vec![RootTask::Right];
+        all.extend((0..dims.w.len()).map(RootTask::Edge));
+        all.extend(lhs);
+        assert_eq!(RootTask::all(&dims, true), all);
+        let tasks = root_tasks(&dims, &MinerConfig::default(), g.schema(), true, 4);
+        assert!(tasks
+            .iter()
+            .all(|t| matches!(t, RootTask::Left(_) | RootTask::LeftValues { .. })));
     }
 
     #[test]

@@ -30,6 +30,13 @@
 //!   over the [`SliceSet`] keyed `Src(dims.l[j])` — the slice is the
 //!   `v` partition of the top-level LEFT pass, mined with
 //!   `LeftValues { lo: v, hi: v }`.
+//!
+//! Two more kinds apply only with
+//! [`MinerConfig::allow_empty_lhs`]: without it the root task list
+//! leaves out the empty-LHS subtrees, so a default mine builds neither
+//! their slice sets nor their units (5 slice sets on the Pokec schema
+//! instead of 11).
+//!
 //! * **`Edge(i)`**: one unit per value over the `Edge(dims.w[i])`
 //!   slices; the slice is the `v` partition of the top-level EDGE pass.
 //! * **`Right`**: one unit per dimension of the empty-LHS RHS order and
@@ -94,7 +101,9 @@ use crate::query::{self, GrMeasures};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use grm_graph::shard::{resident_cost, ShardPool, ShardStore, SliceKey, SliceSet};
-use grm_graph::{check_edge_capacity, AttrValue, CompactModel, KeyColumns};
+use grm_graph::{
+    check_edge_capacity, AttrValue, CompactModel, GraphError, KeyColumns, ResidentUnit,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,8 +117,9 @@ pub struct ShardedOptions {
     /// Maximum resident bytes of loaded shards/slices (`None` =
     /// unbounded). Enforced by the [`ShardPool`]:
     /// `shard_resident_bytes_peak ≤ budget` holds by construction, and
-    /// a budget too small for even one needed shard fails with
-    /// [`GraphError::MemoryBudgetTooSmall`](grm_graph::GraphError::MemoryBudgetTooSmall).
+    /// a budget too small for the largest planned shard or slice fails
+    /// before any unit runs with [`GraphError::MemoryBudgetTooSmall`],
+    /// whose `needed` is the minimum viable budget.
     pub memory_budget: Option<u64>,
 }
 
@@ -143,39 +153,62 @@ pub fn mine_sharded(
     let dims = Dims::all(schema);
     let exec = Exec::start(config, schema, &dims, opts.threads);
 
-    // Build the slice sets and the unit list in the sequential Main
-    // order (RIGHT, EDGE dimensions, LEFT dimensions). Every slice is
-    // capacity-checked up front: a value slice beyond the u32 position
-    // space cannot be mined, and the check here turns that into a typed
-    // error before any unit runs.
+    // Build the slice sets and the unit list from the root task list,
+    // in the sequential Main order, so a subtree the list leaves out
+    // (every empty-LHS one, unless `allow_empty_lhs` is set) spills no
+    // slice set. Every slice is capacity-checked up front: a value slice
+    // beyond the u32 position space cannot be mined, and the check here
+    // turns that into a typed error before any unit runs.
     let mut slices = Slices::new(store);
     let mut units: Vec<Unit> = Vec::new();
-    for (dim, &attr) in dims.r_order(0).iter().enumerate() {
-        slices.add(&mut units, SliceKey::Dst(attr), |_| RootTask::RightDim {
-            dim,
-        })?;
-    }
-    for (i, &attr) in dims.w.iter().enumerate() {
-        slices.add(&mut units, SliceKey::Edge(attr), |_| RootTask::Edge(i))?;
-    }
-    for (j, &attr) in dims.l.iter().enumerate() {
-        if attr == store.spec().attr() {
-            for s in 0..store.shard_count() {
-                if store.edge_count(s) == 0 {
-                    continue;
+    for task in RootTask::all(&dims, config.allow_empty_lhs) {
+        match task {
+            RootTask::Right => {
+                for (dim, &attr) in dims.r_order(0).iter().enumerate() {
+                    slices.add(&mut units, SliceKey::Dst(attr), |_| RootTask::RightDim {
+                        dim,
+                    })?;
                 }
-                let (lo, hi) = store.spec().range(s);
-                units.push(Unit::Shard {
-                    shard: s,
-                    task: RootTask::LeftValues { dim: j, lo, hi },
-                });
             }
-        } else {
-            slices.add(&mut units, SliceKey::Src(attr), |v| RootTask::LeftValues {
-                dim: j,
-                lo: v,
-                hi: v,
-            })?;
+            RootTask::Edge(i) => slices.add(&mut units, SliceKey::Edge(dims.w[i]), |_| task)?,
+            RootTask::Left(j) if dims.l[j] == store.spec().attr() => {
+                for s in 0..store.shard_count() {
+                    if store.edge_count(s) == 0 {
+                        continue;
+                    }
+                    let (lo, hi) = store.spec().range(s);
+                    units.push(Unit::Shard {
+                        shard: s,
+                        task: RootTask::LeftValues { dim: j, lo, hi },
+                    });
+                }
+            }
+            RootTask::Left(j) => {
+                slices.add(&mut units, SliceKey::Src(dims.l[j]), |v| {
+                    RootTask::LeftValues {
+                        dim: j,
+                        lo: v,
+                        hi: v,
+                    }
+                })?;
+            }
+            // The list holds whole Main-loop iterations; these are the
+            // per-unit forms the arms above map them to.
+            RootTask::LeftValues { .. } | RootTask::RightDim { .. } => {}
+        }
+    }
+    // A budget below the largest planned unit fails here, before any
+    // unit runs, with that unit's cost as the minimum viable budget:
+    // no eviction schedule could ever make the unit resident.
+    if let Some(budget) = opts.memory_budget {
+        let largest = units.iter().map(|&u| slices.cost(u)).max();
+        if let Some((needed, unit)) = largest.filter(|&(needed, _)| needed > budget) {
+            return Err(GraphError::MemoryBudgetTooSmall {
+                needed,
+                budget,
+                unit,
+            }
+            .into());
         }
     }
 
@@ -246,6 +279,21 @@ impl<'s> Slices<'s> {
         self.sets.push(set);
         Ok(())
     }
+
+    /// The bytes `unit` holds while it runs, and what it is: a slice is
+    /// charged the same formula as a shard of its edge count (an upper
+    /// bound on its key columns).
+    fn cost(&self, unit: Unit) -> (u64, ResidentUnit) {
+        let (edges, kind) = match unit {
+            Unit::Shard { shard, .. } => (self.store.edge_count(shard), ResidentUnit::Shard),
+            Unit::Slice { set, value, .. } => {
+                (self.sets[set].edge_count(value), ResidentUnit::Slice)
+            }
+        };
+        let store = self.store;
+        let cost = resident_cost(store.schema(), store.node_count(), edges as usize);
+        (cost, kind)
+    }
 }
 
 impl Drop for Slices<'_> {
@@ -278,11 +326,7 @@ impl Engine for Sharded<'_> {
             }
             Unit::Slice { set, value, task } => {
                 let slice = &self.slices.sets[set];
-                let cost = resident_cost(
-                    self.store.schema(),
-                    self.store.node_count(),
-                    slice.edge_count(value) as usize,
-                );
+                let (cost, _) = self.slices.cost(unit);
                 // Hold the budget before loading; dropped with the keys
                 // when this unit finishes.
                 let _hold = self.pool.reserve(cost)?;
@@ -321,6 +365,7 @@ impl Engine for Sharded<'_> {
     fn finish(&self, stats: &mut MinerStats) {
         let pool_stats = self.pool.stats();
         stats.shards_built = self.store.shard_count() as u64;
+        stats.slice_sets_built = self.slices.sets.len() as u64;
         stats.shard_loads = pool_stats.loads;
         stats.shard_evictions = pool_stats.evictions;
         stats.shard_resident_bytes_peak = pool_stats.resident_bytes_peak;

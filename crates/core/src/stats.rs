@@ -161,6 +161,12 @@ miner_stats! {
     /// (`grm_core::sharded`). A *work* counter: zero for in-core runs,
     /// and any shard count yields bit-identical results.
     shards_built: "shards", sum, work;
+    /// Slice sets the sharded miner spilled for one mine: one per
+    /// non-dominant LHS dimension, plus one per RHS and edge dimension
+    /// when empty LHSes are reportable (5 and 11 on the Pokec schema).
+    /// Each is a full re-spill of the edge set. A *work* counter: zero
+    /// for in-core runs.
+    slice_sets_built: "slice_sets", sum, work;
     /// Shard loads performed by the sharded miner's residency pool —
     /// cold acquisitions that read a spill file into memory. A *work*
     /// counter: depends on the memory budget and worker timing.
@@ -233,7 +239,7 @@ mod tests {
 
     /// Every counter in declaration order, spelled out by hand: the
     /// tests below must not read the table they check.
-    const COUNTERS: [&str; 26] = [
+    const COUNTERS: [&str; 27] = [
         "partitions_examined",
         "grs_examined",
         "pruned_by_supp",
@@ -250,6 +256,7 @@ mod tests {
         "subtree_splits",
         "bound_tightenings",
         "shards_built",
+        "slice_sets_built",
         "shard_loads",
         "shard_evictions",
         "shard_resident_bytes_peak",
@@ -289,12 +296,12 @@ mod tests {
 
     #[test]
     fn merge_and_semantic_follow_each_counters_rule_and_class() {
-        // a's counters are 1..=26, b's all 100: a sum and a max differ
+        // a's counters are 1..=27, b's all 100: a sum and a max differ
         // for every counter, and every counter is non-zero in both.
         let a = filled(|i| i as u64 + 1, 0.25);
         let b = filled(|_| 100, 0.5);
         let keys: Vec<String> = counters(&a).into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, COUNTERS, "26 counters, serialized in this order");
+        assert_eq!(keys, COUNTERS, "27 counters, serialized in this order");
 
         let kept: Vec<String> = counters(&a.semantic())
             .into_iter()
@@ -391,6 +398,7 @@ mod tests {
             subtree_splits: 4,
             bound_tightenings: 11,
             shards_built: 4,
+            slice_sets_built: 5,
             shard_loads: 9,
             shard_evictions: 5,
             shard_resident_bytes_peak: 1 << 20,
@@ -408,6 +416,7 @@ mod tests {
         assert_eq!(sem.subtree_splits, 0);
         assert_eq!(sem.bound_tightenings, 0);
         assert_eq!(sem.shards_built, 0);
+        assert_eq!(sem.slice_sets_built, 0);
         assert_eq!(sem.shard_loads, 0);
         assert_eq!(sem.shard_evictions, 0);
         assert_eq!(sem.shard_resident_bytes_peak, 0);
@@ -514,8 +523,8 @@ mod tests {
             MinerStats::default().to_string(),
             "partitions=0 grs=0 pruned_supp=0 pruned_score=0 trivial=0 general=0 \
              accepted=0 heff_scans=0 passes=0 fused=0 kernel_batches=0 scratch_peak=0 \
-             stolen=0 splits=0 tightenings=0 shards=0 shard_loads=0 shard_evictions=0 \
-             shard_peak=0 cancel_checks=0 faults_injected=0 spill_retries=0 \
+             stolen=0 splits=0 tightenings=0 shards=0 slice_sets=0 shard_loads=0 \
+             shard_evictions=0 shard_peak=0 cancel_checks=0 faults_injected=0 spill_retries=0 \
              requests_served=0 requests_shed=0 cache_hits=0 cache_coalesced=0 elapsed=0ns"
         );
     }

@@ -54,6 +54,17 @@ impl fmt::Display for ShardIoError {
     }
 }
 
+/// What a [`GraphError::MemoryBudgetTooSmall`] budget could not hold.
+/// Ordered so that, between equal costs, a slice binds: more shards can
+/// shrink a shard, never a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ResidentUnit {
+    /// A persistent shard of the store.
+    Shard,
+    /// One value slice of a slice set, resident under a reservation.
+    Slice,
+}
+
 /// Errors produced while building, validating, or loading graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // variant docs describe the named fields
@@ -96,9 +107,14 @@ pub enum GraphError {
     /// The graph has more edges than the compact model can index
     /// (EArray positions are `u32`).
     TooManyEdges { edges: usize, max: usize },
-    /// A shard-pool memory budget cannot hold even one resident shard
-    /// (see [`crate::shard::ShardPool`]).
-    MemoryBudgetTooSmall { needed: u64, budget: u64 },
+    /// A shard-pool memory budget cannot hold even one resident unit on
+    /// its own (see [`crate::shard::ShardPool`]); `needed` is the
+    /// minimum viable budget, and `unit` says what binds it.
+    MemoryBudgetTooSmall {
+        needed: u64,
+        budget: u64,
+        unit: ResidentUnit,
+    },
     /// A self-loop was supplied while the builder forbids them.
     SelfLoop { node: u32 },
     /// A partition pass saw a key at or beyond its declared bucket count
@@ -176,11 +192,25 @@ impl fmt::Display for GraphError {
                  (EArray positions are u32); mine with --shards so every per-shard model \
                  stays under the cap"
             ),
-            GraphError::MemoryBudgetTooSmall { needed, budget } => write!(
+            GraphError::MemoryBudgetTooSmall {
+                needed,
+                budget,
+                unit: ResidentUnit::Shard,
+            } => write!(
                 f,
                 "memory budget of {budget} bytes cannot hold a {needed}-byte resident shard \
                  (minimum viable budget: {needed} bytes); raise --memory-budget or increase \
                  --shards"
+            ),
+            GraphError::MemoryBudgetTooSmall {
+                needed,
+                budget,
+                unit: ResidentUnit::Slice,
+            } => write!(
+                f,
+                "memory budget of {budget} bytes cannot hold a {needed}-byte value slice \
+                 (minimum viable budget: {needed} bytes); raise --memory-budget (a slice holds \
+                 every edge of one attribute value, whatever the shard count)"
             ),
             GraphError::SelfLoop { node } => {
                 write!(f, "self-loop on node {node} rejected by builder policy")

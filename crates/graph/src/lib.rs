@@ -50,7 +50,7 @@ mod value;
 pub use builder::GraphBuilder;
 pub use cancel::CancelToken;
 pub use compact::{check_edge_capacity, CompactModel, KeyColumns};
-pub use error::{GraphError, Result, ShardIoError};
+pub use error::{GraphError, ResidentUnit, Result, ShardIoError};
 pub use graph::SocialGraph;
 pub use schema::{AttrDef, Schema, SchemaBuilder, MAX_NODE_ATTRS};
 pub use single_table::SingleTable;

@@ -48,7 +48,7 @@
 use crate::builder::GraphBuilder;
 use crate::cancel::CancelToken;
 use crate::compact::{check_edge_capacity, CompactModel, KeyColumns};
-use crate::error::{GraphError, Result, ShardIoError};
+use crate::error::{GraphError, ResidentUnit, Result, ShardIoError};
 use crate::failpoint;
 use crate::graph::SocialGraph;
 use crate::io::EdgeChunk;
@@ -998,7 +998,11 @@ impl<'s> ShardPool<'s> {
             ));
         }
         if budget < needed {
-            return Err(GraphError::MemoryBudgetTooSmall { needed, budget });
+            return Err(GraphError::MemoryBudgetTooSmall {
+                needed,
+                budget,
+                unit: ResidentUnit::Shard,
+            });
         }
         let mut resident = Vec::with_capacity(store.shard_count());
         for _ in 0..store.shard_count() {
@@ -1058,10 +1062,10 @@ impl<'s> ShardPool<'s> {
         sum
     }
 
-    /// Evict unpinned LRU residents until `need` more bytes fit.
-    /// `Ok(true)`: fits now. `Ok(false)`: blocked on pins — drop the
-    /// lock and retry. `Err`: no schedule can ever fit `need`.
-    fn make_room(&self, state: &mut PoolState, need: u64) -> Result<bool> {
+    /// Evict unpinned LRU residents until `need` more bytes of `unit`
+    /// fit. `Ok(true)`: fits now. `Ok(false)`: blocked on pins — drop
+    /// the lock and retry. `Err`: no schedule can ever fit `need`.
+    fn make_room(&self, state: &mut PoolState, need: u64, unit: ResidentUnit) -> Result<bool> {
         if let Some(failpoint::FaultKind::ShrinkBudget(b)) = failpoint::hit("pool.evict") {
             // ordering: Release pairs with the Acquire in `budget()`;
             // the injected shrink must be visible to every later
@@ -1094,6 +1098,7 @@ impl<'s> ShardPool<'s> {
                         return Err(GraphError::MemoryBudgetTooSmall {
                             needed: need,
                             budget: self.budget(),
+                            unit,
                         });
                     }
                     return Ok(false);
@@ -1127,7 +1132,7 @@ impl<'s> ShardPool<'s> {
                     });
                 }
                 let need = self.shard_cost(s);
-                if self.make_room(&mut st, need)? {
+                if self.make_room(&mut st, need, ResidentUnit::Shard)? {
                     // Load inside the lock: the model's acquire is one
                     // atomic step (grm_analyze::model::shard), and
                     // holding the mutex through the load keeps the
@@ -1175,7 +1180,7 @@ impl<'s> ShardPool<'s> {
             }
             {
                 let mut st = self.state.lock();
-                if self.make_room(&mut st, bytes)? {
+                if self.make_room(&mut st, bytes, ResidentUnit::Slice)? {
                     st.reserved += bytes;
                     self.meter.add(bytes);
                     return Ok(Reservation { pool: self, bytes });
@@ -1471,7 +1476,7 @@ mod tests {
             .max()
             .unwrap();
         assert!(
-            matches!(err, GraphError::MemoryBudgetTooSmall { needed, budget: 1 } if needed == max_shard),
+            matches!(err, GraphError::MemoryBudgetTooSmall { needed, budget: 1, unit: ResidentUnit::Shard } if needed == max_shard),
             "{err:?}"
         );
         let msg = err.to_string();
@@ -1483,7 +1488,14 @@ mod tests {
         // transient reservation still fails deep, at the reservation.
         let pool = ShardPool::new(&store, Some(max_shard)).unwrap();
         let err = pool.reserve(max_shard + 1).unwrap_err();
-        assert!(matches!(err, GraphError::MemoryBudgetTooSmall { .. }));
+        assert!(matches!(
+            err,
+            GraphError::MemoryBudgetTooSmall {
+                unit: ResidentUnit::Slice,
+                ..
+            }
+        ));
+        assert!(!err.to_string().contains("--shards"), "{err}");
     }
 
     #[test]

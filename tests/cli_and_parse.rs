@@ -175,6 +175,7 @@ fn cli_stats_json_pins_the_counter_schema() {
             "subtree_splits",
             "bound_tightenings",
             "shards_built",
+            "slice_sets_built",
             "shard_loads",
             "shard_evictions",
             "shard_resident_bytes_peak",

@@ -254,7 +254,7 @@ fn impossible_budget_fails_eagerly_with_zero_work_done() {
     )
     .expect_err("a 1-byte budget cannot hold a shard");
     match err {
-        MinerError::Graph(GraphError::MemoryBudgetTooSmall { needed, budget }) => {
+        MinerError::Graph(GraphError::MemoryBudgetTooSmall { needed, budget, .. }) => {
             assert_eq!(budget, 1);
             assert!(needed > 1);
             // The message carries the minimum viable budget — validation

@@ -2,7 +2,8 @@
 //! full matrix of 1/2/4/8 threads × `split_min` {heuristic, 1} must
 //! return bit-identical `top` AND identical `MinerStats::semantic()`
 //! under the static threshold, on the Fig. 1 toy network and the
-//! Pokec-like / DBLP-like workloads. Dynamic mode
+//! Pokec-like / DBLP-like workloads, with and without
+//! `allow_empty_lhs`. Dynamic mode
 //! (the shared top-k bound + exactness-verified post-pass) must *also*
 //! be bit-identical to the static Definition-5 semantics — the
 //! engine-level guarantee that pruning only ever removes work, never
@@ -31,39 +32,53 @@ fn engine_matrix() -> Vec<ParallelOptions> {
     m
 }
 
+/// `cfg` as given and with `allow_empty_lhs`, the only setting that runs
+/// the `Right`/`Edge` root tasks, each with its label.
+fn with_and_without_empty_lhs(cfg: &MinerConfig, label: &str) -> [(MinerConfig, String); 2] {
+    [cfg.clone(), cfg.clone().with_empty_lhs()].map(|c| {
+        let label = format!("{label}, allow_empty_lhs {}", c.allow_empty_lhs);
+        (c, label)
+    })
+}
+
 fn assert_matrix_matches_sequential(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
-    let cfg = cfg.clone().without_dynamic_topk();
-    let seq = GrMiner::new(g, cfg.clone()).mine();
-    let dims = Dims::all(g.schema());
-    for opts in engine_matrix() {
-        let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
-        assert_eq!(seq.top, par.top, "{label}: parallel diverged ({opts:?})");
-        assert_eq!(
-            seq.stats.semantic(),
-            par.stats.semantic(),
-            "{label}: semantic counters diverged ({opts:?})"
-        );
+    for (cfg, label) in with_and_without_empty_lhs(cfg, label) {
+        let cfg = cfg.without_dynamic_topk();
+        let seq = GrMiner::new(g, cfg.clone()).mine();
+        let dims = Dims::all(g.schema());
+        for opts in engine_matrix() {
+            let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
+            assert_eq!(seq.top, par.top, "{label}: parallel diverged ({opts:?})");
+            assert_eq!(
+                seq.stats.semantic(),
+                par.stats.semantic(),
+                "{label}: semantic counters diverged ({opts:?})"
+            );
+        }
     }
 }
 
 /// Dynamic mode: shared bound + verified post-pass must reproduce the
-/// static Definition-5 output exactly. (The post-pass debug-asserts that
-/// the published bound never exceeds the true k-th score of the result.)
+/// static Definition-5 output exactly, with and without
+/// `allow_empty_lhs`. (The post-pass debug-asserts that the published
+/// bound never exceeds the true k-th score of the result.)
 fn assert_dynamic_matches_static(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
     assert!(cfg.dynamic_topk, "{label}: fixture must exercise the bound");
-    let seq_static = GrMiner::new(g, cfg.clone().without_dynamic_topk()).mine();
-    let dims = Dims::all(g.schema());
-    for threads in [2usize, 4, 8] {
-        let opts = ParallelOptions {
-            threads,
-            split_min: 1,
-            ..ParallelOptions::default()
-        };
-        let par = try_mine_parallel_with_opts(g, cfg, &dims, opts).unwrap();
-        assert_eq!(
-            seq_static.top, par.top,
-            "{label}: dynamic parallel deviated from static semantics (threads {threads})"
-        );
+    for (cfg, label) in with_and_without_empty_lhs(cfg, label) {
+        let seq_static = GrMiner::new(g, cfg.clone().without_dynamic_topk()).mine();
+        let dims = Dims::all(g.schema());
+        for threads in [2usize, 4, 8] {
+            let opts = ParallelOptions {
+                threads,
+                split_min: 1,
+                ..ParallelOptions::default()
+            };
+            let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
+            assert_eq!(
+                seq_static.top, par.top,
+                "{label}: dynamic parallel deviated from static semantics (threads {threads})"
+            );
+        }
     }
 }
 

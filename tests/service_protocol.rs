@@ -137,7 +137,7 @@ fn stats_introspection_is_pinned_and_counts_service_events() {
     assert_eq!(get(result, "max_concurrent"), &Content::U64(4));
     assert_eq!(get(result, "slots_available"), &Content::U64(4));
     // The counters object is the pinned MinerStats schema (the full
-    // 27-key order is pinned in tests/cli_and_parse.rs); the service
+    // 28-key order is pinned in tests/cli_and_parse.rs); the service
     // counters must be present and must move.
     let counters = get(result, "counters");
     for key in [

@@ -1,7 +1,8 @@
 //! Sharded out-of-core mining vs the in-core engines: at every shard
 //! count and thread count, `mine_sharded` must return the bit-identical
 //! `top` of the sequential miner (static semantics) with identical
-//! semantic counters — on the Fig. 1 toy network and the Pokec-like / DBLP-like workloads — and it
+//! semantic counters — on the Fig. 1 toy network and the Pokec-like /
+//! DBLP-like workloads, with and without `allow_empty_lhs` — and it
 //! must do so under a fixed memory budget, with the pool's resident
 //! peak never exceeding it.
 
@@ -9,7 +10,7 @@ use social_ties::core::sharded::{mine_sharded, ShardedOptions};
 use social_ties::core::MinerError;
 use social_ties::datagen::{dblp_config_scaled, pokec_config_scaled};
 use social_ties::graph::shard::{resident_cost, ShardStore};
-use social_ties::graph::{CompactModel, GraphError, NodeId};
+use social_ties::graph::{CompactModel, GraphError, NodeId, ResidentUnit};
 use social_ties::{generate, toy_network, GrMiner, MinerConfig, RankMetric, SocialGraph};
 use std::path::PathBuf;
 
@@ -26,11 +27,35 @@ fn store_for(g: &SocialGraph, name: &str, shards: usize) -> ShardStore {
         .expect("store builds")
 }
 
+/// Slice sets a mine of `cfg` spills: one per non-dominant LHS
+/// dimension, plus one per RHS and edge dimension when empty LHSes are
+/// reportable.
+fn slice_sets(g: &SocialGraph, cfg: &MinerConfig) -> u64 {
+    let (nodes, edges) = (g.schema().node_attr_count(), g.schema().edge_attr_count());
+    let empty_lhs = if cfg.allow_empty_lhs {
+        nodes + edges
+    } else {
+        0
+    };
+    (nodes - 1 + empty_lhs) as u64
+}
+
+/// The matrix for `cfg` as given and with `allow_empty_lhs`, the only
+/// setting that runs the `Right`/`Edge` root tasks and their slice
+/// units.
 fn assert_sharded_matches(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
+    for cfg in [cfg.clone(), cfg.clone().with_empty_lhs()] {
+        assert_sharded_matches_one(g, &cfg, label);
+    }
+}
+
+fn assert_sharded_matches_one(g: &SocialGraph, cfg: &MinerConfig, name: &str) {
+    let label = format!("{name}, allow_empty_lhs {}", cfg.allow_empty_lhs);
     let stat = cfg.clone().without_dynamic_topk();
     let seq = GrMiner::new(g, stat.clone()).mine();
     for shards in [1usize, 2, 3, 7] {
-        let store = store_for(g, &format!("{label}-{shards}"), shards);
+        let store_name = format!("{name}-{}-{shards}", cfg.allow_empty_lhs);
+        let store = store_for(g, &store_name, shards);
         for threads in [1usize, 2, 4] {
             // Static: bit-identical top AND semantic counters.
             let opts = ShardedOptions {
@@ -49,6 +74,7 @@ fn assert_sharded_matches(g: &SocialGraph, cfg: &MinerConfig, label: &str) {
             );
             assert_eq!(out.edge_count, g.edge_count() as u64);
             assert_eq!(out.stats.shards_built, shards as u64);
+            assert_eq!(out.stats.slice_sets_built, slice_sets(g, cfg), "{label}");
 
             // Dynamic: the shared bound + verified post-pass must still
             // reproduce the static Definition-5 output exactly.
@@ -137,10 +163,13 @@ fn concurrent_mines_on_one_store_keep_their_own_slices() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The largest edge set any single unit makes resident: the per-shard
-/// maximum and, for slices, the largest per-value group of any LHS/RHS
-/// node attribute or edge attribute.
-fn max_unit_edges(g: &SocialGraph, store: &ShardStore) -> usize {
+/// The largest edge set any single planned unit of a mine makes
+/// resident: the per-shard maximum and the largest per-value source
+/// group of any node attribute (a dominant-attribute group lies inside
+/// one shard, so it never raises the maximum). Destination and
+/// edge-attribute groups are units only when empty LHSes are
+/// reportable (`allow_empty_lhs`), so only then do they count.
+fn max_unit_edges(g: &SocialGraph, store: &ShardStore, allow_empty_lhs: bool) -> usize {
     let schema = g.schema();
     let mut max = (0..store.shard_count())
         .map(|s| store.edge_count(s) as usize)
@@ -153,16 +182,19 @@ fn max_unit_edges(g: &SocialGraph, store: &ShardStore) -> usize {
             by_src[g.src_attr(e, a) as usize] += 1;
             by_dst[g.dst_attr(e, a) as usize] += 1;
         }
-        max = max
-            .max(by_src[1..].iter().copied().max().unwrap_or(0))
-            .max(by_dst[1..].iter().copied().max().unwrap_or(0));
-    }
-    for a in schema.edge_attr_ids() {
-        let mut by_val = vec![0usize; schema.edge_attr(a).bucket_count()];
-        for e in g.edge_ids() {
-            by_val[g.edge_attr(e, a) as usize] += 1;
+        max = max.max(by_src[1..].iter().copied().max().unwrap_or(0));
+        if allow_empty_lhs {
+            max = max.max(by_dst[1..].iter().copied().max().unwrap_or(0));
         }
-        max = max.max(by_val[1..].iter().copied().max().unwrap_or(0));
+    }
+    if allow_empty_lhs {
+        for a in schema.edge_attr_ids() {
+            let mut by_val = vec![0usize; schema.edge_attr(a).bucket_count()];
+            for e in g.edge_ids() {
+                by_val[g.edge_attr(e, a) as usize] += 1;
+            }
+            max = max.max(by_val[1..].iter().copied().max().unwrap_or(0));
+        }
     }
     max
 }
@@ -170,37 +202,121 @@ fn max_unit_edges(g: &SocialGraph, store: &ShardStore) -> usize {
 #[test]
 fn tight_budget_forces_evictions_and_respects_the_peak() {
     let g = generate(&pokec_config_scaled(0.02)).unwrap();
-    let cfg = MinerConfig::nhp(5, 0.5, 25).without_dynamic_topk();
-    let seq = GrMiner::new(&g, cfg.clone()).mine();
     let store = store_for(&g, "budget", 3);
-    // Just enough for the single largest resident unit: every unit
-    // still fits, but no two can be resident together, so the pool must
-    // evict between shard units.
-    let budget = resident_cost(
-        g.schema(),
-        g.node_count(),
-        max_unit_edges(&g, &store).max(1),
-    );
-    let out = mine_sharded(
-        &store,
-        &cfg,
-        &ShardedOptions {
-            threads: 2,
-            memory_budget: Some(budget),
-        },
-    )
-    .expect("budgeted mine");
-    assert_eq!(seq.top, out.top, "tight budget changed results");
-    assert!(
-        out.stats.shard_evictions > 0,
-        "a one-unit budget must force evictions"
-    );
-    assert!(
-        out.stats.shard_resident_bytes_peak <= budget,
-        "resident peak {} exceeded the budget {budget}",
-        out.stats.shard_resident_bytes_peak
-    );
-    assert!(out.stats.shard_loads >= out.stats.shards_built);
+    for allow_empty_lhs in [false, true] {
+        let cfg = MinerConfig {
+            allow_empty_lhs,
+            ..MinerConfig::nhp(5, 0.5, 25).without_dynamic_topk()
+        };
+        let seq = GrMiner::new(&g, cfg.clone()).mine();
+        // Just enough for the single largest planned unit: every unit
+        // still fits, but no two can be resident together, so the pool
+        // must evict between shard units.
+        let budget = resident_cost(
+            g.schema(),
+            g.node_count(),
+            max_unit_edges(&g, &store, allow_empty_lhs).max(1),
+        );
+        let out = mine_sharded(
+            &store,
+            &cfg,
+            &ShardedOptions {
+                threads: 2,
+                memory_budget: Some(budget),
+            },
+        )
+        .expect("budgeted mine");
+        let label = format!("allow_empty_lhs {allow_empty_lhs}");
+        assert_eq!(seq.top, out.top, "{label}: tight budget changed results");
+        assert!(
+            out.stats.shard_evictions > 0,
+            "{label}: a one-unit budget must force evictions"
+        );
+        assert!(
+            out.stats.shard_resident_bytes_peak <= budget,
+            "{label}: resident peak {} exceeded the budget {budget}",
+            out.stats.shard_resident_bytes_peak
+        );
+        assert!(out.stats.shard_loads >= out.stats.shards_built);
+    }
+    let dir = store.dir().to_path_buf();
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn the_reported_minimum_budget_mines() {
+    // On this fixture the largest unit is a value slice, not a shard: a
+    // budget check over shards alone reported a minimum that failed
+    // again once the slice was reserved. The eager check prices every
+    // planned unit, so mining at the reported minimum succeeds, one byte
+    // less fails, and the message does not offer more shards, which
+    // cannot shrink a slice.
+    let g = generate(&dblp_config_scaled(0.05)).unwrap();
+    let store = store_for(&g, "minimum", 3);
+    let opts = |budget| ShardedOptions {
+        threads: 2,
+        memory_budget: Some(budget),
+    };
+    for cfg in [
+        MinerConfig::nhp(3, 0.5, 50),
+        MinerConfig::nhp(3, 0.5, 50).with_empty_lhs(),
+    ] {
+        let label = format!("allow_empty_lhs {}", cfg.allow_empty_lhs);
+        let err = mine_sharded(&store, &cfg, &opts(1)).expect_err("a 1-byte budget");
+        let MinerError::Graph(GraphError::MemoryBudgetTooSmall {
+            needed,
+            budget: 1,
+            unit,
+        }) = err
+        else {
+            panic!("{label}: expected MemoryBudgetTooSmall, got {err:?}");
+        };
+        assert_eq!(unit, ResidentUnit::Slice, "{label}: a slice binds here");
+        let largest_shard = (0..store.shard_count())
+            .map(|s| resident_cost(g.schema(), g.node_count(), store.edge_count(s) as usize))
+            .max()
+            .unwrap();
+        assert!(
+            needed > largest_shard,
+            "{label}: {needed} vs {largest_shard}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("minimum viable budget"), "{label}: {msg}");
+        assert!(!msg.contains("--shards"), "{label}: {msg}");
+
+        let out = mine_sharded(&store, &cfg, &opts(needed))
+            .unwrap_or_else(|e| panic!("{label}: the reported minimum {needed} failed: {e}"));
+        let seq = GrMiner::new(&g, cfg.clone().without_dynamic_topk()).mine();
+        assert_eq!(seq.top, out.top, "{label}");
+        assert!(out.stats.shard_resident_bytes_peak <= needed, "{label}");
+        match mine_sharded(&store, &cfg, &opts(needed - 1)) {
+            Err(MinerError::Graph(GraphError::MemoryBudgetTooSmall { needed: n, .. })) => {
+                assert_eq!(n, needed, "{label}")
+            }
+            other => panic!("{label}: one byte below the minimum: {other:?}"),
+        }
+    }
+    let dir = store.dir().to_path_buf();
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn slice_sets_follow_the_root_task_list() {
+    // Pokec has six node attributes and no edge attribute. A default
+    // mine spills one slice set per non-dominant LHS dimension (5); the
+    // empty-LHS RIGHT chain adds one per RHS dimension (11 in all). An
+    // in-core mine spills none.
+    let g = generate(&pokec_config_scaled(0.01)).unwrap();
+    let store = store_for(&g, "slice-sets", 2);
+    let cfg = MinerConfig::nhp(5, 0.5, 25);
+    let opts = ShardedOptions::default();
+    let default = mine_sharded(&store, &cfg, &opts).unwrap();
+    assert_eq!(default.stats.slice_sets_built, 5);
+    let all = mine_sharded(&store, &cfg.clone().with_empty_lhs(), &opts).unwrap();
+    assert_eq!(all.stats.slice_sets_built, 11);
+    assert_eq!(GrMiner::new(&g, cfg).mine().stats.slice_sets_built, 0);
     let dir = store.dir().to_path_buf();
     drop(store);
     let _ = std::fs::remove_dir_all(dir);
@@ -275,7 +391,7 @@ fn graph_beyond_the_per_shard_cap_mines_under_sharding() {
     let budget = resident_cost(
         g.schema(),
         g.node_count(),
-        max_unit_edges(&g, &store).max(1),
+        max_unit_edges(&g, &store, false).max(1),
     ) * 2;
     let out = mine_sharded(
         &store,
