@@ -1,59 +1,43 @@
 //! `bench_json` — machine-readable perf numbers for the CI trajectory.
 //!
-//! Three cell groups, selected with `--group` (plain `Instant` timing —
-//! no criterion, so the output shape is stable and trivially diffable
-//! across commits):
-//!
-//! * `partition` (default) — the partition-engine micro cells
-//!   (allocating legacy primitive vs arena pass vs count-only arena pass,
-//!   and the two-level shapes: full child passes, and count-only
-//!   children, as the miner runs the first pass of a RIGHT chain). The
-//!   count-only pass runs at n = 600 too, below the count's stripe
-//!   threshold (`STRIPES × 189` = 756), so each histogram branch has a
-//!   cell;
-//! * `parallel` — end-to-end thread scaling of the work-stealing miner
-//!   on full-dims Pokec: sequential GRMiner(k) and GRMiner, and the
-//!   work-stealing engine at 1/2/4 threads;
-//! * `shard` — the sharded out-of-core engine on the same Pokec
-//!   fixture: spill-store build cost, the sharded mine at 1/4 shards and
-//!   1/4 workers, and the 4-shard mine under a whole-graph memory
-//!   budget — the out-of-core overhead relative to the in-core mine.
+//! One cell group, `partition`, selected with `--group` (plain `Instant`
+//! timing — no criterion, so the output shape is stable and trivially
+//! diffable across commits): the partition-engine micro cells
+//! (allocating legacy primitive vs arena pass vs count-only arena pass,
+//! and the two-level shapes: full child passes, and count-only children,
+//! as the miner runs the first pass of a RIGHT chain). The count-only
+//! pass runs at n = 600 too, below the count's stripe threshold
+//! (`STRIPES × 189` = 756), so each histogram branch has a cell.
+//! End-to-end and out-of-core timings come from the repo benchmark,
+//! `perfbench/` (its `mine-inmem` and `mine-outofcore` workloads), which
+//! also checks every answer.
 //!
 //! ```text
-//! bench_json [--group partition|parallel|shard] [out.json]
-//! # defaults: --group partition → BENCH_partition.json
-//! #           --group parallel  → BENCH_parallel.json
-//! #           --group shard     → BENCH_shard.json
+//! bench_json [--group partition] [out.json]
+//! # default: BENCH_partition.json
 //! ```
 //!
 //! Schema (`grm-bench-<group>/1`): `results[]` of
 //! `{group, bench, n, median_ns, ns_per_item}`, medians over a handful
 //! of timed repetitions after a warm-up (`n` is the input size the cell
-//! works over — items for micro cells, edges for mining cells).
-//! Consumers key on `(group, bench, n)` — append new cells, never
-//! repurpose old names. No longer emitted: `two_level_fused` and
+//! works over). Consumers key on `(group, bench, n)` — append new cells,
+//! never repurpose old names. No longer emitted: `two_level_fused` and
 //! `two_level_fused_leaf` (the arena has no fused two-level pass),
-//! `count_pass_scalar` (the arena has no kernels-off mode), and the
-//! whole `kernel` group — `hist_scalar_b8`, `hist_swar_b8`,
+//! `count_pass_scalar` (the arena has no kernels-off mode), the whole
+//! `kernel` group — `hist_scalar_b8`, `hist_swar_b8`,
 //! `hist_scalar_b189`, `hist_swar_b189`, `gather_scalar`,
 //! `gather_kernel` and `count_pass_kernel` — whose SWAR kernels are gone
 //! (the arena's count is one routine; `partition/arena` times the pass
-//! `count_pass_kernel` timed).
+//! `count_pass_kernel` timed), and the `parallel` and `shard` groups,
+//! which re-timed what `perfbench` times without its answer checks.
 
-use grm_bench::{fixture, Dataset, Table};
-use grm_core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
-use grm_core::{Dims, GrMiner, MinerConfig};
+use grm_bench::Table;
 use grm_graph::sort::PartitionArena;
 use grm_graph::AttrValue;
 use std::time::Instant;
 
 /// Timed repetitions per micro cell (median reported).
 const SAMPLES: usize = 15;
-
-/// Timed repetitions per end-to-end mining cell — each run is a full
-/// mine over the Pokec fixture, so fewer samples suffice for a stable
-/// median.
-const MINE_SAMPLES: usize = 9;
 
 struct Cell {
     group: &'static str,
@@ -62,11 +46,11 @@ struct Cell {
     median_ns: u128,
 }
 
-fn median_ns_over(samples: usize, mut f: impl FnMut() -> u64) -> u128 {
-    // One warm-up (grows arenas, faults pages), then `samples` timed
+fn median_ns(mut f: impl FnMut() -> u64) -> u128 {
+    // One warm-up (grows arenas, faults pages), then `SAMPLES` timed
     // runs.
     let mut sink = f();
-    let mut times: Vec<u128> = (0..samples)
+    let mut times: Vec<u128> = (0..SAMPLES)
         .map(|_| {
             let t = Instant::now();
             sink = sink.wrapping_add(f());
@@ -79,10 +63,6 @@ fn median_ns_over(samples: usize, mut f: impl FnMut() -> u64) -> u128 {
         eprintln!("checksum {sink}");
     }
     times[times.len() / 2]
-}
-
-fn median_ns(f: impl FnMut() -> u64) -> u128 {
-    median_ns_over(SAMPLES, f)
 }
 
 /// The pre-PR partition primitive — the baseline the arena is measured
@@ -239,151 +219,6 @@ fn partition_cells() -> Vec<Cell> {
     cells
 }
 
-/// End-to-end thread scaling on full-dims Pokec (minSupp 30, k 100, nhp
-/// — the ablation bench's configuration): the sequential miners and the
-/// work-stealing engine at 1/2/4 threads, plus 4 threads at minNhp 0.2.
-/// `n` is the edge count.
-fn parallel_cells() -> Vec<Cell> {
-    let graph = fixture(Dataset::Pokec, 0.05);
-    let dims = Dims::all(graph.schema());
-    let base = MinerConfig::nhp(30, 0.5, 100);
-    let n = graph.edge_count() as usize;
-    let mut cells: Vec<Cell> = Vec::new();
-
-    let mine_cell = |bench: &'static str, cfg: MinerConfig, opts: Option<ParallelOptions>| Cell {
-        group: "parallel",
-        bench,
-        n,
-        median_ns: median_ns_over(MINE_SAMPLES, || {
-            let r = match opts {
-                Some(o) => try_mine_parallel_with_opts(&graph, &cfg, &dims, o)
-                    .expect("an uncancellable mine cannot fail"),
-                None => GrMiner::with_dims(&graph, cfg.clone(), dims.clone()).mine(),
-            };
-            r.top.len() as u64 + r.stats.grs_examined
-        }),
-    };
-
-    cells.push(mine_cell("seq_dynamic", base.clone(), None));
-    cells.push(mine_cell(
-        "seq_static",
-        base.clone().without_dynamic_topk(),
-        None,
-    ));
-    for (bench, threads) in [
-        ("steal_threads_1", 1usize),
-        ("steal_threads_2", 2),
-        ("steal_threads_4", 4),
-    ] {
-        cells.push(mine_cell(
-            bench,
-            base.clone(),
-            Some(ParallelOptions {
-                threads,
-                ..ParallelOptions::default()
-            }),
-        ));
-    }
-    // Low-threshold cell (minNhp 0.2): here the user threshold prunes
-    // little and the shared dynamic bound carries the run.
-    cells.push(mine_cell(
-        "steal_threads_4_minnhp02",
-        MinerConfig::nhp(30, 0.2, 100),
-        Some(ParallelOptions {
-            threads: 4,
-            ..ParallelOptions::default()
-        }),
-    ));
-    cells
-}
-
-/// The sharded out-of-core engine on the Pokec fixture (minSupp 30,
-/// k 100, nhp — the ablation configuration): the in-core sequential
-/// mine as the baseline, the one-off spill-store build, and the sharded
-/// mine across shard/worker counts, including a run capped at the
-/// whole-graph resident cost (every unit fits alone, so the pool must
-/// juggle residency instead of erroring). `n` is the edge count.
-fn shard_cells() -> Vec<Cell> {
-    use grm_core::{mine_sharded, ShardedOptions};
-    use grm_graph::shard::{resident_cost, ShardStore};
-
-    let graph = fixture(Dataset::Pokec, 0.05);
-    let base = MinerConfig::nhp(30, 0.5, 100);
-    let n = graph.edge_count() as usize;
-    let root = std::env::temp_dir().join(format!("grm-bench-shard-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cells: Vec<Cell> = Vec::new();
-
-    cells.push(Cell {
-        group: "shard",
-        bench: "in_core_seq",
-        n,
-        median_ns: median_ns_over(MINE_SAMPLES, || {
-            let r = GrMiner::new(&graph, base.clone()).mine();
-            r.top.len() as u64 + r.stats.grs_examined
-        }),
-    });
-
-    cells.push(Cell {
-        group: "shard",
-        bench: "store_build_4",
-        n,
-        median_ns: median_ns_over(MINE_SAMPLES, || {
-            let d = root.join("build");
-            let _ = std::fs::remove_dir_all(&d);
-            let store =
-                ShardStore::build_from_graph(&graph, &d, 4, grm_graph::CompactModel::MAX_EDGES)
-                    .unwrap();
-            store.total_edges()
-        }),
-    });
-
-    let store1 = ShardStore::build_from_graph(
-        &graph,
-        root.join("s1"),
-        1,
-        grm_graph::CompactModel::MAX_EDGES,
-    )
-    .unwrap();
-    let store4 = ShardStore::build_from_graph(
-        &graph,
-        root.join("s4"),
-        4,
-        grm_graph::CompactModel::MAX_EDGES,
-    )
-    .unwrap();
-    let whole_graph_budget = resident_cost(graph.schema(), graph.node_count(), n);
-    for (bench, store, threads, memory_budget) in [
-        ("sharded_1_seq", &store1, 1usize, None),
-        ("sharded_4_seq", &store4, 1, None),
-        ("sharded_4_threads_4", &store4, 4, None),
-        (
-            "sharded_4_threads_4_budgeted",
-            &store4,
-            4,
-            Some(whole_graph_budget),
-        ),
-    ] {
-        cells.push(Cell {
-            group: "shard",
-            bench,
-            n,
-            median_ns: median_ns_over(MINE_SAMPLES, || {
-                let opts = ShardedOptions {
-                    threads,
-                    memory_budget,
-                };
-                let r = mine_sharded(store, &base, &opts).unwrap();
-                r.top.len() as u64 + r.stats.shard_loads
-            }),
-        });
-    }
-    drop(store1);
-    drop(store4);
-    let _ = std::fs::remove_dir_all(&root);
-    cells
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().filter(|a| *a == "--group").count() > 1 {
@@ -394,7 +229,7 @@ fn main() {
         Some(i) => match args.get(i + 1) {
             Some(g) => g.clone(),
             None => {
-                eprintln!("--group is missing its value (partition|parallel|shard)");
+                eprintln!("--group is missing its value (partition)");
                 std::process::exit(2);
             }
         },
@@ -408,9 +243,7 @@ fn main() {
         .collect();
     // A mistyped flag must fail, not become the output filename.
     if let Some(flagish) = positional.iter().find(|a| a.starts_with('-')) {
-        eprintln!(
-            "unknown flag `{flagish}` (usage: bench_json [--group partition|parallel|shard] [out.json])"
-        );
+        eprintln!("unknown flag `{flagish}` (usage: bench_json [--group partition] [out.json])");
         std::process::exit(2);
     }
     if positional.len() > 1 {
@@ -423,10 +256,8 @@ fn main() {
         .unwrap_or_else(|| format!("BENCH_{group}.json"));
     let cells = match group.as_str() {
         "partition" => partition_cells(),
-        "parallel" => parallel_cells(),
-        "shard" => shard_cells(),
         other => {
-            eprintln!("unknown --group `{other}` (expected partition|parallel|shard)");
+            eprintln!("unknown --group `{other}` (expected partition)");
             std::process::exit(2);
         }
     };

@@ -8,9 +8,10 @@
 //! * `table2` — Table IIa / IIb (top GRs by nhp vs conf);
 //! * `fig4` — Fig. 4a–4d runtime sweeps plus the §VI-D DBLP runtime check;
 //! * `experiments` — everything, as a markdown report for EXPERIMENTS.md;
+//! * `bench_json` — the partition-engine micro cells as JSON;
 //!
-//! and the Criterion benches `fig4a_minsupp`, `fig4b_minnhp`, `fig4c_topk`,
-//! `fig4d_dims`, `micro`, `ablation`.
+//! and the Criterion benches `micro`, `ablation` and `parallel`. The
+//! Fig. 4 sweeps are timed by the `fig4` binary alone.
 
 use grm_datagen::{dblp_config_scaled, generate, pokec_config_scaled, GeneratorConfig};
 use grm_graph::SocialGraph;

@@ -175,6 +175,16 @@ pub fn mine_baseline_with_dims(
     let schema = graph.schema();
     let r_dim_start = dim_map.l.len() + dim_map.w.len();
 
+    // A helper pattern below minSupp is counted by a full rescan, once:
+    // many candidates share one homophily-effect or RHS pattern.
+    let mut rescanned: HashMap<Pattern, u64> = HashMap::new();
+    let mut support = |pattern: Pattern| match frequent.get(&pattern) {
+        Some(&v) => v,
+        None => *rescanned
+            .entry(pattern)
+            .or_insert_with_key(|p| count_pattern(graph, &dim_map, kind, p)),
+    };
+
     let mut candidates: Vec<ScoredGr> = Vec::new();
     for (pattern, &supp) in &frequent {
         // A GR needs a non-empty RHS.
@@ -211,22 +221,16 @@ pub fn mine_baseline_with_dims(
                 heff_pattern.push((dim_map.r_dim(idx) as u16, *v));
             }
             heff_pattern.sort_unstable_by_key(|&(d, _)| d);
-            match frequent.get(&heff_pattern) {
-                Some(&v) => v,
-                // The homophily effect fell below minSupp: count directly.
-                None => count_pattern(graph, &dim_map, kind, &heff_pattern),
-            }
+            support(heff_pattern)
         };
         let supp_r = if config.metric.needs_r_marginal() {
-            let r_pattern: Pattern = pattern
-                .iter()
-                .copied()
-                .filter(|&(d, _)| (d as usize) >= r_dim_start)
-                .collect();
-            match frequent.get(&r_pattern) {
-                Some(&v) => v,
-                None => count_pattern(graph, &dim_map, kind, &r_pattern),
-            }
+            support(
+                pattern
+                    .iter()
+                    .copied()
+                    .filter(|&(d, _)| (d as usize) >= r_dim_start)
+                    .collect(),
+            )
         } else {
             0
         };

@@ -3,11 +3,10 @@
 //! One [`MiningContext`] is built per mine call (or per out-of-core unit),
 //! whatever the worker count, and sits between the edge set's
 //! [`KeyColumns`] and the per-task [`crate::miner`] recursion state. It
-//! owns its columns and borrows no graph: an in-core mine gathers them
-//! through a [`CompactModel`] in EArray order, a shard unit does the same
-//! over its resident shard, and a value-slice unit loads them straight
-//! from the slice's spill file
-//! ([`SliceSet::load_keys`](grm_graph::shard::SliceSet::load_keys)).
+//! holds its columns and borrows no graph: an in-core mine gathers them
+//! through a [`CompactModel`] in EArray order, and an out-of-core unit
+//! shares the columns its shard or value slice loads from its spill file
+//! in spill order ([`ShardPool`](grm_graph::shard::ShardPool)).
 //! Everything in it is immutable (or internally synchronized) and safe to
 //! share by reference across worker threads, so the per-task costs the
 //! §IV-A model was designed to avoid are paid once per run instead of
@@ -30,11 +29,12 @@ use crate::descriptor::NodeDescriptor;
 use grm_graph::{CompactModel, KeyColumns, SocialGraph};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Immutable per-run state shared by every mining task (module docs).
 #[derive(Debug)]
 pub struct MiningContext {
-    keys: KeyColumns,
+    keys: Arc<KeyColumns>,
     edges_total: u64,
     /// Per node attribute: `supp(A:v)` over all edges, indexed by value
     /// (including the never-queried null slot). Built iff the run's
@@ -67,7 +67,7 @@ impl MiningContext {
         });
         let edges_total = keys.edge_count() as u64;
         MiningContext {
-            keys,
+            keys: Arc::new(keys),
             edges_total,
             r_base,
             r_memo: Mutex::new(HashMap::new()),
@@ -79,7 +79,7 @@ impl MiningContext {
     /// marginal) use `edges_total` — the global edge count — while
     /// position buffers stay sized to the resident columns. No marginal
     /// table: the out-of-core engine rejects the metrics that need one.
-    pub fn with_edges_total(keys: KeyColumns, edges_total: u64) -> Self {
+    pub fn with_edges_total(keys: Arc<KeyColumns>, edges_total: u64) -> Self {
         MiningContext {
             keys,
             edges_total,

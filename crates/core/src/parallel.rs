@@ -125,7 +125,7 @@ pub fn try_mine_parallel_with_opts(
         (policy, PoolTask::Subtree as fn(SubtreeTask) -> PoolTask)
     });
     let engine = InCore {
-        graph,
+        schema: graph.schema(),
         ctx: MiningContext::build(graph, config.metric.needs_r_marginal()),
     };
     let tasks = root_tasks(dims, config, graph.schema(), opts.split_dominant, threads)
@@ -202,9 +202,9 @@ enum PoolTask {
 }
 
 /// The in-core engine: every unit runs over one shared [`MiningContext`],
-/// and the post-pass measures suppressors against the graph itself.
+/// and the post-pass measures suppressors over its key columns.
 struct InCore<'g> {
-    graph: &'g SocialGraph,
+    schema: &'g Schema,
     ctx: MiningContext,
 }
 
@@ -234,7 +234,16 @@ impl Engine for InCore<'_> {
     }
 
     fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError> {
-        Ok(query::evaluate(self.graph, gr))
+        let (supp, supp_lw, supp_r, heff) = query::counts(self.schema, self.ctx.keys(), gr);
+        Ok(GrMeasures::from_counts(
+            self.schema,
+            gr,
+            supp,
+            supp_lw,
+            supp_r,
+            heff,
+            self.ctx.edges_total(),
+        ))
     }
 }
 

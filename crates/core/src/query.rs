@@ -5,10 +5,14 @@
 //! varying the GRs found, and compares such hypothesis as well as data
 //! distribution" (Remark 3; the P5/P207 variations of §VI-B are exactly
 //! this). [`evaluate`] measures any user-supplied GR in one scan.
+//!
+//! [`counts`] is the one loop that counts a GR, over any [`EdgeView`]:
+//! a graph's row-major tables (the reference behind [`evaluate`]) or a
+//! mine's [`KeyColumns`], which the engines' post-passes count over.
 
 use crate::beta::{beta, l_beta, BetaSet};
 use crate::gr::Gr;
-use grm_graph::{NodeAttrId, SocialGraph};
+use grm_graph::{AttrValue, EdgeAttrId, KeyColumns, NodeAttrId, Schema, SocialGraph};
 use serde::{Deserialize, Serialize};
 
 /// Full measurement of one GR against a graph.
@@ -37,7 +41,7 @@ pub struct GrMeasures {
 
 /// Measure `gr` against `graph` in a single pass over the edges.
 pub fn evaluate(graph: &SocialGraph, gr: &Gr) -> GrMeasures {
-    let (supp, supp_lw, supp_r, heff) = counts(graph, gr);
+    let (supp, supp_lw, supp_r, heff) = counts(graph.schema(), graph, gr);
     GrMeasures::from_counts(
         graph.schema(),
         gr,
@@ -49,14 +53,56 @@ pub fn evaluate(graph: &SocialGraph, gr: &Gr) -> GrMeasures {
     )
 }
 
-/// The four raw edge counts of `gr` over `graph`'s edges:
-/// `(supp, supp_lw, supp_r, heff)`. Each is a sum of per-edge
-/// indicators, so all four are *additive over any partition of the edge
-/// set* — the sharded miner ([`crate::sharded`]) evaluates a GR on an
-/// out-of-core graph by summing these per shard and deriving the
-/// measures once with [`GrMeasures::from_counts`].
-pub fn counts(graph: &SocialGraph, gr: &Gr) -> (u64, u64, u64, u64) {
-    let schema = graph.schema();
+/// Per-edge attribute reads: what [`counts`] scans. A graph reads them
+/// through its node table, key columns by position.
+pub trait EdgeView {
+    /// Number of edges.
+    fn edge_count(&self) -> usize;
+    /// Node attribute `a` of edge `e`'s source.
+    fn src_attr(&self, e: u32, a: NodeAttrId) -> AttrValue;
+    /// Node attribute `a` of edge `e`'s destination.
+    fn dst_attr(&self, e: u32, a: NodeAttrId) -> AttrValue;
+    /// Edge attribute `a` of edge `e`.
+    fn edge_attr(&self, e: u32, a: EdgeAttrId) -> AttrValue;
+}
+
+impl EdgeView for SocialGraph {
+    fn edge_count(&self) -> usize {
+        SocialGraph::edge_count(self)
+    }
+    fn src_attr(&self, e: u32, a: NodeAttrId) -> AttrValue {
+        SocialGraph::src_attr(self, e, a)
+    }
+    fn dst_attr(&self, e: u32, a: NodeAttrId) -> AttrValue {
+        SocialGraph::dst_attr(self, e, a)
+    }
+    fn edge_attr(&self, e: u32, a: EdgeAttrId) -> AttrValue {
+        SocialGraph::edge_attr(self, e, a)
+    }
+}
+
+impl EdgeView for KeyColumns {
+    fn edge_count(&self) -> usize {
+        KeyColumns::edge_count(self)
+    }
+    fn src_attr(&self, p: u32, a: NodeAttrId) -> AttrValue {
+        self.l_key(p, a)
+    }
+    fn dst_attr(&self, p: u32, a: NodeAttrId) -> AttrValue {
+        self.r_key(p, a)
+    }
+    fn edge_attr(&self, p: u32, a: EdgeAttrId) -> AttrValue {
+        self.w_key(p, a)
+    }
+}
+
+/// The four raw edge counts of `gr` over `edges`, a graph or key
+/// columns of `schema`: `(supp, supp_lw, supp_r, heff)`. Each is a sum
+/// of per-edge indicators, so all four are *additive over any partition
+/// of the edge set* — the sharded miner ([`crate::sharded`]) evaluates a
+/// GR on an out-of-core graph by summing these per shard and deriving
+/// the measures once with [`GrMeasures::from_counts`].
+pub fn counts<E: EdgeView>(schema: &Schema, edges: &E, gr: &Gr) -> (u64, u64, u64, u64) {
     let b: BetaSet = beta(schema, &gr.l, &gr.r);
     let lbeta = l_beta(&gr.l, b);
 
@@ -65,17 +111,18 @@ pub fn counts(graph: &SocialGraph, gr: &Gr) -> (u64, u64, u64, u64) {
     let mut supp_r = 0u64;
     let mut heff = 0u64;
 
-    for e in graph.edge_ids() {
-        let r_match = gr.r.pairs().iter().all(|&(a, v)| graph.dst_attr(e, a) == v);
+    // cast: edge ids and positions are u32 (EdgeId, CompactModel::MAX_EDGES)
+    for e in 0..edges.edge_count() as u32 {
+        let r_match = gr.r.pairs().iter().all(|&(a, v)| edges.dst_attr(e, a) == v);
         if r_match {
             supp_r += 1;
         }
-        let lw_match = gr.l.pairs().iter().all(|&(a, v)| graph.src_attr(e, a) == v)
+        let lw_match = gr.l.pairs().iter().all(|&(a, v)| edges.src_attr(e, a) == v)
             && gr
                 .w
                 .pairs()
                 .iter()
-                .all(|&(a, v)| graph.edge_attr(e, a) == v);
+                .all(|&(a, v)| edges.edge_attr(e, a) == v);
         if !lw_match {
             continue;
         }
@@ -83,7 +130,7 @@ pub fn counts(graph: &SocialGraph, gr: &Gr) -> (u64, u64, u64, u64) {
         if r_match {
             supp += 1;
         }
-        if !b.is_empty() && lbeta.iter().all(|&(a, v)| graph.dst_attr(e, a) == v) {
+        if !b.is_empty() && lbeta.iter().all(|&(a, v)| edges.dst_attr(e, a) == v) {
             heff += 1;
         }
     }
@@ -98,7 +145,7 @@ impl GrMeasures {
     /// never drift.
     #[allow(clippy::too_many_arguments)]
     pub fn from_counts(
-        schema: &grm_graph::Schema,
+        schema: &Schema,
         gr: &Gr,
         supp: u64,
         supp_lw: u64,

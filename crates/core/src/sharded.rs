@@ -54,24 +54,25 @@
 //! ## What a unit loads
 //!
 //! The recursion reads only the per-position key columns
-//! ([`KeyColumns`]), so that is all a unit makes resident. A shard unit
-//! leases its shard graph from the pool (the post-pass measures
-//! suppressors against the same graphs) and builds its columns through a
-//! [`CompactModel`], in EArray order. A slice unit reserves its budget
-//! and gathers its columns straight from the slice's spill file against
-//! the store's resident node table ([`SliceSet::load_keys`]), positions
-//! in spill order: no graph, no node rows, no model. The recursion is
-//! invariant under a permutation of its positions, so the order changes
-//! no result and no counter.
+//! ([`KeyColumns`]), so that is all a unit makes resident, and both kinds
+//! load them the same way: gathered from the spill file against the
+//! store's resident node table, positions in spill order — no graph, no
+//! node rows, no model. A shard unit leases its columns from the pool,
+//! which keeps them for the post-pass and shares them with the unit's
+//! [`MiningContext`]; a slice unit reserves its budget and loads its
+//! columns ([`SliceSet::load_keys`]). The recursion is invariant under a
+//! permutation of its positions, so the order changes no result and no
+//! counter.
 //!
 //! Each unit is a collect-mode run whose [`MiningContext`] carries the
 //! global edge total ([`MiningContext::with_edges_total`]), on the same
 //! execution core, shared bound and exactness-verified post-pass as the
 //! parallel engine ([`crate::exec`]) — with one twist: the post-pass
 //! evaluator measures candidate suppressors by summing
-//! [`query::counts`] over every shard (the four counts are per-edge
-//! indicators, hence additive over any partition of the edges), so the
-//! verification is exact without ever holding the whole graph.
+//! [`query::counts`] over every shard's columns (the four counts are
+//! per-edge indicators, hence additive over any partition of the
+//! edges), so the verification is exact without ever holding the whole
+//! graph.
 //!
 //! Metrics that need global RHS marginal tables (lift,
 //! Piatetsky-Shapiro, conviction —
@@ -106,6 +107,7 @@ use grm_graph::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Tuning knobs for [`mine_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,7 +117,8 @@ pub struct ShardedOptions {
     /// shard/slice at a time, so `threads` bounds concurrent residency.
     pub threads: usize,
     /// Maximum resident bytes of loaded shards/slices (`None` =
-    /// unbounded). Enforced by the [`ShardPool`]:
+    /// unbounded), each priced at its key columns plus its position
+    /// buffer ([`resident_cost`]). Enforced by the [`ShardPool`]:
     /// `shard_resident_bytes_peak ≤ budget` holds by construction, and
     /// a budget too small for the largest planned shard or slice fails
     /// before any unit runs with [`GraphError::MemoryBudgetTooSmall`],
@@ -280,9 +283,8 @@ impl<'s> Slices<'s> {
         Ok(())
     }
 
-    /// The bytes `unit` holds while it runs, and what it is: a slice is
-    /// charged the same formula as a shard of its edge count (an upper
-    /// bound on its key columns).
+    /// The bytes `unit` holds while it runs ([`resident_cost`]), and
+    /// what it is.
     fn cost(&self, unit: Unit) -> (u64, ResidentUnit) {
         let (edges, kind) = match unit {
             Unit::Shard { shard, .. } => (self.store.edge_count(shard), ResidentUnit::Shard),
@@ -290,9 +292,7 @@ impl<'s> Slices<'s> {
                 (self.sets[set].edge_count(value), ResidentUnit::Slice)
             }
         };
-        let store = self.store;
-        let cost = resident_cost(store.schema(), store.node_count(), edges as usize);
-        (cost, kind)
+        (resident_cost(self.store.schema(), edges as usize), kind)
     }
 }
 
@@ -321,8 +321,7 @@ impl Engine for Sharded<'_> {
                 // The lease keeps the shard pinned, and its bytes
                 // accounted, until the unit finishes.
                 let lease = self.pool.acquire(shard)?;
-                let keys = CompactModel::try_build(lease.graph())?.into_keys();
-                mine_keys(keys, task, total_edges, worker);
+                mine_keys(Arc::clone(lease.keys()), task, total_edges, worker);
             }
             Unit::Slice { set, value, task } => {
                 let slice = &self.slices.sets[set];
@@ -330,7 +329,8 @@ impl Engine for Sharded<'_> {
                 // Hold the budget before loading; dropped with the keys
                 // when this unit finishes.
                 let _hold = self.pool.reserve(cost)?;
-                mine_keys(slice.load_keys(value)?, task, total_edges, worker);
+                let keys = Arc::new(slice.load_keys(value)?);
+                mine_keys(keys, task, total_edges, worker);
             }
         }
         Ok(())
@@ -343,7 +343,7 @@ impl Engine for Sharded<'_> {
                 continue;
             }
             let lease = self.pool.acquire(s)?;
-            let (a, b, c, d) = query::counts(lease.graph(), gr);
+            let (a, b, c, d) = query::counts(self.store.schema(), &**lease.keys(), gr);
             supp += a;
             supp_lw += b;
             supp_r += c;
@@ -376,7 +376,7 @@ impl Engine for Sharded<'_> {
 
 /// One collect-mode run of `task` over a unit's key columns (see
 /// [`MiningContext::with_edges_total`] for the denominator override).
-fn mine_keys(keys: KeyColumns, task: RootTask, total_edges: u64, worker: &mut Worker<'_>) {
+fn mine_keys(keys: Arc<KeyColumns>, task: RootTask, total_edges: u64, worker: &mut Worker<'_>) {
     let ctx = MiningContext::with_edges_total(keys, total_edges);
     worker.mine(&ctx, |run, _| {
         // A buffer per unit, freed with it: the worker's reusable one

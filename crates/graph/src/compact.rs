@@ -37,9 +37,10 @@
 //!
 //! The key columns are the miner's only reads of the model, so they are an
 //! owned type of their own: [`CompactModel::into_keys`] keeps them and
-//! drops the structural columns, and the out-of-core engine gathers a value
-//! slice's columns straight from its spill file
-//! ([`crate::shard::SliceSet::load_keys`]) without building a graph or a
+//! drops the structural columns, and the out-of-core engine gathers a
+//! shard's or value slice's columns straight from its spill file
+//! ([`crate::shard::ShardStore::load_shard_keys`],
+//! [`crate::shard::SliceSet::load_keys`]) without building a graph or a
 //! model at all.
 
 use crate::error::{GraphError, Result};

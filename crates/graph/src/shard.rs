@@ -4,8 +4,8 @@
 //! `u32`, capping any single resident model at
 //! [`CompactModel::MAX_EDGES`](crate::CompactModel::MAX_EDGES) edges.
 //! This module breaks that cap by partitioning the edge set into
-//! independently loadable **shards**, each small enough to build its
-//! own compact model:
+//! independently loadable **shards**, each small enough to be mined over
+//! its own positions:
 //!
 //! * [`ShardSpec`] — the partitioning function: edges are routed by the
 //!   *dominant* LHS dimension's value on their source node (the widest
@@ -15,14 +15,11 @@
 //! * [`ShardStoreWriter`] / [`ShardStore`] — a streaming writer that
 //!   spills edges to one columnar chunk file per shard (format in
 //!   [`crate::io`]) without ever materializing the whole edge set, and
-//!   the finished store that loads any shard back as a standalone
-//!   [`SocialGraph`]. Capacity is checked **per shard** at finish time.
+//!   the finished store. Capacity is checked **per shard** at finish
+//!   time.
 //! * [`SliceSet`] — per-value re-partitions of the whole store keyed by
 //!   an arbitrary source/destination/edge attribute: the unit of work
-//!   for root tasks whose top dimension is not the shard key. A slice
-//!   loads as the [`KeyColumns`] its unit mines
-//!   ([`SliceSet::load_keys`]), gathered against the store's resident
-//!   node table: no graph, no node rows, no compact model.
+//!   for root tasks whose top dimension is not the shard key.
 //! * [`ShardPool`] — the LRU residency manager: `acquire` pins a shard
 //!   (loading it if absent, evicting unpinned least-recently-used
 //!   residents to stay inside a fixed byte budget), `release` unpins.
@@ -31,19 +28,24 @@
 //!   residency never exceeds the budget, and the blocked wait (every
 //!   resident pinned) is not a deadlock.
 //!
-//! Every reader — shard loads, slice-set builds, slice key loads — goes
+//! A shard and a slice load the same way: as the [`KeyColumns`] a mining
+//! unit reads ([`ShardStore::load_shard_keys`], [`SliceSet::load_keys`]),
+//! gathered from the spill file against the store's resident node table
+//! in spill order — no graph, no node rows, no compact model.
+//! [`ShardStore::load_shard`] still rebuilds a shard as a standalone
+//! [`SocialGraph`] for callers that want one; no engine does.
+//!
+//! Every reader — shard loads, slice-set builds, key loads — goes
 //! through one read path: the decoder verifies the file header and each
 //! chunk's checksum, and each decoded chunk's endpoints and edge values
 //! are then checked against the store. A spill file whose checksums hold
 //! but whose values the store never wrote is a typed error before any
 //! reader indexes with them, never a panic.
 //!
-//! Residency accounting uses [`resident_cost`], a byte estimate of a
-//! shard's working set (its graph plus the compact model mining builds
-//! over it), so `shard_resident_bytes_peak ≤ budget` holds by
-//! construction whenever the pool hands out a lease. A slice is charged
-//! the same formula for its edge count, an upper bound on its key
-//! columns.
+//! Residency accounting uses [`resident_cost`], the bytes a mining unit
+//! holds — its key columns plus its position buffer, the same formula
+//! for a shard and a slice — so `shard_resident_bytes_peak ≤ budget`
+//! holds by construction whenever the pool hands out a lease.
 
 use crate::builder::GraphBuilder;
 use crate::cancel::CancelToken;
@@ -586,8 +588,7 @@ impl ShardStore {
     }
 
     /// Shared load prelude: the `shard.load` failpoint probe and the
-    /// per-shard capacity check, identical for the validating and
-    /// trusted paths.
+    /// per-shard capacity check, identical for both shard loads.
     fn load_prelude(&self, s: usize) -> Result<()> {
         injected_load_fault("shard.load", "injected fault at shard.load")?;
         check_edge_capacity(self.edge_counts[s] as usize, self.max_edges_per_shard)
@@ -614,38 +615,39 @@ impl ShardStore {
         b.build()
     }
 
-    /// Load shard `s` without the `GraphBuilder`: assemble the graph
-    /// columns straight from the chunk stream.
-    ///
-    /// It rejects what the validating path rejects. The shared read path
-    /// verifies the magic+version header and every chunk's checksum, and
-    /// checks every endpoint against the node count and every edge value
-    /// against its domain; node rows were validated by `add_node` and
-    /// never leave memory; the capacity check still runs. So corruption,
-    /// truncation, format drift and out-of-range values all surface as
-    /// typed errors, and only the row-by-row rebuild through the builder
-    /// is skipped. The unit tests below pin the two paths bit-identical
-    /// and every such fault caught.
-    pub fn load_shard_trusted(&self, s: usize) -> Result<SocialGraph> {
+    /// Load shard `s` as the key columns a mining unit reads, positions
+    /// in spill order, through the store's one key loader.
+    pub fn load_shard_keys(&self, s: usize) -> Result<KeyColumns> {
         self.load_prelude(s)?;
-        let edges = self.edge_counts[s] as usize;
-        let ea = self.schema.edge_attr_count();
-        let mut srcs: Vec<NodeId> = Vec::with_capacity(edges);
-        let mut dsts: Vec<NodeId> = Vec::with_capacity(edges);
-        let mut edge_values: Vec<AttrValue> = Vec::with_capacity(edges * ea);
-        self.for_each_edge(s, |src, dst, vals| {
-            srcs.push(src);
-            dsts.push(dst);
-            edge_values.extend_from_slice(vals);
-            Ok(())
-        })?;
-        Ok(SocialGraph::from_parts(
-            Arc::clone(&self.schema),
-            self.node_values.clone(),
-            srcs,
-            dsts,
-            edge_values,
-        ))
+        self.gather_keys(Some(&self.edge_file(s)), self.edge_counts[s] as usize)
+    }
+
+    /// Gather the key columns of the spill file `file` (`None`: no
+    /// edges), sized for its `edges` edges, positions in spill order: the
+    /// source and destination columns from the resident node table, the
+    /// edge columns copied from the chunks, which pass the checked read
+    /// path. The one loader of both unit kinds; it builds no graph, no
+    /// node rows and no model, so a unit costs its columns alone.
+    fn gather_keys(&self, file: Option<&Path>, edges: usize) -> Result<KeyColumns> {
+        let na = self.schema.node_attr_count();
+        let (mut l, mut r) = (columns(na, edges), columns(na, edges));
+        let mut w = columns(self.schema.edge_attr_count(), edges);
+        let mut loaded = 0;
+        if let Some(path) = file {
+            let nodes = &self.node_values;
+            self.for_each_chunk_in(path, &mut |chunk| {
+                for a in 0..na {
+                    l[a].extend(chunk.srcs.iter().map(|&n| nodes[n as usize * na + a]));
+                    r[a].extend(chunk.dsts.iter().map(|&n| nodes[n as usize * na + a]));
+                }
+                for (col, values) in w.iter_mut().zip(&chunk.attrs) {
+                    col.extend_from_slice(values);
+                }
+                loaded += chunk.len();
+                Ok(())
+            })?;
+        }
+        Ok(KeyColumns::from_columns(loaded, l, w, r))
     }
 }
 
@@ -755,36 +757,15 @@ impl<'s> SliceSet<'s> {
     }
 
     /// Load the slice for `value` as the key columns a mining unit
-    /// reads, positions in spill order. The source and destination
-    /// columns are gathered from the store's resident node table and the
-    /// edge columns copied from the chunks, so no graph and no node rows
-    /// are built: the slice costs its edges' columns alone. The chunks
-    /// pass the store's checked read path, and the slice must fit the
-    /// u32 position space. `NULL` loads no edges.
+    /// reads, positions in spill order, through the store's one key
+    /// loader. The slice must fit the u32 position space. `NULL` loads
+    /// no edges.
     pub fn load_keys(&self, value: AttrValue) -> Result<KeyColumns> {
         injected_load_fault("slice.load", "injected fault at slice.load")?;
-        let store = self.store;
         let edges = self.edge_count(value) as usize;
         check_edge_capacity(edges, CompactModel::MAX_EDGES)?;
-        let na = store.schema.node_attr_count();
-        let (mut l, mut r) = (columns(na, edges), columns(na, edges));
-        let mut w = columns(store.schema.edge_attr_count(), edges);
-        let mut loaded = 0;
-        if value != NULL {
-            let nodes = &store.node_values;
-            store.for_each_chunk_in(&self.slice_file(value), &mut |chunk| {
-                for a in 0..na {
-                    l[a].extend(chunk.srcs.iter().map(|&n| nodes[n as usize * na + a]));
-                    r[a].extend(chunk.dsts.iter().map(|&n| nodes[n as usize * na + a]));
-                }
-                for (col, values) in w.iter_mut().zip(&chunk.attrs) {
-                    col.extend_from_slice(values);
-                }
-                loaded += chunk.len();
-                Ok(())
-            })?;
-        }
-        Ok(KeyColumns::from_columns(loaded, l, w, r))
+        let file = (value != NULL).then(|| self.slice_file(value));
+        self.store.gather_keys(file.as_deref(), edges)
     }
 }
 
@@ -796,26 +777,15 @@ impl Drop for SliceSet<'_> {
     }
 }
 
-/// Estimated resident bytes of one loaded shard: its [`SocialGraph`]
-/// (node rows, endpoints, edge rows) plus the `CompactModel` mining
-/// builds over it (structural columns, position vector, columnar key
-/// caches). A value slice is charged this same formula for its edge
-/// count, though it holds only its key columns and position vector
-/// ([`SliceSet::load_keys`]): an upper bound, so budgets keep their
-/// meaning. An estimate, not an allocator audit — the pool budgets and
-/// meters this same unit, so `shard_resident_bytes_peak ≤ budget` is
-/// exact *in this unit* by construction.
-pub fn resident_cost(schema: &Schema, nodes: usize, edges: usize) -> u64 {
-    let na = schema.node_attr_count() as u64;
-    let ea = schema.edge_attr_count() as u64;
-    let n = nodes as u64;
-    let m = edges as u64;
-    // Graph: u16 node rows, u32 endpoints, u16 edge rows.
-    let graph = n * 2 * na + m * (8 + 2 * ea);
-    // Compact model: lrows/out/ind (≤ 3 u32 per node), eid + ptr
-    // (u32 each) + the root position vector, u16 key caches.
-    let model = n * 12 + m * 12 + m * 2 * (2 * na + ea);
-    graph + model
+/// Resident bytes of one mining unit over `edges` edges, shard or value
+/// slice alike: its key columns (one value per position for each node
+/// attribute on either side and each edge attribute) plus the position
+/// buffer it mines. Both are allocated at exactly this size, so the pool
+/// budgets and meters what a unit holds.
+pub fn resident_cost(schema: &Schema, edges: usize) -> u64 {
+    let columns = 2 * schema.node_attr_count() + schema.edge_attr_count();
+    let per_edge = columns * std::mem::size_of::<AttrValue>() + std::mem::size_of::<u32>();
+    edges as u64 * per_edge as u64
 }
 
 /// Lock-free residency accounting mirror: the pool mutates it only
@@ -834,7 +804,7 @@ impl ResidencyMeter {
         // mutex-guarded steps and proves the accounting never exceeds
         // the budget, invariant 2); the RMW's Release half publishes
         // the new total to lock-free `current()` readers and the
-        // Acquire half orders it after the resident-graph write it
+        // Acquire half orders it after the resident-columns write it
         // accounts for. A Relaxed RMW is banned repo-wide.
         let now = self.current.fetch_add(bytes, Ordering::AcqRel) + bytes;
         // ordering: AcqRel — fetch_max serializes racing peak updates
@@ -872,14 +842,14 @@ impl ResidencyMeter {
 pub struct PoolStats {
     /// Shard loads from disk (cache misses).
     pub loads: u64,
-    /// Budget-pressure evictions (phase-boundary clears not included).
+    /// Budget-pressure evictions.
     pub evictions: u64,
     /// High-water mark of accounted resident bytes.
     pub resident_bytes_peak: u64,
 }
 
 struct Resident {
-    graph: Arc<SocialGraph>,
+    keys: Arc<KeyColumns>,
     bytes: u64,
     pins: u32,
     last_used: u64,
@@ -918,12 +888,12 @@ impl std::fmt::Debug for ShardPool<'_> {
     }
 }
 
-/// A pinned resident shard: the graph stays loaded until the lease
+/// A pinned resident shard: its key columns stay loaded until the lease
 /// drops.
 pub struct ShardLease<'p, 's> {
     pool: &'p ShardPool<'s>,
     shard: usize,
-    graph: Arc<SocialGraph>,
+    keys: Arc<KeyColumns>,
 }
 
 impl std::fmt::Debug for ShardLease<'_, '_> {
@@ -935,9 +905,9 @@ impl std::fmt::Debug for ShardLease<'_, '_> {
 }
 
 impl ShardLease<'_, '_> {
-    /// The resident shard graph.
-    pub fn graph(&self) -> &SocialGraph {
-        &self.graph
+    /// The resident shard's key columns, shared with whoever mines them.
+    pub fn keys(&self) -> &Arc<KeyColumns> {
+        &self.keys
     }
 
     /// Which shard is pinned.
@@ -968,13 +938,6 @@ impl std::fmt::Debug for Reservation<'_, '_> {
     }
 }
 
-impl Reservation<'_, '_> {
-    /// Reserved bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
 impl Drop for Reservation<'_, '_> {
     fn drop(&mut self) {
         self.pool.unreserve(self.bytes);
@@ -991,11 +954,7 @@ impl<'s> ShardPool<'s> {
         let budget = budget.unwrap_or(u64::MAX);
         let mut needed = 0u64;
         for s in 0..store.shard_count() {
-            needed = needed.max(resident_cost(
-                store.schema(),
-                store.node_count(),
-                store.edge_count(s) as usize,
-            ));
+            needed = needed.max(resident_cost(store.schema(), store.edge_count(s) as usize));
         }
         if budget < needed {
             return Err(GraphError::MemoryBudgetTooSmall {
@@ -1045,13 +1004,9 @@ impl<'s> ShardPool<'s> {
         &self.meter
     }
 
-    /// Estimated resident bytes of shard `s`.
+    /// Resident bytes of shard `s` ([`resident_cost`]).
     pub fn shard_cost(&self, s: usize) -> u64 {
-        resident_cost(
-            self.store.schema(),
-            self.store.node_count(),
-            self.store.edge_count(s) as usize,
-        )
+        resident_cost(self.store.schema(), self.store.edge_count(s) as usize)
     }
 
     fn accounted(state: &PoolState) -> u64 {
@@ -1124,11 +1079,11 @@ impl<'s> ShardPool<'s> {
                 if let Some(r) = st.resident[s].as_mut() {
                     r.pins += 1;
                     r.last_used = tick;
-                    let graph = Arc::clone(&r.graph);
+                    let keys = Arc::clone(&r.keys);
                     return Ok(ShardLease {
                         pool: self,
                         shard: s,
-                        graph,
+                        keys,
                     });
                 }
                 let need = self.shard_cost(s);
@@ -1138,16 +1093,12 @@ impl<'s> ShardPool<'s> {
                     // holding the mutex through the load keeps the
                     // budget check and the insertion indivisible — a
                     // concurrent acquirer can neither double-load nor
-                    // observe the budget mid-update. The trusted path
-                    // is sound here: the pool only ever re-reads spills
-                    // its own store wrote (checksummed, writer-validated
-                    // rows), so the builder re-validation is pure
-                    // overhead on this hot path.
-                    let graph = Arc::new(self.store.load_shard_trusted(s)?);
+                    // observe the budget mid-update.
+                    let keys = Arc::new(self.store.load_shard_keys(s)?);
                     self.meter.add(need);
                     st.loads += 1;
                     st.resident[s] = Some(Resident {
-                        graph: Arc::clone(&graph),
+                        keys: Arc::clone(&keys),
                         bytes: need,
                         pins: 1,
                         last_used: tick,
@@ -1155,7 +1106,7 @@ impl<'s> ShardPool<'s> {
                     return Ok(ShardLease {
                         pool: self,
                         shard: s,
-                        graph,
+                        keys,
                     });
                 }
             }
@@ -1194,23 +1145,6 @@ impl<'s> ShardPool<'s> {
         let mut st = self.state.lock();
         st.reserved = st.reserved.saturating_sub(bytes);
         self.meter.sub(bytes);
-    }
-
-    /// Drop every unpinned resident (a phase boundary, not budget
-    /// pressure — not counted as an eviction).
-    pub fn clear(&self) {
-        let mut st = self.state.lock();
-        for slot in st.resident.iter_mut() {
-            let evict = match slot {
-                Some(r) => r.pins == 0,
-                None => false,
-            };
-            if evict {
-                if let Some(r) = slot.take() {
-                    self.meter.sub(r.bytes);
-                }
-            }
-        }
     }
 
     /// Activity snapshot.
@@ -1424,12 +1358,12 @@ mod tests {
         let g = sample();
         let dir = tdir("pool");
         let store = ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).unwrap();
-        let one = resident_cost(store.schema(), store.node_count(), 8);
-        // Budget fits one shard at a time.
+        // Budget fits one shard at a time: the larger shard's cost.
+        let one = largest_shard_cost(&store);
         let pool = ShardPool::new(&store, Some(one)).unwrap();
         {
             let a = pool.acquire(0).unwrap();
-            assert!(a.graph().edge_count() > 0 || store.edge_count(0) == 0);
+            assert!(a.keys().edge_count() > 0 || store.edge_count(0) == 0);
             // Re-acquire while pinned: cache hit, no second load.
             let b = pool.acquire(0).unwrap();
             assert_eq!(b.shard(), 0);
@@ -1453,8 +1387,14 @@ mod tests {
             pool.shard_cost(1),
             "shard 1 resident"
         );
-        pool.clear();
-        assert_eq!(pool.meter().current(), 0);
+    }
+
+    /// The resident cost of `store`'s largest shard.
+    fn largest_shard_cost(store: &ShardStore) -> u64 {
+        (0..store.shard_count())
+            .map(|s| resident_cost(store.schema(), store.edge_count(s) as usize))
+            .max()
+            .unwrap()
     }
 
     #[test]
@@ -1465,16 +1405,7 @@ mod tests {
         // Construction fails before any acquire: the budget cannot
         // hold the largest shard and no eviction schedule ever will.
         let err = ShardPool::new(&store, Some(1)).unwrap_err();
-        let max_shard = (0..store.shard_count())
-            .map(|s| {
-                resident_cost(
-                    store.schema(),
-                    store.node_count(),
-                    store.edge_count(s) as usize,
-                )
-            })
-            .max()
-            .unwrap();
+        let max_shard = largest_shard_cost(&store);
         assert!(
             matches!(err, GraphError::MemoryBudgetTooSmall { needed, budget: 1, unit: ResidentUnit::Shard } if needed == max_shard),
             "{err:?}"
@@ -1503,16 +1434,7 @@ mod tests {
         let g = sample();
         let dir = tdir("pool_cancel");
         let store = ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).unwrap();
-        let one = (0..store.shard_count())
-            .map(|s| {
-                resident_cost(
-                    store.schema(),
-                    store.node_count(),
-                    store.edge_count(s) as usize,
-                )
-            })
-            .max()
-            .unwrap();
+        let one = largest_shard_cost(&store);
         let token = CancelToken::new();
         let pool = ShardPool::new(&store, Some(one))
             .unwrap()
@@ -1593,40 +1515,46 @@ mod tests {
     }
 
     #[test]
-    fn trusted_load_is_bit_identical_to_the_validating_load() {
+    fn shard_key_load_equals_the_validating_load() {
         let g = sample();
         for shards in [1, 2, 3] {
-            let dir = tdir(&format!("trusted{shards}"));
+            let dir = tdir(&format!("shard_keys{shards}"));
             let store =
                 ShardStore::build_from_graph(&g, &dir, shards, CompactModel::MAX_EDGES).unwrap();
             for s in 0..shards {
-                let validated = store.load_shard(s).unwrap();
-                let trusted = store.load_shard_trusted(s).unwrap();
-                // Bit-identical columns, not just the same edge set:
-                // the serialized form covers schema, node rows,
-                // endpoint arrays (in spill order), and edge rows.
-                assert_eq!(
-                    serde_json::to_string(&validated).unwrap(),
-                    serde_json::to_string(&trusted).unwrap(),
-                    "shard {s} of {shards}"
-                );
+                let graph = store.load_shard(s).unwrap();
+                let keys = store.load_shard_keys(s).unwrap();
+                assert_eq!(keys.edge_count() as u64, store.edge_count(s));
+                // The columns are exactly the validated shard's edges, as
+                // (source row, edge row, destination row) tuples.
+                let mut want: Vec<KeyTuple> = graph
+                    .edge_ids()
+                    .map(|e| {
+                        (
+                            graph.node_row(graph.src(e)).to_vec(),
+                            graph.edge_row(e).to_vec(),
+                            graph.node_row(graph.dst(e)).to_vec(),
+                        )
+                    })
+                    .collect();
+                want.sort();
+                assert_eq!(key_tuples(&keys, g.schema()), want, "shard {s} of {shards}");
             }
         }
     }
 
     #[test]
-    fn trusted_load_still_rejects_corruption_and_capacity() {
+    fn shard_key_load_rejects_corruption_and_capacity() {
         let g = sample();
-        let dir = tdir("trusted_corrupt");
-        let store = ShardStore::build_from_graph(&g, &dir, 1, CompactModel::MAX_EDGES).unwrap();
+        let dir = tdir("shard_keys_corrupt");
+        let mut store = ShardStore::build_from_graph(&g, &dir, 1, CompactModel::MAX_EDGES).unwrap();
         let path = dir.join("shard-0.edges");
         let pristine = fs::read(&path).unwrap();
-        // The trusted path skips row re-validation, not integrity: a
-        // flipped payload byte is still a checksum mismatch…
+        // A flipped payload byte is a checksum mismatch…
         let mut bytes = pristine.clone();
         bytes[20] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard_trusted(0).unwrap_err();
+        let err = store.load_shard_keys(0).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1634,19 +1562,27 @@ mod tests {
             ),
             "{err}"
         );
-        // …and truncation is still a short read.
+        // …truncation is a short read…
         let mut bytes = pristine.clone();
         bytes.truncate(bytes.len() - 3);
         fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard_trusted(0).unwrap_err();
+        let err = store.load_shard_keys(0).unwrap_err();
         assert!(
             matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
             "{err}"
         );
         fs::write(&path, &pristine).unwrap();
         assert_eq!(
-            edge_set(&store.load_shard_trusted(0).unwrap()),
-            edge_set(&g)
+            store.load_shard_keys(0).unwrap().edge_count(),
+            g.edge_count()
+        );
+        // …and a shard over the store's per-shard cap is rejected before
+        // any byte is read.
+        store.max_edges_per_shard = g.edge_count() - 1;
+        let err = store.load_shard_keys(0).unwrap_err();
+        assert!(
+            matches!(err, GraphError::TooManyEdges { edges, max } if edges == g.edge_count() && max == edges - 1),
+            "{err}"
         );
     }
 
@@ -1683,7 +1619,7 @@ mod tests {
             expect(set.load_keys(1).unwrap_err());
             // Both shard loads and the slice-set build, over a shard file.
             write_one_edge(&dir.join("shard-0.edges"), src, dst, w);
-            expect(store.load_shard_trusted(0).unwrap_err());
+            expect(store.load_shard_keys(0).unwrap_err());
             expect(store.load_shard(0).unwrap_err());
             for key in every_key(g.schema()) {
                 let err = SliceSet::build(&store, key, tdir("bad_values_rebuild")).err();
@@ -1697,7 +1633,8 @@ mod tests {
         let g = sample();
         let dir = tdir("pool_reserve");
         let store = ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).unwrap();
-        let one = resident_cost(store.schema(), store.node_count(), 8);
+        // Budget fits one shard at a time: the larger shard's cost.
+        let one = largest_shard_cost(&store);
         let pool = ShardPool::new(&store, Some(one)).unwrap();
         {
             let _l = pool.acquire(0).unwrap();

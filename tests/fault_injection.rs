@@ -148,7 +148,7 @@ fn a_mid_mine_budget_shrink_stays_typed_and_inside_the_original_budget() {
     let g = workload();
     let oracle = GrMiner::new(&g, cfg()).mine();
     let store = store_for(&g, "shrink", 3);
-    let generous = resident_cost(g.schema(), g.node_count(), g.edge_count()) * 4;
+    let generous = resident_cost(g.schema(), g.edge_count()) * 4;
     for shrink_to in [1u64, 1024, generous / 2] {
         failpoint::disarm_all();
         failpoint::arm("pool.evict", 0, 1, FaultKind::ShrinkBudget(shrink_to));
@@ -262,7 +262,7 @@ fn the_seeded_matrix_never_aborts_and_never_returns_wrong_results() {
     let g = workload();
     let oracle = GrMiner::new(&g, cfg()).mine();
     let store = store_for(&g, "matrix", 3);
-    let budget = resident_cost(g.schema(), g.node_count(), g.edge_count()) * 4;
+    let budget = resident_cost(g.schema(), g.edge_count()) * 4;
     let matrix: &[(&'static str, FaultKind)] = &[
         ("spill.write", FaultKind::IoError),
         ("shard.load", FaultKind::IoError),

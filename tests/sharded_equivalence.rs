@@ -214,7 +214,6 @@ fn tight_budget_forces_evictions_and_respects_the_peak() {
         // must evict between shard units.
         let budget = resident_cost(
             g.schema(),
-            g.node_count(),
             max_unit_edges(&g, &store, allow_empty_lhs).max(1),
         );
         let out = mine_sharded(
@@ -274,7 +273,7 @@ fn the_reported_minimum_budget_mines() {
         };
         assert_eq!(unit, ResidentUnit::Slice, "{label}: a slice binds here");
         let largest_shard = (0..store.shard_count())
-            .map(|s| resident_cost(g.schema(), g.node_count(), store.edge_count(s) as usize))
+            .map(|s| resident_cost(g.schema(), store.edge_count(s) as usize))
             .max()
             .unwrap();
         assert!(
@@ -388,11 +387,7 @@ fn graph_beyond_the_per_shard_cap_mines_under_sharding() {
         .expect("eight shards fit the lowered cap");
     let cfg = MinerConfig::nhp(5, 0.5, 25).without_dynamic_topk();
     let seq = GrMiner::new(&g, cfg.clone()).mine();
-    let budget = resident_cost(
-        g.schema(),
-        g.node_count(),
-        max_unit_edges(&g, &store, false).max(1),
-    ) * 2;
+    let budget = resident_cost(g.schema(), max_unit_edges(&g, &store, false).max(1)) * 2;
     let out = mine_sharded(
         &store,
         &cfg,
