@@ -82,38 +82,30 @@ fn bench(c: &mut Criterion) {
             })
         },
     );
-    // Parallel scaling, with and without dominant-task splitting: the
-    // delta at high thread counts is the granularity bound the split
-    // removes (Pokec's Region dominates the unsplit task list).
-    for split_dominant in [false, true] {
-        for threads in [1usize, 2, 4, 8] {
-            if split_dominant && threads == 1 {
-                // A single-threaded pool never splits; this cell would
-                // duplicate parallel/1.
-                continue;
-            }
-            let cfg = base.clone().without_dynamic_topk();
-            let tag = if split_dominant {
-                "parallel_split"
-            } else {
-                "parallel"
-            };
-            group.bench_with_input(BenchmarkId::new(tag, threads), &threads, |b, &t| {
-                b.iter(|| {
-                    try_mine_parallel_with_opts(
-                        &graph,
-                        &cfg,
-                        &dims,
-                        ParallelOptions {
-                            threads: t,
-                            split_dominant,
-                            ..ParallelOptions::default()
-                        },
-                    )
-                    .expect("an uncancellable mine cannot fail")
-                })
-            });
-        }
+    // Parallel scaling under the default options. One worker mines
+    // Pokec's dominant Region dimension whole (`parallel/1`); more split
+    // it into value ranges (`parallel_split/T`).
+    for threads in [1usize, 2, 4, 8] {
+        let cfg = base.clone().without_dynamic_topk();
+        let tag = if threads == 1 {
+            "parallel"
+        } else {
+            "parallel_split"
+        };
+        group.bench_with_input(BenchmarkId::new(tag, threads), &threads, |b, &t| {
+            b.iter(|| {
+                try_mine_parallel_with_opts(
+                    &graph,
+                    &cfg,
+                    &dims,
+                    ParallelOptions {
+                        threads: t,
+                        ..ParallelOptions::default()
+                    },
+                )
+                .expect("an uncancellable mine cannot fail")
+            })
+        });
     }
     group.finish();
 }

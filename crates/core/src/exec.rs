@@ -9,13 +9,15 @@
 //! made resident per unit — and that is all an [`Engine`] supplies.
 //! Everything else lives here, once:
 //!
-//! * **Scheduling.** The engine's units seed a shared [`Injector`] in
-//!   list order; each worker owns a LIFO deque, and a `pending` counter
-//!   decides termination. With [`Schedule::steal`] a worker refills from
-//!   the injector in batches and steals *half* of a sibling's deque when
-//!   idle ([`Stealer::steal_batch_and_pop`]); with [`Schedule::split`]
-//!   it also detaches oversized recursion subtrees as new units.
-//!   Otherwise units go out one at a time in FIFO order.
+//! * **Scheduling.** One work-stealing schedule for every engine: the
+//!   units seed a shared [`Injector`] in list order; each worker owns a
+//!   LIFO deque, refills it from the injector in batches and steals
+//!   *half* of a sibling's deque when idle
+//!   ([`Stealer::steal_batch_and_pop`]), and a `pending` counter decides
+//!   termination. A unit is only a description until its worker mines
+//!   it, so a batch costs no residency: each worker still holds at most
+//!   one resident unit. With a split policy the workers also detach
+//!   oversized recursion subtrees as new units.
 //! * **The loop-top probe.** Every worker iteration counts one
 //!   `cancel_checks` probe and stops on the token, an expired deadline
 //!   (which trips the token for the siblings), or a sibling's typed
@@ -54,16 +56,17 @@
 //! which the bound cut a subtree at a threshold-passing score — the only
 //! places a suppressor can have been lost (LEFT/EDGE descent is never
 //! score-pruned, and losses below `min_supp`/`min_score` cannot hide a
-//! valid suppressor). When the bound activated, the post-pass verifies
-//! each would-be top-k member's generality **exactly**: a collected
-//! strict generalization suppresses outright (the classic merge), and an
-//! uncollected one is a suppressor only if its `l ∧ w` sits on a
-//! recorded pruned frontier *and* [`Engine::evaluate`] over the complete
-//! edge set (memoized) passes the thresholds. Verification touches only
-//! the ranked prefix of the survivors against the (typically near-empty)
-//! frontier set. The result: every engine in dynamic mode is
-//! **bit-identical to the static Definition-5 semantics**, and
-//! deterministic across runs, thread counts, splitting and sharding.
+//! valid suppressor). The post-pass verifies each would-be top-k
+//! member's generality **exactly**: a collected strict generalization
+//! suppresses outright, and an uncollected one is a suppressor only if
+//! its `l ∧ w` sits on a recorded pruned frontier *and*
+//! [`Engine::evaluate`] over the complete edge set (memoized) passes the
+//! thresholds. Verification touches only the ranked prefix of the
+//! survivors against the (typically empty) frontier set; with no
+//! frontier the selection is the plain rank of the generality survivors.
+//! The result: every engine in dynamic mode is **bit-identical to the
+//! static Definition-5 semantics**, and deterministic across runs,
+//! thread counts, splitting and sharding.
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
@@ -76,7 +79,7 @@ use crate::miner::{MineResult, MinerScratch, Run, SplitPolicy, SubtreeTask};
 use crate::query::GrMeasures;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
-use crate::topk::{SharedBound, TopK};
+use crate::topk::SharedBound;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use grm_graph::{failpoint, CancelToken, GraphError, Schema};
 use parking_lot::Mutex;
@@ -137,16 +140,9 @@ pub(crate) trait Engine: Sync {
     fn finish(&self, _stats: &mut MinerStats) {}
 }
 
-/// Wraps a detached recursion subtree as a pool unit.
-pub(crate) type Subtree<U> = fn(SubtreeTask) -> U;
-
-/// How the pool hands out units.
-pub(crate) struct Schedule<U> {
-    /// Refill in batches and steal half of a sibling's deque when idle.
-    pub(crate) steal: bool,
-    /// Detach recursion subtrees the policy admits, wrapped as new units.
-    pub(crate) split: Option<(SplitPolicy, Subtree<U>)>,
-}
+/// Detach recursion subtrees the policy admits, wrapped as new units by
+/// the function.
+pub(crate) type Split<U> = Option<(SplitPolicy, fn(SubtreeTask) -> U)>;
 
 /// One pool mine, begun at an engine's entry point: the clock, the
 /// fault count, the materialized token and deadline, the worker count,
@@ -206,13 +202,13 @@ impl<'a> Exec<'a> {
         self,
         engine: &E,
         units: Vec<E::Unit>,
-        schedule: Schedule<E::Unit>,
+        split: Split<E::Unit>,
         edge_count: u64,
     ) -> Result<MineResult, MinerError> {
         let bound = SharedBound::new(self.config.k);
         let mut harvest = Harvest::default();
         if edge_count > 0 && !units.is_empty() {
-            let (drained, panicked, failed) = self.pool(engine, units, &schedule, &bound);
+            let (drained, panicked, failed) = self.pool(engine, units, split, &bound);
             harvest = drained;
             // Typed exits, after the drain: every worker that exited
             // cleanly has published its counters into the harvest.
@@ -245,12 +241,12 @@ impl<'a> Exec<'a> {
         &self,
         engine: &E,
         units: Vec<E::Unit>,
-        schedule: &Schedule<E::Unit>,
+        split: Split<E::Unit>,
         bound: &SharedBound,
     ) -> (Harvest, Option<String>, Option<MinerError>) {
         // Without splitting no new units ever appear, so workers beyond
         // the unit count could only ever spin.
-        let workers = if schedule.split.is_some() {
+        let workers = if split.is_some() {
             self.threads
         } else {
             self.threads.min(units.len())
@@ -259,7 +255,7 @@ impl<'a> Exec<'a> {
         let pool = Pool {
             exec: self,
             bound,
-            schedule,
+            split,
             pending: AtomicUsize::new(units.len()),
             injector: Injector::new(),
             stealers: deques.iter().map(|d| d.stealer()).collect(),
@@ -322,12 +318,9 @@ impl<'a> Exec<'a> {
         stats.elapsed = self.start.elapsed();
     }
 
-    /// Sequential post-pass. When the shared bound never published (or
-    /// the generality filter is off, where pruning is trivially exact),
-    /// the collected set is complete and the classic merge applies. When
-    /// the bound *did* activate with generality on, below-bound
-    /// suppressors may be missing from the collected set, so the top-k
-    /// selection verifies generality exactly instead (module docs).
+    /// Sequential post-pass: the top-k selection, with generality
+    /// verified exactly against the recorded pruned frontiers (module
+    /// docs).
     fn select<E: Engine>(
         &self,
         engine: &E,
@@ -337,18 +330,14 @@ impl<'a> Exec<'a> {
         stats: &mut MinerStats,
     ) -> Result<Vec<ScoredGr>, MinerError> {
         let config = self.config;
-        let top = if config.generality_filter && bound.is_some() {
-            select_topk_verified(
-                self.schema,
-                &|g: &Gr| engine.evaluate(g),
-                config,
-                candidates,
-                &frontiers.into_iter().collect(),
-                stats,
-            )?
-        } else {
-            classic_select_topk(config, candidates, stats)
-        };
+        let top = select_topk(
+            self.schema,
+            &|g: &Gr| engine.evaluate(g),
+            config,
+            candidates,
+            &frontiers.into_iter().collect(),
+            stats,
+        )?;
         // A published bound implies k sure survivors existed, so the
         // result is a full top-k whose weakest member scores at least the
         // bound.
@@ -387,7 +376,7 @@ impl Harvest {
 struct Pool<'p, U> {
     exec: &'p Exec<'p>,
     bound: &'p SharedBound,
-    schedule: &'p Schedule<U>,
+    split: Split<U>,
     /// Units registered and not yet completed. A unit is registered
     /// *before* it is pushed, and its own registration outlives every
     /// subtree it spawns, so `pending == 0` is a stable "all work done"
@@ -410,7 +399,7 @@ impl<U: Send> Pool<'_, U> {
     fn work<E: Engine<Unit = U>>(&self, engine: &E, wid: usize, deque: Deque<U>) {
         let exec = self.exec;
         let local = &deque;
-        let spawn = self.schedule.split.map(|(policy, unit)| {
+        let spawn = self.split.map(|(policy, unit)| {
             let spawn = move |t: SubtreeTask| {
                 // ordering: SeqCst. The registration must be visible
                 // before the unit can be stolen (the push), and the
@@ -473,7 +462,7 @@ impl<U: Send> Pool<'_, U> {
                 // sweep means every remaining unit is owned by the
                 // worker that will run it — waiting could never yield
                 // work.
-                if self.schedule.split.is_none() {
+                if self.split.is_none() {
                     break;
                 }
                 idle_rounds += 1;
@@ -527,42 +516,31 @@ impl<U: Send> Pool<'_, U> {
         self.drained.lock().absorb(worker.harvest);
     }
 
-    /// Take the next unit: local deque first (LIFO), then the injector,
-    /// then — when stealing is on — half of a sibling's deque. Counts
-    /// successful sibling steals into `stolen`.
+    /// Take the next unit: local deque first (LIFO), then a batch from
+    /// the injector, then half of a sibling's deque. Counts successful
+    /// sibling steals into `stolen`.
     fn next_unit(&self, local: &Deque<U>, wid: usize, stolen: &mut u64) -> Option<U> {
         if let Some(t) = local.pop() {
             return Some(t);
         }
-        let steal = self.schedule.steal;
         loop {
             let mut retry = false;
-            let injected = if steal {
-                self.injector.steal_batch_and_pop(local)
-            } else {
-                // Without stealing, units taken from the injector can
-                // never be rebalanced, so take them one at a time, in
-                // list order.
-                self.injector.steal()
-            };
-            match injected {
+            match self.injector.steal_batch_and_pop(local) {
                 Steal::Success(t) => return Some(t),
                 Steal::Retry => retry = true,
                 Steal::Empty => {}
             }
-            if steal {
-                for (i, s) in self.stealers.iter().enumerate() {
-                    if i == wid {
-                        continue;
+            for (i, s) in self.stealers.iter().enumerate() {
+                if i == wid {
+                    continue;
+                }
+                match s.steal_batch_and_pop(local) {
+                    Steal::Success(t) => {
+                        *stolen += 1;
+                        return Some(t);
                     }
-                    match s.steal_batch_and_pop(local) {
-                        Steal::Success(t) => {
-                            *stolen += 1;
-                            return Some(t);
-                        }
-                        Steal::Retry => retry = true,
-                        Steal::Empty => {}
-                    }
+                    Steal::Retry => retry = true,
+                    Steal::Empty => {}
                 }
             }
             if !retry {
@@ -619,61 +597,41 @@ impl Worker<'_> {
     }
 }
 
-/// The classic collect-mode merge: generality most-general-first (size
-/// order suffices — a proper generalization has strictly fewer `l ∧ w`
-/// conditions, and equal-size GRs never generalize one another), then
-/// the top-k rank. Exact whenever the collected candidate set is
-/// complete (no shared bound published, or the generality filter is
-/// off).
-fn classic_select_topk(
-    config: &MinerConfig,
-    mut candidates: Vec<ScoredGr>,
-    stats: &mut MinerStats,
-) -> Vec<ScoredGr> {
-    candidates.sort_by_key(|c| c.gr.l.len() + c.gr.w.len());
-    let mut index = GeneralityIndex::new();
-    let mut topk = TopK::new(config.k);
-    for cand in candidates {
-        if config.generality_filter {
-            if index.has_more_general(&cand.gr) {
-                stats.rejected_generality += 1;
-                continue;
-            }
-            index.record(&cand.gr);
-        }
-        topk.offer(cand);
-    }
-    topk.into_sorted()
-}
-
 /// A GR measurement over an engine's complete edge set.
 type Evaluate<'e> = &'e dyn Fn(&Gr) -> Result<GrMeasures, MinerError>;
 
-/// Top-k selection with **exact** Def. 5(2) generality for runs whose
-/// collected candidate set may be missing below-bound suppressors.
+/// Top-k selection (Def. 5(3)) with **exact** Def. 5(2) generality,
+/// also for runs whose collected candidate set may be missing
+/// below-bound suppressors.
 ///
-/// Two stages. First the classic most-general-first merge over the
-/// collected candidates — its rejections are *sound* (a collected
-/// suppressor passed the thresholds at collection, so the complete run
-/// rejects too, and suppression is transitive), it just may fail to
-/// reject. Then the survivors are walked in rank order and each
-/// would-be top-k member is verified against the *complete* lattice: a
-/// stage-one survivor has no collected generalization at all (any
-/// collected one — recorded or transitively covered — would have
-/// rejected it), and an absent generalization can only have been *lost*
-/// (rather than failed) if the shared bound cut inside its `l ∧ w`
-/// chain at a threshold-passing score — the recorded `pruned_frontiers`
-/// — every LEFT/EDGE node itself being reached unconditionally (only
-/// `min_supp` prunes those, and an anti-monotone loss below `min_supp`
-/// cannot hide a threshold-passing suppressor). So only generalizations
-/// whose `l ∧ w` appears in the frontier set are evaluated against the
+/// Two stages. First, with the generality filter on, the
+/// most-general-first merge over the collected candidates (size order
+/// suffices — a proper generalization has strictly fewer `l ∧ w`
+/// conditions, and equal-size GRs never generalize one another). Its
+/// rejections are *sound* (a collected suppressor passed the thresholds
+/// at collection, so the complete run rejects too, and suppression is
+/// transitive); it just may fail to reject. Then the survivors are
+/// walked in rank order (`rank_cmp` is a total order) and each would-be
+/// top-k member is verified against the *complete* lattice: a stage-one
+/// survivor has no collected generalization at all (any collected one —
+/// recorded or transitively covered — would have rejected it), and an
+/// absent generalization can only have been *lost* (rather than failed)
+/// if the shared bound cut inside its `l ∧ w` chain at a
+/// threshold-passing score — the recorded `pruned_frontiers` — every
+/// LEFT/EDGE node itself being reached unconditionally (only `min_supp`
+/// prunes those, and an anti-monotone loss below `min_supp` cannot hide
+/// a threshold-passing suppressor). So only generalizations whose
+/// `l ∧ w` appears in the frontier set are evaluated against the
 /// complete edge set (memoized); all other absent ones provably fail the
-/// thresholds. Equivalent to the classic merge over the complete
-/// candidate set: a candidate is suppressed there iff some
+/// thresholds. A candidate is suppressed here iff some
 /// threshold-passing strict generalization exists (take a minimal one —
-/// nothing suppresses it, so it is recorded first), which is precisely
-/// the predicate decided here.
-fn select_topk_verified(
+/// nothing suppresses it, so it is recorded first), which is Def. 5(2).
+///
+/// The miner records a frontier only after the bound has been
+/// published, and only with the generality filter on; with no frontier
+/// (every static run, every run with the filter off) stage two is the
+/// plain rank of the collected survivors.
+fn select_topk(
     schema: &Schema,
     evaluate: Evaluate<'_>,
     config: &MinerConfig,
@@ -681,24 +639,27 @@ fn select_topk_verified(
     pruned_frontiers: &HashSet<(NodeDescriptor, EdgeDescriptor)>,
     stats: &mut MinerStats,
 ) -> Result<Vec<ScoredGr>, MinerError> {
-    // Stage 1: the classic merge, keeping every survivor.
-    candidates.sort_by_key(|c| c.gr.l.len() + c.gr.w.len());
-    let mut index = GeneralityIndex::new();
-    let mut survivors: Vec<ScoredGr> = Vec::with_capacity(candidates.len());
-    for cand in candidates {
-        if index.has_more_general(&cand.gr) {
-            stats.rejected_generality += 1;
-            continue;
-        }
-        index.record(&cand.gr);
-        survivors.push(cand);
+    // Stage 1: the most-general-first merge, keeping every survivor.
+    if config.generality_filter {
+        candidates.sort_by_key(|c| c.gr.l.len() + c.gr.w.len());
+        let mut index = GeneralityIndex::new();
+        candidates.retain(|cand| {
+            if index.has_more_general(&cand.gr) {
+                stats.rejected_generality += 1;
+                return false;
+            }
+            index.record(&cand.gr);
+            true
+        });
     }
     // Stage 2: exactness verification of the ranked prefix. Nothing to
     // verify when no threshold-passing subtree was ever cut.
-    survivors.sort_by(|a, b| a.rank_cmp(b));
+    candidates.sort_by(|a, b| a.rank_cmp(b));
     let mut memo: HashMap<Gr, bool> = HashMap::new();
-    let mut out: Vec<ScoredGr> = Vec::with_capacity(config.k);
-    for cand in survivors {
+    // `k` may be "effectively unbounded" (baseline and ablation
+    // configurations), so reserve no more than there are candidates.
+    let mut out: Vec<ScoredGr> = Vec::with_capacity(config.k.min(candidates.len()));
+    for cand in candidates {
         if out.len() == config.k {
             break;
         }

@@ -39,7 +39,7 @@
 //! | supp / conf / nhp (Defs. 2–4) and §VII alternatives | [`metrics`] |
 //! | β and the homophily effect (Eqns. 4–5) | [`beta`] |
 //! | shared read-only run context | [`context`] |
-//! | SFDF & dynamic tail ordering (§IV-C) | [`tail`], [`enumerate`] |
+//! | SFDF & dynamic tail ordering (§IV-C) | [`tail`] |
 //! | GRMiner, Algorithm 1 (§V) | [`miner`] |
 //! | top-k & generality (Def. 5) | [`topk`], [`generality`] |
 //! | baselines BL1 / BL2 (§VI-D) | [`baseline`] |
@@ -57,7 +57,6 @@ pub mod beta;
 pub mod config;
 pub mod context;
 pub mod descriptor;
-pub mod enumerate;
 pub mod error;
 mod exec;
 pub mod generality;

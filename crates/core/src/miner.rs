@@ -18,6 +18,10 @@
 //!    exactly against the subtrees the bound cut, so a dynamic mine
 //!    returns the static Definition-5 top-k.
 //!
+//! Algorithm 1's Main loop runs `RIGHT(nil)`, `EDGE(nil)` and
+//! `LEFT(nil)` over the attribute tails, and `RootTask` cuts it into the
+//! disjoint top-level units every engine mines: one per `RIGHT(nil)` and
+//! `EDGE(nil)` dimension, and value ranges of each `LEFT(nil)` dimension.
 //! [`GrMiner`] is that core's in-core engine at one worker.
 //!
 //! ### A correctness subtlety the pseudo-code glosses over
@@ -43,6 +47,7 @@ use crate::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use crate::topk::SharedBound;
+use grm_graph::shard::ShardSpec;
 use grm_graph::sort::{Frame, PartitionArena};
 use grm_graph::{AttrValue, CancelToken, NodeAttrId, Schema, SocialGraph, NULL};
 use std::collections::HashMap;
@@ -149,46 +154,40 @@ impl<'g> GrMiner<'g> {
     }
 }
 
-/// One top-level unit of enumeration work: the iterations of Algorithm 1's
-/// Main loop (lines 3–5), split so the parallel miner can distribute them.
+/// One top-level unit of enumeration work: a piece of one top-level
+/// dimension of Algorithm 1's Main loop (lines 3–5). The subtrees are
+/// disjoint, so the engines distribute them freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RootTask {
-    /// `RIGHT(RArray, tail(nil))` — all GRs with empty LHS and empty edge
-    /// descriptor. Runs only with [`MinerConfig::allow_empty_lhs`]: none
-    /// of its GRs is reportable otherwise.
-    Right,
-    /// One dimension of `EDGE(EArray, tail(nil))`: subsets whose first
-    /// constrained dimension is `dims.w[i]`. Every GR below it has an
-    /// empty LHS, so it runs only with [`MinerConfig::allow_empty_lhs`].
-    Edge(usize),
-    /// One dimension of `LEFT(LArray, tail(nil))`: subsets whose first
-    /// constrained dimension is `dims.l[i]`.
-    Left(usize),
-    /// One chunk of partition values of `Left(i)`: subsets whose first
-    /// constrained dimension is `dims.l[i]` fixed to a value in
-    /// `lo..=hi`. The parallel miner splits the dominant LHS dimension
-    /// into these so no single subtree serializes the pool; the chunks
-    /// tile the non-null value range, so their union visits exactly the
-    /// nodes `Left(i)` visits. Bounds are inclusive because the domain
-    /// may extend to `AttrValue::MAX`, where an exclusive end would
-    /// overflow.
-    LeftValues {
+    /// The partitions of `LEFT(LArray, tail(nil))`'s dimension
+    /// `dims.l[dim]` whose value lies in `lo..=hi`: subsets whose first
+    /// constrained dimension is that one, fixed to a value in the range.
+    /// A dimension's ranges tile its non-null values, so together they
+    /// visit exactly the nodes of the whole dimension. Bounds are
+    /// inclusive because the domain may extend to `AttrValue::MAX`, where
+    /// an exclusive end would overflow.
+    Left {
         /// Index into `dims.l`.
         dim: usize,
-        /// First partition value of the chunk (inclusive, never `NULL`).
+        /// First partition value (inclusive, never `NULL`).
         lo: AttrValue,
-        /// Last partition value of the chunk (inclusive).
+        /// Last partition value (inclusive).
         hi: AttrValue,
     },
-    /// One dimension of `RIGHT(RArray, tail(nil))`: the iteration of
-    /// [`RootTask::Right`]'s top-level partition loop that partitions on
-    /// `r_order(∅)[dim]`. The sharded miner ([`crate::sharded`]) runs
-    /// each dimension over a per-value edge slice, so the slice's
-    /// `supp_lw` denominator must be overridden with the *global* edge
-    /// count — the whole reason this cannot reuse [`RootTask::Right`] on
-    /// the slice. Like [`RootTask::Right`], it runs only with
-    /// [`MinerConfig::allow_empty_lhs`].
-    RightDim {
+    /// One dimension of `EDGE(EArray, tail(nil))`: subsets whose first
+    /// constrained dimension is `dims.w[dim]`. Every GR below it has an
+    /// empty LHS, so it runs only with [`MinerConfig::allow_empty_lhs`].
+    Edge {
+        /// Index into `dims.w`.
+        dim: usize,
+    },
+    /// One dimension of `RIGHT(RArray, tail(nil))`: the iteration of its
+    /// top-level partition loop that partitions on `r_order(∅)[dim]`.
+    /// Its `supp_lw` is the context's edge total, which the sharded miner
+    /// ([`crate::sharded`]) sets to the *global* edge count when it runs
+    /// the dimension over per-value edge slices. Every GR below it has an
+    /// empty LHS, so it runs only with [`MinerConfig::allow_empty_lhs`].
+    Right {
         /// Index into the empty-LHS RHS order `dims.r_order(0)`.
         dim: usize,
     },
@@ -196,18 +195,40 @@ pub(crate) enum RootTask {
 
 impl RootTask {
     /// Every root task whose subtree can report a GR, in the sequential
-    /// Main order. The `Right` and `Edge` subtrees hold exactly the
-    /// empty-LHS GRs, so they are listed only when `allow_empty_lhs` is
-    /// set: this list is the one place reportability of an empty LHS is
-    /// decided, for every engine.
-    pub(crate) fn all(dims: &Dims, allow_empty_lhs: bool) -> Vec<RootTask> {
+    /// Main order: one `Right` per dimension of the empty-LHS RHS order
+    /// and one `Edge` per edge dimension, then one `Left` per LHS
+    /// dimension over all its values — except `split`'s attribute, which
+    /// gets one `Left` per non-empty range of the spec. The `Right` and
+    /// `Edge` subtrees hold exactly the empty-LHS GRs, so they are listed
+    /// only when `allow_empty_lhs` is set: this list is the one place
+    /// reportability of an empty LHS is decided, for every engine.
+    pub(crate) fn all(
+        schema: &Schema,
+        dims: &Dims,
+        allow_empty_lhs: bool,
+        split: Option<&ShardSpec>,
+    ) -> Vec<RootTask> {
         // lint: allow(alloc-in-arena) — tiny once-per-run task list.
         let mut v = Vec::new();
         if allow_empty_lhs {
-            v.push(RootTask::Right);
-            v.extend((0..dims.w.len()).map(RootTask::Edge));
+            v.extend((0..dims.r_static.len()).map(|dim| RootTask::Right { dim }));
+            v.extend((0..dims.w.len()).map(|dim| RootTask::Edge { dim }));
         }
-        v.extend((0..dims.l.len()).map(RootTask::Left));
+        for (dim, &attr) in dims.l.iter().enumerate() {
+            match split.filter(|spec| spec.attr() == attr) {
+                Some(spec) => v.extend(
+                    (0..spec.shard_count())
+                        .map(|s| spec.range(s))
+                        .filter(|&(lo, hi)| lo <= hi)
+                        .map(|(lo, hi)| RootTask::Left { dim, lo, hi }),
+                ),
+                None => v.push(RootTask::Left {
+                    dim,
+                    lo: 1,
+                    hi: schema.node_attr(attr).domain_size(),
+                }),
+            }
+        }
         v
     }
 }
@@ -423,19 +444,20 @@ impl<'a> Run<'a> {
         (self.collector, self.scratch)
     }
 
-    /// Execute one top-level task over `data` (the full position set).
+    /// Execute one top-level task over `data` (the unit's position set).
     pub(crate) fn run_root(&mut self, data: &mut [u32], task: RootTask) {
         if self.check_cancelled() {
             return;
         }
-        let l0 = NodeDescriptor::empty();
-        let w0 = EdgeDescriptor::empty();
         match task {
-            RootTask::Right => self.right_root(data, &l0, &w0),
-            RootTask::Edge(i) => self.edge_range(data, i..i + 1, &l0, &w0),
-            RootTask::Left(i) => self.left_range(data, i..i + 1, &l0),
-            RootTask::LeftValues { dim, lo, hi } => self.left_values_root(data, dim, lo, hi),
-            RootTask::RightDim { dim } => self.right_dim_root(data, dim),
+            RootTask::Left { dim, lo, hi } => self.left_root(data, dim, lo, hi),
+            RootTask::Edge { dim } => self.edge_range(
+                data,
+                dim..dim + 1,
+                &NodeDescriptor::empty(),
+                &EdgeDescriptor::empty(),
+            ),
+            RootTask::Right { dim } => self.right_nil_root(data, dim),
         }
         self.record_scratch_peak();
     }
@@ -517,17 +539,16 @@ impl<'a> Run<'a> {
     }
 
     /// Execute the partitions of top-level LHS dimension `i` whose value
-    /// falls in `lo..=hi`: the body of `left_range`'s partition loop
-    /// restricted to one value chunk. Each chunk task repeats the
-    /// counting-sort pass over the full position set (the duplication
-    /// splitting trades for balance — which is why the parallel miner
-    /// bounds the chunk count), then recurses only into its own
-    /// partitions, so counters and candidates sum across chunks to
-    /// exactly the unsplit task's.
-    fn left_values_root(&mut self, data: &mut [u32], i: usize, lo: AttrValue, hi: AttrValue) {
+    /// falls in `lo..=hi`: the body of `left`'s partition loop restricted
+    /// to one value range. Each range repeats the counting-sort pass over
+    /// its position set (the duplication splitting trades for balance —
+    /// which is why the in-core engine bounds the range count), then
+    /// recurses only into its own partitions, so counters and candidates
+    /// sum across ranges to exactly the whole dimension's.
+    fn left_root(&mut self, data: &mut [u32], i: usize, lo: AttrValue, hi: AttrValue) {
         debug_assert_ne!(lo, NULL, "null partitions are never enumerated");
-        // Mirror `left_range`'s max_lhs guard: constraining this chunk's
-        // dimension would already exceed the cap when it is zero.
+        // Mirror `left`'s max_lhs guard: constraining this dimension
+        // would already exceed the cap when it is zero.
         if self.cfg.max_lhs.is_some_and(|m| m == 0) {
             return;
         }
@@ -571,23 +592,18 @@ impl<'a> Run<'a> {
     /// for each surviving partition recurse into RIGHT, EDGE and LEFT with
     /// the prefix tail (Algorithm 1 lines 7–14).
     fn left(&mut self, data: &mut [u32], l_tail_len: usize, l: &NodeDescriptor) {
-        self.left_range(data, 0..l_tail_len, l);
-    }
-
-    fn left_range(&mut self, data: &mut [u32], range: std::ops::Range<usize>, l: &NodeDescriptor) {
         if self.cfg.max_lhs.is_some_and(|m| l.len() >= m) {
             return;
         }
-        for i in range {
+        for i in 0..l_tail_len {
             self.left_partitions(data, i, l, None);
         }
     }
 
     /// The LEFT partition loop over one dimension `dims.l[i]`, shared by
-    /// the sequential tail walk and the parallel miner's value-chunk
-    /// tasks: partition `data`, then recurse into every surviving
-    /// partition whose value lies in `values` (inclusive; `None` = all
-    /// non-null).
+    /// the tail walk and the top-level [`RootTask::Left`] ranges:
+    /// partition `data`, then recurse into every surviving partition
+    /// whose value lies in `values` (inclusive; `None` = all non-null).
     fn left_partitions(
         &mut self,
         data: &mut [u32],
@@ -763,14 +779,14 @@ impl<'a> Run<'a> {
     }
 
     /// One top-level dimension of the empty-LHS RIGHT chain
-    /// ([`RootTask::RightDim`]), run by the sharded miner over a
-    /// per-value edge slice. With `l = ∅` there are no homophily
+    /// ([`RootTask::Right`]). With `l = ∅` there are no homophily
     /// conditions (β ⊆ H_l = ∅), so no snapshot or β table is ever
-    /// needed; the one semantic difference from [`Run::right_root`] is
-    /// the `supp_lw` denominator, which must be the *global* edge count
-    /// (`Run::edges_total`) rather than the slice length, because the
-    /// empty-LHS `l ∧ w` group is the whole edge set.
-    fn right_dim_root(&mut self, data: &mut [u32], dim: usize) {
+    /// needed; the one difference from [`Run::right_root`] is the
+    /// `supp_lw` denominator, the context's edge total (`Run::edges_total`)
+    /// rather than `data`'s length, because the empty-LHS `l ∧ w` group
+    /// is the whole edge set — also when the sharded miner runs the
+    /// dimension over a per-value edge slice.
+    fn right_nil_root(&mut self, data: &mut [u32], dim: usize) {
         let mut ctx = LwContext {
             supp_lw: self.edges_total,
             table: None,
@@ -782,7 +798,7 @@ impl<'a> Run<'a> {
         };
         let mut r_buf = [NodeAttrId(0); MAX_NODE_ATTRS];
         let len = self.dims.r_order_into(0, &mut r_buf);
-        debug_assert!(dim < len, "RightDim dimension out of the RHS order");
+        debug_assert!(dim < len, "RIGHT(nil) dimension out of the RHS order");
         self.right(
             &mut ctx,
             data,

@@ -1,43 +1,50 @@
 //! Parallel GRMiner — a work-stealing, depth-adaptive multi-core engine.
 //!
 //! The SFDF enumeration tree decomposes at the root: Algorithm 1's Main
-//! loop issues one `RIGHT` task plus one task per top-level edge and LHS
-//! dimension, and the subtrees are disjoint. The `RIGHT` and edge tasks
-//! hold only empty-LHS GRs, so the root task list ([`RootTask::all`])
-//! carries them only when `allow_empty_lhs` makes those reportable. This
-//! module turns those root tasks into units of the shared execution core
-//! ([`crate::exec`]),
-//! which runs them with work stealing over per-worker deques under the
-//! shared dynamic top-k bound and the exactness-verified post-pass. All
-//! read-only run state — the key columns, the canonical position set,
-//! the RHS marginal table — lives in one shared [`MiningContext`]; each
-//! worker owns a reusable edge-position buffer and a warm
-//! [`crate::miner::MinerScratch`] carried across its tasks. With one
-//! worker this engine is [`crate::GrMiner`].
+//! loop runs `RIGHT`, `EDGE` and `LEFT` over the attribute tails, and the
+//! top-level subtrees are disjoint. The root task list
+//! (`RootTask::all`) holds one unit per top-level dimension — the
+//! `RIGHT` and `EDGE` ones only when `allow_empty_lhs` makes their
+//! empty-LHS GRs reportable — with the dominant LHS dimension split into
+//! value ranges. This module turns those root tasks into units of the
+//! shared execution core (`crate::exec`), which runs them with work
+//! stealing over per-worker deques under the shared dynamic top-k bound
+//! and the exactness-verified post-pass. All read-only run state — the
+//! key columns, the canonical position set, the RHS marginal table —
+//! lives in one shared [`MiningContext`]; each worker owns a reusable
+//! edge-position buffer and a warm `crate::miner::MinerScratch`
+//! carried across its tasks. With one worker this engine is
+//! [`crate::GrMiner`].
+//!
+//! **Static split.** The dominant LHS dimension — the widest domain,
+//! the best static proxy for subtree size at the root, where partition
+//! cardinality (Pokec's `Region`) concentrates work — is tiled into
+//! `min(values, 2 × threads)` value ranges by a [`ShardSpec`], the rule
+//! and formula the sharded engine's stores partition by. Every range
+//! repeats the top-level `O(|E|)` counting-sort pass, so the count is
+//! bounded (enough slack for the pool to rebalance around a skewed
+//! range), and a single-worker pool mines the dimension whole.
 //!
 //! **Depth-adaptive splitting.** Static root tasks bound speedup by the
 //! largest subtree, so workers *detach oversized recursion frames* as
 //! they descend: a LEFT or EDGE partition whose subtree root is shallow
 //! (`|l| + |w| ≤ 2`) and whose edge set is large
-//! (`≥ split_min`) becomes a stealable [`SubtreeTask`] — an owned copy
+//! (`≥ split_min`) becomes a stealable `SubtreeTask` — an owned copy
 //! of the partition's positions plus the descriptors — instead of being
 //! descended inline. The detached subtree performs exactly the recursive
 //! calls the spawner skipped (the recursion is invariant under input
 //! permutation), so the collect-mode merge and every semantic counter
-//! are independent of where the subtree runs. The historical *static*
-//! split of the dominant LHS dimension by partition value
-//! ([`RootTask::LeftValues`], [`ParallelOptions::split_dominant`]) is
-//! kept for fast start-up: it seeds the pool with balanced chunks before
-//! the first dynamic split can happen.
+//! are independent of where the subtree runs.
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
 use crate::error::MinerError;
-use crate::exec::{Engine, Exec, Schedule, Worker};
+use crate::exec::{Engine, Exec, Worker};
 use crate::gr::Gr;
 use crate::miner::{MineResult, RootTask, SplitPolicy, SubtreeTask};
 use crate::query::{self, GrMeasures};
 use crate::tail::Dims;
+use grm_graph::shard::ShardSpec;
 use grm_graph::{Schema, SocialGraph};
 
 /// Subtrees rooted at most this many descriptor conditions deep
@@ -52,51 +59,15 @@ const SPLIT_DEPTH: usize = 2;
 const SPLIT_MIN_FLOOR: usize = 4096;
 
 /// Tuning knobs for [`try_mine_parallel_with_opts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelOptions {
     /// Worker count (0 = available parallelism, with a warning-and-one
     /// fallback when detection fails).
     pub threads: usize,
-    /// Statically split the dominant root task — the LHS dimension with
-    /// the largest domain — into one task per chunk of partition values,
-    /// seeding the pool with balanced work before dynamic splitting can
-    /// kick in. Costs one duplicated top-level counting-sort pass per
-    /// extra chunk. Results are bit-identical either way.
-    pub split_dominant: bool,
     /// Minimum edge-position count for a subtree to be worth detaching;
     /// 0 picks a heuristic from `|E|` and the thread count. (Tests pin
     /// this to 1 to force splitting on small fixtures.)
     pub split_min: usize,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: 0,
-            split_dominant: true,
-            split_min: 0,
-        }
-    }
-}
-
-/// Parallel top-k GR mining with `threads` workers (0 = available
-/// parallelism) and default splitting.
-///
-/// The infallible entry: a cancellable config (token, deadline) that
-/// actually stops the mine — or a worker panic — is a caller contract
-/// violation here; use [`try_mine_parallel_with_opts`] for those.
-pub fn mine_parallel(graph: &SocialGraph, config: &MinerConfig, threads: usize) -> MineResult {
-    let opts = ParallelOptions {
-        threads,
-        ..ParallelOptions::default()
-    };
-    match try_mine_parallel_with_opts(graph, config, &Dims::all(graph.schema()), opts) {
-        Ok(r) => r,
-        // lint: allow(panic-in-hot-path) — the infallible entry cannot
-        // report a cancelled or panicked mine; swallowing it would
-        // return a silently partial result.
-        Err(e) => panic!("mine_parallel cannot report {e}; use try_mine_parallel_with_opts"),
-    }
 }
 
 /// Parallel mining with explicit [`ParallelOptions`]: observes the
@@ -128,70 +99,23 @@ pub fn try_mine_parallel_with_opts(
         schema: graph.schema(),
         ctx: MiningContext::build(graph, config.metric.needs_r_marginal()),
     };
-    let tasks = root_tasks(dims, config, graph.schema(), opts.split_dominant, threads)
+    let tasks = root_tasks(graph.schema(), dims, config, threads)
         .into_iter()
         .map(PoolTask::Root)
         .collect();
-    let schedule = Schedule { steal: true, split };
-    exec.run(&engine, tasks, schedule, edge_count as u64)
+    exec.run(&engine, tasks, split, edge_count as u64)
 }
 
-/// The root task list ([`RootTask::all`]), with the dominant LHS task
-/// optionally split into value chunks. The dominant dimension is the one
-/// with the largest domain — the best static proxy for subtree size at
-/// the root, where partition cardinality (Pokec's `Region`) is what
-/// concentrates work.
-///
-/// Every chunk repeats the top-level `O(|E|)` counting-sort pass, so the
-/// chunk count is bounded at `2 × threads` (enough slack for the pool to
-/// rebalance around a skewed chunk) rather than one task per value, and
-/// a single-threaded pool never splits.
-fn root_tasks(
-    dims: &Dims,
-    config: &MinerConfig,
-    schema: &Schema,
-    split_dominant: bool,
-    threads: usize,
-) -> Vec<RootTask> {
-    let tasks = RootTask::all(dims, config.allow_empty_lhs);
-    if !split_dominant || threads <= 1 {
-        return tasks;
-    }
-    let dominant = dims
-        .l
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &a)| (schema.node_attr(a).bucket_count(), usize::MAX - i));
-    let Some((idx, &attr)) = dominant else {
-        return tasks;
-    };
-    let values = schema.node_attr(attr).bucket_count().saturating_sub(1);
-    if values < 2 {
-        // One non-null value: splitting would change nothing.
-        return tasks;
-    }
-    let chunks = values.min(2 * threads);
-    // Replace `Left(idx)` in place with its chunk tasks, preserving the
-    // surrounding order (the queue drains front-to-back, so the heavy
-    // chunk tasks start as early as the unsplit task would have).
-    tasks
-        .into_iter()
-        .flat_map(|t| {
-            if t == RootTask::Left(idx) {
-                // Tile the non-null values 1..=values into `chunks`
-                // near-equal ranges.
-                (0..chunks)
-                    .map(|c| RootTask::LeftValues {
-                        dim: idx,
-                        lo: (1 + c * values / chunks) as u16, // cast: c < chunks, so ≤ values = domain_size(), a u16
-                        hi: ((c + 1) * values / chunks) as u16, // cast: ≤ values = domain_size(), a u16
-                    })
-                    .collect()
-            } else {
-                vec![t]
-            }
-        })
-        .collect()
+/// The root task list with the dominant LHS dimension tiled into
+/// `2 × threads` value ranges — one, the whole dimension, at one worker
+/// (module docs). A spec with more ranges than values leaves the extra
+/// ones empty, and the list drops those, so `min(values, 2 × threads)`
+/// remain.
+fn root_tasks(schema: &Schema, dims: &Dims, config: &MinerConfig, threads: usize) -> Vec<RootTask> {
+    let ranges = if threads > 1 { 2 * threads } else { 1 };
+    let split = ShardSpec::dominant(schema, dims.l.iter().copied())
+        .map(|attr| ShardSpec::with_attr(schema, attr, ranges));
+    RootTask::all(schema, dims, config.allow_empty_lhs, split.as_ref())
 }
 
 /// One unit of pool work: a static root task or a dynamically detached
@@ -255,6 +179,17 @@ mod tests {
     use crate::stats::MinerStats;
     use grm_graph::{GraphBuilder, SchemaBuilder};
 
+    /// An uncancellable mine of `g` over every dimension with `threads`
+    /// workers and default splitting.
+    fn mine(g: &SocialGraph, cfg: &MinerConfig, threads: usize) -> MineResult {
+        let opts = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        try_mine_parallel_with_opts(g, cfg, &Dims::all(g.schema()), opts)
+            .expect("a mine without a token or deadline completes")
+    }
+
     fn sample(seedish: u32, n: u32, m: u32) -> SocialGraph {
         let schema = SchemaBuilder::new()
             .node_attr("A", 3, true)
@@ -301,7 +236,6 @@ mod tests {
         ParallelOptions {
             threads,
             split_min: 1,
-            ..ParallelOptions::default()
         }
     }
 
@@ -317,7 +251,7 @@ mod tests {
                 let cfg = cfg.without_dynamic_topk();
                 let seq = GrMiner::new(&g, cfg.clone()).mine();
                 for threads in [1, 2, 4] {
-                    let par = mine_parallel(&g, &cfg, threads);
+                    let par = mine(&g, &cfg, threads);
                     assert_eq!(
                         keys(&seq),
                         keys(&par),
@@ -347,11 +281,7 @@ mod tests {
                         &g,
                         &cfg,
                         &dims,
-                        ParallelOptions {
-                            threads,
-                            split_min,
-                            ..ParallelOptions::default()
-                        },
+                        ParallelOptions { threads, split_min },
                     )
                     .unwrap();
                     let label = format!("seed {seed} threads {threads} split_min {split_min}");
@@ -378,67 +308,92 @@ mod tests {
 
     #[test]
     fn split_tasks_tile_the_unsplit_left_task() {
-        let g = sample(11, 30, 200);
-        let dims = Dims::all(g.schema());
-        // With empty LHSes reportable the list also holds the Right and
-        // Edge tasks, which splitting must leave alone.
-        let cfg = MinerConfig::default().with_empty_lhs();
-        let split = root_tasks(&dims, &cfg, g.schema(), true, 4);
-        let unsplit = root_tasks(&dims, &cfg, g.schema(), false, 4);
-        assert!(unsplit.contains(&RootTask::Right));
-        // The dominant dimension is C (domain 4, the largest); its Left
-        // task is replaced by value-chunk tasks tiling 1..=4.
+        // Only the schema shapes the list. C has the widest domain, so it
+        // is the dominant dimension.
+        let schema = SchemaBuilder::new()
+            .node_attr("A", 3, true)
+            .node_attr("C", 9, true)
+            .edge_attr("W", 2)
+            .build()
+            .unwrap();
+        let dims = Dims::all(&schema);
         let dominant = dims
             .l
             .iter()
-            .position(|&a| g.schema().node_attr(a).name() == "C")
+            .position(|&a| schema.node_attr(a).name() == "C")
             .expect("C is an LHS dimension");
-        assert!(!split.contains(&RootTask::Left(dominant)));
-        let chunks: Vec<(u16, u16)> = split
-            .iter()
-            .filter_map(|t| match t {
-                RootTask::LeftValues { dim, lo, hi } if *dim == dominant => Some((*lo, *hi)),
-                _ => None,
-            })
-            .collect();
-        assert!(!chunks.is_empty());
-        assert!(chunks.len() <= 8, "chunk count is bounded by 2 × threads");
-        assert_eq!(chunks.first().unwrap().0, 1, "chunks start after NULL");
-        assert_eq!(chunks.last().unwrap().1, 4, "chunks cover the domain");
-        for w in chunks.windows(2) {
-            assert_eq!(w[0].1 + 1, w[1].0, "chunks tile without gap or overlap");
-        }
-        assert_eq!(split.len(), unsplit.len() + chunks.len() - 1);
-        // Every other task is preserved.
-        for t in unsplit {
-            if t != RootTask::Left(dominant) {
-                assert!(split.contains(&t), "{t:?} lost by splitting");
+        // With empty LHSes reportable the list also holds the Right and
+        // Edge tasks, which splitting must leave alone.
+        let cfg = MinerConfig::default().with_empty_lhs();
+        let ranges = |tasks: &[RootTask]| -> Vec<(u16, u16)> {
+            tasks
+                .iter()
+                .filter_map(|t| match *t {
+                    RootTask::Left { dim, lo, hi } if dim == dominant => Some((lo, hi)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let others = |tasks: &[RootTask]| -> Vec<RootTask> {
+            tasks
+                .iter()
+                .filter(|t| !matches!(t, RootTask::Left { dim, .. } if *dim == dominant))
+                .copied()
+                .collect()
+        };
+        // A single-threaded pool mines the dimension whole.
+        let whole = root_tasks(&schema, &dims, &cfg, 1);
+        assert_eq!(ranges(&whole), [(1, 9)]);
+        for threads in [2usize, 4, 8] {
+            let split = root_tasks(&schema, &dims, &cfg, threads);
+            let chunks = ranges(&split);
+            // The chunks are the dominant dimension's ShardSpec ranges,
+            // min(values, 2 × threads) of them, tiling 1..=values.
+            let spec = ShardSpec::with_attr(&schema, dims.l[dominant], 2 * threads);
+            let spec_ranges: Vec<(u16, u16)> = (0..spec.shard_count())
+                .map(|s| spec.range(s))
+                .filter(|&(lo, hi)| lo <= hi)
+                .collect();
+            assert_eq!(chunks, spec_ranges, "threads {threads}");
+            assert_eq!(chunks.len(), 9.min(2 * threads), "threads {threads}");
+            assert_eq!(chunks.first().unwrap().0, 1, "chunks start after NULL");
+            assert_eq!(chunks.last().unwrap().1, 9, "chunks cover the domain");
+            for w in chunks.windows(2) {
+                assert_eq!(w[0].1 + 1, w[1].0, "chunks tile without gap or overlap");
             }
+            // Every other task is preserved, in order.
+            assert_eq!(others(&split), others(&whole), "threads {threads}");
         }
-        // A single-threaded pool never splits.
-        assert_eq!(
-            root_tasks(&dims, &cfg, g.schema(), true, 1),
-            RootTask::all(&dims, true)
-        );
     }
 
     #[test]
     fn empty_lhs_subtrees_are_root_tasks_only_when_reportable() {
-        // The default list holds the LHS dimensions alone; the RIGHT and
-        // EDGE roots, whose GRs all have an empty LHS, join it in the
-        // sequential Main order only with `allow_empty_lhs`.
+        // The default list holds the LHS dimensions alone; the RIGHT(nil)
+        // dimensions and the EDGE roots, whose GRs all have an empty LHS,
+        // join it in the sequential Main order only with
+        // `allow_empty_lhs`.
         let g = sample(11, 30, 200);
-        let dims = Dims::all(g.schema());
-        let lhs: Vec<RootTask> = (0..dims.l.len()).map(RootTask::Left).collect();
-        assert_eq!(RootTask::all(&dims, false), lhs);
-        let mut all = vec![RootTask::Right];
-        all.extend((0..dims.w.len()).map(RootTask::Edge));
-        all.extend(lhs);
-        assert_eq!(RootTask::all(&dims, true), all);
-        let tasks = root_tasks(&dims, &MinerConfig::default(), g.schema(), true, 4);
-        assert!(tasks
+        let schema = g.schema();
+        let dims = Dims::all(schema);
+        let lhs: Vec<RootTask> = dims
+            .l
             .iter()
-            .all(|t| matches!(t, RootTask::Left(_) | RootTask::LeftValues { .. })));
+            .enumerate()
+            .map(|(dim, &a)| RootTask::Left {
+                dim,
+                lo: 1,
+                hi: schema.node_attr(a).domain_size(),
+            })
+            .collect();
+        assert_eq!(RootTask::all(schema, &dims, false, None), lhs);
+        let mut all: Vec<RootTask> = (0..dims.r_order(0).len())
+            .map(|dim| RootTask::Right { dim })
+            .collect();
+        all.extend((0..dims.w.len()).map(|dim| RootTask::Edge { dim }));
+        all.extend(lhs);
+        assert_eq!(RootTask::all(schema, &dims, true, None), all);
+        let tasks = root_tasks(schema, &dims, &MinerConfig::default(), 4);
+        assert!(tasks.iter().all(|t| matches!(t, RootTask::Left { .. })));
     }
 
     #[test]
@@ -447,25 +402,11 @@ mod tests {
             let g = sample(seed.wrapping_add(100), 40, 300);
             let cfg = MinerConfig::nhp(2, 0.3, 20).without_dynamic_topk();
             let seq = GrMiner::new(&g, cfg.clone()).mine();
-            let dims = Dims::all(g.schema());
+            // One worker mines the dominant dimension whole; more split
+            // it into value ranges.
             for threads in [1, 2, 4] {
-                for split_dominant in [false, true] {
-                    let par = try_mine_parallel_with_opts(
-                        &g,
-                        &cfg,
-                        &dims,
-                        ParallelOptions {
-                            threads,
-                            split_dominant,
-                            ..ParallelOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        seq.top, par.top,
-                        "seed {seed} threads {threads} split {split_dominant}"
-                    );
-                }
+                let par = mine(&g, &cfg, threads);
+                assert_eq!(seq.top, par.top, "seed {seed} threads {threads}");
             }
         }
     }
@@ -476,24 +417,10 @@ mod tests {
         // *semantic* counters equal the unsplit run's. (The work counters
         // — elapsed, partition passes, scratch peak, steals, splits —
         // legitimately vary with the execution strategy.)
+        // One worker runs the dominant dimension unsplit, four split it.
         let g = sample(5, 40, 300);
         let cfg = MinerConfig::nhp(1, 0.4, 10).without_dynamic_topk();
-        let dims = Dims::all(g.schema());
-        let run = |split_dominant| {
-            try_mine_parallel_with_opts(
-                &g,
-                &cfg,
-                &dims,
-                ParallelOptions {
-                    threads: 4,
-                    split_dominant,
-                    ..ParallelOptions::default()
-                },
-            )
-            .unwrap()
-            .stats
-        };
-        let (unsplit, split) = (run(false), run(true));
+        let (unsplit, split) = (mine(&g, &cfg, 1).stats, mine(&g, &cfg, 4).stats);
         assert_eq!(unsplit.semantic(), split.semantic());
         // Splitting repeats top-level passes; it never removes any.
         assert!(split.partition_passes >= unsplit.partition_passes);
@@ -524,38 +451,22 @@ mod tests {
 
     #[test]
     fn oversubscribed_and_degenerate_pools_stay_identical() {
-        // threads > task_count (64), a single-thread pool, and both
-        // split settings must all return bit-identical `top` and — since
-        // the value-chunk filter runs before any counter increments —
-        // identical merged *semantic* counters, under the shared context
-        // (the work counters vary with splitting by design).
+        // threads > task_count (64) and a single-thread pool must return
+        // bit-identical `top` and — since the value-range filter runs
+        // before any counter increments — identical merged *semantic*
+        // counters, under the shared context (the work counters vary
+        // with splitting by design).
         let g = sample(9, 40, 300);
         let cfg = MinerConfig::nhp(2, 0.3, 15).without_dynamic_topk();
         let seq = GrMiner::new(&g, cfg.clone()).mine();
-        let dims = Dims::all(g.schema());
         let mut counters: Option<MinerStats> = None;
         for threads in [1usize, 2, 64] {
-            for split_dominant in [false, true] {
-                let par = try_mine_parallel_with_opts(
-                    &g,
-                    &cfg,
-                    &dims,
-                    ParallelOptions {
-                        threads,
-                        split_dominant,
-                        ..ParallelOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(seq.top, par.top, "threads {threads} split {split_dominant}");
-                let sem = par.stats.semantic();
-                match &counters {
-                    None => counters = Some(sem),
-                    Some(c) => assert_eq!(
-                        c, &sem,
-                        "counters diverged at threads {threads} split {split_dominant}"
-                    ),
-                }
+            let par = mine(&g, &cfg, threads);
+            assert_eq!(seq.top, par.top, "threads {threads}");
+            let sem = par.stats.semantic();
+            match &counters {
+                None => counters = Some(sem),
+                Some(c) => assert_eq!(c, &sem, "counters diverged at threads {threads}"),
             }
         }
     }
@@ -564,8 +475,8 @@ mod tests {
     fn parallel_is_deterministic_across_runs() {
         let g = sample(7, 40, 300);
         let cfg = MinerConfig::nhp(2, 0.3, 15);
-        let a = mine_parallel(&g, &cfg, 4);
-        let b = mine_parallel(&g, &cfg, 4);
+        let a = mine(&g, &cfg, 4);
+        let b = mine(&g, &cfg, 4);
         assert_eq!(keys(&a), keys(&b));
     }
 
@@ -677,7 +588,7 @@ mod tests {
     fn zero_threads_means_available_parallelism() {
         let g = sample(3, 20, 100);
         let cfg = MinerConfig::nhp(1, 0.5, 5).without_dynamic_topk();
-        let r = mine_parallel(&g, &cfg, 0);
+        let r = mine(&g, &cfg, 0);
         let seq = GrMiner::new(&g, cfg).mine();
         assert_eq!(keys(&r), keys(&seq));
     }
@@ -695,13 +606,32 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_k_selects_every_generality_survivor() {
+        // An "effectively unbounded" k (the ablation bench's support-only
+        // cell) reserves nothing up front and returns every collected
+        // candidate that survives the generality filter, in rank order.
+        let g = sample(4, 40, 300);
+        let cfg = MinerConfig {
+            k: usize::MAX >> 1,
+            ..MinerConfig::nhp(2, 0.0, 1).without_dynamic_topk()
+        };
+        let r = mine(&g, &cfg, 2);
+        assert!(!r.top.is_empty());
+        assert_eq!(
+            r.top.len() as u64,
+            r.stats.accepted - r.stats.rejected_generality
+        );
+        assert!(r.top.windows(2).all(|w| w[0].rank_cmp(&w[1]).is_lt()));
+    }
+
+    #[test]
     fn empty_graph() {
         let schema = SchemaBuilder::new()
             .node_attr("A", 2, true)
             .build()
             .unwrap();
         let g = GraphBuilder::new(schema).build().unwrap();
-        let r = mine_parallel(&g, &MinerConfig::default(), 2);
+        let r = mine(&g, &MinerConfig::default(), 2);
         assert!(r.top.is_empty());
     }
 }

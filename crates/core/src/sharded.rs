@@ -15,21 +15,23 @@
 //! Naively mining each shard and merging is *not* bit-identical to the
 //! unsharded run: every support a root task other than the dominant
 //! LEFT dimension counts (`supp_lw`, partition lengths, heff snapshots)
-//! spans edges from *all* shards. The engine instead decomposes the
-//! sequential Main loop ([`RootTask::all`]) into units that are each
-//! exactly one top-level partition-value subtree, over an edge set that
-//! provably contains every edge that subtree touches:
+//! spans edges from *all* shards. The engine instead builds its units
+//! from the same root task list as the in-core engine (`RootTask::all`,
+//! with the store's [`ShardSpec`](grm_graph::shard::ShardSpec) as the
+//! dominant dimension's ranges), each unit exactly one top-level
+//! partition-value subtree over an edge set that provably contains every
+//! edge that subtree touches:
 //!
-//! * **`Left(j)`, dominant dimension** (`dims.l[j]` is the store's
-//!   partition attribute): shard `s` holds *precisely* the edges whose
-//!   source carries a value in the shard's range, so running
-//!   [`RootTask::LeftValues`] with that range on shard `s`'s model is
-//!   the identical enumeration (the partitioner emits only non-empty
-//!   partitions, and the value filter precedes every counter).
-//! * **`Left(j)`, other dimensions**: one unit per non-null value `v`,
-//!   over the [`SliceSet`] keyed `Src(dims.l[j])` — the slice is the
+//! * **`Left`, dominant dimension** (the store's partition attribute):
+//!   one unit per range, over the shard of that range. Shard `s` holds
+//!   *precisely* the edges whose source carries a value in the shard's
+//!   range, so the task on shard `s`'s columns is the identical
+//!   enumeration (the partitioner emits only non-empty partitions, and
+//!   the value filter precedes every counter).
+//! * **`Left`, other dimensions**: one unit per non-null value `v`,
+//!   over the [`SliceSet`] keyed `Src(dims.l[dim])` — the slice is the
 //!   `v` partition of the top-level LEFT pass, mined with
-//!   `LeftValues { lo: v, hi: v }`.
+//!   `Left { lo: v, hi: v }`.
 //!
 //! Two more kinds apply only with
 //! [`MinerConfig::allow_empty_lhs`]: without it the root task list
@@ -37,12 +39,12 @@
 //! their slice sets nor their units (5 slice sets on the Pokec schema
 //! instead of 11).
 //!
-//! * **`Edge(i)`**: one unit per value over the `Edge(dims.w[i])`
+//! * **`Edge`**: one unit per value over the `Edge(dims.w[dim])`
 //!   slices; the slice is the `v` partition of the top-level EDGE pass.
-//! * **`Right`**: one unit per dimension of the empty-LHS RHS order and
-//!   value, over `Dst(r_order[dim])` slices, via
-//!   [`RootTask::RightDim`] — which overrides `supp_lw` with the
-//!   *global* edge count, the one denominator a slice cannot supply.
+//! * **`Right`**: one unit per value over the `Dst(r_order(∅)[dim])`
+//!   slices. Its `supp_lw` is the context's edge total, which a unit's
+//!   context sets to the *global* edge count — the one denominator a
+//!   slice cannot supply.
 //!
 //! NULL-keyed edges are dropped from slices exactly as the recursion
 //! skips NULL partitions, and empty slices are skipped exactly as the
@@ -67,7 +69,7 @@
 //! Each unit is a collect-mode run whose [`MiningContext`] carries the
 //! global edge total ([`MiningContext::with_edges_total`]), on the same
 //! execution core, shared bound and exactness-verified post-pass as the
-//! parallel engine ([`crate::exec`]) — with one twist: the post-pass
+//! parallel engine (`crate::exec`) — with one twist: the post-pass
 //! evaluator measures candidate suppressors by summing
 //! [`query::counts`] over every shard's columns (the four counts are
 //! per-edge indicators, hence additive over any partition of the
@@ -82,7 +84,7 @@
 //!
 //! ## Fault tolerance
 //!
-//! The units run on the shared execution core ([`crate::exec`]), which
+//! The units run on the shared execution core (`crate::exec`), which
 //! observes the config's [`CancelToken`](grm_graph::CancelToken) and
 //! deadline at every unit and recursion node (the pool's blocked
 //! waiters observe the same token), contains worker panics, stops the
@@ -95,7 +97,7 @@
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
 use crate::error::MinerError;
-use crate::exec::{Engine, Exec, Schedule, Worker};
+use crate::exec::{Engine, Exec, Worker};
 use crate::gr::Gr;
 use crate::miner::{MineResult, RootTask};
 use crate::query::{self, GrMeasures};
@@ -112,9 +114,11 @@ use std::sync::Arc;
 /// Tuning knobs for [`mine_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardedOptions {
-    /// Worker count (0 = available parallelism). Workers take units one
-    /// at a time in list order; each holds at most one resident
-    /// shard/slice at a time, so `threads` bounds concurrent residency.
+    /// Worker count (0 = available parallelism). Workers take units in
+    /// batches and steal from each other like the in-core engine's
+    /// (`crate::exec`); a unit is made resident only when its worker
+    /// mines it, so each worker holds at most one resident shard/slice at
+    /// a time, and `threads` bounds concurrent residency.
     pub threads: usize,
     /// Maximum resident bytes of loaded shards/slices (`None` =
     /// unbounded), each priced at its key columns plus its position
@@ -162,42 +166,32 @@ pub fn mine_sharded(
     // slice set. Every slice is capacity-checked up front: a value slice
     // beyond the u32 position space cannot be mined, and the check here
     // turns that into a typed error before any unit runs.
+    let spec = store.spec();
+    let r_nil = dims.r_order(0);
     let mut slices = Slices::new(store);
     let mut units: Vec<Unit> = Vec::new();
-    for task in RootTask::all(&dims, config.allow_empty_lhs) {
+    for task in RootTask::all(schema, &dims, config.allow_empty_lhs, Some(spec)) {
         match task {
-            RootTask::Right => {
-                for (dim, &attr) in dims.r_order(0).iter().enumerate() {
-                    slices.add(&mut units, SliceKey::Dst(attr), |_| RootTask::RightDim {
-                        dim,
-                    })?;
+            RootTask::Right { dim } => {
+                slices.add(&mut units, SliceKey::Dst(r_nil[dim]), |_| task)?
+            }
+            RootTask::Edge { dim } => {
+                slices.add(&mut units, SliceKey::Edge(dims.w[dim]), |_| task)?
+            }
+            // One of the spec's non-empty ranges: exactly its shard.
+            RootTask::Left { dim, lo, .. } if dims.l[dim] == spec.attr() => {
+                let shard = spec.shard_of(lo);
+                if store.edge_count(shard) > 0 {
+                    units.push(Unit::Shard { shard, task });
                 }
             }
-            RootTask::Edge(i) => slices.add(&mut units, SliceKey::Edge(dims.w[i]), |_| task)?,
-            RootTask::Left(j) if dims.l[j] == store.spec().attr() => {
-                for s in 0..store.shard_count() {
-                    if store.edge_count(s) == 0 {
-                        continue;
-                    }
-                    let (lo, hi) = store.spec().range(s);
-                    units.push(Unit::Shard {
-                        shard: s,
-                        task: RootTask::LeftValues { dim: j, lo, hi },
-                    });
-                }
-            }
-            RootTask::Left(j) => {
-                slices.add(&mut units, SliceKey::Src(dims.l[j]), |v| {
-                    RootTask::LeftValues {
-                        dim: j,
-                        lo: v,
-                        hi: v,
-                    }
+            RootTask::Left { dim, .. } => {
+                slices.add(&mut units, SliceKey::Src(dims.l[dim]), |v| RootTask::Left {
+                    dim,
+                    lo: v,
+                    hi: v,
                 })?;
             }
-            // The list holds whole Main-loop iterations; these are the
-            // per-unit forms the arms above map them to.
-            RootTask::LeftValues { .. } | RootTask::RightDim { .. } => {}
         }
     }
     // A budget below the largest planned unit fails here, before any
@@ -221,11 +215,7 @@ pub fn mine_sharded(
         slices,
         pool,
     };
-    let schedule = Schedule {
-        steal: false,
-        split: None,
-    };
-    exec.run(&engine, units, schedule, store.total_edges())
+    exec.run(&engine, units, None, store.total_edges())
 }
 
 /// One mine's slice sets, spilled into a directory of their own under

@@ -142,10 +142,10 @@ miner_stats! {
     /// repeated identical runs — the zero-allocation guarantee made
     /// observable.
     scratch_bytes_peak: "scratch_peak", max, work;
-    /// Successful cross-worker steal operations in the parallel engine
-    /// (each moves a steal-half batch from a sibling's deque). A *work*
-    /// counter: inherently timing-dependent, zero with one worker and in
-    /// the sharded engine, which never steals.
+    /// Successful cross-worker steal operations of a pool engine, in-core
+    /// or sharded (each moves a steal-half batch from a sibling's deque).
+    /// A *work* counter: inherently timing-dependent, zero with one
+    /// worker.
     tasks_stolen: "stolen", sum, work;
     /// Oversized recursion subtrees the parallel miner detached into
     /// stealable tasks (`SubtreeTask`). A *work* counter: depends on the

@@ -53,11 +53,6 @@ impl SocialGraph {
         &self.schema
     }
 
-    /// Shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// `|V|`.
     pub fn node_count(&self) -> usize {
         if self.schema.node_attr_count() == 0 {

@@ -9,9 +9,9 @@
 //!
 //! * [`ShardSpec`] — the partitioning function: edges are routed by the
 //!   *dominant* LHS dimension's value on their source node (the widest
-//!   node-attribute domain, exactly the dimension the parallel engine's
-//!   `RootTask::LeftValues` split keys on), tiled into contiguous value
-//!   ranges with NULL joining shard 0.
+//!   node-attribute domain, the dimension the in-core engine splits into
+//!   value ranges by the same rule), tiled into contiguous value ranges
+//!   with NULL joining shard 0.
 //! * [`ShardStoreWriter`] / [`ShardStore`] — a streaming writer that
 //!   spills edges to one columnar chunk file per shard (format in
 //!   [`crate::io`]) without ever materializing the whole edge set, and
@@ -69,8 +69,9 @@ const CHUNK_EDGES: usize = 4096;
 
 /// How the edge set is partitioned: by a source-node attribute, tiled
 /// into contiguous inclusive value ranges (one per shard). NULL values
-/// route to shard 0, mirroring how the miner's `LeftValues` root tasks
-/// skip NULL before counting.
+/// route to shard 0, mirroring how the miner's `Left` root tasks skip
+/// NULL before counting. The in-core engine splits its dominant root
+/// task into the ranges of a spec too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     attr: NodeAttrId,
@@ -78,20 +79,28 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// Partition on the dominant node attribute: widest domain, first
-    /// declared on ties — the same choice `parallel.rs` makes when it
-    /// splits `LeftValues` root tasks.
+    /// Partition on the schema's dominant node attribute
+    /// ([`Self::dominant`]).
     pub fn new(schema: &Schema, shards: usize) -> Self {
-        let mut attr = NodeAttrId(0);
-        let mut best = (0usize, 0usize);
-        for (i, a) in schema.node_attr_ids().enumerate() {
-            let key = (schema.node_attr(a).bucket_count(), usize::MAX - i);
-            if key > best {
-                best = key;
-                attr = a;
+        // A schema declares at least one node attribute.
+        let attr = Self::dominant(schema, schema.node_attr_ids()).unwrap_or(NodeAttrId(0));
+        Self::with_attr(schema, attr, shards)
+    }
+
+    /// The dominant attribute among `attrs`: the widest domain, the first
+    /// listed on ties; `None` when `attrs` is empty.
+    pub fn dominant(
+        schema: &Schema,
+        attrs: impl IntoIterator<Item = NodeAttrId>,
+    ) -> Option<NodeAttrId> {
+        let mut best: Option<(usize, NodeAttrId)> = None;
+        for a in attrs {
+            let width = schema.node_attr(a).bucket_count();
+            if best.is_none_or(|(w, _)| width > w) {
+                best = Some((width, a));
             }
         }
-        Self::with_attr(schema, attr, shards)
+        best.map(|(_, a)| a)
     }
 
     /// Partition on an explicit attribute.
@@ -470,11 +479,6 @@ impl ShardStore {
         &self.schema
     }
 
-    /// Shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// The partitioning spec.
     pub fn spec(&self) -> &ShardSpec {
         &self.spec
@@ -532,7 +536,7 @@ impl ShardStore {
         F: FnMut(NodeId, NodeId, &[AttrValue]) -> Result<()>,
     {
         let mut row = Vec::with_capacity(self.schema.edge_attr_count());
-        self.for_each_chunk_in(&self.edge_file(s), &mut |chunk| {
+        self.for_each_chunk_in(&self.edge_file(s), self.edge_counts[s], &mut |chunk| {
             for i in 0..chunk.len() {
                 row.clear();
                 row.extend(chunk.attrs.iter().map(|col| col[i]));
@@ -545,17 +549,37 @@ impl ShardStore {
     /// Stream one spill file of this store chunk by chunk: the read path
     /// every store reader shares. The decoder verifies the header and
     /// each chunk's checksum, and [`Self::check_chunk`] each decoded
-    /// chunk's values, before `f` sees it.
+    /// chunk's values, before `f` sees it. The file must hold exactly
+    /// `edges` edges, the count recorded when it was written: a chunk
+    /// that would carry the running count past it fails before `f` sees
+    /// it (so no reader grows a buffer beyond the size it reserved), and
+    /// so does a file that ends below it — a spill cut at a chunk
+    /// boundary ends cleanly as far as the decoder can tell.
     fn for_each_chunk_in(
         &self,
         path: &Path,
+        edges: u64,
         f: &mut dyn FnMut(&EdgeChunk) -> Result<()>,
     ) -> Result<()> {
         let mut r = BufReader::new(fs::File::open(path)?);
         crate::io::read_spill_header(&mut r)?;
+        let mut read = 0u64;
         while let Some(chunk) = crate::io::read_edge_chunk(&mut r, self.schema.edge_attr_count())? {
+            read += chunk.len() as u64;
+            if read > edges {
+                return Err(ShardIoError::ShortRead {
+                    context: "edges beyond the recorded count",
+                }
+                .into());
+            }
             self.check_chunk(&chunk)?;
             f(&chunk)?;
+        }
+        if read < edges {
+            return Err(ShardIoError::ShortRead {
+                context: "edges up to the recorded count",
+            }
+            .into());
         }
         Ok(())
     }
@@ -619,23 +643,27 @@ impl ShardStore {
     /// in spill order, through the store's one key loader.
     pub fn load_shard_keys(&self, s: usize) -> Result<KeyColumns> {
         self.load_prelude(s)?;
-        self.gather_keys(Some(&self.edge_file(s)), self.edge_counts[s] as usize)
+        self.gather_keys(Some(&self.edge_file(s)), self.edge_counts[s])
     }
 
     /// Gather the key columns of the spill file `file` (`None`: no
-    /// edges), sized for its `edges` edges, positions in spill order: the
-    /// source and destination columns from the resident node table, the
-    /// edge columns copied from the chunks, which pass the checked read
-    /// path. The one loader of both unit kinds; it builds no graph, no
-    /// node rows and no model, so a unit costs its columns alone.
-    fn gather_keys(&self, file: Option<&Path>, edges: usize) -> Result<KeyColumns> {
+    /// edges), which holds the recorded `edges` edges, positions in spill
+    /// order: the source and destination columns from the resident node
+    /// table, the edge columns copied from the chunks, which pass the
+    /// checked read path. The one loader of both unit kinds; it builds no
+    /// graph, no node rows and no model, so a unit costs its columns
+    /// alone.
+    fn gather_keys(&self, file: Option<&Path>, edges: u64) -> Result<KeyColumns> {
         let na = self.schema.node_attr_count();
-        let (mut l, mut r) = (columns(na, edges), columns(na, edges));
-        let mut w = columns(self.schema.edge_attr_count(), edges);
+        // cast: usize is 64 bits (the spill format's host assumption), and
+        // callers check `edges` against a u32 position capacity first
+        let len = edges as usize;
+        let (mut l, mut r) = (columns(na, len), columns(na, len));
+        let mut w = columns(self.schema.edge_attr_count(), len);
         let mut loaded = 0;
         if let Some(path) = file {
             let nodes = &self.node_values;
-            self.for_each_chunk_in(path, &mut |chunk| {
+            self.for_each_chunk_in(path, edges, &mut |chunk| {
                 for a in 0..na {
                     l[a].extend(chunk.srcs.iter().map(|&n| nodes[n as usize * na + a]));
                     r[a].extend(chunk.dsts.iter().map(|&n| nodes[n as usize * na + a]));
@@ -762,8 +790,8 @@ impl<'s> SliceSet<'s> {
     /// no edges.
     pub fn load_keys(&self, value: AttrValue) -> Result<KeyColumns> {
         injected_load_fault("slice.load", "injected fault at slice.load")?;
-        let edges = self.edge_count(value) as usize;
-        check_edge_capacity(edges, CompactModel::MAX_EDGES)?;
+        let edges = self.edge_count(value);
+        check_edge_capacity(edges as usize, CompactModel::MAX_EDGES)?;
         let file = (value != NULL).then(|| self.slice_file(value));
         self.store.gather_keys(file.as_deref(), edges)
     }
@@ -1512,6 +1540,62 @@ mod tests {
         // Restore and the load works again — the store itself is fine.
         fs::write(&path, &pristine).unwrap();
         assert_eq!(edge_set(&store.load_shard(0).unwrap()), edge_set(&g));
+
+        // A file cut at a chunk boundary, or with a valid chunk appended
+        // again, decodes cleanly chunk by chunk: only the recorded edge
+        // count tells. 5 000 edges without edge attributes spill as a
+        // 12-byte header, a 4 096-edge chunk (32 780 bytes) and a
+        // 904-edge one, in the shard file and in the slice file of the
+        // value every source carries alike.
+        let dir = tdir("corrupt_count");
+        let schema = SchemaBuilder::new()
+            .node_attr("A", 2, true)
+            .node_attr("B", 3, false)
+            .build()
+            .unwrap();
+        let mut w = ShardStoreWriter::create(schema, &dir, 1, CompactModel::MAX_EDGES).unwrap();
+        for n in 0..100u16 {
+            w.add_node(&[1, 1 + n % 3]).unwrap();
+        }
+        for e in 0..5_000u32 {
+            w.add_edge(e % 100, (e * 7 + 1) % 100, &[]).unwrap();
+        }
+        let store = w.finish().unwrap();
+        let sdir = tdir("corrupt_count_slices");
+        let set = SliceSet::build(&store, SliceKey::Src(NodeAttrId(0)), &sdir).unwrap();
+        let files = [dir.join("shard-0.edges"), sdir.join("slice-0.edges")];
+        let pristine: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
+        assert!(pristine.iter().all(|b| b.len() == 40_036));
+        let short = |err: Option<GraphError>| {
+            let err = err.expect("a miscounted spill file must not load");
+            assert!(
+                matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
+                "{err}"
+            );
+        };
+        let cut = |b: &[u8]| b[..32_792].to_vec();
+        let again = |b: &[u8]| [b, &b[12..32_792]].concat();
+        for corrupt in [cut, again] {
+            for (file, bytes) in files.iter().zip(&pristine) {
+                fs::write(file, corrupt(bytes)).unwrap();
+            }
+            short(store.load_shard_keys(0).err());
+            short(store.load_shard(0).err());
+            short(
+                SliceSet::build(
+                    &store,
+                    SliceKey::Src(NodeAttrId(1)),
+                    tdir("corrupt_count_b"),
+                )
+                .err(),
+            );
+            short(set.load_keys(1).err());
+        }
+        for (file, bytes) in files.iter().zip(&pristine) {
+            fs::write(file, bytes).unwrap();
+        }
+        assert_eq!(store.load_shard_keys(0).unwrap().edge_count(), 5_000);
+        assert_eq!(set.load_keys(1).unwrap().edge_count(), 5_000);
     }
 
     #[test]

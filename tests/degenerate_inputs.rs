@@ -4,7 +4,8 @@
 //! sequential miner, and the 2-thread parallel miner. Nothing here may
 //! panic; results must be the obvious empty/zero outcomes.
 
-use social_ties::core::parallel::mine_parallel;
+use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
+use social_ties::core::Dims;
 use social_ties::graph::stats::{
     audit_report, degree_summary, homophily_scores, node_marginal, suggest_homophily_attrs,
     DegreeStats,
@@ -46,7 +47,12 @@ fn drive_everything(g: &SocialGraph, label: &str) -> usize {
         MinerConfig::nhp(1, 0.0, 3).without_dynamic_topk(),
     ] {
         let seq = GrMiner::new(g, cfg.clone()).mine();
-        let par = mine_parallel(g, &cfg, 2);
+        let opts = ParallelOptions {
+            threads: 2,
+            ..ParallelOptions::default()
+        };
+        let par = try_mine_parallel_with_opts(g, &cfg, &Dims::all(g.schema()), opts)
+            .expect("a mine without a token or deadline completes");
         assert_eq!(seq.top, par.top, "{label}: parallel diverged");
         assert_eq!(
             seq.stats.semantic(),

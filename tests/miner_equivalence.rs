@@ -6,9 +6,20 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use social_ties::core::baseline::{mine_baseline, BaselineKind};
-use social_ties::core::parallel::mine_parallel;
+use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use social_ties::core::reference::mine_reference;
-use social_ties::{Gr, GrMiner, MinerConfig, SchemaBuilder, SocialGraph};
+use social_ties::core::Dims;
+use social_ties::{Gr, GrMiner, MineResult, MinerConfig, SchemaBuilder, SocialGraph};
+
+/// A three-worker in-core mine of `g`.
+fn mine_three_workers(g: &SocialGraph, cfg: &MinerConfig) -> MineResult {
+    let opts = ParallelOptions {
+        threads: 3,
+        ..ParallelOptions::default()
+    };
+    try_mine_parallel_with_opts(g, cfg, &Dims::all(g.schema()), opts)
+        .expect("a mine without a token or deadline completes")
+}
 
 fn random_graph(seed: u64, nodes: u32, edges: u32) -> SocialGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -63,7 +74,7 @@ fn all_miners_agree_with_reference() {
             assert_eq!(keys(&bl1.top), keys(&oracle), "BL1 seed {seed}");
             let bl2 = mine_baseline(&g, &cfg, BaselineKind::Bl2);
             assert_eq!(keys(&bl2.top), keys(&oracle), "BL2 seed {seed}");
-            let par = mine_parallel(&g, &cfg, 3);
+            let par = mine_three_workers(&g, &cfg);
             assert_eq!(keys(&par.top), keys(&oracle), "parallel seed {seed}");
         }
     }
@@ -127,7 +138,7 @@ fn alt_metrics_match_reference() {
             // workers for the metrics that need supp(r); it must stay
             // bit-identical too.
             if metric.needs_r_marginal() {
-                let par = mine_parallel(&g, &cfg, 3);
+                let par = mine_three_workers(&g, &cfg);
                 assert_eq!(
                     keys(&par.top),
                     keys(&oracle),

@@ -9,7 +9,7 @@
 //! engine-level guarantee that pruning only ever removes work, never
 //! results.
 
-use social_ties::core::parallel::{mine_parallel, try_mine_parallel_with_opts, ParallelOptions};
+use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
 use social_ties::core::Dims;
 use social_ties::datagen::{dblp_config_scaled, pokec_config_scaled};
 use social_ties::{generate, toy_network, GrMiner, MinerConfig, SocialGraph};
@@ -22,11 +22,7 @@ fn engine_matrix() -> Vec<ParallelOptions> {
     let mut m = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         for split_min in [0usize, 1] {
-            m.push(ParallelOptions {
-                threads,
-                split_min,
-                ..ParallelOptions::default()
-            });
+            m.push(ParallelOptions { threads, split_min });
         }
     }
     m
@@ -71,7 +67,6 @@ fn assert_dynamic_matches_static(g: &SocialGraph, cfg: &MinerConfig, label: &str
             let opts = ParallelOptions {
                 threads,
                 split_min: 1,
-                ..ParallelOptions::default()
             };
             let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
             assert_eq!(
@@ -132,7 +127,6 @@ fn stealing_and_splitting_engage_on_skewed_workloads() {
         ParallelOptions {
             threads: 4,
             split_min: 1,
-            ..ParallelOptions::default()
         },
     )
     .unwrap();
@@ -143,39 +137,29 @@ fn stealing_and_splitting_engage_on_skewed_workloads() {
 #[test]
 fn oversubscribed_and_degenerate_pools_on_pokec_like_workload() {
     // Satellite coverage for the shared-context miner: a pool far larger
-    // than the task list (32), a single-thread pool, and both
-    // split_dominant settings must stay bit-identical to sequential and
-    // semantic-counters-identical to each other on the workload whose
-    // dominant `Region` dimension the splitter targets. (The work
-    // counters — partition passes, scratch peak, steals, splits, elapsed
-    // — legitimately vary with the execution strategy.)
+    // than the task list (32) and a single-thread pool must stay
+    // bit-identical to sequential and semantic-counters-identical to
+    // each other on the workload whose dominant `Region` dimension the
+    // splitter targets (one worker mines it whole, more split it into
+    // value ranges). (The work counters — partition passes, scratch
+    // peak, steals, splits, elapsed — legitimately vary with the
+    // execution strategy.)
     let g = generate(&pokec_config_scaled(0.01)).unwrap();
     let cfg = MinerConfig::nhp(5, 0.5, 25).without_dynamic_topk();
     let seq = GrMiner::new(&g, cfg.clone()).mine();
     let dims = Dims::all(g.schema());
     let mut counters: Option<social_ties::MinerStats> = None;
     for threads in [1usize, 2, 32] {
-        for split_dominant in [false, true] {
-            let par = try_mine_parallel_with_opts(
-                &g,
-                &cfg,
-                &dims,
-                ParallelOptions {
-                    threads,
-                    split_dominant,
-                    ..ParallelOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.top, par.top, "threads {threads} split {split_dominant}");
-            let sem = par.stats.semantic();
-            match &counters {
-                None => counters = Some(sem),
-                Some(c) => assert_eq!(
-                    c, &sem,
-                    "counters diverged at threads {threads} split {split_dominant}"
-                ),
-            }
+        let opts = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        let par = try_mine_parallel_with_opts(&g, &cfg, &dims, opts).unwrap();
+        assert_eq!(seq.top, par.top, "threads {threads}");
+        let sem = par.stats.semantic();
+        match &counters {
+            None => counters = Some(sem),
+            Some(c) => assert_eq!(c, &sem, "counters diverged at threads {threads}"),
         }
     }
 }
@@ -216,11 +200,7 @@ fn fused_engine_bit_identical_on_toy_pokec_dblp() {
         let dims = Dims::all(g.schema());
         for threads in [1usize, 2, 4] {
             for split_min in [0usize, 1] {
-                let opts = ParallelOptions {
-                    threads,
-                    split_min,
-                    ..ParallelOptions::default()
-                };
+                let opts = ParallelOptions { threads, split_min };
                 let par = try_mine_parallel_with_opts(g, &cfg, &dims, opts).unwrap();
                 assert_eq!(seq.top, par.top, "{label}: parallel diverged ({opts:?})");
                 assert_eq!(
@@ -240,13 +220,19 @@ fn fused_engine_bit_identical_on_toy_pokec_dblp() {
 
 #[test]
 fn default_entry_point_splits_and_matches() {
-    // `mine_parallel` (stealing, splitting and dominant-task chunking on
-    // by default) equals sequential too.
+    // The default options (stealing, splitting and dominant-range
+    // chunking on) equal sequential too.
     let g = generate(&pokec_config_scaled(0.01)).unwrap();
     let cfg = MinerConfig::nhp(5, 0.5, 25).without_dynamic_topk();
     let seq = GrMiner::new(&g, cfg.clone()).mine();
+    let dims = Dims::all(g.schema());
     for threads in [2usize, 4] {
-        let par = mine_parallel(&g, &cfg, threads);
+        let opts = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        let par = try_mine_parallel_with_opts(&g, &cfg, &dims, opts)
+            .expect("a mine without a token or deadline completes");
         assert_eq!(seq.top, par.top, "threads {threads}");
     }
 }

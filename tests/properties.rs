@@ -432,7 +432,6 @@ proptest! {
             ParallelOptions {
                 threads,
                 split_min: 1,
-                ..ParallelOptions::default()
             },
         )
         .unwrap();
