@@ -111,6 +111,25 @@ impl MinerConfig {
         }
     }
 
+    /// The defaults of a mine request over `edge_count` edges, shared by
+    /// the `grmine mine` CLI and the `grmined` service so the two answer
+    /// identically: `min_supp = max(1, |E| / 1000)`, `min_score` 0.5 for
+    /// an anti-monotone metric and −∞ otherwise, `k = 20`, and the
+    /// metric's trivial-GR policy ([`Self::with_metric`]).
+    pub fn for_request(metric: RankMetric, edge_count: u64) -> Self {
+        MinerConfig {
+            min_supp: (edge_count / 1000).max(1),
+            min_score: if metric.anti_monotone() {
+                0.5
+            } else {
+                f64::NEG_INFINITY
+            },
+            k: 20,
+            ..Self::default()
+        }
+        .with_metric(metric)
+    }
+
     /// Replace the absolute `min_supp` with `rel · |E|` (the paper quotes
     /// relative supports: 0.1% of 21,078,140 edges = 21,078 absolute).
     pub fn with_relative_supp(mut self, rel: f64, edge_count: u64) -> Self {
@@ -232,6 +251,16 @@ mod tests {
             .replace(",\"cancel\":false", "");
         let back: MinerConfig = serde_json::from_str(&json).unwrap();
         assert!(back.cancel.is_inert());
+    }
+
+    #[test]
+    fn request_defaults_follow_the_metric() {
+        let c = MinerConfig::for_request(RankMetric::Nhp, 21_078);
+        assert_eq!((c.min_supp, c.min_score, c.k), (21, 0.5, 20));
+        assert!(c.suppress_trivial && c.dynamic_topk);
+        let c = MinerConfig::for_request(RankMetric::Lift, 999);
+        assert_eq!((c.min_supp, c.min_score, c.k), (1, f64::NEG_INFINITY, 20));
+        assert!(!c.suppress_trivial);
     }
 
     #[test]

@@ -76,7 +76,6 @@ use crate::generality::GeneralityIndex;
 use crate::gr::{Gr, ScoredGr};
 use crate::metrics::MetricInputs;
 use crate::miner::{MineResult, MinerScratch, Run, SplitPolicy, SubtreeTask};
-use crate::query::GrMeasures;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use crate::topk::SharedBound;
@@ -131,9 +130,9 @@ pub(crate) trait Engine: Sync {
     /// loop top and ends the mine with that error.
     fn mine(&self, unit: Self::Unit, worker: &mut Worker<'_>) -> Result<(), MinerError>;
 
-    /// Measure `gr` against the complete edge set (the post-pass's
+    /// Count `gr` over the complete edge set (the post-pass's
     /// suppressor check).
-    fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError>;
+    fn evaluate(&self, gr: &Gr) -> Result<MetricInputs, MinerError>;
 
     /// Fold the engine's own counters into the stats of a finished or
     /// failed mine.
@@ -597,8 +596,8 @@ impl Worker<'_> {
     }
 }
 
-/// A GR measurement over an engine's complete edge set.
-type Evaluate<'e> = &'e dyn Fn(&Gr) -> Result<GrMeasures, MinerError>;
+/// A GR's counts over an engine's complete edge set.
+type Evaluate<'e> = &'e dyn Fn(&Gr) -> Result<MetricInputs, MinerError>;
 
 /// Top-k selection (Def. 5(3)) with **exact** Def. 5(2) generality,
 /// also for runs whose collected candidate set may be missing
@@ -747,12 +746,5 @@ fn generalization_passes(
     if m.supp < config.min_supp {
         return Ok(false);
     }
-    let score = config.metric.evaluate(MetricInputs {
-        supp: m.supp,
-        supp_lw: m.supp_lw,
-        heff: m.heff,
-        supp_r: m.supp_r,
-        edges: m.edges,
-    });
-    Ok(score >= config.min_score)
+    Ok(config.metric.evaluate(m) >= config.min_score)
 }

@@ -24,10 +24,24 @@ pub struct MetricInputs {
     /// `|E(l -w-> l[β])|`; 0 when β = ∅.
     pub heff: u64,
     /// `|E(r)|`. Only consulted by lift / Piatetsky-Shapiro / conviction;
-    /// miners fill it lazily for those metrics and leave 0 otherwise.
+    /// the recursion fills it lazily for those metrics and leaves 0
+    /// otherwise.
     pub supp_r: u64,
     /// `|E|`.
     pub edges: u64,
+}
+
+/// Field-wise sum. Counted over disjoint edge sets
+/// ([`crate::query::counts`]), every field is a sum of per-edge
+/// indicators, so the inputs of the parts add up to those of the union.
+impl std::ops::AddAssign for MetricInputs {
+    fn add_assign(&mut self, rhs: Self) {
+        self.supp += rhs.supp;
+        self.supp_lw += rhs.supp_lw;
+        self.heff += rhs.heff;
+        self.supp_r += rhs.supp_r;
+        self.edges += rhs.edges;
+    }
 }
 
 /// Confidence `P(r | l ∧ w)` (Def. 3, Eqn. 3).

@@ -41,8 +41,9 @@ use crate::context::MiningContext;
 use crate::error::MinerError;
 use crate::exec::{Engine, Exec, Worker};
 use crate::gr::Gr;
+use crate::metrics::MetricInputs;
 use crate::miner::{MineResult, RootTask, SplitPolicy, SubtreeTask};
-use crate::query::{self, GrMeasures};
+use crate::query;
 use crate::tail::Dims;
 use grm_graph::shard::ShardSpec;
 use grm_graph::{Schema, SocialGraph};
@@ -126,7 +127,7 @@ enum PoolTask {
 }
 
 /// The in-core engine: every unit runs over one shared [`MiningContext`],
-/// and the post-pass measures suppressors over its key columns.
+/// and the post-pass counts suppressors over its key columns.
 struct InCore<'g> {
     schema: &'g Schema,
     ctx: MiningContext,
@@ -157,17 +158,8 @@ impl Engine for InCore<'_> {
         Ok(())
     }
 
-    fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError> {
-        let (supp, supp_lw, supp_r, heff) = query::counts(self.schema, self.ctx.keys(), gr);
-        Ok(GrMeasures::from_counts(
-            self.schema,
-            gr,
-            supp,
-            supp_lw,
-            supp_r,
-            heff,
-            self.ctx.edges_total(),
-        ))
+    fn evaluate(&self, gr: &Gr) -> Result<MetricInputs, MinerError> {
+        Ok(query::counts(self.schema, self.ctx.keys(), gr))
     }
 }
 

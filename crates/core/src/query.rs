@@ -8,10 +8,13 @@
 //!
 //! [`counts`] is the one loop that counts a GR, over any [`EdgeView`]:
 //! a graph's row-major tables (the reference behind [`evaluate`]) or a
-//! mine's [`KeyColumns`], which the engines' post-passes count over.
+//! mine's [`KeyColumns`], which the engines' post-passes count over. It
+//! returns the [`MetricInputs`] a metric scores, so a post-pass scores a
+//! suppressor from its counts directly.
 
 use crate::beta::{beta, l_beta, BetaSet};
 use crate::gr::Gr;
+use crate::metrics::MetricInputs;
 use grm_graph::{AttrValue, EdgeAttrId, KeyColumns, NodeAttrId, Schema, SocialGraph};
 use serde::{Deserialize, Serialize};
 
@@ -41,16 +44,32 @@ pub struct GrMeasures {
 
 /// Measure `gr` against `graph` in a single pass over the edges.
 pub fn evaluate(graph: &SocialGraph, gr: &Gr) -> GrMeasures {
-    let (supp, supp_lw, supp_r, heff) = counts(graph.schema(), graph, gr);
-    GrMeasures::from_counts(
-        graph.schema(),
-        gr,
+    let schema = graph.schema();
+    let MetricInputs {
+        supp,
+        supp_lw,
+        heff,
+        supp_r,
+        edges,
+    } = counts(schema, graph, gr);
+    let conf = (supp_lw > 0).then(|| supp as f64 / supp_lw as f64);
+    let denom = supp_lw.saturating_sub(heff);
+    let nhp = (denom > 0).then(|| supp as f64 / denom as f64);
+    GrMeasures {
         supp,
         supp_lw,
         supp_r,
         heff,
-        graph.edge_count() as u64,
-    )
+        edges,
+        beta_attrs: beta(schema, &gr.l, &gr.r).iter().collect(),
+        supp_rel: if edges > 0 {
+            supp as f64 / edges as f64
+        } else {
+            0.0
+        },
+        conf,
+        nhp,
+    }
 }
 
 /// Per-edge attribute reads: what [`counts`] scans. A graph reads them
@@ -96,13 +115,12 @@ impl EdgeView for KeyColumns {
     }
 }
 
-/// The four raw edge counts of `gr` over `edges`, a graph or key
-/// columns of `schema`: `(supp, supp_lw, supp_r, heff)`. Each is a sum
-/// of per-edge indicators, so all four are *additive over any partition
-/// of the edge set* — the sharded miner ([`crate::sharded`]) evaluates a
-/// GR on an out-of-core graph by summing these per shard and deriving
-/// the measures once with [`GrMeasures::from_counts`].
-pub fn counts<E: EdgeView>(schema: &Schema, edges: &E, gr: &Gr) -> (u64, u64, u64, u64) {
+/// The raw edge counts of `gr` over `edges`, a graph or key columns of
+/// `schema`, with `edges` set to the view's edge count. Each field is a
+/// sum of per-edge indicators, so all five are *additive over any
+/// partition of the edge set* — the sharded miner ([`crate::sharded`])
+/// counts a GR on an out-of-core graph by summing them per shard.
+pub fn counts<E: EdgeView>(schema: &Schema, edges: &E, gr: &Gr) -> MetricInputs {
     let b: BetaSet = beta(schema, &gr.l, &gr.r);
     let lbeta = l_beta(&gr.l, b);
 
@@ -134,46 +152,16 @@ pub fn counts<E: EdgeView>(schema: &Schema, edges: &E, gr: &Gr) -> (u64, u64, u6
             heff += 1;
         }
     }
-    (supp, supp_lw, supp_r, heff)
+    MetricInputs {
+        supp,
+        supp_lw,
+        heff,
+        supp_r,
+        edges: edges.edge_count() as u64,
+    }
 }
 
 impl GrMeasures {
-    /// Derive the full measurement from the four raw counts (see
-    /// [`counts`]) and the global edge total. The derived-field formulas
-    /// are the single source of truth for both the one-graph
-    /// [`evaluate`] and the sharded summed-counts path, so the two can
-    /// never drift.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_counts(
-        schema: &Schema,
-        gr: &Gr,
-        supp: u64,
-        supp_lw: u64,
-        supp_r: u64,
-        heff: u64,
-        edges: u64,
-    ) -> Self {
-        let b: BetaSet = beta(schema, &gr.l, &gr.r);
-        let conf = (supp_lw > 0).then(|| supp as f64 / supp_lw as f64);
-        let denom = supp_lw.saturating_sub(heff);
-        let nhp = (denom > 0).then(|| supp as f64 / denom as f64);
-        GrMeasures {
-            supp,
-            supp_lw,
-            supp_r,
-            heff,
-            edges,
-            beta_attrs: b.iter().collect(),
-            supp_rel: if edges > 0 {
-                supp as f64 / edges as f64
-            } else {
-                0.0
-            },
-            conf,
-            nhp,
-        }
-    }
-
     /// One-line summary, e.g. `supp=2 (13.3%), conf=33.3%, nhp=100.0%`.
     pub fn summary(&self) -> String {
         let pct = |v: Option<f64>| match v {

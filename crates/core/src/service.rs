@@ -640,9 +640,8 @@ impl Service {
     // -- mine ---------------------------------------------------------------
 
     fn handle_mine(&self, map: &mut Vec<(String, Content)>, conn: &CancelToken) -> Handled {
-        // Defaults mirror the `grmine mine` CLI so the two front-ends
+        // Defaults are the `grmine mine` CLI's, so the two front-ends
         // answer identically for identical inputs.
-        let edge_count = self.graph.edge_count() as u64;
         let metric_name = field::str(map, "metric")?.unwrap_or_else(|| "nhp".to_string());
         let Some(metric) = RankMetric::from_name(&metric_name) else {
             return Err(ErrorBody::new(
@@ -650,13 +649,10 @@ impl Service {
                 format!("unknown metric `{metric_name}`"),
             ));
         };
-        let min_supp = field::u64(map, "min_supp")?.unwrap_or_else(|| (edge_count / 1000).max(1));
-        let min_score = field::f64(map, "min_score")?.unwrap_or(if metric.anti_monotone() {
-            0.5
-        } else {
-            f64::NEG_INFINITY
-        });
-        let k = field::usize(map, "k")?.unwrap_or(20);
+        let defaults = MinerConfig::for_request(metric, self.graph.edge_count() as u64);
+        let min_supp = field::u64(map, "min_supp")?.unwrap_or(defaults.min_supp);
+        let min_score = field::f64(map, "min_score")?.unwrap_or(defaults.min_score);
+        let k = field::usize(map, "k")?.unwrap_or(defaults.k);
         let dynamic = field::bool(map, "dynamic")?.unwrap_or(true);
         let timeout_ms = field::u64(map, "timeout_ms")?;
         let threads = field::usize(map, "threads")?
@@ -684,9 +680,8 @@ impl Service {
             max_rhs,
             allow_empty_lhs,
             deadline_ms,
-            ..MinerConfig::default()
-        }
-        .with_metric(metric);
+            ..defaults
+        };
         cfg.cancel = token.clone();
 
         // Cache key: the full normalized config. The deadline and token

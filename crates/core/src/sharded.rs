@@ -60,9 +60,10 @@
 //! load them the same way: gathered from the spill file against the
 //! store's resident node table, positions in spill order — no graph, no
 //! node rows, no model. A shard unit leases its columns from the pool,
-//! which keeps them for the post-pass and shares them with the unit's
-//! [`MiningContext`]; a slice unit reserves its budget and loads its
-//! columns ([`SliceSet::load_keys`]). The recursion is invariant under a
+//! which loads them on a miss ([`ShardStore::load_shard`]), keeps them
+//! for the post-pass and shares them with the unit's [`MiningContext`];
+//! a slice unit reserves its budget and loads its columns
+//! ([`SliceSet::load_keys`]). The recursion is invariant under a
 //! permutation of its positions, so the order changes no result and no
 //! counter.
 //!
@@ -70,11 +71,11 @@
 //! global edge total ([`MiningContext::with_edges_total`]), on the same
 //! execution core, shared bound and exactness-verified post-pass as the
 //! parallel engine (`crate::exec`) — with one twist: the post-pass
-//! evaluator measures candidate suppressors by summing
-//! [`query::counts`] over every shard's columns (the four counts are
+//! counts a candidate suppressor by summing its [`MetricInputs`] from
+//! [`query::counts`] over every shard's columns (each field is a sum of
 //! per-edge indicators, hence additive over any partition of the
-//! edges), so the verification is exact without ever holding the whole
-//! graph.
+//! edges) and scores the sum, so the verification is exact without ever
+//! holding the whole graph.
 //!
 //! Metrics that need global RHS marginal tables (lift,
 //! Piatetsky-Shapiro, conviction —
@@ -99,8 +100,9 @@ use crate::context::MiningContext;
 use crate::error::MinerError;
 use crate::exec::{Engine, Exec, Worker};
 use crate::gr::Gr;
+use crate::metrics::MetricInputs;
 use crate::miner::{MineResult, RootTask};
-use crate::query::{self, GrMeasures};
+use crate::query;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use grm_graph::shard::{resident_cost, ShardPool, ShardStore, SliceKey, SliceSet};
@@ -326,28 +328,16 @@ impl Engine for Sharded<'_> {
         Ok(())
     }
 
-    fn evaluate(&self, gr: &Gr) -> Result<GrMeasures, MinerError> {
-        let (mut supp, mut supp_lw, mut supp_r, mut heff) = (0u64, 0u64, 0u64, 0u64);
+    fn evaluate(&self, gr: &Gr) -> Result<MetricInputs, MinerError> {
+        let mut sum = MetricInputs::default();
         for s in 0..self.store.shard_count() {
             if self.store.edge_count(s) == 0 {
                 continue;
             }
             let lease = self.pool.acquire(s)?;
-            let (a, b, c, d) = query::counts(self.store.schema(), &**lease.keys(), gr);
-            supp += a;
-            supp_lw += b;
-            supp_r += c;
-            heff += d;
+            sum += query::counts(self.store.schema(), &**lease.keys(), gr);
         }
-        Ok(GrMeasures::from_counts(
-            self.store.schema(),
-            gr,
-            supp,
-            supp_lw,
-            supp_r,
-            heff,
-            self.store.total_edges(),
-        ))
+        Ok(sum)
     }
 
     /// Fold the storage-layer counters into `stats`: pool residency and

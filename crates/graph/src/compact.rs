@@ -39,7 +39,7 @@
 //! owned type of their own: [`CompactModel::into_keys`] keeps them and
 //! drops the structural columns, and the out-of-core engine gathers a
 //! shard's or value slice's columns straight from its spill file
-//! ([`crate::shard::ShardStore::load_shard_keys`],
+//! ([`crate::shard::ShardStore::load_shard`],
 //! [`crate::shard::SliceSet::load_keys`]) without building a graph or a
 //! model at all.
 

@@ -99,7 +99,7 @@ pub enum GraphError {
     DanglingEndpoint { node: u32, nodes: usize },
     /// Adding one more node would exhaust the u32 node-id space
     /// ([`crate::value::NodeId`]); ids are assigned by
-    /// [`crate::value::next_node_id`], never by raw `as` narrowing.
+    /// `next_node_id`, never by raw `as` narrowing.
     TooManyNodes { nodes: usize },
     /// Adding one more edge would exhaust the u32 edge-id space
     /// ([`crate::value::EdgeId`]).

@@ -1,8 +1,7 @@
 //! Sharded, memory-budgeted out-of-core edge storage.
 //!
-//! [`CompactModel`](crate::CompactModel) indexes EArray positions with
-//! `u32`, capping any single resident model at
-//! [`CompactModel::MAX_EDGES`](crate::CompactModel::MAX_EDGES) edges.
+//! [`CompactModel`] indexes EArray positions with `u32`, capping any
+//! single resident model at [`CompactModel::MAX_EDGES`] edges.
 //! This module breaks that cap by partitioning the edge set into
 //! independently loadable **shards**, each small enough to be mined over
 //! its own positions:
@@ -29,11 +28,9 @@
 //!   resident pinned) is not a deadlock.
 //!
 //! A shard and a slice load the same way: as the [`KeyColumns`] a mining
-//! unit reads ([`ShardStore::load_shard_keys`], [`SliceSet::load_keys`]),
+//! unit reads ([`ShardStore::load_shard`], [`SliceSet::load_keys`]),
 //! gathered from the spill file against the store's resident node table
 //! in spill order — no graph, no node rows, no compact model.
-//! [`ShardStore::load_shard`] still rebuilds a shard as a standalone
-//! [`SocialGraph`] for callers that want one; no engine does.
 //!
 //! Every reader — shard loads, slice-set builds, key loads — goes
 //! through one read path: the decoder verifies the file header and each
@@ -44,10 +41,12 @@
 //!
 //! Residency accounting uses [`resident_cost`], the bytes a mining unit
 //! holds — its key columns plus its position buffer, the same formula
-//! for a shard and a slice — so `shard_resident_bytes_peak ≤ budget`
-//! holds by construction whenever the pool hands out a lease.
+//! for a shard and a slice. The pool keeps one ledger, under its mutex:
+//! the budget, the resident shards and reservations, and the peak of
+//! their sum, raised wherever a shard or a reservation is admitted. So
+//! `shard_resident_bytes_peak ≤ budget` holds by construction whenever
+//! the pool hands out a lease.
 
-use crate::builder::GraphBuilder;
 use crate::cancel::CancelToken;
 use crate::compact::{check_edge_capacity, CompactModel, KeyColumns};
 use crate::error::{GraphError, ResidentUnit, Result, ShardIoError};
@@ -61,8 +60,8 @@ use std::fs;
 use std::io::Write as _;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Edges buffered per shard before a chunk is spilled to disk.
 const CHUNK_EDGES: usize = 4096;
@@ -341,16 +340,6 @@ impl ShardStoreWriter {
         max_edges_per_shard: usize,
     ) -> Result<Self> {
         let spec = ShardSpec::new(&schema, shards);
-        Self::with_spec(schema, dir, spec, max_edges_per_shard)
-    }
-
-    /// Start a store with an explicit [`ShardSpec`].
-    pub fn with_spec(
-        schema: Schema,
-        dir: impl AsRef<Path>,
-        spec: ShardSpec,
-        max_edges_per_shard: usize,
-    ) -> Result<Self> {
         let router = ChunkRouter::create(
             dir.as_ref(),
             "shard",
@@ -510,11 +499,6 @@ impl ShardStore {
         &self.node_values[n as usize * w..(n as usize + 1) * w]
     }
 
-    /// The per-shard capacity this store was built under.
-    pub fn max_edges_per_shard(&self) -> usize {
-        self.max_edges_per_shard
-    }
-
     /// Transient spill-write failures retried (and recovered from)
     /// while the store was written; bounded to one retry per chunk.
     pub fn spill_retries(&self) -> u64 {
@@ -611,38 +595,12 @@ impl ShardStore {
         Ok(())
     }
 
-    /// Shared load prelude: the `shard.load` failpoint probe and the
-    /// per-shard capacity check, identical for both shard loads.
-    fn load_prelude(&self, s: usize) -> Result<()> {
-        injected_load_fault("shard.load", "injected fault at shard.load")?;
-        check_edge_capacity(self.edge_counts[s] as usize, self.max_edges_per_shard)
-    }
-
-    /// Load shard `s` as a standalone graph: every node row plus the
-    /// shard's edges, re-validated by the builder.
-    pub fn load_shard(&self, s: usize) -> Result<SocialGraph> {
-        self.load_prelude(s)?;
-        let mut b = GraphBuilder::with_capacity(
-            (*self.schema).clone(),
-            self.node_count(),
-            self.edge_counts[s] as usize,
-        )
-        .allow_self_loops();
-        for n in 0..self.node_count() {
-            // cast: n < node_count, and ids were assigned via next_node_id
-            b.add_node(self.node_row(n as NodeId))?;
-        }
-        self.for_each_edge(s, |src, dst, vals| {
-            b.add_edge(src, dst, vals)?;
-            Ok(())
-        })?;
-        b.build()
-    }
-
     /// Load shard `s` as the key columns a mining unit reads, positions
-    /// in spill order, through the store's one key loader.
-    pub fn load_shard_keys(&self, s: usize) -> Result<KeyColumns> {
-        self.load_prelude(s)?;
+    /// in spill order, through the store's one key loader. A shard over
+    /// the store's per-shard capacity fails before any byte is read.
+    pub fn load_shard(&self, s: usize) -> Result<KeyColumns> {
+        injected_load_fault("shard.load", "injected fault at shard.load")?;
+        check_edge_capacity(self.edge_counts[s] as usize, self.max_edges_per_shard)?;
         self.gather_keys(Some(&self.edge_file(s)), self.edge_counts[s])
     }
 
@@ -719,7 +677,6 @@ impl SliceKey {
 /// the set removes its files.
 pub struct SliceSet<'s> {
     store: &'s ShardStore,
-    key: SliceKey,
     dir: PathBuf,
     edge_counts: Vec<u64>,
     spill_retries: u64,
@@ -749,16 +706,10 @@ impl<'s> SliceSet<'s> {
         let (dir, edge_counts, spill_retries) = router.finish()?;
         Ok(SliceSet {
             store,
-            key,
             dir,
             edge_counts,
             spill_retries,
         })
-    }
-
-    /// The key attribute.
-    pub fn key(&self) -> SliceKey {
-        self.key
     }
 
     /// Transient spill-write failures retried (and recovered from)
@@ -809,61 +760,14 @@ impl Drop for SliceSet<'_> {
 /// slice alike: its key columns (one value per position for each node
 /// attribute on either side and each edge attribute) plus the position
 /// buffer it mines. Both are allocated at exactly this size, so the pool
-/// budgets and meters what a unit holds.
+/// budgets and accounts what a unit holds.
 pub fn resident_cost(schema: &Schema, edges: usize) -> u64 {
     let columns = 2 * schema.node_attr_count() + schema.edge_attr_count();
     let per_edge = columns * std::mem::size_of::<AttrValue>() + std::mem::size_of::<u32>();
     edges as u64 * per_edge as u64
 }
 
-/// Lock-free residency accounting mirror: the pool mutates it only
-/// under its mutex, the atomics exist so stats readers (progress
-/// displays, the miner's counter snapshot) never take the pool lock.
-#[derive(Debug, Default)]
-pub struct ResidencyMeter {
-    current: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl ResidencyMeter {
-    fn add(&self, bytes: u64) {
-        // ordering: AcqRel — every add/sub happens under the pool mutex
-        // (grm_analyze::model::shard models acquire/release as single
-        // mutex-guarded steps and proves the accounting never exceeds
-        // the budget, invariant 2); the RMW's Release half publishes
-        // the new total to lock-free `current()` readers and the
-        // Acquire half orders it after the resident-columns write it
-        // accounts for. A Relaxed RMW is banned repo-wide.
-        let now = self.current.fetch_add(bytes, Ordering::AcqRel) + bytes;
-        // ordering: AcqRel — fetch_max serializes racing peak updates
-        // into one total order, so no maximum is ever lost; the peak is
-        // a monotone fold over the model-checked accounting above.
-        self.peak.fetch_max(now, Ordering::AcqRel);
-    }
-
-    fn sub(&self, bytes: u64) {
-        // ordering: AcqRel — pairs with `add`; mutex-serialized writers
-        // (grm_analyze::model::shard, invariant 3: pins equal holders,
-        // so every sub matches a prior add), Release-published for
-        // lock-free readers.
-        self.current.fetch_sub(bytes, Ordering::AcqRel);
-    }
-
-    /// Bytes currently accounted resident.
-    pub fn current(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel RMWs above, so a
-        // reader sees totals at least as fresh as the last publish.
-        self.current.load(Ordering::Acquire)
-    }
-
-    /// High-water mark of [`Self::current`].
-    pub fn peak(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel fetch_max publish.
-        self.peak.load(Ordering::Acquire)
-    }
-}
-
-/// Snapshot of a pool's activity, feeding the miner's
+/// Snapshot of a pool's ledger, feeding the miner's
 /// `shard_loads` / `shard_evictions` / `shard_resident_bytes_peak`
 /// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -872,7 +776,9 @@ pub struct PoolStats {
     pub loads: u64,
     /// Budget-pressure evictions.
     pub evictions: u64,
-    /// High-water mark of accounted resident bytes.
+    /// Bytes accounted resident now: resident shards plus reservations.
+    pub resident_bytes: u64,
+    /// High-water mark of `resident_bytes`.
     pub resident_bytes_peak: u64,
 }
 
@@ -883,35 +789,89 @@ struct Resident {
     last_used: u64,
 }
 
+/// The pool's one ledger, guarded by its mutex.
 struct PoolState {
     resident: Vec<Option<Resident>>,
     tick: u64,
     reserved: u64,
+    /// Accounted-byte budget: set at construction, and shrunk mid-mine
+    /// only by the `pool.evict` failpoint under `fault-inject`.
+    budget: u64,
+    /// High-water mark of the accounted bytes, raised wherever a shard
+    /// or a reservation is admitted.
+    peak: u64,
     loads: u64,
     evictions: u64,
+}
+
+impl PoolState {
+    /// Bytes accounted resident: resident shards plus reservations.
+    fn accounted(&self) -> u64 {
+        let mut sum = self.reserved;
+        for r in self.resident.iter().flatten() {
+            sum += r.bytes;
+        }
+        sum
+    }
+
+    /// Evict unpinned LRU residents until `need` more bytes of `unit`
+    /// fit. `Ok(true)`: fits now. `Ok(false)`: blocked on pins — drop
+    /// the lock and retry. `Err`: no schedule can ever fit `need`.
+    fn make_room(&mut self, need: u64, unit: ResidentUnit) -> Result<bool> {
+        if let Some(failpoint::FaultKind::ShrinkBudget(b)) = failpoint::hit("pool.evict") {
+            self.budget = self.budget.min(b);
+        }
+        while self.accounted() + need > self.budget {
+            let mut victim: Option<(usize, u64)> = None;
+            for (i, slot) in self.resident.iter().enumerate() {
+                if let Some(r) = slot {
+                    if r.pins == 0 && victim.is_none_or(|(_, lu)| r.last_used < lu) {
+                        victim = Some((i, r.last_used));
+                    }
+                }
+            }
+            match victim {
+                Some((v, _)) => {
+                    self.resident[v] = None;
+                    self.evictions += 1;
+                }
+                None => {
+                    // Everything resident is pinned (or reserved). If
+                    // nothing is, no future release frees room: the
+                    // budget is simply too small for `need`.
+                    let held = self.reserved > 0 || self.resident.iter().any(|x| x.is_some());
+                    if !held {
+                        return Err(GraphError::MemoryBudgetTooSmall {
+                            needed: need,
+                            budget: self.budget,
+                            unit,
+                        });
+                    }
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The LRU shard-residency manager (module docs; protocol proved in
 /// `grm_analyze::model::shard`).
 pub struct ShardPool<'s> {
     store: &'s ShardStore,
-    /// Accounted-byte budget. Atomic only because the `pool.evict`
-    /// failpoint can shrink it mid-mine under `fault-inject`; in a
-    /// production build it is written once, at construction.
-    budget: AtomicU64,
-    /// Observed in the blocked waits of [`Self::acquire`] and
+    /// Observed in the blocked wait of [`Self::acquire`] and
     /// [`Self::reserve`], so a cancelled mine never spins forever
     /// waiting for pins that will not be released.
     cancel: CancelToken,
     state: Mutex<PoolState>,
-    meter: ResidencyMeter,
 }
 
 impl std::fmt::Debug for ShardPool<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.state.lock();
         f.debug_struct("ShardPool")
-            .field("budget", &self.budget())
-            .field("resident_bytes", &self.meter.current())
+            .field("budget", &st.budget)
+            .field("resident_bytes", &st.accounted())
             .finish()
     }
 }
@@ -951,8 +911,8 @@ impl Drop for ShardLease<'_, '_> {
 }
 
 /// Budget headroom reserved for a transient resident (a value slice):
-/// the bytes stay accounted until the reservation drops, flowing
-/// through the same meter and budget as pinned shards.
+/// the bytes stay accounted until the reservation drops, in the same
+/// ledger and under the same budget as pinned shards.
 pub struct Reservation<'p, 's> {
     pool: &'p ShardPool<'s>,
     bytes: u64,
@@ -997,20 +957,20 @@ impl<'s> ShardPool<'s> {
         }
         Ok(ShardPool {
             store,
-            budget: AtomicU64::new(budget),
             cancel: CancelToken::default(),
             state: Mutex::new(PoolState {
                 resident,
                 tick: 0,
                 reserved: 0,
+                budget,
+                peak: 0,
                 loads: 0,
                 evictions: 0,
             }),
-            meter: ResidencyMeter::default(),
         })
     }
 
-    /// Observe `token` in the pool's blocked waits: once it trips,
+    /// Observe `token` in the pool's blocked wait: once it trips,
     /// [`Self::acquire`] and [`Self::reserve`] return
     /// [`GraphError::Cancelled`] instead of waiting for room.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
@@ -1020,16 +980,7 @@ impl<'s> ShardPool<'s> {
 
     /// The effective byte budget.
     pub fn budget(&self) -> u64 {
-        // ordering: Acquire pairs with the Release store in
-        // `make_room`'s ShrinkBudget failpoint; without `fault-inject`
-        // the budget is immutable after construction and any ordering
-        // would do.
-        self.budget.load(Ordering::Acquire)
-    }
-
-    /// The lock-free accounting mirror.
-    pub fn meter(&self) -> &ResidencyMeter {
-        &self.meter
+        self.state.lock().budget
     }
 
     /// Resident bytes of shard `s` ([`resident_cost`]).
@@ -1037,109 +988,74 @@ impl<'s> ShardPool<'s> {
         resident_cost(self.store.schema(), self.store.edge_count(s) as usize)
     }
 
-    fn accounted(state: &PoolState) -> u64 {
-        let mut sum = state.reserved;
-        for r in state.resident.iter().flatten() {
-            sum += r.bytes;
-        }
-        sum
-    }
-
-    /// Evict unpinned LRU residents until `need` more bytes of `unit`
-    /// fit. `Ok(true)`: fits now. `Ok(false)`: blocked on pins — drop
-    /// the lock and retry. `Err`: no schedule can ever fit `need`.
-    fn make_room(&self, state: &mut PoolState, need: u64, unit: ResidentUnit) -> Result<bool> {
-        if let Some(failpoint::FaultKind::ShrinkBudget(b)) = failpoint::hit("pool.evict") {
-            // ordering: Release pairs with the Acquire in `budget()`;
-            // the injected shrink must be visible to every later
-            // budget read. Fault-injection only — the budget never
-            // changes otherwise.
-            self.budget.store(self.budget().min(b), Ordering::Release);
-        }
-        while Self::accounted(state) + need > self.budget() {
-            let mut victim: Option<(usize, u64)> = None;
-            for (i, slot) in state.resident.iter().enumerate() {
-                if let Some(r) = slot {
-                    if r.pins == 0 && victim.is_none_or(|(_, lu)| r.last_used < lu) {
-                        victim = Some((i, r.last_used));
-                    }
-                }
-            }
-            match victim {
-                Some((v, _)) => {
-                    if let Some(r) = state.resident[v].take() {
-                        self.meter.sub(r.bytes);
-                        state.evictions += 1;
-                    }
-                }
-                None => {
-                    // Everything resident is pinned (or reserved). If
-                    // nothing is, no future release frees room: the
-                    // budget is simply too small for `need`.
-                    let held = state.reserved > 0 || state.resident.iter().any(|x| x.is_some());
-                    if !held {
-                        return Err(GraphError::MemoryBudgetTooSmall {
-                            needed: need,
-                            budget: self.budget(),
-                            unit,
-                        });
-                    }
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Pin shard `s`, loading it (and evicting unpinned LRU residents)
-    /// if absent. Blocks — releasing the lock between attempts — while
-    /// every evictable byte is pinned; the model's blocked-wait
-    /// self-loop proves this wait is not a deadlock.
-    pub fn acquire(&self, s: usize) -> Result<ShardLease<'_, 's>> {
+    /// The one blocked wait of [`Self::acquire`] and [`Self::reserve`].
+    /// Each attempt checks the cancel token and takes the lock; `hit`
+    /// may then answer without new bytes (a resident shard). Otherwise
+    /// the attempt evicts to fit `need` more bytes of `unit`, and once
+    /// they fit `admit` accounts them and the peak is raised, all under
+    /// the one lock. While every evictable byte is pinned the lock is
+    /// dropped for 1 ms between attempts.
+    fn wait<T>(
+        &self,
+        need: u64,
+        unit: ResidentUnit,
+        mut hit: impl FnMut(&mut PoolState) -> Option<T>,
+        mut admit: impl FnMut(&mut PoolState) -> Result<T>,
+    ) -> Result<T> {
         loop {
             if self.cancel.is_cancelled() {
                 return Err(GraphError::Cancelled);
             }
             {
                 let mut st = self.state.lock();
-                st.tick += 1;
-                let tick = st.tick;
-                if let Some(r) = st.resident[s].as_mut() {
-                    r.pins += 1;
-                    r.last_used = tick;
-                    let keys = Arc::clone(&r.keys);
-                    return Ok(ShardLease {
-                        pool: self,
-                        shard: s,
-                        keys,
-                    });
+                if let Some(out) = hit(&mut st) {
+                    return Ok(out);
                 }
-                let need = self.shard_cost(s);
-                if self.make_room(&mut st, need, ResidentUnit::Shard)? {
-                    // Load inside the lock: the model's acquire is one
-                    // atomic step (grm_analyze::model::shard), and
-                    // holding the mutex through the load keeps the
-                    // budget check and the insertion indivisible — a
-                    // concurrent acquirer can neither double-load nor
-                    // observe the budget mid-update.
-                    let keys = Arc::new(self.store.load_shard_keys(s)?);
-                    self.meter.add(need);
-                    st.loads += 1;
-                    st.resident[s] = Some(Resident {
-                        keys: Arc::clone(&keys),
-                        bytes: need,
-                        pins: 1,
-                        last_used: tick,
-                    });
-                    return Ok(ShardLease {
-                        pool: self,
-                        shard: s,
-                        keys,
-                    });
+                if st.make_room(need, unit)? {
+                    let out = admit(&mut st)?;
+                    st.peak = st.peak.max(st.accounted());
+                    return Ok(out);
                 }
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Pin shard `s`, loading it (and evicting unpinned LRU residents)
+    /// if absent. Blocks — releasing the lock between attempts — while
+    /// every evictable byte is pinned; the model's blocked-wait self-loop
+    /// proves this wait is not a deadlock.
+    pub fn acquire(&self, s: usize) -> Result<ShardLease<'_, 's>> {
+        let need = self.shard_cost(s);
+        let hit = |st: &mut PoolState| {
+            st.tick += 1;
+            let tick = st.tick;
+            let r = st.resident[s].as_mut()?;
+            r.pins += 1;
+            r.last_used = tick;
+            Some(Arc::clone(&r.keys))
+        };
+        let keys = self.wait(need, ResidentUnit::Shard, hit, |st| {
+            // Load inside the lock: the model's acquire is one atomic
+            // step (grm_analyze::model::shard), and holding the mutex
+            // through the load keeps the budget check and the insertion
+            // indivisible — a concurrent acquirer can neither
+            // double-load nor observe the budget mid-update.
+            let keys = Arc::new(self.store.load_shard(s)?);
+            st.loads += 1;
+            st.resident[s] = Some(Resident {
+                keys: Arc::clone(&keys),
+                bytes: need,
+                pins: 1,
+                last_used: st.tick,
+            });
+            Ok(keys)
+        })?;
+        Ok(ShardLease {
+            pool: self,
+            shard: s,
+            keys,
+        })
     }
 
     fn release(&self, s: usize) {
@@ -1150,38 +1066,33 @@ impl<'s> ShardPool<'s> {
     }
 
     /// Reserve `bytes` of budget headroom for a transient resident,
-    /// evicting unpinned shards to make room (same blocked-wait
-    /// semantics as [`Self::acquire`]).
+    /// evicting unpinned shards to make room (the same blocked wait as
+    /// [`Self::acquire`]).
     pub fn reserve(&self, bytes: u64) -> Result<Reservation<'_, 's>> {
-        loop {
-            if self.cancel.is_cancelled() {
-                return Err(GraphError::Cancelled);
-            }
-            {
-                let mut st = self.state.lock();
-                if self.make_room(&mut st, bytes, ResidentUnit::Slice)? {
-                    st.reserved += bytes;
-                    self.meter.add(bytes);
-                    return Ok(Reservation { pool: self, bytes });
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        self.wait(
+            bytes,
+            ResidentUnit::Slice,
+            |_| None,
+            |st| {
+                st.reserved += bytes;
+                Ok(Reservation { pool: self, bytes })
+            },
+        )
     }
 
     fn unreserve(&self, bytes: u64) {
         let mut st = self.state.lock();
         st.reserved = st.reserved.saturating_sub(bytes);
-        self.meter.sub(bytes);
     }
 
-    /// Activity snapshot.
+    /// Ledger snapshot.
     pub fn stats(&self) -> PoolStats {
         let st = self.state.lock();
         PoolStats {
             loads: st.loads,
             evictions: st.evictions,
-            resident_bytes_peak: self.meter.peak(),
+            resident_bytes: st.accounted(),
+            resident_bytes_peak: st.peak,
         }
     }
 }
@@ -1189,7 +1100,7 @@ impl<'s> ShardPool<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompactModel, SchemaBuilder};
+    use crate::{CompactModel, GraphBuilder, SchemaBuilder};
 
     fn tdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("grm_shard_{name}_{}", std::process::id()));
@@ -1235,6 +1146,20 @@ mod tests {
         v
     }
 
+    /// Shard `s`'s edges as [`ShardStore::for_each_edge`] streams them,
+    /// sorted like [`edge_set`].
+    fn shard_edges(store: &ShardStore, s: usize) -> Vec<(u32, u32, Vec<u16>)> {
+        let mut v = Vec::new();
+        store
+            .for_each_edge(s, |src, dst, row| {
+                v.push((src, dst, row.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+        v.sort();
+        v
+    }
+
     #[test]
     fn spec_tiles_the_domain_and_routes_null_to_shard_zero() {
         let g = sample();
@@ -1267,19 +1192,19 @@ mod tests {
             assert_eq!(store.node_count(), g.node_count());
             let counts: u64 = (0..store.shard_count()).map(|s| store.edge_count(s)).sum();
             assert_eq!(counts, g.edge_count() as u64);
-            // The union of shard graphs is the original edge multiset.
+            assert_eq!(store.schema(), g.schema());
+            // The union of the shards' streamed edges is the original
+            // edge multiset.
             let mut union = Vec::new();
             for s in 0..store.shard_count() {
-                let sg = store.load_shard(s).unwrap();
-                assert_eq!(sg.schema(), g.schema());
-                assert_eq!(sg.node_count(), g.node_count());
-                union.extend(edge_set(&sg));
+                let edges = shard_edges(&store, s);
                 // Every edge in shard s carries a source value in s's range.
                 let (lo, hi) = store.spec().range(s);
-                for e in sg.edge_ids() {
-                    let v = sg.src_attr(e, store.spec().attr());
+                for (src, _, _) in &edges {
+                    let v = store.node_row(*src)[store.spec().attr().index()];
                     assert!(v == NULL && s == 0 || (lo <= v && v <= hi));
                 }
+                union.extend(edges);
             }
             union.sort();
             assert_eq!(union, edge_set(&g));
@@ -1410,11 +1335,7 @@ mod tests {
             stats.resident_bytes_peak,
             pool.budget()
         );
-        assert_eq!(
-            pool.meter().current(),
-            pool.shard_cost(1),
-            "shard 1 resident"
-        );
+        assert_eq!(stats.resident_bytes, pool.shard_cost(1), "shard 1 resident");
     }
 
     /// The resident cost of `store`'s largest shard.
@@ -1539,7 +1460,12 @@ mod tests {
         );
         // Restore and the load works again — the store itself is fine.
         fs::write(&path, &pristine).unwrap();
-        assert_eq!(edge_set(&store.load_shard(0).unwrap()), edge_set(&g));
+        assert_eq!(
+            store.load_shard(0).unwrap().edge_count(),
+            g.edge_count(),
+            "the restored shard loads"
+        );
+        assert_eq!(shard_edges(&store, 0), edge_set(&g));
 
         // A file cut at a chunk boundary, or with a valid chunk appended
         // again, decodes cleanly chunk by chunk: only the recorded edge
@@ -1579,7 +1505,6 @@ mod tests {
             for (file, bytes) in files.iter().zip(&pristine) {
                 fs::write(file, corrupt(bytes)).unwrap();
             }
-            short(store.load_shard_keys(0).err());
             short(store.load_shard(0).err());
             short(
                 SliceSet::build(
@@ -1594,31 +1519,27 @@ mod tests {
         for (file, bytes) in files.iter().zip(&pristine) {
             fs::write(file, bytes).unwrap();
         }
-        assert_eq!(store.load_shard_keys(0).unwrap().edge_count(), 5_000);
+        assert_eq!(store.load_shard(0).unwrap().edge_count(), 5_000);
         assert_eq!(set.load_keys(1).unwrap().edge_count(), 5_000);
     }
 
     #[test]
-    fn shard_key_load_equals_the_validating_load() {
+    fn shard_load_equals_the_source_rows_of_its_streamed_edges() {
         let g = sample();
         for shards in [1, 2, 3] {
             let dir = tdir(&format!("shard_keys{shards}"));
             let store =
                 ShardStore::build_from_graph(&g, &dir, shards, CompactModel::MAX_EDGES).unwrap();
             for s in 0..shards {
-                let graph = store.load_shard(s).unwrap();
-                let keys = store.load_shard_keys(s).unwrap();
+                let keys = store.load_shard(s).unwrap();
                 assert_eq!(keys.edge_count() as u64, store.edge_count(s));
-                // The columns are exactly the validated shard's edges, as
-                // (source row, edge row, destination row) tuples.
-                let mut want: Vec<KeyTuple> = graph
-                    .edge_ids()
-                    .map(|e| {
-                        (
-                            graph.node_row(graph.src(e)).to_vec(),
-                            graph.edge_row(e).to_vec(),
-                            graph.node_row(graph.dst(e)).to_vec(),
-                        )
+                // The columns are exactly the shard's streamed edges, as
+                // (source row, edge row, destination row) tuples read
+                // from the source graph.
+                let mut want: Vec<KeyTuple> = shard_edges(&store, s)
+                    .into_iter()
+                    .map(|(src, dst, row)| {
+                        (g.node_row(src).to_vec(), row, g.node_row(dst).to_vec())
                     })
                     .collect();
                 want.sort();
@@ -1638,7 +1559,7 @@ mod tests {
         let mut bytes = pristine.clone();
         bytes[20] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard_keys(0).unwrap_err();
+        let err = store.load_shard(0).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1650,20 +1571,17 @@ mod tests {
         let mut bytes = pristine.clone();
         bytes.truncate(bytes.len() - 3);
         fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard_keys(0).unwrap_err();
+        let err = store.load_shard(0).unwrap_err();
         assert!(
             matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
             "{err}"
         );
         fs::write(&path, &pristine).unwrap();
-        assert_eq!(
-            store.load_shard_keys(0).unwrap().edge_count(),
-            g.edge_count()
-        );
+        assert_eq!(store.load_shard(0).unwrap().edge_count(), g.edge_count());
         // …and a shard over the store's per-shard cap is rejected before
         // any byte is read.
         store.max_edges_per_shard = g.edge_count() - 1;
-        let err = store.load_shard_keys(0).unwrap_err();
+        let err = store.load_shard(0).unwrap_err();
         assert!(
             matches!(err, GraphError::TooManyEdges { edges, max } if edges == g.edge_count() && max == edges - 1),
             "{err}"
@@ -1701,9 +1619,8 @@ mod tests {
             let set = SliceSet::build(&store, SliceKey::Edge(EdgeAttrId(0)), &sdir).unwrap();
             write_one_edge(&sdir.join("slice-0.edges"), src, dst, w);
             expect(set.load_keys(1).unwrap_err());
-            // Both shard loads and the slice-set build, over a shard file.
+            // The shard load and the slice-set build, over a shard file.
             write_one_edge(&dir.join("shard-0.edges"), src, dst, w);
-            expect(store.load_shard_keys(0).unwrap_err());
             expect(store.load_shard(0).unwrap_err());
             for key in every_key(g.schema()) {
                 let err = SliceSet::build(&store, key, tdir("bad_values_rebuild")).err();
@@ -1725,11 +1642,73 @@ mod tests {
         }
         // A reservation evicts the unpinned shard to make room.
         let r = pool.reserve(one).unwrap();
-        assert_eq!(pool.meter().current(), one);
+        assert_eq!(pool.stats().resident_bytes, one);
         assert!(pool.stats().evictions >= 1);
         drop(r);
-        assert_eq!(pool.meter().current(), 0);
+        assert_eq!(pool.stats().resident_bytes, 0);
         assert!(pool.stats().resident_bytes_peak <= pool.budget());
+    }
+
+    #[test]
+    fn pool_ledger_holds_under_concurrent_leases_and_reservations() {
+        let g = sample();
+        let dir = tdir("pool_threads");
+        let store = ShardStore::build_from_graph(&g, &dir, 4, CompactModel::MAX_EDGES).unwrap();
+        let costs: Vec<u64> = (0..4)
+            .map(|s| resident_cost(store.schema(), store.edge_count(s) as usize))
+            .collect();
+        let mut largest = costs.clone();
+        largest.sort_unstable_by(|a, b| b.cmp(a));
+        // Room for the two largest shards: four workers must evict and
+        // wait for each other's pins.
+        let budget = largest[0] + largest[1];
+        let pool = ShardPool::new(&store, Some(budget)).unwrap();
+        let check = |st: PoolStats| {
+            assert!(st.resident_bytes <= budget, "{st:?} over {budget}");
+            assert!(st.resident_bytes_peak <= budget, "{st:?} over {budget}");
+        };
+        // All four start together, so their first loads already contend.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (pool, costs, store, start) = (&pool, &costs, &store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut state = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                    for _ in 0..100 {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let s = (state % 4) as usize;
+                        // One handle at a time, held across a snapshot
+                        // and a yield so the others contend for it.
+                        if state & 4 == 0 {
+                            let lease = pool.acquire(s).unwrap();
+                            assert_eq!(lease.keys().edge_count() as u64, store.edge_count(s));
+                            check(pool.stats());
+                        } else {
+                            let _hold = pool.reserve(costs[s]).unwrap();
+                            check(pool.stats());
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        // Every handle has dropped: the ledger holds resident shards
+        // only, `loads − evictions` distinct ones.
+        let st = pool.stats();
+        check(st);
+        assert!(st.evictions > 0, "the budget forced evictions: {st:?}");
+        let resident = st.loads - st.evictions;
+        let matches = (0u32..16).any(|set| {
+            let cost: u64 = (0..4)
+                .filter(|s| set & (1 << s) != 0)
+                .map(|s| costs[s])
+                .sum();
+            u64::from(set.count_ones()) == resident && cost == st.resident_bytes
+        });
+        assert!(matches, "{st:?} is no set of {resident} shards: {costs:?}");
     }
 
     #[test]
@@ -1749,10 +1728,7 @@ mod tests {
         let streamed = w.finish().unwrap();
         for s in 0..3 {
             assert_eq!(streamed.edge_count(s), built.edge_count(s));
-            assert_eq!(
-                edge_set(&streamed.load_shard(s).unwrap()),
-                edge_set(&built.load_shard(s).unwrap())
-            );
+            assert_eq!(shard_edges(&streamed, s), shard_edges(&built, s));
         }
     }
 

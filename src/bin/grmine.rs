@@ -123,11 +123,7 @@ fn cmd_mine(args: &[String]) -> i32 {
         eprintln!("unknown metric `{metric_name}`");
         return 2;
     };
-    let default_score = if metric.anti_monotone() {
-        0.5
-    } else {
-        f64::NEG_INFINITY
-    };
+    let defaults = MinerConfig::for_request(metric, graph.edge_count() as u64);
     type MineFlags = (u64, f64, usize, Option<usize>);
     let parsed = (|| -> Result<MineFlags, String> {
         let threads = match (
@@ -140,10 +136,9 @@ fn cmd_mine(args: &[String]) -> i32 {
             (p, t) => p.or(t),
         };
         Ok((
-            parse_flag(args, "--min-supp")?
-                .unwrap_or_else(|| ((graph.edge_count() / 1000) as u64).max(1)),
-            parse_flag(args, "--min-score")?.unwrap_or(default_score),
-            parse_flag(args, "--k")?.unwrap_or(20),
+            parse_flag(args, "--min-supp")?.unwrap_or(defaults.min_supp),
+            parse_flag(args, "--min-score")?.unwrap_or(defaults.min_score),
+            parse_flag(args, "--k")?.unwrap_or(defaults.k),
             threads,
         ))
     })();
@@ -205,7 +200,7 @@ fn cmd_mine(args: &[String]) -> i32 {
         min_score,
         k,
         deadline_ms: timeout_ms,
-        ..MinerConfig::default().with_metric(metric)
+        ..defaults
     };
     if has_flag(args, "--no-dynamic") {
         cfg.dynamic_topk = false;

@@ -1,15 +1,15 @@
 //! Counting a GR over key columns equals counting it over the graph's
 //! rows. The in-core engine's post-pass counts its `MiningContext`
 //! columns, the sharded engine's sums every shard's loaded columns, and
-//! `query::evaluate` keeps the row-major scan as the reference: the four
-//! counts `(supp, supp_lw, supp_r, heff)` must agree on all three. Random
-//! graphs bring NULL values and homophily (β) attributes, random GRs
-//! bring empty descriptors, and the DBLP fixture brings an edge
-//! attribute at scale.
+//! `query::evaluate` keeps the row-major scan as the reference: the
+//! `MetricInputs` (`supp`, `supp_lw`, `heff`, `supp_r` and the edge count
+//! `|E|`) must agree on all three. Random graphs bring NULL values and
+//! homophily (β) attributes, random GRs bring empty descriptors, and the
+//! DBLP fixture brings an edge attribute at scale.
 
 use proptest::prelude::*;
 use social_ties::core::query::counts;
-use social_ties::core::MiningContext;
+use social_ties::core::{MetricInputs, MiningContext};
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::shard::ShardStore;
 use social_ties::graph::{CompactModel, KeyColumns};
@@ -17,8 +17,6 @@ use social_ties::{
     generate, EdgeDescriptor, Gr, GraphBuilder, NodeDescriptor, Schema, SchemaBuilder, SocialGraph,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-
-type Counts = (u64, u64, u64, u64);
 
 /// A xorshift stream from `seed`.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -102,23 +100,19 @@ fn shard_keys(g: &SocialGraph, shards: usize) -> Vec<KeyColumns> {
     let store = ShardStore::build_from_graph(g, &dir, shards, CompactModel::MAX_EDGES)
         .expect("store builds");
     let keys = (0..store.shard_count())
-        .map(|s| store.load_shard_keys(s).expect("shard loads"))
+        .map(|s| store.load_shard(s).expect("shard loads"))
         .collect();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     keys
 }
 
-fn add(a: Counts, b: Counts) -> Counts {
-    (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
-}
-
 /// The row counts of every GR in `grs`, after checking that the context's
 /// columns and the summed shard columns (1, 2, 3 and 7 shards) give the
-/// same four counts.
-fn assert_column_counts(g: &SocialGraph, grs: &[Gr]) -> Vec<Counts> {
+/// same counts, the edge count `|E|` among them.
+fn assert_column_counts(g: &SocialGraph, grs: &[Gr]) -> Vec<MetricInputs> {
     let schema = g.schema();
-    let rows: Vec<Counts> = grs.iter().map(|gr| counts(schema, g, gr)).collect();
+    let rows: Vec<MetricInputs> = grs.iter().map(|gr| counts(schema, g, gr)).collect();
     let ctx = MiningContext::build(g, false);
     for (gr, &want) in grs.iter().zip(&rows) {
         assert_eq!(
@@ -130,10 +124,10 @@ fn assert_column_counts(g: &SocialGraph, grs: &[Gr]) -> Vec<Counts> {
     for shards in [1usize, 2, 3, 7] {
         let keys = shard_keys(g, shards);
         for (gr, &want) in grs.iter().zip(&rows) {
-            let sum = keys
-                .iter()
-                .map(|k| counts(schema, k, gr))
-                .fold((0, 0, 0, 0), add);
+            let mut sum = MetricInputs::default();
+            for k in &keys {
+                sum += counts(schema, k, gr);
+            }
             assert_eq!(sum, want, "{shards} shards, {gr:?}");
         }
     }
@@ -159,9 +153,12 @@ proptest! {
     fn column_counts_equal_row_counts(g in arb_graph(), seed in any::<u64>()) {
         let grs = grs_for(g.schema(), seed, 24);
         let rows = assert_column_counts(&g, &grs);
-        // The empty GR counts every edge as supp_lw and supp_r.
+        // The empty GR counts every edge as supp, supp_lw and supp_r.
         let all = g.edge_count() as u64;
-        prop_assert_eq!(rows.last().copied(), Some((all, all, all, 0)));
+        prop_assert_eq!(
+            rows.last().copied(),
+            Some(MetricInputs { supp: all, supp_lw: all, heff: 0, supp_r: all, edges: all })
+        );
     }
 }
 
@@ -174,10 +171,10 @@ fn dblp_column_counts_equal_row_counts() {
     // non-zero homophily effect, and a matched edge-attribute condition.
     let schema = g.schema();
     assert!(grs.iter().zip(&rows).any(|(gr, c)| {
-        c.3 > 0 && !social_ties::core::beta::beta(schema, &gr.l, &gr.r).is_empty()
+        c.heff > 0 && !social_ties::core::beta::beta(schema, &gr.l, &gr.r).is_empty()
     }));
     assert!(grs
         .iter()
         .zip(&rows)
-        .any(|(gr, c)| !gr.w.is_empty() && c.1 > 0));
+        .any(|(gr, c)| !gr.w.is_empty() && c.supp_lw > 0));
 }

@@ -9,7 +9,7 @@ use social_ties::core::service::{Service, ServiceConfig};
 use social_ties::core::Dims;
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::CancelToken;
-use social_ties::{generate, GrMiner, MinerConfig, SocialGraph};
+use social_ties::{generate, GrMiner, MinerConfig, RankMetric, SocialGraph};
 use std::sync::Arc;
 
 fn workload() -> SocialGraph {
@@ -63,14 +63,9 @@ fn assert_err<'a>(resp: &'a Content, code: &str) -> &'a Content {
     err
 }
 
-/// The service's defaults mirror the `grmine mine` CLI.
+/// The service's defaults are the `grmine mine` CLI's.
 fn default_cfg(graph: &SocialGraph) -> MinerConfig {
-    MinerConfig {
-        min_supp: (graph.edge_count() as u64 / 1000).max(1),
-        min_score: 0.5,
-        k: 20,
-        ..MinerConfig::default()
-    }
+    MinerConfig::for_request(RankMetric::Nhp, graph.edge_count() as u64)
 }
 
 #[test]
