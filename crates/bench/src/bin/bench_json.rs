@@ -7,7 +7,9 @@
 //! and the two-level shapes: full child passes, and count-only children,
 //! as the miner runs the first pass of a RIGHT chain). The count-only
 //! pass runs at n = 600 too, below the count's stripe threshold
-//! (`STRIPES × 189` = 756), so each histogram branch has a cell.
+//! (`STRIPES × 189` = 756), so each histogram branch has a cell. These
+//! are the partition engine's only before/after cells: the Criterion
+//! `micro` bench keeps no copy of them.
 //! End-to-end and out-of-core timings come from the repo benchmark,
 //! `perfbench/` (its `mine-inmem` and `mine-outofcore` workloads), which
 //! also checks every answer.
@@ -66,8 +68,7 @@ fn median_ns(mut f: impl FnMut() -> u64) -> u128 {
 }
 
 /// The pre-PR partition primitive — the baseline the arena is measured
-/// against; mirrors the cell in `benches/micro.rs` exactly:
-/// `counts`/`keybuf` are reused scratch (the old `SortScratch`), while
+/// against: `counts`/`keybuf` are reused scratch (the old `SortScratch`), while
 /// offsets, cursor, the scatter buffer and the result Vec are allocated
 /// per call.
 fn legacy_partition(

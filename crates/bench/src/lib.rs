@@ -10,8 +10,9 @@
 //! * `experiments` — everything, as a markdown report for EXPERIMENTS.md;
 //! * `bench_json` — the partition-engine micro cells as JSON;
 //!
-//! and the Criterion benches `micro`, `ablation` and `parallel`. The
-//! Fig. 4 sweeps are timed by the `fig4` binary alone.
+//! and the Criterion benches `micro` and `ablation`. The Fig. 4 sweeps
+//! are timed by the `fig4` binary alone, the partition engine's cells by
+//! `bench_json`, and whole mines by the repo benchmark, `perfbench/`.
 
 use grm_datagen::{dblp_config_scaled, generate, pokec_config_scaled, GeneratorConfig};
 use grm_graph::SocialGraph;

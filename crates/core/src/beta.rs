@@ -131,7 +131,7 @@ pub fn homophily_pairs(
 /// ([`BetaSet::local_mask`]).
 ///
 /// `r_col` resolves each group-by attribute to its RHS key *column*
-/// (indexed by edge position — `CompactModel::r_col`). Each position's
+/// (indexed by edge position — `KeyColumns::r_col`). Each position's
 /// match mask is counted straight into the table, and a superset-sum
 /// sweep (`O(k·2^k)`) completes it. `pairs.len()` must be at most
 /// [`MAX_GROUPBY_ATTRS`].

@@ -4,7 +4,7 @@
 //! whatever the worker count, and sits between the edge set's
 //! [`KeyColumns`] and the per-task [`crate::miner`] recursion state. It
 //! holds its columns and borrows no graph: an in-core mine gathers them
-//! through a [`CompactModel`] in EArray order, and an out-of-core unit
+//! with [`KeyColumns::build`] in EArray order, and an out-of-core unit
 //! shares the columns its shard or value slice loads from its spill file
 //! in spill order ([`ShardPool`](grm_graph::shard::ShardPool)).
 //! Everything in it is immutable (or internally synchronized) and safe to
@@ -26,7 +26,7 @@
 //! it first stores the same value every other worker would have.
 
 use crate::descriptor::NodeDescriptor;
-use grm_graph::{CompactModel, KeyColumns, SocialGraph};
+use grm_graph::{KeyColumns, SocialGraph};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,8 +50,13 @@ impl MiningContext {
     /// Build the context for `graph`. `needs_r_marginal` opts into the
     /// eager RHS marginal table ([`crate::metrics::RankMetric`] knows —
     /// pass `metric.needs_r_marginal()`).
+    ///
+    /// # Panics
+    ///
+    /// On a graph beyond [`grm_graph::CompactModel::MAX_EDGES`] edges,
+    /// which its `u32` positions cannot index (mine it sharded).
     pub fn build(graph: &SocialGraph, needs_r_marginal: bool) -> Self {
-        let keys = CompactModel::build(graph).into_keys();
+        let keys = KeyColumns::build(graph).unwrap_or_else(|e| panic!("{e}"));
         let schema = graph.schema();
         let r_base = needs_r_marginal.then(|| {
             schema
@@ -99,10 +104,9 @@ impl MiningContext {
     }
 
     /// Fill `buf` with the canonical position set `0..|E|`, reusing its
-    /// capacity. This is the per-task replacement for
-    /// `CompactModel::all_positions`: a worker fills its buffer once and
-    /// keeps reusing it, because the recursion only permutes positions —
-    /// it never consumes them.
+    /// capacity: a worker fills its buffer once and keeps reusing it,
+    /// because the recursion only permutes positions — it never consumes
+    /// them.
     pub fn fill_positions(&self, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(0..self.keys.edge_count() as u32);

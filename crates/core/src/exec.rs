@@ -82,7 +82,7 @@ use crate::topk::SharedBound;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use grm_graph::{failpoint, CancelToken, GraphError, Schema};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -334,7 +334,7 @@ impl<'a> Exec<'a> {
             &|g: &Gr| engine.evaluate(g),
             config,
             candidates,
-            &frontiers.into_iter().collect(),
+            frontiers,
             stats,
         )?;
         // A published bound implies k sure survivors existed, so the
@@ -629,15 +629,20 @@ type Evaluate<'e> = &'e dyn Fn(&Gr) -> Result<MetricInputs, MinerError>;
 /// The miner records a frontier only after the bound has been
 /// published, and only with the generality filter on; with no frontier
 /// (every static run, every run with the filter off) stage two is the
-/// plain rank of the collected survivors.
+/// plain rank of the collected survivors. The frontiers arrive in worker
+/// order, possibly repeated; they are walked sorted and deduplicated, so
+/// which suppressor checks run, and in what order, is the same on every
+/// run of one config.
 fn select_topk(
     schema: &Schema,
     evaluate: Evaluate<'_>,
     config: &MinerConfig,
     mut candidates: Vec<ScoredGr>,
-    pruned_frontiers: &HashSet<(NodeDescriptor, EdgeDescriptor)>,
+    mut pruned_frontiers: Vec<(NodeDescriptor, EdgeDescriptor)>,
     stats: &mut MinerStats,
 ) -> Result<Vec<ScoredGr>, MinerError> {
+    pruned_frontiers.sort_unstable();
+    pruned_frontiers.dedup();
     // Stage 1: the most-general-first merge, keeping every survivor.
     if config.generality_filter {
         candidates.sort_by_key(|c| c.gr.l.len() + c.gr.w.len());
@@ -668,7 +673,7 @@ fn select_topk(
                 evaluate,
                 config,
                 &cand.gr,
-                pruned_frontiers,
+                &pruned_frontiers,
                 &mut memo,
             )?
         {
@@ -696,7 +701,7 @@ fn has_lost_passing_generalization(
     evaluate: Evaluate<'_>,
     config: &MinerConfig,
     gr: &Gr,
-    pruned_frontiers: &HashSet<(NodeDescriptor, EdgeDescriptor)>,
+    pruned_frontiers: &[(NodeDescriptor, EdgeDescriptor)],
     memo: &mut HashMap<Gr, bool>,
 ) -> Result<bool, MinerError> {
     for (l2, w2) in pruned_frontiers {
@@ -747,4 +752,86 @@ fn generalization_passes(
         return Ok(false);
     }
     Ok(config.metric.evaluate(m) >= config.min_score)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grm_graph::{NodeAttrId, SchemaBuilder};
+    use std::cell::RefCell;
+
+    /// `(A0:v, A1:v, A2:v, A3:v) -> (A4:v)`, ranked by `score`.
+    fn candidate(v: u16, score: f64) -> ScoredGr {
+        let l = NodeDescriptor::from_pairs((0..4).map(|a| (NodeAttrId(a), v)));
+        let r = NodeDescriptor::from_pairs([(NodeAttrId(4), v)]);
+        ScoredGr {
+            gr: Gr::new(l, EdgeDescriptor::empty(), r),
+            supp: 10,
+            supp_lw: 10,
+            heff: 0,
+            score,
+        }
+    }
+
+    #[test]
+    fn post_pass_checks_suppressors_in_one_order_whatever_the_frontier_order() {
+        let mut sb = SchemaBuilder::new();
+        for a in 0..5 {
+            sb = sb.node_attr(format!("A{a}"), 3, false);
+        }
+        let schema = sb.build().unwrap();
+        let config = MinerConfig::nhp(1, 0.5, 2);
+        let candidates = vec![candidate(1, 0.9), candidate(2, 0.8), candidate(3, 0.7)];
+        // Every non-empty strict sub-LHS of each candidate: 3 × 14
+        // frontiers, in the order a worker might record them.
+        let frontiers: Vec<(NodeDescriptor, EdgeDescriptor)> = (1..=3u16)
+            .flat_map(|v| {
+                (1..15u8).map(move |mask| {
+                    let l = (0..4)
+                        .filter(|a| mask & (1 << a) != 0)
+                        .map(|a| (NodeAttrId(a), v));
+                    (NodeDescriptor::from_pairs(l), EdgeDescriptor::empty())
+                })
+            })
+            .collect();
+        // Two-condition generalizations pass the thresholds and the
+        // others fail, so the first check that passes decides how many
+        // checks a candidate runs.
+        let run = |frontiers: Vec<(NodeDescriptor, EdgeDescriptor)>| {
+            let calls = RefCell::new(Vec::new());
+            let evaluate = |g: &Gr| -> Result<MetricInputs, MinerError> {
+                calls.borrow_mut().push(g.clone());
+                let supp = if g.l.len() == 2 { 10 } else { 1 };
+                Ok(MetricInputs {
+                    supp,
+                    supp_lw: 10,
+                    heff: 0,
+                    supp_r: 0,
+                    edges: 100,
+                })
+            };
+            let mut stats = MinerStats::default();
+            let top = select_topk(
+                &schema,
+                &evaluate,
+                &config,
+                candidates.clone(),
+                frontiers,
+                &mut stats,
+            )
+            .unwrap();
+            (top, stats.rejected_generality, calls.into_inner())
+        };
+        let recorded = run(frontiers.clone());
+        // Reversed, and with every third frontier recorded twice, as two
+        // workers cutting in one `l ∧ w` chain would.
+        let mut reordered: Vec<_> = frontiers.iter().rev().cloned().collect();
+        reordered.extend(frontiers.iter().step_by(3).cloned());
+        let other = run(reordered);
+        assert!(recorded.0.is_empty(), "every candidate has a suppressor");
+        assert_eq!(recorded.1, 3);
+        assert!(recorded.2.len() >= 3, "{:?}", recorded.2);
+        assert_eq!(recorded.2, other.2, "suppressor checks in one order");
+        assert_eq!((recorded.0, recorded.1), (other.0, other.1));
+    }
 }

@@ -1,8 +1,8 @@
-//! Sharded, memory-budgeted out-of-core mining — breaking the compact
-//! model's u32 edge cap.
+//! Sharded, memory-budgeted out-of-core mining — breaking the in-core
+//! u32 edge cap.
 //!
 //! The in-core engines ([`crate::miner`], [`crate::parallel`]) require
-//! the whole edge set resident as one `CompactModel`, whose position
+//! the whole edge set resident as one [`KeyColumns`], whose position
 //! indices are `u32` ([`CompactModel::MAX_EDGES`]). This module mines a
 //! [`ShardStore`] instead: the edges live in columnar per-shard spill
 //! files on disk (partitioned by the dominant LHS attribute's values),

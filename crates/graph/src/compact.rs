@@ -12,36 +12,32 @@
 //! Node attributes are stored once per node, so the model occupies
 //! `|V|·(#AttrV + 2) + |E|·(#AttrE + 1) + |V|·#AttrV` cells instead of the
 //! single table's `|E|·(2·#AttrV + #AttrE)` — eliminating the
-//! `|E| × 2 × #AttrV` bottleneck term (§IV-A). [`CompactModel::cells`] and
-//! [`crate::SingleTable::cells`] make the comparison measurable.
+//! `|E| × 2 × #AttrV` bottleneck term (§IV-A). [`CompactModel`] is that
+//! account: [`CompactModel::cells`] and [`crate::SingleTable::cells`] make
+//! the comparison measurable.
 //!
 //! Mining operates on **EArray positions**: a pattern's edge set is a slice
 //! of positions, partitioned with counting sort on LHS / edge / RHS
-//! dimensions via the key functions below.
+//! dimensions via the key functions below. Position order is EArray
+//! order: edges grouped by source node in node-id order, each group in
+//! edge-id order.
 //!
-//! ### Columnar key caches
+//! ### Key columns
 //!
 //! The key functions are the hottest loads of the mining recursion — every
-//! counting-sort pass calls one of them once per position — and resolving
-//! them through the structural columns costs two dependent indirections
-//! (`src_row`/`ptr` into the graph's row-major attribute table). The model
-//! therefore also materializes **columnar caches**, a [`KeyColumns`]: one
-//! flat `Vec<AttrValue>` per (side, attribute) pair, indexed directly by
-//! EArray position, so `l_key`/`w_key`/`r_key` are a single indexed load.
-//! This is a deliberate time/space trade *on top of* the §IV-A model: the
-//! caches occupy `|E|·(2·#AttrV + #AttrE)` u16 cells (the single-table
-//! shape), but the §IV-A win — building them in O(|E|) from the
-//! once-per-node storage instead of joining per edge — is unchanged, and
-//! [`CompactModel::cells`] keeps reporting the paper's formula for the
-//! structural model.
-//!
-//! The key columns are the miner's only reads of the model, so they are an
-//! owned type of their own: [`CompactModel::into_keys`] keeps them and
-//! drops the structural columns, and the out-of-core engine gathers a
-//! shard's or value slice's columns straight from its spill file
+//! counting-sort pass calls one of them once per position — so the miner
+//! reads no structural column at all. It reads a [`KeyColumns`]: one flat
+//! `Vec<AttrValue>` per (side, attribute) pair, indexed directly by
+//! position, so `l_key`/`w_key`/`r_key` are a single indexed load. This
+//! is a deliberate time/space trade *on top of* the §IV-A model: the
+//! columns occupy `|E|·(2·#AttrV + #AttrE)` u16 cells (the single-table
+//! shape), but the §IV-A win — building them in O(|V| + |E|) from the
+//! once-per-node storage instead of joining per edge — is unchanged.
+//! [`KeyColumns::build`] gathers an in-memory graph's columns in EArray
+//! order, and the out-of-core engine gathers a shard's or value slice's
+//! columns straight from its spill file in spill order
 //! ([`crate::shard::ShardStore::load_shard`],
-//! [`crate::shard::SliceSet::load_keys`]) without building a graph or a
-//! model at all.
+//! [`crate::shard::SliceSet::load_keys`]).
 
 use crate::error::{GraphError, Result};
 use crate::graph::SocialGraph;
@@ -63,6 +59,55 @@ pub struct KeyColumns {
 }
 
 impl KeyColumns {
+    /// Gather `graph`'s columns in EArray order (module docs), rejecting
+    /// graphs with more than [`CompactModel::MAX_EDGES`] edges with
+    /// [`GraphError::TooManyEdges`] instead of truncating positions.
+    /// O(|V| + |E|): one counting pass places each edge's destination
+    /// and edge id at its position, then one pass in position order
+    /// fills every column, reading each source's attribute row once.
+    pub fn build(graph: &SocialGraph) -> Result<Self> {
+        check_edge_capacity(graph.edge_count(), CompactModel::MAX_EDGES)?;
+        let m = graph.edge_count();
+        // `end[v]`: one past the last position of source `v`'s group,
+        // once the scatter below has advanced it from the group's start.
+        let mut end = graph.out_degrees();
+        let mut acc = 0u32;
+        for d in &mut end {
+            acc += *d;
+            *d = acc - *d;
+        }
+        let mut dst = vec![0 as NodeId; m];
+        let mut eid = vec![0 as EdgeId; m];
+        for e in graph.edge_ids() {
+            let cursor = &mut end[graph.src(e) as usize];
+            dst[*cursor as usize] = graph.dst(e);
+            eid[*cursor as usize] = e;
+            *cursor += 1;
+        }
+        let na = graph.schema().node_attr_count();
+        let ea = graph.schema().edge_attr_count();
+        let mut l = vec![vec![0 as AttrValue; m]; na];
+        let mut w = vec![vec![0 as AttrValue; m]; ea];
+        let mut r = vec![vec![0 as AttrValue; m]; na];
+        let mut lo = 0;
+        for (v, &hi) in graph.node_ids().zip(&end) {
+            let hi = hi as usize;
+            for (col, &value) in l.iter_mut().zip(graph.node_row(v)) {
+                col[lo..hi].fill(value);
+            }
+            for p in lo..hi {
+                for (col, &value) in r.iter_mut().zip(graph.node_row(dst[p])) {
+                    col[p] = value;
+                }
+                for (col, &value) in w.iter_mut().zip(graph.edge_row(eid[p])) {
+                    col[p] = value;
+                }
+            }
+            lo = hi;
+        }
+        Ok(KeyColumns::from_columns(m, l, w, r))
+    }
+
     /// Assemble from whole columns; every column must hold `edges`
     /// values.
     pub(crate) fn from_columns(
@@ -126,201 +171,54 @@ impl KeyColumns {
     }
 }
 
-/// The LArray/EArray/RArray view over a [`SocialGraph`].
-///
-/// Borrow-based: attribute cells live in the graph; the model adds the
-/// structural columns (`Out`, `Ind`, `Ptr`, row maps) plus the columnar
-/// per-position [`KeyColumns`] (module docs). Cell accounting in
-/// [`CompactModel::cells`] reports the full §IV-A formula, i.e. what a
-/// standalone materialization of the structural model would occupy.
-#[derive(Debug, Clone)]
-pub struct CompactModel<'g> {
-    graph: &'g SocialGraph,
-    /// Node ids with out-degree > 0, in node-id order (LArray rows).
-    lrows: Vec<NodeId>,
-    /// `Out` column: out-degree per LArray row.
-    out: Vec<u32>,
-    /// `Ind` column: first EArray position per LArray row.
-    ind: Vec<u32>,
-    /// Per EArray position: the original edge id (edge-attribute lookup).
-    eid: Vec<EdgeId>,
-    /// `Ptr` column: per EArray position, the destination's RArray row.
-    ptr: Vec<u32>,
-    /// Node ids with in-degree > 0, in node-id order (RArray rows).
-    rrows: Vec<NodeId>,
-    /// The columnar key caches, by EArray position.
-    keys: KeyColumns,
+/// The §IV-A cell account of a graph's LArray/EArray/RArray model:
+/// the record counts and attribute widths the paper's formula needs,
+/// and nothing else (module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct CompactModel {
+    nodes: usize,
+    /// LArray records: nodes with out-degree > 0.
+    lrows: usize,
+    edges: usize,
+    /// RArray records: nodes with in-degree > 0.
+    rrows: usize,
+    node_attrs: usize,
+    edge_attrs: usize,
 }
 
-impl<'g> CompactModel<'g> {
-    /// Maximum number of edges the model can index: EArray positions are
-    /// `u32`, so a graph with more than `u32::MAX` edges cannot be
-    /// addressed (positions beyond the limit would silently wrap).
+impl CompactModel {
+    /// Maximum number of edges one set of EArray positions can index:
+    /// positions are `u32`, so a larger edge set cannot be addressed
+    /// (positions beyond the limit would silently wrap).
     pub const MAX_EDGES: usize = u32::MAX as usize;
 
-    /// Build the model, panicking on graphs beyond [`Self::MAX_EDGES`]
-    /// (see [`Self::try_build`] for the fallible form): O(|V| + |E|), one
-    /// stable counting pass over edges plus one pass per cached column.
-    pub fn build(graph: &'g SocialGraph) -> Self {
-        Self::try_build(graph).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build the model, rejecting graphs with more than
-    /// [`Self::MAX_EDGES`] edges with [`GraphError::TooManyEdges`] instead
-    /// of silently truncating position indices.
-    pub fn try_build(graph: &'g SocialGraph) -> Result<Self> {
-        check_edge_capacity(graph.edge_count(), Self::MAX_EDGES)?;
-        let n = graph.node_count();
-        let m = graph.edge_count();
-
-        let out_deg = graph.out_degrees();
-        let in_deg = graph.in_degrees();
-
-        // LArray rows and the inverse map node -> lrow.
-        let mut lrows = Vec::new();
-        let mut lrow_of = vec![u32::MAX; n];
-        for v in 0..n {
-            if out_deg[v] > 0 {
-                lrow_of[v] = lrows.len() as u32; // cast: ≤ n, and node ids fit u32 by construction
-                lrows.push(v as NodeId); // cast: v < n = node_count, ids fit u32
-            }
+    /// Count the model's records from `graph`'s degree vectors: O(|V| +
+    /// |E|).
+    pub fn build(graph: &SocialGraph) -> Self {
+        let nonzero = |degrees: Vec<u32>| degrees.iter().filter(|&&d| d > 0).count();
+        CompactModel {
+            nodes: graph.node_count(),
+            lrows: nonzero(graph.out_degrees()),
+            edges: graph.edge_count(),
+            rrows: nonzero(graph.in_degrees()),
+            node_attrs: graph.schema().node_attr_count(),
+            edge_attrs: graph.schema().edge_attr_count(),
         }
-        // RArray rows and the inverse map node -> rrow.
-        let mut rrows = Vec::new();
-        let mut rrow_of = vec![u32::MAX; n];
-        for v in 0..n {
-            if in_deg[v] > 0 {
-                rrow_of[v] = rrows.len() as u32; // cast: ≤ n, and node ids fit u32 by construction
-                rrows.push(v as NodeId); // cast: v < n = node_count, ids fit u32
-            }
-        }
-
-        // Out / Ind columns.
-        let mut out = Vec::with_capacity(lrows.len());
-        let mut ind = Vec::with_capacity(lrows.len());
-        let mut acc = 0u32;
-        for &v in &lrows {
-            out.push(out_deg[v as usize]);
-            ind.push(acc);
-            acc += out_deg[v as usize];
-        }
-
-        // Scatter edges into EArray grouped by source row (stable).
-        // `src_row` is only needed to seed the columnar caches below; the
-        // cached columns replace it as the runtime lookup path.
-        let mut cursor = ind.clone();
-        let mut src_row = vec![0u32; m];
-        let mut eid = vec![0 as EdgeId; m];
-        let mut ptr = vec![0u32; m];
-        // cast: m = edge_count() ≤ MAX_EDGES, checked above
-        for e in 0..m as u32 {
-            let s = lrow_of[graph.src(e) as usize];
-            let pos = cursor[s as usize] as usize;
-            cursor[s as usize] += 1;
-            src_row[pos] = s;
-            eid[pos] = e;
-            ptr[pos] = rrow_of[graph.dst(e) as usize];
-        }
-
-        // Columnar key caches: resolve the src_row/Ptr indirections once so
-        // every later key lookup is a single indexed load (module docs).
-        let na = graph.schema().node_attr_count();
-        let ea = graph.schema().edge_attr_count();
-        let mut l_cols = vec![vec![0 as AttrValue; m]; na];
-        let mut w_cols = vec![vec![0 as AttrValue; m]; ea];
-        let mut r_cols = vec![vec![0 as AttrValue; m]; na];
-        for p in 0..m {
-            let src = graph.node_row(lrows[src_row[p] as usize]);
-            let dst = graph.node_row(rrows[ptr[p] as usize]);
-            for a in 0..na {
-                l_cols[a][p] = src[a];
-                r_cols[a][p] = dst[a];
-            }
-            let edge = graph.edge_row(eid[p]);
-            for a in 0..ea {
-                w_cols[a][p] = edge[a];
-            }
-        }
-
-        Ok(CompactModel {
-            graph,
-            lrows,
-            out,
-            ind,
-            eid,
-            ptr,
-            rrows,
-            keys: KeyColumns::from_columns(m, l_cols, w_cols, r_cols),
-        })
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g SocialGraph {
-        self.graph
     }
 
     /// Number of LArray records (nodes with out-degree > 0).
     pub fn lrow_count(&self) -> usize {
-        self.lrows.len()
+        self.lrows
     }
 
     /// Number of RArray records (nodes with in-degree > 0).
     pub fn rrow_count(&self) -> usize {
-        self.rrows.len()
+        self.rrows
     }
 
     /// Number of EArray records (= `|E|`).
     pub fn edge_count(&self) -> usize {
-        self.eid.len()
-    }
-
-    /// Node id of LArray row `r`.
-    pub fn lrow_node(&self, r: u32) -> NodeId {
-        self.lrows[r as usize]
-    }
-
-    /// Node id of RArray row `r`.
-    pub fn rrow_node(&self, r: u32) -> NodeId {
-        self.rrows[r as usize]
-    }
-
-    /// `Out` of LArray row `r`.
-    pub fn out(&self, r: u32) -> u32 {
-        self.out[r as usize]
-    }
-
-    /// `Ind` of LArray row `r`.
-    pub fn ind(&self, r: u32) -> u32 {
-        self.ind[r as usize]
-    }
-
-    /// Original edge id of EArray position `p`.
-    #[inline]
-    pub fn edge_id(&self, p: u32) -> EdgeId {
-        self.eid[p as usize]
-    }
-
-    /// `Ptr` (RArray row of the destination) of EArray position `p`.
-    #[inline]
-    pub fn ptr(&self, p: u32) -> u32 {
-        self.ptr[p as usize]
-    }
-
-    /// The columnar key caches, by EArray position.
-    pub fn keys(&self) -> &KeyColumns {
-        &self.keys
-    }
-
-    /// Keep the key caches and drop the structural columns: the mining
-    /// recursion reads nothing else.
-    pub fn into_keys(self) -> KeyColumns {
-        self.keys
-    }
-
-    /// All EArray positions, the root edge set of the mining recursion.
-    pub fn all_positions(&self) -> Vec<u32> {
-        // cast: edge_count ≤ MAX_EDGES = u32::MAX, checked in try_build
-        (0..self.edge_count() as u32).collect()
+        self.edges
     }
 
     /// Cell count of the compact model per the §IV-A formula, using the
@@ -328,18 +226,15 @@ impl<'g> CompactModel<'g> {
     /// zero-in-degree nodes are dropped):
     /// `|L|·(#AttrV+2) + |E|·(#AttrE+1) + |R|·#AttrV`.
     pub fn cells(&self) -> usize {
-        let na = self.graph.schema().node_attr_count();
-        let ea = self.graph.schema().edge_attr_count();
-        self.lrows.len() * (na + 2) + self.eid.len() * (ea + 1) + self.rrows.len() * na
+        let (na, ea) = (self.node_attrs, self.edge_attrs);
+        self.lrows * (na + 2) + self.edges * (ea + 1) + self.rrows * na
     }
 
     /// Cell count using the paper's headline formula with the full `|V|`
     /// on both sides: `|V|·(#AttrV+2) + |E|·(#AttrE+1) + |V|·#AttrV`.
     pub fn cells_paper_formula(&self) -> usize {
-        let na = self.graph.schema().node_attr_count();
-        let ea = self.graph.schema().edge_attr_count();
-        let v = self.graph.node_count();
-        v * (na + 2) + self.eid.len() * (ea + 1) + v * na
+        let (na, ea, v) = (self.node_attrs, self.edge_attrs, self.nodes);
+        v * (na + 2) + self.edges * (ea + 1) + v * na
     }
 }
 
@@ -363,6 +258,11 @@ mod tests {
     /// src->dst: 0->1, 0->2, 1->2, 3->0 (node 2 has no out-edges, node 3 no
     /// in-edges).
     fn sample() -> SocialGraph {
+        sample_with_edges(&[(0, 1, 1), (0, 2, 2), (1, 2, 1), (3, 0, 2)])
+    }
+
+    /// `sample`'s schema and nodes with the edges `(src, dst, W)`.
+    fn sample_with_edges(edges: &[(NodeId, NodeId, AttrValue)]) -> SocialGraph {
         let schema = SchemaBuilder::new()
             .node_attr("A", 3, true)
             .node_attr("B", 2, false)
@@ -373,10 +273,9 @@ mod tests {
         for row in [[1, 1], [2, 2], [3, 1], [1, 2]] {
             b.add_node(&row).unwrap();
         }
-        b.add_edge(0, 1, &[1]).unwrap();
-        b.add_edge(0, 2, &[2]).unwrap();
-        b.add_edge(1, 2, &[1]).unwrap();
-        b.add_edge(3, 0, &[2]).unwrap();
+        for &(s, t, w) in edges {
+            b.add_edge(s, t, &[w]).unwrap();
+        }
         b.build().unwrap()
     }
 
@@ -386,45 +285,13 @@ mod tests {
         let cm = CompactModel::build(&g);
         assert_eq!(cm.lrow_count(), 3, "nodes 0,1,3 have out-edges");
         assert_eq!(cm.rrow_count(), 3, "nodes 0,1,2 have in-edges");
-        assert_eq!(cm.lrow_node(0), 0);
-        assert_eq!(cm.lrow_node(1), 1);
-        assert_eq!(cm.lrow_node(2), 3);
-        assert_eq!(cm.rrow_node(2), 2);
-    }
-
-    #[test]
-    fn out_ind_columns() {
-        let g = sample();
-        let cm = CompactModel::build(&g);
-        assert_eq!(cm.out(0), 2);
-        assert_eq!(cm.out(1), 1);
-        assert_eq!(cm.out(2), 1);
-        assert_eq!(cm.ind(0), 0);
-        assert_eq!(cm.ind(1), 2);
-        assert_eq!(cm.ind(2), 3);
-    }
-
-    #[test]
-    fn earray_grouped_by_source_with_correct_ptrs() {
-        let g = sample();
-        let cm = CompactModel::build(&g);
-        // Positions 0..2 are node 0's edges in insertion order.
-        assert_eq!(cm.edge_id(0), 0);
-        assert_eq!(cm.edge_id(1), 1);
-        assert_eq!(cm.edge_id(2), 2);
-        assert_eq!(cm.edge_id(3), 3);
-        // Ptr points at RArray rows: dsts 1,2,2,0 -> rrows 1,2,2,0.
-        assert_eq!(cm.rrow_node(cm.ptr(0)), 1);
-        assert_eq!(cm.rrow_node(cm.ptr(1)), 2);
-        assert_eq!(cm.rrow_node(cm.ptr(2)), 2);
-        assert_eq!(cm.rrow_node(cm.ptr(3)), 0);
+        assert_eq!(cm.edge_count(), 4);
     }
 
     #[test]
     fn key_functions() {
         let g = sample();
-        let cm = CompactModel::build(&g);
-        let keys = cm.keys();
+        let keys = KeyColumns::build(&g).unwrap();
         let a = NodeAttrId(0);
         let b = NodeAttrId(1);
         let w = EdgeAttrId(0);
@@ -438,32 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn cell_accounting_beats_single_table() {
-        let g = sample();
-        let cm = CompactModel::build(&g);
-        // |L|=3, |R|=3, |E|=4, na=2, ea=1.
-        assert_eq!(cm.cells(), 3 * 4 + 4 * 2 + 3 * 2);
-        assert_eq!(cm.cells_paper_formula(), 4 * 4 + 4 * 2 + 4 * 2);
-        assert_eq!(cm.keys().cells(), 4 * (2 * 2 + 1));
-        let st = crate::SingleTable::build(&g);
-        assert_eq!(st.cells(), 4 * (2 * 2 + 1));
-    }
-
-    #[test]
-    fn all_positions_covers_edges() {
-        let g = sample();
-        let cm = CompactModel::build(&g);
-        assert_eq!(cm.all_positions(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn columnar_caches_agree_with_structural_lookups() {
-        let g = sample();
-        let cm = CompactModel::build(&g);
-        let keys = cm.keys();
-        assert_eq!(keys.edge_count(), cm.edge_count());
-        for p in 0..cm.edge_count() as u32 {
-            let e = cm.edge_id(p);
+    fn key_columns_gather_in_earray_order() {
+        // Edges 0..5 as 1->2, 0->1, 3->0, 0->2, 1->0: grouped by source
+        // in node-id order, each group in edge-id order, the positions
+        // hold edges 1, 3 (node 0), 0, 4 (node 1) and 2 (node 3); node 2
+        // has no out-edges and no group.
+        let g = sample_with_edges(&[(1, 2, 1), (0, 1, 2), (3, 0, 1), (0, 2, 1), (1, 0, 2)]);
+        let keys = KeyColumns::build(&g).unwrap();
+        assert_eq!(keys.edge_count(), 5);
+        for (p, e) in [1, 3, 0, 4, 2].into_iter().enumerate() {
+            let p = p as u32;
             for a in g.schema().node_attr_ids() {
                 assert_eq!(keys.l_key(p, a), g.src_attr(e, a), "l_key p={p} {a}");
                 assert_eq!(keys.r_key(p, a), g.dst_attr(e, a), "r_key p={p} {a}");
@@ -475,6 +326,18 @@ mod tests {
                 assert_eq!(keys.w_col(a)[p as usize], keys.w_key(p, a));
             }
         }
+    }
+
+    #[test]
+    fn cell_accounting_beats_single_table() {
+        let g = sample();
+        let cm = CompactModel::build(&g);
+        // |L|=3, |R|=3, |E|=4, na=2, ea=1.
+        assert_eq!(cm.cells(), 3 * 4 + 4 * 2 + 3 * 2);
+        assert_eq!(cm.cells_paper_formula(), 4 * 4 + 4 * 2 + 4 * 2);
+        assert_eq!(KeyColumns::build(&g).unwrap().cells(), 4 * (2 * 2 + 1));
+        let st = crate::SingleTable::build(&g);
+        assert_eq!(st.cells(), 4 * (2 * 2 + 1));
     }
 
     #[test]
@@ -492,8 +355,8 @@ mod tests {
         // set the same way the u32 cap rejects a huge one.
         let err = check_edge_capacity(5, 4).unwrap_err();
         assert!(matches!(err, GraphError::TooManyEdges { edges: 5, max: 4 }));
-        // The fallible entry point accepts every constructible graph.
+        // The fallible gather accepts every constructible graph.
         let g = sample();
-        assert!(CompactModel::try_build(&g).is_ok());
+        assert!(KeyColumns::build(&g).is_ok());
     }
 }

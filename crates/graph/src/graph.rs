@@ -130,8 +130,8 @@ impl SocialGraph {
         0..self.node_count() as NodeId
     }
 
-    /// Out-degree of every node (computed; the compact model caches this
-    /// as the LArray `Out` column).
+    /// Out-degree of every node (the LArray `Out` column of §IV-A's
+    /// compact model).
     pub fn out_degrees(&self) -> Vec<u32> {
         let mut d = vec![0u32; self.node_count()];
         for &s in &self.srcs {

@@ -30,8 +30,8 @@
 //! ```
 //!
 //! Columns (not rows) so a streaming reader touches each attribute
-//! contiguously, matching the columnar key caches the [`crate::CompactModel`]
-//! builds from them. The trailing checksum is [`spill_checksum`] over
+//! contiguously, matching the [`crate::KeyColumns`] a shard or slice
+//! load gathers from them. The trailing checksum is [`spill_checksum`] over
 //! the chunk's column bytes; mining re-reads every spilled byte as a
 //! correctness input (the out-of-core engine trusts nothing else), so
 //! the decoder verifies it and surfaces torn writes, truncation, and

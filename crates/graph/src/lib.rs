@@ -8,9 +8,10 @@
 //! * [`Schema`] / [`AttrDef`] — attribute declarations with domain sizes,
 //!   value dictionaries and per-node-attribute **homophily flags**;
 //! * [`SocialGraph`] / [`GraphBuilder`] — validated attributed digraphs;
-//! * [`CompactModel`] — the LArray/EArray/RArray compact data model of
-//!   §IV-A (node attributes stored once, `Ptr`-linked edge records), and
-//!   the per-position [`KeyColumns`] the mining recursion reads;
+//! * [`CompactModel`] — the cell account of §IV-A's LArray/EArray/RArray
+//!   compact data model (node attributes stored once, `Ptr`-linked edge
+//!   records), and the per-position [`KeyColumns`] the mining recursion
+//!   reads, gathered in EArray order;
 //! * [`SingleTable`] — the joined `|E| × (2·#AttrV + #AttrE)` table used by
 //!   baseline BL1, kept around to measure the §IV-A size comparison;
 //! * [`sort`] — the stable counting-sort partitioner of §V;
@@ -19,7 +20,7 @@
 //! * [`io`] — plain-text persistence; [`csv`] — import of node-table +
 //!   edge-list dataset pairs (the shape of the SNAP Pokec dump);
 //! * [`shard`] — sharded, memory-budgeted out-of-core edge storage that
-//!   breaks the compact model's u32 edge cap: columnar per-shard spill
+//!   breaks the in-core u32 edge cap: columnar per-shard spill
 //!   files (checksummed, written via temp-and-rename) plus an LRU
 //!   shard-residency pool;
 //! * [`cancel`] — the cooperative [`CancelToken`] the mining engines

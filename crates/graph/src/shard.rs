@@ -1,7 +1,7 @@
 //! Sharded, memory-budgeted out-of-core edge storage.
 //!
-//! [`CompactModel`] indexes EArray positions with `u32`, capping any
-//! single resident model at [`CompactModel::MAX_EDGES`] edges.
+//! [`KeyColumns`] index edge positions with `u32`, capping any one
+//! resident edge set at [`CompactModel::MAX_EDGES`] edges.
 //! This module breaks that cap by partitioning the edge set into
 //! independently loadable **shards**, each small enough to be mined over
 //! its own positions:
@@ -316,7 +316,7 @@ fn columns(count: usize, len: usize) -> Vec<Vec<AttrValue>> {
 
 /// Streaming writer for a [`ShardStore`]: nodes accumulate in memory
 /// (rows are small), edges spill straight to per-shard chunk files, so
-/// an edge set far beyond one `CompactModel`'s capacity is written in
+/// an edge set far beyond the in-core `u32` edge cap is written in
 /// O(nodes + chunk) memory.
 pub struct ShardStoreWriter {
     schema: Arc<Schema>,
@@ -1549,37 +1549,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_key_load_rejects_corruption_and_capacity() {
+    fn shard_load_rejects_a_shard_over_the_per_shard_cap() {
         let g = sample();
-        let dir = tdir("shard_keys_corrupt");
+        let dir = tdir("shard_keys_cap");
         let mut store = ShardStore::build_from_graph(&g, &dir, 1, CompactModel::MAX_EDGES).unwrap();
-        let path = dir.join("shard-0.edges");
-        let pristine = fs::read(&path).unwrap();
-        // A flipped payload byte is a checksum mismatch…
-        let mut bytes = pristine.clone();
-        bytes[20] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard(0).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GraphError::ShardIo(ShardIoError::ChecksumMismatch { .. })
-            ),
-            "{err}"
-        );
-        // …truncation is a short read…
-        let mut bytes = pristine.clone();
-        bytes.truncate(bytes.len() - 3);
-        fs::write(&path, &bytes).unwrap();
-        let err = store.load_shard(0).unwrap_err();
-        assert!(
-            matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
-            "{err}"
-        );
-        fs::write(&path, &pristine).unwrap();
         assert_eq!(store.load_shard(0).unwrap().edge_count(), g.edge_count());
-        // …and a shard over the store's per-shard cap is rejected before
-        // any byte is read.
+        // A shard over the store's per-shard cap is rejected before any
+        // byte is read.
         store.max_edges_per_shard = g.edge_count() - 1;
         let err = store.load_shard(0).unwrap_err();
         assert!(

@@ -470,9 +470,16 @@ fn cmd_info(args: &[String]) -> i32 {
         st.cells(),
         st.cells() as f64 / cm.cells() as f64
     );
+    let keys = match social_ties::graph::KeyColumns::build(&graph) {
+        Ok(keys) => keys,
+        Err(e) => {
+            eprintln!("cannot build the key columns: {e}");
+            return 1;
+        }
+    };
     println!(
         "columnar key caches: {} cells (runtime acceleration on top of the compact model)",
-        cm.keys().cells()
+        keys.cells()
     );
     0
 }

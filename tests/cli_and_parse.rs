@@ -3,6 +3,7 @@
 //! binary and the parse API.
 
 use social_ties::core::{parse_gr, query};
+use social_ties::graph::{io, CompactModel, KeyColumns, SingleTable};
 use social_ties::{toy_network, GrMiner, MinerConfig};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -59,7 +60,21 @@ fn cli_gen_info_mine_query_pipeline() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Area (|A|=4, homophily)"));
-    assert!(text.contains("compact model:"));
+    // The §IV-A cell counts printed are the generated graph's own.
+    let g = io::load_graph(&path).unwrap();
+    let cells = |label: &str| -> usize {
+        let at = text
+            .find(label)
+            .unwrap_or_else(|| panic!("no `{label}` in {text}"));
+        let rest = text[at + label.len()..].trim_start();
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+    assert_eq!(cells("compact model:"), CompactModel::build(&g).cells());
+    assert_eq!(cells("single table:"), SingleTable::build(&g).cells());
+    assert_eq!(
+        cells("columnar key caches:"),
+        KeyColumns::build(&g).unwrap().cells()
+    );
 
     let out = grmine()
         .args([

@@ -5,7 +5,9 @@
 //! `MetricInputs` (`supp`, `supp_lw`, `heff`, `supp_r` and the edge count
 //! `|E|`) must agree on all three. Random graphs bring NULL values and
 //! homophily (β) attributes, random GRs bring empty descriptors, and the
-//! DBLP fixture brings an edge attribute at scale.
+//! DBLP fixture brings an edge attribute at scale. The context's columns
+//! themselves are checked against EArray order, computed here from the
+//! edge list.
 
 use proptest::prelude::*;
 use social_ties::core::query::counts;
@@ -159,6 +161,25 @@ proptest! {
             rows.last().copied(),
             Some(MetricInputs { supp: all, supp_lw: all, heff: 0, supp_r: all, edges: all })
         );
+    }
+
+    #[test]
+    fn key_columns_gather_edges_stably_sorted_by_source(g in arb_graph()) {
+        let keys = KeyColumns::build(&g).unwrap();
+        let mut order: Vec<u32> = g.edge_ids().collect();
+        order.sort_by_key(|&e| g.src(e)); // stable: edge-id order per source
+        prop_assert_eq!(keys.edge_count(), order.len());
+        let schema = g.schema();
+        for a in schema.node_attr_ids() {
+            let l: Vec<u16> = order.iter().map(|&e| g.src_attr(e, a)).collect();
+            let r: Vec<u16> = order.iter().map(|&e| g.dst_attr(e, a)).collect();
+            prop_assert_eq!(keys.l_col(a), &l[..], "source side of {:?}", a);
+            prop_assert_eq!(keys.r_col(a), &r[..], "destination side of {:?}", a);
+        }
+        for a in schema.edge_attr_ids() {
+            let w: Vec<u16> = order.iter().map(|&e| g.edge_attr(e, a)).collect();
+            prop_assert_eq!(keys.w_col(a), &w[..], "edge attribute {:?}", a);
+        }
     }
 }
 

@@ -5,6 +5,31 @@
 use social_ties::datagen::pokec_config_scaled;
 use social_ties::generate;
 use social_ties::graph::{CompactModel, SingleTable};
+use social_ties::SocialGraph;
+use std::collections::HashSet;
+
+/// `(|L|, |R|)`: the distinct sources and destinations of `g`'s edge
+/// list, the nodes that keep an LArray or RArray record.
+fn record_nodes(g: &SocialGraph) -> (usize, usize) {
+    let sources: HashSet<_> = g.edge_ids().map(|e| g.src(e)).collect();
+    let dests: HashSet<_> = g.edge_ids().map(|e| g.dst(e)).collect();
+    (sources.len(), dests.len())
+}
+
+/// `cm`'s record counts and cells against `g`'s edge list.
+fn assert_account(cm: &CompactModel, g: &SocialGraph) {
+    let (l, r) = record_nodes(g);
+    let (e, na, ea) = (
+        g.edge_count(),
+        g.schema().node_attr_count(),
+        g.schema().edge_attr_count(),
+    );
+    assert_eq!(
+        (cm.lrow_count(), cm.edge_count(), cm.rrow_count()),
+        (l, e, r)
+    );
+    assert_eq!(cm.cells(), l * (na + 2) + e * (ea + 1) + r * na);
+}
 
 #[test]
 fn formulas_match_the_paper() {
@@ -29,6 +54,7 @@ fn formulas_match_the_paper() {
     );
     // Actual cells use only rows with nonzero degree.
     assert!(cm.cells() <= cm.cells_paper_formula());
+    assert_account(&cm, &g);
 }
 
 #[test]
@@ -61,7 +87,8 @@ fn sparse_graph_still_no_worse_than_single_table_bottleneck() {
         g.edge_count() * (2 * g.schema().node_attr_count() + g.schema().edge_attr_count());
     assert!(edge_term_compact < edge_term_single);
     // Zero-degree nodes are dropped from LArray/RArray (§IV-A).
-    assert!(cm.lrow_count() <= g.node_count());
-    assert!(cm.rrow_count() <= g.node_count());
+    assert!(cm.lrow_count() < g.node_count());
+    assert!(cm.rrow_count() < g.node_count());
+    assert_account(&cm, &g);
     assert!(cm.cells() > 0 && st.cells() > 0);
 }
