@@ -304,27 +304,47 @@ mod tests {
         assert_eq!(keys.r_key(1, a), 3);
     }
 
-    #[test]
-    fn key_columns_gather_in_earray_order() {
-        // Edges 0..5 as 1->2, 0->1, 3->0, 0->2, 1->0: grouped by source
-        // in node-id order, each group in edge-id order, the positions
-        // hold edges 1, 3 (node 0), 0, 4 (node 1) and 2 (node 3); node 2
-        // has no out-edges and no group.
+    /// Edges 0..5 as 1->2, 0->1, 3->0, 0->2, 1->0, with the edge ids
+    /// EArray order puts at positions 0..5: grouped by source in node-id
+    /// order, each group in edge-id order, the positions hold edges 1, 3
+    /// (node 0), 0, 4 (node 1) and 2 (node 3); node 2 has no out-edges
+    /// and no group.
+    fn unsorted_sample() -> (SocialGraph, [EdgeId; 5]) {
         let g = sample_with_edges(&[(1, 2, 1), (0, 1, 2), (3, 0, 1), (0, 2, 1), (1, 0, 2)]);
+        (g, [1, 3, 0, 4, 2])
+    }
+
+    #[test]
+    fn earray_grouped_by_source_with_correct_ptrs() {
+        // Each position's source side is its group's node, and its
+        // destination side (the paper's Ptr) is that edge's destination.
+        let (g, order) = unsorted_sample();
         let keys = KeyColumns::build(&g).unwrap();
         assert_eq!(keys.edge_count(), 5);
-        for (p, e) in [1, 3, 0, 4, 2].into_iter().enumerate() {
-            let p = p as u32;
+        for (p, e) in (0u32..).zip(order) {
             for a in g.schema().node_attr_ids() {
                 assert_eq!(keys.l_key(p, a), g.src_attr(e, a), "l_key p={p} {a}");
                 assert_eq!(keys.r_key(p, a), g.dst_attr(e, a), "r_key p={p} {a}");
-                assert_eq!(keys.l_col(a)[p as usize], keys.l_key(p, a));
-                assert_eq!(keys.r_col(a)[p as usize], keys.r_key(p, a));
             }
             for a in g.schema().edge_attr_ids() {
                 assert_eq!(keys.w_key(p, a), g.edge_attr(e, a), "w_key p={p} {a}");
-                assert_eq!(keys.w_col(a)[p as usize], keys.w_key(p, a));
             }
+        }
+    }
+
+    #[test]
+    fn columnar_caches_agree_with_structural_lookups() {
+        // Every whole column equals the graph's per-edge lookups read
+        // in EArray order.
+        let (g, order) = unsorted_sample();
+        let keys = KeyColumns::build(&g).unwrap();
+        let column = |f: &dyn Fn(EdgeId) -> AttrValue| order.map(f).to_vec();
+        for a in g.schema().node_attr_ids() {
+            assert_eq!(keys.l_col(a), column(&|e| g.src_attr(e, a)), "l_col {a}");
+            assert_eq!(keys.r_col(a), column(&|e| g.dst_attr(e, a)), "r_col {a}");
+        }
+        for a in g.schema().edge_attr_ids() {
+            assert_eq!(keys.w_col(a), column(&|e| g.edge_attr(e, a)), "w_col {a}");
         }
     }
 
