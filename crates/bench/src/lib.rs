@@ -16,7 +16,8 @@
 
 use grm_datagen::{dblp_config_scaled, generate, pokec_config_scaled, GeneratorConfig};
 use grm_graph::SocialGraph;
-use std::path::PathBuf;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Which synthetic dataset a fixture uses.
@@ -46,13 +47,11 @@ impl Dataset {
     }
 }
 
-/// Generate (or load from the on-disk cache under `target/grm-fixtures/`)
-/// the dataset at the given scale. Caching makes repeated harness runs and
+/// Generate (or load from the on-disk cache in [`fixture_dir`]) the
+/// dataset at the given scale. Caching makes repeated harness runs and
 /// Criterion warm-ups cheap; delete the directory to force regeneration.
 pub fn fixture(dataset: Dataset, scale: f64) -> SocialGraph {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-            .join("grm-fixtures");
+    let dir = fixture_dir(std::env::var_os("CARGO_TARGET_DIR").as_deref());
     std::fs::create_dir_all(&dir).ok();
     let path = dir.join(format!("{}-{scale}.grm", dataset.name()));
     if let Ok(g) = grm_graph::io::load_graph(&path) {
@@ -61,6 +60,17 @@ pub fn fixture(dataset: Dataset, scale: f64) -> SocialGraph {
     let g = generate(&dataset.config(scale)).expect("builtin configs are valid");
     grm_graph::io::save_graph(&g, &path).ok();
     g
+}
+
+/// The fixture cache: `grm-fixtures/` under the cargo target directory
+/// `target_dir` (the value of `CARGO_TARGET_DIR`; `None`: `target`),
+/// resolved against the workspace root when relative. Every harness
+/// binary and bench therefore shares one cache, whatever directory it
+/// runs from — `cargo bench` runs its benches from `crates/bench`.
+pub fn fixture_dir(target_dir: Option<&OsStr>) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.join(target_dir.unwrap_or(OsStr::new("target")))
+        .join("grm-fixtures")
 }
 
 /// Run `f` once and return (result, elapsed).
@@ -149,6 +159,28 @@ mod tests {
         let b = fixture(Dataset::Dblp, 0.01);
         assert_eq!(a.edge_count(), b.edge_count());
         assert!(a.edge_count() > 0);
+    }
+
+    #[test]
+    fn the_fixture_cache_sits_under_the_workspace_target_dir() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert!(root.join("crates/bench/Cargo.toml").exists(), "{root:?}");
+        assert_eq!(
+            fixture_dir(None),
+            root.join("target").join("grm-fixtures"),
+            "no CARGO_TARGET_DIR: the workspace's target/"
+        );
+        assert_eq!(
+            fixture_dir(Some(OsStr::new(".bench_build"))),
+            root.join(".bench_build").join("grm-fixtures"),
+            "a relative CARGO_TARGET_DIR resolves against the workspace root"
+        );
+        assert_eq!(
+            fixture_dir(Some(OsStr::new("/tmp/elsewhere"))),
+            Path::new("/tmp/elsewhere").join("grm-fixtures"),
+            "an absolute CARGO_TARGET_DIR is used as it is"
+        );
+        assert!(fixture_dir(None).is_absolute());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! holds its columns and borrows no graph: an in-core mine gathers them
 //! with [`KeyColumns::build`] in EArray order, and an out-of-core unit
 //! shares the columns its shard or value slice loads from its spill file
-//! in spill order ([`ShardPool`](grm_graph::shard::ShardPool)).
+//! ([`ShardPool`](grm_graph::shard::ShardPool)), in EArray order for a
+//! store built from a graph and in arrival order for a streamed one.
 //! Everything in it is immutable (or internally synchronized) and safe to
 //! share by reference across worker threads, so the per-task costs the
 //! §IV-A model was designed to avoid are paid once per run instead of

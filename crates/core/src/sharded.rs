@@ -58,14 +58,19 @@
 //! The recursion reads only the per-position key columns
 //! ([`KeyColumns`]), so that is all a unit makes resident, and both kinds
 //! load them the same way: gathered from the spill file against the
-//! store's resident node table, positions in spill order — no graph, no
-//! node rows, no model. A shard unit leases its columns from the pool,
-//! which loads them on a miss ([`ShardStore::load_shard`]), keeps them
-//! for the post-pass and shares them with the unit's [`MiningContext`];
-//! a slice unit reserves its budget and loads its columns
-//! ([`SliceSet::load_keys`]). The recursion is invariant under a
-//! permutation of its positions, so the order changes no result and no
-//! counter.
+//! store's resident node table — no graph, no node rows, no model.
+//! Positions come in the order the file holds: EArray order for a store
+//! built from a graph ([`ShardStore::build_from_graph`] spills each shard
+//! grouped by source node, and a slice is a stable filter of the store),
+//! so a unit's columns are grouped by source as an in-core mine's are;
+//! arrival order for a store streamed through a
+//! [`ShardStoreWriter`](grm_graph::shard::ShardStoreWriter). A shard
+//! unit leases its columns from the pool, which loads them on a miss
+//! ([`ShardStore::load_shard`]), keeps them for the post-pass and shares
+//! them with the unit's [`MiningContext`]; a slice unit reserves its
+//! budget and loads its columns ([`SliceSet::load_keys`]). The recursion
+//! is invariant under a permutation of its positions, so the order
+//! changes no result and no counter, only how fast a unit mines.
 //!
 //! Each unit is a collect-mode run whose [`MiningContext`] carries the
 //! global edge total ([`MiningContext::with_edges_total`]), on the same

@@ -531,11 +531,15 @@ mod tests {
         let mut seen = 0usize;
         for s in 0..store.shard_count() {
             store
-                .for_each_edge(s, |src, dst, row| {
-                    seen += 1;
-                    assert!(g
-                        .edge_ids()
-                        .any(|e| g.src(e) == src && g.dst(e) == dst && g.edge_row(e) == row));
+                .for_each_chunk(s, |chunk| {
+                    for i in 0..chunk.len() {
+                        seen += 1;
+                        let (src, dst) = (chunk.srcs[i], chunk.dsts[i]);
+                        let row: Vec<_> = chunk.attrs.iter().map(|col| col[i]).collect();
+                        assert!(g
+                            .edge_ids()
+                            .any(|e| g.src(e) == src && g.dst(e) == dst && g.edge_row(e) == row));
+                    }
                     Ok(())
                 })
                 .unwrap();

@@ -35,13 +35,16 @@
 //! once-per-node storage instead of joining per edge — is unchanged.
 //! [`KeyColumns::build`] gathers an in-memory graph's columns in EArray
 //! order, and the out-of-core engine gathers a shard's or value slice's
-//! columns straight from its spill file in spill order
+//! columns straight from its spill file in the order the file holds
 //! ([`crate::shard::ShardStore::load_shard`],
-//! [`crate::shard::SliceSet::load_keys`]).
+//! [`crate::shard::SliceSet::load_keys`]): EArray order for a store
+//! built from a graph, which places its edges with the same counting
+//! pass, and arrival order for a streamed one.
 
 use crate::error::{GraphError, Result};
 use crate::graph::SocialGraph;
 use crate::value::{AttrValue, EdgeAttrId, EdgeId, NodeAttrId, NodeId};
+use std::ops::Range;
 
 /// The columnar per-position key caches (module docs): per node
 /// attribute a source-side and a destination-side column, per edge
@@ -66,44 +69,26 @@ impl KeyColumns {
     /// and edge id at its position, then one pass in position order
     /// fills every column, reading each source's attribute row once.
     pub fn build(graph: &SocialGraph) -> Result<Self> {
-        check_edge_capacity(graph.edge_count(), CompactModel::MAX_EDGES)?;
+        let place = Placement::of(graph)?;
         let m = graph.edge_count();
-        // `end[v]`: one past the last position of source `v`'s group,
-        // once the scatter below has advanced it from the group's start.
-        let mut end = graph.out_degrees();
-        let mut acc = 0u32;
-        for d in &mut end {
-            acc += *d;
-            *d = acc - *d;
-        }
-        let mut dst = vec![0 as NodeId; m];
-        let mut eid = vec![0 as EdgeId; m];
-        for e in graph.edge_ids() {
-            let cursor = &mut end[graph.src(e) as usize];
-            dst[*cursor as usize] = graph.dst(e);
-            eid[*cursor as usize] = e;
-            *cursor += 1;
-        }
         let na = graph.schema().node_attr_count();
         let ea = graph.schema().edge_attr_count();
         let mut l = vec![vec![0 as AttrValue; m]; na];
         let mut w = vec![vec![0 as AttrValue; m]; ea];
         let mut r = vec![vec![0 as AttrValue; m]; na];
-        let mut lo = 0;
-        for (v, &hi) in graph.node_ids().zip(&end) {
-            let hi = hi as usize;
+        for (v, group) in place.groups() {
             for (col, &value) in l.iter_mut().zip(graph.node_row(v)) {
-                col[lo..hi].fill(value);
+                col[group.clone()].fill(value);
             }
-            for p in lo..hi {
-                for (col, &value) in r.iter_mut().zip(graph.node_row(dst[p])) {
+            for p in group {
+                let (dst, e) = place.edges[p];
+                for (col, &value) in r.iter_mut().zip(graph.node_row(dst)) {
                     col[p] = value;
                 }
-                for (col, &value) in w.iter_mut().zip(graph.edge_row(eid[p])) {
+                for (col, &value) in w.iter_mut().zip(graph.edge_row(e)) {
                     col[p] = value;
                 }
             }
-            lo = hi;
         }
         Ok(KeyColumns::from_columns(m, l, w, r))
     }
@@ -168,6 +153,56 @@ impl KeyColumns {
     /// [`CompactModel::cells`] structural model.
     pub fn cells(&self) -> usize {
         self.edges * (self.l.len() + self.w.len() + self.r.len())
+    }
+}
+
+/// Where each of a graph's edges sits in EArray order (module docs): per
+/// position the edge's destination and edge id, and per source node the
+/// range of positions its group holds. One counting pass over the
+/// out-degree prefix sums computes it; [`KeyColumns::build`] gathers the
+/// in-core columns from it, and
+/// [`crate::shard::ShardStore::build_from_graph`] spills the edges in its
+/// order.
+pub(crate) struct Placement {
+    /// One past the last position of each source node's group.
+    end: Vec<u32>,
+    /// The `(destination, edge id)` of the edge at each position, side by
+    /// side so placing an edge writes one cache line, not two.
+    pub(crate) edges: Vec<(NodeId, EdgeId)>,
+}
+
+impl Placement {
+    /// Place `graph`'s edges, rejecting more than
+    /// [`CompactModel::MAX_EDGES`] with [`GraphError::TooManyEdges`]:
+    /// positions are `u32`.
+    pub(crate) fn of(graph: &SocialGraph) -> Result<Self> {
+        check_edge_capacity(graph.edge_count(), CompactModel::MAX_EDGES)?;
+        // `end[v]`: one past the last position of source `v`'s group,
+        // once the scatter below has advanced it from the group's start.
+        let mut end = graph.out_degrees();
+        let mut acc = 0u32;
+        for d in &mut end {
+            acc += *d;
+            *d = acc - *d;
+        }
+        let mut edges = vec![(0 as NodeId, 0 as EdgeId); graph.edge_count()];
+        for e in graph.edge_ids() {
+            let cursor = &mut end[graph.src(e) as usize];
+            edges[*cursor as usize] = (graph.dst(e), e);
+            *cursor += 1;
+        }
+        Ok(Placement { end, edges })
+    }
+
+    /// Each source node with the positions of its group, in node-id
+    /// order (empty for a node without out-edges).
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (NodeId, Range<usize>)> + '_ {
+        let mut lo = 0;
+        (0..).zip(&self.end).map(move |(v, &hi)| {
+            let group = lo..hi as usize;
+            lo = group.end;
+            (v, group)
+        })
     }
 }
 

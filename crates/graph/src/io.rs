@@ -36,8 +36,17 @@
 //! correctness input (the out-of-core engine trusts nothing else), so
 //! the decoder verifies it and surfaces torn writes, truncation, and
 //! bit rot as typed [`ShardIoError`]s instead of decoding garbage.
-//! [`write_edge_chunk`] / [`read_edge_chunk`] are the only
-//! encoder/decoder; the shard store never parses bytes itself.
+//! [`encode_edge_chunk`] / [`read_edge_chunk`] are the only
+//! encoder/decoder; the shard store never parses bytes itself. Both work
+//! a whole chunk at a time through buffers their caller keeps: the
+//! encoder appends to a byte buffer the writer reuses, and the decoder
+//! refills one [`EdgeChunk`] for every chunk of a file.
+//!
+//! Within a file, chunks hold edges in the order they were spilled: a
+//! shard file of a store built from a graph holds its edges in EArray
+//! order (grouped by source node, as [`crate::KeyColumns::build`] places
+//! them), a shard file of a streamed store in arrival order, and a slice
+//! file the stable subsequence of its store's order.
 
 use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result, ShardIoError};
@@ -252,18 +261,37 @@ fn parse_value(ln: usize, f: &str) -> Result<AttrValue> {
     })
 }
 
-/// One decoded columnar chunk of shard-spilled edges (module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One columnar chunk of shard-spilled edges (module docs): the edges a
+/// writer buffers before it spills them, or the chunk the decoder last
+/// read. [`read_edge_chunk`] refills one chunk in place, so a reader
+/// allocates its buffers once per file, not once per chunk.
+#[derive(Debug, Clone)]
 pub struct EdgeChunk {
     /// Edge sources.
-    pub srcs: Vec<crate::value::NodeId>,
+    pub srcs: Vec<NodeId>,
     /// Edge destinations, same length as `srcs`.
-    pub dsts: Vec<crate::value::NodeId>,
+    pub dsts: Vec<NodeId>,
     /// One column per edge attribute, each the chunk's length.
     pub attrs: Vec<Vec<AttrValue>>,
+    /// The raw bytes of the last chunk read into this one, kept so the
+    /// next read reuses their allocation.
+    bytes: Vec<u8>,
 }
 
 impl EdgeChunk {
+    /// An empty chunk with `edge_attrs` attribute columns, each column
+    /// with room for `capacity` edges.
+    pub fn new(edge_attrs: usize, capacity: usize) -> Self {
+        EdgeChunk {
+            srcs: Vec::with_capacity(capacity),
+            dsts: Vec::with_capacity(capacity),
+            attrs: (0..edge_attrs)
+                .map(|_| Vec::with_capacity(capacity))
+                .collect(),
+            bytes: Vec::new(),
+        }
+    }
+
     /// Edges in the chunk.
     pub fn len(&self) -> usize {
         self.srcs.len()
@@ -272,6 +300,15 @@ impl EdgeChunk {
     /// Whether the chunk is empty.
     pub fn is_empty(&self) -> bool {
         self.srcs.is_empty()
+    }
+
+    /// Drop every edge, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.srcs.clear();
+        self.dsts.clear();
+        for col in &mut self.attrs {
+            col.clear();
+        }
     }
 }
 
@@ -344,121 +381,128 @@ pub fn read_spill_header<R: Read>(r: &mut R) -> Result<()> {
     Ok(())
 }
 
-/// Encode one columnar edge chunk — length prefix, columns, trailing
-/// [`spill_checksum`] over the column bytes — into a single buffer, so
-/// a writer can retry the whole chunk on a transient failure without
-/// re-walking its sources. `attrs` holds one column per edge attribute;
-/// every column must match `srcs`/`dsts` in length.
+/// Append one encoded columnar edge chunk — length prefix, columns,
+/// trailing [`spill_checksum`] over the column bytes — to `out`, so a
+/// writer can retry the whole chunk on a transient failure without
+/// re-walking its sources, and reuse `out` for the next chunk.
+/// `attrs` holds one column per edge attribute; every column must match
+/// `srcs`/`dsts` in length.
 pub fn encode_edge_chunk(
-    srcs: &[crate::value::NodeId],
-    dsts: &[crate::value::NodeId],
+    srcs: &[NodeId],
+    dsts: &[NodeId],
     attrs: &[Vec<AttrValue>],
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     debug_assert_eq!(srcs.len(), dsts.len());
     let n = srcs.len();
-    let body_len = n * 8 + attrs.len() * n * 2;
-    let mut out = Vec::with_capacity(4 + body_len + 8);
     // cast: n ≤ shard::CHUNK_EDGES (4096) — the shard writers spill a chunk at that size
     out.extend_from_slice(&(n as u32).to_le_bytes());
+    let columns = out.len();
     for col in [srcs, dsts] {
-        for &v in col {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        put_column(out, col, u32::to_le_bytes);
     }
     for col in attrs {
         debug_assert_eq!(col.len(), n);
-        for &v in col {
-            out.extend_from_slice(&v.to_le_bytes());
+        put_column(out, col, AttrValue::to_le_bytes);
+    }
+    let sum = spill_checksum(&out[columns..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Append `col` to `out`, each value as its `W` little-endian bytes.
+fn put_column<T: Copy, const W: usize>(out: &mut Vec<u8>, col: &[T], le: fn(T) -> [u8; W]) {
+    let start = out.len();
+    out.resize(start + W * col.len(), 0);
+    for (bytes, &v) in out[start..].chunks_exact_mut(W).zip(col) {
+        bytes.copy_from_slice(&le(v));
+    }
+}
+
+/// Refill `col` from `bytes`, `W` little-endian bytes per value.
+fn take_column<T, const W: usize>(col: &mut Vec<T>, bytes: &[u8], le: fn([u8; W]) -> T) {
+    col.clear();
+    col.extend(bytes.chunks_exact(W).map(|b| {
+        let mut v = [0u8; W];
+        v.copy_from_slice(b);
+        le(v)
+    }));
+}
+
+/// Read into `buf` until it is full or `r` ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
     }
-    let sum = spill_checksum(&out[4..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    Ok(got)
 }
 
-/// Append one columnar edge chunk to `w` (module docs give the layout).
-pub fn write_edge_chunk<W: Write>(
-    w: &mut W,
-    srcs: &[crate::value::NodeId],
-    dsts: &[crate::value::NodeId],
-    attrs: &[Vec<AttrValue>],
-) -> Result<()> {
-    w.write_all(&encode_edge_chunk(srcs, dsts, attrs))?;
-    Ok(())
-}
+/// Bytes a chunk read asks for at a time: a corrupted length prefix runs
+/// out of file bytes before its buffer grows further than this past
+/// them.
+const READ_PIECE: usize = 64 * 1024;
 
-/// Read the next edge chunk from `r`, decoding `edge_attrs` attribute
-/// columns per edge and verifying the trailing checksum. Returns
-/// `Ok(None)` on a clean end of stream; truncation is a typed
+/// Read the next edge chunk from `r` into `chunk`, decoding one column
+/// per attribute column `chunk` has and verifying the trailing checksum;
+/// every column is refilled, so nothing of the previous chunk remains.
+/// Returns `Ok(false)` on a clean end of stream; truncation is a typed
 /// [`ShardIoError::ShortRead`] and a checksum failure a
 /// [`ShardIoError::ChecksumMismatch`].
-pub fn read_edge_chunk<R: Read>(r: &mut R, edge_attrs: usize) -> Result<Option<EdgeChunk>> {
+pub fn read_edge_chunk<R: Read>(r: &mut R, chunk: &mut EdgeChunk) -> Result<bool> {
     let mut lenb = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        let k = r.read(&mut lenb[got..])?;
-        if k == 0 {
-            break;
+    match fill(r, &mut lenb)? {
+        0 => return Ok(false),
+        4 => {}
+        _ => {
+            return Err(ShardIoError::ShortRead {
+                context: "chunk length prefix",
+            }
+            .into())
         }
-        got += k;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    if got < 4 {
-        return Err(ShardIoError::ShortRead {
-            context: "chunk length prefix",
-        }
-        .into());
     }
     let n = u32::from_le_bytes(lenb) as usize;
-    let body_len = n * 8 + edge_attrs * n * 2;
-    // Read incrementally so a corrupted length prefix cannot demand a
-    // multi-gigabyte allocation — it runs out of file bytes first and
-    // surfaces as the short read it is.
-    let mut body = Vec::new();
-    let mut piece = [0u8; 64 * 1024];
-    let mut remaining = body_len;
-    while remaining > 0 {
-        let want = remaining.min(piece.len());
-        let k = r.read(&mut piece[..want])?;
-        if k == 0 {
-            return Err(ShardIoError::ShortRead {
-                context: "chunk columns",
-            }
-            .into());
+    let columns = n * 8 + chunk.attrs.len() * n * 2;
+    // Grow the buffer a piece at a time, so a corrupted length prefix
+    // cannot demand a multi-gigabyte allocation — it runs out of file
+    // bytes first and surfaces as the short read it is.
+    let bytes = &mut chunk.bytes;
+    bytes.clear();
+    while bytes.len() < columns + 8 {
+        let start = bytes.len();
+        bytes.resize((columns + 8).min(start + READ_PIECE), 0);
+        let got = fill(r, &mut bytes[start..])?;
+        if start + got < bytes.len() {
+            let context = if start + got < columns {
+                "chunk columns"
+            } else {
+                "chunk checksum"
+            };
+            return Err(ShardIoError::ShortRead { context }.into());
         }
-        body.extend_from_slice(&piece[..k]);
-        remaining -= k;
     }
+    let (body, sum) = bytes.split_at(columns);
     let mut sumb = [0u8; 8];
-    r.read_exact(&mut sumb)
-        .map_err(|_| ShardIoError::ShortRead {
-            context: "chunk checksum",
-        })?;
+    sumb.copy_from_slice(sum);
     let stored = u64::from_le_bytes(sumb);
-    let computed = spill_checksum(&body);
+    let computed = spill_checksum(body);
     if stored != computed {
         return Err(ShardIoError::ChecksumMismatch { stored, computed }.into());
     }
-    let col_u32 = |bytes: &[u8]| -> Vec<crate::value::NodeId> {
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
-    };
-    let srcs = col_u32(&body[..n * 4]);
-    let dsts = col_u32(&body[n * 4..n * 8]);
-    let mut attrs = Vec::with_capacity(edge_attrs);
-    for a in 0..edge_attrs {
-        let start = n * 8 + a * n * 2;
-        let col = body[start..start + n * 2]
-            .chunks_exact(2)
-            .map(|c| AttrValue::from_le_bytes([c[0], c[1]]))
-            .collect();
-        attrs.push(col);
+    let (srcs, rest) = body.split_at(n * 4);
+    let (dsts, mut rest) = rest.split_at(n * 4);
+    take_column(&mut chunk.srcs, srcs, u32::from_le_bytes);
+    take_column(&mut chunk.dsts, dsts, u32::from_le_bytes);
+    for col in &mut chunk.attrs {
+        let (values, tail) = rest.split_at(n * 2);
+        take_column(col, values, AttrValue::from_le_bytes);
+        rest = tail;
     }
-    Ok(Some(EdgeChunk { srcs, dsts, attrs }))
+    Ok(true)
 }
 
 /// Save a graph to `path`.
@@ -539,44 +583,101 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `chunks` encoded back to back.
+    fn encoded(chunks: &[EdgeChunk]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for c in chunks {
+            encode_edge_chunk(&c.srcs, &c.dsts, &c.attrs, &mut buf);
+        }
+        buf
+    }
+
+    /// A chunk of the given columns.
+    fn chunk(srcs: Vec<NodeId>, dsts: Vec<NodeId>, attrs: Vec<Vec<AttrValue>>) -> EdgeChunk {
+        EdgeChunk {
+            srcs,
+            dsts,
+            attrs,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// The decoded columns of `chunk`, to compare with an input chunk.
+    fn columns_of(chunk: &EdgeChunk) -> (&[NodeId], &[NodeId], &[Vec<AttrValue>]) {
+        (&chunk.srcs, &chunk.dsts, &chunk.attrs)
+    }
+
     #[test]
     fn edge_chunk_round_trip() {
-        let mut buf = Vec::new();
-        write_edge_chunk(&mut buf, &[1, 2, 3], &[4, 5, 6], &[vec![7, 8, 9]]).unwrap();
-        write_edge_chunk(&mut buf, &[10], &[11], &[vec![1]]).unwrap();
-        // Empty chunks are legal (a flush with nothing buffered).
-        write_edge_chunk(&mut buf, &[], &[], &[vec![]]).unwrap();
+        let buf = encoded(&[
+            chunk(vec![1, 2, 3], vec![4, 5, 6], vec![vec![7, 8, 9]]),
+            chunk(vec![10], vec![11], vec![vec![1]]),
+            // Empty chunks are legal (a flush with nothing buffered).
+            chunk(vec![], vec![], vec![vec![]]),
+        ]);
         let mut r = &buf[..];
-        let c1 = read_edge_chunk(&mut r, 1).unwrap().unwrap();
-        assert_eq!(c1.srcs, vec![1, 2, 3]);
-        assert_eq!(c1.dsts, vec![4, 5, 6]);
-        assert_eq!(c1.attrs, vec![vec![7, 8, 9]]);
-        assert_eq!(c1.len(), 3);
-        let c2 = read_edge_chunk(&mut r, 1).unwrap().unwrap();
-        assert_eq!((c2.srcs[0], c2.dsts[0], c2.attrs[0][0]), (10, 11, 1));
-        let c3 = read_edge_chunk(&mut r, 1).unwrap().unwrap();
-        assert!(c3.is_empty());
-        assert!(read_edge_chunk(&mut r, 1).unwrap().is_none(), "clean EOF");
+        let mut c = EdgeChunk::new(1, 0);
+        assert!(read_edge_chunk(&mut r, &mut c).unwrap());
+        assert_eq!(c.srcs, vec![1, 2, 3]);
+        assert_eq!(c.dsts, vec![4, 5, 6]);
+        assert_eq!(c.attrs, vec![vec![7, 8, 9]]);
+        assert_eq!(c.len(), 3);
+        assert!(read_edge_chunk(&mut r, &mut c).unwrap());
+        assert_eq!((c.srcs[0], c.dsts[0], c.attrs[0][0]), (10, 11, 1));
+        assert!(read_edge_chunk(&mut r, &mut c).unwrap());
+        assert!(c.is_empty());
+        assert!(!read_edge_chunk(&mut r, &mut c).unwrap(), "clean EOF");
     }
 
     #[test]
     fn edge_chunk_no_attrs() {
-        let mut buf = Vec::new();
-        write_edge_chunk(&mut buf, &[0, 1], &[1, 0], &[]).unwrap();
-        let c = read_edge_chunk(&mut &buf[..], 0).unwrap().unwrap();
+        let buf = encoded(&[chunk(vec![0, 1], vec![1, 0], vec![])]);
+        let mut c = EdgeChunk::new(0, 0);
+        assert!(read_edge_chunk(&mut &buf[..], &mut c).unwrap());
         assert_eq!(c.srcs, vec![0, 1]);
         assert!(c.attrs.is_empty());
     }
 
     #[test]
+    fn one_reused_chunk_decodes_every_chunk_exactly() {
+        // Long, short, empty, long: a decoder that kept any part of the
+        // previous chunk would show it as a stale tail or a stale value.
+        for ea in [0usize, 2] {
+            let inputs: Vec<EdgeChunk> = [4096usize, 3, 0, 4096]
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let seed = i as u32 * 7919 + 1;
+                    let column = |k: u32| -> Vec<u32> {
+                        (0..len as u32)
+                            .map(|e| (e * 31 + seed * k) % 50_000)
+                            .collect()
+                    };
+                    let attrs = (0..ea as u32)
+                        .map(|a| column(3 + a).iter().map(|&v| (v % 5) as u16).collect())
+                        .collect();
+                    chunk(column(1), column(2), attrs)
+                })
+                .collect();
+            let buf = encoded(&inputs);
+            let mut r = &buf[..];
+            let mut out = EdgeChunk::new(ea, 0);
+            for (i, want) in inputs.iter().enumerate() {
+                assert!(read_edge_chunk(&mut r, &mut out).unwrap(), "chunk {i}");
+                assert_eq!(columns_of(&out), columns_of(want), "chunk {i}, {ea} attrs");
+            }
+            assert!(!read_edge_chunk(&mut r, &mut out).unwrap(), "clean EOF");
+        }
+    }
+
+    #[test]
     fn edge_chunk_truncation_is_a_typed_short_read() {
-        let mut buf = Vec::new();
-        write_edge_chunk(&mut buf, &[1, 2, 3], &[4, 5, 6], &[vec![7, 8, 9]]).unwrap();
+        let buf = encoded(&[chunk(vec![1, 2, 3], vec![4, 5, 6], vec![vec![7, 8, 9]])]);
         // Cut mid-checksum, mid-column, and mid-length-prefix: the
         // length prefix promises bytes that never arrive.
         for cut_at in [buf.len() - 3, 10, 2] {
             let cut = &buf[..cut_at];
-            let err = read_edge_chunk(&mut &cut[..], 1).unwrap_err();
+            let err = read_edge_chunk(&mut &cut[..], &mut EdgeChunk::new(1, 0)).unwrap_err();
             assert!(
                 matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
                 "cut at {cut_at}: {err:?}"
@@ -586,11 +687,10 @@ mod tests {
 
     #[test]
     fn edge_chunk_corruption_is_a_checksum_mismatch() {
-        let mut buf = Vec::new();
-        write_edge_chunk(&mut buf, &[1, 2, 3], &[4, 5, 6], &[vec![7, 8, 9]]).unwrap();
+        let mut buf = encoded(&[chunk(vec![1, 2, 3], vec![4, 5, 6], vec![vec![7, 8, 9]])]);
         // Flip one payload bit (in a column, past the length prefix).
         buf[6] ^= 0x10;
-        let err = read_edge_chunk(&mut &buf[..], 1).unwrap_err();
+        let err = read_edge_chunk(&mut &buf[..], &mut EdgeChunk::new(1, 0)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -602,11 +702,10 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_a_short_read_not_an_allocation() {
-        let mut buf = Vec::new();
-        write_edge_chunk(&mut buf, &[1], &[2], &[]).unwrap();
+        let mut buf = encoded(&[chunk(vec![1], vec![2], vec![])]);
         // Corrupt the length prefix to claim ~4 billion edges.
         buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_edge_chunk(&mut &buf[..], 0).unwrap_err();
+        let err = read_edge_chunk(&mut &buf[..], &mut EdgeChunk::new(0, 0)).unwrap_err();
         assert!(
             matches!(err, GraphError::ShardIo(ShardIoError::ShortRead { .. })),
             "{err:?}"

@@ -21,8 +21,8 @@
 //!   edge-list dataset pairs (the shape of the SNAP Pokec dump);
 //! * [`shard`] — sharded, memory-budgeted out-of-core edge storage that
 //!   breaks the in-core u32 edge cap: columnar per-shard spill
-//!   files (checksummed, written via temp-and-rename) plus an LRU
-//!   shard-residency pool;
+//!   files (checksummed, written via temp-and-rename, in EArray order
+//!   when built from a graph) plus an LRU shard-residency pool;
 //! * [`cancel`] — the cooperative [`CancelToken`] the mining engines
 //!   observe at recursion-node and shard-load granularity;
 //! * [`failpoint`] — deterministic fault injection behind the

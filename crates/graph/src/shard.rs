@@ -30,14 +30,23 @@
 //! A shard and a slice load the same way: as the [`KeyColumns`] a mining
 //! unit reads ([`ShardStore::load_shard`], [`SliceSet::load_keys`]),
 //! gathered from the spill file against the store's resident node table
-//! in spill order — no graph, no node rows, no compact model.
+//! — no graph, no node rows, no compact model. Positions come in the
+//! order the file holds: EArray order for a store built from a graph
+//! ([`ShardStore::build_from_graph`] spills each shard grouped by source
+//! node, as an in-core mine's [`KeyColumns::build`] places its edges),
+//! arrival order for a streamed one ([`ShardStoreWriter`]). A slice set
+//! is a stable filter of its store, so its slices keep that order too.
 //!
 //! Every reader — shard loads, slice-set builds, key loads — goes
-//! through one read path: the decoder verifies the file header and each
-//! chunk's checksum, and each decoded chunk's endpoints and edge values
-//! are then checked against the store. A spill file whose checksums hold
-//! but whose values the store never wrote is a typed error before any
-//! reader indexes with them, never a panic.
+//! through one read path, a decoded chunk at a time: the decoder
+//! verifies the file header and each chunk's checksum, refilling one
+//! [`EdgeChunk`] per file, and each decoded chunk's endpoints and edge
+//! values are then checked against the store. A spill file whose
+//! checksums hold but whose values the store never wrote is a typed
+//! error before any reader indexes with them, never a panic. Writers
+//! work a chunk at a time too: a slice-set build computes a decoded
+//! chunk's keys column by column and copies each run of equal keys into
+//! its bucket, and every spill encodes into one reused buffer.
 //!
 //! Residency accounting uses [`resident_cost`], the bytes a mining unit
 //! holds — its key columns plus its position buffer, the same formula
@@ -48,17 +57,18 @@
 //! the pool hands out a lease.
 
 use crate::cancel::CancelToken;
-use crate::compact::{check_edge_capacity, CompactModel, KeyColumns};
+use crate::compact::{check_edge_capacity, CompactModel, KeyColumns, Placement};
 use crate::error::{GraphError, ResidentUnit, Result, ShardIoError};
 use crate::failpoint;
 use crate::graph::SocialGraph;
-use crate::io::EdgeChunk;
+use crate::io::{read_edge_chunk, EdgeChunk};
 use crate::schema::Schema;
 use crate::value::{AttrValue, EdgeAttrId, NodeAttrId, NodeId, NULL};
 use parking_lot::Mutex;
 use std::fs;
 use std::io::Write as _;
 use std::io::{BufReader, BufWriter};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,9 +169,10 @@ struct ChunkRouter {
     dir: PathBuf,
     prefix: &'static str,
     writers: Vec<BufWriter<fs::File>>,
-    srcs: Vec<Vec<NodeId>>,
-    dsts: Vec<Vec<NodeId>>,
-    attrs: Vec<Vec<Vec<AttrValue>>>,
+    /// Per bucket, the edges buffered since its last spill.
+    pending: Vec<EdgeChunk>,
+    /// The chunk being spilled, encoded; reused by every spill.
+    encoded: Vec<u8>,
     counts: Vec<u64>,
     spill_retries: u64,
 }
@@ -171,31 +182,22 @@ impl ChunkRouter {
         fs::create_dir_all(dir)?;
         Self::sweep_stale_temps(dir, prefix);
         let mut writers = Vec::with_capacity(buckets);
-        let mut srcs = Vec::with_capacity(buckets);
-        let mut dsts = Vec::with_capacity(buckets);
-        let mut attrs = Vec::with_capacity(buckets);
+        let mut pending = Vec::with_capacity(buckets);
         let mut counts = Vec::with_capacity(buckets);
         for b in 0..buckets {
             let f = fs::File::create(Self::tmp_file_at(dir, prefix, b))?;
             let mut w = BufWriter::new(f);
             crate::io::write_spill_header(&mut w)?;
             writers.push(w);
-            srcs.push(Vec::with_capacity(CHUNK_EDGES));
-            dsts.push(Vec::with_capacity(CHUNK_EDGES));
-            let mut cols = Vec::with_capacity(ea);
-            for _ in 0..ea {
-                cols.push(Vec::with_capacity(CHUNK_EDGES));
-            }
-            attrs.push(cols);
+            pending.push(EdgeChunk::new(ea, CHUNK_EDGES));
             counts.push(0);
         }
         Ok(ChunkRouter {
             dir: dir.to_path_buf(),
             prefix,
             writers,
-            srcs,
-            dsts,
-            attrs,
+            pending,
+            encoded: Vec::with_capacity(0),
             counts,
             spill_retries: 0,
         })
@@ -227,37 +229,78 @@ impl ChunkRouter {
         }
     }
 
+    /// Buffer one edge in bucket `b`.
     fn push(&mut self, b: usize, src: NodeId, dst: NodeId, vals: &[AttrValue]) -> Result<()> {
-        self.srcs[b].push(src);
-        self.dsts[b].push(dst);
-        for (a, &v) in vals.iter().enumerate() {
-            self.attrs[b][a].push(v);
+        let out = &mut self.pending[b];
+        out.srcs.push(src);
+        out.dsts.push(dst);
+        for (col, &v) in out.attrs.iter_mut().zip(vals) {
+            col.push(v);
         }
-        self.counts[b] += 1;
-        if self.srcs[b].len() >= CHUNK_EDGES {
+        self.added(b, 1)
+    }
+
+    /// Route a decoded chunk: edge `i` goes to bucket `keys[i] − 1`, and
+    /// NULL-keyed edges are dropped. Each run of equal keys is copied a
+    /// column at a time, so every bucket receives its edges in chunk
+    /// order.
+    fn route(&mut self, chunk: &EdgeChunk, keys: &[AttrValue]) -> Result<()> {
+        let mut lo = 0;
+        while lo < keys.len() {
+            let key = keys[lo];
+            let hi = lo + keys[lo..].iter().take_while(|&&k| k == key).count();
+            if key != NULL {
+                self.append(key as usize - 1, chunk, lo..hi)?;
+            }
+            lo = hi;
+        }
+        Ok(())
+    }
+
+    /// Copy `chunk`'s edges `edges` into bucket `b`, spilling whenever
+    /// the bucket fills.
+    fn append(&mut self, b: usize, chunk: &EdgeChunk, edges: Range<usize>) -> Result<()> {
+        let mut lo = edges.start;
+        while lo < edges.end {
+            let out = &mut self.pending[b];
+            let hi = edges.end.min(lo + CHUNK_EDGES - out.len());
+            out.srcs.extend_from_slice(&chunk.srcs[lo..hi]);
+            out.dsts.extend_from_slice(&chunk.dsts[lo..hi]);
+            for (col, values) in out.attrs.iter_mut().zip(&chunk.attrs) {
+                col.extend_from_slice(&values[lo..hi]);
+            }
+            self.added(b, (hi - lo) as u64)?;
+            lo = hi;
+        }
+        Ok(())
+    }
+
+    /// Count `edges` just buffered in bucket `b`, and spill the bucket
+    /// once it holds a whole chunk.
+    fn added(&mut self, b: usize, edges: u64) -> Result<()> {
+        self.counts[b] += edges;
+        if self.pending[b].len() >= CHUNK_EDGES {
             self.flush_bucket(b)?;
         }
         Ok(())
     }
 
     fn flush_bucket(&mut self, b: usize) -> Result<()> {
-        if self.srcs[b].is_empty() {
+        let chunk = &mut self.pending[b];
+        if chunk.is_empty() {
             return Ok(());
         }
-        let chunk = crate::io::encode_edge_chunk(&self.srcs[b], &self.dsts[b], &self.attrs[b]);
-        if let Err(first) = Self::write_chunk(&mut self.writers[b], &chunk) {
+        self.encoded.clear();
+        crate::io::encode_edge_chunk(&chunk.srcs, &chunk.dsts, &chunk.attrs, &mut self.encoded);
+        chunk.clear();
+        if let Err(first) = Self::write_chunk(&mut self.writers[b], &self.encoded) {
             // One bounded retry for transient spill failures. A retry
             // after a real partial write can append a garbled chunk,
             // but the on-read checksum rejects it — a doubly-failed
             // spill may surface as a typed integrity error, never as
             // silently wrong data.
             self.spill_retries += 1;
-            Self::write_chunk(&mut self.writers[b], &chunk).map_err(|_| first)?;
-        }
-        self.srcs[b].clear();
-        self.dsts[b].clear();
-        for col in &mut self.attrs[b] {
-            col.clear();
+            Self::write_chunk(&mut self.writers[b], &self.encoded).map_err(|_| first)?;
         }
         Ok(())
     }
@@ -317,12 +360,15 @@ fn columns(count: usize, len: usize) -> Vec<Vec<AttrValue>> {
 /// Streaming writer for a [`ShardStore`]: nodes accumulate in memory
 /// (rows are small), edges spill straight to per-shard chunk files, so
 /// an edge set far beyond the in-core `u32` edge cap is written in
-/// O(nodes + chunk) memory.
+/// O(nodes + chunk) memory. Each shard file keeps its edges in arrival
+/// order; [`ShardStore::build_from_graph`] feeds the writer in EArray
+/// order.
 pub struct ShardStoreWriter {
     schema: Arc<Schema>,
     spec: ShardSpec,
     router: ChunkRouter,
     node_values: Vec<AttrValue>,
+    nodes: usize,
     max_edges_per_shard: usize,
     total_edges: u64,
 }
@@ -351,6 +397,7 @@ impl ShardStoreWriter {
             spec,
             router,
             node_values: Vec::with_capacity(0),
+            nodes: 0,
             max_edges_per_shard,
             total_edges: 0,
         })
@@ -363,7 +410,7 @@ impl ShardStoreWriter {
 
     /// Nodes added so far.
     pub fn node_count(&self) -> usize {
-        self.node_values.len() / self.schema.node_attr_count().max(1)
+        self.nodes
     }
 
     /// Edges added so far.
@@ -374,17 +421,20 @@ impl ShardStoreWriter {
     /// Add a node row (all nodes must precede the edges that use them).
     pub fn add_node(&mut self, values: &[AttrValue]) -> Result<NodeId> {
         self.schema.check_node_values(values)?;
-        let id = crate::value::next_node_id(self.node_count())?;
+        let id = crate::value::next_node_id(self.nodes)?;
         self.node_values.extend_from_slice(values);
+        self.nodes += 1;
         Ok(id)
     }
 
-    /// Route one directed edge to its shard and spill it. Self-loops
-    /// are accepted (the writer is a storage layer, not a policy one).
+    /// Route one directed edge to its shard and buffer it for the next
+    /// spill of that shard's file, which keeps the edges in the order
+    /// they arrive. Self-loops are accepted (the writer is a storage
+    /// layer, not a policy one).
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, values: &[AttrValue]) -> Result<()> {
         // Compare in usize: narrowing the count instead would wrap to 0
         // once the writer reaches 2^32 nodes and reject every edge.
-        let n = self.node_count();
+        let n = self.nodes;
         for end in [src, dst] {
             if end as usize >= n {
                 return Err(GraphError::DanglingEndpoint {
@@ -411,6 +461,7 @@ impl ShardStoreWriter {
             node_values,
             max_edges_per_shard,
             total_edges,
+            ..
         } = self;
         let (dir, edge_counts, spill_retries) = router.finish()?;
         for &c in &edge_counts {
@@ -446,6 +497,11 @@ pub struct ShardStore {
 impl ShardStore {
     /// Shard an in-memory graph: the convenience path for inputs that
     /// already fit in one piece (equivalence tests, the CLI's default).
+    /// The edges go to the writer in EArray order — grouped by source
+    /// node in node-id order, each group in edge-id order, placed by the
+    /// counting pass [`KeyColumns::build`] runs — so every shard file,
+    /// every slice filtered from it and every unit's key columns come out
+    /// grouped by source, as an in-core mine's do.
     pub fn build_from_graph(
         graph: &SocialGraph,
         dir: impl AsRef<Path>,
@@ -457,8 +513,11 @@ impl ShardStore {
         for n in graph.node_ids() {
             w.add_node(graph.node_row(n))?;
         }
-        for e in graph.edge_ids() {
-            w.add_edge(graph.src(e), graph.dst(e), graph.edge_row(e))?;
+        let place = Placement::of(graph)?;
+        for (v, group) in place.groups() {
+            for &(dst, e) in &place.edges[group] {
+                w.add_edge(v, dst, graph.edge_row(e))?;
+            }
         }
         w.finish()
     }
@@ -514,26 +573,21 @@ impl ShardStore {
         ChunkRouter::file_at(&self.dir, "shard", s)
     }
 
-    /// Stream shard `s`'s edges without materializing them.
-    pub fn for_each_edge<F>(&self, s: usize, mut f: F) -> Result<()>
-    where
-        F: FnMut(NodeId, NodeId, &[AttrValue]) -> Result<()>,
-    {
-        let mut row = Vec::with_capacity(self.schema.edge_attr_count());
-        self.for_each_chunk_in(&self.edge_file(s), self.edge_counts[s], &mut |chunk| {
-            for i in 0..chunk.len() {
-                row.clear();
-                row.extend(chunk.attrs.iter().map(|col| col[i]));
-                f(chunk.srcs[i], chunk.dsts[i], &row)?;
-            }
-            Ok(())
-        })
+    /// Stream shard `s` a decoded chunk at a time, in file order, through
+    /// the checked read path every store reader shares.
+    pub fn for_each_chunk(
+        &self,
+        s: usize,
+        mut f: impl FnMut(&EdgeChunk) -> Result<()>,
+    ) -> Result<()> {
+        self.for_each_chunk_in(&self.edge_file(s), self.edge_counts[s], &mut f)
     }
 
     /// Stream one spill file of this store chunk by chunk: the read path
-    /// every store reader shares. The decoder verifies the header and
-    /// each chunk's checksum, and [`Self::check_chunk`] each decoded
-    /// chunk's values, before `f` sees it. The file must hold exactly
+    /// every store reader shares. The decoder refills one [`EdgeChunk`]
+    /// for the whole file, verifying the header and each chunk's
+    /// checksum, and [`Self::check_chunk`] checks each decoded chunk's
+    /// values, before `f` sees it. The file must hold exactly
     /// `edges` edges, the count recorded when it was written: a chunk
     /// that would carry the running count past it fails before `f` sees
     /// it (so no reader grows a buffer beyond the size it reserved), and
@@ -547,8 +601,9 @@ impl ShardStore {
     ) -> Result<()> {
         let mut r = BufReader::new(fs::File::open(path)?);
         crate::io::read_spill_header(&mut r)?;
+        let mut chunk = EdgeChunk::new(self.schema.edge_attr_count(), 0);
         let mut read = 0u64;
-        while let Some(chunk) = crate::io::read_edge_chunk(&mut r, self.schema.edge_attr_count())? {
+        while read_edge_chunk(&mut r, &mut chunk)? {
             read += chunk.len() as u64;
             if read > edges {
                 return Err(ShardIoError::ShortRead {
@@ -596,21 +651,30 @@ impl ShardStore {
     }
 
     /// Load shard `s` as the key columns a mining unit reads, positions
-    /// in spill order, through the store's one key loader. A shard over
-    /// the store's per-shard capacity fails before any byte is read.
+    /// in the order the shard file holds (EArray order for a store built
+    /// from a graph, arrival order for a streamed one), through the
+    /// store's one key loader. A shard over the store's per-shard
+    /// capacity fails before any byte is read.
     pub fn load_shard(&self, s: usize) -> Result<KeyColumns> {
         injected_load_fault("shard.load", "injected fault at shard.load")?;
         check_edge_capacity(self.edge_counts[s] as usize, self.max_edges_per_shard)?;
         self.gather_keys(Some(&self.edge_file(s)), self.edge_counts[s])
     }
 
+    /// Append node attribute `a` of each node in `ends` to `out`, read
+    /// from the resident node table.
+    fn node_column(&self, ends: &[NodeId], a: usize, out: &mut Vec<AttrValue>) {
+        let na = self.schema.node_attr_count();
+        out.extend(ends.iter().map(|&n| self.node_values[n as usize * na + a]));
+    }
+
     /// Gather the key columns of the spill file `file` (`None`: no
-    /// edges), which holds the recorded `edges` edges, positions in spill
-    /// order: the source and destination columns from the resident node
-    /// table, the edge columns copied from the chunks, which pass the
-    /// checked read path. The one loader of both unit kinds; it builds no
-    /// graph, no node rows and no model, so a unit costs its columns
-    /// alone.
+    /// edges), which holds the recorded `edges` edges, positions in the
+    /// order the file holds them: the source and destination columns
+    /// from the resident node table, the edge columns copied from the
+    /// chunks, which pass the checked read path. The one loader of both
+    /// unit kinds; it builds no graph, no node rows and no model, so a
+    /// unit costs its columns alone.
     fn gather_keys(&self, file: Option<&Path>, edges: u64) -> Result<KeyColumns> {
         let na = self.schema.node_attr_count();
         // cast: usize is 64 bits (the spill format's host assumption), and
@@ -620,11 +684,10 @@ impl ShardStore {
         let mut w = columns(self.schema.edge_attr_count(), len);
         let mut loaded = 0;
         if let Some(path) = file {
-            let nodes = &self.node_values;
             self.for_each_chunk_in(path, edges, &mut |chunk| {
                 for a in 0..na {
-                    l[a].extend(chunk.srcs.iter().map(|&n| nodes[n as usize * na + a]));
-                    r[a].extend(chunk.dsts.iter().map(|&n| nodes[n as usize * na + a]));
+                    self.node_column(&chunk.srcs, a, &mut l[a]);
+                    self.node_column(&chunk.dsts, a, &mut r[a]);
                 }
                 for (col, values) in w.iter_mut().zip(&chunk.attrs) {
                     col.extend_from_slice(values);
@@ -683,24 +746,26 @@ pub struct SliceSet<'s> {
 }
 
 impl<'s> SliceSet<'s> {
-    /// Build the per-value spill files under `dir`.
+    /// Build the per-value spill files under `dir`: each shard file is
+    /// read a decoded chunk at a time, the chunk's keys are computed a
+    /// column at a time, and the chunk is routed run by run. Each slice
+    /// holds its edges in the store's order (shard by shard, each in
+    /// file order).
     pub fn build(store: &'s ShardStore, key: SliceKey, dir: impl AsRef<Path>) -> Result<Self> {
         let schema = store.schema();
         let values = key.domain(schema);
         let mut router =
             ChunkRouter::create(dir.as_ref(), "slice", values, schema.edge_attr_count())?;
-        let na = schema.node_attr_count();
+        let mut keys = Vec::with_capacity(CHUNK_EDGES);
         for s in 0..store.shard_count() {
-            store.for_each_edge(s, |src, dst, vals| {
-                let v = match key {
-                    SliceKey::Src(a) => store.node_values[src as usize * na + a.index()],
-                    SliceKey::Dst(a) => store.node_values[dst as usize * na + a.index()],
-                    SliceKey::Edge(a) => vals[a.index()],
-                };
-                if v == NULL {
-                    return Ok(());
+            store.for_each_chunk(s, |chunk| {
+                keys.clear();
+                match key {
+                    SliceKey::Src(a) => store.node_column(&chunk.srcs, a.index(), &mut keys),
+                    SliceKey::Dst(a) => store.node_column(&chunk.dsts, a.index(), &mut keys),
+                    SliceKey::Edge(a) => keys.extend_from_slice(&chunk.attrs[a.index()]),
                 }
-                router.push(v as usize - 1, src, dst, vals)
+                router.route(chunk, &keys)
             })?;
         }
         let (dir, edge_counts, spill_retries) = router.finish()?;
@@ -736,9 +801,9 @@ impl<'s> SliceSet<'s> {
     }
 
     /// Load the slice for `value` as the key columns a mining unit
-    /// reads, positions in spill order, through the store's one key
-    /// loader. The slice must fit the u32 position space. `NULL` loads
-    /// no edges.
+    /// reads, positions in the store's order, through the store's one
+    /// key loader. The slice must fit the u32 position space. `NULL`
+    /// loads no edges.
     pub fn load_keys(&self, value: AttrValue) -> Result<KeyColumns> {
         injected_load_fault("slice.load", "injected fault at slice.load")?;
         let edges = self.edge_count(value);
@@ -1146,16 +1211,25 @@ mod tests {
         v
     }
 
-    /// Shard `s`'s edges as [`ShardStore::for_each_edge`] streams them,
-    /// sorted like [`edge_set`].
-    fn shard_edges(store: &ShardStore, s: usize) -> Vec<(u32, u32, Vec<u16>)> {
+    /// Shard `s`'s edges in the order [`ShardStore::for_each_chunk`]
+    /// streams them.
+    fn shard_sequence(store: &ShardStore, s: usize) -> Vec<(u32, u32, Vec<u16>)> {
         let mut v = Vec::new();
         store
-            .for_each_edge(s, |src, dst, row| {
-                v.push((src, dst, row.to_vec()));
+            .for_each_chunk(s, |chunk| {
+                for i in 0..chunk.len() {
+                    let row = chunk.attrs.iter().map(|col| col[i]).collect();
+                    v.push((chunk.srcs[i], chunk.dsts[i], row));
+                }
                 Ok(())
             })
             .unwrap();
+        v
+    }
+
+    /// Shard `s`'s edges, sorted like [`edge_set`].
+    fn shard_edges(store: &ShardStore, s: usize) -> Vec<(u32, u32, Vec<u16>)> {
+        let mut v = shard_sequence(store, s);
         v.sort();
         v
     }
@@ -1569,7 +1643,7 @@ mod tests {
     fn write_one_edge(path: &Path, src: NodeId, dst: NodeId, w: AttrValue) {
         let mut bytes = Vec::new();
         crate::io::write_spill_header(&mut bytes).unwrap();
-        bytes.extend(crate::io::encode_edge_chunk(&[src], &[dst], &[vec![w]]));
+        crate::io::encode_edge_chunk(&[src], &[dst], &[vec![w]], &mut bytes);
         fs::write(path, bytes).unwrap();
     }
 
@@ -1693,18 +1767,23 @@ mod tests {
         let d1 = tdir("stream_a");
         let d2 = tdir("stream_b");
         let built = ShardStore::build_from_graph(&g, &d1, 3, CompactModel::MAX_EDGES).unwrap();
+        // The writer keeps arrival order: fed in EArray order (a stable
+        // sort of the edge ids by source), it spills what the graph
+        // build spills, edge for edge.
         let mut w =
             ShardStoreWriter::create(g.schema().clone(), &d2, 3, CompactModel::MAX_EDGES).unwrap();
         for n in g.node_ids() {
             w.add_node(g.node_row(n)).unwrap();
         }
-        for e in g.edge_ids() {
+        let mut order: Vec<u32> = g.edge_ids().collect();
+        order.sort_by_key(|&e| g.src(e));
+        for e in order {
             w.add_edge(g.src(e), g.dst(e), g.edge_row(e)).unwrap();
         }
         let streamed = w.finish().unwrap();
         for s in 0..3 {
             assert_eq!(streamed.edge_count(s), built.edge_count(s));
-            assert_eq!(shard_edges(&streamed, s), shard_edges(&built, s));
+            assert_eq!(shard_sequence(&streamed, s), shard_sequence(&built, s));
         }
     }
 

@@ -5,7 +5,8 @@
 //! [`PartitionArena`] performs **zero** heap allocations — per recursion
 //! node and in total. The same allocator bounds what loading one value
 //! slice of a shard store costs: its edges' key columns, never a copy of
-//! the store's node table.
+//! the store's node table, and one set of chunk buffers however many
+//! chunks the slice spans.
 
 use grm_graph::shard::{ShardStoreWriter, SliceKey, SliceSet};
 use grm_graph::sort::PartitionArena;
@@ -187,6 +188,56 @@ fn loading_a_small_slice_allocates_less_than_the_node_table() {
     assert!(
         loaded < node_table_bytes,
         "loading a 10-edge slice allocated {loaded} bytes, one node table is {node_table_bytes}"
+    );
+    drop(set);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loading_a_multi_chunk_slice_allocates_its_columns_and_one_chunk_buffer_set() {
+    // Spill files hold chunks of 4 096 edges (the writers' chunk size).
+    const CHUNK_EDGES: usize = 4096;
+    let schema = SchemaBuilder::new()
+        .node_attr("A", 4, true)
+        .node_attr("B", 3, false)
+        .edge_attr("W", 2)
+        .build()
+        .unwrap();
+    let (na, ea) = (schema.node_attr_count(), schema.edge_attr_count());
+    let dir = std::env::temp_dir().join(format!("grm-slice-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut w = ShardStoreWriter::create(schema, &dir, 2, CompactModel::MAX_EDGES).unwrap();
+    let nodes = 1000u32;
+    for i in 0..nodes {
+        w.add_node(&[(i % 5) as AttrValue, (i % 4) as AttrValue])
+            .unwrap();
+    }
+    // Five chunks' worth but one hundred edges carry W = 1 (the slice
+    // under test), every fifth of the rest W = 2.
+    let slice = 5 * CHUNK_EDGES - 100;
+    for e in 0..(slice * 5 / 4) as u32 {
+        let value = if e % 5 == 4 { 2 } else { 1 };
+        w.add_edge(e % nodes, (e * 7 + 1) % nodes, &[value])
+            .unwrap();
+    }
+    let store = w.finish().unwrap();
+    let set = SliceSet::build(&store, SliceKey::Edge(EdgeAttrId(0)), dir.join("slices")).unwrap();
+    assert_eq!(set.edge_count(1), slice as u64);
+
+    let before = bytes();
+    let keys = set.load_keys(1).unwrap();
+    let loaded = bytes() - before;
+    assert_eq!(keys.edge_count(), slice);
+    // The key columns, plus at most four chunks' worth of buffers: the
+    // decoder's byte buffer and decoded columns are allocated once for
+    // the file, not once per chunk.
+    let columns = (slice * (2 * na + ea) * 2) as u64;
+    let chunk = (CHUNK_EDGES * (8 + 2 * ea)) as u64;
+    assert!(
+        loaded <= columns + 4 * chunk,
+        "loading a 5-chunk slice allocated {loaded} bytes: {columns} of key columns and {} more, over 4 chunk buffers of {chunk}",
+        loaded - columns.min(loaded)
     );
     drop(set);
     drop(store);

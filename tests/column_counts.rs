@@ -7,13 +7,16 @@
 //! homophily (β) attributes, random GRs bring empty descriptors, and the
 //! DBLP fixture brings an edge attribute at scale. The context's columns
 //! themselves are checked against EArray order, computed here from the
-//! edge list.
+//! edge list, and so are a store's: each shard of a store built from a
+//! graph loads the EArray-order subsequence of the edges routed to it,
+//! and each value slice keyed on a source attribute the stable
+//! subsequence of the store's order.
 
 use proptest::prelude::*;
 use social_ties::core::query::counts;
 use social_ties::core::{MetricInputs, MiningContext};
 use social_ties::datagen::dblp_config_scaled;
-use social_ties::graph::shard::ShardStore;
+use social_ties::graph::shard::{ShardSpec, ShardStore, SliceKey, SliceSet};
 use social_ties::graph::{CompactModel, KeyColumns};
 use social_ties::{
     generate, EdgeDescriptor, Gr, GraphBuilder, NodeDescriptor, Schema, SchemaBuilder, SocialGraph,
@@ -93,12 +96,18 @@ fn random_gr(schema: &Schema, next: &mut impl FnMut() -> u64) -> Gr {
     Gr::new(l, EdgeDescriptor::from_pairs(w), r)
 }
 
-/// Every shard's key columns, for a store of `g` in `shards` shards.
-fn shard_keys(g: &SocialGraph, shards: usize) -> Vec<KeyColumns> {
+/// A fresh directory for one store.
+fn store_dir() -> std::path::PathBuf {
     static STORE: AtomicU64 = AtomicU64::new(0);
     let n = STORE.fetch_add(1, Ordering::AcqRel);
     let dir = std::env::temp_dir().join(format!("grm-column-counts-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every shard's key columns, for a store of `g` in `shards` shards.
+fn shard_keys(g: &SocialGraph, shards: usize) -> Vec<KeyColumns> {
+    let dir = store_dir();
     let store = ShardStore::build_from_graph(g, &dir, shards, CompactModel::MAX_EDGES)
         .expect("store builds");
     let keys = (0..store.shard_count())
@@ -107,6 +116,31 @@ fn shard_keys(g: &SocialGraph, shards: usize) -> Vec<KeyColumns> {
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     keys
+}
+
+/// `g`'s edge ids in EArray order: a stable sort by source, so each
+/// source's edges stay in edge-id order.
+fn earray_order(g: &SocialGraph) -> Vec<u32> {
+    let mut order: Vec<u32> = g.edge_ids().collect();
+    order.sort_by_key(|&e| g.src(e));
+    order
+}
+
+/// Assert that `keys` holds exactly the edges `order`, position by
+/// position, in every column.
+fn assert_holds_in_order(keys: &KeyColumns, g: &SocialGraph, order: &[u32]) {
+    assert_eq!(keys.edge_count(), order.len());
+    let schema = g.schema();
+    for a in schema.node_attr_ids() {
+        let l: Vec<u16> = order.iter().map(|&e| g.src_attr(e, a)).collect();
+        let r: Vec<u16> = order.iter().map(|&e| g.dst_attr(e, a)).collect();
+        assert_eq!(keys.l_col(a), &l[..], "source side of {a:?}");
+        assert_eq!(keys.r_col(a), &r[..], "destination side of {a:?}");
+    }
+    for a in schema.edge_attr_ids() {
+        let w: Vec<u16> = order.iter().map(|&e| g.edge_attr(e, a)).collect();
+        assert_eq!(keys.w_col(a), &w[..], "edge attribute {a:?}");
+    }
 }
 
 /// The row counts of every GR in `grs`, after checking that the context's
@@ -166,19 +200,47 @@ proptest! {
     #[test]
     fn key_columns_gather_edges_stably_sorted_by_source(g in arb_graph()) {
         let keys = KeyColumns::build(&g).unwrap();
-        let mut order: Vec<u32> = g.edge_ids().collect();
-        order.sort_by_key(|&e| g.src(e)); // stable: edge-id order per source
-        prop_assert_eq!(keys.edge_count(), order.len());
+        assert_holds_in_order(&keys, &g, &earray_order(&g));
+    }
+
+    #[test]
+    fn shard_stores_and_their_source_slices_load_in_earray_order(g in arb_graph()) {
+        let order = earray_order(&g);
         let schema = g.schema();
-        for a in schema.node_attr_ids() {
-            let l: Vec<u16> = order.iter().map(|&e| g.src_attr(e, a)).collect();
-            let r: Vec<u16> = order.iter().map(|&e| g.dst_attr(e, a)).collect();
-            prop_assert_eq!(keys.l_col(a), &l[..], "source side of {:?}", a);
-            prop_assert_eq!(keys.r_col(a), &r[..], "destination side of {:?}", a);
-        }
-        for a in schema.edge_attr_ids() {
-            let w: Vec<u16> = order.iter().map(|&e| g.edge_attr(e, a)).collect();
-            prop_assert_eq!(keys.w_col(a), &w[..], "edge attribute {:?}", a);
+        for shards in [1usize, 2, 3, 7] {
+            let dir = store_dir();
+            let store = ShardStore::build_from_graph(&g, &dir, shards, CompactModel::MAX_EDGES)
+                .expect("store builds");
+            // Shard s holds the EArray-order subsequence of the edges
+            // whose source routes to s; the store's order is the shards'
+            // in turn.
+            let spec = ShardSpec::new(schema, shards);
+            let mut store_order = Vec::new();
+            for s in 0..store.shard_count() {
+                let want: Vec<u32> = order
+                    .iter()
+                    .copied()
+                    .filter(|&e| spec.shard_of(g.src_attr(e, spec.attr())) == s)
+                    .collect();
+                assert_holds_in_order(&store.load_shard(s).expect("shard loads"), &g, &want);
+                store_order.extend(want);
+            }
+            // A slice keyed on a source attribute is the stable
+            // subsequence of the store's order carrying its value.
+            for a in schema.node_attr_ids() {
+                let set = SliceSet::build(&store, SliceKey::Src(a), dir.join("slices"))
+                    .expect("slice set builds");
+                for v in 1..=set.value_count() as u16 {
+                    let want: Vec<u32> = store_order
+                        .iter()
+                        .copied()
+                        .filter(|&e| g.src_attr(e, a) == v)
+                        .collect();
+                    assert_holds_in_order(&set.load_keys(v).expect("slice loads"), &g, &want);
+                }
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

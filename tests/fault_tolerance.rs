@@ -219,7 +219,7 @@ fn out_of_range_spill_values_are_typed_errors_not_panics() {
         io::write_spill_header(&mut bytes).unwrap();
         let mut attrs = vec![vec![1]; cols];
         attrs[0] = vec![value];
-        bytes.extend(io::encode_edge_chunk(&[src], &[dst], &attrs));
+        io::encode_edge_chunk(&[src], &[dst], &attrs, &mut bytes);
         std::fs::write(store.dir().join("shard-1.edges"), &bytes).unwrap();
         for threads in [1, 2] {
             let opts = ShardedOptions {
