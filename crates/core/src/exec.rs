@@ -675,6 +675,7 @@ fn select_topk(
                 &cand.gr,
                 &pruned_frontiers,
                 &mut memo,
+                stats,
             )?
         {
             stats.rejected_generality += 1;
@@ -695,7 +696,8 @@ fn select_topk(
 /// threshold, so an uncollected candidate there failed the thresholds
 /// and cannot suppress — which is why scanning the (typically
 /// near-empty) frontier set suffices and the candidate's own
-/// generalization lattice is never enumerated.
+/// generalization lattice is never enumerated. Each check sent to
+/// `evaluate` counts one `post_pass_evaluations` in `stats`.
 fn has_lost_passing_generalization(
     schema: &Schema,
     evaluate: Evaluate<'_>,
@@ -703,6 +705,7 @@ fn has_lost_passing_generalization(
     gr: &Gr,
     pruned_frontiers: &[(NodeDescriptor, EdgeDescriptor)],
     memo: &mut HashMap<Gr, bool>,
+    stats: &mut MinerStats,
 ) -> Result<bool, MinerError> {
     for (l2, w2) in pruned_frontiers {
         // Frontiers are recorded only in subtrees the root task list
@@ -723,7 +726,7 @@ fn has_lost_passing_generalization(
         let passes = match memo.get(&g2) {
             Some(&p) => p,
             None => {
-                let p = generalization_passes(schema, evaluate, config, &g2)?;
+                let p = generalization_passes(schema, evaluate, config, &g2, stats)?;
                 memo.insert(g2, p);
                 p
             }
@@ -743,10 +746,12 @@ fn generalization_passes(
     evaluate: Evaluate<'_>,
     config: &MinerConfig,
     g: &Gr,
+    stats: &mut MinerStats,
 ) -> Result<bool, MinerError> {
     if config.suppress_trivial && g.is_trivial(schema) {
         return Ok(false);
     }
+    stats.post_pass_evaluations += 1;
     let m = evaluate(g)?;
     if m.supp < config.min_supp {
         return Ok(false);
@@ -820,7 +825,9 @@ mod tests {
                 &mut stats,
             )
             .unwrap();
-            (top, stats.rejected_generality, calls.into_inner())
+            let calls = calls.into_inner();
+            assert_eq!(stats.post_pass_evaluations, calls.len() as u64);
+            (top, stats.rejected_generality, calls)
         };
         let recorded = run(frontiers.clone());
         // Reversed, and with every third frontier recorded twice, as two

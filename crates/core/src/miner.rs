@@ -815,6 +815,7 @@ impl<'a> Run<'a> {
     /// the first child that reads its slice (see [`Pass`]).
     fn count_pass(&mut self, data: &[u32], buckets: usize, col: &[AttrValue]) -> Pass {
         self.stats.partition_passes += 1;
+        self.stats.positions_counted += data.len() as u64;
         let frame = self
             .scratch
             .arena
@@ -835,6 +836,7 @@ impl<'a> Run<'a> {
     fn scatter_pass(&mut self, data: &mut [u32], pass: &mut Pass) {
         if !pass.scattered {
             pass.scattered = true;
+            self.stats.positions_scattered += data.len() as u64;
             self.scratch.arena.scatter(data, &pass.frame);
         }
     }
@@ -1006,6 +1008,7 @@ impl<'a> Run<'a> {
             };
             self.stats.heff_scans += 1;
             self.stats.partition_passes += 1;
+            self.stats.positions_counted += edges.len() as u64;
             let keys = self.ctx.keys();
             let mut table = self.scratch.heff_tables.pop().unwrap_or_default();
             heff_table_into(edges, &ctx.pairs, &mut table, |a| keys.r_col(a));

@@ -333,12 +333,17 @@ impl Engine for Sharded<'_> {
         Ok(())
     }
 
+    /// Sum `gr`'s counts over every non-empty shard, the resident ones
+    /// first: an LRU pool that holds fewer than all shards would miss on
+    /// every lease of a walk in index order, where this walk reloads only
+    /// the shards the pool does not hold. The sum does not depend on the
+    /// order.
     fn evaluate(&self, gr: &Gr) -> Result<MetricInputs, MinerError> {
+        let shards = (0..self.store.shard_count()).filter(|&s| self.store.edge_count(s) > 0);
+        let (resident, absent): (Vec<usize>, Vec<usize>) =
+            shards.partition(|&s| self.pool.is_resident(s));
         let mut sum = MetricInputs::default();
-        for s in 0..self.store.shard_count() {
-            if self.store.edge_count(s) == 0 {
-                continue;
-            }
+        for s in resident.into_iter().chain(absent) {
             let lease = self.pool.acquire(s)?;
             sum += query::counts(self.store.schema(), &**lease.keys(), gr);
         }
@@ -371,4 +376,78 @@ fn mine_keys(keys: Arc<KeyColumns>, task: RootTask, total_edges: u64, worker: &m
         ctx.fill_positions(&mut data);
         run.run_root(&mut data, task);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
+    use grm_graph::{GraphBuilder, NodeAttrId, SchemaBuilder, SocialGraph};
+
+    /// 8 nodes over A (domain 4, the shard key) and B (domain 2), each
+    /// with edges to the next three: sources carry every A value, so
+    /// both shards of a 2-shard store hold edges.
+    fn graph() -> SocialGraph {
+        let schema = SchemaBuilder::new()
+            .node_attr("A", 4, true)
+            .node_attr("B", 2, false)
+            .build()
+            .unwrap();
+        let mut b = GraphBuilder::new(schema);
+        for n in 0..8u16 {
+            b.add_node(&[1 + n % 4, 1 + n % 2]).unwrap();
+        }
+        for s in 0..8u32 {
+            for d in 1..=3 {
+                b.add_edge(s, (s + d) % 8, &[]).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn post_pass_counts_lease_resident_shards_first() {
+        let g = graph();
+        let dir =
+            std::env::temp_dir().join(format!("grm-sharded-resident-first-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).unwrap();
+        assert!((0..2).all(|s| store.edge_count(s) > 0));
+        // A budget of one shard: the pool never holds both.
+        let one = (0..2)
+            .map(|s| resident_cost(store.schema(), store.edge_count(s) as usize))
+            .max()
+            .unwrap();
+        let engine = Sharded {
+            store: &store,
+            slices: Slices::new(&store),
+            pool: ShardPool::new(&store, Some(one)).unwrap(),
+        };
+        let a = |v| (NodeAttrId(0), v);
+        let b = |v| (NodeAttrId(1), v);
+        let grs = [
+            (vec![a(1)], vec![b(1)]),
+            (vec![b(2)], vec![a(3)]),
+            (vec![a(2), b(2)], vec![a(4)]),
+            (vec![], vec![b(1)]),
+        ];
+        for (i, (l, r)) in grs.into_iter().enumerate() {
+            let gr = Gr::new(
+                NodeDescriptor::from_pairs(l),
+                EdgeDescriptor::empty(),
+                NodeDescriptor::from_pairs(r),
+            );
+            let before = engine.pool.stats().loads;
+            let sum = engine.evaluate(&gr).unwrap();
+            assert_eq!(sum, query::counts(g.schema(), &g, &gr), "{gr:?}");
+            // The first call loads both shards; each later one starts
+            // with the shard the last call left resident and loads the
+            // other, where an index-order walk would reload both.
+            let loads = engine.pool.stats().loads - before;
+            assert_eq!(loads, if i == 0 { 2 } else { 1 }, "call {i}");
+        }
+        drop(engine);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -126,6 +126,20 @@ miner_stats! {
     /// splitting legitimately repeats top-level passes, so this varies
     /// with threading while [`MinerStats::semantic`] stays fixed.
     partition_passes: "passes", sum, work;
+    /// Positions read by the passes `partition_passes` counts, β
+    /// group-by passes included: each pass adds its slice length once.
+    /// A *work* counter for the same reason as `partition_passes`; a
+    /// permutation of the positions leaves it unchanged.
+    positions_counted: "counted", sum, work;
+    /// Positions moved by the recursion's scatters: each scatter adds
+    /// its slice length once. A *work* counter, like
+    /// `partition_passes`.
+    positions_scattered: "scattered", sum, work;
+    /// Suppressor checks the top-k post-pass sent to the engine's
+    /// complete-edge-set count (memo misses only). A *work* counter: it
+    /// follows which subtrees the shared dynamic bound cut, so it
+    /// varies with worker timing, and a static mine reads 0.
+    post_pass_evaluations: "post_pass_evaluations", sum, work;
     /// Always 0. It counted the passes a parent's fused two-level scatter
     /// pre-counted; every pass now counts its own slice. The row stays
     /// only because the repo benchmark (`perfbench/`) reads it as
@@ -177,7 +191,10 @@ miner_stats! {
     shard_evictions: "shard_evictions", sum, work;
     /// High-water mark, in bytes, of resident shard/slice bytes in the
     /// sharded miner's pool (`≤` the configured memory budget by
-    /// construction).
+    /// construction). An unbudgeted multi-worker mine's peak depends on
+    /// worker timing — on which shard leases and slice reservations the
+    /// workers happen to hold at once — so it is not compared across
+    /// runs or gated; a one-worker mine repeats it exactly.
     shard_resident_bytes_peak: "shard_peak", max, work;
     /// Cancellation-flag probes performed (worker loop-top,
     /// recursion-node and shard-load granularity; see
@@ -239,7 +256,7 @@ mod tests {
 
     /// Every counter in declaration order, spelled out by hand: the
     /// tests below must not read the table they check.
-    const COUNTERS: [&str; 27] = [
+    const COUNTERS: [&str; 30] = [
         "partitions_examined",
         "grs_examined",
         "pruned_by_supp",
@@ -249,6 +266,9 @@ mod tests {
         "accepted",
         "heff_scans",
         "partition_passes",
+        "positions_counted",
+        "positions_scattered",
+        "post_pass_evaluations",
         "fused_passes",
         "kernel_batches",
         "scratch_bytes_peak",
@@ -296,12 +316,12 @@ mod tests {
 
     #[test]
     fn merge_and_semantic_follow_each_counters_rule_and_class() {
-        // a's counters are 1..=27, b's all 100: a sum and a max differ
+        // a's counters are 1..=30, b's all 100: a sum and a max differ
         // for every counter, and every counter is non-zero in both.
         let a = filled(|i| i as u64 + 1, 0.25);
         let b = filled(|_| 100, 0.5);
         let keys: Vec<String> = counters(&a).into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, COUNTERS, "27 counters, serialized in this order");
+        assert_eq!(keys, COUNTERS, "30 counters, serialized in this order");
 
         let kept: Vec<String> = counters(&a.semantic())
             .into_iter()
@@ -522,7 +542,8 @@ mod tests {
         assert_eq!(
             MinerStats::default().to_string(),
             "partitions=0 grs=0 pruned_supp=0 pruned_score=0 trivial=0 general=0 \
-             accepted=0 heff_scans=0 passes=0 fused=0 kernel_batches=0 scratch_peak=0 \
+             accepted=0 heff_scans=0 passes=0 counted=0 scattered=0 post_pass_evaluations=0 \
+             fused=0 kernel_batches=0 scratch_peak=0 \
              stolen=0 splits=0 tightenings=0 shards=0 slice_sets=0 shard_loads=0 \
              shard_evictions=0 shard_peak=0 cancel_checks=0 faults_injected=0 spill_retries=0 \
              requests_served=0 requests_shed=0 cache_hits=0 cache_coalesced=0 elapsed=0ns"

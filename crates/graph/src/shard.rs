@@ -1048,6 +1048,12 @@ impl<'s> ShardPool<'s> {
         self.state.lock().budget
     }
 
+    /// Whether shard `s` is resident now, so a lease of it would hit.
+    /// A snapshot: another worker may load or evict it right after.
+    pub fn is_resident(&self, s: usize) -> bool {
+        self.state.lock().resident[s].is_some()
+    }
+
     /// Resident bytes of shard `s` ([`resident_cost`]).
     pub fn shard_cost(&self, s: usize) -> u64 {
         resident_cost(self.store.schema(), self.store.edge_count(s) as usize)

@@ -183,6 +183,9 @@ fn cli_stats_json_pins_the_counter_schema() {
             "accepted",
             "heff_scans",
             "partition_passes",
+            "positions_counted",
+            "positions_scattered",
+            "post_pass_evaluations",
             "fused_passes",
             "kernel_batches",
             "scratch_bytes_peak",
