@@ -18,9 +18,28 @@
 //!
 //! Mining operates on **EArray positions**: a pattern's edge set is a slice
 //! of positions, partitioned with counting sort on LHS / edge / RHS
-//! dimensions via the key functions below. Position order is EArray
-//! order: edges grouped by source node in node-id order, each group in
-//! edge-id order.
+//! dimensions via the key functions below.
+//!
+//! ### EArray order
+//!
+//! §IV-A groups the EArray by LArray record but leaves the order of the
+//! records to us, and node ids (which a generator or a crawl assigns
+//! without regard to attributes) would make every LHS partition one
+//! short run per source. So the records are **clustered by their
+//! attribute rows**: the groups are ordered by their sources' node
+//! attributes compared widest domain first (`bucket_count` descending,
+//! the lower attribute id first on ties — the rule
+//! [`crate::shard::ShardSpec::dominant`] picks the shard key by), equal
+//! rows in node-id order, and each group holds its edges in edge-id
+//! order. A partition on the widest attribute is then one contiguous run
+//! of positions, one on the next widest a run per value of the widest,
+//! and so on; selections become position ranges, as in a column store's
+//! sorted projection (Stonebraker et al., "C-Store", VLDB 2005). The
+//! recursion is invariant under a permutation of its positions, so the
+//! order moves no answer and no counter, only where each pass reads.
+//! [`Placement`] alone decides it, with one stable counting-sort pass
+//! per node attribute, least significant first (O(|V|·#AttrV), the §V
+//! primitive).
 //!
 //! ### Key columns
 //!
@@ -38,12 +57,15 @@
 //! columns straight from its spill file in the order the file holds
 //! ([`crate::shard::ShardStore::load_shard`],
 //! [`crate::shard::SliceSet::load_keys`]): EArray order for a store
-//! built from a graph, which places its edges with the same counting
-//! pass, and arrival order for a streamed one.
+//! built from a graph, which places its edges with the same [`Placement`]
+//! (so its shards, read in shard order, are the in-core columns cut into
+//! contiguous ranges), and arrival order for a streamed one.
 
 use crate::error::{GraphError, Result};
 use crate::graph::SocialGraph;
+use crate::sort::PartitionArena;
 use crate::value::{AttrValue, EdgeAttrId, EdgeId, NodeAttrId, NodeId};
+use std::cmp::Reverse;
 use std::ops::Range;
 
 /// The columnar per-position key caches (module docs): per node
@@ -62,12 +84,14 @@ pub struct KeyColumns {
 }
 
 impl KeyColumns {
-    /// Gather `graph`'s columns in EArray order (module docs), rejecting
-    /// graphs with more than [`CompactModel::MAX_EDGES`] edges with
+    /// Gather `graph`'s columns in EArray order (module docs: source
+    /// groups clustered by their attribute rows), rejecting graphs with
+    /// more than [`CompactModel::MAX_EDGES`] edges with
     /// [`GraphError::TooManyEdges`] instead of truncating positions.
-    /// O(|V| + |E|): one counting pass places each edge's destination
-    /// and edge id at its position, then one pass in position order
-    /// fills every column, reading each source's attribute row once.
+    /// O(|V|·#AttrV + |E|): [`Placement`] orders the source groups and
+    /// places each edge's destination and edge id at its position, then
+    /// one pass in position order fills every column, reading each
+    /// source's attribute row once.
     pub fn build(graph: &SocialGraph) -> Result<Self> {
         let place = Placement::of(graph)?;
         let m = graph.edge_count();
@@ -156,15 +180,16 @@ impl KeyColumns {
     }
 }
 
-/// Where each of a graph's edges sits in EArray order (module docs): per
-/// position the edge's destination and edge id, and per source node the
-/// range of positions its group holds. One counting pass over the
-/// out-degree prefix sums computes it; [`KeyColumns::build`] gathers the
-/// in-core columns from it, and
-/// [`crate::shard::ShardStore::build_from_graph`] spills the edges in its
-/// order.
+/// Where each of a graph's edges sits in EArray order (module docs): the
+/// source groups in clustered order, with the range of positions each
+/// holds, and per position the edge's destination and edge id. The one
+/// place the order is decided: [`KeyColumns::build`] gathers the in-core
+/// columns from it, and [`crate::shard::ShardStore::build_from_graph`]
+/// spills the edges in its order.
 pub(crate) struct Placement {
-    /// One past the last position of each source node's group.
+    /// The LArray records — sources with out-edges — in EArray order.
+    sources: Vec<NodeId>,
+    /// Per node id, one past the last position of its group.
     end: Vec<u32>,
     /// The `(destination, edge id)` of the edge at each position, side by
     /// side so placing an edge writes one cache line, not two.
@@ -174,14 +199,30 @@ pub(crate) struct Placement {
 impl Placement {
     /// Place `graph`'s edges, rejecting more than
     /// [`CompactModel::MAX_EDGES`] with [`GraphError::TooManyEdges`]:
-    /// positions are `u32`.
+    /// positions are `u32`. The sources are sorted by their attribute
+    /// rows with one stable counting-sort pass per node attribute, least
+    /// significant first, so the widest attribute decides first and
+    /// equal rows keep node-id order; one counting pass over the
+    /// out-degrees then places each edge, in edge-id order within its
+    /// group.
     pub(crate) fn of(graph: &SocialGraph) -> Result<Self> {
         check_edge_capacity(graph.edge_count(), CompactModel::MAX_EDGES)?;
-        // `end[v]`: one past the last position of source `v`'s group,
-        // once the scatter below has advanced it from the group's start.
+        let schema = graph.schema();
         let mut end = graph.out_degrees();
+        let mut sources: Vec<NodeId> = graph.node_ids().filter(|&v| end[v as usize] > 0).collect();
+        // Widest domain first; the sort is stable, so ties keep id order.
+        let mut attrs: Vec<NodeAttrId> = schema.node_attr_ids().collect();
+        attrs.sort_by_key(|&a| Reverse(schema.node_attr(a).bucket_count()));
+        let mut arena = PartitionArena::new();
+        for &a in attrs.iter().rev() {
+            let buckets = schema.node_attr(a).bucket_count();
+            arena.partition_with(&mut sources, buckets, |v| graph.node_attr(v, a))?;
+        }
+        // `end[v]`: the start of source `v`'s group, advanced to one past
+        // its end by the scatter below.
         let mut acc = 0u32;
-        for d in &mut end {
+        for &v in &sources {
+            let d = &mut end[v as usize];
             acc += *d;
             *d = acc - *d;
         }
@@ -191,15 +232,19 @@ impl Placement {
             edges[*cursor as usize] = (graph.dst(e), e);
             *cursor += 1;
         }
-        Ok(Placement { end, edges })
+        Ok(Placement {
+            sources,
+            end,
+            edges,
+        })
     }
 
-    /// Each source node with the positions of its group, in node-id
-    /// order (empty for a node without out-edges).
+    /// Each source with out-edges and the positions of its group, in
+    /// EArray order.
     pub(crate) fn groups(&self) -> impl Iterator<Item = (NodeId, Range<usize>)> + '_ {
         let mut lo = 0;
-        (0..).zip(&self.end).map(move |(v, &hi)| {
-            let group = lo..hi as usize;
+        self.sources.iter().map(move |&v| {
+            let group = lo..self.end[v as usize] as usize;
             lo = group.end;
             (v, group)
         })
@@ -330,23 +375,27 @@ mod tests {
         let a = NodeAttrId(0);
         let b = NodeAttrId(1);
         let w = EdgeAttrId(0);
-        // Position 3 is edge 3->0.
-        assert_eq!(keys.l_key(3, a), 1, "node 3 has A=1");
-        assert_eq!(keys.l_key(3, b), 2);
-        assert_eq!(keys.r_key(3, a), 1, "node 0 has A=1");
-        assert_eq!(keys.w_key(3, w), 2);
-        // Position 1 is edge 0->2.
+        // EArray order compares A (the wider domain), then B: node 3's
+        // group (A=1, B=2) sits between node 0's (A=1, B=1) and node
+        // 1's (A=2), so position 2 is edge 3->0.
+        assert_eq!(keys.l_key(2, a), 1, "node 3 has A=1");
+        assert_eq!(keys.l_key(2, b), 2);
+        assert_eq!(keys.r_key(2, a), 1, "node 0 has A=1");
+        assert_eq!(keys.w_key(2, w), 2);
+        // Position 1 is edge 0->2, and position 3 edge 1->2.
         assert_eq!(keys.r_key(1, a), 3);
+        assert_eq!(keys.l_key(3, a), 2, "node 1 has A=2");
+        assert_eq!(keys.r_key(3, a), 3);
     }
 
     /// Edges 0..5 as 1->2, 0->1, 3->0, 0->2, 1->0, with the edge ids
-    /// EArray order puts at positions 0..5: grouped by source in node-id
-    /// order, each group in edge-id order, the positions hold edges 1, 3
-    /// (node 0), 0, 4 (node 1) and 2 (node 3); node 2 has no out-edges
-    /// and no group.
+    /// EArray order puts at positions 0..5: the source groups ordered by
+    /// (A, B) — node 0 (1, 1), node 3 (1, 2), node 1 (2, 2) — each in
+    /// edge-id order, the positions hold edges 1, 3 (node 0), 2 (node 3)
+    /// and 0, 4 (node 1); node 2 has no out-edges and no group.
     fn unsorted_sample() -> (SocialGraph, [EdgeId; 5]) {
         let g = sample_with_edges(&[(1, 2, 1), (0, 1, 2), (3, 0, 1), (0, 2, 1), (1, 0, 2)]);
-        (g, [1, 3, 0, 4, 2])
+        (g, [1, 3, 2, 0, 4])
     }
 
     #[test]
@@ -380,6 +429,63 @@ mod tests {
         }
         for a in g.schema().edge_attr_ids() {
             assert_eq!(keys.w_col(a), column(&|e| g.edge_attr(e, a)), "w_col {a}");
+        }
+    }
+
+    #[test]
+    fn earray_clusters_sources_widest_attribute_first() {
+        // X (2 values), Y and Z (4 values each): EArray order compares
+        // Y (the widest, and listed before Z), then Z, then X.
+        let schema = SchemaBuilder::new()
+            .node_attr("X", 2, false)
+            .node_attr("Y", 4, true)
+            .node_attr("Z", 4, false)
+            .build()
+            .unwrap();
+        let mut b = GraphBuilder::new(schema);
+        // Node 2's Y is NULL, nodes 0 and 4 carry equal rows, and node 6
+        // has no out-edges.
+        for row in [
+            [1, 2, 1],
+            [2, 1, 3],
+            [1, 0, 4],
+            [2, 2, 1],
+            [1, 2, 1],
+            [2, 1, 2],
+            [1, 1, 1],
+        ] {
+            b.add_node(&row).unwrap();
+        }
+        let edges = [
+            (0, 6),
+            (4, 0),
+            (1, 2),
+            (0, 3),
+            (2, 5),
+            (3, 1),
+            (5, 4),
+            (4, 6),
+        ];
+        for (s, t) in edges {
+            b.add_edge(s, t, &[]).unwrap();
+        }
+        let g = b.build().unwrap();
+        // (Y, Z, X): node 2 (NULL, 4, 1), 5 (1, 2, 2), 1 (1, 3, 2), then
+        // 0 and 4 (2, 1, 1) in node-id order, then 3 (2, 1, 2).
+        let place = Placement::of(&g).unwrap();
+        let sources: Vec<NodeId> = place.groups().map(|(v, _)| v).collect();
+        assert_eq!(sources, [2, 5, 1, 0, 4, 3]);
+        // Each group keeps its edges in edge-id order: node 0's are
+        // edges 0 and 3, node 4's 1 and 7.
+        let order: [EdgeId; 8] = [4, 6, 2, 0, 3, 1, 7, 5];
+        let placed: Vec<EdgeId> = place.edges.iter().map(|&(_, e)| e).collect();
+        assert_eq!(placed, order);
+        let keys = KeyColumns::build(&g).unwrap();
+        for a in g.schema().node_attr_ids() {
+            let l: Vec<AttrValue> = order.iter().map(|&e| g.src_attr(e, a)).collect();
+            let r: Vec<AttrValue> = order.iter().map(|&e| g.dst_attr(e, a)).collect();
+            assert_eq!(keys.l_col(a), l, "l_col {a}");
+            assert_eq!(keys.r_col(a), r, "r_col {a}");
         }
     }
 

@@ -1773,16 +1773,18 @@ mod tests {
         let d1 = tdir("stream_a");
         let d2 = tdir("stream_b");
         let built = ShardStore::build_from_graph(&g, &d1, 3, CompactModel::MAX_EDGES).unwrap();
-        // The writer keeps arrival order: fed in EArray order (a stable
-        // sort of the edge ids by source), it spills what the graph
-        // build spills, edge for edge.
+        // The writer keeps arrival order: fed in EArray order, it spills
+        // what the graph build spills, edge for edge. EArray order is a
+        // stable sort of the edge ids by their source's row compared
+        // widest attribute first — A before B here, so the row as it
+        // stands — then by source id.
         let mut w =
             ShardStoreWriter::create(g.schema().clone(), &d2, 3, CompactModel::MAX_EDGES).unwrap();
         for n in g.node_ids() {
             w.add_node(g.node_row(n)).unwrap();
         }
         let mut order: Vec<u32> = g.edge_ids().collect();
-        order.sort_by_key(|&e| g.src(e));
+        order.sort_by_key(|&e| (g.node_row(g.src(e)).to_vec(), g.src(e)));
         for e in order {
             w.add_edge(g.src(e), g.dst(e), g.edge_row(e)).unwrap();
         }

@@ -6,18 +6,21 @@
 //! `|E|`) must agree on all three. Random graphs bring NULL values and
 //! homophily (β) attributes, random GRs bring empty descriptors, and the
 //! DBLP fixture brings an edge attribute at scale. The context's columns
-//! themselves are checked against EArray order, computed here from the
-//! edge list, and so are a store's: each shard of a store built from a
-//! graph loads the EArray-order subsequence of the edges routed to it,
-//! and each value slice keyed on a source attribute the stable
-//! subsequence of the store's order.
+//! themselves are checked against EArray order — the edges sorted by
+//! their source's attribute row, widest domain first, then by source
+//! id — computed here from the edge list by a comparison sort, and so
+//! are a store's: each shard of a store built from a graph loads the
+//! EArray-order subsequence of the edges routed to it, the shards read
+//! in shard order are the context's columns cut into ranges, and each
+//! value slice keyed on a source attribute is the stable subsequence of
+//! the store's order.
 
 use proptest::prelude::*;
 use social_ties::core::query::counts;
 use social_ties::core::{MetricInputs, MiningContext};
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::shard::{ShardSpec, ShardStore, SliceKey, SliceSet};
-use social_ties::graph::{CompactModel, KeyColumns};
+use social_ties::graph::{CompactModel, KeyColumns, NodeAttrId};
 use social_ties::{
     generate, EdgeDescriptor, Gr, GraphBuilder, NodeDescriptor, Schema, SchemaBuilder, SocialGraph,
 };
@@ -34,20 +37,21 @@ fn rng(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A small attributed graph: 1–3 node attributes with random homophily
-/// flags, 0–2 edge attributes, and NULL among every attribute's values.
+/// A small attributed graph: 1–3 node attributes, each with its own
+/// domain (2–5 values, so the widest need not come first and ties
+/// occur) and a random homophily flag, 0–2 edge attributes, and NULL
+/// among every attribute's values.
 fn arb_graph() -> impl Strategy<Value = SocialGraph> {
     (
-        prop::collection::vec(any::<bool>(), 1..=3),
-        2u16..=3,
+        prop::collection::vec((any::<bool>(), 2u16..=5), 1..=3),
         0usize..=2,
         2u32..=12,
         0u32..=60,
         any::<u64>(),
     )
-        .prop_map(|(flags, domain, ea, nodes, edges, seed)| {
+        .prop_map(|(attrs, ea, nodes, edges, seed)| {
             let mut sb = SchemaBuilder::new();
-            for (i, &h) in flags.iter().enumerate() {
+            for (i, &(h, domain)) in attrs.iter().enumerate() {
                 sb = sb.node_attr(format!("N{i}"), domain, h);
             }
             for i in 0..ea {
@@ -56,8 +60,9 @@ fn arb_graph() -> impl Strategy<Value = SocialGraph> {
             let mut b = GraphBuilder::new(sb.build().unwrap());
             let mut next = rng(seed);
             for _ in 0..nodes {
-                let row: Vec<u16> = (0..flags.len())
-                    .map(|_| (next() % (domain as u64 + 1)) as u16)
+                let row: Vec<u16> = attrs
+                    .iter()
+                    .map(|&(_, domain)| (next() % (domain as u64 + 1)) as u16)
                     .collect();
                 b.add_node(&row).unwrap();
             }
@@ -118,12 +123,29 @@ fn shard_keys(g: &SocialGraph, shards: usize) -> Vec<KeyColumns> {
     keys
 }
 
-/// `g`'s edge ids in EArray order: a stable sort by source, so each
-/// source's edges stay in edge-id order.
+/// `g`'s edge ids in EArray order, by a comparison sort: ordered by
+/// their source's attribute row read widest domain first (the lower
+/// attribute id first on equal domains), then by source id. The sort is
+/// stable, so each source's edges stay in edge-id order.
 fn earray_order(g: &SocialGraph) -> Vec<u32> {
+    let schema = g.schema();
+    let mut attrs: Vec<NodeAttrId> = schema.node_attr_ids().collect();
+    attrs.sort_by(|&a, &b| {
+        let width = |x: NodeAttrId| schema.node_attr(x).domain_size();
+        width(b).cmp(&width(a)).then(a.cmp(&b))
+    });
     let mut order: Vec<u32> = g.edge_ids().collect();
-    order.sort_by_key(|&e| g.src(e));
+    order.sort_by_key(|&e| {
+        let s = g.src(e);
+        let row: Vec<u16> = attrs.iter().map(|&a| g.node_attr(s, a)).collect();
+        (row, s)
+    });
     order
+}
+
+/// `keys`' columns, each concatenated across the units in turn.
+fn concatenated(keys: &[KeyColumns], col: impl Fn(&KeyColumns) -> &[u16]) -> Vec<u16> {
+    keys.iter().flat_map(|k| col(k).iter().copied()).collect()
 }
 
 /// Assert that `keys` holds exactly the edges `order`, position by
@@ -207,23 +229,37 @@ proptest! {
     fn shard_stores_and_their_source_slices_load_in_earray_order(g in arb_graph()) {
         let order = earray_order(&g);
         let schema = g.schema();
+        let whole = KeyColumns::build(&g).unwrap();
         for shards in [1usize, 2, 3, 7] {
             let dir = store_dir();
             let store = ShardStore::build_from_graph(&g, &dir, shards, CompactModel::MAX_EDGES)
                 .expect("store builds");
+            let loaded: Vec<KeyColumns> = (0..store.shard_count())
+                .map(|s| store.load_shard(s).expect("shard loads"))
+                .collect();
             // Shard s holds the EArray-order subsequence of the edges
             // whose source routes to s; the store's order is the shards'
             // in turn.
             let spec = ShardSpec::new(schema, shards);
             let mut store_order = Vec::new();
-            for s in 0..store.shard_count() {
+            for (s, keys) in loaded.iter().enumerate() {
                 let want: Vec<u32> = order
                     .iter()
                     .copied()
                     .filter(|&e| spec.shard_of(g.src_attr(e, spec.attr())) == s)
                     .collect();
-                assert_holds_in_order(&store.load_shard(s).expect("shard loads"), &g, &want);
+                assert_holds_in_order(keys, &g, &want);
                 store_order.extend(want);
+            }
+            // The shard key is the widest attribute, which EArray order
+            // compares first: the shards, read in shard order, are the
+            // in-core columns cut into contiguous ranges.
+            for a in schema.node_attr_ids() {
+                prop_assert_eq!(concatenated(&loaded, |k| k.l_col(a)), whole.l_col(a));
+                prop_assert_eq!(concatenated(&loaded, |k| k.r_col(a)), whole.r_col(a));
+            }
+            for a in schema.edge_attr_ids() {
+                prop_assert_eq!(concatenated(&loaded, |k| k.w_col(a)), whole.w_col(a));
             }
             // A slice keyed on a source attribute is the stable
             // subsequence of the store's order carrying its value.
