@@ -88,7 +88,7 @@ impl KeyColumns {
     /// groups clustered by their attribute rows), rejecting graphs with
     /// more than [`CompactModel::MAX_EDGES`] edges with
     /// [`GraphError::TooManyEdges`] instead of truncating positions.
-    /// O(|V|·#AttrV + |E|): [`Placement`] orders the source groups and
+    /// O(|V|·#AttrV + |E|): `Placement` orders the source groups and
     /// places each edge's destination and edge id at its position, then
     /// one pass in position order fills every column, reading each
     /// source's attribute row once.
