@@ -4,10 +4,15 @@
 //! whatever the worker count, and sits between the edge set's
 //! [`KeyColumns`] and the per-task [`crate::miner`] recursion state. It
 //! holds its columns and borrows no graph: an in-core mine gathers them
-//! with [`KeyColumns::build`] in EArray order, and an out-of-core unit
-//! shares the columns its shard or value slice loads from its spill file
-//! ([`ShardPool`](grm_graph::shard::ShardPool)), in EArray order for a
-//! store built from a graph and in arrival order for a streamed one.
+//! with [`KeyColumns::build`] in EArray order (source groups clustered by
+//! their attribute rows, widest attribute first, so an LHS partition is a
+//! few long runs of positions rather than one short run per source), and
+//! an out-of-core unit shares the columns its shard or value slice loads
+//! from its spill file ([`ShardPool`](grm_graph::shard::ShardPool)), in
+//! EArray order for a store built from a graph and in arrival order for
+//! a streamed one. The recursion is invariant under a permutation of its
+//! positions, so the order decides how fast a pass reads, never what it
+//! counts.
 //! Everything in it is immutable (or internally synchronized) and safe to
 //! share by reference across worker threads, so the per-task costs the
 //! §IV-A model was designed to avoid are paid once per run instead of

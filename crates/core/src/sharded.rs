@@ -60,11 +60,15 @@
 //! load them the same way: gathered from the spill file against the
 //! store's resident node table — no graph, no node rows, no model.
 //! Positions come in the order the file holds: EArray order for a store
-//! built from a graph ([`ShardStore::build_from_graph`] spills each shard
-//! grouped by source node, and a slice is a stable filter of the store),
-//! so a unit's columns are grouped by source as an in-core mine's are;
-//! arrival order for a store streamed through a
-//! [`ShardStoreWriter`](grm_graph::shard::ShardStoreWriter). A shard
+//! built from a graph ([`ShardStore::build_from_graph`] spills its edges
+//! as an in-core mine places them, source groups clustered by their
+//! attribute rows widest attribute first, and a slice is a stable filter
+//! of the store), so a unit's columns are in an in-core mine's order —
+//! a shard's are a contiguous range of the in-core columns, since the
+//! shard key is the attribute that order compares first — and arrival
+//! order for a store streamed through a
+//! [`ShardStoreWriter`](grm_graph::shard::ShardStoreWriter). No unit
+//! sorts at load time. A shard
 //! unit leases its columns from the pool, which loads them on a miss
 //! ([`ShardStore::load_shard`]), keeps them for the post-pass and shares
 //! them with the unit's [`MiningContext`]; a slice unit reserves its
@@ -80,7 +84,9 @@
 //! [`query::counts`] over every shard's columns (each field is a sum of
 //! per-edge indicators, hence additive over any partition of the
 //! edges) and scores the sum, so the verification is exact without ever
-//! holding the whole graph.
+//! holding the whole graph. It counts over the shards the pool holds
+//! first and leases the others after, so under a budget smaller than the
+//! store a check reloads only the shards the pool lacks.
 //!
 //! Metrics that need global RHS marginal tables (lift,
 //! Piatetsky-Shapiro, conviction —

@@ -44,9 +44,11 @@
 //!
 //! Within a file, chunks hold edges in the order they were spilled: a
 //! shard file of a store built from a graph holds its edges in EArray
-//! order (grouped by source node, as [`crate::KeyColumns::build`] places
-//! them), a shard file of a streamed store in arrival order, and a slice
-//! file the stable subsequence of its store's order.
+//! order (source groups clustered by their attribute rows, widest
+//! attribute first, as [`crate::KeyColumns::build`] places them), a
+//! shard file of a streamed store in arrival order, and a slice file the
+//! stable subsequence of its store's order. The format records no order
+//! and no reader sorts.
 
 use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result, ShardIoError};

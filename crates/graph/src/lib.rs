@@ -11,7 +11,8 @@
 //! * [`CompactModel`] — the cell account of §IV-A's LArray/EArray/RArray
 //!   compact data model (node attributes stored once, `Ptr`-linked edge
 //!   records), and the per-position [`KeyColumns`] the mining recursion
-//!   reads, gathered in EArray order;
+//!   reads, gathered in EArray order (source groups clustered by their
+//!   attribute rows, so each partition is a few long runs of positions);
 //! * [`SingleTable`] — the joined `|E| × (2·#AttrV + #AttrE)` table used by
 //!   baseline BL1, kept around to measure the §IV-A size comparison;
 //! * [`sort`] — the stable counting-sort partitioner of §V;
@@ -22,7 +23,8 @@
 //! * [`shard`] — sharded, memory-budgeted out-of-core edge storage that
 //!   breaks the in-core u32 edge cap: columnar per-shard spill
 //!   files (checksummed, written via temp-and-rename, in EArray order
-//!   when built from a graph) plus an LRU shard-residency pool;
+//!   when built from a graph, so the shards are contiguous ranges of
+//!   the in-core columns) plus an LRU shard-residency pool;
 //! * [`cancel`] — the cooperative [`CancelToken`] the mining engines
 //!   observe at recursion-node and shard-load granularity;
 //! * [`failpoint`] — deterministic fault injection behind the

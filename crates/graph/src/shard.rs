@@ -32,10 +32,16 @@
 //! gathered from the spill file against the store's resident node table
 //! — no graph, no node rows, no compact model. Positions come in the
 //! order the file holds: EArray order for a store built from a graph
-//! ([`ShardStore::build_from_graph`] spills each shard grouped by source
-//! node, as an in-core mine's [`KeyColumns::build`] places its edges),
-//! arrival order for a streamed one ([`ShardStoreWriter`]). A slice set
-//! is a stable filter of its store, so its slices keep that order too.
+//! ([`ShardStore::build_from_graph`] spills its edges in the order an
+//! in-core mine's [`KeyColumns::build`] places them: source groups
+//! clustered by their attribute rows, widest attribute first, the
+//! dominant attribute this module shards on), arrival order for a
+//! streamed one ([`ShardStoreWriter`]). Since the shard key is the
+//! attribute that order compares first, such a store's shards, read in
+//! shard order, are the in-core columns cut into contiguous ranges. A
+//! slice set is a stable filter of its store, so its slices keep that
+//! order too. No reader sorts: the order is decided once, where the
+//! edges are placed.
 //!
 //! Every reader — shard loads, slice-set builds, key loads — goes
 //! through one read path, a decoded chunk at a time: the decoder
@@ -497,11 +503,14 @@ pub struct ShardStore {
 impl ShardStore {
     /// Shard an in-memory graph: the convenience path for inputs that
     /// already fit in one piece (equivalence tests, the CLI's default).
-    /// The edges go to the writer in EArray order — grouped by source
-    /// node in node-id order, each group in edge-id order, placed by the
-    /// counting pass [`KeyColumns::build`] runs — so every shard file,
-    /// every slice filtered from it and every unit's key columns come out
-    /// grouped by source, as an in-core mine's do.
+    /// The edges go to the writer in EArray order — source groups
+    /// clustered by their sources' attribute rows, widest attribute
+    /// first, each group in edge-id order, placed as [`KeyColumns::build`]
+    /// places them — so every shard file, every slice filtered from it
+    /// and every unit's key columns come out in an in-core mine's order,
+    /// and the shards, read in shard order, are the in-core columns cut
+    /// into contiguous ranges (the shard key is the attribute that order
+    /// compares first).
     pub fn build_from_graph(
         graph: &SocialGraph,
         dir: impl AsRef<Path>,
@@ -652,8 +661,9 @@ impl ShardStore {
 
     /// Load shard `s` as the key columns a mining unit reads, positions
     /// in the order the shard file holds (EArray order for a store built
-    /// from a graph, arrival order for a streamed one), through the
-    /// store's one key loader. A shard over the store's per-shard
+    /// from a graph — a contiguous range of the in-core columns — and
+    /// arrival order for a streamed one), through the store's one key
+    /// loader, which never sorts. A shard over the store's per-shard
     /// capacity fails before any byte is read.
     pub fn load_shard(&self, s: usize) -> Result<KeyColumns> {
         injected_load_fault("shard.load", "injected fault at shard.load")?;
