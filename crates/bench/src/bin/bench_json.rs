@@ -5,7 +5,9 @@
 //! diffable across commits): the partition-engine micro cells
 //! (allocating legacy primitive vs arena pass vs count-only arena pass,
 //! and the two-level shapes: full child passes, and count-only children,
-//! as the miner runs the first pass of a RIGHT chain). The count-only
+//! as the miner runs the first pass of a RIGHT chain). An arena pass is
+//! a count and its scatter into a separate output buffer, and a child
+//! reads its slice of the parent's output, as in the miner. The count-only
 //! pass runs at n = 600 too, below the count's stripe threshold
 //! (`STRIPES × 189` = 756), so each histogram branch has a cell. These
 //! are the partition engine's only before/after cells: the Criterion
@@ -127,14 +129,14 @@ fn partition_cells() -> Vec<Cell> {
         });
 
         let mut arena = PartitionArena::new();
-        let mut data = base.clone();
+        let mut out = vec![0u32; n];
         cells.push(Cell {
             group: "partition",
             bench: "arena",
             n,
             median_ns: median_ns(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.partition_col(&mut data, 189, &col).unwrap();
+                let frame = arena.count_col(&base, 189, &col).unwrap();
+                arena.scatter(&base, &frame, &col, &mut out);
                 let parts = frame.len() as u64;
                 arena.pop_frame(frame);
                 parts
@@ -142,14 +144,12 @@ fn partition_cells() -> Vec<Cell> {
         });
 
         let mut arena = PartitionArena::new();
-        let mut data = base.clone();
         cells.push(Cell {
             group: "partition",
             bench: "arena_count_only",
             n,
             median_ns: median_ns(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.count_col(&data, 189, &col).unwrap();
+                let frame = arena.count_col(&base, 189, &col).unwrap();
                 let parts = frame.len() as u64;
                 arena.pop_frame(frame);
                 parts
@@ -157,19 +157,20 @@ fn partition_cells() -> Vec<Cell> {
         });
 
         let mut arena = PartitionArena::new();
-        let mut data = base.clone();
+        let (mut out, mut child_out) = (vec![0u32; n], vec![0u32; n]);
         cells.push(Cell {
             group: "partition",
             bench: "two_level_unfused",
             n,
             median_ns: median_ns(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.partition_col(&mut data, 6, &narrow).unwrap();
+                let frame = arena.count_col(&base, 6, &narrow).unwrap();
+                arena.scatter(&base, &frame, &narrow, &mut out);
                 let mut total = 0u64;
                 for idx in frame.indices() {
                     let part = arena.record(idx);
-                    let sub = &mut data[part.range()];
-                    let child = arena.partition_col(sub, 5, &next).unwrap();
+                    let sub = &out[part.range()];
+                    let child = arena.count_col(sub, 5, &next).unwrap();
+                    arena.scatter(sub, &child, &next, &mut child_out[..sub.len()]);
                     total += child.len() as u64;
                     arena.pop_frame(child);
                 }
@@ -179,18 +180,18 @@ fn partition_cells() -> Vec<Cell> {
         });
 
         let mut arena = PartitionArena::new();
-        let mut data = base.clone();
+        let mut out = vec![0u32; n];
         cells.push(Cell {
             group: "partition",
             bench: "two_level_unfused_leaf",
             n,
             median_ns: median_ns(|| {
-                data.copy_from_slice(&base);
-                let frame = arena.partition_col(&mut data, 6, &narrow).unwrap();
+                let frame = arena.count_col(&base, 6, &narrow).unwrap();
+                arena.scatter(&base, &frame, &narrow, &mut out);
                 let mut total = 0u64;
                 for idx in frame.indices() {
                     let part = arena.record(idx);
-                    let child = arena.count_col(&data[part.range()], 5, &next).unwrap();
+                    let child = arena.count_col(&out[part.range()], 5, &next).unwrap();
                     total += child.len() as u64;
                     arena.pop_frame(child);
                 }

@@ -111,8 +111,8 @@ impl MiningContext {
 
     /// Fill `buf` with the canonical position set `0..|E|`, reusing its
     /// capacity: a worker fills its buffer once and keeps reusing it,
-    /// because the recursion only permutes positions — it never consumes
-    /// them.
+    /// because nothing moves it — the recursion reads the positions it is
+    /// given, and every pass scatters into a buffer of its own.
     pub fn fill_positions(&self, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(0..self.keys.edge_count() as u32);

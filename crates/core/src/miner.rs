@@ -235,15 +235,17 @@ impl RootTask {
 
 /// All reusable mutable scratch of a mining run, movable between [`Run`]s
 /// so a parallel worker carries it across its tasks: the counting-sort
-/// [`PartitionArena`], pools for the per-`l∧w`-node buffers (edge-set
-/// snapshot, homophily pairs, β support table), and pools for the
+/// [`PartitionArena`], the pool of output buffers passes scatter into
+/// (used as a stack, so the buffer at each height of the recursion grows
+/// to the longest slice scattered there), pools for the per-`l∧w`-node
+/// buffers (homophily pairs, β support table), and pools for the
 /// per-partition descriptor extensions (`l.with(...)` / `r.with(...)` on
 /// the descend path). Once warm, recursion nodes draw everything from
 /// here and allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct MinerScratch {
     arena: PartitionArena,
-    snapshots: Vec<Vec<u32>>,
+    outs: Vec<Vec<u32>>,
     pairs_bufs: Vec<Vec<(NodeAttrId, AttrValue)>>,
     heff_tables: Vec<Vec<u64>>,
     node_descs: Vec<NodeDescriptor>,
@@ -252,9 +254,8 @@ pub(crate) struct MinerScratch {
 
 /// A recursion subtree detached by a worker for other workers to steal:
 /// the subtree root's descriptors plus an owned copy of its edge
-/// positions (the recursion is invariant under input permutation, so the
-/// copy's order — a snapshot of the live slice mid-recursion — does not
-/// matter). Executing it via [`Run::run_subtree`] performs exactly the
+/// positions (the partition's slice of its parent's scatter, in the same
+/// order an inline descent would read). Executing it via [`Run::run_subtree`] performs exactly the
 /// recursive calls the spawning worker skipped, so the collect-mode
 /// merge (and every semantic counter) is independent of where and when
 /// the subtree runs.
@@ -294,13 +295,19 @@ pub(crate) struct SplitPolicy {
     pub(crate) min_len: usize,
 }
 
-/// One counting pass of the recursion, whose scatter waits for the first
-/// child that reads its slice (see `grm_graph::sort`): counted by
-/// [`Run::count_pass`], scattered at most once by [`Run::scatter_pass`],
-/// and its records popped after the partition loop.
-struct Pass {
+/// One counting pass of the recursion over a slice it never moves, whose
+/// scatter waits for the first child that reads its partition (see
+/// `grm_graph::sort`): counted by [`Run::count_pass`], scattered at most
+/// once by [`Run::scatter_pass`] into an output buffer drawn from the
+/// [`MinerScratch`] pool, whose sub-slices its children read, and ended
+/// after its partition loop by [`Run::end_pass`], which pops its records
+/// and returns the buffer.
+struct Pass<'a> {
     frame: Frame,
-    scattered: bool,
+    /// The column the pass counted, reread by its scatter.
+    col: &'a [AttrValue],
+    /// The scattered order, once a child has asked for it.
+    out: Option<Vec<u32>>,
 }
 
 /// Mutable state of one mining run: one root task or detached subtree
@@ -444,8 +451,9 @@ impl<'a> Run<'a> {
         (self.collector, self.scratch)
     }
 
-    /// Execute one top-level task over `data` (the unit's position set).
-    pub(crate) fn run_root(&mut self, data: &mut [u32], task: RootTask) {
+    /// Execute one top-level task over `data` (the unit's position set),
+    /// which the recursion reads and never moves.
+    pub(crate) fn run_root(&mut self, data: &[u32], task: RootTask) {
         if self.check_cancelled() {
             return;
         }
@@ -467,7 +475,7 @@ impl<'a> Run<'a> {
     /// have made inline.
     pub(crate) fn run_subtree(
         &mut self,
-        data: &mut [u32],
+        data: &[u32],
         l: &NodeDescriptor,
         w: &EdgeDescriptor,
         kind: SubtreeKind,
@@ -490,14 +498,15 @@ impl<'a> Run<'a> {
         self.record_scratch_peak();
     }
 
-    /// Record the arena high-water mark. A worker's arena persists
-    /// across its tasks, so the peak is monotone per worker (the
-    /// cross-task merge takes the max either way).
+    /// Record the scratch high-water mark: the arena's, plus the output
+    /// buffers, which are all back in their pool when a task ends. A
+    /// worker's scratch persists across its tasks and only grows, so the
+    /// peak is monotone per worker (the cross-task merge takes the max
+    /// either way).
     fn record_scratch_peak(&mut self) {
-        self.stats.scratch_bytes_peak = self
-            .stats
-            .scratch_bytes_peak
-            .max(self.scratch.arena.peak_bytes() as u64);
+        let outs: usize = self.scratch.outs.iter().map(Vec::capacity).sum();
+        let bytes = self.scratch.arena.peak_bytes() + outs * std::mem::size_of::<u32>();
+        self.stats.scratch_bytes_peak = self.stats.scratch_bytes_peak.max(bytes as u64);
     }
 
     /// If the split policy admits this partition (subtree-root frame size
@@ -545,7 +554,7 @@ impl<'a> Run<'a> {
     /// which is why the in-core engine bounds the range count), then
     /// recurses only into its own partitions, so counters and candidates
     /// sum across ranges to exactly the whole dimension's.
-    fn left_root(&mut self, data: &mut [u32], i: usize, lo: AttrValue, hi: AttrValue) {
+    fn left_root(&mut self, data: &[u32], i: usize, lo: AttrValue, hi: AttrValue) {
         debug_assert_ne!(lo, NULL, "null partitions are never enumerated");
         // Mirror `left`'s max_lhs guard: constraining this dimension
         // would already exceed the cap when it is zero.
@@ -556,27 +565,23 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Snapshot of the `l ∧ w` edge set taken when a RIGHT chain begins, with
-/// the β group-by table of homophily-effect supports (§IV-D). The
-/// snapshot is needed because the recursion below keeps reordering and
-/// narrowing the live slice while `supp(l -w-> l[β])` must be counted
-/// over the *whole* `l ∧ w` set.
+/// The `l ∧ w` node a RIGHT chain scores against, with the β group-by
+/// table of homophily-effect supports (§IV-D). `supp(l -w-> l[β])` is
+/// counted over the *whole* `l ∧ w` set, and `edges` is that set: the
+/// slice the chain began with, read where it lies, since no pass moves a
+/// slice it was given (each scatters into a buffer of its own).
 ///
-/// **Construction invariant:** `edges` is `Some` exactly when `pairs` —
-/// the homophily conditions of the LHS — is non-empty. Eqn. 4 makes every
-/// reachable β a subset of those attributes, so β ≠ ∅ implies a snapshot
-/// exists; [`Run::heff`] degrades to an empty support (debug-asserting)
-/// rather than panicking if that invariant is ever violated.
-///
-/// The owned buffers (`pairs`, `edges`, `table`) are drawn from the
+/// The owned buffers (`pairs`, `table`) are drawn from the
 /// [`MinerScratch`] pools by [`Run::right_root`] and returned there when
 /// the chain finishes, so steady-state `l ∧ w` nodes allocate nothing
 /// (the `memo` map is used — and allocates — only on the wide-LHS
 /// fallback path).
-struct LwContext {
+struct LwContext<'d> {
     /// The LHS homophily conditions `H_l` — group-by dimensions for heff.
+    /// Eqn. 4 keeps every reachable β inside them, so an empty `H_l`
+    /// never reads `edges`.
     pairs: Vec<(NodeAttrId, AttrValue)>,
-    edges: Option<Vec<u32>>,
+    edges: &'d [u32],
     supp_lw: u64,
     /// All β supports for this `l ∧ w` node, filled by one group-by
     /// counting pass on the first non-empty β (`None` until
@@ -591,7 +596,7 @@ impl<'a> Run<'a> {
     /// `LEFT(data, Tail)`: partition on each LHS dimension in the tail;
     /// for each surviving partition recurse into RIGHT, EDGE and LEFT with
     /// the prefix tail (Algorithm 1 lines 7–14).
-    fn left(&mut self, data: &mut [u32], l_tail_len: usize, l: &NodeDescriptor) {
+    fn left(&mut self, data: &[u32], l_tail_len: usize, l: &NodeDescriptor) {
         if self.cfg.max_lhs.is_some_and(|m| l.len() >= m) {
             return;
         }
@@ -606,7 +611,7 @@ impl<'a> Run<'a> {
     /// whose value lies in `values` (inclusive; `None` = all non-null).
     fn left_partitions(
         &mut self,
-        data: &mut [u32],
+        data: &[u32],
         i: usize,
         l: &NodeDescriptor,
         values: Option<(AttrValue, AttrValue)>,
@@ -614,8 +619,7 @@ impl<'a> Run<'a> {
         let keys = self.ctx.keys();
         let d = self.dims.l[i];
         let buckets = self.schema.node_attr(d).bucket_count();
-        let col = keys.l_col(d);
-        let mut pass = self.count_pass(data, buckets, col);
+        let mut pass = self.count_pass(data, buckets, keys.l_col(d));
         for idx in pass.frame.indices() {
             if self.check_cancelled() {
                 break;
@@ -633,12 +637,12 @@ impl<'a> Run<'a> {
                 continue;
             }
             // Every surviving child reads its slice, detached or inline.
-            self.scatter_pass(data, &mut pass);
+            let sub = &self.scatter_pass(data, &mut pass)[part.range()];
             let l2 = l.with_pooled(d, part.value, &mut self.scratch.node_descs);
             if self.spawn_subtree(part.len(), l2.len(), || SubtreeTask {
                 // lint: allow(alloc-in-arena) — a detached stealable task
                 // must own its slice; paid only when a subtree splits.
-                data: data[part.range()].to_vec(),
+                data: sub.to_vec(),
                 l: l2.clone(),
                 w: EdgeDescriptor::empty(),
                 kind: SubtreeKind::Left { l_tail: i },
@@ -646,20 +650,19 @@ impl<'a> Run<'a> {
                 self.scratch.node_descs.push(l2);
                 continue;
             }
-            let sub = &mut data[part.range()];
             self.right_root(sub, &l2, &EdgeDescriptor::empty());
             self.edge(sub, self.dims.w.len(), &l2, &EdgeDescriptor::empty());
             self.left(sub, i, &l2);
             self.scratch.node_descs.push(l2);
         }
-        self.scratch.arena.pop_frame(pass.frame);
+        self.end_pass(pass);
     }
 
     /// `EDGE(data, Tail)`: partition on each edge dimension in the tail;
     /// recurse into RIGHT and EDGE (lines 15–21).
     fn edge(
         &mut self,
-        data: &mut [u32],
+        data: &[u32],
         w_tail_len: usize,
         l: &NodeDescriptor,
         w: &EdgeDescriptor,
@@ -669,7 +672,7 @@ impl<'a> Run<'a> {
 
     fn edge_range(
         &mut self,
-        data: &mut [u32],
+        data: &[u32],
         range: std::ops::Range<usize>,
         l: &NodeDescriptor,
         w: &EdgeDescriptor,
@@ -681,8 +684,7 @@ impl<'a> Run<'a> {
             }
             let d = self.dims.w[i];
             let buckets = self.schema.edge_attr(d).bucket_count();
-            let col = keys.w_col(d);
-            let mut pass = self.count_pass(data, buckets, col);
+            let mut pass = self.count_pass(data, buckets, keys.w_col(d));
             for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
@@ -696,12 +698,12 @@ impl<'a> Run<'a> {
                     self.stats.pruned_by_supp += 1;
                     continue;
                 }
-                self.scatter_pass(data, &mut pass);
+                let sub = &self.scatter_pass(data, &mut pass)[part.range()];
                 let w2 = w.with_pooled(d, part.value, &mut self.scratch.edge_descs);
                 if self.spawn_subtree(part.len(), l.len() + w2.len(), || SubtreeTask {
                     // lint: allow(alloc-in-arena) — a detached stealable
                     // task must own its slice; paid only on splits.
-                    data: data[part.range()].to_vec(),
+                    data: sub.to_vec(),
                     l: l.clone(),
                     w: w2.clone(),
                     kind: SubtreeKind::Edge { w_tail: i },
@@ -709,21 +711,20 @@ impl<'a> Run<'a> {
                     self.scratch.edge_descs.push(w2);
                     continue;
                 }
-                let sub = &mut data[part.range()];
                 self.right_root(sub, l, &w2);
                 self.edge(sub, i, l, &w2);
                 self.scratch.edge_descs.push(w2);
             }
-            self.scratch.arena.pop_frame(pass.frame);
+            self.end_pass(pass);
         }
     }
 
-    /// Entry into a RIGHT chain for a fixed `l ∧ w`: snapshot the edge set
-    /// for homophily-effect counting, fix the dynamic RHS order (Eqn. 8)
-    /// for the whole subtree, and recurse. All per-node buffers come from
-    /// the [`MinerScratch`] pools (and the RHS order lives on the stack),
-    /// so a steady-state `l ∧ w` node allocates nothing here.
-    fn right_root(&mut self, data: &mut [u32], l: &NodeDescriptor, w: &EdgeDescriptor) {
+    /// Entry into a RIGHT chain for a fixed `l ∧ w`: hand the β group-by
+    /// the `l ∧ w` slice itself, fix the dynamic RHS order (Eqn. 8) for
+    /// the whole subtree, and recurse. All per-node buffers come from the
+    /// [`MinerScratch`] pools (and the RHS order lives on the stack), so a
+    /// steady-state `l ∧ w` node allocates nothing here.
+    fn right_root(&mut self, data: &[u32], l: &NodeDescriptor, w: &EdgeDescriptor) {
         let l_mask = l.attrs().fold(0u64, |m, a| m | (1u64 << a.0));
         // Pooled H_l buffer — the homophily conditions of the LHS.
         let mut pairs = self.scratch.pairs_bufs.pop().unwrap_or_default();
@@ -734,22 +735,12 @@ impl<'a> Run<'a> {
                 .copied()
                 .filter(|&(a, _)| self.dims.is_homophily(a)),
         );
-        // Pooled l∧w snapshot, taken exactly when H_l is non-empty (the
-        // LwContext construction invariant).
-        let edges = if pairs.is_empty() {
-            None
-        } else {
-            let mut snap = self.scratch.snapshots.pop().unwrap_or_default();
-            snap.clear();
-            snap.extend_from_slice(data);
-            Some(snap)
-        };
         let mut ctx = LwContext {
             supp_lw: data.len() as u64,
             table: None,
             memo: HashMap::new(),
             pairs,
-            edges,
+            edges: data,
         };
         let mut r_buf = [NodeAttrId(0); MAX_NODE_ATTRS];
         let len = self.dims.r_order_into(l_mask, &mut r_buf);
@@ -763,16 +754,8 @@ impl<'a> Run<'a> {
             &NodeDescriptor::empty(),
         );
         // Return the pooled buffers for the next l∧w node.
-        let LwContext {
-            pairs,
-            edges,
-            table,
-            ..
-        } = ctx;
+        let LwContext { pairs, table, .. } = ctx;
         self.scratch.pairs_bufs.push(pairs);
-        if let Some(snap) = edges {
-            self.scratch.snapshots.push(snap);
-        }
         if let Some(t) = table {
             self.scratch.heff_tables.push(t);
         }
@@ -780,13 +763,14 @@ impl<'a> Run<'a> {
 
     /// One top-level dimension of the empty-LHS RIGHT chain
     /// ([`RootTask::Right`]). With `l = ∅` there are no homophily
-    /// conditions (β ⊆ H_l = ∅), so no snapshot or β table is ever
-    /// needed; the one difference from [`Run::right_root`] is the
+    /// conditions (β ⊆ H_l = ∅), so no β table is ever needed and the
+    /// chain's `edges` are never read; the one difference from
+    /// [`Run::right_root`] is the
     /// `supp_lw` denominator, the context's edge total (`Run::edges_total`)
     /// rather than `data`'s length, because the empty-LHS `l ∧ w` group
     /// is the whole edge set — also when the sharded miner runs the
     /// dimension over a per-value edge slice.
-    fn right_nil_root(&mut self, data: &mut [u32], dim: usize) {
+    fn right_nil_root(&mut self, data: &[u32], dim: usize) {
         let mut ctx = LwContext {
             supp_lw: self.edges_total,
             table: None,
@@ -794,7 +778,7 @@ impl<'a> Run<'a> {
             // lint: allow(alloc-in-arena) — empty Vec, never grows
             // (l = ∅ has no homophily pairs).
             pairs: Vec::new(),
-            edges: None,
+            edges: data,
         };
         let mut r_buf = [NodeAttrId(0); MAX_NODE_ATTRS];
         let len = self.dims.r_order_into(0, &mut r_buf);
@@ -812,8 +796,8 @@ impl<'a> Run<'a> {
     }
 
     /// Count one pass of the recursion over `col`; its scatter waits for
-    /// the first child that reads its slice (see [`Pass`]).
-    fn count_pass(&mut self, data: &[u32], buckets: usize, col: &[AttrValue]) -> Pass {
+    /// the first child that reads its partition (see [`Pass`]).
+    fn count_pass(&mut self, data: &[u32], buckets: usize, col: &'a [AttrValue]) -> Pass<'a> {
         self.stats.partition_passes += 1;
         self.stats.positions_counted += data.len() as u64;
         let frame = self
@@ -827,17 +811,37 @@ impl<'a> Run<'a> {
             .expect("schema-validated keys fit their bucket counts");
         Pass {
             frame,
-            scattered: false,
+            col,
+            out: None,
         }
     }
 
-    /// Move `data` into `pass`'s partition order, once, before the first
-    /// child reads its slice.
-    fn scatter_pass(&mut self, data: &mut [u32], pass: &mut Pass) {
-        if !pass.scattered {
-            pass.scattered = true;
-            self.stats.positions_scattered += data.len() as u64;
-            self.scratch.arena.scatter(data, &pass.frame);
+    /// `data` (the slice `pass` counted) in the pass's partition order,
+    /// scattered on the first call into a buffer from the pool: the slice
+    /// whose partitions the children read.
+    fn scatter_pass<'p>(&mut self, data: &[u32], pass: &'p mut Pass<'a>) -> &'p [u32] {
+        let n = data.len();
+        if pass.out.is_none() {
+            self.stats.positions_scattered += n as u64;
+            let mut out = self.scratch.outs.pop().unwrap_or_default();
+            if out.len() < n {
+                out.reserve_exact(n - out.len());
+                out.resize(n, 0);
+            }
+            self.scratch
+                .arena
+                .scatter(data, &pass.frame, pass.col, &mut out[..n]);
+            pass.out = Some(out);
+        }
+        pass.out.as_deref().map_or(&[], |out| &out[..n])
+    }
+
+    /// End `pass` after its partition loop: pop its records, and return
+    /// its output buffer, if it scattered, to the pool.
+    fn end_pass(&mut self, pass: Pass<'a>) {
+        self.scratch.arena.pop_frame(pass.frame);
+        if let Some(out) = pass.out {
+            self.scratch.outs.push(out);
         }
     }
 
@@ -846,8 +850,8 @@ impl<'a> Run<'a> {
     #[allow(clippy::too_many_arguments)]
     fn right(
         &mut self,
-        ctx: &mut LwContext,
-        data: &mut [u32],
+        ctx: &mut LwContext<'_>,
+        data: &[u32],
         r_order: &[NodeAttrId],
         r_range: std::ops::Range<usize>,
         l: &NodeDescriptor,
@@ -861,12 +865,11 @@ impl<'a> Run<'a> {
         for i in r_range {
             let d = r_order[i];
             let buckets = self.schema.node_attr(d).bucket_count();
-            let col = keys.r_col(d);
             // Children of iteration i partition the prefix tail `0..i`:
             // they have passes to run only for i ≥ 1 and below
             // `max_rhs`, so only then do they read their slices.
             let children_partition = i >= 1 && self.cfg.max_rhs.is_none_or(|m| r.len() + 1 < m);
-            let mut pass = self.count_pass(data, buckets, col);
+            let mut pass = self.count_pass(data, buckets, keys.r_col(d));
             for idx in pass.frame.indices() {
                 if self.check_cancelled() {
                     break;
@@ -975,43 +978,34 @@ impl<'a> Run<'a> {
                 // A child with nothing to partition returns at once, so
                 // it is skipped rather than scattered for.
                 if descend && children_partition {
-                    self.scatter_pass(data, &mut pass);
-                    let sub = &mut data[part.range()];
+                    let sub = &self.scatter_pass(data, &mut pass)[part.range()];
                     self.right(ctx, sub, r_order, 0..i, l, w, &r2);
                 }
                 self.scratch.node_descs.push(r2);
             }
-            self.scratch.arena.pop_frame(pass.frame);
+            self.end_pass(pass);
         }
     }
 
-    /// `supp(l -w-> l[β])` over the snapshot (§IV-D: the needed supports
-    /// are computable at or before the current node). The first non-empty
-    /// β at this `l ∧ w` node triggers one group-by counting pass that
-    /// fills the supports of *every* β ⊆ `H_l` at once
+    /// `supp(l -w-> l[β])` over the `l ∧ w` slice (§IV-D: the needed
+    /// supports are computable at or before the current node). The first
+    /// non-empty β at this `l ∧ w` node triggers one group-by counting
+    /// pass that fills the supports of *every* β ⊆ `H_l` at once
     /// ([`crate::beta::heff_table`]); later lookups are a table index.
-    /// The pass runs beside the arena, not through it, so the key cache
-    /// of the RIGHT pass being scored survives until that pass scatters.
-    fn heff(&mut self, ctx: &mut LwContext, b: BetaSet) -> u64 {
+    /// Only its counts matter, so the pass runs beside the arena: it
+    /// pushes no records and scatters nothing.
+    fn heff(&mut self, ctx: &mut LwContext<'_>, b: BetaSet) -> u64 {
         debug_assert!(!b.is_empty(), "empty β is scored as heff = 0 upstream");
         if ctx.pairs.len() > MAX_GROUPBY_ATTRS {
             return self.heff_scan(ctx, b);
         }
         if ctx.table.is_none() {
-            let Some(edges) = ctx.edges.as_ref() else {
-                // `right_root` snapshots exactly when the LHS constrains
-                // a homophily attribute, and Eqn. 4 keeps every β inside
-                // that set — so this is unreachable from the enumeration.
-                // Degrade to an empty homophily effect over panicking.
-                debug_assert!(false, "non-empty β without an l∧w snapshot");
-                return 0;
-            };
             self.stats.heff_scans += 1;
             self.stats.partition_passes += 1;
-            self.stats.positions_counted += edges.len() as u64;
+            self.stats.positions_counted += ctx.edges.len() as u64;
             let keys = self.ctx.keys();
             let mut table = self.scratch.heff_tables.pop().unwrap_or_default();
-            heff_table_into(edges, &ctx.pairs, &mut table, |a| keys.r_col(a));
+            heff_table_into(ctx.edges, &ctx.pairs, &mut table, |a| keys.r_col(a));
             ctx.table = Some(table);
         }
         let Some(table) = ctx.table.as_ref() else {
@@ -1030,17 +1024,13 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Per-β snapshot scan, memoized per β — the fallback for LHSes wider
-    /// than [`MAX_GROUPBY_ATTRS`] homophily attributes, where the group-by
-    /// table (`2^|H_l|` counters) would dwarf the snapshot.
-    fn heff_scan(&mut self, ctx: &mut LwContext, b: BetaSet) -> u64 {
+    /// Per-β scan of the `l ∧ w` slice, memoized per β — the fallback for
+    /// LHSes wider than [`MAX_GROUPBY_ATTRS`] homophily attributes, where
+    /// the group-by table (`2^|H_l|` counters) would dwarf the slice.
+    fn heff_scan(&mut self, ctx: &mut LwContext<'_>, b: BetaSet) -> u64 {
         if let Some(&v) = ctx.memo.get(&b.0) {
             return v;
         }
-        let Some(edges) = ctx.edges.as_ref() else {
-            debug_assert!(false, "non-empty β without an l∧w snapshot");
-            return 0;
-        };
         self.stats.heff_scans += 1;
         // lint: allow(alloc-in-arena) — wide-LHS fallback path, memoized
         // per β: at most one small allocation per distinct β per node.
@@ -1052,7 +1042,8 @@ impl<'a> Run<'a> {
             .collect();
         debug_assert_eq!(needed.len(), b.len(), "β outside the LHS homophily set");
         let keys = self.ctx.keys();
-        let count = edges
+        let count = ctx
+            .edges
             .iter()
             .filter(|&&p| needed.iter().all(|&(a, v)| keys.r_key(p, a) == v))
             .count() as u64;
@@ -1326,6 +1317,52 @@ mod tests {
             token.is_cancelled(),
             "an expired deadline must trip the caller's token too"
         );
+    }
+
+    /// A root task reads its position buffer and never moves it (each
+    /// pass scatters into a pooled buffer of its own), which is what lets
+    /// a worker fill the buffer once and hand it to every root task: the
+    /// buffer is the canonical set after every task, and a second round
+    /// of tasks over it collects the same candidates and counters.
+    #[test]
+    fn a_root_task_leaves_its_position_buffer_as_it_found_it() {
+        let g = toy();
+        let cfg = MinerConfig {
+            allow_empty_lhs: true,
+            ..MinerConfig::nhp(1, 0.0, 100).without_dynamic_topk()
+        };
+        let ctx = MiningContext::build(&g, false);
+        let dims = Dims::all(g.schema());
+        let mut data = Vec::new();
+        ctx.fill_positions(&mut data);
+        let canonical = data.clone();
+        let tasks = RootTask::all(g.schema(), &dims, true, None);
+        let mut rounds = Vec::new();
+        for _ in 0..2 {
+            let mut run = Run::new(&ctx, g.schema(), &dims, &cfg, CancelToken::new(), None);
+            for &task in &tasks {
+                run.run_root(&data, task);
+                assert_eq!(data, canonical, "{task:?} moved its positions");
+            }
+            assert!(run.stats.positions_scattered > 0, "no task scattered");
+            let stats = run.stats.clone();
+            let (collected, _) = run.into_collected_and_scratch();
+            rounds.push((collected, stats));
+        }
+        assert_eq!(rounds[0].0, rounds[1].0);
+        assert_eq!(rounds[0].1.semantic(), rounds[1].1.semantic());
+    }
+
+    /// The scratch high-water mark (arena plus pooled output buffers)
+    /// repeats exactly across identical one-worker runs.
+    #[test]
+    fn scratch_peak_repeats_across_identical_runs() {
+        let g = toy();
+        let cfg = MinerConfig::nhp(1, 0.0, 100);
+        let a = GrMiner::new(&g, cfg.clone()).mine().stats.scratch_bytes_peak;
+        let b = GrMiner::new(&g, cfg).mine().stats.scratch_bytes_peak;
+        assert!(a > 0);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! (`≥ split_min`) becomes a stealable `SubtreeTask` — an owned copy
 //! of the partition's positions plus the descriptors — instead of being
 //! descended inline. The detached subtree performs exactly the recursive
-//! calls the spawner skipped (the recursion is invariant under input
-//! permutation), so the collect-mode merge and every semantic counter
-//! are independent of where the subtree runs.
+//! calls the spawner skipped, over the positions an inline descent would
+//! read, so the collect-mode merge and every semantic counter are
+//! independent of where the subtree runs.
 
 use crate::config::MinerConfig;
 use crate::context::MiningContext;
@@ -139,21 +139,17 @@ impl Engine for InCore<'_> {
     fn mine(&self, task: PoolTask, worker: &mut Worker<'_>) -> Result<(), MinerError> {
         match task {
             // The worker's position buffer is filled on its first root
-            // task and *not* refilled between tasks: root tasks only
-            // permute the buffer, and the recursion is invariant under
-            // input permutation.
+            // task and *not* refilled between tasks: nothing moves it,
+            // since every pass scatters into a buffer of its own.
             PoolTask::Root(t) => worker.mine(&self.ctx, |run, data| {
                 if data.is_empty() {
                     self.ctx.fill_positions(data);
                 }
                 run.run_root(data, t);
             }),
-            PoolTask::Subtree(SubtreeTask {
-                mut data,
-                l,
-                w,
-                kind,
-            }) => worker.mine(&self.ctx, |run, _| run.run_subtree(&mut data, &l, &w, kind)),
+            PoolTask::Subtree(SubtreeTask { data, l, w, kind }) => {
+                worker.mine(&self.ctx, |run, _| run.run_subtree(&data, &l, &w, kind))
+            }
         }
         Ok(())
     }

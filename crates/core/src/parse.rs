@@ -16,7 +16,7 @@
 
 use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
 use crate::gr::Gr;
-use grm_graph::{GraphError, Result, Schema};
+use grm_graph::{AttrDef, AttrValue, GraphError, Result, Schema};
 
 /// Parse a GR like `(SEX:F, EDU:Grad) -[TYPE:dates]-> (EDU:College)`.
 pub fn parse_gr(schema: &Schema, input: &str) -> Result<Gr> {
@@ -69,35 +69,41 @@ fn strip_parens(s: &str) -> Option<&str> {
 }
 
 fn parse_node_conds(schema: &Schema, raw: &str) -> Result<NodeDescriptor> {
-    let mut pairs = Vec::new();
-    for cond in split_conds(raw) {
-        let (name, value) = cond.split_once(':').ok_or(GraphError::Parse {
-            line: 1,
-            message: format!("condition `{cond}` needs NAME:VALUE"),
-        })?;
-        let a = schema.node_attr_by_name(name.trim())?;
-        let def = schema.node_attr(a);
-        let v = def
-            .value_by_name(value.trim())
-            .or_else(|| value.trim().parse().ok())
-            .filter(|&v| v != 0 && v <= def.domain_size())
-            .ok_or(GraphError::UnknownName {
-                name: format!("{name}:{value}"),
-            })?;
-        pairs.push((a, v));
-    }
+    let pairs = parse_conds(raw, |name| {
+        let a = schema.node_attr_by_name(name)?;
+        Ok((a, schema.node_attr(a)))
+    })?;
     Ok(NodeDescriptor::from_pairs(pairs))
 }
 
 fn parse_edge_conds(schema: &Schema, raw: &str) -> Result<EdgeDescriptor> {
-    let mut pairs = Vec::new();
+    let pairs = parse_conds(raw, |name| {
+        let a = schema.edge_attr_by_name(name)?;
+        Ok((a, schema.edge_attr(a)))
+    })?;
+    Ok(EdgeDescriptor::from_pairs(pairs))
+}
+
+/// The `NAME:VALUE` conditions of one descriptor, each name resolved by
+/// `attr` to its attribute and definition. A descriptor constrains an
+/// attribute at most once, so a repeated name is a parse error.
+fn parse_conds<'s, A: Copy + PartialEq>(
+    raw: &str,
+    attr: impl Fn(&str) -> Result<(A, &'s AttrDef)>,
+) -> Result<Vec<(A, AttrValue)>> {
+    let mut pairs: Vec<(A, AttrValue)> = Vec::new();
     for cond in split_conds(raw) {
         let (name, value) = cond.split_once(':').ok_or(GraphError::Parse {
             line: 1,
             message: format!("condition `{cond}` needs NAME:VALUE"),
         })?;
-        let a = schema.edge_attr_by_name(name.trim())?;
-        let def = schema.edge_attr(a);
+        let (a, def) = attr(name.trim())?;
+        if pairs.iter().any(|&(b, _)| b == a) {
+            return Err(GraphError::Parse {
+                line: 1,
+                message: format!("attribute `{}` appears twice in one descriptor", name.trim()),
+            });
+        }
         let v = def
             .value_by_name(value.trim())
             .or_else(|| value.trim().parse().ok())
@@ -107,7 +113,7 @@ fn parse_edge_conds(schema: &Schema, raw: &str) -> Result<EdgeDescriptor> {
             })?;
         pairs.push((a, v));
     }
-    Ok(EdgeDescriptor::from_pairs(pairs))
+    Ok(pairs)
 }
 
 fn split_conds(raw: &str) -> impl Iterator<Item = &str> {
@@ -167,6 +173,31 @@ mod tests {
         ] {
             assert!(parse_gr(&s, bad).is_err(), "should reject `{bad}`");
         }
+    }
+
+    /// A descriptor names each attribute once: a repeat on the LHS, the
+    /// RHS or the edge is a parse error naming the attribute, in any
+    /// spelling of its values.
+    #[test]
+    fn rejects_a_repeated_attribute() {
+        let s = schema();
+        for (bad, name) in [
+            ("(EDU:HS, EDU:Grad) -> (SEX:F)", "EDU"),
+            ("(SEX:F, EDU:HS, SEX:F) -> (EDU:Grad)", "SEX"),
+            ("(SEX:F) -> (EDU:HS, EDU:College)", "EDU"),
+            ("(Region:3) -> (Region:4, Region:4)", "Region"),
+            ("(SEX:F) -[TYPE:dates, TYPE:friends]-> (SEX:M)", "TYPE"),
+        ] {
+            match parse_gr(&s, bad) {
+                Err(GraphError::Parse { message, .. }) => assert!(
+                    message.contains(&format!("`{name}` appears twice")),
+                    "`{bad}`: {message}"
+                ),
+                other => panic!("`{bad}` should be a parse error, got {other:?}"),
+            }
+        }
+        // The same attribute on both sides is a GR, not a repeat.
+        assert!(parse_gr(&s, "(EDU:HS) -> (EDU:Grad)").is_ok());
     }
 
     #[test]

@@ -377,10 +377,13 @@ fn mine_keys(keys: Arc<KeyColumns>, task: RootTask, total_edges: u64, worker: &m
     worker.mine(&ctx, |run, _| {
         // A buffer per unit, freed with it: the worker's reusable one
         // would keep the largest unit's positions resident outside the
-        // pool's budget.
+        // pool's budget. The worker does keep its pool of output buffers
+        // (`MinerScratch`) across units, bounded by its largest unit's
+        // slices and outside the budget, as the scratch of every engine
+        // is.
         let mut data = Vec::new();
         ctx.fill_positions(&mut data);
-        run.run_root(&mut data, task);
+        run.run_root(&data, task);
     });
 }
 

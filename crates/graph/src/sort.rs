@@ -3,52 +3,56 @@
 //! GRMiner (§V) "adopts a linear sorting method, Counting Sort, to sort and
 //! get the aggregate of each partition. It sorts in O(N) time without any
 //! key comparisons." This module provides that primitive as a
-//! [`PartitionArena`]: one object owning **all** scratch of the mining
-//! recursion — the bucket histogram, the per-item key cache, the scatter
-//! buffer and a partition-record stack with [`Frame`]-based windows — so
-//! that once the arena has warmed up to the workload's sizes, a partition
-//! pass performs **zero heap allocations**, however deep the recursion
-//! (`arena_alloc.rs` asserts this with a counting allocator).
+//! [`PartitionArena`]: the bucket histograms and a partition-record stack
+//! with [`Frame`]-based windows. A pass reads its input slice and, when
+//! scattered, writes a separate output buffer the caller owns; the miner
+//! draws those from a pool. So once the arena and the pool have warmed up
+//! to the workload's sizes, a partition pass performs **zero heap
+//! allocations**, however deep the recursion (`arena_alloc.rs` asserts
+//! this with a counting allocator).
 //!
 //! ### Count first, scatter when read
 //!
 //! A pass has two halves. The **count** ([`PartitionArena::count_col`])
-//! gathers each item's key into the key cache, histograms it, and pushes
+//! reads each item's key from its column once, histograms it, and pushes
 //! the records of the partitions the scatter will produce — value and
-//! index range, hence every partition's size — leaving `data` untouched.
-//! The **scatter** ([`PartitionArena::scatter`]) then moves `data` into
-//! those ranges by the cached keys. Support, thresholds and scores read
-//! only the records; the sorted order is read only by a child that
-//! recurses into its slice. So the mining recursion scatters a pass just
-//! before the first child that reads `data[part.range()]`, and a pass
-//! whose children are all pruned, or have nothing left to partition,
-//! never scatters. [`PartitionArena::partition_col`] and
-//! [`PartitionArena::partition_with`] run both halves at once.
+//! index range, hence every partition's size. The **scatter**
+//! ([`PartitionArena::scatter`]) then moves `data` into an output buffer
+//! at those ranges, rereading each key from the column. Support,
+//! thresholds and scores read only the records; the sorted order is read
+//! only by a child that recurses into its slice of the output. So the
+//! mining recursion scatters a pass just before the first child that
+//! reads its partition, and a pass whose children are all pruned, or have
+//! nothing left to partition, never scatters.
 //!
-//! The count is one routine for every pass, columnar or keyed by a
-//! closure:
+//! The count is one loop over the slice: each key is read once, clamped
+//! to `bucket_count`, and counted. A key at or beyond `bucket_count`
+//! lands in an **overflow bucket** past the last one, and the pass tests
+//! that bucket once, after the loop, so no branch sits in it. When the
+//! pass has at least [`STRIPES`] items per bucket, the increments rotate
+//! over [`STRIPES`] independent histograms, so a run of equal keys does
+//! not chain store-to-load stalls through one counter, and the stripes
+//! are summed into `counts` at the end. The sum costs
+//! `O(STRIPES × bucket_count)`, so a smaller pass counts in one plain
+//! loop instead. Counting is order-independent: both branches give the
+//! same histogram.
 //!
-//! 1. fill the key cache, `keys[i] = key(data[i])`, in one plain loop;
-//! 2. range-check the cache through its maximum, taken in a separate
-//!    pass over the cache, so no check sits in the counting loop; a key
-//!    at or beyond `bucket_count` is reported before the histogram is
-//!    touched (the first offender in scan order);
-//! 3. histogram the cache. When the pass has at least [`STRIPES`] items
-//!    per bucket, the increments rotate over [`STRIPES`] independent
-//!    histograms, so a run of equal keys does not chain store-to-load
-//!    stalls through one counter, and the stripes are summed into
-//!    `counts` at the end. The sum costs `O(STRIPES × bucket_count)`, so
-//!    a smaller pass counts in one plain loop instead. Counting is
-//!    order-independent: both branches give the same histogram.
+//! The scatter is **stable** and **out of place**. Scan order is kept
+//! within a partition, which keeps partition contents deterministic
+//! across runs — important because the paper's rank (Def. 5) breaks ties
+//! alphabetically and our tests pin exact outputs. And `data` is never
+//! written: a child reads a sub-slice of its parent's output, so every
+//! slice of the miner's recursion is a stable subsequence of the position
+//! set it started from. Nothing is cached between the halves: no key
+//! cache ties a scatter to the last count, and a pass may scatter after
+//! its children's passes have counted and scattered.
 //!
-//! The key cache holds one pass: a count's scatter must come before any
-//! other pass counts. The arena remembers which frame owns the cache, and
-//! a debug assertion rejects the scatter of any other frame.
-//!
-//! Every scatter is **stable** (scan order within a partition), which
-//! keeps partition contents deterministic across runs — important because
-//! the paper's rank (Def. 5) breaks ties alphabetically and our tests pin
-//! exact outputs.
+//! [`PartitionArena::partition_with`] runs both halves at once, in place,
+//! for keys no single column holds (the EArray placement and the
+//! baselines read theirs through a closure): it pairs each item with its
+//! key in a buffer of its own, calling the closure once per item, counts
+//! the pairs and scatters them back into `data`, through the same two
+//! routines.
 //!
 //! ### Frames
 //!
@@ -63,9 +67,10 @@
 //! ### Errors
 //!
 //! A key at or beyond `bucket_count` is a **checked error in release
-//! builds** ([`GraphError::KeyOutOfRange`]) — not a `debug_assert!` — since
-//! an oversized key would otherwise corrupt the histogram. On error the
-//! arena rolls its state back and stays usable.
+//! builds** ([`GraphError::KeyOutOfRange`], naming the first offender in
+//! scan order) — not a `debug_assert!` — since an oversized key would
+//! otherwise corrupt the histogram. On error the arena rolls its state
+//! back and stays usable, and `data` is left as it was.
 
 use crate::error::{GraphError, Result};
 use crate::value::AttrValue;
@@ -130,11 +135,11 @@ impl Frame {
     }
 }
 
-/// All scratch of the counting-sort partition layer (module docs): bucket
-/// histogram, key cache, scatter buffer, partition-record stack. Buffers
-/// only ever grow; steady-state passes allocate nothing.
-/// [`PartitionArena::peak_bytes`] reports the high-water mark (the
-/// `scratch_bytes_peak` miner counter).
+/// The scratch of the counting-sort partition layer (module docs): bucket
+/// histograms and the partition-record stack. Buffers only ever grow;
+/// steady-state passes allocate nothing. [`PartitionArena::peak_bytes`]
+/// reports the high-water mark (part of the `scratch_bytes_peak` miner
+/// counter).
 ///
 /// Internal invariant: `counts` is all-zeros between passes — a count
 /// re-zeroes each bucket as it emits the bucket's record, and a scatter
@@ -144,21 +149,13 @@ impl Frame {
 /// count re-zeroes each stripe as it sums it into `counts`.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionArena {
-    /// Bucket histogram during a count, cursors during a scatter.
+    /// Bucket histogram during a count, with the overflow bucket at
+    /// index `bucket_count`; cursors during a scatter.
     counts: Vec<u32>,
-    /// Per-item key cache of the last count, in `data` order: each key
-    /// function / column load runs once.
-    keys: Vec<AttrValue>,
-    /// Record indices of the count whose keys `keys` holds — the one
-    /// frame a scatter may move (checked in debug builds). `None` once
-    /// scattered.
-    keys_owner: Option<Range<u32>>,
-    /// Scatter buffer (copied back into the caller's slice — stable).
-    scatter: Vec<u32>,
     /// The partition-record stack, windowed by [`Frame`]s.
     records: Vec<PartRec>,
-    /// The [`STRIPES`] histograms of a striped count, back to back
-    /// (all-zero between passes).
+    /// The [`STRIPES`] histograms of a striped count, back to back, each
+    /// with its overflow bucket (all-zero between passes).
     stripes: Vec<u32>,
     peak: usize,
 }
@@ -169,46 +166,38 @@ impl PartitionArena {
         Self::default()
     }
 
-    /// Stable counting-sort pass keyed by a closure, both halves at once,
-    /// for keys no single column holds (the baselines read theirs through
-    /// a table view). `bucket_count` must exceed every key
+    /// Stable counting-sort pass keyed by a closure, both halves at once
+    /// and in place, for keys no single column holds (module docs). The
+    /// closure runs once per item. `bucket_count` must exceed every key
     /// (`domain_size + 1`, see [`crate::AttrDef::bucket_count`]); an
     /// out-of-range key is a [`GraphError::KeyOutOfRange`] error and
-    /// leaves the arena usable.
+    /// leaves `data` as it was and the arena usable.
     /// The frame holds the non-empty partitions in increasing key order.
     pub fn partition_with<K>(
         &mut self,
         data: &mut [u32],
         bucket_count: usize,
-        key: K,
+        mut key: K,
     ) -> Result<Frame>
     where
         K: FnMut(u32) -> AttrValue,
     {
-        let frame = self.count(data, bucket_count, key)?;
-        self.scatter(data, &frame);
+        // lint: allow(alloc-in-arena) — closure-keyed passes (the EArray
+        // placement, the baselines) run outside the mining recursion; the
+        // pairs are what keeps the pass in place with one key call per
+        // item.
+        let keyed: Vec<(u32, AttrValue)> = data.iter().map(|&id| (id, key(id))).collect();
+        let frame = self.count(&keyed, bucket_count, |(_, k)| k)?;
+        self.place(&keyed, &frame, data, |pair| pair);
         Ok(frame)
-    }
-
-    /// Stable counting-sort pass over a contiguous key column, both
-    /// halves at once: [`PartitionArena::count_col`], then
-    /// [`PartitionArena::scatter`]. Errors as
-    /// [`PartitionArena::partition_with`].
-    pub fn partition_col(
-        &mut self,
-        data: &mut [u32],
-        bucket_count: usize,
-        col: &[AttrValue],
-    ) -> Result<Frame> {
-        self.partition_with(data, bucket_count, |id| col[id as usize])
     }
 
     /// The count half of a pass over a contiguous key column (module
     /// docs): item `id`'s key is `col[id]` (one indexed load — the
-    /// miner's columnar caches). Fills the key cache, and returns the
-    /// frame of the partitions [`PartitionArena::scatter`] will produce,
-    /// in increasing key order. `data` is not touched; until the scatter,
-    /// only the records' values and lengths describe the partitions.
+    /// miner's columnar caches), read once. Returns the frame of the
+    /// partitions [`PartitionArena::scatter`] will produce, in increasing
+    /// key order. `data` is not touched; until the scatter, only the
+    /// records' values and lengths describe the partitions.
     pub fn count_col(
         &mut self,
         data: &[u32],
@@ -219,40 +208,17 @@ impl PartitionArena {
     }
 
     /// The scatter half of the pass that produced `frame`: stable-move
-    /// `data` (the slice that count saw) into the frame's partition
-    /// ranges by the cached keys. At most once per count, and before any
-    /// other pass counts — the key cache holds one pass (checked in
-    /// debug builds).
-    pub fn scatter(&mut self, data: &mut [u32], frame: &Frame) {
-        debug_assert_eq!(
-            self.keys_owner,
-            Some(frame.indices()),
-            "scatter of a frame whose key cache another pass overwrote"
-        );
-        let n = data.len();
-        let records = &self.records[frame.start as usize..frame.end as usize];
-        debug_assert_eq!(
-            records.last().map_or(0, |r| r.end as usize),
-            n,
-            "scatter over a slice of another length than its count"
-        );
-        // Each record's cursor starts at its range; the scatter leaves
-        // the cursors at the range ends, so they are re-zeroed after.
-        let counts = &mut self.counts;
-        for r in records {
-            counts[r.value as usize] = r.start;
-        }
-        let scatter = &mut self.scatter[..n];
-        for (&id, &k) in data.iter().zip(&self.keys[..n]) {
-            let cursor = &mut counts[k as usize];
-            scatter[*cursor as usize] = id;
-            *cursor += 1;
-        }
-        data.copy_from_slice(scatter);
-        for r in records {
-            counts[r.value as usize] = 0;
-        }
-        self.keys_owner = None;
+    /// `data` (the slice that count saw) into `out` at the frame's
+    /// partition ranges, rereading each key from `col` (the column that
+    /// count read). `data` is not written. At most once per count, at any
+    /// time before the frame is popped.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not as long as `data`; in debug builds also if `data`
+    /// and `col` do not hold the keys the count saw.
+    pub fn scatter(&mut self, data: &[u32], frame: &Frame, col: &[AttrValue], out: &mut [u32]) {
+        self.place(data, frame, out, |id| (id, col[id as usize]));
     }
 
     /// Copy one partition record out of a frame.
@@ -279,73 +245,48 @@ impl PartitionArena {
         self.peak
     }
 
-    /// Grow the per-pass buffers; `counts` keeps its all-zeros invariant
-    /// (`resize` only appends zeros).
-    fn prepare(&mut self, n: usize, bucket_count: usize) {
+    /// The count half of every pass (module docs): one loop reads each
+    /// item's key once and counts it, a key at or beyond `bucket_count`
+    /// in the overflow bucket; a non-empty overflow bucket fails the pass
+    /// with its first offender in scan order, and otherwise the records
+    /// of the partitions the scatter will produce are pushed.
+    fn count<T: Copy>(
+        &mut self,
+        items: &[T],
+        bucket_count: usize,
+        key: impl Fn(T) -> AttrValue,
+    ) -> Result<Frame> {
+        let n = items.len();
         assert!(
             n <= u32::MAX as usize,
             "partition slices are indexed by u32 ({n} items)"
         );
-        if self.counts.len() < bucket_count {
-            self.counts.resize(bucket_count, 0);
+        // One bucket per key value, then the overflow bucket.
+        let width = bucket_count + 1;
+        if self.counts.len() < width {
+            self.counts.resize(width, 0);
         }
-        if self.keys.len() < n {
-            self.keys.resize(n, 0);
+        if self.stripes.len() < STRIPES * width {
+            self.stripes.resize(STRIPES * width, 0);
         }
-        if self.scatter.len() < n {
-            self.scatter.resize(n, 0);
-        }
-        let want = STRIPES * bucket_count;
-        if self.stripes.len() < want {
-            self.stripes.resize(want, 0);
-        }
-    }
-
-    /// The count half of every pass (module docs): fill the key cache
-    /// with `key(id)` for each id of `data`, reject a key at or beyond
-    /// `bucket_count` before the histogram is touched, count the cache,
-    /// and push the records of the partitions the scatter will produce.
-    fn count<K>(&mut self, data: &[u32], bucket_count: usize, mut key: K) -> Result<Frame>
-    where
-        K: FnMut(u32) -> AttrValue,
-    {
-        let n = data.len();
-        self.prepare(n, bucket_count);
-        let keys = &mut self.keys[..n];
-        for (k, &id) in keys.iter_mut().zip(data) {
-            *k = key(id);
-        }
-        // A max over copied values vectorizes; `keys.iter().max()` would
-        // track which reference holds it, and does not.
-        if let Some(max) = keys.iter().copied().max() {
-            if max as usize >= bucket_count {
-                // Cold path: the maximum is an offender, but the error
-                // reports the first one in scan order.
-                let key = keys
-                    .iter()
-                    .copied()
-                    .find(|&k| k as usize >= bucket_count)
-                    .unwrap_or(max);
-                return Err(GraphError::KeyOutOfRange { key, bucket_count });
-            }
-        }
-        let counts = &mut self.counts[..bucket_count];
+        let bucket = |t: T| usize::from(key(t)).min(bucket_count);
+        let counts = &mut self.counts[..width];
         if n >= STRIPES * bucket_count {
-            let (s0, rest) = self.stripes.split_at_mut(bucket_count);
-            let (s1, rest) = rest.split_at_mut(bucket_count);
-            let (s2, rest) = rest.split_at_mut(bucket_count);
-            let s3 = &mut rest[..bucket_count];
-            let mut chunks = keys.chunks_exact(STRIPES);
+            let (s0, rest) = self.stripes.split_at_mut(width);
+            let (s1, rest) = rest.split_at_mut(width);
+            let (s2, rest) = rest.split_at_mut(width);
+            let s3 = &mut rest[..width];
+            let mut chunks = items.chunks_exact(STRIPES);
             for ch in &mut chunks {
-                s0[ch[0] as usize] += 1;
-                s1[ch[1] as usize] += 1;
-                s2[ch[2] as usize] += 1;
-                s3[ch[3] as usize] += 1;
+                s0[bucket(ch[0])] += 1;
+                s1[bucket(ch[1])] += 1;
+                s2[bucket(ch[2])] += 1;
+                s3[bucket(ch[3])] += 1;
             }
-            for &k in chunks.remainder() {
-                counts[k as usize] += 1;
+            for &t in chunks.remainder() {
+                counts[bucket(t)] += 1;
             }
-            for v in 0..bucket_count {
+            for v in 0..width {
                 counts[v] += s0[v] + s1[v] + s2[v] + s3[v];
                 s0[v] = 0;
                 s1[v] = 0;
@@ -353,19 +294,69 @@ impl PartitionArena {
                 s3[v] = 0;
             }
         } else {
-            for &k in keys.iter() {
-                counts[k as usize] += 1;
+            for &t in items {
+                counts[bucket(t)] += 1;
             }
+        }
+        if counts[bucket_count] > 0 {
+            // Cold path: roll the histogram back, and report the first
+            // offender in scan order (the overflow bucket holds one).
+            counts.fill(0);
+            let key = items
+                .iter()
+                .map(|&t| key(t))
+                .find(|&k| usize::from(k) >= bucket_count)
+                .unwrap_or(AttrValue::MAX);
+            return Err(GraphError::KeyOutOfRange { key, bucket_count });
         }
         let frame = self.emit_records(bucket_count);
         self.note_peak();
         Ok(frame)
     }
 
+    /// The scatter half of every pass: stable-move `items` into `out` at
+    /// `frame`'s ranges, `item` splitting each into the id written and
+    /// the key that places it.
+    fn place<T: Copy>(
+        &mut self,
+        items: &[T],
+        frame: &Frame,
+        out: &mut [u32],
+        item: impl Fn(T) -> (u32, AttrValue),
+    ) {
+        assert_eq!(
+            out.len(),
+            items.len(),
+            "scatter into an output of another length than its input"
+        );
+        let records = &self.records[frame.start as usize..frame.end as usize];
+        debug_assert_eq!(
+            records.last().map_or(0, |r| r.end as usize),
+            items.len(),
+            "scatter over a slice of another length than its count"
+        );
+        // Each record's cursor starts at its range and ends at the range's
+        // end, where it is re-zeroed.
+        let counts = &mut self.counts;
+        for r in records {
+            counts[usize::from(r.value)] = r.start;
+        }
+        for &t in items {
+            let (id, k) = item(t);
+            let cursor = &mut counts[usize::from(k)];
+            out[*cursor as usize] = id;
+            *cursor += 1;
+        }
+        for r in records {
+            let cursor = &mut counts[usize::from(r.value)];
+            debug_assert_eq!(*cursor, r.end, "scatter by other keys than its count's");
+            *cursor = 0;
+        }
+    }
+
     /// End a count: push one record per non-empty bucket of the
     /// histogram, in increasing value order with ranges tiling the slice,
-    /// re-zeroing each bucket as it goes, and make the new frame the key
-    /// cache's owner.
+    /// re-zeroing each bucket as it goes.
     fn emit_records(&mut self, bucket_count: usize) -> Frame {
         // cast: ≤ one record per element, and n ≤ the u32 edge cap
         let start = self.records.len() as u32;
@@ -381,20 +372,16 @@ impl PartitionArena {
                 *c = 0;
             }
         }
-        let frame = Frame {
+        Frame {
             start,
             // cast: ≤ one record per element, and n ≤ the u32 edge cap
             end: self.records.len() as u32,
-        };
-        self.keys_owner = Some(frame.indices());
-        frame
+        }
     }
 
     /// Update the high-water mark after a pass (capacities are monotone).
     fn note_peak(&mut self) {
         let bytes = self.counts.capacity() * std::mem::size_of::<u32>()
-            + self.keys.capacity() * std::mem::size_of::<AttrValue>()
-            + self.scatter.capacity() * std::mem::size_of::<u32>()
             + self.records.capacity() * std::mem::size_of::<PartRec>()
             + self.stripes.capacity() * std::mem::size_of::<u32>();
         self.peak = self.peak.max(bytes);
@@ -404,6 +391,15 @@ impl PartitionArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A count followed by its scatter into a fresh buffer of `data`'s
+    /// length: the output and the frame.
+    fn sorted(arena: &mut PartitionArena, data: &[u32], b: usize, col: &[u16]) -> (Vec<u32>, Frame) {
+        let frame = arena.count_col(data, b, col).unwrap();
+        let mut out = vec![0; data.len()];
+        arena.scatter(data, &frame, col, &mut out);
+        (out, frame)
+    }
 
     /// An empty pass has no key to reject: it succeeds with an empty
     /// frame for every bucket count, zero included.
@@ -416,6 +412,7 @@ mod tests {
             arena.pop_frame(frame);
             let frame = arena.count_col(&[], bucket_count, &[]).unwrap();
             assert!(frame.is_empty(), "bucket_count = {bucket_count}");
+            arena.scatter(&[], &frame, &[], &mut []);
             arena.pop_frame(frame);
         }
     }
@@ -477,6 +474,25 @@ mod tests {
         arena.pop_frame(frame);
     }
 
+    /// The in-place pass calls its key closure once per item, on either
+    /// histogram branch.
+    #[test]
+    fn partition_with_calls_its_key_once_per_item() {
+        let mut arena = PartitionArena::new();
+        for n in [10u32, 1000] {
+            let mut calls = 0u32;
+            let mut data: Vec<u32> = (0..n).rev().collect();
+            let frame = arena
+                .partition_with(&mut data, 3, |i| {
+                    calls += 1;
+                    (i % 3) as u16
+                })
+                .unwrap();
+            assert_eq!(calls, n);
+            arena.pop_frame(frame);
+        }
+    }
+
     #[test]
     fn arena_reuse_across_sizes() {
         let mut arena = PartitionArena::new();
@@ -497,13 +513,12 @@ mod tests {
         let total: usize = arena.records(&frame).iter().map(|p| p.len()).sum();
         assert_eq!(total, 20);
         arena.pop_frame(frame);
-        // A count that is never scattered leaves the data as it was and
-        // the histogram all-zero, and its records still size every
-        // partition; the next pass is unaffected.
+        // A count that is never scattered leaves the histogram all-zero,
+        // and its records still size every partition; the next pass is
+        // unaffected.
         let col: Vec<u16> = (0..1000).map(|i| (i % 11) as u16).collect();
         let d: Vec<u32> = (0..1000).rev().collect();
         let frame = arena.count_col(&d, 11, &col).unwrap();
-        assert_eq!(d, (0..1000).rev().collect::<Vec<u32>>(), "count moved data");
         assert!(
             arena.counts.iter().all(|&c| c == 0),
             "count left counts dirty"
@@ -511,8 +526,9 @@ mod tests {
         let lens: Vec<usize> = arena.records(&frame).iter().map(|p| p.len()).collect();
         assert_eq!(lens, [91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 90]);
         arena.pop_frame(frame);
-        let frame = arena.partition_with(&mut c, 2, |i| (i % 2) as u16).unwrap();
-        assert_eq!(arena.records(&frame).len(), 2);
+        let (out, frame) = sorted(&mut arena, &d, 11, &col);
+        assert_eq!(arena.records(&frame).len(), 11);
+        assert!(out[..91].iter().all(|&id| id % 11 == 0));
         arena.pop_frame(frame);
         assert!(
             arena.counts.iter().all(|&c| c == 0),
@@ -557,7 +573,7 @@ mod tests {
                 }
             );
             assert!(err.to_string().contains("9") && err.to_string().contains("3 buckets"));
-            // Columnar variant too, with a larger offender after the first.
+            // Columnar too, with a larger offender after the first.
             let col: Vec<u16> = (0..n)
                 .map(|i| match i {
                     4 => 3,
@@ -565,20 +581,27 @@ mod tests {
                     _ => 0,
                 })
                 .collect();
-            let err = arena.partition_col(&mut data, 3, &col).unwrap_err();
+            let err = arena.count_col(&data, 3, &col).unwrap_err();
             assert!(
                 matches!(err, GraphError::KeyOutOfRange { key: 3, .. }),
                 "n = {n}"
             );
-            // A key equal to the bucket count is out of range too.
-            let edge: Vec<u16> = (0..n)
-                .map(|i| if i == 5 { 3 } else { (i % 3) as u16 })
-                .collect();
-            let err = arena.count_col(&data, 3, &edge).unwrap_err();
-            assert!(
-                matches!(err, GraphError::KeyOutOfRange { key: 3, .. }),
-                "n = {n}"
-            );
+            // A key equal to the bucket count is out of range too, and
+            // so is the largest key there is.
+            for high in [3, AttrValue::MAX] {
+                let edge: Vec<u16> = (0..n)
+                    .map(|i| if i == 5 { high } else { (i % 3) as u16 })
+                    .collect();
+                let err = arena.partition_with(&mut data, 3, |i| edge[i as usize]);
+                assert_eq!(
+                    err.unwrap_err(),
+                    GraphError::KeyOutOfRange {
+                        key: high,
+                        bucket_count: 3
+                    },
+                    "n = {n}"
+                );
+            }
             assert_eq!(data, (0..n).collect::<Vec<u32>>(), "n = {n}: data moved");
             assert!(arena.counts.iter().all(|&c| c == 0), "n = {n}: counts");
             assert!(arena.stripes.iter().all(|&c| c == 0), "n = {n}: stripes");
@@ -626,27 +649,44 @@ mod tests {
         arena.pop_frame(outer);
     }
 
-    /// A scatter must follow its own count: once another pass has counted
-    /// into the key cache, scattering the earlier frame is a bug the
-    /// debug build catches instead of moving items by foreign keys.
-    #[cfg(debug_assertions)]
+    /// Nothing ties a scatter to the last count: a pass scatters
+    /// correctly after a child pass over part of its slice has counted,
+    /// scattered and been popped, and it leaves its input as it was.
     #[test]
-    #[should_panic(expected = "key cache another pass overwrote")]
-    fn scatter_after_another_count_panics() {
+    fn a_scatter_may_follow_other_passes() {
+        let mut arena = PartitionArena::new();
+        let col: Vec<u16> = (0..40).map(|i| (i * 7 % 3) as u16).collect();
+        let data: Vec<u32> = (0..40).rev().collect();
+        let outer = arena.count_col(&data, 3, &col).unwrap();
+        let (_, inner) = sorted(&mut arena, &data[..10], 3, &col);
+        arena.pop_frame(inner);
+        let mut out = vec![0; data.len()];
+        arena.scatter(&data, &outer, &col, &mut out);
+        let mut oracle = data.clone();
+        oracle.sort_by_key(|&id| col[id as usize]);
+        assert_eq!(out, oracle);
+        assert_eq!(data, (0..40).rev().collect::<Vec<u32>>(), "input moved");
+        arena.pop_frame(outer);
+    }
+
+    /// The scatter writes exactly its input's length: an output of
+    /// another length is a caller bug it rejects before moving anything.
+    #[test]
+    #[should_panic(expected = "output of another length")]
+    fn scatter_into_an_output_of_another_length_panics() {
         let mut arena = PartitionArena::new();
         let col: Vec<u16> = (0..40).map(|i| (i % 3) as u16).collect();
-        let mut outer: Vec<u32> = (0..40).collect();
-        let f = arena.count_col(&outer, 3, &col).unwrap();
-        let g = arena.count_col(&outer[..10], 3, &col).unwrap();
-        arena.pop_frame(g);
-        arena.scatter(&mut outer, &f);
+        let data: Vec<u32> = (0..40).collect();
+        let frame = arena.count_col(&data, 3, &col).unwrap();
+        let mut out = vec![0; 41];
+        arena.scatter(&data, &frame, &col, &mut out);
     }
 
     /// A count followed by its scatter is the one-shot pass: a columnar
-    /// count and the closure pass produce the same data order and
-    /// records, on both histogram branches — striped (n = 1013 and 300,
-    /// at least `STRIPES` items per bucket) and plain (n = 50 over 23
-    /// buckets).
+    /// count and the closure pass produce the same order and records, on
+    /// both histogram branches — striped (n = 1013 and 300, at least
+    /// `STRIPES` items per bucket) and plain (n = 50 over 23 buckets) —
+    /// and the columnar pass leaves its input as it was.
     #[test]
     fn kernel_and_scalar_passes_are_bit_identical() {
         for n in [1013u32, 300, 50] {
@@ -659,10 +699,10 @@ mod tests {
                 .unwrap();
             let one_shot_recs = arena.records(&f).to_vec();
             arena.pop_frame(f);
-            let mut data = base.clone();
-            let f = arena.count_col(&data, 23, &col).unwrap();
+            let f = arena.count_col(&base, 23, &col).unwrap();
             let counted_recs = arena.records(&f).to_vec();
-            arena.scatter(&mut data, &f);
+            let mut out = vec![0; base.len()];
+            arena.scatter(&base, &f, &col, &mut out);
             assert_eq!(
                 arena.records(&f),
                 &counted_recs[..],
@@ -670,9 +710,10 @@ mod tests {
             );
             arena.pop_frame(f);
             assert_eq!(
-                data, one_shot,
+                out, one_shot,
                 "n = {n}: count + scatter is the one-shot pass"
             );
+            assert_eq!(base, (0..n).map(|i| (i * 31) % n).collect::<Vec<_>>());
             assert_eq!(counted_recs, one_shot_recs, "n = {n}");
         }
     }
@@ -681,9 +722,11 @@ mod tests {
     fn peak_bytes_is_stable_across_repeated_workloads() {
         let mut arena = PartitionArena::new();
         let col: Vec<u16> = (0..5000).map(|i| (i % 189) as u16).collect();
-        let run = |arena: &mut PartitionArena| {
-            let mut data: Vec<u32> = (0..5000).collect();
-            let f = arena.partition_col(&mut data, 189, &col).unwrap();
+        let data: Vec<u32> = (0..5000).collect();
+        let mut out = vec![0; data.len()];
+        let mut run = |arena: &mut PartitionArena| {
+            let f = arena.count_col(&data, 189, &col).unwrap();
+            arena.scatter(&data, &f, &col, &mut out);
             arena.pop_frame(f);
         };
         run(&mut arena);

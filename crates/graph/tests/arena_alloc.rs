@@ -1,9 +1,9 @@
 //! The zero-allocation guarantee of the partition engine, asserted with a
 //! counting allocator: after one warm-up pass over a workload, driving a
-//! full mining-shaped recursion (counts, lazy scatters, count-only
-//! leaves, varied slice sizes and bucket counts) through a
-//! [`PartitionArena`] performs **zero** heap allocations — per recursion
-//! node and in total. The same allocator bounds what loading one value
+//! full mining-shaped recursion (counts, lazy out-of-place scatters into
+//! pooled per-depth buffers, count-only leaves, varied slice sizes and
+//! bucket counts) through a [`PartitionArena`] performs **zero** heap
+//! allocations — per recursion node and in total. The same allocator bounds what loading one value
 //! slice of a shard store costs: its edges' key columns, never a copy of
 //! the store's node table, and one set of chunk buffers however many
 //! chunks the slice spans.
@@ -73,38 +73,58 @@ fn columns(n: usize, dims: usize) -> Vec<Vec<AttrValue>> {
         .collect()
 }
 
-/// A mining-shaped recursion, in the miner's count-first shape: count by
-/// `cols[depth]`, and scatter only before the first partition that reads
-/// its slice. Odd-valued partitions stand in for the miner's support and
-/// score pruning and never read theirs, and a pass on the last column is
-/// a count-only leaf, as the first pass of a RIGHT chain is: its children
-/// have nothing left to partition. Returns a checksum so nothing is
-/// optimized out.
+/// A mining-shaped recursion, in the miner's count-first shape: count
+/// `data` by `cols[depth]`, and only before the first partition that
+/// reads its slice, scatter `data` into an output buffer drawn from
+/// `pool`, whose partitions are the children's input; the buffer goes
+/// back to the pool after the partition loop, so the pool works as a
+/// stack of per-depth buffers. Odd-valued partitions stand in for the
+/// miner's support and score pruning and never read theirs, and a pass
+/// on the last column is a count-only leaf, as the first pass of a RIGHT
+/// chain is: its children have nothing left to partition. Every child
+/// slice is checked to hold exactly its partition's ids, in increasing
+/// order (a stable subsequence of the increasing input). Returns a
+/// checksum so nothing is optimized out.
 fn recurse(
     arena: &mut PartitionArena,
-    data: &mut [u32],
+    pool: &mut Vec<Vec<u32>>,
+    data: &[u32],
     cols: &[Vec<AttrValue>],
     buckets: &[usize],
     depth: usize,
 ) -> u64 {
     let mut sum = 0u64;
     let leaf = depth + 1 == cols.len();
-    let frame = arena.count_col(data, buckets[depth], &cols[depth]).unwrap();
-    let mut scattered = false;
+    let col = &cols[depth];
+    let frame = arena.count_col(data, buckets[depth], col).unwrap();
+    let mut out: Option<Vec<u32>> = None;
     for idx in frame.indices() {
         let part = arena.record(idx);
         sum += part.value as u64 * part.len() as u64;
         if leaf || part.value % 2 == 1 {
             continue;
         }
-        if !scattered {
-            scattered = true;
-            arena.scatter(data, &frame);
-        }
-        sum += recurse(arena, &mut data[part.range()], cols, buckets, depth + 1);
+        let sorted = out.get_or_insert_with(|| {
+            let mut buf = pool.pop().unwrap_or_default();
+            buf.resize(data.len(), 0);
+            arena.scatter(data, &frame, col, &mut buf);
+            buf
+        });
+        let sub = &sorted[part.range()];
+        assert!(sub.iter().all(|&id| col[id as usize] == part.value));
+        assert!(sub.windows(2).all(|w| w[0] < w[1]), "not a stable subsequence");
+        sum += recurse(arena, pool, sub, cols, buckets, depth + 1);
+    }
+    if let Some(buf) = out {
+        pool.push(buf);
     }
     arena.pop_frame(frame);
     sum
+}
+
+/// Bytes the pool's buffers hold.
+fn pool_bytes(pool: &[Vec<u32>]) -> usize {
+    pool.iter().map(|b| b.capacity() * 4).sum()
 }
 
 #[test]
@@ -113,19 +133,21 @@ fn steady_state_recursion_allocates_nothing() {
     let cols = columns(n, 4);
     let buckets: Vec<usize> = [3, 7, 19, 5].to_vec();
     let mut arena = PartitionArena::new();
-    let mut data: Vec<u32> = (0..n as u32).collect();
+    let mut pool = Vec::new();
+    let data: Vec<u32> = (0..n as u32).collect();
 
-    // Warm-up: grows every arena buffer to this workload's sizes.
-    let warm = recurse(&mut arena, &mut data, &cols, &buckets, 0);
+    // Warm-up: grows the arena and the pool's per-depth buffers to this
+    // workload's sizes.
+    let warm = recurse(&mut arena, &mut pool, &data, &cols, &buckets, 0);
     let peak = arena.peak_bytes();
+    let held = pool_bytes(&pool);
     assert!(peak > 0);
+    assert!(pool.len() > 1, "one buffer per scattering depth");
 
     // Steady state: repeat the full recursion; the allocator must not be
-    // touched once, and the arena must not grow.
-    data.clear();
-    data.extend(0..n as u32);
+    // touched once, and neither the arena nor the pool may grow.
     let before = allocs();
-    let again = recurse(&mut arena, &mut data, &cols, &buckets, 0);
+    let again = recurse(&mut arena, &mut pool, &data, &cols, &buckets, 0);
     let after = allocs();
     assert_eq!(
         after - before,
@@ -134,25 +156,24 @@ fn steady_state_recursion_allocates_nothing() {
     );
     assert_eq!(warm, again, "recursion must be deterministic");
     assert_eq!(arena.peak_bytes(), peak, "arena grew after warm-up");
+    assert_eq!(pool_bytes(&pool), held, "output buffers grew after warm-up");
 }
 
 #[test]
 fn partitions_stay_correct_under_reuse() {
-    // Same harness, smaller, with output verification: after the full
-    // recursion the data is sorted by the composite key prefix.
+    // Same harness, smaller: the recursion checks every child slice, and
+    // a second run over the first run's buffers, stale contents and
+    // all, reads the same partitions. The input is never moved.
     let n = 3_000usize;
     let cols = columns(n, 3);
     let buckets: Vec<usize> = [3, 7, 19].to_vec();
     let mut arena = PartitionArena::new();
-    let mut data: Vec<u32> = (0..n as u32).collect();
-    recurse(&mut arena, &mut data, &cols, &buckets, 0);
-    // The first-level partition dominates the final order.
-    for w in data.windows(2) {
-        assert!(cols[0][w[0] as usize] <= cols[0][w[1] as usize]);
-    }
-    let mut sorted: Vec<u32> = data.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>(), "permutation");
+    let mut pool = Vec::new();
+    let data: Vec<u32> = (0..n as u32).collect();
+    let first = recurse(&mut arena, &mut pool, &data, &cols, &buckets, 0);
+    let second = recurse(&mut arena, &mut pool, &data, &cols, &buckets, 0);
+    assert_eq!(first, second);
+    assert_eq!(data, (0..n as u32).collect::<Vec<_>>(), "input moved");
 }
 
 #[test]

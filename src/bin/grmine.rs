@@ -17,7 +17,8 @@
 //!
 //! Degenerate numeric flags are strict: `--k` and `--min-supp` must be
 //! at least 1 (a zero would silently disable top-k selection / support
-//! pruning). `--threads 0` is *documented* behavior, not an error: it
+//! pruning), and `--min-score` must not be NaN (no GR would pass it and
+//! no subtree would be score-pruned). `--threads 0` is *documented* behavior, not an error: it
 //! means "auto-detect available parallelism" (falling back to one
 //! worker, with a warning, when detection fails).
 //!
@@ -159,6 +160,14 @@ fn cmd_mine(args: &[String]) -> i32 {
     }
     if min_supp == 0 {
         eprintln!("--min-supp must be at least 1 (0 would disable support pruning)");
+        return 2;
+    }
+    // `nan` parses as an f64, and every comparison with it is false: no
+    // GR would pass the threshold and no subtree would be score-pruned.
+    // `-inf` stays legal (the default of metrics that are not
+    // anti-monotone).
+    if min_score.is_nan() {
+        eprintln!("invalid --min-score {min_score}: must be a number");
         return 2;
     }
     let (shards, memory_budget) = match (|| -> Result<(Option<usize>, Option<u64>), String> {

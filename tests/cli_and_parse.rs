@@ -464,6 +464,8 @@ fn cli_rejects_malformed_flag_values() {
         vec!["mine", path.to_str().unwrap(), "--min-supp", "three"],
         vec!["mine", path.to_str().unwrap(), "--k", "many"],
         vec!["mine", path.to_str().unwrap(), "--min-score", "high"],
+        vec!["mine", path.to_str().unwrap(), "--min-score", "nan"],
+        vec!["mine", path.to_str().unwrap(), "--min-score", "NaN"],
         vec!["mine", path.to_str().unwrap(), "--parallel", "all"],
         vec!["mine", path.to_str().unwrap(), "--k"],
         vec!["mine", path.to_str().unwrap(), "--k", "0"],

@@ -141,9 +141,10 @@ proptest! {
     /// (value 0 plays the NULL role — the engine treats it like any other
     /// bucket; the miner skips it later). The parent's count and scatter
     /// on `col1` must agree with the oracle's value grouping; counting
-    /// then scattering every child on `col2` must yield the oracle's
-    /// composite order (stability included); and the one-shot columnar
-    /// passes must match bit for bit as well.
+    /// then scattering every child's slice of the parent's output on
+    /// `col2` must yield the oracle's composite order (stability
+    /// included), leaving every input slice as it was; and the in-place
+    /// closure passes must match bit for bit as well.
     #[test]
     fn fused_partition_engine_matches_sort_by_key_oracle(
         domain1 in 1u16..=9,
@@ -167,32 +168,37 @@ proptest! {
         oracle.sort_by_key(|&id| (col1[id as usize], col2[id as usize]));
 
         // Count-first engine: parent count + scatter on col1, then every
-        // child counted and scattered on col2.
+        // child's slice of the parent's output counted and scattered on
+        // col2, the children's outputs side by side.
         let mut arena = PartitionArena::new();
-        let mut data: Vec<u32> = (0..n as u32).collect();
+        let data: Vec<u32> = (0..n as u32).collect();
         let frame = arena
             .count_col(&data, b1, &col1)
             .expect("keys lie below their domains");
-        arena.scatter(&mut data, &frame);
+        let mut out = vec![0; n];
+        arena.scatter(&data, &frame, &col1, &mut out);
+        prop_assert_eq!(&data, &(0..n as u32).collect::<Vec<_>>(), "the parent moved its input");
         let parts: Vec<_> = arena.records(&frame).to_vec();
         // Parent records match the oracle's value grouping.
         let mut at = 0usize;
         for part in &parts {
             prop_assert_eq!(part.range().start, at);
-            for &id in &data[part.range()] {
+            for &id in &out[part.range()] {
                 prop_assert_eq!(col1[id as usize], part.value);
             }
             at = part.range().end;
         }
         prop_assert_eq!(at, n, "partitions tile the slice");
+        let mut composite = vec![0; n];
         for part in &parts {
-            let sub = &mut data[part.range()];
+            let sub = &out[part.range()];
             let counted = arena.count_col(sub, b2, &col2).unwrap();
-            arena.scatter(sub, &counted);
+            arena.scatter(sub, &counted, &col2, &mut composite[part.range()]);
+            let child = &composite[part.range()];
             let mut cat = 0usize;
             for c in arena.records(&counted) {
                 prop_assert_eq!(c.range().start, cat);
-                for &id in &sub[c.range()] {
+                for &id in &child[c.range()] {
                     prop_assert_eq!(col2[id as usize], c.value);
                 }
                 cat = c.range().end;
@@ -203,30 +209,31 @@ proptest! {
         arena.pop_frame(frame);
         // Content + stability: the two-level result IS the stable
         // composite sort.
-        prop_assert_eq!(&data, &oracle, "count + scatter diverged from sort_by_key");
+        prop_assert_eq!(&composite, &oracle, "count + scatter diverged from sort_by_key");
 
-        // The one-shot columnar passes produce the identical result.
+        // The in-place closure passes produce the identical result.
         let mut plain: Vec<u32> = (0..n as u32).collect();
-        let f1 = arena.partition_col(&mut plain, b1, &col1).unwrap();
+        let f1 = arena.partition_with(&mut plain, b1, |id| col1[id as usize]).unwrap();
         let plain_parts: Vec<_> = arena.records(&f1).to_vec();
-        prop_assert_eq!(&plain_parts, &parts, "one-shot parent records differ");
+        prop_assert_eq!(&plain_parts, &parts, "in-place parent records differ");
         for part in &plain_parts {
             let sub = &mut plain[part.range()];
-            let f2 = arena.partition_col(sub, b2, &col2).unwrap();
+            let f2 = arena.partition_with(sub, b2, |id| col2[id as usize]).unwrap();
             arena.pop_frame(f2);
         }
         arena.pop_frame(f1);
-        prop_assert_eq!(&plain, &oracle, "one-shot passes diverged from sort_by_key");
+        prop_assert_eq!(&plain, &oracle, "in-place passes diverged from sort_by_key");
     }
 
-    /// The arena's count against a naive oracle, on arbitrary key
-    /// material and on both sides of the stripe threshold
+    /// The arena's count and scatter against naive oracles, on random
+    /// key columns and on both sides of the stripe threshold
     /// (`n = STRIPES × buckets`): an empty pass, a pass below it (plain
     /// histogram) and one at or above it (striped), most not a multiple
     /// of `STRIPES`. `count_col` records are the naive histogram's
-    /// non-empty buckets (values ascending, lengths equal to the counts),
-    /// and count-then-scatter is the one-shot `partition_with` pass and a
-    /// stable `sort_by_key`.
+    /// non-empty buckets (values ascending, lengths equal to the counts);
+    /// count then scatter is a stable `sort_by_key` of `data` and leaves
+    /// `data` untouched; and `partition_with` still sorts in place, to the
+    /// same order and records.
     #[test]
     fn arena_count_matches_naive_oracle(
         domain in 1u16..=24,
@@ -262,25 +269,27 @@ proptest! {
                 .filter(|&(_, c)| c > 0)
                 .collect();
 
-            let mut counted = data.clone();
-            let f = arena.count_col(&counted, b, &col).unwrap();
+            let input = data.clone();
+            let f = arena.count_col(&input, b, &col).unwrap();
             let recs = arena.records(&f).to_vec();
             let got: Vec<(u16, usize)> = recs.iter().map(|p| (p.value, p.len())).collect();
             prop_assert_eq!(&got, &want, "n = {}: records are the naive histogram", n);
-            arena.scatter(&mut counted, &f);
+            let mut scattered = vec![0; n];
+            arena.scatter(&input, &f, &col, &mut scattered);
             arena.pop_frame(f);
-
-            let mut one_shot = data.clone();
-            let f = arena
-                .partition_with(&mut one_shot, b, |id| col[id as usize])
-                .unwrap();
-            prop_assert_eq!(arena.records(&f), &recs[..], "n = {}: one-shot records", n);
-            arena.pop_frame(f);
-            prop_assert_eq!(&counted, &one_shot, "n = {}: count + scatter is the one-shot pass", n);
+            prop_assert_eq!(&input, &data, "n = {}: the scatter moved its input", n);
 
             let mut oracle = data.clone();
             oracle.sort_by_key(|&id| col[id as usize]);
-            prop_assert_eq!(&counted, &oracle, "n = {}: count + scatter is a stable sort", n);
+            prop_assert_eq!(&scattered, &oracle, "n = {}: count + scatter is a stable sort", n);
+
+            let mut in_place = data.clone();
+            let f = arena
+                .partition_with(&mut in_place, b, |id| col[id as usize])
+                .unwrap();
+            prop_assert_eq!(arena.records(&f), &recs[..], "n = {}: in-place records", n);
+            arena.pop_frame(f);
+            prop_assert_eq!(&in_place, &oracle, "n = {}: partition_with sorts in place", n);
         }
     }
 

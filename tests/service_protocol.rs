@@ -174,6 +174,38 @@ fn query_measures_match_the_library() {
     assert_err(&resp, "BadRequest");
 }
 
+/// A GR naming one attribute twice in a descriptor is a `BadRequest`
+/// naming the attribute, on the LHS, the RHS and the edge alike — never
+/// a panic, and never an answer for a descriptor no edge can match.
+#[test]
+fn query_with_a_repeated_attribute_is_a_bad_request() {
+    let svc = service(ServiceConfig::default());
+    for (id, gr) in [
+        "(Area:DB, Area:DM) -> (Area:DM)",
+        "(Area:DB) -> (Area:DM, Area:DB)",
+        "(Area:DB) -[S:often, S:often]-> (Area:DM)",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let resp = send(
+            &svc,
+            &format!("{{\"id\":{id},\"type\":\"query\",\"gr\":\"{gr}\"}}"),
+        );
+        let err = assert_err(&resp, "BadRequest");
+        let Content::Str(message) = get(err, "message") else {
+            panic!("{resp:?}");
+        };
+        assert!(message.contains("appears twice"), "{gr}: {message}");
+    }
+    // The daemon still answers a well-formed query after the rejects.
+    let resp = send(
+        &svc,
+        "{\"id\":9,\"type\":\"query\",\"gr\":\"(Area:DB) -> (Area:DM)\"}",
+    );
+    assert_ok(&resp);
+}
+
 #[test]
 fn mine_defaults_are_bit_identical_to_the_sequential_engine() {
     let g = workload();
