@@ -19,7 +19,8 @@ Usage, from anywhere inside the repository:
         --seed-base 3000 [--trace 0|1] [--metric cycle_s ...] [--json OUT]
 
 A side is a git revision; its tree is exported with `git archive` into
-DIR, which also holds the builds and the harness's fixture work. Give
+DIR/<side>-<commit>, which also holds its builds and the harness's
+fixture work, so a rerun over the same revisions reuses them. Give
 both sides one revision for an A/A calibration run. Each round runs every
 layout once per side, the two sides of a pair back to back in alternating
 order and on the same benchmark seed (`--seed-base` plus the pair's
@@ -108,9 +109,9 @@ def run_once(side, layout, seed, args):
     except (IndexError, ValueError):
         sys.stderr.write(done.stderr)
         return {}, False
-    ok = (done.returncode == 0 and result.get("failed", 1) == 0
-          and result.get("correct") == result.get("attempted"))
-    return result.get("metrics", {}), ok
+    ok = done.returncode == 0 and result.get("correct") is True and result.get("failed") == 0
+    values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+    return values, ok
 
 
 def main():
@@ -137,7 +138,7 @@ def main():
     for name, rev in (("A", args.a), ("B", args.b)):
         commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev + "^{commit}"],
                                 check=True, capture_output=True, text=True).stdout.strip()
-        base = os.path.join(work, name)
+        base = os.path.join(work, "{}-{}".format(name, commit))
         src = os.path.join(base, "src")
         export(commit, src)
         side = {"name": name, "rev": commit, "src": src,

@@ -254,11 +254,11 @@ pub(crate) struct MinerScratch {
 
 /// A recursion subtree detached by a worker for other workers to steal:
 /// the subtree root's descriptors plus an owned copy of its edge
-/// positions (the partition's slice of its parent's scatter, in the same
-/// order an inline descent would read). Executing it via [`Run::run_subtree`] performs exactly the
-/// recursive calls the spawning worker skipped, so the collect-mode
-/// merge (and every semantic counter) is independent of where and when
-/// the subtree runs.
+/// positions (the partition's slice of its parent's scatter, in the order
+/// an inline descent would read). Executing it via [`Run::run_subtree`]
+/// performs exactly the recursive calls the spawning worker skipped, so
+/// the collect-mode merge (and every semantic counter) is independent of
+/// where and when the subtree runs.
 pub(crate) struct SubtreeTask {
     pub(crate) data: Vec<u32>,
     pub(crate) l: NodeDescriptor,
@@ -660,13 +660,7 @@ impl<'a> Run<'a> {
 
     /// `EDGE(data, Tail)`: partition on each edge dimension in the tail;
     /// recurse into RIGHT and EDGE (lines 15–21).
-    fn edge(
-        &mut self,
-        data: &[u32],
-        w_tail_len: usize,
-        l: &NodeDescriptor,
-        w: &EdgeDescriptor,
-    ) {
+    fn edge(&mut self, data: &[u32], w_tail_len: usize, l: &NodeDescriptor, w: &EdgeDescriptor) {
         self.edge_range(data, 0..w_tail_len, l, w);
     }
 
@@ -765,11 +759,11 @@ impl<'a> Run<'a> {
     /// ([`RootTask::Right`]). With `l = ∅` there are no homophily
     /// conditions (β ⊆ H_l = ∅), so no β table is ever needed and the
     /// chain's `edges` are never read; the one difference from
-    /// [`Run::right_root`] is the
-    /// `supp_lw` denominator, the context's edge total (`Run::edges_total`)
-    /// rather than `data`'s length, because the empty-LHS `l ∧ w` group
-    /// is the whole edge set — also when the sharded miner runs the
-    /// dimension over a per-value edge slice.
+    /// [`Run::right_root`] is the `supp_lw` denominator, the context's
+    /// edge total (`Run::edges_total`) rather than `data`'s length,
+    /// because the empty-LHS `l ∧ w` group is the whole edge set — also
+    /// when the sharded miner runs the dimension over a per-value edge
+    /// slice.
     fn right_nil_root(&mut self, data: &[u32], dim: usize) {
         let mut ctx = LwContext {
             supp_lw: self.edges_total,
@@ -1359,7 +1353,10 @@ mod tests {
     fn scratch_peak_repeats_across_identical_runs() {
         let g = toy();
         let cfg = MinerConfig::nhp(1, 0.0, 100);
-        let a = GrMiner::new(&g, cfg.clone()).mine().stats.scratch_bytes_peak;
+        let a = GrMiner::new(&g, cfg.clone())
+            .mine()
+            .stats
+            .scratch_bytes_peak;
         let b = GrMiner::new(&g, cfg).mine().stats.scratch_bytes_peak;
         assert!(a > 0);
         assert_eq!(a, b);

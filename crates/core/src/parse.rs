@@ -101,7 +101,10 @@ fn parse_conds<'s, A: Copy + PartialEq>(
         if pairs.iter().any(|&(b, _)| b == a) {
             return Err(GraphError::Parse {
                 line: 1,
-                message: format!("attribute `{}` appears twice in one descriptor", name.trim()),
+                message: format!(
+                    "attribute `{}` appears twice in one descriptor",
+                    name.trim()
+                ),
             });
         }
         let v = def

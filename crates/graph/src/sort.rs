@@ -210,8 +210,8 @@ impl PartitionArena {
     /// The scatter half of the pass that produced `frame`: stable-move
     /// `data` (the slice that count saw) into `out` at the frame's
     /// partition ranges, rereading each key from `col` (the column that
-    /// count read). `data` is not written. At most once per count, at any
-    /// time before the frame is popped.
+    /// count read), at any time before the frame is popped. `data` is not
+    /// written.
     ///
     /// # Panics
     ///
@@ -394,7 +394,12 @@ mod tests {
 
     /// A count followed by its scatter into a fresh buffer of `data`'s
     /// length: the output and the frame.
-    fn sorted(arena: &mut PartitionArena, data: &[u32], b: usize, col: &[u16]) -> (Vec<u32>, Frame) {
+    fn sorted(
+        arena: &mut PartitionArena,
+        data: &[u32],
+        b: usize,
+        col: &[u16],
+    ) -> (Vec<u32>, Frame) {
         let frame = arena.count_col(data, b, col).unwrap();
         let mut out = vec![0; data.len()];
         arena.scatter(data, &frame, col, &mut out);

@@ -112,7 +112,10 @@ fn recurse(
         });
         let sub = &sorted[part.range()];
         assert!(sub.iter().all(|&id| col[id as usize] == part.value));
-        assert!(sub.windows(2).all(|w| w[0] < w[1]), "not a stable subsequence");
+        assert!(
+            sub.windows(2).all(|w| w[0] < w[1]),
+            "not a stable subsequence"
+        );
         sum += recurse(arena, pool, sub, cols, buckets, depth + 1);
     }
     if let Some(buf) = out {
