@@ -19,14 +19,14 @@
 //!
 //! Every β reachable at an `l ∧ w` enumeration node is a subset of
 //! `H_l` — the homophily attributes `l` constrains ([`homophily_pairs`]).
-//! Instead of re-filtering the `l ∧ w` snapshot once per distinct β, a
-//! single counting pass histograms the snapshot by its **match mask**
+//! Instead of re-filtering the `l ∧ w` edge set once per distinct β, a
+//! single counting pass histograms the set by its **match mask**
 //! (bit `i` set iff position `p` agrees with `l` on `H_l[i]`), and a
 //! superset-sum sweep turns the mask histogram into `supp(l -w-> l[β])`
 //! for *every* β at once: `heff(β) = Σ_{mask ⊇ β} hist[mask]`. The masks
 //! are read from the compact model's key *columns*, and the histogram is
-//! the table itself: only the counts matter, so the snapshot is never
-//! reordered and the pass needs no partition arena.
+//! the table itself: only the counts matter, so the pass reads the
+//! `l ∧ w` slice where it lies and needs no partition arena.
 
 use crate::descriptor::NodeDescriptor;
 use grm_graph::{AttrValue, NodeAttrId, Schema};
@@ -84,7 +84,7 @@ impl BetaSet {
 }
 
 /// Widest LHS homophily set the group-by table handles: the table holds
-/// `2^|H_l|` counters, so the miner falls back to per-β snapshot scans
+/// `2^|H_l|` counters, so the miner falls back to per-β scans of the slice
 /// beyond this width (no realistic schema comes close — the paper's
 /// widest has 6 node attributes total).
 pub const MAX_GROUPBY_ATTRS: usize = 12;
@@ -124,7 +124,8 @@ pub fn homophily_pairs(
         .collect()
 }
 
-/// One group-by counting pass over `snapshot` (module docs): returns
+/// One group-by counting pass over `edges`, the positions of an `l ∧ w`
+/// node (module docs): returns
 /// `table` of length `2^pairs.len()` where `table[m]` is the number of
 /// positions agreeing with `l` on every attribute in local mask `m` —
 /// i.e. `supp(l -w-> l[β])` for the β that `m` encodes
@@ -136,19 +137,19 @@ pub fn homophily_pairs(
 /// sweep (`O(k·2^k)`) completes it. `pairs.len()` must be at most
 /// [`MAX_GROUPBY_ATTRS`].
 pub fn heff_table<'c>(
-    snapshot: &[u32],
+    edges: &[u32],
     pairs: &[(NodeAttrId, AttrValue)],
     r_col: impl FnMut(NodeAttrId) -> &'c [AttrValue],
 ) -> Vec<u64> {
     let mut table = Vec::new();
-    heff_table_into(snapshot, pairs, &mut table, r_col);
+    heff_table_into(edges, pairs, &mut table, r_col);
     table
 }
 
 /// [`heff_table`] into a caller-provided (pooled) buffer, so steady-state
 /// mining fills the β supports of an `l ∧ w` node without allocating.
 pub fn heff_table_into<'c>(
-    snapshot: &[u32],
+    edges: &[u32],
     pairs: &[(NodeAttrId, AttrValue)],
     table: &mut Vec<u64>,
     mut r_col: impl FnMut(NodeAttrId) -> &'c [AttrValue],
@@ -168,7 +169,7 @@ pub fn heff_table_into<'c>(
     let cols = &cols[..k];
     table.clear();
     table.resize(buckets, 0);
-    for &p in snapshot {
+    for &p in edges {
         let mut mask = 0usize;
         for (bit, &(col, v)) in cols.iter().enumerate() {
             mask |= usize::from(col[p as usize] == v) << bit;

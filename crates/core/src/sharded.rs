@@ -14,7 +14,7 @@
 //!
 //! Naively mining each shard and merging is *not* bit-identical to the
 //! unsharded run: every support a root task other than the dominant
-//! LEFT dimension counts (`supp_lw`, partition lengths, heff snapshots)
+//! LEFT dimension counts (`supp_lw`, partition lengths, β group-bys)
 //! spans edges from *all* shards. The engine instead builds its units
 //! from the same root task list as the in-core engine (`RootTask::all`,
 //! with the store's [`ShardSpec`](grm_graph::shard::ShardSpec) as the

@@ -115,10 +115,11 @@ miner_stats! {
     /// GRs collected for the post-pass: threshold-passing, reportable
     /// and non-trivial, before the generality filter and the top-k rank.
     accepted: "accepted", sum, semantic;
-    /// Homophily-effect snapshot scans performed. One group-by pass fills
-    /// every β support of an `l ∧ w` node at once, so this counts at most
-    /// one scan per node reaching a non-empty β (on the wide-LHS fallback
-    /// path it counts per-β memo misses, as before).
+    /// Homophily-effect scans of an `l ∧ w` slice performed. One
+    /// group-by pass fills every β support of an `l ∧ w` node at once,
+    /// so this counts at most one scan per node reaching a non-empty β
+    /// (on the wide-LHS fallback path it counts per-β memo misses, as
+    /// before).
     heff_scans: "heff_scans", sum, semantic;
     /// Every counting pass over an edge-position slice, scattered or not
     /// (LEFT/EDGE/RIGHT dimensions plus β group-by passes). A *work*
@@ -151,9 +152,10 @@ miner_stats! {
     /// reads it as `miner.kernel_batches`; it goes with the next
     /// benchmark change.
     kernel_batches: "kernel_batches", sum, work;
-    /// High-water mark, in bytes, of the partition arena's owned scratch
-    /// (`grm_graph::sort::PartitionArena::peak_bytes`). Stable across
-    /// repeated identical runs — the zero-allocation guarantee made
+    /// High-water mark, in bytes, of the partition scratch: the arena's
+    /// (`grm_graph::sort::PartitionArena::peak_bytes`) plus the pool of
+    /// output buffers the passes scatter into. Stable across repeated
+    /// identical one-worker runs — the zero-allocation guarantee made
     /// observable.
     scratch_bytes_peak: "scratch_peak", max, work;
     /// Successful cross-worker steal operations of a pool engine, in-core

@@ -28,7 +28,7 @@
 //! The count is one loop over the slice: each key is read once, clamped
 //! to `bucket_count`, and counted. A key at or beyond `bucket_count`
 //! lands in an **overflow bucket** past the last one, and the pass tests
-//! that bucket once, after the loop, so no branch sits in it. When the
+//! that bucket once, after the loop, so no range check sits in it. When the
 //! pass has at least [`STRIPES`] items per bucket, the increments rotate
 //! over [`STRIPES`] independent histograms, so a run of equal keys does
 //! not chain store-to-load stalls through one counter, and the stripes
