@@ -179,8 +179,8 @@ mod tests {
     }
 
     /// A descriptor names each attribute once: a repeat on the LHS, the
-    /// RHS or the edge is a parse error naming the attribute, in any
-    /// spelling of its values.
+    /// RHS or the edge is a parse error naming the attribute, whether the
+    /// repeated values differ or agree.
     #[test]
     fn rejects_a_repeated_attribute() {
         let s = schema();
