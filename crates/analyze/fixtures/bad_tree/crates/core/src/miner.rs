@@ -3,6 +3,8 @@
 pub fn hot(v: &[u32]) -> u32 {
     let first = v.first().unwrap();
     let second = v.get(1).expect("two");
+    assert!(v.len() >= 3, "three");
+    debug_assert!(v.len() < 9, "debug-only asserts are fine");
     // lint: allow(panic-in-hot-path) — fixture-sanctioned invariant
     let third = v.get(2).unwrap();
     first + second + third

@@ -55,8 +55,9 @@ enum Pc {
     Armed(u64),
 }
 
-/// Model state. Scores are integers (the real f64 scores are totally
-/// ordered where it matters; ties included in configs below).
+/// Model state. Scores are integers: the real heap holds bare f64 scores
+/// ordered by `f64::total_cmp`, a total order like the integers' (ties
+/// included in configs below).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BoundModel {
     variant: Variant,

@@ -24,7 +24,7 @@ pub mod vendor;
 pub const RULES: &[(&str, &str)] = &[
     (
         panics::RULE,
-        "no .unwrap()/.expect(/panic!/unreachable! in the mining hot-path files",
+        "no .unwrap()/.expect(/panic!/unreachable!/assert!/assert_eq!/assert_ne! in the mining hot-path files",
     ),
     (
         atomics::RULE,

@@ -1,7 +1,8 @@
 //! `panic-in-hot-path`: the mining recursion and its substrate must not
 //! contain panicking calls. A panic in a worker tears down the whole
 //! pool (the engine re-raises it), so every `.unwrap()` / `.expect(` /
-//! `panic!` / `unreachable!` in these files is either a latent
+//! `panic!` / `unreachable!` / always-on `assert!` / `assert_eq!` /
+//! `assert_ne!` in these files is either a latent
 //! denial-of-service on degenerate input (PR 5 shipped exactly that) or
 //! a provable invariant — and provable invariants carry their proof in
 //! a `// lint: allow(panic-in-hot-path) — <proof>` annotation.
@@ -12,8 +13,9 @@ use crate::walk::FileSet;
 /// Rule id.
 pub const RULE: &str = "panic-in-hot-path";
 
-/// The files the rule covers: the counting/partition substrate and the
-/// enumeration + parallel engine.
+/// The files the rule covers: the counting/partition substrate, the
+/// enumeration + parallel engine, and the shared bound its RIGHT loop
+/// offers to.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/graph/src/sort.rs",
     "crates/graph/src/shard.rs",
@@ -22,9 +24,20 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/miner.rs",
     "crates/core/src/sharded.rs",
+    "crates/core/src/topk.rs",
 ];
 
-const PATTERNS: &[&str] = &[".unwrap()", ".expect(", "panic!(", "unreachable!("];
+/// `find_token` skips a match preceded by an identifier character, so
+/// `debug_assert!(` and its `_eq`/`_ne` forms never match the asserts.
+const PATTERNS: &[&str] = &[
+    ".unwrap()",
+    ".expect(",
+    "panic!(",
+    "unreachable!(",
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
+];
 
 /// Scan the hot-path files.
 pub fn run(set: &FileSet) -> Vec<Diagnostic> {

@@ -37,6 +37,7 @@ fn bad_tree_produces_exactly_the_seeded_diagnostics() {
         ("malformed-allow", "crates/core/src/lib.rs", 13),
         ("panic-in-hot-path", "crates/core/src/miner.rs", 4),
         ("panic-in-hot-path", "crates/core/src/miner.rs", 5),
+        ("panic-in-hot-path", "crates/core/src/miner.rs", 6),
         ("proof-model-linkage", "crates/core/src/service.rs", 2),
         ("proof-model-linkage", "crates/core/src/service.rs", 2),
         ("lock-order-cycle", "crates/core/src/service.rs", 7),

@@ -2,7 +2,8 @@
 //!
 //! Both apply the BUC bottom-up iceberg-cube algorithm \[23\] to enumerate
 //! *every* attribute-value combination above `minSupp`, then construct GRs,
-//! score them and extract the top-k **in a post-processing step**. Neither
+//! score them and extract the top-k **in a post-processing step** (the
+//! generality filter and rank of every engine's post-pass). Neither
 //! pushes the `minNhp` threshold or the dynamic top-k bound into the
 //! search — that is exactly the handicap the paper's Fig. 4 measures.
 //!
@@ -17,13 +18,11 @@
 
 use crate::config::MinerConfig;
 use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
-use crate::generality::GeneralityIndex;
 use crate::gr::{Gr, ScoredGr};
 use crate::metrics::MetricInputs;
 use crate::miner::MineResult;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
-use crate::topk::TopK;
 use grm_graph::sort::PartitionArena;
 use grm_graph::{AttrValue, SingleTable, SocialGraph, NULL};
 use std::collections::HashMap;
@@ -182,7 +181,7 @@ pub fn mine_baseline_with_dims(
         Some(&v) => v,
         None => *rescanned
             .entry(pattern)
-            .or_insert_with_key(|p| count_pattern(graph, &dim_map, kind, p)),
+            .or_insert_with_key(|p| count_pattern(graph, &dim_map, p)),
     };
 
     let mut candidates: Vec<ScoredGr> = Vec::new();
@@ -259,26 +258,24 @@ pub fn mine_baseline_with_dims(
         });
     }
 
-    // Generality: process small (general) patterns first; a proper
-    // generalization always has strictly fewer l∧w conditions.
-    candidates.sort_by_key(|c| c.gr.l.len() + c.gr.w.len());
-    let mut index = GeneralityIndex::new();
-    let mut topk = TopK::new(config.k);
-    for cand in candidates {
-        if config.generality_filter {
-            if index.has_more_general(&cand.gr) {
-                stats.rejected_generality += 1;
-                continue;
-            }
-            index.record(&cand.gr);
-        }
-        stats.accepted += 1;
-        topk.offer(cand);
-    }
+    // Generality and rank: the engines' post-pass. With no pruned
+    // frontier it evaluates nothing, and only its generality merge
+    // rejects.
+    let offered = candidates.len() as u64;
+    let top = crate::exec::select_topk(
+        schema,
+        &|g: &Gr| Ok(crate::query::counts(schema, graph, g)),
+        config,
+        candidates,
+        Vec::new(),
+        &mut stats,
+    )
+    .expect("no pruned frontier, so nothing is evaluated");
+    stats.accepted = offered - stats.rejected_generality;
 
     stats.elapsed = start.elapsed();
     MineResult {
-        top: topk.into_sorted(),
+        top,
         stats,
         edge_count: edges_total,
     }
@@ -383,19 +380,13 @@ fn split_pattern(
     )
 }
 
-fn count_pattern(graph: &SocialGraph, dims: &DimMap, kind: BaselineKind, pattern: &Pattern) -> u64 {
-    // Direct scan; used only for infrequent helper patterns.
-    let matches = |row: u32, view: &dyn Fn(u32, usize) -> AttrValue| {
-        pattern.iter().all(|&(d, v)| view(row, d as usize) == v)
-    };
-    match kind {
-        BaselineKind::Bl1 | BaselineKind::Bl2 => {
-            let view = Bl2View { graph, dims };
-            (0..graph.edge_count() as u32)
-                .filter(|&row| matches(row, &|r, d| view.key(r, d)))
-                .count() as u64
-        }
-    }
+/// Support of `pattern` by a direct scan of the graph; used only for
+/// infrequent helper patterns.
+fn count_pattern(graph: &SocialGraph, dims: &DimMap, pattern: &Pattern) -> u64 {
+    let view = Bl2View { graph, dims };
+    (0..graph.edge_count() as u32)
+        .filter(|&row| pattern.iter().all(|&(d, v)| view.key(row, d as usize) == v))
+        .count() as u64
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //! ### The β group-by ([`heff_table`])
 //!
 //! Every β reachable at an `l ∧ w` enumeration node is a subset of
-//! `H_l` — the homophily attributes `l` constrains ([`homophily_pairs`]).
+//! `H_l` — the homophily attributes `l` constrains, which `Run::right_root`
+//! lists in attribute order.
 //! Instead of re-filtering the `l ∧ w` edge set once per distinct β, a
 //! single counting pass histograms the set by its **match mask**
 //! (bit `i` set iff position `p` agrees with `l` on `H_l[i]`), and a
@@ -91,7 +92,7 @@ pub const MAX_GROUPBY_ATTRS: usize = 12;
 
 impl BetaSet {
     /// Compress this set into a bitmask over `pairs` (sorted by attribute
-    /// id, as produced by [`homophily_pairs`]): bit `i` is set iff
+    /// id, as `Run::right_root` lists `H_l`): bit `i` is set iff
     /// `pairs[i]`'s attribute is a member. Returns `None` when some
     /// member does not occur in `pairs` — for the miner that would mean a
     /// β outside the LHS homophily set, which Eqn. 4 rules out.
@@ -108,20 +109,6 @@ impl BetaSet {
         }
         Some(mask)
     }
-}
-
-/// The homophily conditions of `l` in attribute order — the group-by
-/// dimensions of [`heff_table`]. Every β of a GR with LHS `l` is a subset
-/// of these attributes, and `l[β]`'s values are their values.
-pub fn homophily_pairs(
-    l: &NodeDescriptor,
-    mut is_homophily: impl FnMut(NodeAttrId) -> bool,
-) -> Vec<(NodeAttrId, AttrValue)> {
-    l.pairs()
-        .iter()
-        .copied()
-        .filter(|&(a, _)| is_homophily(a))
-        .collect()
 }
 
 /// One group-by counting pass over `edges`, the positions of an `l ∧ w`
@@ -155,10 +142,13 @@ pub fn heff_table_into<'c>(
     mut r_col: impl FnMut(NodeAttrId) -> &'c [AttrValue],
 ) {
     let k = pairs.len();
+    // lint: allow(panic-in-hot-path) — the miner's only call, in
+    // `Run::heff`, takes the per-β scan for an LHS wider than this first.
     assert!(
         k <= MAX_GROUPBY_ATTRS,
         "group-by over {k} homophily attributes exceeds {MAX_GROUPBY_ATTRS}"
     );
+
     let buckets = 1usize << k;
     // Resolve the group-by dimensions to their columns once (a stack
     // array — steady-state mining allocates nothing here).
@@ -292,14 +282,6 @@ mod tests {
         let mut stray = BetaSet::empty();
         stray.insert(NodeAttrId(7));
         assert_eq!(stray.local_mask(&pairs), None, "β outside the LHS set");
-    }
-
-    #[test]
-    fn homophily_pairs_filters_and_keeps_order() {
-        let s = schema();
-        let l = nd(&[(0, 1), (1, 2), (2, 3)]);
-        let pairs = homophily_pairs(&l, |a| s.node_attr(a).is_homophily());
-        assert_eq!(pairs, vec![(NodeAttrId(1), 2), (NodeAttrId(2), 3)]);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!   every exit path, and the typed exits (`WorkerPanicked`, `Cancelled`,
 //!   or the latched error) carry the drained counters.
 //! * **The collect-mode harvest** ([`Worker::mine`]) and the sequential
-//!   post-pass below.
+//!   post-pass below ([`select_topk`]), which also ranks the BL1/BL2
+//!   baselines' candidates: every miner that returns a top-k ranks it
+//!   there.
 //!
 //! **The shared dynamic top-k bound.** Workers run in *collect* mode
 //! (generality is order-sensitive across subtrees, so Def. 5(2) and the
@@ -633,7 +635,7 @@ type Evaluate<'e> = &'e dyn Fn(&Gr) -> Result<MetricInputs, MinerError>;
 /// order, possibly repeated; they are walked sorted and deduplicated, so
 /// which suppressor checks run, and in what order, is the same on every
 /// run of one config.
-fn select_topk(
+pub(crate) fn select_topk(
     schema: &Schema,
     evaluate: Evaluate<'_>,
     config: &MinerConfig,

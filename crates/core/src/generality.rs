@@ -4,7 +4,8 @@
 //! `w₁ ⊆ w₂`) already satisfies the thresholds: "g₁ is a similar tendency
 //! to g₂ but covers more nodes on LHS … g₁ would make g₂ redundant."
 //!
-//! Its callers offer candidates most general first (by `l ∧ w` condition
+//! Its one caller, the post-pass every engine and baseline ranks
+//! through, offers candidates most general first (by `l ∧ w` condition
 //! count — a proper generalization has strictly fewer), so every
 //! potential suppressor is seen before the GRs it suppresses (§V: "once
 //! a GR passes this checking, no later GR can be more general than it").

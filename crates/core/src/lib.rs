@@ -41,7 +41,8 @@
 //! | shared read-only run context | [`context`] |
 //! | SFDF & dynamic tail ordering (§IV-C) | [`tail`] |
 //! | GRMiner, Algorithm 1 (§V) | [`miner`] |
-//! | top-k & generality (Def. 5) | [`topk`], [`generality`] |
+//! | generality & top-k rank (Def. 5), one post-pass for every engine and baseline | [`generality`], [`gr`] |
+//! | GRMiner(k)'s dynamic top-k bound (§V, line 28) | [`topk`] |
 //! | baselines BL1 / BL2 (§VI-D) | [`baseline`] |
 //! | brute-force oracle | [`reference`](mod@reference) |
 //! | ad-hoc GR queries (Remark 3) | [`query`] |
@@ -86,4 +87,3 @@ pub use service::{Service, ServiceConfig};
 pub use sharded::{mine_sharded, ShardedOptions};
 pub use stats::MinerStats;
 pub use tail::Dims;
-pub use topk::TopK;

@@ -925,7 +925,7 @@ impl<'a> Run<'a> {
                             score,
                         };
                         if let Some(sb) = self.shared_bound {
-                            if self.feeds_shared_bound(l, w) && sb.offer(&scored) {
+                            if self.feeds_shared_bound(l, w) && sb.offer(score) {
                                 self.stats.bound_tightenings += 1;
                             }
                         }
@@ -1278,6 +1278,51 @@ mod tests {
         // so there can be at most one scan per examined GR's l∧w node —
         // far fewer than the per-β scans the seed performed.
         assert!(fast.stats.heff_scans <= fast.stats.grs_examined);
+    }
+
+    #[test]
+    fn wide_homophily_lhs_takes_the_per_beta_scan_and_matches_query_counts() {
+        // One homophily attribute more than the group-by table takes, so
+        // an LHS constraining all of them scores its RHSes through
+        // `heff_scan`. Two all-1 sources each tie to an all-1 destination
+        // and to one that differs on the last attribute, so every LHS
+        // holding that attribute's 1 has a homophily effect on it.
+        let n = MAX_GROUPBY_ATTRS + 1;
+        let mut sb = SchemaBuilder::new();
+        for a in 0..n {
+            sb = sb.node_attr(format!("H{a}"), 2, true);
+        }
+        let mut b = GraphBuilder::new(sb.build().unwrap());
+        let ones = vec![1; n];
+        let mut differs = ones.clone();
+        differs[n - 1] = 2;
+        let same = b.add_node(&ones).unwrap();
+        let other = b.add_node(&differs).unwrap();
+        for _ in 0..2 {
+            let src = b.add_node(&ones).unwrap();
+            b.add_edge(src, same, &[]).unwrap();
+            b.add_edge(src, other, &[]).unwrap();
+        }
+        let g = b.build().unwrap();
+        let cfg = MinerConfig {
+            generality_filter: false,
+            max_rhs: Some(1),
+            ..MinerConfig::nhp(1, 0.0, usize::MAX).without_dynamic_topk()
+        };
+        let result = GrMiner::new(&g, cfg).mine();
+        for s in &result.top {
+            let m = crate::query::counts(g.schema(), &g, &s.gr);
+            assert_eq!(
+                (s.supp, s.supp_lw, s.heff),
+                (m.supp, m.supp_lw, m.heff),
+                "{}",
+                s.gr.display(g.schema())
+            );
+        }
+        assert!(
+            result.top.iter().any(|s| s.gr.l.len() == n && s.heff > 0),
+            "a {n}-condition LHS with a homophily effect must be mined"
+        );
     }
 
     #[test]

@@ -969,14 +969,17 @@ pub fn serve_connection(service: &Service, stream: TcpStream) {
     let reader_conn = conn.clone();
     let reader = std::thread::spawn(move || read_lines(reader_stream, &tx, &reader_conn));
     let mut out = stream;
-    loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Ok(line)) => {
+    // The reader drops the sender when it returns (EOF, a read error, an
+    // over-long line, or a cancelled token, which it checks at every
+    // read timeout), so this loop needs no timeout of its own.
+    while let Ok(next) = rx.recv() {
+        match next {
+            Ok(line) => {
                 if write_line(&mut out, service.handle_line(&line, &conn)).is_err() {
                     break;
                 }
             }
-            Ok(Err(e)) => {
+            Err(e) => {
                 let _ = write_line(&mut out, render(Content::Null, "error", Err(e)));
                 // Half-close so the peer reads EOF after this line: the
                 // bytes of the line left unread make the close a reset,
@@ -984,12 +987,6 @@ pub fn serve_connection(service: &Service, stream: TcpStream) {
                 let _ = out.shutdown(Shutdown::Write);
                 break;
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if conn.is_cancelled() {
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
     conn.cancel();

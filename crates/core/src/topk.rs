@@ -1,104 +1,34 @@
-//! Top-k accumulation with the rank of Def. 5(3) and the dynamic
-//! `minNhp` upgrade of GRMiner(k) (§V, line 28 of Algorithm 1), plus the
-//! cross-worker [`SharedBound`] the work-stealing parallel engine uses to
-//! restore that upgrade in collect mode.
+//! The dynamic `minNhp` upgrade of GRMiner(k) (§V, line 28 of
+//! Algorithm 1) as the cross-worker [`SharedBound`] every pool engine's
+//! workers prune against. The upgrade needs only the k-th best *score*;
+//! the top-k itself is ranked once, by Def. 5(3), in the execution
+//! core's post-pass.
 
-use crate::gr::ScoredGr;
 use parking_lot::Mutex;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-/// Heap entry ordered so the binary max-heap keeps the *worst-ranked* GR on
-/// top, making eviction O(log k).
-#[derive(Debug, Clone)]
-struct Entry(ScoredGr);
+/// A score in `f64::total_cmp` order, the order `ScoredGr::rank_cmp`
+/// ranks scores by, so the k best scores held here are those of the k
+/// best-ranked GRs offered.
+#[derive(Debug, Clone, Copy)]
+struct Score(f64);
 
-impl PartialEq for Entry {
+impl PartialEq for Score {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl Eq for Score {}
+impl PartialOrd for Score {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl Ord for Score {
     fn cmp(&self, other: &Self) -> Ordering {
-        // rank_cmp yields Less when self ranks better; the max-heap must
-        // surface the worst entry, so "greater" = "worse" works directly.
-        self.0.rank_cmp(&other.0)
-    }
-}
-
-/// Bounded accumulator of the k best GRs.
-#[derive(Debug, Clone)]
-pub struct TopK {
-    k: usize,
-    heap: BinaryHeap<Entry>,
-}
-
-impl TopK {
-    /// Accumulator for the best `k` GRs (`k ≥ 1`).
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "top-k needs k >= 1");
-        TopK {
-            k,
-            // Cap the eager reservation: "effectively unbounded" k values
-            // (baseline/ablation configurations) must not pre-allocate.
-            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(4096)),
-        }
-    }
-
-    /// Number of GRs currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no GR has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Offer a candidate; returns `true` if it entered the top-k (possibly
-    /// evicting the previous k-th).
-    pub fn offer(&mut self, gr: ScoredGr) -> bool {
-        if self.heap.len() < self.k {
-            self.heap.push(Entry(gr));
-            return true;
-        }
-        let worst = self.heap.peek().expect("heap non-empty when full");
-        if gr.rank_cmp(&worst.0) == Ordering::Less {
-            self.heap.pop();
-            self.heap.push(Entry(gr));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The dynamic pruning bound: the k-th best score once k GRs are held
-    /// (Algorithm 1 line 28 "upgrades minNhp by the non-homophily
-    /// preference of the least ranked GR in top\[k\]").
-    ///
-    /// Pruning against this bound must be *strict* (`score < bound`): an
-    /// RHS extension of a candidate tied with the k-th on score could
-    /// still win the supp/alphabetical tie-break.
-    pub fn dynamic_bound(&self) -> Option<f64> {
-        if self.heap.len() == self.k {
-            self.heap.peek().map(|e| e.0.score)
-        } else {
-            None
-        }
-    }
-
-    /// Consume, returning the GRs best-first.
-    pub fn into_sorted(self) -> Vec<ScoredGr> {
-        let mut v: Vec<ScoredGr> = self.heap.into_iter().map(|e| e.0).collect();
-        v.sort_by(|a, b| a.rank_cmp(b));
-        v
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -121,14 +51,18 @@ const BOUND_UNSET: u64 = u64::MAX;
 /// The k-th best score over any subset of the final survivor stream is a
 /// lower bound on the k-th best score over all of it, and the heap only
 /// grows, so every value ever published stays valid forever — stale reads
-/// are merely conservative, which is why relaxed atomics suffice.
+/// are merely conservative, which is why relaxed atomics suffice. With
+/// `k = 0` the heap never fills and no bound is ever published.
 #[derive(Debug)]
 pub struct SharedBound {
     /// Bits of the current bound, `BOUND_UNSET` until the heap first
-    /// fills to k. Written only while `heap`'s lock is held.
+    /// fills to k. Written only while `scores`' lock is held.
     bits: AtomicU64,
-    /// Top-k over the sure-survivor candidates offered so far.
-    heap: Mutex<TopK>,
+    k: usize,
+    /// The k best scores of the sure-survivor candidates offered so far,
+    /// the lowest (the k-th) on top. It reserves only what it holds: `k`
+    /// may be effectively unbounded (support-only configurations).
+    scores: Mutex<BinaryHeap<Reverse<Score>>>,
 }
 
 impl SharedBound {
@@ -136,7 +70,8 @@ impl SharedBound {
     pub fn new(k: usize) -> Self {
         SharedBound {
             bits: AtomicU64::new(BOUND_UNSET),
-            heap: Mutex::new(TopK::new(k)),
+            k,
+            scores: Mutex::new(BinaryHeap::new()),
         }
     }
 
@@ -156,24 +91,36 @@ impl SharedBound {
         (bits != BOUND_UNSET).then(|| f64::from_bits(bits))
     }
 
-    /// Offer a candidate known to survive the final merge. Returns `true`
-    /// when the published bound tightened (including its first
-    /// publication). Cheap pre-check: a score at or below the current
-    /// bound can neither enter the heap's top-k scores nor raise the
-    /// k-th, so it skips the lock entirely.
-    pub fn offer(&self, cand: &ScoredGr) -> bool {
+    /// Offer the score of a candidate known to survive the final merge.
+    /// Returns `true` when the published bound tightened (including its
+    /// first publication). Cheap pre-check: a score at or below the
+    /// current bound can neither enter the heap's top-k scores nor raise
+    /// the k-th, so it skips the lock entirely.
+    pub fn offer(&self, score: f64) -> bool {
         if let Some(b) = self.get() {
-            if cand.score <= b {
+            if score <= b {
                 return false;
             }
         }
-        let mut heap = self.heap.lock();
-        heap.offer(cand.clone());
-        let Some(new_bound) = heap.dynamic_bound() else {
+        let mut scores = self.scores.lock();
+        if scores.len() < self.k {
+            scores.push(Reverse(Score(score)));
+            if scores.len() < self.k {
+                return false;
+            }
+        } else {
+            match scores.peek_mut() {
+                // Replacing the k-th re-sifts the heap when `kth` drops.
+                Some(mut kth) if kth.0 < Score(score) => *kth = Reverse(Score(score)),
+                // `k = 0`, or not above the k-th: the bound stands.
+                _ => return false,
+            }
+        }
+        let Some(&Reverse(Score(new_bound))) = scores.peek() else {
             return false;
         };
         // ordering: Relaxed is exact here, not an optimization gamble —
-        // every store to `bits` happens while `heap`'s lock is held (we
+        // every store to `bits` happens while `scores`' lock is held (we
         // hold it now), so the previous store happens-before this load
         // via the mutex release/acquire pair and coherence forbids
         // reading anything older than the latest value.
@@ -195,103 +142,69 @@ impl SharedBound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
-    use crate::gr::Gr;
-    use grm_graph::NodeAttrId;
-
-    fn gr(val: u16) -> Gr {
-        Gr::new(
-            NodeDescriptor::from_pairs([(NodeAttrId(0), val)]),
-            EdgeDescriptor::empty(),
-            NodeDescriptor::from_pairs([(NodeAttrId(1), 1)]),
-        )
-    }
-
-    fn scored(val: u16, supp: u64, score: f64) -> ScoredGr {
-        ScoredGr {
-            gr: gr(val),
-            supp,
-            supp_lw: supp * 2,
-            heff: 0,
-            score,
-        }
-    }
 
     #[test]
     fn keeps_best_k() {
-        let mut t = TopK::new(2);
-        assert!(t.offer(scored(1, 10, 0.5)));
-        assert!(t.offer(scored(2, 10, 0.9)));
-        assert!(t.offer(scored(3, 10, 0.7)), "evicts the 0.5");
-        assert!(!t.offer(scored(4, 10, 0.4)), "worse than both");
-        let v = t.into_sorted();
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].score, 0.9);
-        assert_eq!(v[1].score, 0.7);
+        // Tied scores are kept apart: two 0.8s are two of the k best, and
+        // a third moves the k-th up to 0.8 once the 0.5 leaves.
+        let b = SharedBound::new(3);
+        for score in [0.5, 0.8, 0.8] {
+            b.offer(score);
+        }
+        assert_eq!(b.get(), Some(0.5));
+        assert!(b.offer(0.8), "evicts the 0.5");
+        assert_eq!(b.get(), Some(0.8));
+        assert!(!b.offer(0.8), "equal to the k-th: skipped");
+        assert!(!b.offer(0.4), "worse than all three");
+        assert_eq!(b.get(), Some(0.8));
     }
 
     #[test]
     fn dynamic_bound_appears_when_full() {
-        let mut t = TopK::new(3);
-        assert_eq!(t.dynamic_bound(), None);
-        t.offer(scored(1, 5, 0.9));
-        t.offer(scored(2, 5, 0.8));
-        assert_eq!(t.dynamic_bound(), None, "not full yet");
-        t.offer(scored(3, 5, 0.7));
-        assert_eq!(t.dynamic_bound(), Some(0.7));
-        t.offer(scored(4, 5, 0.95));
-        assert_eq!(t.dynamic_bound(), Some(0.8), "bound tightens");
-    }
-
-    #[test]
-    fn ties_break_by_supp_then_gr() {
-        let mut t = TopK::new(2);
-        t.offer(scored(3, 10, 0.5));
-        t.offer(scored(1, 10, 0.5));
-        // Same score and supp as the k-th, smaller canonical GR: wins.
-        assert!(t.offer(scored(2, 10, 0.5)));
-        let v = t.into_sorted();
-        assert_eq!(
-            v.iter().map(|s| s.gr.l.pairs()[0].1).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        // Higher supp beats same score regardless of GR order.
-        let mut t = TopK::new(1);
-        t.offer(scored(1, 10, 0.5));
-        assert!(t.offer(scored(9, 20, 0.5)));
-        assert_eq!(t.into_sorted()[0].supp, 20);
+        let b = SharedBound::new(3);
+        assert_eq!(b.get(), None);
+        b.offer(0.9);
+        b.offer(0.8);
+        assert_eq!(b.get(), None, "not full yet");
+        b.offer(0.7);
+        assert_eq!(b.get(), Some(0.7));
+        b.offer(0.95);
+        assert_eq!(b.get(), Some(0.8), "bound tightens");
     }
 
     #[test]
     fn k_of_one() {
-        let mut t = TopK::new(1);
-        t.offer(scored(1, 1, 0.2));
-        assert_eq!(t.dynamic_bound(), Some(0.2));
-        t.offer(scored(2, 1, 0.6));
-        assert_eq!(t.dynamic_bound(), Some(0.6));
-        assert_eq!(t.into_sorted().len(), 1);
+        let b = SharedBound::new(1);
+        assert!(b.offer(0.2));
+        assert_eq!(b.get(), Some(0.2));
+        assert!(b.offer(0.6));
+        assert_eq!(b.get(), Some(0.6));
+        assert!(!b.offer(0.3));
     }
 
     #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn zero_k_rejected() {
-        TopK::new(0);
+    fn zero_k_never_publishes() {
+        let b = SharedBound::new(0);
+        for score in [0.1, 0.9, f64::INFINITY] {
+            assert!(!b.offer(score));
+        }
+        assert_eq!(b.get(), None);
     }
 
     #[test]
     fn shared_bound_publishes_only_when_full_and_tightens_monotonically() {
         let b = SharedBound::new(2);
         assert_eq!(b.get(), None);
-        assert!(!b.offer(&scored(1, 5, 0.5)), "not full yet");
+        assert!(!b.offer(0.5), "not full yet");
         assert_eq!(b.get(), None);
-        assert!(b.offer(&scored(2, 5, 0.9)), "fills the heap: first bound");
+        assert!(b.offer(0.9), "fills the heap: first bound");
         assert_eq!(b.get(), Some(0.5));
-        assert!(!b.offer(&scored(3, 5, 0.4)), "below the bound: rejected");
+        assert!(!b.offer(0.4), "below the bound: rejected");
         assert_eq!(b.get(), Some(0.5));
-        assert!(b.offer(&scored(4, 5, 0.7)), "evicts the 0.5");
+        assert!(b.offer(0.7), "evicts the 0.5");
         assert_eq!(b.get(), Some(0.7));
         // Equal to the bound: cannot raise the k-th score, skipped.
-        assert!(!b.offer(&scored(5, 99, 0.7)));
+        assert!(!b.offer(0.7));
         assert_eq!(b.get(), Some(0.7));
     }
 
@@ -305,26 +218,12 @@ mod tests {
                 let b = std::sync::Arc::clone(&b);
                 scope.spawn(move |_| {
                     for i in 0..4u16 {
-                        let v = t * 4 + i;
-                        // v + 1: descriptor values must be non-null.
-                        b.offer(&scored(v + 1, 1, f64::from(v) / 16.0));
+                        b.offer(f64::from(t * 4 + i) / 16.0);
                     }
                 });
             }
         })
         .unwrap();
         assert_eq!(b.get(), Some(12.0 / 16.0));
-    }
-
-    #[test]
-    fn sorted_output_is_rank_ordered() {
-        let mut t = TopK::new(10);
-        for (i, s) in [0.3, 0.9, 0.1, 0.9, 0.5].iter().enumerate() {
-            t.offer(scored(i as u16 + 1, 7, *s));
-        }
-        let v = t.into_sorted();
-        for w in v.windows(2) {
-            assert_ne!(w[0].rank_cmp(&w[1]), Ordering::Greater);
-        }
     }
 }

@@ -121,10 +121,6 @@ pub enum GraphError {
     /// (see [`crate::sort::PartitionArena`]). Checked in release builds:
     /// an unchecked oversized key would silently corrupt the histogram.
     KeyOutOfRange { key: u16, bucket_count: usize },
-    /// A key column handed to a partition pass does not cover every
-    /// position of the data slice — reported instead of fabricating a
-    /// key for positions the column cannot describe.
-    ColumnTooShort { len: usize, index: usize },
     /// Unknown attribute or value name in a lookup.
     UnknownName { name: String },
     /// Malformed input while parsing a serialized graph.
@@ -218,10 +214,6 @@ impl fmt::Display for GraphError {
             GraphError::KeyOutOfRange { key, bucket_count } => write!(
                 f,
                 "partition key {key} out of range for {bucket_count} buckets"
-            ),
-            GraphError::ColumnTooShort { len, index } => write!(
-                f,
-                "key column of length {len} cannot cover position {index}"
             ),
             GraphError::UnknownName { name } => {
                 write!(f, "unknown attribute or value name `{name}`")

@@ -257,10 +257,14 @@ impl PartitionArena {
         key: impl Fn(T) -> AttrValue,
     ) -> Result<Frame> {
         let n = items.len();
+        // lint: allow(panic-in-hot-path) — every slice a mine counts is a
+        // subset of an edge set that `check_edge_capacity` capped at
+        // `CompactModel::MAX_EDGES` (u32::MAX) positions before any pass.
         assert!(
             n <= u32::MAX as usize,
             "partition slices are indexed by u32 ({n} items)"
         );
+
         // One bucket per key value, then the overflow bucket.
         let width = bucket_count + 1;
         if self.counts.len() < width {
@@ -324,11 +328,15 @@ impl PartitionArena {
         out: &mut [u32],
         item: impl Fn(T) -> (u32, AttrValue),
     ) {
+        // lint: allow(panic-in-hot-path) — the miner's `scatter_pass`
+        // hands the scatter an output slice cut to its input's length, and
+        // `partition_with` scatters back into the slice it counted.
         assert_eq!(
             out.len(),
             items.len(),
             "scatter into an output of another length than its input"
         );
+
         let records = &self.records[frame.start as usize..frame.end as usize];
         debug_assert_eq!(
             records.last().map_or(0, |r| r.end as usize),

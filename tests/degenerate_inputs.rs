@@ -1,17 +1,23 @@
 //! Degenerate-graph suite: the inputs a production service sees at the
 //! edges of its domain — zero nodes, zero edges, a single self-loop,
 //! all-null attribute columns — run through the stats front-end, the
-//! sequential miner, and the 2-thread parallel miner. Nothing here may
-//! panic; results must be the obvious empty/zero outcomes.
+//! sequential miner, and the 2-thread parallel miner, and a top-k of
+//! size zero through every mining entry point. Nothing here may panic;
+//! results must be the obvious empty/zero outcomes.
 
+use social_ties::core::baseline::{mine_baseline, BaselineKind};
 use social_ties::core::parallel::{try_mine_parallel_with_opts, ParallelOptions};
+use social_ties::core::sharded::{mine_sharded, ShardedOptions};
 use social_ties::core::Dims;
+use social_ties::graph::shard::ShardStore;
 use social_ties::graph::stats::{
     audit_report, degree_summary, homophily_scores, node_marginal, suggest_homophily_attrs,
     DegreeStats,
 };
-use social_ties::graph::NodeAttrId;
-use social_ties::{GrMiner, GraphBuilder, MinerConfig, Schema, SchemaBuilder, SocialGraph};
+use social_ties::graph::{CompactModel, NodeAttrId};
+use social_ties::{
+    toy_network, GrMiner, GraphBuilder, MinerConfig, Schema, SchemaBuilder, SocialGraph,
+};
 
 fn schema() -> Schema {
     SchemaBuilder::new()
@@ -130,4 +136,50 @@ fn all_null_attribute_column() {
             assert_ne!(a, NodeAttrId(0), "GR constrains the all-null column");
         }
     }
+}
+
+#[test]
+fn zero_k_returns_an_empty_top_k_from_every_entry_point() {
+    // `k = 0` asks for no GRs: each entry point mines and returns an
+    // empty top-k, dynamic or static, rather than aborting. (`grmine`
+    // and `grmined` reject it as a usage error before mining.)
+    let g = toy_network();
+    let dir = std::env::temp_dir().join(format!("grm-degenerate-zero-k-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store =
+        ShardStore::build_from_graph(&g, &dir, 2, CompactModel::MAX_EDGES).expect("store builds");
+    for dynamic in [true, false] {
+        let mut cfg = MinerConfig::nhp(1, 0.0, 1);
+        cfg.dynamic_topk = dynamic;
+        let one = GrMiner::new(&g, cfg.clone()).mine();
+        assert_eq!(one.top.len(), 1, "the fixture has GRs to select");
+        cfg.k = 0;
+        let label = format!("k = 0, dynamic {dynamic}");
+        let seq = GrMiner::new(&g, cfg.clone()).try_mine().expect(&label);
+        let opts = ParallelOptions {
+            threads: 2,
+            ..ParallelOptions::default()
+        };
+        let par =
+            try_mine_parallel_with_opts(&g, &cfg, &Dims::all(g.schema()), opts).expect(&label);
+        let opts = ShardedOptions {
+            threads: 2,
+            ..ShardedOptions::default()
+        };
+        let sharded = mine_sharded(&store, &cfg, &opts).expect(&label);
+        let bl1 = mine_baseline(&g, &cfg, BaselineKind::Bl1);
+        let bl2 = mine_baseline(&g, &cfg, BaselineKind::Bl2);
+        for (engine, r) in [
+            ("GrMiner", &seq),
+            ("pool", &par),
+            ("sharded", &sharded),
+            ("BL1", &bl1),
+            ("BL2", &bl2),
+        ] {
+            assert!(r.top.is_empty(), "{engine}, {label}: {:?}", r.top);
+            assert!(r.stats.accepted > 0, "{engine}, {label}: nothing was mined");
+        }
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
