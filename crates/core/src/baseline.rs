@@ -18,9 +18,11 @@
 
 use crate::config::MinerConfig;
 use crate::descriptor::{EdgeDescriptor, NodeDescriptor};
+use crate::exec::select_topk;
 use crate::gr::{Gr, ScoredGr};
 use crate::metrics::MetricInputs;
 use crate::miner::MineResult;
+use crate::query;
 use crate::stats::MinerStats;
 use crate::tail::Dims;
 use grm_graph::sort::PartitionArena;
@@ -262,9 +264,9 @@ pub fn mine_baseline_with_dims(
     // frontier it evaluates nothing, and only its generality merge
     // rejects.
     let offered = candidates.len() as u64;
-    let top = crate::exec::select_topk(
+    let top = select_topk(
         schema,
-        &|g: &Gr| Ok(crate::query::counts(schema, graph, g)),
+        &|g: &Gr| Ok(query::counts(schema, graph, g)),
         config,
         candidates,
         Vec::new(),
