@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the substrate primitives: counting-sort
 //! partitioning (§V), key-column and single-table construction (§IV-A),
-//! key loads and the β group-by, single-GR query evaluation (Remark 3)
-//! and dataset generation. The partition engine's before/after cells are
+//! key loads and the β group-by, single-GR query evaluation (Remark 3),
+//! row-major and over key columns, and dataset generation. The partition engine's before/after cells are
 //! `bench_json --group partition`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -53,10 +53,17 @@ fn bench_query(c: &mut Criterion) {
         .r("Education", "Secondary")
         .build()
         .unwrap();
+    let keys = KeyColumns::build(&graph).unwrap();
     let mut group = c.benchmark_group("query");
     group.throughput(Throughput::Elements(graph.edge_count() as u64));
+    // Row-major: the scan `grmine query` runs, through the node table.
     group.bench_function("evaluate_single_gr", |b| {
         b.iter(|| query::evaluate(&graph, &gr))
+    });
+    // Columnar: the blocked mask count `grmined` runs over the key
+    // columns it holds resident.
+    group.bench_function("counts_key_columns", |b| {
+        b.iter(|| query::counts(graph.schema(), &keys, &gr))
     });
     group.finish();
 }

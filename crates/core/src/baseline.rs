@@ -262,18 +262,18 @@ pub fn mine_baseline_with_dims(
 
     // Generality and rank: the engines' post-pass. With no pruned
     // frontier it evaluates nothing, and only its generality merge
-    // rejects.
-    let offered = candidates.len() as u64;
+    // rejects. Every candidate offered to it counts as accepted, as in
+    // the engines, before the generality filter.
+    stats.accepted = candidates.len() as u64;
     let top = select_topk(
         schema,
-        &|g: &Gr| Ok(query::counts(schema, graph, g)),
+        &|g: &Gr| Ok(query::row_counts(graph, g)),
         config,
         candidates,
         Vec::new(),
         &mut stats,
     )
     .expect("no pruned frontier, so nothing is evaluated");
-    stats.accepted = offered - stats.rejected_generality;
 
     stats.elapsed = start.elapsed();
     MineResult {
@@ -447,6 +447,16 @@ mod tests {
                 let bl2 = mine_baseline(&g, &cfg, BaselineKind::Bl2);
                 assert_eq!(keys(&miner), keys(&bl1), "BL1 seed {seed} cfg {cfg:?}");
                 assert_eq!(keys(&miner), keys(&bl2), "BL2 seed {seed} cfg {cfg:?}");
+                // The same candidates reach the one post-pass, so the
+                // counters of what it was offered and what it rejected
+                // agree too.
+                for (name, bl) in [("BL1", &bl1), ("BL2", &bl2)] {
+                    assert_eq!(
+                        (bl.stats.accepted, bl.stats.rejected_generality),
+                        (miner.stats.accepted, miner.stats.rejected_generality),
+                        "{name} seed {seed} cfg {cfg:?}"
+                    );
+                }
             }
         }
     }

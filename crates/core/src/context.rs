@@ -10,9 +10,11 @@
 //! an out-of-core unit shares the columns its shard or value slice loads
 //! from its spill file ([`ShardPool`](grm_graph::shard::ShardPool)), in
 //! EArray order for a store built from a graph and in arrival order for
-//! a streamed one. The recursion is invariant under a permutation of its
-//! positions, so the order decides how fast a pass reads, never what it
-//! counts.
+//! a streamed one. `grmined` gathers its graph's columns once, at load,
+//! and wraps them in a fresh context per mine ([`MiningContext::new`]),
+//! so a cold mine gathers none. The recursion is invariant under a
+//! permutation of its positions, so the order decides how fast a pass
+//! reads, never what it counts.
 //! Everything in it is immutable (or internally synchronized) and safe to
 //! share by reference across worker threads, so the per-task costs the
 //! §IV-A model was designed to avoid are paid once per run instead of
@@ -29,10 +31,12 @@
 //!
 //! Sharing the marginal memo across workers cannot change results:
 //! `supp(r)` is a pure function of the graph, so whichever worker computes
-//! it first stores the same value every other worker would have.
+//! it first stores the same value every other worker would have. The memo
+//! lives as long as its context, one mine, so a long-lived daemon that
+//! shares the columns does not pile up marginals across requests.
 
 use crate::descriptor::NodeDescriptor;
-use grm_graph::{KeyColumns, SocialGraph};
+use grm_graph::{KeyColumns, Schema, SocialGraph};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,9 +57,11 @@ pub struct MiningContext {
 }
 
 impl MiningContext {
-    /// Build the context for `graph`. `needs_r_marginal` opts into the
-    /// eager RHS marginal table ([`crate::metrics::RankMetric`] knows —
-    /// pass `metric.needs_r_marginal()`).
+    /// Build the context for `graph`: gather its key columns
+    /// ([`KeyColumns::build`]) and wrap them ([`MiningContext::new`]).
+    /// `needs_r_marginal` opts into the eager RHS marginal table
+    /// ([`crate::metrics::RankMetric`] knows — pass
+    /// `metric.needs_r_marginal()`).
     ///
     /// # Panics
     ///
@@ -63,7 +69,14 @@ impl MiningContext {
     /// which its `u32` positions cannot index (mine it sharded).
     pub fn build(graph: &SocialGraph, needs_r_marginal: bool) -> Self {
         let keys = KeyColumns::build(graph).unwrap_or_else(|e| panic!("{e}"));
-        let schema = graph.schema();
+        Self::new(graph.schema(), Arc::new(keys), needs_r_marginal)
+    }
+
+    /// A context over built key columns of `schema`, shared with their
+    /// other holders (`grmined` keeps one set resident and wraps it once
+    /// per mine). The marginal memo starts empty, and the RHS marginal
+    /// table is counted from the columns only when `needs_r_marginal`.
+    pub fn new(schema: &Schema, keys: Arc<KeyColumns>, needs_r_marginal: bool) -> Self {
         let r_base = needs_r_marginal.then(|| {
             schema
                 .node_attr_ids()
@@ -76,10 +89,9 @@ impl MiningContext {
                 })
                 .collect()
         });
-        let edges_total = keys.edge_count() as u64;
         MiningContext {
-            keys: Arc::new(keys),
-            edges_total,
+            edges_total: keys.edge_count() as u64,
+            keys,
             r_base,
             r_memo: Mutex::new(HashMap::new()),
         }

@@ -1311,7 +1311,7 @@ mod tests {
         };
         let result = GrMiner::new(&g, cfg).mine();
         for s in &result.top {
-            let m = crate::query::counts(g.schema(), &g, &s.gr);
+            let m = crate::query::row_counts(&g, &s.gr);
             assert_eq!(
                 (s.supp, s.supp_lw, s.heff),
                 (m.supp, m.supp_lw, m.heff),

@@ -11,7 +11,9 @@
 //! stealing over per-worker deques under the shared dynamic top-k bound
 //! and the exactness-verified post-pass. All read-only run state — the
 //! key columns, the canonical position set, the RHS marginal table —
-//! lives in one shared [`MiningContext`]; each worker owns a reusable
+//! lives in one shared [`MiningContext`], built by
+//! [`try_mine_parallel_with_opts`] or wrapped by `grmined` around the
+//! columns it holds resident; each worker owns a reusable
 //! edge-position buffer and a warm `crate::miner::MinerScratch`
 //! carried across its tasks. With one worker this engine is
 //! [`crate::GrMiner`].
@@ -82,9 +84,27 @@ pub fn try_mine_parallel_with_opts(
     dims: &Dims,
     opts: ParallelOptions,
 ) -> Result<MineResult, MinerError> {
-    let exec = Exec::start(config, graph.schema(), dims, opts.threads);
+    mine_in_context(graph.schema(), config, dims, opts, || {
+        MiningContext::build(graph, config.metric.needs_r_marginal())
+    })
+}
+
+/// Mine over the context `context` builds, a context of `schema`: the
+/// one in-core engine path, taken by [`try_mine_parallel_with_opts`]
+/// (which gathers the graph's columns) and by the daemon's cold mines
+/// (which wrap the columns it holds resident). The context is built once
+/// the clock runs, so the mine's `elapsed` covers it.
+pub(crate) fn mine_in_context(
+    schema: &Schema,
+    config: &MinerConfig,
+    dims: &Dims,
+    opts: ParallelOptions,
+    context: impl FnOnce() -> MiningContext,
+) -> Result<MineResult, MinerError> {
+    let exec = Exec::start(config, schema, dims, opts.threads);
+    let ctx = &context();
     let threads = exec.threads();
-    let edge_count = graph.edge_count();
+    let edge_count = ctx.keys().edge_count();
     let split = (threads > 1).then(|| {
         let policy = SplitPolicy {
             max_frame: SPLIT_DEPTH,
@@ -96,11 +116,8 @@ pub fn try_mine_parallel_with_opts(
         };
         (policy, PoolTask::Subtree as fn(SubtreeTask) -> PoolTask)
     });
-    let engine = InCore {
-        schema: graph.schema(),
-        ctx: MiningContext::build(graph, config.metric.needs_r_marginal()),
-    };
-    let tasks = root_tasks(graph.schema(), dims, config, threads)
+    let engine = InCore { schema, ctx };
+    let tasks = root_tasks(schema, dims, config, threads)
         .into_iter()
         .map(PoolTask::Root)
         .collect();
@@ -130,7 +147,7 @@ enum PoolTask {
 /// and the post-pass counts suppressors over its key columns.
 struct InCore<'g> {
     schema: &'g Schema,
-    ctx: MiningContext,
+    ctx: &'g MiningContext,
 }
 
 impl Engine for InCore<'_> {
@@ -141,14 +158,14 @@ impl Engine for InCore<'_> {
             // The worker's position buffer is filled on its first root
             // task and *not* refilled between tasks: nothing moves it,
             // since every pass scatters into a buffer of its own.
-            PoolTask::Root(t) => worker.mine(&self.ctx, |run, data| {
+            PoolTask::Root(t) => worker.mine(self.ctx, |run, data| {
                 if data.is_empty() {
                     self.ctx.fill_positions(data);
                 }
                 run.run_root(data, t);
             }),
             PoolTask::Subtree(SubtreeTask { data, l, w, kind }) => {
-                worker.mine(&self.ctx, |run, _| run.run_subtree(&data, &l, &w, kind))
+                worker.mine(self.ctx, |run, _| run.run_subtree(&data, &l, &w, kind))
             }
         }
         Ok(())

@@ -6,16 +6,29 @@
 //! distribution" (Remark 3; the P5/P207 variations of §VI-B are exactly
 //! this). [`evaluate`] measures any user-supplied GR in one scan.
 //!
-//! [`counts`] is the one loop that counts a GR, over any [`EdgeView`]:
-//! a graph's row-major tables (the reference behind [`evaluate`]) or a
-//! mine's [`KeyColumns`], which the engines' post-passes count over. It
-//! returns the [`MetricInputs`] a metric scores, so a post-pass scores a
-//! suppressor from its counts directly.
+//! A GR is counted one of two ways, each returning the [`MetricInputs`] a
+//! metric scores, so a post-pass scores a suppressor from its counts
+//! directly:
+//!
+//! * [`counts`] scans [`KeyColumns`] — a mine's, a shard's, or the set
+//!   `grmined` keeps resident — as a column store evaluates a conjunctive
+//!   predicate (Abadi, Madden & Hachem, "Column-Stores vs. Row-Stores",
+//!   SIGMOD 2008; Boncz, Zukowski & Nes, "MonetDB/X100", CIDR 2005): a
+//!   block of [`BLOCK`] positions at a time, each condition ANDs one
+//!   column's comparison into a byte mask, and the masks are summed in
+//!   `u8` lanes. Both engines' post-passes and the daemon's `query`
+//!   count this way.
+//! * [`row_counts`] is the row-major reference: one pass over a graph's
+//!   edges, reading each attribute through the node table. [`evaluate`]
+//!   counts with it, since gathering columns for a single GR costs more
+//!   than the scan they save.
+//!
+//! [`GrMeasures::from_inputs`] turns either count into the full measures.
 
-use crate::beta::{beta, l_beta, BetaSet};
+use crate::beta::{beta, l_beta};
 use crate::gr::Gr;
 use crate::metrics::MetricInputs;
-use grm_graph::{AttrValue, EdgeAttrId, KeyColumns, NodeAttrId, Schema, SocialGraph};
+use grm_graph::{AttrValue, KeyColumns, NodeAttrId, Schema, SocialGraph};
 use serde::{Deserialize, Serialize};
 
 /// Full measurement of one GR against a graph.
@@ -42,126 +55,148 @@ pub struct GrMeasures {
     pub nhp: Option<f64>,
 }
 
-/// Measure `gr` against `graph` in a single pass over the edges.
+/// Measure `gr` against `graph` in a single pass over the edges
+/// ([`row_counts`]).
 pub fn evaluate(graph: &SocialGraph, gr: &Gr) -> GrMeasures {
-    let schema = graph.schema();
-    let MetricInputs {
-        supp,
-        supp_lw,
-        heff,
-        supp_r,
-        edges,
-    } = counts(schema, graph, gr);
-    let conf = (supp_lw > 0).then(|| supp as f64 / supp_lw as f64);
-    let denom = supp_lw.saturating_sub(heff);
-    let nhp = (denom > 0).then(|| supp as f64 / denom as f64);
-    GrMeasures {
-        supp,
-        supp_lw,
-        supp_r,
-        heff,
-        edges,
-        beta_attrs: beta(schema, &gr.l, &gr.r).iter().collect(),
-        supp_rel: if edges > 0 {
-            supp as f64 / edges as f64
-        } else {
-            0.0
-        },
-        conf,
-        nhp,
-    }
+    GrMeasures::from_inputs(graph.schema(), gr, row_counts(graph, gr))
 }
 
-/// Per-edge attribute reads: what [`counts`] scans. A graph reads them
-/// through its node table, key columns by position.
-pub trait EdgeView {
-    /// Number of edges.
-    fn edge_count(&self) -> usize;
-    /// Node attribute `a` of edge `e`'s source.
-    fn src_attr(&self, e: u32, a: NodeAttrId) -> AttrValue;
-    /// Node attribute `a` of edge `e`'s destination.
-    fn dst_attr(&self, e: u32, a: NodeAttrId) -> AttrValue;
-    /// Edge attribute `a` of edge `e`.
-    fn edge_attr(&self, e: u32, a: EdgeAttrId) -> AttrValue;
-}
-
-impl EdgeView for SocialGraph {
-    fn edge_count(&self) -> usize {
-        SocialGraph::edge_count(self)
-    }
-    fn src_attr(&self, e: u32, a: NodeAttrId) -> AttrValue {
-        SocialGraph::src_attr(self, e, a)
-    }
-    fn dst_attr(&self, e: u32, a: NodeAttrId) -> AttrValue {
-        SocialGraph::dst_attr(self, e, a)
-    }
-    fn edge_attr(&self, e: u32, a: EdgeAttrId) -> AttrValue {
-        SocialGraph::edge_attr(self, e, a)
-    }
-}
-
-impl EdgeView for KeyColumns {
-    fn edge_count(&self) -> usize {
-        KeyColumns::edge_count(self)
-    }
-    fn src_attr(&self, p: u32, a: NodeAttrId) -> AttrValue {
-        self.l_key(p, a)
-    }
-    fn dst_attr(&self, p: u32, a: NodeAttrId) -> AttrValue {
-        self.r_key(p, a)
-    }
-    fn edge_attr(&self, p: u32, a: EdgeAttrId) -> AttrValue {
-        self.w_key(p, a)
-    }
-}
-
-/// The raw edge counts of `gr` over `edges`, a graph or key columns of
-/// `schema`, with `edges` set to the view's edge count. Each field is a
-/// sum of per-edge indicators, so all five are *additive over any
-/// partition of the edge set* — the sharded miner ([`crate::sharded`])
-/// counts a GR on an out-of-core graph by summing them per shard.
-pub fn counts<E: EdgeView>(schema: &Schema, edges: &E, gr: &Gr) -> MetricInputs {
-    let b: BetaSet = beta(schema, &gr.l, &gr.r);
+/// The raw edge counts of `gr` over `graph`'s edges, read row by row
+/// through the node table: the reference [`counts`] must equal.
+pub fn row_counts(graph: &SocialGraph, gr: &Gr) -> MetricInputs {
+    let b = beta(graph.schema(), &gr.l, &gr.r);
     let lbeta = l_beta(&gr.l, b);
-
-    let mut supp = 0u64;
-    let mut supp_lw = 0u64;
-    let mut supp_r = 0u64;
-    let mut heff = 0u64;
-
-    // cast: edge ids and positions are u32 (EdgeId, CompactModel::MAX_EDGES)
-    for e in 0..edges.edge_count() as u32 {
-        let r_match = gr.r.pairs().iter().all(|&(a, v)| edges.dst_attr(e, a) == v);
-        if r_match {
-            supp_r += 1;
-        }
-        let lw_match = gr.l.pairs().iter().all(|&(a, v)| edges.src_attr(e, a) == v)
+    let mut out = MetricInputs {
+        edges: graph.edge_count() as u64,
+        ..MetricInputs::default()
+    };
+    for e in graph.edge_ids() {
+        let r_match = gr.r.pairs().iter().all(|&(a, v)| graph.dst_attr(e, a) == v);
+        out.supp_r += u64::from(r_match);
+        let lw_match = gr.l.pairs().iter().all(|&(a, v)| graph.src_attr(e, a) == v)
             && gr
                 .w
                 .pairs()
                 .iter()
-                .all(|&(a, v)| edges.edge_attr(e, a) == v);
+                .all(|&(a, v)| graph.edge_attr(e, a) == v);
         if !lw_match {
             continue;
         }
-        supp_lw += 1;
-        if r_match {
-            supp += 1;
-        }
-        if !b.is_empty() && lbeta.iter().all(|&(a, v)| edges.dst_attr(e, a) == v) {
-            heff += 1;
+        out.supp_lw += 1;
+        out.supp += u64::from(r_match);
+        if !b.is_empty() && lbeta.iter().all(|&(a, v)| graph.dst_attr(e, a) == v) {
+            out.heff += 1;
         }
     }
-    MetricInputs {
-        supp,
-        supp_lw,
-        heff,
-        supp_r,
-        edges: edges.edge_count() as u64,
+    out
+}
+
+/// Positions per block of [`counts`]: its three `u8` masks, 12 KiB in
+/// all, stay in L1 while the block's column slices stream past.
+pub const BLOCK: usize = 4096;
+
+/// Mask bytes summed into one `u8` before it is flushed into a `u64`:
+/// 255 ones are the most a byte holds.
+const FLUSH: usize = u8::MAX as usize;
+
+/// The raw edge counts of `gr` over `keys`, key columns of `schema`,
+/// with `edges` set to the columns' edge count (module docs). Per block
+/// of [`BLOCK`] positions, the LHS and edge conditions AND into one
+/// mask, the RHS conditions into another, and when β ≠ ∅ the `l[β]`
+/// conditions on the destination side into a copy of the first; `supp`
+/// counts where the first two are both set. Each field is a sum of
+/// per-edge indicators, so all five are *additive over any partition of
+/// the edge set* — the sharded miner ([`crate::sharded`]) counts a GR on
+/// an out-of-core graph by summing them per shard.
+pub fn counts(schema: &Schema, keys: &KeyColumns, gr: &Gr) -> MetricInputs {
+    let b = beta(schema, &gr.l, &gr.r);
+    let n = keys.edge_count();
+    let mut out = MetricInputs {
+        edges: n as u64,
+        ..MetricInputs::default()
+    };
+    let (mut lw, mut r, mut h) = ([0u8; BLOCK], [0u8; BLOCK], [0u8; BLOCK]);
+    for start in (0..n).step_by(BLOCK) {
+        let block = start..n.min(start + BLOCK);
+        let (lw, r) = (&mut lw[..block.len()], &mut r[..block.len()]);
+        lw.fill(1);
+        for &(a, v) in gr.l.pairs() {
+            and_eq(lw, &keys.l_col(a)[block.clone()], v);
+        }
+        for &(a, v) in gr.w.pairs() {
+            and_eq(lw, &keys.w_col(a)[block.clone()], v);
+        }
+        r.fill(1);
+        for &(a, v) in gr.r.pairs() {
+            and_eq(r, &keys.r_col(a)[block.clone()], v);
+        }
+        out.supp_lw += ones(lw);
+        out.supp_r += ones(r);
+        out.supp += ones_of_both(lw, r);
+        if !b.is_empty() {
+            let h = &mut h[..block.len()];
+            h.copy_from_slice(lw);
+            for &(a, v) in gr.l.pairs().iter().filter(|&&(a, _)| b.contains(a)) {
+                and_eq(h, &keys.r_col(a)[block.clone()], v);
+            }
+            out.heff += ones(h);
+        }
+    }
+    out
+}
+
+/// Clear `mask[i]` wherever `col[i] != v`.
+fn and_eq(mask: &mut [u8], col: &[AttrValue], v: AttrValue) {
+    for (m, &k) in mask.iter_mut().zip(col) {
+        *m &= u8::from(k == v);
     }
 }
 
+/// The set bytes of a 0/1 mask, summed in `u8` lanes and flushed every
+/// [`FLUSH`] positions.
+fn ones(mask: &[u8]) -> u64 {
+    mask.chunks(FLUSH)
+        .map(|c| u64::from(c.iter().sum::<u8>()))
+        .sum()
+}
+
+/// The positions set in both 0/1 masks, summed as [`ones`] sums.
+fn ones_of_both(a: &[u8], b: &[u8]) -> u64 {
+    a.chunks(FLUSH)
+        .zip(b.chunks(FLUSH))
+        .map(|(a, b)| u64::from(a.iter().zip(b).fold(0u8, |s, (&x, &y)| s + (x & y))))
+        .sum()
+}
+
 impl GrMeasures {
+    /// The measures of `gr` over `schema` from its counts, by either
+    /// count ([`counts`] or [`row_counts`]).
+    pub fn from_inputs(schema: &Schema, gr: &Gr, counts: MetricInputs) -> Self {
+        let MetricInputs {
+            supp,
+            supp_lw,
+            heff,
+            supp_r,
+            edges,
+        } = counts;
+        let denom = supp_lw.saturating_sub(heff);
+        GrMeasures {
+            supp,
+            supp_lw,
+            supp_r,
+            heff,
+            edges,
+            beta_attrs: beta(schema, &gr.l, &gr.r).iter().collect(),
+            supp_rel: if edges > 0 {
+                supp as f64 / edges as f64
+            } else {
+                0.0
+            },
+            conf: (supp_lw > 0).then(|| supp as f64 / supp_lw as f64),
+            nhp: (denom > 0).then(|| supp as f64 / denom as f64),
+        }
+    }
+
     /// One-line summary, e.g. `supp=2 (13.3%), conf=33.3%, nhp=100.0%`.
     pub fn summary(&self) -> String {
         let pct = |v: Option<f64>| match v {

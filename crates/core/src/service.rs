@@ -6,6 +6,12 @@
 //! stats introspection — while keeping the overload and failure behavior
 //! *typed*:
 //!
+//! * **Resident key columns.** The graph never changes, so the service
+//!   gathers its [`KeyColumns`] once, before it serves. A `query` counts
+//!   over them with the blocked columnar scan ([`query::counts`]), and a
+//!   cold mine wraps them in a fresh [`MiningContext`] instead of
+//!   gathering its own. They cost `|E|·(2·#AttrV + #AttrE)` two-byte
+//!   cells next to the graph.
 //! * **Admission control.** At most `max_concurrent` mines run at once;
 //!   up to `queue_depth` more wait. Beyond that a request is shed with an
 //!   `Overloaded` error carrying `retry_after_ms` — never queued
@@ -33,15 +39,16 @@
 //! a panic while holding a lock must not wedge every later request.
 
 use crate::config::MinerConfig;
+use crate::context::MiningContext;
 use crate::error::{panic_message, MinerError};
 use crate::metrics::RankMetric;
 use crate::miner::MineResult;
-use crate::parallel::{try_mine_parallel_with_opts, ParallelOptions};
+use crate::parallel::{mine_in_context, ParallelOptions};
 use crate::parse::parse_gr;
-use crate::query;
+use crate::query::{self, GrMeasures};
 use crate::stats::MinerStats;
 use crate::tail::Dims;
-use grm_graph::{failpoint, CancelToken, SocialGraph};
+use grm_graph::{failpoint, CancelToken, KeyColumns, SocialGraph};
 use serde::{to_content, Content};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -481,11 +488,13 @@ mod field {
 // The service
 // ---------------------------------------------------------------------------
 
-/// One loaded graph plus the shared state that serves it: admission
-/// slots, the single-flight result cache, aggregated counters, and the
-/// shutdown token every connection token descends from.
+/// One loaded graph plus the shared state that serves it: the graph's
+/// key columns, admission slots, the single-flight result cache,
+/// aggregated counters, and the shutdown token every connection token
+/// descends from.
 pub struct Service {
     graph: SocialGraph,
+    keys: Arc<KeyColumns>,
     cfg: ServiceConfig,
     admission: Admission,
     cache: ResultCache,
@@ -494,12 +503,20 @@ pub struct Service {
 }
 
 impl Service {
-    /// Wrap `graph` with the given tuning. `max_concurrent` is clamped
-    /// to ≥ 1 (a service that can never admit anything is a misconfig,
-    /// not a mode).
+    /// Wrap `graph` with the given tuning, gathering its key columns
+    /// (module docs). `max_concurrent` is clamped to ≥ 1 (a service that
+    /// can never admit anything is a misconfig, not a mode).
+    ///
+    /// # Panics
+    ///
+    /// On a graph beyond [`grm_graph::CompactModel::MAX_EDGES`] edges,
+    /// which `u32` positions cannot index; `grmined` refuses such a
+    /// graph before it gets here.
     pub fn new(graph: SocialGraph, cfg: ServiceConfig) -> Self {
         let capacity = cfg.max_concurrent.max(1);
+        let keys = KeyColumns::build(&graph).unwrap_or_else(|e| panic!("{e}"));
         Service {
+            keys: Arc::new(keys),
             admission: Admission::new(capacity, cfg.queue_depth),
             cache: ResultCache::new(cfg.cache_capacity),
             agg: Mutex::new(MinerStats::default()),
@@ -625,14 +642,12 @@ impl Service {
         let gr_text = field::str(map, "gr")?
             .ok_or_else(|| ErrorBody::bad_request("query needs a `gr` string"))?;
         field::reject_unknown(map)?;
-        let gr = parse_gr(self.graph.schema(), &gr_text)
+        let schema = self.graph.schema();
+        let gr = parse_gr(schema, &gr_text)
             .map_err(|e| ErrorBody::bad_request(format!("bad GR: {e}")))?;
-        let measures = query::evaluate(&self.graph, &gr);
+        let measures = GrMeasures::from_inputs(schema, &gr, query::counts(schema, &self.keys, &gr));
         Ok(Content::Map(vec![
-            (
-                "gr".to_string(),
-                Content::Str(gr.display(self.graph.schema())),
-            ),
+            ("gr".to_string(), Content::Str(gr.display(schema))),
             ("measures".to_string(), to_content(&measures)),
         ]))
     }
@@ -717,9 +732,9 @@ impl Service {
         }
     }
 
-    /// Take an admission slot, run the engine, publish on success. The
-    /// `LeadGuard` (when caching) abandons its entry on every error
-    /// path simply by being dropped.
+    /// Take an admission slot, run the engine over the resident columns,
+    /// publish on success. The `LeadGuard` (when caching) abandons its
+    /// entry on every error path simply by being dropped.
     fn admit_and_mine(
         &self,
         ctx: &RequestCtx,
@@ -742,15 +757,18 @@ impl Service {
             }
             AdmitOutcome::Cancelled => return Err(cancelled_error(None)),
         };
-        let outcome = try_mine_parallel_with_opts(
-            &self.graph,
-            &cfg,
-            &Dims::all(self.graph.schema()),
-            ParallelOptions {
-                threads,
-                ..ParallelOptions::default()
-            },
-        );
+        let schema = self.graph.schema();
+        let opts = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        let outcome = mine_in_context(schema, &cfg, &Dims::all(schema), opts, || {
+            MiningContext::new(
+                schema,
+                Arc::clone(&self.keys),
+                cfg.metric.needs_r_marginal(),
+            )
+        });
         drop(slot);
         match outcome {
             Ok(result) => {

@@ -351,7 +351,7 @@ impl Engine for Sharded<'_> {
         let mut sum = MetricInputs::default();
         for s in resident.into_iter().chain(absent) {
             let lease = self.pool.acquire(s)?;
-            sum += query::counts(self.store.schema(), &**lease.keys(), gr);
+            sum += query::counts(self.store.schema(), lease.keys(), gr);
         }
         Ok(sum)
     }
@@ -448,7 +448,7 @@ mod tests {
             );
             let before = engine.pool.stats().loads;
             let sum = engine.evaluate(&gr).unwrap();
-            assert_eq!(sum, query::counts(g.schema(), &g, &gr), "{gr:?}");
+            assert_eq!(sum, query::row_counts(&g, &gr), "{gr:?}");
             // The first call loads both shards; each later one starts
             // with the shard the last call left resident and loads the
             // other, where an index-order walk would reload both.

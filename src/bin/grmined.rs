@@ -6,10 +6,11 @@
 //!         [--default-timeout MS] [--retry-after MS]
 //! ```
 //!
-//! Loads the graph once, binds a TCP listener (default `127.0.0.1:0` —
-//! an OS-assigned port), prints a single JSON ready line with the bound
-//! address on stdout, and then serves line-delimited JSON requests until
-//! shut down. The request protocol, error codes and failure model live
+//! Loads the graph once, gathers its key columns (a graph of more than
+//! `CompactModel::MAX_EDGES` edges exits 1), binds a TCP listener
+//! (default `127.0.0.1:0` — an OS-assigned port), prints a single JSON
+//! ready line with the bound address on stdout, and then serves
+//! line-delimited JSON requests until shut down. The request protocol, error codes and failure model live
 //! in `grm_core::service` (see also README "Service mode").
 //!
 //! Shutdown is graceful on SIGTERM / SIGINT and on a `shutdown` request:
@@ -22,7 +23,7 @@
 //! repeated flag exits 2 before the graph is loaded.
 
 use social_ties::core::service::{serve, Service, ServiceConfig};
-use social_ties::graph::io;
+use social_ties::graph::{check_edge_capacity, io, CompactModel};
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::exit;
@@ -128,6 +129,12 @@ fn run(args: &[String]) -> i32 {
             return 1;
         }
     };
+    // The service keeps the graph's key columns resident, and their
+    // positions are u32.
+    if let Err(e) = check_edge_capacity(graph.edge_count(), CompactModel::MAX_EDGES) {
+        eprintln!("cannot serve `{path}`: {e}");
+        return 1;
+    }
 
     let addr = addr.unwrap_or_else(|| "127.0.0.1:0".to_string());
     let listener = match TcpListener::bind(&addr) {

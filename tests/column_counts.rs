@@ -1,11 +1,15 @@
 //! Counting a GR over key columns equals counting it over the graph's
 //! rows. The in-core engine's post-pass counts its `MiningContext`
 //! columns, the sharded engine's sums every shard's loaded columns, and
-//! `query::evaluate` keeps the row-major scan as the reference: the
-//! `MetricInputs` (`supp`, `supp_lw`, `heff`, `supp_r` and the edge count
-//! `|E|`) must agree on all three. Random graphs bring NULL values and
-//! homophily (β) attributes, random GRs bring empty descriptors, and the
-//! DBLP fixture brings an edge attribute at scale. The context's columns
+//! `query::row_counts` (behind `query::evaluate`) keeps the row-major
+//! scan as the reference: the `MetricInputs` (`supp`, `supp_lw`, `heff`,
+//! `supp_r` and the edge count `|E|`) must agree on all three. Random
+//! graphs bring NULL values and homophily (β) attributes, random GRs
+//! bring empty descriptors, and the DBLP fixture brings an edge attribute
+//! at scale. Graphs of one edge fewer than a `query::BLOCK`, one block,
+//! one edge more and two blocks and one edge reach the block edges of the
+//! columnar count, and the GR with every descriptor empty sets a whole
+//! block, so its `u8` sums must flush in time. The context's columns
 //! themselves are checked against EArray order — the edges sorted by
 //! their source's attribute row, widest domain first, then by source
 //! id — computed here from the edge list by a comparison sort, and so
@@ -16,7 +20,7 @@
 //! the store's order.
 
 use proptest::prelude::*;
-use social_ties::core::query::counts;
+use social_ties::core::query::{counts, row_counts, BLOCK};
 use social_ties::core::{MetricInputs, MiningContext};
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::shard::{ShardSpec, ShardStore, SliceKey, SliceSet};
@@ -170,7 +174,7 @@ fn assert_holds_in_order(keys: &KeyColumns, g: &SocialGraph, order: &[u32]) {
 /// same counts, the edge count `|E|` among them.
 fn assert_column_counts(g: &SocialGraph, grs: &[Gr]) -> Vec<MetricInputs> {
     let schema = g.schema();
-    let rows: Vec<MetricInputs> = grs.iter().map(|gr| counts(schema, g, gr)).collect();
+    let rows: Vec<MetricInputs> = grs.iter().map(|gr| row_counts(g, gr)).collect();
     let ctx = MiningContext::build(g, false);
     for (gr, &want) in grs.iter().zip(&rows) {
         assert_eq!(
@@ -190,6 +194,33 @@ fn assert_column_counts(g: &SocialGraph, grs: &[Gr]) -> Vec<MetricInputs> {
         }
     }
     rows
+}
+
+/// A graph of exactly `edges` edges among 40 nodes: two homophily
+/// attributes and a plain one, each with NULL among its values, and one
+/// edge attribute.
+fn graph_with_edges(edges: usize, seed: u64) -> SocialGraph {
+    let schema = SchemaBuilder::new()
+        .node_attr("H0", 3, true)
+        .node_attr("H1", 2, true)
+        .node_attr("P", 4, false)
+        .edge_attr("E", 2)
+        .build()
+        .unwrap();
+    let mut b = GraphBuilder::new(schema);
+    let mut next = rng(seed);
+    let nodes = 40u64;
+    for _ in 0..nodes {
+        let row = [3u64, 2, 4].map(|domain| (next() % (domain + 1)) as u16);
+        b.add_node(&row).unwrap();
+    }
+    for _ in 0..edges {
+        let s = next() % nodes;
+        let t = (s + 1 + next() % (nodes - 1)) % nodes;
+        b.add_edge(s as u32, t as u32, &[(next() % 3) as u16])
+            .unwrap();
+    }
+    b.build().unwrap()
 }
 
 /// `n` random GRs plus the GR with every descriptor empty.
@@ -278,6 +309,31 @@ proptest! {
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+#[test]
+fn column_counts_equal_row_counts_at_block_edges() {
+    for (seed, edges) in [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+        .into_iter()
+        .enumerate()
+    {
+        let g = graph_with_edges(edges, seed as u64 + 1);
+        assert_eq!(g.edge_count(), edges);
+        let grs = grs_for(g.schema(), seed as u64 + 100, 24);
+        let rows = assert_column_counts(&g, &grs);
+        let all = edges as u64;
+        assert_eq!(
+            rows.last().copied(),
+            Some(MetricInputs {
+                supp: all,
+                supp_lw: all,
+                heff: 0,
+                supp_r: all,
+                edges: all
+            }),
+            "{edges} edges"
+        );
     }
 }
 

@@ -5,11 +5,14 @@
 //! counter accounting.
 
 use serde::{to_content, Content};
+use social_ties::core::query::{self, GrMeasures};
 use social_ties::core::service::{Service, ServiceConfig};
 use social_ties::core::Dims;
 use social_ties::datagen::dblp_config_scaled;
 use social_ties::graph::CancelToken;
-use social_ties::{generate, GrMiner, MinerConfig, RankMetric, SocialGraph};
+use social_ties::{
+    generate, EdgeDescriptor, Gr, GrMiner, MinerConfig, NodeDescriptor, RankMetric, SocialGraph,
+};
 use std::sync::Arc;
 
 fn workload() -> SocialGraph {
@@ -153,22 +156,95 @@ fn stats_introspection_is_pinned_and_counts_service_events() {
     assert_eq!(get(result, "cache_entries"), &Content::U64(1));
 }
 
+/// `gr` with one condition dropped, in each way the display syntax can
+/// carry: from the LHS or the edge (the generalizations of Def. 5), and
+/// from an RHS of two or more.
+fn one_condition_generalizations(gr: &Gr) -> Vec<Gr> {
+    fn without<T: Copy>(pairs: &[T], i: usize) -> Vec<T> {
+        let mut rest = pairs.to_vec();
+        rest.remove(i);
+        rest
+    }
+    let mut out = Vec::new();
+    for i in 0..gr.l.len() {
+        let l = NodeDescriptor::from_pairs(without(gr.l.pairs(), i));
+        out.push(Gr::new(l, gr.w.clone(), gr.r.clone()));
+    }
+    for i in 0..gr.w.len() {
+        let w = EdgeDescriptor::from_pairs(without(gr.w.pairs(), i));
+        out.push(Gr::new(gr.l.clone(), w, gr.r.clone()));
+    }
+    for i in (0..gr.r.len()).filter(|_| gr.r.len() > 1) {
+        let r = NodeDescriptor::from_pairs(without(gr.r.pairs(), i));
+        out.push(Gr::new(gr.l.clone(), gr.w.clone(), r));
+    }
+    out
+}
+
+/// The first GR `(Area:a, Productivity:p) -[S:s]-> (Area:DB)` that no
+/// edge of `g` matches.
+fn unmatched_gr(g: &SocialGraph) -> Gr {
+    let schema = g.schema();
+    let area = schema.node_attr_by_name("Area").unwrap();
+    let prod = schema.node_attr_by_name("Productivity").unwrap();
+    let s = schema.edge_attr_by_name("S").unwrap();
+    for a in 1..=schema.node_attr(area).domain_size() {
+        for p in 1..=schema.node_attr(prod).domain_size() {
+            for v in 1..=schema.edge_attr(s).domain_size() {
+                let gr = Gr::new(
+                    NodeDescriptor::from_pairs([(area, a), (prod, p)]),
+                    EdgeDescriptor::from_pairs([(s, v)]),
+                    NodeDescriptor::from_pairs([(area, 1)]),
+                );
+                if query::row_counts(g, &gr).supp_lw == 0 {
+                    return gr;
+                }
+            }
+        }
+    }
+    panic!("every LHS and edge combination matches some edge");
+}
+
 #[test]
 fn query_measures_match_the_library() {
     let g = workload();
+    let schema = g.schema();
     let svc = Service::new(g.clone(), ServiceConfig::default());
-    // Mine one GR to query back through the round-trip display syntax.
+    // Every GR of a mined top-k, each one condition more general, and a
+    // GR no edge matches, queried through the round-trip display syntax.
     let mined = GrMiner::new(&g, default_cfg(&g)).try_mine().unwrap();
-    let gr = &mined.top.first().expect("workload mines something").gr;
-    let text = gr.display(g.schema());
-    let expected = social_ties::core::query::evaluate(&g, gr);
-    let resp = send(
-        &svc,
-        &format!("{{\"id\":1,\"type\":\"query\",\"gr\":\"{text}\"}}"),
+    assert!(!mined.top.is_empty(), "workload mines something");
+    let mut grs: Vec<Gr> = Vec::new();
+    for s in &mined.top {
+        grs.push(s.gr.clone());
+        grs.extend(one_condition_generalizations(&s.gr));
+    }
+    grs.push(unmatched_gr(&g));
+    // The sample reaches what it is meant to cover: β GRs with a
+    // homophily effect and the edge attribute.
+    let measured: Vec<GrMeasures> = grs.iter().map(|gr| query::evaluate(&g, gr)).collect();
+    assert!(measured
+        .iter()
+        .any(|m| !m.beta_attrs.is_empty() && m.heff > 0));
+    assert!(grs
+        .iter()
+        .zip(&measured)
+        .any(|(gr, m)| !gr.w.is_empty() && m.supp > 0));
+    assert!(grs.iter().any(|gr| gr.w.is_empty()));
+    assert_eq!(
+        measured.last().map(|m| (m.supp_lw, m.conf)),
+        Some((0, None))
     );
-    let result = assert_ok(&resp);
-    assert_eq!(get(result, "gr"), &Content::Str(text));
-    assert_eq!(get(result, "measures"), &to_content(&expected));
+    for (id, (gr, expected)) in grs.iter().zip(&measured).enumerate() {
+        let text = gr.display(schema);
+        let resp = send(
+            &svc,
+            &format!("{{\"id\":{id},\"type\":\"query\",\"gr\":\"{text}\"}}"),
+        );
+        let result = assert_ok(&resp);
+        assert_eq!(get(result, "gr"), &Content::Str(text.clone()));
+        assert_eq!(get(result, "measures"), &to_content(expected), "{text}");
+    }
     // A malformed GR is a BadRequest, not a panic.
     let resp = send(&svc, "{\"id\":2,\"type\":\"query\",\"gr\":\"(Nope:1) ->\"}");
     assert_err(&resp, "BadRequest");
