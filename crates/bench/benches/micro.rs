@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the substrate primitives: counting-sort
 //! partitioning (§V), key-column and single-table construction (§IV-A),
 //! key loads and the β group-by, single-GR query evaluation (Remark 3),
-//! row-major and over key columns, and dataset generation. The partition engine's before/after cells are
-//! `bench_json --group partition`'s.
+//! row-major and over key columns, and dataset generation. The partition
+//! engine's before/after cells are `bench_json --group partition`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grm_bench::{fixture, Dataset};

@@ -164,7 +164,7 @@ fn ones(mask: &[u8]) -> u64 {
 fn ones_of_both(a: &[u8], b: &[u8]) -> u64 {
     a.chunks(FLUSH)
         .zip(b.chunks(FLUSH))
-        .map(|(a, b)| u64::from(a.iter().zip(b).fold(0u8, |s, (&x, &y)| s + (x & y))))
+        .map(|(x, y)| u64::from(x.iter().zip(y).fold(0u8, |s, (&p, &q)| s + (p & q))))
         .sum()
 }
 

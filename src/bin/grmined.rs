@@ -10,8 +10,9 @@
 //! `CompactModel::MAX_EDGES` edges exits 1), binds a TCP listener
 //! (default `127.0.0.1:0` — an OS-assigned port), prints a single JSON
 //! ready line with the bound address on stdout, and then serves
-//! line-delimited JSON requests until shut down. The request protocol, error codes and failure model live
-//! in `grm_core::service` (see also README "Service mode").
+//! line-delimited JSON requests until shut down. The request protocol,
+//! error codes and failure model live in `grm_core::service` (see also
+//! README "Service mode").
 //!
 //! Shutdown is graceful on SIGTERM / SIGINT and on a `shutdown` request:
 //! the listener stops accepting, in-flight mines observe cancellation
